@@ -37,7 +37,13 @@ from .rootscan import (
     SpectrumResult,
     scan_and_refine,
 )
-from .heun import CheParams, che_params, g_function_heun, heun_spectrum
+from .heun import (
+    CheParams,
+    che_params,
+    g_function_heun,
+    g_function_heun_batch,
+    heun_spectrum,
+)
 from .bcf import (
     BcfParams,
     FullSeriesCoeffs,
@@ -46,6 +52,7 @@ from .bcf import (
     bcf_spectrum,
     full_series,
     g_function_bcf,
+    g_function_bcf_batch,
     judd_candidates,
 )
 from .canonical import (
@@ -72,9 +79,11 @@ __all__ = [
     "oracle_spectrum",
     "GFunctionSample", "RootReport", "RootScanConfig", "SpectrumResult",
     "scan_and_refine",
-    "CheParams", "che_params", "g_function_heun", "heun_spectrum",
+    "CheParams", "che_params", "g_function_heun", "g_function_heun_batch",
+    "heun_spectrum",
     "BcfParams", "FullSeriesCoeffs", "JuddCandidate", "bcf_reduce",
-    "bcf_spectrum", "full_series", "g_function_bcf", "judd_candidates",
+    "bcf_spectrum", "full_series", "g_function_bcf", "g_function_bcf_batch",
+    "judd_candidates",
     "BchParams", "CanonicalCoeffs", "NormalFormCoeffs", "bch_params_g0",
     "canonical_coeffs", "normal_form_coeffs",
     "__version__",

@@ -1,17 +1,21 @@
-"""Hot recurrence-rollout kernel, JIT-compiled with numba when available.
+"""Recurrence-rollout kernels.
 
-Set RABI_SPECTRA_PURE_PYTHON=1 to force the plain-Python path (same code,
-no compilation); benchmarks/bench_series.py compares the two.
+``roll`` sums one series and keeps every coefficient; ``roll_lanes`` sums a
+batch of series of one recurrence shape at once (numpy over the lane axis,
+looping over the index n) and keeps only the derivative sums.  The lane
+kernel repeats ``roll``'s arithmetic operation for operation, so each lane
+equals the scalar rollout bit for bit.  At batch size one ``roll`` is the
+faster of the two, which is why both exist: single-series callers use
+``roll``, G-function scans over an energy vector use ``roll_lanes``.
 
-The kernel rolls b_n = a_n * x^n directly, so no explicit powers of x are
-formed; a shared scale factor (log) is renormalized periodically to keep all
-mantissas inside double range even for strongly growing coefficient windows.
+Both roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
+shared scale factor (log) is renormalized periodically to keep all mantissas
+inside double range even for strongly growing coefficient windows.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -24,11 +28,7 @@ _RES_GUARD = 1e-12
 _COMPAT_TOL = 1e-12
 
 
-def _pure_python_requested() -> bool:
-    return os.environ.get("RABI_SPECTRA_PURE_PYTHON", "").strip() not in ("", "0")
-
-
-def _roll_impl(L, j_lead, order, seeds, x, max_n, tail_tol):
+def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     """Roll the recurrence sum L_j(m) a_{m+order-j} = 0 and accumulate
     derivative sums at x.
 
@@ -163,16 +163,160 @@ def _roll_impl(L, j_lead, order, seeds, x, max_n, tail_tol):
     return ds, scale_log, n_used, flags, coeff_m, coeff_log, tail_rel
 
 
-NUMBA_ENABLED = False
-if not _pure_python_requested():
-    try:
-        from numba import njit
+#: most indices n whose weight values roll_lanes evaluates in one numpy pass
+_LANE_BLOCK = 32
+#: byte size of one block's weight values [n, lag, lane]; larger temporaries
+#: come from fresh pages (the allocator maps them and gives them back), so a
+#: wide grid would page-fault on every block
+_LANE_BLOCK_BYTES = 1 << 16
 
-        roll = njit(cache=True, nogil=True)(_roll_impl)
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        roll = _roll_impl
-else:
-    roll = _roll_impl
 
-roll_python = _roll_impl
+def roll_lanes(L, j_lead, order, seeds, x, max_n, tail_tol):
+    """``roll`` for many lanes of one recurrence shape at once.
+
+    ``L[i]`` holds lane i's weights (laid out as ``roll``'s L) and ``x[i]``
+    its evaluation point; j_lead, order, seeds, max_n and tail_tol are
+    shared.  Every lane keeps ``roll``'s checks: the resonance guard and its
+    compatible/incompatible flags, the convergence gate with the n^order
+    amplification, renormalization every _RENORM_EVERY terms (per-lane
+    scale_log) and the nonconverged flag.
+
+    Returns (deriv_mantissas[lanes, order+1], scale_log, n_used, flags,
+    tail_rel), each lane equal to ``roll``'s output on (L[i], x[i]).  No
+    coefficients are kept.
+    """
+    n_lanes, n_lags, n_deg = L.shape
+    q = order - j_lead
+    n_seed = seeds.shape[0]
+    span = n_lags - 1 - j_lead
+    x = np.asarray(x, dtype=np.float64)
+
+    out_ds = np.zeros((n_lanes, order + 1))
+    out_slog = np.zeros(n_lanes)
+    out_n = np.zeros(n_lanes, dtype=np.int64)
+    out_flags = np.zeros(n_lanes, dtype=np.int64)
+    out_tail = np.zeros(n_lanes)
+
+    window = np.zeros((span + 1, n_lanes))  # window[d] = b_{n-d}
+    ds = np.zeros((order + 1, n_lanes))
+    xp = np.ones(n_lanes)
+    ff_seed = _falling(np.arange(n_seed), order)
+    for j in range(n_seed):
+        b = seeds[j] * xp
+        window[1:] = window[:-1]
+        window[0] = b
+        ds += ff_seed[j][:, None] * b
+        xp = xp * x
+
+    lanes = np.arange(n_lanes)  # original index of each live lane
+    alive = np.ones(n_lanes, dtype=bool)
+    slog = np.zeros(n_lanes)
+    flags = np.zeros(n_lanes, dtype=np.int64)
+    quiet = np.zeros(n_lanes, dtype=np.int64)
+    tail = np.zeros(n_lanes)
+
+    def store(sel, n_used):
+        idx = lanes[sel]
+        out_ds[idx] = ds[:, sel].T
+        out_slog[idx] = slog[sel]
+        out_n[idx] = n_used
+        out_flags[idx] = flags[sel]
+        out_tail[idx] = tail[sel]
+
+    n_last = n_seed - 1
+    n0 = n_seed
+    with np.errstate(all="ignore"):  # retired lanes roll on until compaction
+        while n0 <= max_n:
+            if not alive.all():
+                lanes, slog, flags, quiet, tail = (
+                    a[alive] for a in (lanes, slog, flags, quiet, tail))
+                window, ds = window[:, alive], ds[:, alive]
+                alive = alive[alive]
+            per_n = 8 * n_lags * lanes.size
+            n1 = min(n0 + max(1, min(_LANE_BLOCK, _LANE_BLOCK_BYTES // per_n)),
+                     max_n + 1)
+            # weight values W_j(n - q) for the block, summed in roll's order
+            m = np.arange(n0 - q, n1 - q, dtype=np.float64)
+            mabs = np.maximum(np.abs(m), 1.0)
+            lt = L[lanes].transpose(2, 1, 0)  # [d, lag, lane]
+            wv = np.zeros((m.size, n_lags, lanes.size))
+            lref_b = np.zeros((m.size, lanes.size))
+            mp = np.ones_like(m)
+            mref = np.ones_like(m)
+            for d in range(n_deg):
+                wv += lt[d][None] * mp[:, None, None]
+                lref_b += np.abs(lt[d, j_lead])[None] * mref[:, None]
+                mp = mp * m
+                mref = mref * mabs
+            lead_b = wv[:, j_lead]
+            ff_b = _falling(np.arange(n0, n1), order)
+            amp_b = np.ones(m.size)  # (n+1)^order amplification of the gate
+            for _ in range(order):
+                amp_b = amp_b * (np.arange(n0, n1) + 1.0)
+            res_any = np.any(np.abs(lead_b) <= _RES_GUARD * lref_b, axis=1)
+            # wx_b[i, d - 1] = W_{j_lead+d}(m) x^d, the factor of b_{n-d}
+            xd = np.cumprod(np.broadcast_to(x[lanes], (span, lanes.size)), axis=0)
+            wx_b = wv[:, j_lead + 1:] * xd[None]
+
+            for i, n in enumerate(range(n0, n1)):
+                lead = lead_b[i]
+                t = wx_b[i] * window[:span]
+                rhs = 0.0 - np.add.reduce(t, axis=0)
+                if res_any[i]:
+                    res = (np.abs(lead) <= _RES_GUARD * lref_b[i]) & alive
+                    rhs_ref = np.add.reduce(np.abs(t), axis=0)
+                    compat = np.abs(rhs) <= _COMPAT_TOL * (rhs_ref + 1e-300)
+                    flags = flags | np.where(res & compat,
+                                             FLAG_RESONANT_COMPATIBLE, 0)
+                    bad = res & ~compat
+                    if bad.any():
+                        flags = flags | np.where(bad, FLAG_RESONANT_INCOMPATIBLE, 0)
+                        store(bad, n - 1)
+                        alive = alive & ~bad
+                    b = np.where(res, 0.0, rhs / lead)
+                else:
+                    b = rhs / lead
+
+                window[1:] = window[:-1]
+                window[0] = b
+                ds += ff_b[i][:, None] * b
+                n_last = n
+
+                tail = np.abs(b) * amp_b[i] / np.maximum(np.abs(ds[0]), 1.0)
+                if tail_tol > 0.0:
+                    quiet = (quiet + 1) * (tail <= tail_tol)
+                    if n > n_seed + 8:
+                        done = (quiet > span + 2) & alive
+                        if done.any():
+                            store(done, n)
+                            alive = alive & ~done
+                            if not alive.any():
+                                break
+
+                if n % _RENORM_EVERY == 0:
+                    big = np.fmax(np.fmax.reduce(np.abs(window), axis=0),
+                                  np.fmax.reduce(np.abs(ds), axis=0))
+                    sel = ((big > 1e100) | ((big > 0.0) & (big < 1e-100))) & alive
+                    if sel.any():
+                        f = big[sel]
+                        window[:, sel] /= f
+                        ds[:, sel] /= f
+                        slog[sel] += np.array([math.log(v) for v in f])
+            if not alive.any():
+                break
+            n0 = n1
+        store(alive, n_last)
+
+    if tail_tol > 0.0:
+        out_flags |= np.where((out_n >= max_n) & (out_tail > tail_tol),
+                              FLAG_NONCONVERGED, 0)
+    return out_ds, out_slog, out_n, out_flags, out_tail
+
+
+def _falling(ns: np.ndarray, order: int) -> np.ndarray:
+    """out[i, k] = n(n-1)..(n-k+1) at n = ns[i], multiplied up as ``roll``
+    does."""
+    out = np.ones((ns.size, order + 1))
+    for k in range(1, order + 1):
+        out[:, k] = out[:, k - 1] * (ns - (k - 1))
+    return out

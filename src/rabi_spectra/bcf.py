@@ -1,10 +1,15 @@
 """Spectrum of the general model at small couplings via the second-order
 reduction with two regular singularities and its four-term-recurrence
 G-function; also the full fourth-order series used for residual validation.
+
+As on the Heun route, the G-function is evaluated for a vector of energies at
+once from zeta-form coefficients that are quadratics in E, taken once per
+parameter set from three probes of :func:`bcf_reduce`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,14 +19,17 @@ from . import _kernels
 from .errors import (
     ComplexSingularityError,
     DegenerateQError,
-    EvalPointOutOfDiskError,
     GNotZeroError,
     LambdaZeroError,
 )
 from .heun import (
     EXCEPTIONAL_TOL,
     RESONANCE_HALF_WIDTH,
+    _at_energies,
+    _check_zeta_star,
+    _energy_quadratics,
     _series_flags,
+    _wronskian_lanes,
     _wronskian_sample,
     split_two_poles,
 )
@@ -128,35 +136,52 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
         kappa=ga1 + ga2 + ga3)
 
 
+#: BcfParams fields that feed the zeta-form equation, in _bcf_polys order
+_ZETA_FIELDS = ("alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3")
+
+
+def _bcf_polys(al1, al2, be1, be2, ga1, ga2, ga3):
+    """Coefficients (p0, p1, p2) of zeta(zeta-1) times the reduced zeta-form
+    equation; the entries are floats or lane arrays."""
+    return ([ga3, -(ga2 + ga3 - ga1), -ga1],
+            [be2, -(be1 + be2 - al2), -(al2 - al1), -al1],
+            [0.0, -1.0, 1.0])
+
+
 def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
     """zeta(zeta-1) times the reduced zeta-form equation, expanded at z0."""
-    p2 = poly([0.0, -1.0, 1.0])
-    p1 = poly([b.beta2, -(b.beta1 + b.beta2 - b.alpha2),
-               -(b.alpha2 - b.alpha1), -b.alpha1])
-    p0 = poly([b.gamma3, -(b.gamma2 + b.gamma3 - b.gamma1), -b.gamma1])
-    return PolyOde((p0, p1, p2), z0=z0)
+    polys = _bcf_polys(*(getattr(b, name) for name in _ZETA_FIELDS))
+    return PolyOde(tuple(poly(c) for c in polys), z0=z0)
+
+
+@functools.lru_cache(maxsize=64)
+def _bcf_template(p: ModelParams) -> np.ndarray:
+    """The _ZETA_FIELDS as quadratics in E (p2 of the truncated parent does
+    not depend on E, so q does not either)."""
+    return _energy_quadratics(
+        lambda e: [getattr(bcf_reduce(p, e), name) for name in _ZETA_FIELDS],
+        p.omega)
+
+
+def g_function_bcf_batch(p: ModelParams, energies, zeta_star: float = 0.5,
+                         max_n: int = 2000, tail_tol: float = 1e-14) -> list:
+    """:func:`g_function_bcf` for an array of energies, one sample each."""
+    _check_zeta_star(zeta_star)
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    try:
+        template = _bcf_template(p)
+    except ComplexSingularityError:
+        return [GFunctionSample(float(e), math.nan, 0.0,
+                                frozenset({"complex_singularity"}))
+                for e in energies]
+    return _wronskian_lanes(energies, _bcf_polys(*_at_energies(template, energies)),
+                            zeta_star, max_n, tail_tol)
 
 
 def g_function_bcf(p: ModelParams, energy: float, zeta_star: float = 0.5,
                    max_n: int = 2000, tail_tol: float = 1e-14) -> GFunctionSample:
     """Angle-normalized Wronskian of the two four-term local series."""
-    if not (0.0 < zeta_star < 1.0):
-        raise EvalPointOutOfDiskError(
-            f"zeta_star must lie in (0, 1), got {zeta_star}")
-    try:
-        b = bcf_reduce(p, energy)
-    except ComplexSingularityError:
-        return GFunctionSample(energy, math.nan, 0.0,
-                               frozenset({"complex_singularity"}))
-    flags: set = set()
-    if min(zeta_star, 1.0 - zeta_star) < 0.02:
-        flags.add("near_singular_eval_point")
-    rec0 = ode_to_recurrence(bcf_ode(b, 0.0), "bcf@0")
-    rec1 = ode_to_recurrence(bcf_ode(b, 1.0), "bcf@1")
-    v0, d0, s0 = series_eval(rec0, zeta_star, max_n, tail_tol)
-    v1, d1, s1 = series_eval(rec1, zeta_star, max_n, tail_tol)
-    flags |= _series_flags(s0) | _series_flags(s1)
-    return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
+    return g_function_bcf_batch(p, [energy], zeta_star, max_n, tail_tol)[0]
 
 
 def resonance_ladder(p: ModelParams, e_min: float, e_max: float,
@@ -199,7 +224,7 @@ def exceptional_sample(p: ModelParams, energy: float, side: str,
         else default_seeds(rec1)
     v0, d0, s0 = series_eval(rec0, zeta_star, max_n, tail_tol, seeds=seeds0)
     v1, d1, s1 = series_eval(rec1, zeta_star, max_n, tail_tol, seeds=seeds1)
-    flags = _series_flags(s0) | _series_flags(s1)
+    flags = _series_flags(s0.flags) | _series_flags(s1.flags)
     flags.discard("near_resonance")
     return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
 
@@ -235,8 +260,8 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     cfg = RootScanConfig(e_min, e_max, grid_step, refine_tol=refine_tol,
                          split_zones=zones)
 
-    def f(energy: float) -> GFunctionSample:
-        return g_function_bcf(p, energy, zeta_star, max_n, tail_tol)
+    def f(energies):
+        return g_function_bcf_batch(p, energies, zeta_star, max_n, tail_tol)
 
     rep = scan_and_refine(f, cfg)
     energies = list(rep.roots)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,8 +23,8 @@ from .bcf import bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, RegimeMismatchError, ValidationError
 from .fock import oracle_spectrum
-from .heun import g_function_heun, heun_spectrum
-from .bcf import g_function_bcf
+from .heun import g_function_heun_batch, heun_spectrum
+from .bcf import g_function_bcf_batch
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import SpectrumResult
 
@@ -148,11 +149,12 @@ def _gscan_rows(cfg: RunConfig):
                                                cfg.e_max + cfg.grid_step)]
     except RabiSpectraError:
         ladder = []
-    for e in grid:
-        if method == "heun":
-            s = g_function_heun(cfg.params, e, cfg.zeta_star, cfg.k_branch)
-        else:
-            s = g_function_bcf(cfg.params, e, cfg.zeta_star)
+    if method == "heun":
+        samples = g_function_heun_batch(cfg.params, grid, cfg.zeta_star,
+                                        cfg.k_branch)
+    else:
+        samples = g_function_bcf_batch(cfg.params, grid, cfg.zeta_star)
+    for e, s in zip(grid, samples):
         flags = set(s.flags)
         # a determinant pole lives at each ladder point; mark its neighborhood
         # so sign changes across it are not read as roots
@@ -238,6 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(ns: argparse.Namespace) -> RunConfig:
     params = validate_params(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
     grid = ns.grid if ns.grid is not None else 0.05 * ns.omega
+    if not (math.isfinite(grid) and grid > 0):
+        raise ValidationError(f"--grid must be finite and > 0, got {grid}")
+    for name, value in (("--emin", ns.emin), ("--emax", ns.emax)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    if ns.emin is not None and ns.emax is not None and ns.emin > ns.emax:
+        raise ValidationError(f"--emin {ns.emin} exceeds --emax {ns.emax}")
+    if ns.nmax < 0:
+        raise ValidationError(f"--nmax must be >= 0, got {ns.nmax}")
+    if ns.fock_cutoff < 1:
+        raise ValidationError(f"--fock-cutoff must be >= 1, got {ns.fock_cutoff}")
     return RunConfig(ns.command, ns.method, params, ns.emin, ns.emax, grid,
                      ns.nmax, ns.fock_cutoff, ns.compare_oracle, ns.fmt,
                      ns.out, ns.zeta_star, ns.k_branch, ns.self_test,

@@ -1,10 +1,16 @@
 """Spectrum of the linear-coupling model (lam = 0) through the confluent
 Heun reduction: local series at the two regular singularities, Wronskian
 spectral determinant, resonance-aware scanning, and exceptional-point tests.
+
+The determinant is evaluated for a whole vector of trial energies at once:
+the reduction's zeta-form coefficients are quadratics in E, taken once per
+parameter set from three probes of :func:`che_params`, and both local series
+of every energy are rolled together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +40,7 @@ from .series import (
     exponent_seeds,
     ode_to_recurrence,
     series_eval,
+    series_sums_lanes,
 )
 
 #: half-width of the exclusion zone planted around each resonance energy
@@ -88,8 +95,6 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus",
         raise LambdaNotZeroError(f"Heun route needs lambda = 0, got {p.lam}")
     if p.g == 0.0:
         raise GZeroError("the two regular singularities collide at g = 0")
-    if k_branch not in ("minus", "plus"):
-        raise ValueError("k_branch must be 'minus' or 'plus'")
     p0, p1, p2 = asymmetric_second_order(p, energy)
     q = abs(p.g / p.omega)
     quot1, a2, a3 = split_two_poles(p1, p2, q)
@@ -104,27 +109,63 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus",
     be3 = 2 * q * b3
     zeta_table = {"alpha1": al1, "alpha2": al2, "alpha3": al3,
                   "beta1": be1, "beta2": be2, "beta3": be3}
-    disc = al1 * al1 - 4 * be1
-    if disc < 0:
-        raise GZeroError("gauge exponent k is complex for these parameters")
-    k = (-al1 + math.sqrt(disc)) / 2 if k_branch == "plus" \
-        else (-al1 - math.sqrt(disc)) / 2
+    k, alpha, beta, gamma, mu, nu = (
+        float(v) for v in _gauged(*zeta_table.values(), k_branch))
     quad = k * k + al1 * k + be1
-    return CheParams(alpha=al1 + 2 * k, beta=al3 - 1.0, gamma=al2,
-                     mu=k * al3 + be3, nu=k * al2 + be2,
+    return CheParams(alpha=alpha, beta=beta, gamma=gamma, mu=mu, nu=nu,
                      k=k, k_branch=k_branch, q=q,
                      a_table=a_table, b_table={},
                      zeta_table=zeta_table, quad_residual=quad)
 
 
+def _gauged(al1, al2, al3, be1, be2, be3, k_branch: str):
+    """Gauge root k of k^2 + alpha1 k + beta1 = 0 and the CHE parameters
+    (k, alpha, beta, gamma, mu, nu); floats or lane arrays."""
+    if k_branch not in ("minus", "plus"):
+        raise ValueError("k_branch must be 'minus' or 'plus'")
+    disc = np.asarray(al1 * al1 - 4 * be1)
+    if np.any(disc < 0):
+        raise GZeroError("gauge exponent k is complex for these parameters")
+    root = np.sqrt(disc)
+    k = (-al1 + root) / 2 if k_branch == "plus" else (-al1 - root) / 2
+    return k, al1 + 2 * k, al3 - 1.0, al2, k * al3 + be3, k * al2 + be2
+
+
+def _che_polys(a, b, g_, mu, nu):
+    """Coefficients (p0, p1, p2) of zeta(zeta-1) times the confluent Heun
+    equation; the entries are floats or lane arrays."""
+    return ([-mu, mu + nu], [-(b + 1.0), b + 1.0 + g_ - a, a], [0.0, -1.0, 1.0])
+
+
 def che_ode(che: CheParams, z0: float) -> PolyOde:
     """The confluent Heun equation times zeta(zeta-1), expanded at z0."""
-    a, b, g_ = che.alpha, che.beta, che.gamma
-    mu, nu = che.mu, che.nu
-    p2 = poly([0.0, -1.0, 1.0])
-    p1 = poly([-(b + 1.0), b + 1.0 + g_ - a, a])
-    p0 = poly([-mu, mu + nu])
-    return PolyOde((p0, p1, p2), z0=z0)
+    polys = _che_polys(che.alpha, che.beta, che.gamma, che.mu, che.nu)
+    return PolyOde(tuple(poly(c) for c in polys), z0=z0)
+
+
+def _energy_quadratics(values_at, omega: float) -> np.ndarray:
+    """Rows c0, c1, c2 of quantities that are polynomials of degree <= 2 in
+    the energy, from ``values_at`` (energy -> sequence) at E = -omega, 0,
+    omega.  The value at E is c0 + E (c1 + E c2)."""
+    fm, f0, fp = (np.array(values_at(e), dtype=float) for e in (-omega, 0.0, omega))
+    out = np.array([f0, (fp - fm) / (2 * omega), ((fp + fm) / 2 - f0) / omega ** 2])
+    out.setflags(write=False)
+    return out
+
+
+def _at_energies(quad: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """[quantity, lane] values of :func:`_energy_quadratics` rows."""
+    e = energies[None, :]
+    return quad[0][:, None] + e * (quad[1][:, None] + e * quad[2][:, None])
+
+
+@functools.lru_cache(maxsize=64)
+def _che_template(p: ModelParams) -> np.ndarray:
+    """alpha1..beta3 of the zeta-form table as quadratics in E (p2 of the
+    reduction does not depend on E, so the partial fractions are polynomial
+    in it)."""
+    return _energy_quadratics(lambda e: list(che_params(p, e).zeta_table.values()),
+                             p.omega)
 
 
 def _wronskian_sample(energy: float, v0: ScaledValue, d0: ScaledValue,
@@ -154,36 +195,63 @@ def _wronskian_sample(energy: float, v0: ScaledValue, d0: ScaledValue,
     return GFunctionSample(energy, val, log_g, flags)
 
 
-def _series_flags(sol, near_res: bool = False) -> set:
+def _series_flags(kernel_flags: int) -> set:
     flags = set()
-    if sol.flags & _kernels.FLAG_NONCONVERGED:
+    if kernel_flags & _kernels.FLAG_NONCONVERGED:
         flags.add("series_nonconverged")
-    if sol.flags & _kernels.FLAG_RESONANT_INCOMPATIBLE:
-        flags.add("near_resonance")
-    if sol.flags & _kernels.FLAG_RESONANT_COMPATIBLE:
-        flags.add("near_resonance")
-    if near_res:
+    if kernel_flags & (_kernels.FLAG_RESONANT_INCOMPATIBLE
+                       | _kernels.FLAG_RESONANT_COMPATIBLE):
         flags.add("near_resonance")
     return flags
+
+
+def _check_zeta_star(zeta_star: float) -> None:
+    if not (0.0 < zeta_star < 1.0):
+        raise EvalPointOutOfDiskError(
+            f"zeta_star must lie in (0, 1), got {zeta_star}")
+
+
+def _wronskian_lanes(energies: np.ndarray, polys, zeta_star: float,
+                    max_n: int, tail_tol: float) -> list:
+    """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
+    and zeta = 1, one lane per energy; ``polys[k]`` holds each lane's
+    coefficients of y^(k) (floats are shared by all lanes)."""
+    n = energies.size
+    polys = [np.column_stack([np.broadcast_to(v, (n,)) for v in c]) for c in polys]
+    val, der, slog, kflags = series_sums_lanes(
+        [np.concatenate([c, c]) for c in polys], np.repeat([0.0, 1.0], n),
+        np.full(2 * n, zeta_star), max_n, tail_tol)
+    base = {"near_singular_eval_point"} if min(zeta_star, 1.0 - zeta_star) < 0.02 \
+        else set()
+    out = []
+    for i in range(n):
+        j = i + n
+        flags = base | _series_flags(int(kflags[i])) | _series_flags(int(kflags[j]))
+        out.append(_wronskian_sample(
+            float(energies[i]),
+            ScaledValue(float(val[i]), float(slog[i])),
+            ScaledValue(float(der[i]), float(slog[i])),
+            ScaledValue(float(val[j]), float(slog[j])),
+            ScaledValue(float(der[j]), float(slog[j])), frozenset(flags)))
+    return out
+
+
+def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5,
+                          k_branch: str = "minus", max_n: int = 2000,
+                          tail_tol: float = 1e-14) -> list:
+    """:func:`g_function_heun` for an array of energies, one sample each."""
+    _check_zeta_star(zeta_star)
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    _k, *che = _gauged(*_at_energies(_che_template(p), energies), k_branch)
+    return _wronskian_lanes(energies, _che_polys(*che), zeta_star, max_n, tail_tol)
 
 
 def g_function_heun(p: ModelParams, energy: float, zeta_star: float = 0.5,
                     k_branch: str = "minus", max_n: int = 2000,
                     tail_tol: float = 1e-14) -> GFunctionSample:
     """Wronskian of the two local Heun series, angle-normalized, at zeta_star."""
-    if not (0.0 < zeta_star < 1.0):
-        raise EvalPointOutOfDiskError(
-            f"zeta_star must lie in (0, 1), got {zeta_star}")
-    che = che_params(p, energy, k_branch)
-    flags: set = set()
-    if min(zeta_star, 1.0 - zeta_star) < 0.02:
-        flags.add("near_singular_eval_point")
-    rec0 = ode_to_recurrence(che_ode(che, 0.0), "che@0")
-    rec1 = ode_to_recurrence(che_ode(che, 1.0), "che@1")
-    v0, d0, s0 = series_eval(rec0, zeta_star, max_n, tail_tol)
-    v1, d1, s1 = series_eval(rec1, zeta_star, max_n, tail_tol)
-    flags |= _series_flags(s0) | _series_flags(s1)
-    return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
+    return g_function_heun_batch(p, [energy], zeta_star, k_branch, max_n,
+                                 tail_tol)[0]
 
 
 def resonance_ladder(p: ModelParams, e_min: float, e_max: float,
@@ -228,15 +296,16 @@ def exceptional_sample(p: ModelParams, energy: float, side: str,
         else default_seeds(rec1)
     v0, d0, s0 = series_eval(rec0, zeta_star, max_n, tail_tol, seeds=seeds0)
     v1, d1, s1 = series_eval(rec1, zeta_star, max_n, tail_tol, seeds=seeds1)
-    flags = _series_flags(s0) | _series_flags(s1)
+    flags = _series_flags(s0.flags) | _series_flags(s1.flags)
     flags.discard("near_resonance")  # seeding past the resonance is the point
     return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
 
 
 def _scan_one_gauge(p: ModelParams, cfg: RootScanConfig, zeta_star: float,
                     k_branch: str, max_n: int, tail_tol: float) -> RootReport:
-    def f(energy: float) -> GFunctionSample:
-        return g_function_heun(p, energy, zeta_star, k_branch, max_n, tail_tol)
+    def f(energies):
+        return g_function_heun_batch(p, energies, zeta_star, k_branch, max_n,
+                                     tail_tol)
 
     return scan_and_refine(f, cfg)
 

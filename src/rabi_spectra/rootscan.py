@@ -4,6 +4,10 @@ The scanned function returns :class:`GFunctionSample` objects rather than
 bare floats so that resonances, non-convergence and breakdown regions can be
 excluded and reported instead of polluting the root list.  Sign changes whose
 bisection does not actually shrink |G| are classified as poles, not roots.
+
+The scanned function maps an array of energies to one sample per energy, so
+a batched determinant sees the whole grid in one call; all brackets are then
+bisected in lockstep, one call per bisection step.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .threads import scan_map
 
 REFINE_TOL = 1e-10
 MAX_BISECT = 200
@@ -122,15 +124,17 @@ def _build_grid(cfg: RootScanConfig):
 def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     """Locate zeros of the sampled determinant on [e_min, e_max].
 
-    f maps energy -> GFunctionSample.  Sign changes between consecutive valid
-    samples are bisected to refine_tol; flagged samples open excluded
-    intervals and adjacent sign changes become suspects; sign changes whose
-    |G| does not collapse under bisection are excluded as poles.
+    f maps an array of energies -> a sequence of GFunctionSample, one per
+    energy.  Sign changes between consecutive valid samples are bisected to
+    refine_tol; flagged samples open excluded intervals and adjacent sign
+    changes become suspects; sign changes whose |G| does not collapse under
+    bisection are excluded as poles.  f is called once for the grid and then
+    once per lockstep bisection step; n_evaluations counts energies.
     """
     grid = _build_grid(cfg)
     if len(grid) == 0:
         return RootReport(np.array([]))
-    samples = scan_map(f, grid)
+    samples = f(np.array(grid))
     n_evals = len(samples)
 
     excluded = [ExcludedInterval(c - hw, c + hw, reason)
@@ -164,6 +168,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
         zone_edges[round(c - hw, 15)] = c - hw
         zone_edges[round(c + hw, 15)] = c + hw
 
+    tasks = []
     for i in range(len(samples) - 1):
         s0, s1 = samples[i], samples[i + 1]
         if not (s0.ok and s1.ok):
@@ -181,10 +186,11 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
         if i in flag_neighbor or (i + 1) in flag_neighbor:
             suspects.append(0.5 * (grid[i] + grid[i + 1]))
             continue
-        res = _bisect(f, grid[i], grid[i + 1], s0, s1, cfg)
-        n_evals += res[3]
-        kind, r, s_r = res[0], res[1], res[2]
+        tasks.append(_bisect(grid[i], grid[i + 1], s0, s1, cfg))
         brackets.append((grid[i], grid[i + 1]))
+
+    for kind, r, s_r, n in _lockstep(f, tasks):
+        n_evals += n
         if kind == "root":
             roots.append((r, s_r))
         elif kind == "pole":
@@ -204,15 +210,35 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
                       tuple(brackets), n_evals)
 
 
-def _bisect(f, a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
+def _lockstep(f, tasks: list) -> list:
+    """Drive bisection generators together: each round evaluates every
+    pending point in one call of f.  Returns the tasks' results in order."""
+    results = [None] * len(tasks)
+    pending = []
+    for i, task in enumerate(tasks):
+        pending.append((i, task, next(task)))
+    while pending:
+        samples = f(np.array([x for _i, _t, x in pending]))
+        still = []
+        for (i, task, _x), s in zip(pending, samples):
+            try:
+                still.append((i, task, task.send(s)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        pending = still
+    return results
+
+
+def _bisect(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
             cfg: RootScanConfig):
-    """Returns (kind, x, sample, n_evals) with kind in root|pole|suspect."""
+    """Generator: yields each energy to evaluate and is sent its sample.
+    Returns (kind, x, sample, n_evals) with kind in root|pole|suspect."""
     fa = sa.g_value
     end_mag = max(abs(sa.g_value), abs(sb.g_value))
     n_evals = 0
     for _ in range(cfg.max_bisect):
         mid = 0.5 * (a + b)
-        sm = f(mid)
+        sm = yield mid
         n_evals += 1
         if not sm.ok:
             return "suspect", mid, sm, n_evals
@@ -225,7 +251,7 @@ def _bisect(f, a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
         if b - a <= cfg.refine_tol:
             break
     r = 0.5 * (a + b)
-    sr = f(r)
+    sr = yield r
     n_evals += 1
     if not sr.ok:
         return "suspect", r, sr, n_evals

@@ -5,10 +5,18 @@ y = sum a_n (z - z0)^n and collecting powers yields one finite-span linear
 recurrence whose weights are polynomials in the index.  This module derives
 that recurrence mechanically, rolls it with overflow-safe scaling, and checks
 truncated solutions by direct residual insertion.
+
+Two entry points sum series.  :func:`series_eval` takes one recurrence and
+keeps its coefficients (residual checks, exceptional tests, truncation
+tests).  :func:`series_sums_lanes` takes a batch of ODEs of one polynomial
+shape, one lane per trial energy: the weights are linear in the ODE
+coefficients, so they come from a basis derived once per (shape, z0), and
+all lanes are rolled together by ``_kernels.roll_lanes``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -165,6 +173,22 @@ class SeriesSolution:
         return np.array([self.coefficient(n) for n in range(self.n_used + 1)])
 
 
+def _collect_weights(polys, K: int) -> np.ndarray:
+    """Recurrence weights [K + 1, order + 1] of coefficient arrays already
+    centred at the expansion point; linear in those coefficients."""
+    s = len(polys) - 1
+    weights = np.zeros((K + 1, s + 1))
+    for k, c in enumerate(polys):
+        for i, cki in enumerate(c):
+            if cki == 0.0:
+                continue
+            j = s - k + i  # lag: this term couples a_{m+k-i} = a_{m+s-j}
+            ff = falling_factorial_poly(float(s - j), k)
+            w = poly(cki) if ff.size == 0 else cki * ff
+            weights[j, :w.size] += w
+    return weights
+
+
 def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
     """Derive the exact recurrence at ode.z0 by substitution and collection.
 
@@ -188,17 +212,8 @@ def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
                 f"expansion point {ode.z0} is an irregular singularity "
                 f"(p_{k} vanishes to order {ok} < {lead_ord - (s - k)})")
 
-    maxdeg = max(len(c) - 1 for c in polys)
-    K = s + maxdeg
-    weights = np.zeros((K + 1, s + 1))
-    for k, c in enumerate(polys):
-        for i, cki in enumerate(c):
-            if cki == 0.0:
-                continue
-            j = s - k + i  # lag: this term couples a_{m+k-i} = a_{m+s-j}
-            ff = falling_factorial_poly(float(s - j), k)
-            w = poly(cki) if ff.size == 0 else cki * ff
-            weights[j, :w.size] += w
+    K = s + max(len(c) - 1 for c in polys)
+    weights = _collect_weights(polys, K)
     j_lead = 0
     while j_lead <= K and not np.any(np.abs(weights[j_lead]) > 0):
         j_lead += 1
@@ -231,6 +246,76 @@ def _roll(rec: RecurrenceSpec, x_rel: float, max_n: int, tail_tol: float,
                          rec.j_lead, rec.order,
                          np.ascontiguousarray(seeds, dtype=np.float64),
                          float(x_rel), int(max_n), float(tail_tol))
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_basis(shape: tuple, z0: float) -> np.ndarray:
+    """basis[c] = recurrence weights at z0 of the ODE whose only nonzero
+    coefficient is the c-th of its polynomials (lengths ``shape``) laid end
+    to end.  An ODE of that shape with coefficients C has the weights
+    sum_c C[c] * basis[c]."""
+    K = len(shape) - 1 + max(shape) - 1
+    basis = []
+    for k, n_k in enumerate(shape):
+        for i in range(n_k):
+            polys = [np.zeros(n) for n in shape]
+            polys[k][i] = 1.0
+            basis.append(_collect_weights([pshift(c, z0) for c in polys], K))
+    out = np.array(basis)
+    out.setflags(write=False)
+    return out
+
+
+def _trim_columns(c: np.ndarray) -> np.ndarray:
+    """Drop trailing columns that vanish in every lane (keep at least one)."""
+    live = np.flatnonzero(np.any(c != 0.0, axis=0))
+    return c[:, :live[-1] + 1] if live.size else c[:, :1]
+
+
+def series_sums_lanes(polys, z0, x, max_n: int = DEFAULT_MAX_N,
+                      tail_tol: float = DEFAULT_TAIL_TOL):
+    """:func:`series_eval` with default seeds for a batch of ODEs.
+
+    ``polys[k]`` is a [lanes, len_k] array whose row i holds lane i's
+    coefficients of y^(k); lane i expands about z0[i] and sums at x[i],
+    strictly inside the convergence disk and x[i] != z0[i].  Each z0 must be
+    a regular singular or ordinary point: the Frobenius test of
+    :func:`ode_to_recurrence` is not repeated here.  Trailing coefficients
+    that vanish in every lane are dropped, as ode_to_recurrence drops them.
+
+    Returns (value, derivative, scale_log, flags) arrays; the value of lane i
+    is value[i] * exp(scale_log[i]), its derivative likewise.
+    """
+    polys = [_trim_columns(np.asarray(c, dtype=np.float64)) for c in polys]
+    coeffs = np.concatenate(polys, axis=1)
+    shape = tuple(c.shape[1] for c in polys)
+    order = len(shape) - 1
+    z0 = np.asarray(z0, dtype=np.float64)
+    x_rel = np.asarray(x, dtype=np.float64) - z0
+    weights = np.empty((coeffs.shape[0], len(shape) + max(shape) - 1, order + 1))
+    for z in np.unique(z0):
+        sel = z0 == z
+        basis = _weight_basis(shape, float(z))
+        w = coeffs[sel, 0, None, None] * basis[0]
+        for c in range(1, basis.shape[0]):  # fixed order: lanes do not interact
+            w = w + coeffs[sel, c, None, None] * basis[c]
+        weights[sel] = w
+    j_lead = np.argmax(np.any(weights != 0.0, axis=2), axis=1)
+
+    value = np.empty(x_rel.shape)
+    deriv = np.empty(x_rel.shape)
+    scale_log = np.empty(x_rel.shape)
+    flags = np.empty(x_rel.shape, dtype=np.int64)
+    for j in np.unique(j_lead):
+        sel = j_lead == j
+        seeds = np.zeros(max(order - int(j), 1))
+        seeds[0] = 1.0
+        ds, scale_log[sel], _n, flags[sel], _tail = _kernels.roll_lanes(
+            weights[sel], int(j), order, seeds, x_rel[sel], int(max_n),
+            float(tail_tol))
+        value[sel] = ds[:, 0]
+        deriv[sel] = ds[:, 1] / x_rel[sel]
+    return value, deriv, scale_log, flags
 
 
 def series_eval(rec: RecurrenceSpec, x: float,

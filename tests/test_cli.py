@@ -43,6 +43,28 @@ def test_validation_exit_2_on_bad_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, needle", [
+    (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
+      "--emin", "-1", "--emax", "1", "--grid", "0"], "--grid"),
+    (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+      "--g", "0.6", "--emin", "-1", "--emax", "1", "--grid", "-1"], "--grid"),
+    (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+      "--g", "0.6", "--emin", "2", "--emax", "1"], "--emax"),
+    (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+      "--g", "0.6", "--emin", "nan", "--emax", "1"], "--emin"),
+    (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+      "--g", "0.6", "--emin", "-1", "--emax", "inf"], "--emax"),
+    (["spectrum", "--method", "closed", *BASE, "--nmax", "-3"], "--nmax"),
+    (["spectrum", "--method", "oracle", *BASE, "--fock-cutoff", "0"],
+     "--fock-cutoff"),
+])
+def test_bad_run_settings_exit_2_with_one_line(args, needle, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
 def test_json_and_csv_encode_identical_data(tmp_path, capsys):
     args = ["spectrum", "--method", "closed", *BASE, "--nmax", "3"]
     code, out_csv, _ = run_cli(args + ["--format", "csv"], capsys)

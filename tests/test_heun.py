@@ -9,8 +9,15 @@ from rabi_spectra import (
     uncoupled_spectrum,
     validate_params,
 )
+from rabi_spectra import bcf
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
-from rabi_spectra.heun import che_ode, resonance_ladder
+from rabi_spectra.heun import (
+    _series_flags,
+    _wronskian_sample,
+    che_ode,
+    g_function_heun_batch,
+    resonance_ladder,
+)
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
 
 P_CRIT = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
@@ -141,3 +148,35 @@ def test_exact_solvability_random_draws():
         assert len(res.energies) == len(win), (p, res.energies, win)
         for e in win:
             assert np.min(np.abs(res.energies - e)) < 1e-6 * p.omega
+
+
+P_BCF = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
+#: route -> (ODE at zeta = 0 from the scalar reduction, batched G-function)
+ROUTES = {
+    "heun-minus": (lambda e: che_ode(che_params(P_CRIT, e, "minus"), 0.0),
+                   lambda es: g_function_heun_batch(P_CRIT, es, k_branch="minus")),
+    "heun-plus": (lambda e: che_ode(che_params(P_CRIT, e, "plus"), 0.0),
+                  lambda es: g_function_heun_batch(P_CRIT, es, k_branch="plus")),
+    "bcf": (lambda e: bcf.bcf_ode(bcf.bcf_reduce(P_BCF, e), 0.0),
+            lambda es: bcf.g_function_bcf_batch(P_BCF, es)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_batched_g_matches_scalar_reduction_chain(route):
+    # energies reach well past the template's probes at E = -omega, 0, omega
+    ode_at_0, g_batch = ROUTES[route]
+    energies = np.linspace(-1.0, 4.0, 23)
+    batch = g_batch(energies)
+    for e, s in zip(energies, batch):
+        ode0 = ode_at_0(e)
+        ode1 = type(ode0)(ode0.polys, z0=1.0)
+        v0, d0, s0 = series_eval(ode_to_recurrence(ode0), 0.5)
+        v1, d1, s1 = series_eval(ode_to_recurrence(ode1), 0.5)
+        flags = frozenset(_series_flags(s0.flags) | _series_flags(s1.flags))
+        ref = _wronskian_sample(e, v0, d0, v1, d1, flags)
+        assert s.flags == ref.flags
+        assert s.g_value == pytest.approx(ref.g_value, rel=1e-9, abs=1e-12)
+    # lanes do not interact: a one-lane call gives the same sample bit for bit
+    for i in (0, 11, 22):
+        assert g_batch(energies[i:i + 1])[0] == batch[i]

@@ -6,10 +6,15 @@ import pytest
 from rabi_spectra import GFunctionSample, RootScanConfig, scan_and_refine
 
 
+def per_point(sample):
+    """Array signature for a per-energy sample function."""
+    def samples(energies):
+        return [sample(float(e)) for e in energies]
+    return samples
+
+
 def plain(f):
-    def sample(e):
-        return GFunctionSample(e, f(e))
-    return sample
+    return per_point(lambda e: GFunctionSample(e, f(e)))
 
 
 def test_quadratic_root():
@@ -26,7 +31,7 @@ def test_flagged_pole_is_excluded_not_rooted():
         return GFunctionSample(e, 1.0 / (e - 1.0))
 
     cfg = RootScanConfig(0.0, 2.0, 0.02)
-    rep = scan_and_refine(f, cfg)
+    rep = scan_and_refine(per_point(f), cfg)
     assert len(rep.roots) == 0
     assert any("near_resonance" in iv.reason for iv in rep.excluded)
 
@@ -46,7 +51,7 @@ def test_pole_and_root_separated_by_split_zone():
 
     cfg = RootScanConfig(0.0, 2.0, 0.5,
                          split_zones=((1.0, 1e-9, "resonance"),))
-    rep = scan_and_refine(f, cfg)
+    rep = scan_and_refine(per_point(f), cfg)
     assert len(rep.roots) == 1
     assert rep.roots[0] == pytest.approx(0.8, abs=1e-9)
 
@@ -60,13 +65,15 @@ def test_grid_step_robustness():
 
 
 def test_bisection_contract():
-    f = plain(lambda e: (e - 1.234567891) ** 3)
-    rep = scan_and_refine(f, RootScanConfig(0.0, 2.0, 0.1, refine_tol=1e-10))
+    def f(e):
+        return (e - 1.234567891) ** 3
+
+    rep = scan_and_refine(plain(f), RootScanConfig(0.0, 2.0, 0.1, refine_tol=1e-10))
     r = rep.roots[0]
     assert abs(r - 1.234567891) <= 1e-9
-    fr = abs(f(r).g_value)
-    assert fr <= abs(f(r + 1e-10).g_value) + 1e-30 \
-        or fr <= abs(f(r - 1e-10).g_value) + 1e-30
+    fr = abs(f(r))
+    assert fr <= abs(f(r + 1e-10)) + 1e-30 \
+        or fr <= abs(f(r - 1e-10)) + 1e-30
 
 
 def test_roots_sorted_and_separated():
@@ -88,7 +95,31 @@ def test_suspect_next_to_flagged_run():
                                    frozenset({"series_nonconverged"}))
         return GFunctionSample(e, -1.0 if e < 1.0 else 1.0)
 
-    rep = scan_and_refine(f, RootScanConfig(0.0, 2.0, 0.05))
+    rep = scan_and_refine(per_point(f), RootScanConfig(0.0, 2.0, 0.05))
     assert len(rep.roots) == 0
     assert len(rep.suspects) >= 0
     assert any("series_nonconverged" in iv.reason for iv in rep.excluded)
+
+
+def test_brackets_are_bisected_in_lockstep():
+    # roots of sin(3e) at k*pi/3 and a pole at 1.57, which sits between grid
+    # points and is bisected like a root until the pole test rejects it
+    calls = []
+
+    def f(energies):
+        calls.append(len(energies))
+        return [GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57))
+                for e in energies]
+
+    cfg = RootScanConfig(0.2, 4.0, 0.1, refine_tol=1e-10)
+    rep = scan_and_refine(f, cfg)
+    np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
+                               atol=1e-10)
+    assert [iv.reason for iv in rep.excluded] == ["pole"]
+    assert abs(rep.excluded[0].lo - 1.57) < 1e-9
+    # per bracket: halvings down to refine_tol plus one final evaluation
+    depths = [math.ceil(math.log2((hi - lo) / cfg.refine_tol))
+              for lo, hi in rep.brackets]
+    assert len(depths) == 4
+    assert len(calls) == 1 + max(depths) + 1
+    assert rep.n_evaluations == sum(calls) == calls[0] + sum(d + 1 for d in depths)
