@@ -1,10 +1,13 @@
 """Spectrum of the general model at small couplings via the second-order
-reduction with two regular singularities and its four-term-recurrence
-G-function; also the full fourth-order series used for residual validation.
+reduction with two regular singularities, a two-point route of
+:mod:`rabi_spectra.twopoint` whose local series obey four-term recurrences;
+also the full fourth-order series used for residual validation.
 
-As on the Heun route, the G-function is evaluated for a vector of energies at
-once from zeta-form coefficients that are quadratics in E, taken once per
-parameter set from three probes of :func:`bcf_reduce`.
+Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
+to zeta = 1, 0.  The zeta-form coefficients are quadratics in E, taken once
+per parameter set from three probes of :func:`bcf_reduce`, so a whole vector
+of trial energies is reduced at once.  The route has no gauge, so a spectrum
+scans one branch.
 """
 
 from __future__ import annotations
@@ -15,43 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ComplexSingularityError,
     DegenerateQError,
     GNotZeroError,
     LambdaZeroError,
 )
-from .heun import (
-    EXCEPTIONAL_TOL,
-    RESONANCE_HALF_WIDTH,
-    _at_energies,
-    _check_zeta_star,
-    _energy_quadratics,
-    _series_flags,
-    _wronskian_lanes,
-    _wronskian_sample,
-    split_two_poles,
-)
 from .operators import bcf_truncated_parent, compose_fourth_order, operator_compose
-from .params import CLASSIFY_TOL, ModelParams
-from .polyops import poly
+from .params import ModelParams
+from .polyops import poly, split_two_poles
 from .rootscan import (
     ExcludedInterval,
     GFunctionSample,
     RootReport,
-    RootScanConfig,
     SpectrumResult,
-    scan_and_refine,
 )
 from .series import (
     PolyOde,
     SeriesSolution,
-    default_seeds,
-    exponent_seeds,
     ode_to_recurrence,
     series_eval,
 )
+from .twopoint import Reduction, g_function_batch, resonance_ladder, spectrum
 
 
 @dataclass(frozen=True)
@@ -81,12 +69,6 @@ class BcfParams:
     delta: float
     eta: float
     kappa: float
-
-    def resonance_index_origin(self) -> float:
-        return self.beta2
-
-    def resonance_index_one(self) -> float:
-        return self.beta1
 
 
 def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
@@ -155,27 +137,26 @@ def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
 
 
 @functools.lru_cache(maxsize=64)
-def _bcf_template(p: ModelParams) -> np.ndarray:
-    """The _ZETA_FIELDS as quadratics in E (p2 of the truncated parent does
-    not depend on E, so q does not either)."""
-    return _energy_quadratics(
+def bcf_reduction(p: ModelParams) -> Reduction:
+    """The reduced zeta-form equation as a two-point reduction with no gauge.
+    p2 of the truncated parent does not depend on E, so q does not either
+    and the _ZETA_FIELDS are polynomial in E (degree <= 2)."""
+    return Reduction.from_probes(
+        "bcf", p.omega,
         lambda e: [getattr(bcf_reduce(p, e), name) for name in _ZETA_FIELDS],
-        p.omega)
+        lambda fields, _gauge: _bcf_polys(*fields))
 
 
 def g_function_bcf_batch(p: ModelParams, energies, zeta_star: float = 0.5,
                          max_n: int = 2000, tail_tol: float = 1e-14) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each."""
-    _check_zeta_star(zeta_star)
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
     try:
-        template = _bcf_template(p)
+        return g_function_batch(bcf_reduction(p), energies, zeta_star, None,
+                                max_n, tail_tol)
     except ComplexSingularityError:
         return [GFunctionSample(float(e), math.nan, 0.0,
                                 frozenset({"complex_singularity"}))
-                for e in energies]
-    return _wronskian_lanes(energies, _bcf_polys(*_at_energies(template, energies)),
-                            zeta_star, max_n, tail_tol)
+                for e in np.atleast_1d(np.asarray(energies, dtype=float))]
 
 
 def g_function_bcf(p: ModelParams, energy: float, zeta_star: float = 0.5,
@@ -184,114 +165,40 @@ def g_function_bcf(p: ModelParams, energy: float, zeta_star: float = 0.5,
     return g_function_bcf_batch(p, [energy], zeta_star, max_n, tail_tol)[0]
 
 
-def resonance_ladder(p: ModelParams, e_min: float, e_max: float,
-                     n_cap: int = 200) -> list:
-    """(energy, side, index): E where beta2 (origin) or beta1 (one) hits a
-    nonnegative integer.  Both are affine in E, so two probes pin each line.
-    """
-    out = []
-    for side in ("origin", "one"):
-        def beta_of(energy):
-            b = bcf_reduce(p, energy)
-            return b.beta2 if side == "origin" else b.beta1
-
-        try:
-            b0 = beta_of(0.0)
-            b1 = beta_of(1.0)
-        except (ComplexSingularityError, DegenerateQError):
-            continue
-        slope = b1 - b0
-        if abs(slope) < 1e-300:
-            continue
-        for m in range(0, n_cap + 1):
-            e_m = (m - b0) / slope
-            if e_min < e_m < e_max:
-                out.append((float(e_m), side, m))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
-def exceptional_sample(p: ModelParams, energy: float, side: str,
-                       resonant_index: int, zeta_star: float = 0.5,
-                       max_n: int = 2000, tail_tol: float = 1e-14) -> GFunctionSample:
-    """Second-kind Wronskian with the high-exponent branch on the resonant side."""
-    b = bcf_reduce(p, energy)
-    rec0 = ode_to_recurrence(bcf_ode(b, 0.0), "bcf@0")
-    rec1 = ode_to_recurrence(bcf_ode(b, 1.0), "bcf@1")
-    seeds0 = exponent_seeds(rec0, resonant_index + 1) if side == "origin" \
-        else default_seeds(rec0)
-    seeds1 = exponent_seeds(rec1, resonant_index + 1) if side == "one" \
-        else default_seeds(rec1)
-    v0, d0, s0 = series_eval(rec0, zeta_star, max_n, tail_tol, seeds=seeds0)
-    v1, d1, s1 = series_eval(rec1, zeta_star, max_n, tail_tol, seeds=seeds1)
-    flags = _series_flags(s0.flags) | _series_flags(s1.flags)
-    flags.discard("near_resonance")
-    return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
+def _breakdown(p: ModelParams, energy: float) -> str | None:
+    """Why the reduction fails at this energy (and, q being independent of
+    E, everywhere), or None."""
+    try:
+        bcf_reduce(p, energy)
+    except ComplexSingularityError:
+        return "complex_singularity"
+    except DegenerateQError:
+        return "degenerate_q"
+    return None
 
 
 def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  grid_step: float = 0.05, zeta_star: float = 0.5,
                  max_n: int = 2000, tail_tol: float = 1e-14,
                  refine_tol: float = 1e-10,
-                 uncoupled_tol: float = 1e-10,
-                 _allow_mirror: bool = True) -> SpectrumResult:
+                 uncoupled_tol: float = 1e-10) -> SpectrumResult:
     """Grid scan + bisection of the reduced-equation G-function.
 
     Ladder points get exclusion zones and exceptional tests; at delta ~ 0 the
-    mirrored sector is merged (the sectors decouple there).  A window where
-    the reduction itself breaks down (q^2 <= 0) is reported as excluded.
+    mirrored sector is merged (the sectors decouple there) unless its own
+    reduction breaks down.  A window where the reduction itself breaks down
+    (q^2 <= 0 or q ~ 0) is reported as excluded.
     """
-    try:
-        bcf_reduce(p, 0.5 * (e_min + e_max))
-    except ComplexSingularityError:
-        rep = RootReport(np.array([]),
-                         (ExcludedInterval(e_min, e_max, "complex_singularity"),))
-        return SpectrumResult("bcf", np.array([]), (), rep, None,
-                              {"complex_singularity": True})
-    except DegenerateQError:
-        rep = RootReport(np.array([]),
-                         (ExcludedInterval(e_min, e_max, "degenerate_q"),))
-        return SpectrumResult("bcf", np.array([]), (), rep, None,
-                              {"degenerate_q": True})
-
-    ladder = resonance_ladder(p, e_min, e_max)
-    zones = tuple((e, RESONANCE_HALF_WIDTH * p.omega, "resonance")
-                  for e, _s, _n in ladder)
-    cfg = RootScanConfig(e_min, e_max, grid_step, refine_tol=refine_tol,
-                         split_zones=zones)
-
-    def f(energies):
-        return g_function_bcf_batch(p, energies, zeta_star, max_n, tail_tol)
-
-    rep = scan_and_refine(f, cfg)
-    energies = list(rep.roots)
-    labels = ["regular"] * len(energies)
-    for e_r, side, n_res in ladder:
-        s = exceptional_sample(p, e_r, side, n_res, zeta_star, max_n, tail_tol)
-        if s.ok and abs(s.g_value) < EXCEPTIONAL_TOL:
-            energies.append(e_r)
-            labels.append(f"exceptional:{side}:{n_res}")
-
-    if _allow_mirror and abs(p.delta) <= uncoupled_tol * p.omega:
-        try:
-            mirror = bcf_spectrum(p.mirrored(), e_min, e_max, grid_step,
-                                  zeta_star, max_n, tail_tol, refine_tol,
-                                  uncoupled_tol, _allow_mirror=False)
-            for e_r, lab in zip(mirror.energies, mirror.labels):
-                energies.append(float(e_r))
-                labels.append("mirror:" + lab)
-        except (ComplexSingularityError, DegenerateQError):
-            pass
-
-    order = np.argsort(energies) if energies else np.array([], dtype=int)
-    keep_e, keep_l = [], []
-    for i in order:
-        if keep_e and abs(energies[i] - keep_e[-1]) <= max(refine_tol, 1e-9 * p.omega):
-            continue
-        keep_e.append(float(energies[i]))
-        keep_l.append(labels[i])
-    return SpectrumResult("bcf", np.array(keep_e), tuple(keep_l), rep, None,
-                          {"ladder": ladder, "zeta_star": zeta_star})
+    e_mid = 0.5 * (e_min + e_max)
+    reason = _breakdown(p, e_mid)
+    if reason is not None:
+        rep = RootReport(np.array([]), (ExcludedInterval(e_min, e_max, reason),))
+        return SpectrumResult("bcf", np.array([]), (), rep, None, {reason: True})
+    mirror = None
+    if abs(p.delta) <= uncoupled_tol * p.omega and _breakdown(p.mirrored(), e_mid) is None:
+        mirror = bcf_reduction(p.mirrored())
+    return spectrum(bcf_reduction(p), mirror, e_min, e_max, grid_step,
+                    zeta_star, max_n, tail_tol, refine_tol)
 
 
 @dataclass(frozen=True)
@@ -317,8 +224,11 @@ def judd_candidates(p: ModelParams, e_min: float, e_max: float,
     residual is max|a_{n*+1..n*+3}| / max|a_0..n*|.  Best-effort label, not a
     proof.
     """
+    if _breakdown(p, 0.0) is not None:
+        return []
     out = []
-    for e_r, side, n_res in resonance_ladder(p, e_min, e_max, n_cap=n_max):
+    for e_r, side, n_res in resonance_ladder(bcf_reduction(p), e_min, e_max,
+                                             n_cap=n_max):
         if n_res > n_max:
             continue
         b = bcf_reduce(p, e_r)

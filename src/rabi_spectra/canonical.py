@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GNotZeroError, GZeroError, LambdaZeroError
-from .heun import split_two_poles
 from .params import NormalizedParams
-from .polyops import padd, pder, pmul, poly, ptrim, pval
+from .polyops import padd, pder, pmul, poly, ptrim, pval, split_two_poles
 from .series import PolyOde
 
 

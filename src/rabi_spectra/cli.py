@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import diagnose_report
-from .bcf import bcf_spectrum
+from .bcf import bcf_reduction, bcf_spectrum, g_function_bcf_batch
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, RegimeMismatchError, ValidationError
 from .fock import oracle_spectrum
-from .heun import g_function_heun_batch, heun_spectrum
-from .bcf import g_function_bcf_batch
+from .heun import g_function_heun_batch, heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import SpectrumResult
+from .twopoint import resonance_ladder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -139,14 +139,11 @@ def _gscan_rows(cfg: RunConfig):
         return header, rows
     n = int(np.floor((cfg.e_max - cfg.e_min) / cfg.grid_step + 1e-9)) + 1
     grid = [cfg.e_min + i * cfg.grid_step for i in range(n)]
-    if method == "heun":
-        from .heun import resonance_ladder as ladder_fn
-    else:
-        from .bcf import resonance_ladder as ladder_fn
     try:
-        ladder = [e for e, _s, _n in ladder_fn(cfg.params,
-                                               cfg.e_min - cfg.grid_step,
-                                               cfg.e_max + cfg.grid_step)]
+        reduction = (heun_reduction if method == "heun" else bcf_reduction)(cfg.params)
+        ladder = [e for e, _s, _n in resonance_ladder(reduction,
+                                                      cfg.e_min - cfg.grid_step,
+                                                      cfg.e_max + cfg.grid_step)]
     except RabiSpectraError:
         ladder = []
     if method == "heun":

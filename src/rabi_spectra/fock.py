@@ -73,6 +73,8 @@ def eigenvalues(p: ModelParams, cutoff: int) -> np.ndarray:
 def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
                     delta_n: int = 40) -> OracleResult:
     """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n."""
+    if cutoff < 1:
+        raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
     if k > 2 * (cutoff + 1):
         raise NegativeCutoffError(
             f"requested {k} eigenvalues from dimension {2 * (cutoff + 1)}")

@@ -43,6 +43,18 @@ def pval(a, x: float) -> float:
     return float(npoly.polyval(x, poly(a)))
 
 
+def split_two_poles(num, p2, q: float):
+    """num/p2 = quotient + res_plus/(z - q) + res_minus/(z + q) for
+    p2 = p2_lead (z^2 - q^2)."""
+    p2 = ptrim(p2)
+    lead = p2[-1]
+    quot, rem = npoly.polydiv(poly(num), poly(p2))
+    rem = ptrim(rem)
+    res_plus = pval(rem, q) / (lead * 2 * q)
+    res_minus = pval(rem, -q) / (lead * (-2 * q))
+    return ptrim(quot, 1e-300), float(res_plus), float(res_minus)
+
+
 def pshift(a, z0: float) -> np.ndarray:
     """Coefficients of p(t + z0) in t, i.e. recenter p at z0."""
     a = poly(a)

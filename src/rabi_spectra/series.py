@@ -96,17 +96,6 @@ class RecurrenceSpec:
         """Weight multiplying the newest coefficient when computing a_n."""
         return float(pval(self.weights[self.j_lead], n - self.n_free))
 
-    def resonant_indices(self, n_max: int) -> list:
-        """Indices n where the newest-coefficient weight (nearly) vanishes."""
-        lead = self.weights[self.j_lead]
-        out = []
-        for n in range(self.n_free, n_max + 1):
-            m = n - self.n_free
-            ref = sum(abs(c) * max(1.0, abs(m)) ** d for d, c in enumerate(lead))
-            if abs(pval(lead, m)) <= 1e-9 * ref:
-                out.append(n)
-        return out
-
 
 @dataclass(frozen=True)
 class ScaledValue:

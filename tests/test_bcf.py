@@ -15,13 +15,14 @@ from rabi_spectra import (
     uncoupled_spectrum,
     validate_params,
 )
-from rabi_spectra.bcf import bcf_ode, resonance_ladder
+from rabi_spectra.bcf import bcf_ode, bcf_reduction
 from rabi_spectra.errors import (
     ComplexSingularityError,
     GNotZeroError,
     LambdaZeroError,
 )
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
+from rabi_spectra.twopoint import resonance_ladder
 
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 
@@ -171,7 +172,7 @@ def test_judd_candidates_generic_params():
 
 def test_judd_empty_range():
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    lad = resonance_ladder(p, -1.0, 2.0)
+    lad = resonance_ladder(bcf_reduction(p), -1.0, 2.0)
     lo = min(e for e, _s, _n in lad)
     cands = judd_candidates(p, lo - 0.4, lo - 0.01)
     assert cands == []
@@ -180,7 +181,7 @@ def test_judd_empty_range():
 def test_judd_tuned_resonance_detected():
     # tune E so the zeta=1 index hits an integer: candidates at that energy
     p = validate_params(1.0, 0.3, 0.15, 0.3, 0.0)
-    lad = resonance_ladder(p, -1.0, 2.0)
+    lad = resonance_ladder(bcf_reduction(p), -1.0, 2.0)
     cands = judd_candidates(p, -1.0, 2.0)
     assert len(cands) == len(lad)
     for c, (e, side, n) in zip(cands, lad):

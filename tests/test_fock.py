@@ -104,3 +104,10 @@ def test_oracle_result_fields():
     assert np.all(res.convergence_deltas >= 0)
     with pytest.raises(NegativeCutoffError):
         oracle_spectrum(p, 2, 100)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_oracle_rejects_cutoff_below_one_by_name(cutoff):
+    p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
+    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be >= 1, got {cutoff}$"):
+        oracle_spectrum(p, cutoff)

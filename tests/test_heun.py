@@ -11,14 +11,9 @@ from rabi_spectra import (
 )
 from rabi_spectra import bcf
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
-from rabi_spectra.heun import (
-    _series_flags,
-    _wronskian_sample,
-    che_ode,
-    g_function_heun_batch,
-    resonance_ladder,
-)
+from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
+from rabi_spectra.twopoint import _series_flags, _wronskian_sample, resonance_ladder
 
 P_CRIT = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 
@@ -68,7 +63,7 @@ def test_sign_constant_between_eigenvalues(oracle_crit):
     # sign constant between consecutive eigenvalues, except across a pole of
     # the determinant (a resonance-ladder point), where it must flip
     e1, e2 = float(oracle_crit[0]), float(oracle_crit[1])
-    ladder = [e for e, _s, _n in resonance_ladder(P_CRIT, e1, e2)]
+    ladder = [e for e, _s, _n in resonance_ladder(heun_reduction(P_CRIT), e1, e2)]
     pts = [e1 + t * (e2 - e1) for t in np.linspace(0.12, 0.88, 5)]
     samples = [(e, g_function_heun(P_CRIT, e)) for e in pts]
     for (ea, sa), (eb, sb) in zip(samples, samples[1:]):
