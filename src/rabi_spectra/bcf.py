@@ -182,7 +182,7 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  max_n: int = 2000, tail_tol: float = 1e-14,
                  refine_tol: float = 1e-10,
                  uncoupled_tol: float = 1e-10) -> SpectrumResult:
-    """Grid scan + bisection of the reduced-equation G-function.
+    """Grid scan + secant refinement of the reduced-equation G-function.
 
     Ladder points get exclusion zones and exceptional tests; at delta ~ 0 the
     mirrored sector is merged (the sectors decouple there) unless its own

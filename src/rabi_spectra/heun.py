@@ -6,7 +6,8 @@ singularities to zeta = 0 and zeta = 1, and a gauge exp(k zeta) with either
 root k of its quadratic gives the confluent Heun equation.  Its zeta-form
 coefficients are quadratics in E, taken once per parameter set from three
 probes of :func:`che_params`, so a whole vector of trial energies is reduced
-at once.  The spectrum scans both gauge branches.
+at once.  The spectrum scans the minus gauge branch and checks its roots in
+the plus branch.
 """
 
 from __future__ import annotations
@@ -133,10 +134,12 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
                   uncoupled_tol: float = 1e-10) -> SpectrumResult:
     """Scan the spectral determinant on [e_min, e_max].
 
-    Both gauge branches are scanned and their refined roots compared; ladder
-    points are tested for exceptional eigenvalues; at delta ~ 0 the mirrored
-    spin sector (eps, g, lam -> negated) is scanned too, since the two
-    sectors decouple there and each Wronskian sees only one of them.
+    The minus gauge branch is scanned and the plus branch evaluated just
+    either side of each refined root ('regular:both' where it changes sign
+    there); ladder points are tested for exceptional eigenvalues; at
+    delta ~ 0 the mirrored spin sector (eps, g, lam -> negated) is scanned
+    too, since the two sectors decouple there and each Wronskian sees only
+    one of them.
     """
     mirror = heun_reduction(p.mirrored()) \
         if abs(p.delta) <= uncoupled_tol * p.omega else None

@@ -1,13 +1,13 @@
-"""Root location for spectral determinants: grid scan, bracketing, bisection.
+"""Root location for spectral determinants: grid scan, bracketing, secant.
 
 The scanned function returns :class:`GFunctionSample` objects rather than
 bare floats so that resonances, non-convergence and breakdown regions can be
 excluded and reported instead of polluting the root list.  Sign changes whose
-bisection does not actually shrink |G| are classified as poles, not roots.
+refinement does not actually shrink |G| are classified as poles, not roots.
 
 The scanned function maps an array of energies to one sample per energy, so
 a batched determinant sees the whole grid in one call; all brackets are then
-bisected in lockstep, one call per bisection step.
+refined in lockstep, one call per round of a few energies per bracket.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ REFINE_TOL = 1e-10
 MAX_BISECT = 200
 #: accept a refined root only if |G| dropped this far below the bracket ends
 POLE_RATIO = 1e-3
+#: secant points that move less than this share of the starting bracket
+#: count as settled
+_SETTLED = 1e-3
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,12 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     """Locate zeros of the sampled determinant on [e_min, e_max].
 
     f maps an array of energies -> a sequence of GFunctionSample, one per
-    energy.  Sign changes between consecutive valid samples are bisected to
-    refine_tol; flagged samples open excluded intervals and adjacent sign
-    changes become suspects; sign changes whose |G| does not collapse under
-    bisection are excluded as poles.  f is called once for the grid and then
-    once per lockstep bisection step; n_evaluations counts energies.
+    energy.  Sign changes between consecutive valid samples are refined to
+    refine_tol by :func:`_refine`; flagged samples open excluded intervals
+    and adjacent sign changes, or a flag met while refining, become suspects;
+    sign changes whose |G| does not collapse are excluded as poles.  f is
+    called once for the grid and then once per lockstep round (at most
+    max_bisect rounds); n_evaluations counts energies.
     """
     grid = _build_grid(cfg)
     if len(grid) == 0:
@@ -186,7 +190,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
         if i in flag_neighbor or (i + 1) in flag_neighbor:
             suspects.append(0.5 * (grid[i] + grid[i + 1]))
             continue
-        tasks.append(_bisect(grid[i], grid[i + 1], s0, s1, cfg))
+        tasks.append(_refine(grid[i], grid[i + 1], s0, s1, cfg))
         brackets.append((grid[i], grid[i + 1]))
 
     for kind, r, s_r, n in _lockstep(f, tasks):
@@ -211,50 +215,71 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
 
 
 def _lockstep(f, tasks: list) -> list:
-    """Drive bisection generators together: each round evaluates every
-    pending point in one call of f.  Returns the tasks' results in order."""
+    """Drive refinement generators together: each round evaluates every
+    pending energy of every task in one call of f.  Returns the tasks'
+    results in order."""
     results = [None] * len(tasks)
-    pending = []
-    for i, task in enumerate(tasks):
-        pending.append((i, task, next(task)))
+    pending = [(i, task, next(task)) for i, task in enumerate(tasks)]
     while pending:
-        samples = f(np.array([x for _i, _t, x in pending]))
-        still = []
-        for (i, task, _x), s in zip(pending, samples):
+        samples = f(np.array([x for _i, _t, xs in pending for x in xs]))
+        still, k = [], 0
+        for i, task, xs in pending:
             try:
-                still.append((i, task, task.send(s)))
+                still.append((i, task, task.send(samples[k:k + len(xs)])))
             except StopIteration as stop:
                 results[i] = stop.value
+            k += len(xs)
         pending = still
     return results
 
 
-def _bisect(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
+def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
             cfg: RootScanConfig):
-    """Generator: yields each energy to evaluate and is sent its sample.
-    Returns (kind, x, sample, n_evals) with kind in root|pole|suspect."""
-    fa = sa.g_value
+    """Generator: yields the energies of one round and is sent their samples.
+    Returns (kind, x, sample, n_evals) with kind in root|pole|suspect.
+
+    A safeguarded secant: each round evaluates the bracket midpoint and the
+    secant point of the two samples with the smallest |G| seen so far (if it
+    falls inside the bracket), and once the secant points settle also the
+    secant point +- refine_tol/2.  The new bracket is the smallest
+    sub-interval that keeps a sign change, so it at least halves every round
+    and never needs more rounds than bisection.  The end of the final bracket
+    with the smaller |G| is a root if |G| there fell below pole_ratio times
+    the bracket-end magnitude, else a pole.
+    """
     end_mag = max(abs(sa.g_value), abs(sb.g_value))
-    n_evals = 0
+    best = sorted([(a, sa.g_value), (b, sb.g_value)], key=lambda t: abs(t[1]))
+    settled = _SETTLED * (b - a)
+    last, n_evals = math.inf, 0
     for _ in range(cfg.max_bisect):
-        mid = 0.5 * (a + b)
-        sm = yield mid
-        n_evals += 1
-        if not sm.ok:
-            return "suspect", mid, sm, n_evals
-        if sm.g_value == 0.0:
-            return "root", mid, sm, n_evals
-        if fa * sm.g_value < 0.0:
-            b = mid
-        else:
-            a, fa = mid, sm.g_value
+        (x1, f1), (x2, f2) = best
+        s = x1 - f1 * (x1 - x2) / (f1 - f2) if f1 != f2 else math.nan
+        xs = {0.5 * (a + b)}
+        if a < s < b:
+            xs.add(s)
+            if abs(s - last) < settled:
+                xs |= {s - 0.5 * cfg.refine_tol, s + 0.5 * cfg.refine_tol}
+            last = s
+        xs = sorted(x for x in xs if a < x < b)
+        if not xs:
+            break
+        got = yield xs
+        n_evals += len(xs)
+        for x, sx in zip(xs, got):
+            if not sx.ok:
+                return "suspect", x, sx, n_evals
+            if sx.g_value == 0.0:
+                return "root", x, sx, n_evals
+        best = sorted(best + [(x, sx.g_value) for x, sx in zip(xs, got)],
+                      key=lambda t: abs(t[1]))[:2]
+        pts = [(a, sa), *zip(xs, got), (b, sb)]
+        j = min((k for k in range(len(pts) - 1)
+                 if pts[k][1].g_value * pts[k + 1][1].g_value < 0.0),
+                key=lambda k: pts[k + 1][0] - pts[k][0])
+        (a, sa), (b, sb) = pts[j], pts[j + 1]
         if b - a <= cfg.refine_tol:
             break
-    r = 0.5 * (a + b)
-    sr = yield r
-    n_evals += 1
-    if not sr.ok:
-        return "suspect", r, sr, n_evals
+    r, sr = min((a, sa), (b, sb), key=lambda t: abs(t[1].g_value))
     if abs(sr.g_value) <= cfg.pole_ratio * end_mag:
         return "root", r, sr, n_evals
     return "pole", r, sr, n_evals

@@ -5,7 +5,7 @@ zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 100401, 2011).  Everything past the reduction lives here: the batched
 Wronskian, the resonance ladder, the exceptional-point test and the spectrum
-assembly (gauge pairing, mirror-sector merge, dedup).
+assembly (second-gauge check, mirror-sector merge, dedup).
 """
 
 from __future__ import annotations
@@ -190,73 +190,59 @@ def exceptional_sample(reduction: Reduction, energy: float, side: str,
     return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
 
 
-def _pair_gauges(reports, gauges, agree_tol: float) -> list:
-    """(energy, label) for the roots of one or two gauge scans; with two, a
-    root that both gauges find within agree_tol is averaged and labelled
-    'regular:both'."""
-    if len(reports) == 1:
-        return [(r, "regular") for r in reports[0].roots]
-    first, second = (rep.roots for rep in reports)
-    out, used = [], set()
-    for r in first:
-        j = int(np.argmin(np.abs(second - r))) if second.size else -1
-        if j >= 0 and abs(second[j] - r) <= agree_tol:
-            out.append((0.5 * (r + second[j]), "regular:both"))
-            used.add(j)
-        else:
-            out.append((r, f"regular:{gauges[0]}-only"))
-    return out + [(r, f"regular:{gauges[1]}-only")
-                  for j, r in enumerate(second) if j not in used]
-
-
 def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
              e_max: float, grid_step: float = 0.05, zeta_star: float = 0.5,
              max_n: int = 2000, tail_tol: float = 1e-14,
              refine_tol: float = 1e-10) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
 
-    Every gauge of ``reduction`` is scanned, with exclusion zones around its
-    ladder points, and each ladder point gets the exceptional test.
-    ``mirror`` (the other spin sector, given where the sectors decouple) is
-    scanned the same way in its first gauge and merged with a 'mirror:'
-    prefix.  Levels closer than max(refine_tol, 1e-9 omega) are merged.
+    The first gauge of ``reduction`` is scanned, with exclusion zones around
+    its ladder points, and each ladder point gets the exceptional test.  A
+    second gauge is evaluated once, at r +- 1e-8 omega for every refined
+    root r: a sign change there labels the root 'regular:both', else it is
+    'regular:<first>-only'.  ``mirror`` (the other spin sector, given where
+    the sectors decouple) is scanned the same way and merged with a
+    'mirror:' prefix.  Levels closer than max(refine_tol, 1e-9 omega) are
+    merged, and the unprefixed sector's level wins.
     """
-    sectors = [(reduction, reduction.gauges, "")]
-    if mirror is not None:
-        sectors.append((mirror, mirror.gauges[:1], "mirror:"))
     levels, scans = [], []
-    for red, gauges, prefix in sectors:
+    for red, prefix in ((reduction, ""), (mirror, "mirror:")):
+        if red is None:
+            continue
         ladder = resonance_ladder(red, e_min, e_max)
         zones = tuple((e, RESONANCE_HALF_WIDTH * red.omega, "resonance")
                       for e, _s, _n in ladder)
         cfg = RootScanConfig(e_min, e_max, grid_step, refine_tol=refine_tol,
                              split_zones=zones)
-        reports = [scan_and_refine(
-            lambda es, gauge=gauge: g_function_batch(red, es, zeta_star, gauge,
-                                                     max_n, tail_tol), cfg)
-            for gauge in gauges]
-        found = _pair_gauges(reports, gauges, 1e-8 * red.omega)
+        report = scan_and_refine(
+            lambda es: g_function_batch(red, es, zeta_star, red.gauges[0],
+                                        max_n, tail_tol), cfg)
+        n = report.roots.size
+        labels = ["regular"] * n
+        if len(red.gauges) > 1 and not prefix and n:
+            h = 1e-8 * red.omega
+            near = g_function_batch(red, np.concatenate([report.roots - h,
+                                                         report.roots + h]),
+                                    zeta_star, red.gauges[1], max_n, tail_tol)
+            labels = ["regular:both" if lo.ok and hi.ok
+                      and lo.g_value * hi.g_value <= 0.0
+                      else f"regular:{red.gauges[0]}-only"
+                      for lo, hi in zip(near[:n], near[n:])]
+        found = list(zip(report.roots, labels))
         for e_r, side, n_res in ladder:
             s = exceptional_sample(red, e_r, side, n_res, zeta_star, max_n,
                                    tail_tol)
             if s.ok and abs(s.g_value) < EXCEPTIONAL_TOL:
                 found.append((e_r, f"exceptional:{side}:{n_res}"))
-        if prefix:  # the mirror's levels enter the merge sorted; that decides ties
-            found = [found[i] for i in np.argsort([e for e, _lab in found])]
         levels += [(e, prefix + lab) for e, lab in found]
-        scans.append((reports, ladder))
+        scans.append((report, ladder))
 
-    # of two equal levels (the sectors can return the same float) the one
-    # np.argsort puts first survives, and with it its label
     keep = []
-    for i in np.argsort([e for e, _lab in levels]):
-        e, lab = levels[i]
-        if not keep or abs(e - keep[-1][0]) > max(refine_tol, 1e-9 * reduction.omega):
+    for e, lab in sorted(levels, key=lambda t: (t[1].startswith("mirror:"), t[0])):
+        if all(abs(e - k) > max(refine_tol, 1e-9 * reduction.omega) for k, _ in keep):
             keep.append((float(e), lab))
-    reports, ladder = scans[0]
-    meta = {"ladder": ladder, "zeta_star": zeta_star}
-    if len(reports) > 1:
-        meta.update({f"{gauge}_branch_roots": rep.roots.tolist()
-                     for gauge, rep in zip(reduction.gauges, reports)})
+    keep.sort(key=lambda t: t[0])
+    report, ladder = scans[0]
     return SpectrumResult(reduction.method, np.array([e for e, _lab in keep]),
-                          tuple(lab for _e, lab in keep), reports[0], None, meta)
+                          tuple(lab for _e, lab in keep), report, None,
+                          {"ladder": ladder, "zeta_star": zeta_star})

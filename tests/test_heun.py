@@ -97,12 +97,14 @@ def test_spectrum_matches_oracle_small_window(oracle_crit):
 
 
 def test_k_branch_consistency(oracle_crit):
+    # the plus gauge is not scanned; at every 'regular:both' root of the
+    # minus gauge it must change sign across r +- 1e-8
     res = heun_spectrum(P_CRIT, -1.0, 1.0, 0.05)
-    assert all(lab.startswith("regular:both") for lab in res.labels)
-    minus = np.array(res.metadata["minus_branch_roots"])
-    plus = np.array(res.metadata["plus_branch_roots"])
-    assert len(minus) == len(plus)
-    np.testing.assert_allclose(minus, plus, atol=1e-8)
+    assert res.labels and all(lab == "regular:both" for lab in res.labels)
+    lo = g_function_heun_batch(P_CRIT, res.energies - 1e-8, k_branch="plus")
+    hi = g_function_heun_batch(P_CRIT, res.energies + 1e-8, k_branch="plus")
+    assert all(a.ok and b.ok and a.g_value * b.g_value < 0.0
+               for a, b in zip(lo, hi))
 
 
 def test_zero_set_stable_across_gluing_points():

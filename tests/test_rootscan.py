@@ -103,25 +103,72 @@ def test_suspect_next_to_flagged_run():
     assert any("series_nonconverged" in iv.reason for iv in rep.excluded)
 
 
-def test_brackets_are_bisected_in_lockstep():
-    # roots of sin(3e) at k*pi/3 and a pole at 1.57, which sits between grid
-    # points and is bisected like a root until the pole test rejects it
+def counted(sample):
+    """Array signature that records the number of energies of every call."""
     calls = []
 
     def f(energies):
         calls.append(len(energies))
-        return [GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57))
-                for e in energies]
+        return [sample(float(e)) for e in energies]
+    return f, calls
 
+
+def bisection_calls(rep, cfg):
+    """Calls bisection took: the grid, then per bracket its halvings down to
+    refine_tol plus one final evaluation, all brackets in lockstep."""
+    return 1 + max(math.ceil(math.log2((hi - lo) / cfg.refine_tol))
+                   for lo, hi in rep.brackets) + 1
+
+
+def test_brackets_are_refined_in_lockstep():
+    # roots of sin(3e) at k*pi/3 and a pole at 1.57, which sits between grid
+    # points and is refined like a root until the pole test rejects it
+    f, calls = counted(lambda e: GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57)))
     cfg = RootScanConfig(0.2, 4.0, 0.1, refine_tol=1e-10)
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
                                atol=1e-10)
     assert [iv.reason for iv in rep.excluded] == ["pole"]
     assert abs(rep.excluded[0].lo - 1.57) < 1e-9
-    # per bracket: halvings down to refine_tol plus one final evaluation
-    depths = [math.ceil(math.log2((hi - lo) / cfg.refine_tol))
-              for lo, hi in rep.brackets]
-    assert len(depths) == 4
-    assert len(calls) == 1 + max(depths) + 1
-    assert rep.n_evaluations == sum(calls) == calls[0] + sum(d + 1 for d in depths)
+    assert len(rep.brackets) == 4
+    # the pole bracket alone needs about as many rounds as bisection
+    assert len(calls) <= bisection_calls(rep, cfg)
+    assert rep.n_evaluations == sum(calls)
+
+    # without the pole the secant steps converge in a few rounds
+    f, calls = counted(lambda e: GFunctionSample(e, math.sin(3.0 * e)))
+    rep = scan_and_refine(f, cfg)
+    np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
+                               atol=1e-10)
+    assert len(calls) <= 8
+    assert rep.n_evaluations == sum(calls)
+
+
+#: hard cases for the refiner: (sample function, expected roots, expected
+#: excluded reasons, expected suspects)
+HARD = {
+    "triple-root": (lambda e: GFunctionSample(e, (e - 1.234567891) ** 3),
+                    [1.234567891], [], 0),
+    "pole": (lambda e: GFunctionSample(e, 1.0 / (e - 1.234567891)), [], ["pole"], 0),
+    "step": (lambda e: GFunctionSample(e, -1.0 if e < 1.234567891 else 1.0),
+             [], ["pole"], 0),
+    # unflagged on the grid, flagged within 1e-4 of the root
+    "flag-in-refinement": (
+        lambda e: GFunctionSample(e, math.nan, 0.0, frozenset({"series_nonconverged"}))
+        if abs(e - 1.234567891) < 1e-4 else GFunctionSample(e, e - 1.234567891),
+        [], [], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARD))
+def test_refiner_hard_cases_take_no_more_rounds_than_bisection(case):
+    sample, roots, reasons, n_suspects = HARD[case]
+    f, calls = counted(sample)
+    cfg = RootScanConfig(1.0, 1.5, 0.05, refine_tol=1e-10)
+    rep = scan_and_refine(f, cfg)
+    np.testing.assert_allclose(rep.roots, roots, atol=1e-9)
+    assert [iv.reason for iv in rep.excluded] == reasons
+    assert len(rep.suspects) == n_suspects
+    assert len(rep.brackets) == 1
+    assert len(calls) <= bisection_calls(rep, cfg)
+    assert rep.n_evaluations == sum(calls)
