@@ -147,22 +147,21 @@ def bcf_reduction(p: ModelParams) -> Reduction:
         lambda fields, _gauge: _bcf_polys(*fields))
 
 
-def g_function_bcf_batch(p: ModelParams, energies, zeta_star: float = 0.5,
-                         max_n: int = 2000, tail_tol: float = 1e-14) -> list:
+def g_function_bcf_batch(p: ModelParams, energies,
+                         zeta_star: float = 0.5) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each."""
     try:
-        return g_function_batch(bcf_reduction(p), energies, zeta_star, None,
-                                max_n, tail_tol)
+        return g_function_batch(bcf_reduction(p), energies, zeta_star)
     except ComplexSingularityError:
         return [GFunctionSample(float(e), math.nan, 0.0,
                                 frozenset({"complex_singularity"}))
                 for e in np.atleast_1d(np.asarray(energies, dtype=float))]
 
 
-def g_function_bcf(p: ModelParams, energy: float, zeta_star: float = 0.5,
-                   max_n: int = 2000, tail_tol: float = 1e-14) -> GFunctionSample:
+def g_function_bcf(p: ModelParams, energy: float,
+                   zeta_star: float = 0.5) -> GFunctionSample:
     """Angle-normalized Wronskian of the two four-term local series."""
-    return g_function_bcf_batch(p, [energy], zeta_star, max_n, tail_tol)[0]
+    return g_function_bcf_batch(p, [energy], zeta_star)[0]
 
 
 def _breakdown(p: ModelParams, energy: float) -> str | None:
@@ -178,27 +177,20 @@ def _breakdown(p: ModelParams, energy: float) -> str | None:
 
 
 def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
-                 grid_step: float = 0.05, zeta_star: float = 0.5,
-                 max_n: int = 2000, tail_tol: float = 1e-14,
-                 refine_tol: float = 1e-10,
-                 uncoupled_tol: float = 1e-10) -> SpectrumResult:
+                 grid_step: float = 0.05,
+                 zeta_star: float = 0.5) -> SpectrumResult:
     """Grid scan + secant refinement of the reduced-equation G-function.
 
-    Ladder points get exclusion zones and exceptional tests; at delta ~ 0 the
-    mirrored sector is merged (the sectors decouple there) unless its own
-    reduction breaks down.  A window where the reduction itself breaks down
+    Ladder points get exclusion zones and exceptional tests.  No mirror
+    sector is scanned at delta ~ 0: one sector's determinant already returns
+    the levels of both.  A window where the reduction itself breaks down
     (q^2 <= 0 or q ~ 0) is reported as excluded.
     """
-    e_mid = 0.5 * (e_min + e_max)
-    reason = _breakdown(p, e_mid)
+    reason = _breakdown(p, 0.5 * (e_min + e_max))
     if reason is not None:
         rep = RootReport(np.array([]), (ExcludedInterval(e_min, e_max, reason),))
-        return SpectrumResult("bcf", np.array([]), (), rep, None, {reason: True})
-    mirror = None
-    if abs(p.delta) <= uncoupled_tol * p.omega and _breakdown(p.mirrored(), e_mid) is None:
-        mirror = bcf_reduction(p.mirrored())
-    return spectrum(bcf_reduction(p), mirror, e_min, e_max, grid_step,
-                    zeta_star, max_n, tail_tol, refine_tol)
+        return SpectrumResult("bcf", np.array([]), (), rep, {reason: True})
+    return spectrum(bcf_reduction(p), None, e_min, e_max, grid_step, zeta_star)
 
 
 @dataclass(frozen=True)

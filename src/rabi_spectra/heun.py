@@ -25,6 +25,9 @@ from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
 from .twopoint import Reduction, g_function_batch, spectrum
 
+#: |delta| / omega up to which the spin sectors count as decoupled
+UNCOUPLED_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CheParams:
@@ -39,7 +42,6 @@ class CheParams:
     k_branch: str
     q: float
     a_table: dict
-    b_table: dict
     zeta_table: dict
     quad_residual: float
 
@@ -71,7 +73,7 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus",
     quad = k * k + al1 * k + be1
     return CheParams(alpha=alpha, beta=beta, gamma=gamma, mu=mu, nu=nu,
                      k=k, k_branch=k_branch, q=q,
-                     a_table=a_table, b_table={},
+                     a_table=a_table,
                      zeta_table=zeta_table, quad_residual=quad)
 
 
@@ -112,26 +114,20 @@ def heun_reduction(p: ModelParams) -> Reduction:
 
 
 def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5,
-                          k_branch: str = "minus", max_n: int = 2000,
-                          tail_tol: float = 1e-14) -> list:
+                          k_branch: str = "minus") -> list:
     """:func:`g_function_heun` for an array of energies, one sample each."""
-    return g_function_batch(heun_reduction(p), energies, zeta_star, k_branch,
-                            max_n, tail_tol)
+    return g_function_batch(heun_reduction(p), energies, zeta_star, k_branch)
 
 
 def g_function_heun(p: ModelParams, energy: float, zeta_star: float = 0.5,
-                    k_branch: str = "minus", max_n: int = 2000,
-                    tail_tol: float = 1e-14) -> GFunctionSample:
+                    k_branch: str = "minus") -> GFunctionSample:
     """Wronskian of the two local Heun series, angle-normalized, at zeta_star."""
-    return g_function_heun_batch(p, [energy], zeta_star, k_branch, max_n,
-                                 tail_tol)[0]
+    return g_function_heun_batch(p, [energy], zeta_star, k_branch)[0]
 
 
 def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
-                  grid_step: float = 0.05, zeta_star: float = 0.5,
-                  max_n: int = 2000, tail_tol: float = 1e-14,
-                  refine_tol: float = 1e-10,
-                  uncoupled_tol: float = 1e-10) -> SpectrumResult:
+                  grid_step: float = 0.05,
+                  zeta_star: float = 0.5) -> SpectrumResult:
     """Scan the spectral determinant on [e_min, e_max].
 
     The minus gauge branch is scanned and the plus branch evaluated just
@@ -142,6 +138,6 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
     one of them.
     """
     mirror = heun_reduction(p.mirrored()) \
-        if abs(p.delta) <= uncoupled_tol * p.omega else None
+        if abs(p.delta) <= UNCOUPLED_TOL * p.omega else None
     return spectrum(heun_reduction(p), mirror, e_min, e_max, grid_step,
-                    zeta_star, max_n, tail_tol, refine_tol)
+                    zeta_star)

@@ -4,19 +4,18 @@ The authoritative route composes the two coupled second-order operators
 directly (with the full product rule).  The transcribed closed forms that the
 derivation chapters print are kept alongside purely as audit references: they
 drop two product-rule terms, and everything downstream of them inherits the
-defect.  See audit.report_operator_tables for the itemized comparison.
+defect.  See audit.audit_fourth_order_operator for the itemized comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import LambdaZeroError
 from .params import ModelParams
-from .polyops import add_operators, compose_operators, poly, polys_equal, ptrim
+from .polyops import compose_operators, poly, ptrim
 
 __all__ = [
     "coupled_operator_polys",
@@ -123,10 +122,6 @@ class Ode4Coeffs:
     composed: dict
     printed: dict
     mismatches: tuple = field(default_factory=tuple)
-    composed_operator: tuple = ()
-
-    def coeff(self, key: str) -> float:
-        return self.composed[key]
 
 
 def operator_compose(p: ModelParams, energy: float, rtol: float = 1e-12) -> Ode4Coeffs:
@@ -141,8 +136,7 @@ def operator_compose(p: ModelParams, energy: float, rtol: float = 1e-12) -> Ode4
         a, b = composed[key], printed[key]
         if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
             bad.append(key)
-    return Ode4Coeffs(p, energy, composed, printed, tuple(bad),
-                      tuple(tuple(map(float, c)) for c in op))
+    return Ode4Coeffs(p, energy, composed, printed, tuple(bad))
 
 
 def asymmetric_second_order(p: ModelParams, energy: float) -> list:
@@ -174,14 +168,3 @@ def bcf_truncated_parent(p: ModelParams, energy: float) -> list:
                g * g + 2 * ep * lam - 2 * lam * om])
     return [p0, p1, p2]
 
-
-def operators_close(a: list, b: list, rtol: float = 1e-12) -> bool:
-    aa = add_operators(a, [])
-    bb = add_operators(b, [])
-    n = max(len(aa), len(bb))
-    for k in range(n):
-        pa = aa[k] if k < len(aa) else [0.0]
-        pb = bb[k] if k < len(bb) else [0.0]
-        if not polys_equal(pa, pb, rtol):
-            return False
-    return True

@@ -87,20 +87,6 @@ def compose_operators(outer: list, inner: list) -> list:
     return [ptrim(c, 1e-300) for c in out]
 
 
-def add_operators(a: list, b: list) -> list:
-    order = max(len(a), len(b)) - 1
-    out = []
-    for k in range(order + 1):
-        pa = a[k] if k < len(a) else [0.0]
-        pb = b[k] if k < len(b) else [0.0]
-        out.append(padd(pa, pb))
-    return out
-
-
-def scale_operator(a: list, s: float) -> list:
-    return [poly(c) * s for c in a]
-
-
 def falling_factorial_poly(shift: float, k: int) -> np.ndarray:
     """(m + shift)(m + shift - 1)...(m + shift - k + 1) as a polynomial in m."""
     out = poly([1.0])

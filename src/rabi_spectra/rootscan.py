@@ -52,11 +52,9 @@ class RootScanConfig:
     e_max: float
     grid_step: float
     refine_tol: float = REFINE_TOL
-    max_bisect: int = MAX_BISECT
     #: (center, half_width, reason) zones to pre-exclude, with grid points
     #: injected at both edges (used for analytically known resonances)
     split_zones: tuple = ()
-    pole_ratio: float = POLE_RATIO
 
     def __post_init__(self):
         if not (self.e_min <= self.e_max):
@@ -85,22 +83,15 @@ class RootReport:
     brackets: tuple = ()
     n_evaluations: int = 0
 
-    def excluded_reasons(self) -> dict:
-        out: dict = {}
-        for iv in self.excluded:
-            out.setdefault(iv.reason, []).append((iv.lo, iv.hi))
-        return out
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues from one method, with optional oracle comparison."""
+    """Eigenvalues from one method, with their labels and scan report."""
 
     method: str
     energies: np.ndarray
     labels: tuple = ()
     report: RootReport | None = None
-    oracle_errors: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -133,7 +124,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     and adjacent sign changes, or a flag met while refining, become suspects;
     sign changes whose |G| does not collapse are excluded as poles.  f is
     called once for the grid and then once per lockstep round (at most
-    max_bisect rounds); n_evaluations counts energies.
+    MAX_BISECT rounds); n_evaluations counts energies.
     """
     grid = _build_grid(cfg)
     if len(grid) == 0:
@@ -167,10 +158,6 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     roots = []
     suspects = []
     brackets = []
-    zone_edges = {}
-    for c, hw, _reason in cfg.split_zones:
-        zone_edges[round(c - hw, 15)] = c - hw
-        zone_edges[round(c + hw, 15)] = c + hw
 
     tasks = []
     for i in range(len(samples) - 1):
@@ -244,14 +231,14 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
     secant point +- refine_tol/2.  The new bracket is the smallest
     sub-interval that keeps a sign change, so it at least halves every round
     and never needs more rounds than bisection.  The end of the final bracket
-    with the smaller |G| is a root if |G| there fell below pole_ratio times
+    with the smaller |G| is a root if |G| there fell below POLE_RATIO times
     the bracket-end magnitude, else a pole.
     """
     end_mag = max(abs(sa.g_value), abs(sb.g_value))
     best = sorted([(a, sa.g_value), (b, sb.g_value)], key=lambda t: abs(t[1]))
     settled = _SETTLED * (b - a)
     last, n_evals = math.inf, 0
-    for _ in range(cfg.max_bisect):
+    for _ in range(MAX_BISECT):
         (x1, f1), (x2, f2) = best
         s = x1 - f1 * (x1 - x2) / (f1 - f2) if f1 != f2 else math.nan
         xs = {0.5 * (a + b)}
@@ -280,6 +267,6 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
         if b - a <= cfg.refine_tol:
             break
     r, sr = min((a, sa), (b, sb), key=lambda t: abs(t[1].g_value))
-    if abs(sr.g_value) <= cfg.pole_ratio * end_mag:
+    if abs(sr.g_value) <= POLE_RATIO * end_mag:
         return "root", r, sr, n_evals
     return "pole", r, sr, n_evals

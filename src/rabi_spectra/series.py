@@ -7,11 +7,12 @@ that recurrence mechanically, rolls it with overflow-safe scaling, and checks
 truncated solutions by direct residual insertion.
 
 Two entry points sum series.  :func:`series_eval` takes one recurrence and
-keeps its coefficients (residual checks, exceptional tests, truncation
-tests).  :func:`series_sums_lanes` takes a batch of ODEs of one polynomial
-shape, one lane per trial energy: the weights are linear in the ODE
+keeps its coefficients (residual checks, truncation tests).
+:func:`series_sums_lanes` takes a batch of ODEs of one polynomial shape, one
+lane per trial energy and expansion point: the weights are linear in the ODE
 coefficients, so they come from a basis derived once per (shape, z0), and
-all lanes are rolled together by ``_kernels.roll_lanes``.
+the lanes are rolled by ``_kernels.roll_lanes``, one call per leading lag
+and Frobenius branch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import IrregularPointError, NonConvergedError, ResonantIndexError
-from .polyops import falling_factorial_poly, padd, pmul, poly, pshift, ptrim, pval
+from .polyops import falling_factorial_poly, poly, pshift, ptrim, pval
 
 DEFAULT_TAIL_TOL = 1e-14
 DEFAULT_MAX_N = 2000
@@ -58,9 +59,6 @@ class PolyOde:
         """Coefficient arrays rewritten in t = z - z0."""
         return [ptrim(pshift(p, self.z0), 1e-300) for p in self.polys]
 
-    def eval_poly(self, k: int, x: float) -> float:
-        return pval(self.polys[k], x)
-
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
@@ -88,9 +86,6 @@ class RecurrenceSpec:
     @property
     def n_free(self) -> int:
         return self.order - self.j_lead
-
-    def weight_poly(self, j: int) -> np.ndarray:
-        return ptrim(self.weights[j], 1e-300)
 
     def leading_at(self, n: int) -> float:
         """Weight multiplying the newest coefficient when computing a_n."""
@@ -218,17 +213,6 @@ def default_seeds(rec: RecurrenceSpec) -> np.ndarray:
     return seeds
 
 
-def exponent_seeds(rec: RecurrenceSpec, exponent: int) -> np.ndarray:
-    """Seed vector selecting the Frobenius branch z^exponent (a_exponent = 1).
-
-    Only meaningful when the skipped equations are auto-satisfied, i.e. at a
-    resonant index; callers use this for exceptional-eigenvalue tests.
-    """
-    seeds = np.zeros(exponent + 1)
-    seeds[exponent] = 1.0
-    return seeds
-
-
 def _roll(rec: RecurrenceSpec, x_rel: float, max_n: int, tail_tol: float,
           seeds: np.ndarray):
     return _kernels.roll(np.ascontiguousarray(rec.weights, dtype=np.float64),
@@ -261,9 +245,8 @@ def _trim_columns(c: np.ndarray) -> np.ndarray:
     return c[:, :live[-1] + 1] if live.size else c[:, :1]
 
 
-def series_sums_lanes(polys, z0, x, max_n: int = DEFAULT_MAX_N,
-                      tail_tol: float = DEFAULT_TAIL_TOL):
-    """:func:`series_eval` with default seeds for a batch of ODEs.
+def series_sums_lanes(polys, z0, x, exponent):
+    """:func:`series_eval` for a batch of ODEs.
 
     ``polys[k]`` is a [lanes, len_k] array whose row i holds lane i's
     coefficients of y^(k); lane i expands about z0[i] and sums at x[i],
@@ -271,6 +254,10 @@ def series_sums_lanes(polys, z0, x, max_n: int = DEFAULT_MAX_N,
     a regular singular or ordinary point: the Frobenius test of
     :func:`ode_to_recurrence` is not repeated here.  Trailing coefficients
     that vanish in every lane are dropped, as ode_to_recurrence drops them.
+    Lane i is seeded on the Frobenius branch (z - z0)^exponent[i]: a_e = 1
+    and every coefficient below it 0.  Exponent 0 is series_eval's default
+    seed; a higher one is meaningful only at a resonant index, where the
+    skipped equations hold by themselves.
 
     Returns (value, derivative, scale_log, flags) arrays; the value of lane i
     is value[i] * exp(scale_log[i]), its derivative likewise.
@@ -281,6 +268,7 @@ def series_sums_lanes(polys, z0, x, max_n: int = DEFAULT_MAX_N,
     order = len(shape) - 1
     z0 = np.asarray(z0, dtype=np.float64)
     x_rel = np.asarray(x, dtype=np.float64) - z0
+    exponent = np.asarray(exponent, dtype=np.int64)
     weights = np.empty((coeffs.shape[0], len(shape) + max(shape) - 1, order + 1))
     for z in np.unique(z0):
         sel = z0 == z
@@ -295,13 +283,13 @@ def series_sums_lanes(polys, z0, x, max_n: int = DEFAULT_MAX_N,
     deriv = np.empty(x_rel.shape)
     scale_log = np.empty(x_rel.shape)
     flags = np.empty(x_rel.shape, dtype=np.int64)
-    for j in np.unique(j_lead):
-        sel = j_lead == j
-        seeds = np.zeros(max(order - int(j), 1))
-        seeds[0] = 1.0
+    for j, e in sorted(set(zip(j_lead.tolist(), exponent.tolist()))):
+        sel = (j_lead == j) & (exponent == e)
+        seeds = np.zeros(max(order - j, e + 1))
+        seeds[e] = 1.0
         ds, scale_log[sel], _n, flags[sel], _tail = _kernels.roll_lanes(
-            weights[sel], int(j), order, seeds, x_rel[sel], int(max_n),
-            float(tail_tol))
+            weights[sel], j, order, seeds, x_rel[sel], DEFAULT_MAX_N,
+            DEFAULT_TAIL_TOL)
         value[sel] = ds[:, 0]
         deriv[sel] = ds[:, 1] / x_rel[sel]
     return value, deriv, scale_log, flags

@@ -4,8 +4,11 @@ A reduction supplies a second-order equation with regular singularities at
 zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 100401, 2011).  Everything past the reduction lives here: the batched
-Wronskian, the resonance ladder, the exceptional-point test and the spectrum
-assembly (second-gauge check, mirror-sector merge, dedup).
+Wronskian, the resonance ladder and the spectrum assembly (second-gauge
+check, exceptional tests, mirror-sector merge, dedup).  Every determinant,
+the exceptional tests' second-kind Wronskians included, is a lane of
+:func:`_wronskian`: one batched call per scan round, second-gauge check or
+sector ladder.
 """
 
 from __future__ import annotations
@@ -18,22 +21,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
-from .polyops import poly
 from .rootscan import (
+    REFINE_TOL,
     GFunctionSample,
     RootScanConfig,
     SpectrumResult,
     scan_and_refine,
 )
-from .series import (
-    PolyOde,
-    ScaledValue,
-    default_seeds,
-    exponent_seeds,
-    ode_to_recurrence,
-    series_eval,
-    series_sums_lanes,
-)
+from .series import ScaledValue, series_sums_lanes
 
 #: half-width of the exclusion zone planted around each resonance energy
 RESONANCE_HALF_WIDTH = 1e-9
@@ -116,22 +111,31 @@ def _series_flags(kernel_flags: int) -> set:
 
 
 def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
-                     gauge=None, max_n: int = 2000,
-                     tail_tol: float = 1e-14) -> list:
+                     gauge=None) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
     and zeta = 1, one sample per energy; both series of every energy are
     rolled in one batch."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    base = {"near_singular_eval_point"} \
+        if min(zeta_star, 1.0 - zeta_star) < 0.02 else set()
+    return _wronskian(reduction, energies, np.zeros((2, energies.size), int),
+                      zeta_star, gauge, base)
+
+
+def _wronskian(reduction: Reduction, energies: np.ndarray, exponents,
+               zeta_star: float, gauge, base: set) -> list:
+    """Samples of the Wronskian at ``energies``; the series of energy i at
+    zeta = 0 and at zeta = 1 are seeded on the Frobenius branches
+    exponents[0][i] and exponents[1][i] (0: the regular branch).  ``base``
+    flags every sample."""
     if not (0.0 < zeta_star < 1.0):
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
     n = energies.size
     polys = [np.column_stack([np.broadcast_to(v, (n,)) for v in c])
              for c in reduction.polys(energies, gauge)]
     val, der, slog, kflags = series_sums_lanes(
         [np.concatenate([c, c]) for c in polys], np.repeat([0.0, 1.0], n),
-        np.full(2 * n, zeta_star), max_n, tail_tol)
-    base = {"near_singular_eval_point"} if min(zeta_star, 1.0 - zeta_star) < 0.02 \
-        else set()
+        np.full(2 * n, zeta_star), np.concatenate(exponents))
     out = []
     for i in range(n):
         j = i + n
@@ -170,40 +174,23 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float,
     return out
 
 
-def exceptional_sample(reduction: Reduction, energy: float, side: str,
-                       resonant_index: int, zeta_star: float = 0.5,
-                       max_n: int = 2000, tail_tol: float = 1e-14) -> GFunctionSample:
-    """Second-kind Wronskian: replace the resonant-side series by the
-    high-exponent Frobenius branch.  Its vanishing certifies that the ladder
-    point is an exceptional eigenvalue (both-point holomorphic solution)."""
-    lanes = reduction.polys(np.array([float(energy)]), reduction.gauges[0])
-    polys = tuple(poly([np.ravel(v)[0] for v in c]) for c in lanes)
-    sums = []
-    for z0, z_side in ((0.0, "origin"), (1.0, "one")):
-        rec = ode_to_recurrence(PolyOde(polys, z0=z0), f"{reduction.method}@{z0:g}")
-        seeds = exponent_seeds(rec, resonant_index + 1) if side == z_side \
-            else default_seeds(rec)
-        sums.append(series_eval(rec, zeta_star, max_n, tail_tol, seeds=seeds))
-    (v0, d0, s0), (v1, d1, s1) = sums
-    flags = _series_flags(s0.flags) | _series_flags(s1.flags)
-    flags.discard("near_resonance")  # seeding past the resonance is the point
-    return _wronskian_sample(energy, v0, d0, v1, d1, frozenset(flags))
-
-
 def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
-             e_max: float, grid_step: float = 0.05, zeta_star: float = 0.5,
-             max_n: int = 2000, tail_tol: float = 1e-14,
-             refine_tol: float = 1e-10) -> SpectrumResult:
+             e_max: float, grid_step: float = 0.05,
+             zeta_star: float = 0.5) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
 
     The first gauge of ``reduction`` is scanned, with exclusion zones around
-    its ladder points, and each ladder point gets the exceptional test.  A
-    second gauge is evaluated once, at r +- 1e-8 omega for every refined
-    root r: a sign change there labels the root 'regular:both', else it is
-    'regular:<first>-only'.  ``mirror`` (the other spin sector, given where
-    the sectors decouple) is scanned the same way and merged with a
-    'mirror:' prefix.  Levels closer than max(refine_tol, 1e-9 omega) are
-    merged, and the unprefixed sector's level wins.
+    its ladder points.  A second gauge is evaluated once, at r +- 1e-8 omega
+    for every refined root r: a sign change there labels the root
+    'regular:both', else it is 'regular:<first>-only'.  Every ladder point
+    gets the exceptional test, all in one batched call: the second-kind
+    Wronskian, whose resonant-side series is seeded on its high-exponent
+    branch m + 1, vanishes where the ladder point is an exceptional
+    eigenvalue (a solution holomorphic at both points).  ``mirror`` (the
+    other spin sector, given where the sectors decouple) is scanned the same
+    way and merged with a 'mirror:' prefix.  Levels closer than
+    max(REFINE_TOL, 1e-9 omega) are merged, and the unprefixed sector's
+    level wins.
     """
     levels, scans = [], []
     for red, prefix in ((reduction, ""), (mirror, "mirror:")):
@@ -212,37 +199,40 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
         ladder = resonance_ladder(red, e_min, e_max)
         zones = tuple((e, RESONANCE_HALF_WIDTH * red.omega, "resonance")
                       for e, _s, _n in ladder)
-        cfg = RootScanConfig(e_min, e_max, grid_step, refine_tol=refine_tol,
-                             split_zones=zones)
+        cfg = RootScanConfig(e_min, e_max, grid_step, split_zones=zones)
         report = scan_and_refine(
-            lambda es: g_function_batch(red, es, zeta_star, red.gauges[0],
-                                        max_n, tail_tol), cfg)
+            lambda es: g_function_batch(red, es, zeta_star, red.gauges[0]), cfg)
         n = report.roots.size
         labels = ["regular"] * n
         if len(red.gauges) > 1 and not prefix and n:
             h = 1e-8 * red.omega
             near = g_function_batch(red, np.concatenate([report.roots - h,
                                                          report.roots + h]),
-                                    zeta_star, red.gauges[1], max_n, tail_tol)
+                                    zeta_star, red.gauges[1])
             labels = ["regular:both" if lo.ok and hi.ok
                       and lo.g_value * hi.g_value <= 0.0
                       else f"regular:{red.gauges[0]}-only"
                       for lo, hi in zip(near[:n], near[n:])]
         found = list(zip(report.roots, labels))
-        for e_r, side, n_res in ladder:
-            s = exceptional_sample(red, e_r, side, n_res, zeta_star, max_n,
-                                   tail_tol)
-            if s.ok and abs(s.g_value) < EXCEPTIONAL_TOL:
-                found.append((e_r, f"exceptional:{side}:{n_res}"))
+        if ladder:
+            tests = _wronskian(red, np.array([e for e, _s, _m in ladder]),
+                               [[m + 1 if side == at else 0 for _e, side, m in ladder]
+                                for at in ("origin", "one")],
+                               zeta_star, red.gauges[0], set())
+            # seeding past the resonance is the point, so its flag is dropped
+            found += [(e_r, f"exceptional:{side}:{m}")
+                      for (e_r, side, m), s in zip(ladder, tests)
+                      if not s.flags - {"near_resonance"}
+                      and abs(s.g_value) < EXCEPTIONAL_TOL]
         levels += [(e, prefix + lab) for e, lab in found]
         scans.append((report, ladder))
 
     keep = []
     for e, lab in sorted(levels, key=lambda t: (t[1].startswith("mirror:"), t[0])):
-        if all(abs(e - k) > max(refine_tol, 1e-9 * reduction.omega) for k, _ in keep):
+        if all(abs(e - k) > max(REFINE_TOL, 1e-9 * reduction.omega) for k, _ in keep):
             keep.append((float(e), lab))
     keep.sort(key=lambda t: t[0])
     report, ladder = scans[0]
     return SpectrumResult(reduction.method, np.array([e for e, _lab in keep]),
-                          tuple(lab for _e, lab in keep), report, None,
+                          tuple(lab for _e, lab in keep), report,
                           {"ladder": ladder, "zeta_star": zeta_star})

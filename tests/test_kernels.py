@@ -28,22 +28,28 @@ def test_lane_kernel_matches_scalar_roll_per_lane():
     assert len({(r.weights.shape, r.j_lead) for r in recs}) == 1
     weights = np.stack([r.weights for r in recs])
     xs = np.array([x for _ode, x in lanes])
-    seeds = np.array([1.0])
-    for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
-        ds, slog, n_used, flags, tail = _kernels.roll_lanes(
-            weights, recs[0].j_lead, 2, seeds, xs, max_n, tail_tol)
-        for i, rec in enumerate(recs):
-            ds_i, slog_i, n_i, flags_i, _cm, _cl, tail_i = _kernels.roll(
-                rec.weights, rec.j_lead, 2, seeds, xs[i], max_n, tail_tol)
-            np.testing.assert_array_equal(ds[i], ds_i)
-            assert (slog[i], n_used[i], flags[i], tail[i]) == \
-                (slog_i, n_i, flags_i, tail_i)
+    # the default seed, and the branch z^3 seeded past the resonance at n = 3
+    high = np.array([0.0, 0.0, 0.0, 1.0])
+    for seeds in (np.array([1.0]), high):
+        for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
+            ds, slog, n_used, flags, tail = _kernels.roll_lanes(
+                weights, recs[0].j_lead, 2, seeds, xs, max_n, tail_tol)
+            for i, rec in enumerate(recs):
+                ds_i, slog_i, n_i, flags_i, _cm, _cl, tail_i = _kernels.roll(
+                    rec.weights, rec.j_lead, 2, seeds, xs[i], max_n, tail_tol)
+                np.testing.assert_array_equal(ds[i], ds_i)
+                assert (slog[i], n_used[i], flags[i], tail[i]) == \
+                    (slog_i, n_i, flags_i, tail_i)
     _ds, slog, _n, flags, _tail = _kernels.roll_lanes(
-        weights, recs[0].j_lead, 2, seeds, xs, 200, 1e-14)
+        weights, recs[0].j_lead, 2, np.array([1.0]), xs, 200, 1e-14)
     assert list(flags) == [0, _kernels.FLAG_RESONANT_COMPATIBLE,
                            _kernels.FLAG_RESONANT_INCOMPATIBLE,
                            _kernels.FLAG_NONCONVERGED, _kernels.FLAG_NONCONVERGED, 0]
     assert slog[4] > 0.0
+    _ds, _slog, n_used, flags, _tail = _kernels.roll_lanes(
+        weights, recs[0].j_lead, 2, high, xs, 200, 1e-14)
+    assert flags[1] == flags[2] == 0  # the resonance lies among the seeds
+    assert n_used[2] > 3
 
 
 def test_kernel_scaling_stays_finite_for_growing_series():

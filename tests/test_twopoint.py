@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from rabi_spectra import bcf_reduce, bcf_spectrum, che_params, heun_spectrum, validate_params
-from rabi_spectra import twopoint
+from rabi_spectra import (
+    PolyOde,
+    _kernels,
+    bcf_reduce,
+    bcf_spectrum,
+    che_params,
+    heun_spectrum,
+    ode_to_recurrence,
+    series_eval,
+    twopoint,
+    validate_params,
+)
 from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.heun import heun_reduction
+from rabi_spectra.polyops import poly
 from rabi_spectra.twopoint import resonance_ladder
 
 #: (route, params, window) -> labels; only the assembly decides these: the
@@ -63,25 +74,119 @@ def test_ladder_hits_the_scalar_resonant_index(route):
         assert index(p, e, side) == pytest.approx(m, abs=1e-9)
 
 
+@pytest.fixture
+def determinants(monkeypatch):
+    """(reduction, gauge, energies, exceptional) of every batched determinant
+    call; exceptional calls seed some series on a high-exponent branch."""
+    calls = []
+    wronskian = twopoint._wronskian
+
+    def recording(reduction, energies, exponents, zeta_star, gauge, base):
+        calls.append((reduction, gauge, energies, bool(np.any(exponents))))
+        return wronskian(reduction, energies, exponents, zeta_star, gauge, base)
+
+    monkeypatch.setattr(twopoint, "_wronskian", recording)
+    return calls
+
+
 #: route, params, window -> (most determinant calls, most n_evaluations); the
 #: evaluation caps are what per-bracket bisection took on the scanned gauge
 ROUNDS = {
-    "heun-P2": (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0), 16, 417),
-    "bcf-P3": (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0), 12, 303),
+    "heun-P2": (heun_spectrum, heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
+                (-1.0, 4.0), 16, 417),
+    "bcf-P3": (bcf_spectrum, bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02),
+               (-1.0, 3.0), 12, 303),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDS))
-def test_determinant_calls_per_window(case, monkeypatch):
-    route, params, (e_min, e_max), max_calls, max_evals = ROUNDS[case]
-    calls = []
-    batch = twopoint.g_function_batch
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return batch(*args, **kwargs)
-
-    monkeypatch.setattr(twopoint, "g_function_batch", counting)
-    res = route(validate_params(*params), e_min, e_max, 0.05)
-    assert len(calls) <= max_calls
+def test_determinant_calls_per_window(case, determinants):
+    route, reduction, params, (e_min, e_max), max_calls, max_evals = ROUNDS[case]
+    p = validate_params(*params)
+    res = route(p, e_min, e_max, 0.05)
+    assert len(determinants) <= max_calls
     assert res.report.n_evaluations <= max_evals
+    # the exceptional tests of the whole ladder are one call
+    ladder = np.array([e for e, _s, _m in res.metadata["ladder"]])
+    exceptional = [(red, es) for red, _g, es, exc in determinants if exc]
+    assert len(exceptional) == 1 and exceptional[0][0] is reduction(p)
+    np.testing.assert_array_equal(exceptional[0][1], ladder)
+
+
+def test_each_sector_tests_its_ladder_in_one_call(determinants):
+    p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
+    heun_spectrum(p, -1.0, 2.0, 0.05)
+    sectors = (heun_reduction(p), heun_reduction(p.mirrored()))
+    exceptional = [(red, es.size) for red, _g, es, exc in determinants if exc]
+    assert len(exceptional) == len(sectors)
+    for (red, size), sector in zip(exceptional, sectors):
+        assert red is sector and size == len(resonance_ladder(sector, -1.0, 2.0))
+
+
+def test_second_gauge_checks_each_root(determinants):
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+    res = heun_spectrum(p, -1.0, 4.0, 0.05)
+    first, second = heun_reduction(p).gauges
+    check = [es for _red, gauge, es, _exc in determinants if gauge == second]
+    assert len(check) == 1
+    roots = res.report.roots
+    np.testing.assert_allclose(check[0], np.concatenate([roots - 1e-8, roots + 1e-8]),
+                               rtol=0.0, atol=1e-15)
+    assert all(gauge == first for _red, gauge, _es, _exc in determinants
+               if gauge != second)
+    assert set(res.labels) == {"regular:both"}
+
+
+#: reduction, params, window -> the ladder sides whose points are exceptional;
+#: together they cover both sides, accepted and rejected points and m >= 10
+EXCEPTIONAL = {
+    "heun-delta0": (heun_reduction, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 15.0),
+                    {"origin"}),
+    "heun-delta0-mirror": (heun_reduction, (1.0, 0.0, -0.15, -0.6, 0.0),
+                           (-1.0, 15.0), {"one"}),
+    "heun-P2": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0), set()),
+    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1), (-1.0, 11.0), set()),
+}
+
+
+def _scalar_second_kind(red, energy, side, m):
+    """The second-kind Wronskian from one derived recurrence per series, the
+    resonant side seeded on z^(m+1); and whether it accepts the point."""
+    coeffs = red.polys(np.array([energy]), red.gauges[0])
+    ode = tuple(poly([float(np.ravel(v)[0]) for v in c]) for c in coeffs)
+    sums, kflags = [], 0
+    for z0, at in ((0.0, "origin"), (1.0, "one")):
+        seeds = None
+        if at == side:
+            seeds = np.zeros(m + 2)
+            seeds[m + 1] = 1.0
+        value, deriv, sol = series_eval(ode_to_recurrence(PolyOde(ode, z0=z0)),
+                                        0.5, seeds=seeds)
+        sums += [value, deriv]
+        kflags |= sol.flags
+    s = twopoint._wronskian_sample(energy, *sums, frozenset())
+    accept = s.ok and not kflags & _kernels.FLAG_NONCONVERGED \
+        and abs(s.g_value) < twopoint.EXCEPTIONAL_TOL
+    return s.g_value, accept
+
+
+@pytest.mark.parametrize("case", sorted(EXCEPTIONAL))
+def test_exceptional_lanes_match_the_scalar_chain(case):
+    reduction, params, (e_min, e_max), exceptional_sides = EXCEPTIONAL[case]
+    red = reduction(validate_params(*params))
+    ladder = resonance_ladder(red, e_min, e_max)
+    assert {side for _e, side, _m in ladder} == {"origin", "one"}
+    res = twopoint.spectrum(red, None, e_min, e_max)
+    accepted = {(e, lab) for e, lab in zip(res.energies, res.labels)
+                if lab.startswith("exceptional:")}
+    samples = twopoint._wronskian(
+        red, np.array([e for e, _s, _m in ladder]),
+        np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
+                  for at in ("origin", "one")]), 0.5, red.gauges[0], set())
+    for (e, side, m), s in zip(ladder, samples):
+        g, accept = _scalar_second_kind(red, e, side, m)
+        assert s.g_value == pytest.approx(g, rel=0.0, abs=1e-10)
+        assert ((e, f"exceptional:{side}:{m}") in accepted) == accept
+    assert {lab.split(":")[1] for _e, lab in accepted} == exceptional_sides
+    if exceptional_sides:
+        assert max(int(lab.split(":")[2]) for _e, lab in accepted) >= 10
