@@ -46,14 +46,10 @@ from .heun import (
 )
 from .bcf import (
     BcfParams,
-    FullSeriesCoeffs,
-    JuddCandidate,
     bcf_reduce,
     bcf_spectrum,
-    full_series,
     g_function_bcf,
     g_function_bcf_batch,
-    judd_candidates,
 )
 from .canonical import (
     BchParams,
@@ -81,9 +77,8 @@ __all__ = [
     "scan_and_refine",
     "CheParams", "che_params", "g_function_heun", "g_function_heun_batch",
     "heun_spectrum",
-    "BcfParams", "FullSeriesCoeffs", "JuddCandidate", "bcf_reduce",
-    "bcf_spectrum", "full_series", "g_function_bcf", "g_function_bcf_batch",
-    "judd_candidates",
+    "BcfParams", "bcf_reduce", "bcf_spectrum", "g_function_bcf",
+    "g_function_bcf_batch",
     "BchParams", "CanonicalCoeffs", "NormalFormCoeffs", "bch_params_g0",
     "canonical_coeffs", "normal_form_coeffs",
     "__version__",

@@ -5,8 +5,8 @@ batch of series of one recurrence shape at once (numpy over the lane axis,
 looping over the index n) and keeps only the derivative sums.  The lane
 kernel repeats ``roll``'s arithmetic operation for operation, so each lane
 equals the scalar rollout bit for bit.  At batch size one ``roll`` is the
-faster of the two, which is why both exist: single-series callers (residual
-checks, truncation tests) use ``roll``; every G-function evaluation, the
+faster of the two, which is why both exist: single-series callers (the
+audit's residual checks) use ``roll``; every G-function evaluation, the
 exceptional tests' high-exponent series included, uses ``roll_lanes``.  All
 lanes of one call share a seed vector, so a batch mixing Frobenius branches
 is rolled in one call per branch.

@@ -1,7 +1,6 @@
 """Spectrum of the general model at small couplings via the second-order
 reduction with two regular singularities, a two-point route of
-:mod:`rabi_spectra.twopoint` whose local series obey four-term recurrences;
-also the full fourth-order series used for residual validation.
+:mod:`rabi_spectra.twopoint` whose local series obey four-term recurrences.
 
 Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
 to zeta = 1, 0.  The zeta-form coefficients are quadratics in E, taken once
@@ -18,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexSingularityError,
-    DegenerateQError,
-    GNotZeroError,
-    LambdaZeroError,
-)
-from .operators import bcf_truncated_parent, compose_fourth_order, operator_compose
+from .errors import ComplexSingularityError, DegenerateQError, GNotZeroError
+from .operators import bcf_truncated_parent
 from .params import ModelParams
 from .polyops import poly, split_two_poles
 from .rootscan import (
@@ -33,13 +27,8 @@ from .rootscan import (
     RootReport,
     SpectrumResult,
 )
-from .series import (
-    PolyOde,
-    SeriesSolution,
-    ode_to_recurrence,
-    series_eval,
-)
-from .twopoint import Reduction, g_function_batch, resonance_ladder, spectrum
+from .series import PolyOde
+from .twopoint import Reduction, g_function_batch, mirror_sector, spectrum
 
 
 @dataclass(frozen=True)
@@ -164,115 +153,24 @@ def g_function_bcf(p: ModelParams, energy: float,
     return g_function_bcf_batch(p, [energy], zeta_star)[0]
 
 
-def _breakdown(p: ModelParams, energy: float) -> str | None:
-    """Why the reduction fails at this energy (and, q being independent of
-    E, everywhere), or None."""
-    try:
-        bcf_reduce(p, energy)
-    except ComplexSingularityError:
-        return "complex_singularity"
-    except DegenerateQError:
-        return "degenerate_q"
-    return None
-
-
 def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  grid_step: float = 0.05,
                  zeta_star: float = 0.5) -> SpectrumResult:
     """Grid scan + secant refinement of the reduced-equation G-function.
 
-    Ladder points get exclusion zones and exceptional tests.  No mirror
-    sector is scanned at delta ~ 0: one sector's determinant already returns
-    the levels of both.  A window where the reduction itself breaks down
-    (q^2 <= 0 or q ~ 0) is reported as excluded.
+    Ladder points get exclusion zones and exceptional tests.  At delta ~ 0
+    with lam > 0 one sector's determinant already returns the levels of
+    both, so no mirror sector is scanned; at delta ~ 0 and lam ~ 0 the
+    truncation is exact, the sectors decouple and the mirrored one is
+    scanned too.  A window where the reduction itself breaks down (q^2 <= 0
+    or q ~ 0, for every energy alike) is reported as excluded.
     """
-    reason = _breakdown(p, 0.5 * (e_min + e_max))
-    if reason is not None:
+    try:
+        reduction = bcf_reduction(p)
+    except (ComplexSingularityError, DegenerateQError) as exc:
+        reason = "complex_singularity" \
+            if isinstance(exc, ComplexSingularityError) else "degenerate_q"
         rep = RootReport(np.array([]), (ExcludedInterval(e_min, e_max, reason),))
         return SpectrumResult("bcf", np.array([]), (), rep, {reason: True})
-    return spectrum(bcf_reduction(p), None, e_min, e_max, grid_step, zeta_star)
-
-
-@dataclass(frozen=True)
-class JuddCandidate:
-    energy: float
-    resonant_index: int
-    side: str
-    compatible: bool
-    tail_residual: float
-    truncates: bool
-
-
-#: three coefficients past the resonance must fall below this (relative)
-TRUNCATION_TOL = 1e-10
-
-
-def judd_candidates(p: ModelParams, e_min: float, e_max: float,
-                    n_max: int = 20) -> list:
-    """Resonance-ladder points with a numerical polynomial-truncation test.
-
-    At each candidate the regular series is rolled through the resonance
-    (compatibility within 1e-12 sets the free coefficient to zero); the tail
-    residual is max|a_{n*+1..n*+3}| / max|a_0..n*|.  Best-effort label, not a
-    proof.
-    """
-    if _breakdown(p, 0.0) is not None:
-        return []
-    out = []
-    for e_r, side, n_res in resonance_ladder(bcf_reduction(p), e_min, e_max,
-                                             n_cap=n_max):
-        if n_res > n_max:
-            continue
-        b = bcf_reduce(p, e_r)
-        rec = ode_to_recurrence(bcf_ode(b, 0.0 if side == "origin" else 1.0),
-                                f"bcf@{side}")
-        n_need = n_res + 4
-        _v, _d, sol = series_eval(rec, 0.0 if side == "origin" else 1.0,
-                                  max_n=max(n_need, 8), tail_tol=0.0)
-        compatible = sol.resonant_compatible and not sol.resonant_incompatible
-        tail = math.inf
-        truncates = False
-        if compatible and sol.n_used >= n_need:
-            logs = sol.coeff_log[:sol.n_used + 1]
-            mags = np.where(np.abs(sol.coeff_mantissa[:sol.n_used + 1]) > 0,
-                            np.log(np.abs(sol.coeff_mantissa[:sol.n_used + 1])
-                                   + 1e-300) + logs, -math.inf)
-            head = np.max(mags[:n_res + 1])
-            tail_log = np.max(mags[n_res + 1:n_res + 4])
-            tail = math.exp(min(tail_log - head, 700.0)) \
-                if tail_log > -math.inf else 0.0
-            truncates = tail < TRUNCATION_TOL
-        out.append(JuddCandidate(e_r, n_res, side, compatible, tail, truncates))
-    return out
-
-
-@dataclass(frozen=True)
-class FullSeriesCoeffs:
-    """Entire-series solution data of the full fourth-order equation."""
-
-    case: str
-    table: dict
-    solution: SeriesSolution
-    ode: PolyOde
-
-
-def full_series(p: ModelParams, energy: float, case: str = "general",
-                n_terms: int = 200) -> FullSeriesCoeffs:
-    """Coefficients a_0..a_N of the fourth-order series (a_0 = 1, a_1..a_3 = 0).
-
-    case 'two_photon' requires g = 0 (the odd-lag weights then vanish and the
-    nine-term recurrence degenerates to the five-term one).
-    """
-    if p.lam == 0.0:
-        raise LambdaZeroError("the full series divides by lambda^2")
-    if case not in ("general", "two_photon"):
-        raise ValueError("case must be 'general' or 'two_photon'")
-    if case == "two_photon" and p.g != 0.0:
-        raise GNotZeroError("two-photon case requires g = 0")
-    table = operator_compose(p, energy)
-    ode = PolyOde(tuple(poly(c) for c in compose_fourth_order(p, energy)), z0=0.0)
-    rec = ode_to_recurrence(ode, f"full@{case}")
-    seeds = np.zeros(4)
-    seeds[0] = 1.0
-    _v, _d, sol = series_eval(rec, 1.0, max_n=n_terms, tail_tol=0.0, seeds=seeds)
-    return FullSeriesCoeffs(case, table.composed, sol, ode)
+    return spectrum(reduction, mirror_sector(p, bcf_reduction), e_min, e_max,
+                    grid_step, zeta_star)

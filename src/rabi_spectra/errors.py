@@ -73,10 +73,6 @@ class GammaResonanceError(ValidationError):
     """Biconfluent-Heun series with gamma a nonnegative integer."""
 
 
-class ResonantIndexError(NumericalError):
-    """Recurrence leading coefficient vanished at some index (incompatible)."""
-
-
 class NonConvergedError(NumericalError):
     pass
 

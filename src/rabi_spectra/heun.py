@@ -23,10 +23,7 @@ from .params import CLASSIFY_TOL, ModelParams
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
-from .twopoint import Reduction, g_function_batch, spectrum
-
-#: |delta| / omega up to which the spin sectors count as decoupled
-UNCOUPLED_TOL = 1e-10
+from .twopoint import Reduction, g_function_batch, mirror_sector, spectrum
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,5 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
     too, since the two sectors decouple there and each Wronskian sees only
     one of them.
     """
-    mirror = heun_reduction(p.mirrored()) \
-        if abs(p.delta) <= UNCOUPLED_TOL * p.omega else None
-    return spectrum(heun_reduction(p), mirror, e_min, e_max, grid_step,
-                    zeta_star)
+    return spectrum(heun_reduction(p), mirror_sector(p, heun_reduction),
+                    e_min, e_max, grid_step, zeta_star)

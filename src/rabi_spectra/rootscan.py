@@ -51,7 +51,6 @@ class RootScanConfig:
     e_min: float
     e_max: float
     grid_step: float
-    refine_tol: float = REFINE_TOL
     #: (center, half_width, reason) zones to pre-exclude, with grid points
     #: injected at both edges (used for analytically known resonances)
     split_zones: tuple = ()
@@ -120,7 +119,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
 
     f maps an array of energies -> a sequence of GFunctionSample, one per
     energy.  Sign changes between consecutive valid samples are refined to
-    refine_tol by :func:`_refine`; flagged samples open excluded intervals
+    REFINE_TOL by :func:`_refine`; flagged samples open excluded intervals
     and adjacent sign changes, or a flag met while refining, become suspects;
     sign changes whose |G| does not collapse are excluded as poles.  f is
     called once for the grid and then once per lockstep round (at most
@@ -177,7 +176,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
         if i in flag_neighbor or (i + 1) in flag_neighbor:
             suspects.append(0.5 * (grid[i] + grid[i + 1]))
             continue
-        tasks.append(_refine(grid[i], grid[i + 1], s0, s1, cfg))
+        tasks.append(_refine(grid[i], grid[i + 1], s0, s1))
         brackets.append((grid[i], grid[i + 1]))
 
     for kind, r, s_r, n in _lockstep(f, tasks):
@@ -185,8 +184,8 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
         if kind == "root":
             roots.append((r, s_r))
         elif kind == "pole":
-            excluded.append(ExcludedInterval(r - cfg.refine_tol,
-                                             r + cfg.refine_tol, "pole"))
+            excluded.append(ExcludedInterval(r - REFINE_TOL,
+                                             r + REFINE_TOL, "pole"))
         else:
             suspects.append(r)
 
@@ -194,7 +193,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     roots.sort(key=lambda t: t[0])
     merged = []
     for r, s in roots:
-        if merged and abs(r - merged[-1]) <= cfg.refine_tol:
+        if merged and abs(r - merged[-1]) <= REFINE_TOL:
             continue
         merged.append(r)
     return RootReport(np.array(merged), tuple(excluded), tuple(suspects),
@@ -220,15 +219,14 @@ def _lockstep(f, tasks: list) -> list:
     return results
 
 
-def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
-            cfg: RootScanConfig):
+def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample):
     """Generator: yields the energies of one round and is sent their samples.
     Returns (kind, x, sample, n_evals) with kind in root|pole|suspect.
 
     A safeguarded secant: each round evaluates the bracket midpoint and the
     secant point of the two samples with the smallest |G| seen so far (if it
     falls inside the bracket), and once the secant points settle also the
-    secant point +- refine_tol/2.  The new bracket is the smallest
+    secant point +- REFINE_TOL/2.  The new bracket is the smallest
     sub-interval that keeps a sign change, so it at least halves every round
     and never needs more rounds than bisection.  The end of the final bracket
     with the smaller |G| is a root if |G| there fell below POLE_RATIO times
@@ -245,7 +243,7 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
         if a < s < b:
             xs.add(s)
             if abs(s - last) < settled:
-                xs |= {s - 0.5 * cfg.refine_tol, s + 0.5 * cfg.refine_tol}
+                xs |= {s - 0.5 * REFINE_TOL, s + 0.5 * REFINE_TOL}
             last = s
         xs = sorted(x for x in xs if a < x < b)
         if not xs:
@@ -264,7 +262,7 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample,
                  if pts[k][1].g_value * pts[k + 1][1].g_value < 0.0),
                 key=lambda k: pts[k + 1][0] - pts[k][0])
         (a, sa), (b, sb) = pts[j], pts[j + 1]
-        if b - a <= cfg.refine_tol:
+        if b - a <= REFINE_TOL:
             break
     r, sr = min((a, sa), (b, sb), key=lambda t: abs(t[1].g_value))
     if abs(sr.g_value) <= POLE_RATIO * end_mag:

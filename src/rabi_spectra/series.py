@@ -7,7 +7,7 @@ that recurrence mechanically, rolls it with overflow-safe scaling, and checks
 truncated solutions by direct residual insertion.
 
 Two entry points sum series.  :func:`series_eval` takes one recurrence and
-keeps its coefficients (residual checks, truncation tests).
+keeps its coefficients (residual checks).
 :func:`series_sums_lanes` takes a batch of ODEs of one polynomial shape, one
 lane per trial energy and expansion point: the weights are linear in the ODE
 coefficients, so they come from a basis derived once per (shape, z0), and
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import IrregularPointError, NonConvergedError, ResonantIndexError
+from .errors import IrregularPointError
 from .polyops import falling_factorial_poly, poly, pshift, ptrim, pval
 
 DEFAULT_TAIL_TOL = 1e-14
@@ -118,10 +118,6 @@ class ScaledValue:
             return 0.0
         return self.mantissa * math.exp(self.log_scale)
 
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        return ScaledValue(self.mantissa * other.mantissa,
-                           self.log_scale + other.log_scale)
-
 
 @dataclass(frozen=True)
 class SeriesSolution:
@@ -139,14 +135,6 @@ class SeriesSolution:
     @property
     def converged(self) -> bool:
         return not (self.flags & _kernels.FLAG_NONCONVERGED)
-
-    @property
-    def resonant_compatible(self) -> bool:
-        return bool(self.flags & _kernels.FLAG_RESONANT_COMPATIBLE)
-
-    @property
-    def resonant_incompatible(self) -> bool:
-        return bool(self.flags & _kernels.FLAG_RESONANT_INCOMPATIBLE)
 
     def coefficient(self, n: int) -> float:
         """a_n as a plain float (may over/underflow for extreme scales)."""
@@ -297,13 +285,13 @@ def series_sums_lanes(polys, z0, x, exponent):
 
 def series_eval(rec: RecurrenceSpec, x: float,
                 max_n: int = DEFAULT_MAX_N, tail_tol: float = DEFAULT_TAIL_TOL,
-                seeds: np.ndarray | None = None, strict: bool = False):
+                seeds: np.ndarray | None = None):
     """Sum the local series and its first derivative at x.
 
     Returns (value, derivative, SeriesSolution) with value/derivative as
-    :class:`ScaledValue`.  ``strict=True`` raises NonConvergedError instead
-    of only flagging.  The caller is responsible for x lying strictly inside
-    the convergence disk.
+    :class:`ScaledValue`; non-convergence and resonances are flagged in the
+    solution.  The caller is responsible for x lying strictly inside the
+    convergence disk.
     """
     if seeds is None:
         seeds = default_seeds(rec)
@@ -320,13 +308,6 @@ def series_eval(rec: RecurrenceSpec, x: float,
                if n_used >= 1 else ScaledValue(0.0))
         return val, der, sol
     ds, slog, n_used, flags, cm, cl, tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
-    if strict and (flags & _kernels.FLAG_RESONANT_INCOMPATIBLE):
-        raise ResonantIndexError(
-            f"leading recurrence weight vanished at index {n_used + 1} with "
-            "an incompatible right-hand side")
-    if strict and (flags & _kernels.FLAG_NONCONVERGED):
-        raise NonConvergedError(
-            f"series tail {tail:.2e} > {tail_tol:.2e} after {n_used} terms")
     val = ScaledValue(float(ds[0]), slog)
     der = ScaledValue(float(ds[1]) / x_rel, slog)
     sol = SeriesSolution(rec.z0, cm[:n_used + 1], cl[:n_used + 1], n_used,

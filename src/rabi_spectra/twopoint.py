@@ -13,7 +13,6 @@ sector ladder.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
+from .params import ModelParams
 from .rootscan import (
     REFINE_TOL,
     GFunctionSample,
@@ -28,12 +28,27 @@ from .rootscan import (
     SpectrumResult,
     scan_and_refine,
 )
-from .series import ScaledValue, series_sums_lanes
+from .series import series_sums_lanes
 
 #: half-width of the exclusion zone planted around each resonance energy
 RESONANCE_HALF_WIDTH = 1e-9
 #: |angle Wronskian| below which a ladder point is accepted as exceptional
 EXCEPTIONAL_TOL = 1e-8
+#: highest resonant index m put on the ladder
+LADDER_MAX_M = 200
+#: |delta| / omega and |lam| / omega up to which the spin sectors decouple
+#: and each sector's determinant sees only its own levels
+UNCOUPLED_TOL = 1e-10
+#: flag bit of a lane whose value and derivative vanish together on one side
+_DEGENERATE = 8
+#: sample flags of each combination of the kernel's flag bits and _DEGENERATE
+_FLAG_SETS = tuple(
+    frozenset(name for bit, name in (
+        (_kernels.FLAG_NONCONVERGED, "series_nonconverged"),
+        (_kernels.FLAG_RESONANT_COMPATIBLE, "near_resonance"),
+        (_kernels.FLAG_RESONANT_INCOMPATIBLE, "near_resonance"),
+        (_DEGENERATE, "degenerate_series")) if bits & bit)
+    for bits in range(2 * _DEGENERATE))
 
 
 @dataclass(frozen=True)
@@ -73,43 +88,6 @@ class Reduction:
             self.fields[1][:, None] + e * self.fields[2][:, None]), gauge)
 
 
-def _wronskian_sample(energy: float, v0: ScaledValue, d0: ScaledValue,
-                      v1: ScaledValue, d1: ScaledValue,
-                      flags: frozenset) -> GFunctionSample:
-    a = v0 * d1
-    b = v1 * d0
-    la, lb = a.log_abs(), b.log_abs()
-    m = max(la, lb)
-    if m == -math.inf:
-        return GFunctionSample(energy, 0.0, -math.inf, flags)
-    # assemble G = A - B on the common scale m
-    ga = math.copysign(math.exp(la - m), a.mantissa) if la > -math.inf else 0.0
-    gb = math.copysign(math.exp(lb - m), b.mantissa) if lb > -math.inf else 0.0
-    g_m = ga - gb
-    log_g = (math.log(abs(g_m)) + m) if g_m != 0.0 else -math.inf
-    n0 = max(v0.log_abs(), d0.log_abs())
-    n1 = max(v1.log_abs(), d1.log_abs())
-    if n0 == -math.inf or n1 == -math.inf:
-        return GFunctionSample(energy, 0.0, -math.inf, flags | {"degenerate_series"})
-    h0 = math.hypot(math.exp(v0.log_abs() - n0), math.exp(d0.log_abs() - n0))
-    h1 = math.hypot(math.exp(v1.log_abs() - n1), math.exp(d1.log_abs() - n1))
-    log_norm = n0 + math.log(h0) + n1 + math.log(h1)
-    if g_m == 0.0:
-        return GFunctionSample(energy, 0.0, -math.inf, flags)
-    val = math.copysign(math.exp(min(log_g - log_norm, 50.0)), g_m)
-    return GFunctionSample(energy, val, log_g, flags)
-
-
-def _series_flags(kernel_flags: int) -> set:
-    flags = set()
-    if kernel_flags & _kernels.FLAG_NONCONVERGED:
-        flags.add("series_nonconverged")
-    if kernel_flags & (_kernels.FLAG_RESONANT_INCOMPATIBLE
-                       | _kernels.FLAG_RESONANT_COMPATIBLE):
-        flags.add("near_resonance")
-    return flags
-
-
 def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
                      gauge=None) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
@@ -136,22 +114,24 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents,
     val, der, slog, kflags = series_sums_lanes(
         [np.concatenate([c, c]) for c in polys], np.repeat([0.0, 1.0], n),
         np.full(2 * n, zeta_star), np.concatenate(exponents))
-    out = []
-    for i in range(n):
-        j = i + n
-        flags = base | _series_flags(int(kflags[i])) | _series_flags(int(kflags[j]))
-        out.append(_wronskian_sample(
-            float(energies[i]),
-            ScaledValue(float(val[i]), float(slog[i])),
-            ScaledValue(float(der[i]), float(slog[i])),
-            ScaledValue(float(val[j]), float(slog[j])),
-            ScaledValue(float(der[j]), float(slog[j])), frozenset(flags)))
-    return out
+    # v0 d1 and v1 d0 share the scale exp(s0 + s1), so the angle-normalized
+    # G is the cross product of the two unit (value, derivative) vectors
+    v0, v1 = val[:n], val[n:]
+    d0, d1 = der[:n], der[n:]
+    n0, n1 = np.hypot(v0, d0), np.hypot(v1, d1)
+    degenerate = (n0 == 0.0) | (n1 == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(degenerate, 0.0, (v0 / n0) * (d1 / n1) - (v1 / n1) * (d0 / n0))
+        log_g = np.log(np.abs(g)) + np.log(n0) + np.log(n1) + slog[:n] + slog[n:]
+    bits = kflags[:n] | kflags[n:] | np.where(degenerate, _DEGENERATE, 0)
+    names = [flags | base for flags in _FLAG_SETS]
+    return [GFunctionSample(e, gv, lg, names[b]) for e, gv, lg, b in
+            zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
 
-def resonance_ladder(reduction: Reduction, e_min: float, e_max: float,
-                     n_cap: int = 200) -> list:
-    """(energy, side, m) for every series resonance in (e_min, e_max).
+def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
+    """(energy, side, m) for every series resonance in (e_min, e_max) with
+    m <= LADDER_MAX_M.
 
     With p2 = zeta^2 - zeta the second Frobenius exponent minus one is p1(0)
     at zeta = 0 (side 'origin') and -p1(1) at zeta = 1 (side 'one'); where it
@@ -166,12 +146,20 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float,
         slope = (index[1] - index[0]) / reduction.omega
         if abs(slope) < 1e-300:
             continue
-        for m in range(0, n_cap + 1):
+        for m in range(LADDER_MAX_M + 1):
             e_m = (m - index[0]) / slope
             if e_min < e_m < e_max:
                 out.append((float(e_m), side, m))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def mirror_sector(p: ModelParams, reduce) -> Reduction | None:
+    """``reduce(p.mirrored())``, the other spin sector's reduction, where the
+    sectors decouple (delta ~ 0 and lam ~ 0), else None."""
+    if max(abs(p.delta), abs(p.lam)) <= UNCOUPLED_TOL * p.omega:
+        return reduce(p.mirrored())
+    return None
 
 
 def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,

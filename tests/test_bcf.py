@@ -7,22 +7,17 @@ from rabi_spectra import (
     ModelParams,
     bcf_reduce,
     bcf_spectrum,
-    full_series,
     g_function_bcf,
     heun_spectrum,
-    judd_candidates,
     oracle_spectrum,
     uncoupled_spectrum,
     validate_params,
 )
-from rabi_spectra.bcf import bcf_ode, bcf_reduction
-from rabi_spectra.errors import (
-    ComplexSingularityError,
-    GNotZeroError,
-    LambdaZeroError,
-)
-from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
-from rabi_spectra.twopoint import resonance_ladder
+from rabi_spectra.bcf import bcf_ode
+from rabi_spectra.errors import ComplexSingularityError
+from rabi_spectra.operators import compose_fourth_order
+from rabi_spectra.polyops import poly
+from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_eval
 
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 
@@ -156,58 +151,41 @@ def test_delta_zero_approaches_closed_form():
         assert np.min(np.abs(res.energies - e)) < 2e-3
 
 
-def test_judd_candidates_generic_params():
-    p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    cands = judd_candidates(p, -1.0, 2.0)
-    assert len(cands) > 0
-    for c in cands:
-        assert c.side in ("origin", "one")
-        assert not c.truncates  # generic parameters: no polynomial truncation
-    # emitted candidates are exactly the ladder of the scan's exclusions
-    res = bcf_spectrum(p, -1.0, 2.0, 0.05)
-    for c in cands:
-        assert all(abs(c.energy - r) > 1e-6 for r in res.energies), \
-            "judd candidates must be disjoint from regular roots"
-
-
-def test_judd_empty_range():
-    p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    lad = resonance_ladder(bcf_reduction(p), -1.0, 2.0)
-    lo = min(e for e, _s, _n in lad)
-    cands = judd_candidates(p, lo - 0.4, lo - 0.01)
-    assert cands == []
-
-
-def test_judd_tuned_resonance_detected():
-    # tune E so the zeta=1 index hits an integer: candidates at that energy
-    p = validate_params(1.0, 0.3, 0.15, 0.3, 0.0)
-    lad = resonance_ladder(bcf_reduction(p), -1.0, 2.0)
-    cands = judd_candidates(p, -1.0, 2.0)
-    assert len(cands) == len(lad)
-    for c, (e, side, n) in zip(cands, lad):
-        assert c.energy == pytest.approx(e, abs=1e-12)
-        assert c.side == side
+def _fourth_order_series(p, n_terms):
+    """The fourth-order equation at E = 0 and its series with a_0 = 1,
+    a_1..a_3 = 0, kept to n_terms coefficients."""
+    ode = PolyOde(tuple(poly(c) for c in compose_fourth_order(p, 0.0)), z0=0.0)
+    _v, _d, sol = series_eval(ode_to_recurrence(ode), 1.0, max_n=n_terms,
+                              tail_tol=0.0, seeds=np.array([1.0, 0.0, 0.0, 0.0]))
+    return ode, sol
 
 
 def test_full_series_general_and_two_photon():
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    fs = full_series(p, 0.0, "general", 420)
-    assert ode_residual(fs.ode, fs.solution, 0.1) < 1e-10
+    ode, sol = _fourth_order_series(p, 420)
+    assert ode_residual(ode, sol, 0.1) < 1e-10
     # entire function: |a_N| 2^N -> 0
-    la = (math.log(abs(fs.solution.coeff_mantissa[400]) + 1e-300)
-          + fs.solution.coeff_log[400])
+    la = (math.log(abs(sol.coeff_mantissa[400]) + 1e-300)
+          + sol.coeff_log[400])
     assert la + 400 * math.log(2.0) < -100
 
+    # two-photon case (g = 0): the odd-lag weights vanish and the nine-term
+    # recurrence degenerates to the five-term one
     p0 = validate_params(1.0, 0.3, 0.1, 0.0, 0.1)
-    fs5 = full_series(p0, 0.0, "two_photon", 120)
-    rec = ode_to_recurrence(fs5.ode)
+    ode5, sol5 = _fourth_order_series(p0, 120)
+    rec = ode_to_recurrence(ode5)
     for j in (1, 3, 5, 7):
         assert not np.any(np.abs(rec.weights[j]) > 0)
-    assert ode_residual(fs5.ode, fs5.solution, 0.1) < 1e-10
+    assert ode_residual(ode5, sol5, 0.1) < 1e-10
 
 
-def test_full_series_validation():
-    with pytest.raises(LambdaZeroError):
-        full_series(validate_params(1.0, 0.3, 0.1, 0.2, 0.0), 0.0)
-    with pytest.raises(GNotZeroError):
-        full_series(validate_params(1.0, 0.3, 0.1, 0.2, 0.1), 0.0, "two_photon")
+def test_delta0_lam0_scans_both_sectors():
+    # at lam = 0 the truncation is exact and the spin sectors decouple, so
+    # each sector's determinant sees only its own levels
+    p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
+    res = bcf_spectrum(p, -1.0, 4.0, 0.05)
+    ev = oracle_spectrum(p, 150, 30).eigenvalues
+    win = ev[(ev > -1.0) & (ev < 4.0)]
+    assert len(win) == 10
+    np.testing.assert_allclose(res.energies, win, rtol=0.0, atol=1e-9)
+    assert sum(lab.startswith("mirror:") for lab in res.labels) == 5

@@ -159,3 +159,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert main(args) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name != "t.csv"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "a-directory"])
+def test_unwritable_out_exits_2_and_leaves_no_temp_file(target, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    code, stdout, err = run_cli(["spectrum", "--method", "closed", *BASE,
+                                 "--nmax", "2", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--out" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert list((tmp_path / "a-directory").iterdir()) == []

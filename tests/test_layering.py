@@ -1,0 +1,30 @@
+"""The spectrum routes stay on one determinant path: they import nothing of
+the scalar series chain or of the paper audit."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
+ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py")
+FORBIDDEN = {"ode_to_recurrence", "series_eval", "SeriesSolution", "ScaledValue",
+             "audit", "canonical", "special"}
+
+
+def imported_names(path: Path) -> set:
+    """Every module path component and name an import statement mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ROUTES)
+def test_route_imports_no_scalar_chain_or_audit(module):
+    assert imported_names(SRC / module) & FORBIDDEN == set()

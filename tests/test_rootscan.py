@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import GFunctionSample, RootScanConfig, scan_and_refine
+from rabi_spectra.rootscan import REFINE_TOL
 
 
 def per_point(sample):
@@ -68,7 +69,7 @@ def test_bisection_contract():
     def f(e):
         return (e - 1.234567891) ** 3
 
-    rep = scan_and_refine(plain(f), RootScanConfig(0.0, 2.0, 0.1, refine_tol=1e-10))
+    rep = scan_and_refine(plain(f), RootScanConfig(0.0, 2.0, 0.1))
     r = rep.roots[0]
     assert abs(r - 1.234567891) <= 1e-9
     fr = abs(f(r))
@@ -113,10 +114,10 @@ def counted(sample):
     return f, calls
 
 
-def bisection_calls(rep, cfg):
+def bisection_calls(rep):
     """Calls bisection took: the grid, then per bracket its halvings down to
-    refine_tol plus one final evaluation, all brackets in lockstep."""
-    return 1 + max(math.ceil(math.log2((hi - lo) / cfg.refine_tol))
+    REFINE_TOL plus one final evaluation, all brackets in lockstep."""
+    return 1 + max(math.ceil(math.log2((hi - lo) / REFINE_TOL))
                    for lo, hi in rep.brackets) + 1
 
 
@@ -124,7 +125,7 @@ def test_brackets_are_refined_in_lockstep():
     # roots of sin(3e) at k*pi/3 and a pole at 1.57, which sits between grid
     # points and is refined like a root until the pole test rejects it
     f, calls = counted(lambda e: GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57)))
-    cfg = RootScanConfig(0.2, 4.0, 0.1, refine_tol=1e-10)
+    cfg = RootScanConfig(0.2, 4.0, 0.1)
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
                                atol=1e-10)
@@ -132,7 +133,7 @@ def test_brackets_are_refined_in_lockstep():
     assert abs(rep.excluded[0].lo - 1.57) < 1e-9
     assert len(rep.brackets) == 4
     # the pole bracket alone needs about as many rounds as bisection
-    assert len(calls) <= bisection_calls(rep, cfg)
+    assert len(calls) <= bisection_calls(rep)
     assert rep.n_evaluations == sum(calls)
 
     # without the pole the secant steps converge in a few rounds
@@ -164,11 +165,11 @@ HARD = {
 def test_refiner_hard_cases_take_no_more_rounds_than_bisection(case):
     sample, roots, reasons, n_suspects = HARD[case]
     f, calls = counted(sample)
-    cfg = RootScanConfig(1.0, 1.5, 0.05, refine_tol=1e-10)
+    cfg = RootScanConfig(1.0, 1.5, 0.05)
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, roots, atol=1e-9)
     assert [iv.reason for iv in rep.excluded] == reasons
     assert len(rep.suspects) == n_suspects
     assert len(rep.brackets) == 1
-    assert len(calls) <= bisection_calls(rep, cfg)
+    assert len(calls) <= bisection_calls(rep)
     assert rep.n_evaluations == sum(calls)

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from rabi_spectra import (
     PolyOde,
+    RootScanConfig,
     _kernels,
     bcf_reduce,
     bcf_spectrum,
     che_params,
     heun_spectrum,
     ode_to_recurrence,
+    scan_and_refine,
     series_eval,
     twopoint,
     validate_params,
@@ -164,10 +168,12 @@ def _scalar_second_kind(red, energy, side, m):
                                         0.5, seeds=seeds)
         sums += [value, deriv]
         kflags |= sol.flags
-    s = twopoint._wronskian_sample(energy, *sums, frozenset())
-    accept = s.ok and not kflags & _kernels.FLAG_NONCONVERGED \
-        and abs(s.g_value) < twopoint.EXCEPTIONAL_TOL
-    return s.g_value, accept
+    # value and derivative of one side share a scale, which cancels
+    a, b, c, d = (v.mantissa for v in sums)
+    g = (a * d - c * b) / (math.hypot(a, b) * math.hypot(c, d))
+    accept = math.isfinite(g) and not kflags & _kernels.FLAG_NONCONVERGED \
+        and abs(g) < twopoint.EXCEPTIONAL_TOL
+    return g, accept
 
 
 @pytest.mark.parametrize("case", sorted(EXCEPTIONAL))
@@ -190,3 +196,32 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     assert {lab.split(":")[1] for _e, lab in accepted} == exceptional_sides
     if exceptional_sides:
         assert max(int(lab.split(":")[2]) for _e, lab in accepted) >= 10
+
+
+def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
+    sums = twopoint.series_sums_lanes
+
+    def zero_lane(polys, z0, x, exponent):
+        value, deriv, scale_log, flags = sums(polys, z0, x, exponent)
+        if value.size >= 8:  # the zeta = 0 series of the fourth energy
+            value[3] = deriv[3] = 0.0
+        return value, deriv, scale_log, flags
+
+    monkeypatch.setattr(twopoint, "series_sums_lanes", zero_lane)
+    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
+    samples = twopoint.g_function_batch(red, np.linspace(-1.0, 4.0, 9), 0.5, "minus")
+    assert samples[3].flags == {"degenerate_series"} and not samples[3].ok
+    assert all(s.ok for i, s in enumerate(samples) if i != 3)
+
+    zeroed = []
+
+    def f(energies):
+        if energies.size > 3:
+            zeroed.append(energies[3])
+        return twopoint.g_function_batch(red, energies, 0.5, "minus")
+
+    report = scan_and_refine(f, RootScanConfig(-1.0, 4.0, 0.05))
+    assert zeroed and report.roots.size
+    assert not np.any(np.isin(report.roots, zeroed))
+    assert any(iv.reason == "degenerate_series" and iv.contains(zeroed[0])
+               for iv in report.excluded)
