@@ -7,9 +7,9 @@ kernel repeats ``roll``'s arithmetic operation for operation, so each lane
 equals the scalar rollout bit for bit.  At batch size one ``roll`` is the
 faster of the two, which is why both exist: single-series callers (the
 audit's residual checks) use ``roll``; every G-function evaluation, the
-exceptional tests' high-exponent series included, uses ``roll_lanes``.  All
-lanes of one call share a seed vector, so a batch mixing Frobenius branches
-is rolled in one call per branch.
+exceptional tests' high-exponent series included, uses ``roll_lanes``.  Each
+lane carries its own seed vector, so a batch mixing Frobenius branches is
+one call.
 
 Both roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
 shared scale factor (log) is renormalized periodically to keep all mantissas
@@ -18,6 +18,7 @@ inside double range even for strongly growing coefficient windows.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -166,154 +167,168 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     return ds, scale_log, n_used, flags, coeff_m, coeff_log, tail_rel
 
 
-#: most indices n whose weight values roll_lanes evaluates in one numpy pass
-_LANE_BLOCK = 32
-#: byte size of one block's weight values [n, lag, lane]; larger temporaries
-#: come from fresh pages (the allocator maps them and gives them back), so a
-#: wide grid would page-fault on every block
-_LANE_BLOCK_BYTES = 1 << 16
+#: most bytes of one block's weight values [n, lag, lane]; a block also ends
+#: at each renormalization index, so this cuts blocks short only on wide grids
+_LANE_BLOCK_BYTES = 1 << 20
 
 
-def roll_lanes(L, j_lead, order, seeds, x, max_n, tail_tol):
+@functools.lru_cache(maxsize=16)
+def _index_factors(q, n_deg, order, max_n):
+    """Factors of the indices n = 0..max_n, multiplied up as ``roll`` does:
+    the powers of m = n - q and of max(|m|, 1) as [n, d], the falling
+    factorials as [n, k] and the gate's (n+1)^order amplification."""
+    ns = np.arange(max_n + 1)
+    m = ns - float(q)
+    pw = [np.ones(ns.size)]
+    pref = [np.ones(ns.size)]
+    for _ in range(1, n_deg):
+        pw.append(pw[-1] * m)
+        pref.append(pref[-1] * np.maximum(np.abs(m), 1.0))
+    amp = np.ones(ns.size)
+    for _ in range(order):
+        amp = amp * (ns + 1.0)
+    out = (ns, np.array(pw).T, np.array(pref).T, _falling(ns, order), amp)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     """``roll`` for many lanes of one recurrence shape at once.
 
-    ``L[i]`` holds lane i's weights (laid out as ``roll``'s L) and ``x[i]``
-    its evaluation point; j_lead, order, seeds, max_n and tail_tol are
-    shared.  Every lane keeps ``roll``'s checks: the resonance guard and its
+    ``L[i]`` holds lane i's weights (laid out as ``roll``'s L), ``x[i]`` its
+    evaluation point and ``seeds[i, :n_seed[i]]`` its seed vector, with
+    n_seed[i] <= max_n + 1; j_lead, order, max_n and tail_tol are shared.
+    Every lane keeps ``roll``'s checks: the resonance guard and its
     compatible/incompatible flags, the convergence gate with the n^order
     amplification, renormalization every _RENORM_EVERY terms (per-lane
     scale_log) and the nonconverged flag.
 
+    The index loop runs in blocks that end where ``roll`` renormalizes.
+    Outside resonances and seed terms, a term takes three numpy operations:
+    weights times the previous terms, a sum, and a division into the
+    block's history rows.  The derivative sums, the gate, the resonance
+    stops and renormalization run once per block; a lane that stops inside a
+    block takes its state from the history rows.
+
     Returns (deriv_mantissas[lanes, order+1], scale_log, n_used, flags,
-    tail_rel), each lane equal to ``roll``'s output on (L[i], x[i]).  No
-    coefficients are kept.
+    tail_rel), each lane equal to ``roll``'s output on (L[i], x[i],
+    seeds[i, :n_seed[i]]).  No coefficients are kept.
     """
     n_lanes, n_lags, n_deg = L.shape
-    q = order - j_lead
-    n_seed = seeds.shape[0]
     span = n_lags - 1 - j_lead
+    ns, pw, pref, ff, amp = _index_factors(order - j_lead, n_deg, order, max_n)
     x = np.asarray(x, dtype=np.float64)
-
-    out_ds = np.zeros((n_lanes, order + 1))
-    out_slog = np.zeros(n_lanes)
-    out_n = np.zeros(n_lanes, dtype=np.int64)
-    out_flags = np.zeros(n_lanes, dtype=np.int64)
-    out_tail = np.zeros(n_lanes)
-
-    window = np.zeros((span + 1, n_lanes))  # window[d] = b_{n-d}
-    ds = np.zeros((order + 1, n_lanes))
-    xp = np.ones(n_lanes)
-    ff_seed = _falling(np.arange(n_seed), order)
-    for j in range(n_seed):
-        b = seeds[j] * xp
-        window[1:] = window[:-1]
-        window[0] = b
-        ds += ff_seed[j][:, None] * b
-        xp = xp * x
-
-    lanes = np.arange(n_lanes)  # original index of each live lane
-    alive = np.ones(n_lanes, dtype=bool)
-    slog = np.zeros(n_lanes)
-    flags = np.zeros(n_lanes, dtype=np.int64)
-    quiet = np.zeros(n_lanes, dtype=np.int64)
-    tail = np.zeros(n_lanes)
-
-    def store(sel, n_used):
-        idx = lanes[sel]
-        out_ds[idx] = ds[:, sel].T
-        out_slog[idx] = slog[sel]
-        out_n[idx] = n_used
-        out_flags[idx] = flags[sel]
-        out_tail[idx] = tail[sel]
-
-    n_last = n_seed - 1
-    n0 = n_seed
-    with np.errstate(all="ignore"):  # retired lanes roll on until compaction
+    xp = np.ones((seeds.shape[1], n_lanes))
+    xp[1:] = x
+    out = (np.zeros((order + 1, n_lanes)), np.zeros(n_lanes),
+           np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes, dtype=np.int64),
+           np.zeros(n_lanes))
+    # live-lane state, lane axis last: window[d] = b_{n-d}, the seed terms
+    # seeds[i, j] x^j, the weights from lag j_lead on as [d, lag, lane] and
+    # -x^d, the factor of lag j_lead + d (summed from 0.0, the products then
+    # give roll's rhs bit for bit)
+    state = [np.arange(n_lanes), np.zeros((span + 1, n_lanes)),
+             np.zeros((order + 1, n_lanes)), np.zeros(n_lanes),
+             np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes, dtype=np.int64),
+             np.zeros(n_lanes), seeds.T * np.cumprod(xp, axis=0),
+             np.ascontiguousarray(L[:, j_lead:].transpose(2, 1, 0)),
+             -np.cumprod(np.broadcast_to(x, (span, n_lanes)), axis=0),
+             np.asarray(n_seed, dtype=np.int64)]
+    hit = np.zeros(n_lanes, dtype=bool)
+    n0 = 0
+    with np.errstate(all="ignore"):  # a lane stopped mid-block rolls on to its end
         while n0 <= max_n:
-            if not alive.all():
-                lanes, slog, flags, quiet, tail = (
-                    a[alive] for a in (lanes, slog, flags, quiet, tail))
-                window, ds = window[:, alive], ds[:, alive]
-                alive = alive[alive]
-            per_n = 8 * n_lags * lanes.size
-            n1 = min(n0 + max(1, min(_LANE_BLOCK, _LANE_BLOCK_BYTES // per_n)),
-                     max_n + 1)
+            if hit.any():
+                keep = np.flatnonzero(~hit)
+                if not keep.size:
+                    break
+                state = [a.take(keep, axis=-1) for a in state]
+            lanes, window, ds, slog, flags, quiet, tail, seed_b, lt, nxd, n_seed = state
+            n1 = min((n0 // _RENORM_EVERY + 1) * _RENORM_EVERY + 1, max_n + 1,
+                     n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)))
+            nb = n1 - n0
             # weight values W_j(n - q) for the block, summed in roll's order
-            m = np.arange(n0 - q, n1 - q, dtype=np.float64)
-            mabs = np.maximum(np.abs(m), 1.0)
-            lt = L[lanes].transpose(2, 1, 0)  # [d, lag, lane]
-            wv = np.zeros((m.size, n_lags, lanes.size))
-            lref_b = np.zeros((m.size, lanes.size))
-            mp = np.ones_like(m)
-            mref = np.ones_like(m)
-            for d in range(n_deg):
-                wv += lt[d][None] * mp[:, None, None]
-                lref_b += np.abs(lt[d, j_lead])[None] * mref[:, None]
-                mp = mp * m
-                mref = mref * mabs
-            lead_b = wv[:, j_lead]
-            ff_b = _falling(np.arange(n0, n1), order)
-            amp_b = np.ones(m.size)  # (n+1)^order amplification of the gate
-            for _ in range(order):
-                amp_b = amp_b * (np.arange(n0, n1) + 1.0)
-            res_any = np.any(np.abs(lead_b) <= _RES_GUARD * lref_b, axis=1)
-            # wx_b[i, d - 1] = W_{j_lead+d}(m) x^d, the factor of b_{n-d}
-            xd = np.cumprod(np.broadcast_to(x[lanes], (span, lanes.size)), axis=0)
-            wx_b = wv[:, j_lead + 1:] * xd[None]
+            wv = np.add.reduce(lt * pw[n0:n1, :, None, None], axis=1, initial=0.0)
+            lead = wv[:, 0]
+            lref = np.add.reduce(np.abs(lt[:, 0]) * pref[n0:n1, :, None],
+                                 axis=1, initial=0.0)
+            main = ns[n0:n1, None] >= n_seed  # past the lane's seed terms
+            res = (np.abs(lead) <= _RES_GUARD * lref) & main
+            res_at = res.any(axis=1).tolist()
+            wx = wv[:, 1:] * nxd
+            compat = np.zeros((nb, lanes.size), dtype=bool)
+            bad = np.zeros((nb, lanes.size), dtype=bool)
+            seeding = int(n_seed.max()) - n0
+            # term n0 + i goes to row nb - 1 - i, above the carried window
+            h = np.empty((nb + span + 1, lanes.size))
+            h[nb:] = window
+            for i in range(nb):
+                r = nb - 1 - i
+                t = wx[i] * h[r + 1:r + 1 + span]
+                rhs = np.add.reduce(t, axis=0, initial=0.0)
+                np.divide(rhs, lead[i], out=h[r])
+                if res_at[i]:
+                    ok = np.abs(rhs) <= _COMPAT_TOL * (
+                        np.add.reduce(np.abs(t), axis=0, initial=0.0) + 1e-300)
+                    compat[i], bad[i] = res[i] & ok, res[i] & ~ok
+                    h[r, res[i]] = 0.0
+                if i < seeding:
+                    np.copyto(h[r], seed_b[n0 + i], where=~main[i])
+            window = h[:span + 1]
 
-            for i, n in enumerate(range(n0, n1)):
-                lead = lead_b[i]
-                t = wx_b[i] * window[:span]
-                rhs = 0.0 - np.add.reduce(t, axis=0)
-                if res_any[i]:
-                    res = (np.abs(lead) <= _RES_GUARD * lref_b[i]) & alive
-                    rhs_ref = np.add.reduce(np.abs(t), axis=0)
-                    compat = np.abs(rhs) <= _COMPAT_TOL * (rhs_ref + 1e-300)
-                    flags = flags | np.where(res & compat,
-                                             FLAG_RESONANT_COMPATIBLE, 0)
-                    bad = res & ~compat
-                    if bad.any():
-                        flags = flags | np.where(bad, FLAG_RESONANT_INCOMPATIBLE, 0)
-                        store(bad, n - 1)
-                        alive = alive & ~bad
-                    b = np.where(res, 0.0, rhs / lead)
-                else:
-                    b = rhs / lead
-
-                window[1:] = window[:-1]
-                window[0] = b
-                ds += ff_b[i][:, None] * b
-                n_last = n
-
-                tail = np.abs(b) * amp_b[i] / np.maximum(np.abs(ds[0]), 1.0)
-                if tail_tol > 0.0:
-                    quiet = (quiet + 1) * (tail <= tail_tol)
-                    if n > n_seed + 8:
-                        done = (quiet > span + 2) & alive
-                        if done.any():
-                            store(done, n)
-                            alive = alive & ~done
-                            if not alive.any():
-                                break
-
-                if n % _RENORM_EVERY == 0:
-                    big = np.fmax(np.fmax.reduce(np.abs(window), axis=0),
-                                  np.fmax.reduce(np.abs(ds), axis=0))
-                    sel = ((big > 1e100) | ((big > 0.0) & (big < 1e-100))) & alive
-                    if sel.any():
-                        f = big[sel]
-                        window[:, sel] /= f
-                        ds[:, sel] /= f
-                        slog[sel] += np.array([math.log(v) for v in f])
-            if not alive.any():
-                break
+            # row j of dsum and tails: the state after j terms of the block;
+            # cumsum adds in roll's order
+            terms = h[nb - 1::-1]
+            dsum = np.empty((nb + 1, order + 1, lanes.size))
+            dsum[0] = ds
+            np.multiply(ff[n0:n1, :, None], terms[:, None], out=dsum[1:])
+            np.cumsum(dsum, axis=0, out=dsum)
+            tails = np.empty((nb + 1, lanes.size))
+            tails[0] = tail
+            tails[1:] = np.where(main, np.abs(terms) * amp[n0:n1, None]
+                                 / np.maximum(np.abs(dsum[1:, 0]), 1.0), 0.0)
+            stop = bad
+            if tail_tol > 0.0:
+                idx = np.arange(nb)[:, None]
+                loud = np.maximum.accumulate(
+                    np.where((tails[1:] <= tail_tol) & main, -1, idx), axis=0)
+                run = np.where(loud < 0, quiet + idx + 1, idx - loud)
+                stop = stop | ((run > span + 2) & (ns[n0:n1, None] > n_seed + 8))
+                quiet = run[-1]
+            hit = stop.any(axis=0)
+            s = np.argmax(stop, axis=0)
+            cols = np.arange(lanes.size)
+            k = np.where(hit, s + 1 - bad[s, cols], nb)  # terms each lane keeps
+            ds, tail = dsum[k, :, cols].T, tails[k, cols]
+            flags = flags | np.where(bad[s, cols], FLAG_RESONANT_INCOMPATIBLE, 0)
+            if any(res_at):
+                first = np.where(compat.any(axis=0), np.argmax(compat, axis=0), nb)
+                flags = flags | np.where(first < k, FLAG_RESONANT_COMPATIBLE, 0)
+            if (n1 - 1) % _RENORM_EVERY == 0:
+                big = np.fmax(np.fmax.reduce(np.abs(window), axis=0),
+                              np.fmax.reduce(np.abs(ds), axis=0))
+                sel = (((big > 1e100) | ((big > 0.0) & (big < 1e-100)))
+                       & ~hit & (n_seed < n1))
+                if sel.any():
+                    f = big[sel]
+                    window[:, sel] /= f
+                    ds[:, sel] /= f
+                    slog[sel] += np.array([math.log(v) for v in f])
+            if n1 > max_n:
+                hit[:] = True
+            if hit.any():
+                for o, v in zip(out, (ds, slog, n0 + k - 1, flags, tail)):
+                    o[..., lanes[hit]] = v[..., hit]
+            state = [lanes, window, ds, slog, flags, quiet, tail,
+                     seed_b, lt, nxd, n_seed]
             n0 = n1
-        store(alive, n_last)
 
+    out_ds, out_slog, out_n, out_flags, out_tail = out
     if tail_tol > 0.0:
         out_flags |= np.where((out_n >= max_n) & (out_tail > tail_tol),
                               FLAG_NONCONVERGED, 0)
-    return out_ds, out_slog, out_n, out_flags, out_tail
+    return out_ds.T, out_slog, out_n, out_flags, out_tail
 
 
 def _falling(ns: np.ndarray, order: int) -> np.ndarray:

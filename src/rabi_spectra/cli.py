@@ -31,6 +31,8 @@ from .twopoint import resonance_ladder
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+#: most scan points a window may hold; a heun scan holds about 3 kB per point
+MAX_GRID_POINTS = 10 ** 5
 
 
 def fmt(x) -> str:
@@ -244,8 +246,12 @@ def _config(ns: argparse.Namespace) -> RunConfig:
     for name, value in (("--emin", ns.emin), ("--emax", ns.emax)):
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
-    if ns.emin is not None and ns.emax is not None and ns.emin > ns.emax:
-        raise ValidationError(f"--emin {ns.emin} exceeds --emax {ns.emax}")
+    if ns.emin is not None and ns.emax is not None:
+        if ns.emin > ns.emax:
+            raise ValidationError(f"--emin {ns.emin} exceeds --emax {ns.emax}")
+        if (ns.emax - ns.emin) / grid > MAX_GRID_POINTS:
+            raise ValidationError(f"--grid {grid} puts more than {MAX_GRID_POINTS} "
+                                  f"points on [--emin, --emax]")
     if ns.nmax < 0:
         raise ValidationError(f"--nmax must be >= 0, got {ns.nmax}")
     if ns.fock_cutoff < 1:

@@ -12,7 +12,7 @@ keeps its coefficients (residual checks).
 lane per trial energy and expansion point: the weights are linear in the ODE
 coefficients, so they come from a basis derived once per (shape, z0), and
 the lanes are rolled by ``_kernels.roll_lanes``, one call per leading lag
-and Frobenius branch.
+whatever Frobenius branches the lanes are seeded on.
 """
 
 from __future__ import annotations
@@ -245,7 +245,8 @@ def series_sums_lanes(polys, z0, x, exponent):
     Lane i is seeded on the Frobenius branch (z - z0)^exponent[i]: a_e = 1
     and every coefficient below it 0.  Exponent 0 is series_eval's default
     seed; a higher one is meaningful only at a resonant index, where the
-    skipped equations hold by themselves.
+    skipped equations hold by themselves.  Lanes of one leading lag, mixed
+    branches included, are rolled in one kernel call.
 
     Returns (value, derivative, scale_log, flags) arrays; the value of lane i
     is value[i] * exp(scale_log[i]), its derivative likewise.
@@ -271,12 +272,13 @@ def series_sums_lanes(polys, z0, x, exponent):
     deriv = np.empty(x_rel.shape)
     scale_log = np.empty(x_rel.shape)
     flags = np.empty(x_rel.shape, dtype=np.int64)
-    for j, e in sorted(set(zip(j_lead.tolist(), exponent.tolist()))):
-        sel = (j_lead == j) & (exponent == e)
-        seeds = np.zeros(max(order - j, e + 1))
-        seeds[e] = 1.0
+    for j in np.unique(j_lead).tolist():
+        sel = j_lead == j
+        n_seed = np.maximum(order - j, exponent[sel] + 1)
+        seeds = np.zeros((n_seed.size, n_seed.max()))
+        seeds[np.arange(n_seed.size), exponent[sel]] = 1.0
         ds, scale_log[sel], _n, flags[sel], _tail = _kernels.roll_lanes(
-            weights[sel], j, order, seeds, x_rel[sel], DEFAULT_MAX_N,
+            weights[sel], j, order, seeds, n_seed, x_rel[sel], DEFAULT_MAX_N,
             DEFAULT_TAIL_TOL)
         value[sel] = ds[:, 0]
         deriv[sel] = ds[:, 1] / x_rel[sel]

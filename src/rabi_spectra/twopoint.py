@@ -7,8 +7,8 @@ gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 Wronskian, the resonance ladder and the spectrum assembly (second-gauge
 check, exceptional tests, mirror-sector merge, dedup).  Every determinant,
 the exceptional tests' second-kind Wronskians included, is a lane of
-:func:`_wronskian`: one batched call per scan round, second-gauge check or
-sector ladder.
+:func:`_wronskian`: one batched call, and so one kernel roll, per scan
+round, second-gauge check or sector ladder.
 """
 
 from __future__ import annotations

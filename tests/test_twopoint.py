@@ -117,6 +117,27 @@ def test_determinant_calls_per_window(case, determinants):
     np.testing.assert_array_equal(exceptional[0][1], ladder)
 
 
+@pytest.mark.parametrize("route, params, window", [
+    (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),   # P2
+    (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)),   # P3
+    (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),    # two sectors
+])
+def test_one_kernel_roll_per_determinant_call(route, params, window,
+                                              determinants, monkeypatch):
+    # the exceptional calls mix Frobenius branches, and still roll once
+    rolls = []
+    roll_lanes = _kernels.roll_lanes
+
+    def counting(*args):
+        rolls.append(args)
+        return roll_lanes(*args)
+
+    monkeypatch.setattr(_kernels, "roll_lanes", counting)
+    route(validate_params(*params), *window, 0.05)
+    assert any(exc for _red, _g, _es, exc in determinants)
+    assert len(rolls) == len(determinants)
+
+
 def test_each_sector_tests_its_ladder_in_one_call(determinants):
     p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
     heun_spectrum(p, -1.0, 2.0, 0.05)
