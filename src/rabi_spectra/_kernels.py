@@ -204,8 +204,10 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     amplification, renormalization every _RENORM_EVERY terms (per-lane
     scale_log) and the nonconverged flag.
 
-    The index loop runs in blocks that end where ``roll`` renormalizes.
-    Outside resonances and seed terms, a term takes three numpy operations:
+    The index loop runs in blocks that end where ``roll`` renormalizes, or,
+    after the first block, where the live lanes' tail decay predicts they
+    all stop (a lane still live there runs another block).  Outside
+    resonances and seed terms, a term takes three numpy operations:
     weights times the previous terms, a sum, and a division into the
     block's history rows.  The derivative sums, the gate, the resonance
     stops and renormalization run once per block; a lane that stops inside a
@@ -236,7 +238,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
              -np.cumprod(np.broadcast_to(x, (span, n_lanes)), axis=0),
              np.asarray(n_seed, dtype=np.int64)]
     hit = np.zeros(n_lanes, dtype=bool)
-    n0 = 0
+    n0, stride = 0, max_n + 1
     with np.errstate(all="ignore"):  # a lane stopped mid-block rolls on to its end
         while n0 <= max_n:
             if hit.any():
@@ -246,7 +248,8 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
                 state = [a.take(keep, axis=-1) for a in state]
             lanes, window, ds, slog, flags, quiet, tail, seed_b, lt, nxd, n_seed = state
             n1 = min((n0 // _RENORM_EVERY + 1) * _RENORM_EVERY + 1, max_n + 1,
-                     n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)))
+                     n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)),
+                     n0 + stride)
             nb = n1 - n0
             # weight values W_j(n - q) for the block, summed in roll's order
             wv = np.add.reduce(lt * pw[n0:n1, :, None, None], axis=1, initial=0.0)
@@ -317,6 +320,17 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
                     slog[sel] += np.array([math.log(v) for v in f])
             if n1 > max_n:
                 hit[:] = True
+            # the next block ends where the live lanes' tails, decaying at
+            # their rate over the last 8 terms, have been quiet for a span
+            stride, live = max_n + 1, ~hit
+            if tail_tol > 0.0 and nb > 8 and np.all(n_seed[live] <= n1 - 9):
+                t1 = tails[-1, live]
+                rate = (t1 / tails[-9, live]) ** 0.125
+                quiet_now = t1 <= tail_tol
+                if np.all(quiet_now | (rate < 1.0)):
+                    steps = np.log(tail_tol / t1) / np.log(rate)
+                    stride = int(np.ceil(np.max(steps, where=~quiet_now,
+                                                initial=0.0))) + span + 4
             if hit.any():
                 for o, v in zip(out, (ds, slog, n0 + k - 1, flags, tail)):
                     o[..., lanes[hit]] = v[..., hit]

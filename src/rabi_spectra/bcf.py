@@ -156,7 +156,7 @@ def g_function_bcf(p: ModelParams, energy: float,
 def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  grid_step: float = 0.05,
                  zeta_star: float = 0.5) -> SpectrumResult:
-    """Grid scan + secant refinement of the reduced-equation G-function.
+    """Grid scan + rational-step refinement of the reduced-equation G-function.
 
     Ladder points get exclusion zones and exceptional tests.  At delta ~ 0
     with lam > 0 one sector's determinant already returns the levels of

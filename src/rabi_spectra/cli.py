@@ -25,14 +25,12 @@ from .errors import NumericalError, RabiSpectraError, RegimeMismatchError, Valid
 from .fock import oracle_spectrum
 from .heun import g_function_heun_batch, heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
-from .rootscan import SpectrumResult
+from .rootscan import MAX_GRID_POINTS, SpectrumResult
 from .twopoint import resonance_ladder
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-#: most scan points a window may hold; a heun scan holds about 3 kB per point
-MAX_GRID_POINTS = 10 ** 5
 
 
 def fmt(x) -> str:

@@ -1,4 +1,4 @@
-"""Root location for spectral determinants: grid scan, bracketing, secant.
+"""Root location for spectral determinants: grid scan, bracketing, rational step.
 
 The scanned function returns :class:`GFunctionSample` objects rather than
 bare floats so that resonances, non-convergence and breakdown regions can be
@@ -24,6 +24,9 @@ POLE_RATIO = 1e-3
 #: secant points that move less than this share of the starting bracket
 #: count as settled
 _SETTLED = 1e-3
+#: most grid points a scan may hold: the grid is one batched call, and a
+#: heun scan holds about 3 kB per point
+MAX_GRID_POINTS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class RootScanConfig:
             raise ValueError("e_min must be <= e_max")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be > 0")
+        if (self.e_max - self.e_min) / self.grid_step > MAX_GRID_POINTS:
+            raise ValueError(f"grid_step {self.grid_step} puts more than "
+                             f"{MAX_GRID_POINTS} points on [e_min, e_max]")
 
 
 @dataclass(frozen=True)
@@ -223,22 +229,32 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample):
     """Generator: yields the energies of one round and is sent their samples.
     Returns (kind, x, sample, n_evals) with kind in root|pole|suspect.
 
-    A safeguarded secant: each round evaluates the bracket midpoint and the
-    secant point of the two samples with the smallest |G| seen so far (if it
-    falls inside the bracket), and once the secant points settle also the
-    secant point +- REFINE_TOL/2.  The new bracket is the smallest
-    sub-interval that keeps a sign change, so it at least halves every round
-    and never needs more rounds than bisection.  The end of the final bracket
-    with the smaller |G| is a root if |G| there fell below POLE_RATIO times
-    the bracket-end magnitude, else a pole.
+    A safeguarded rational step: each round evaluates the bracket midpoint
+    and the root of the linear-fractional f ~ (u + v x)/(1 + w x) through
+    the three samples with the smallest |G| seen so far (Jarratt & Nudds,
+    Comput. J. 8, 62, 1965), or where that root is degenerate or outside the
+    bracket the secant point of the best two; once these estimates settle
+    also the estimate +- REFINE_TOL/2.  A flagged sample makes a suspect.
+    The new bracket is the smallest sub-interval that keeps a sign change,
+    so it at least halves every round and never needs more rounds than
+    bisection.  The end of the final bracket with the smaller |G| is a root
+    if |G| there fell below POLE_RATIO times the bracket-end magnitude, else
+    a pole.
     """
     end_mag = max(abs(sa.g_value), abs(sb.g_value))
     best = sorted([(a, sa.g_value), (b, sb.g_value)], key=lambda t: abs(t[1]))
     settled = _SETTLED * (b - a)
     last, n_evals = math.inf, 0
     for _ in range(MAX_BISECT):
-        (x1, f1), (x2, f2) = best
-        s = x1 - f1 * (x1 - x2) / (f1 - f2) if f1 != f2 else math.nan
+        (x2, f2), (x0, f0) = best[:2]
+        s = x2 - f2 * (x2 - x0) / (f2 - f0) if f2 != f0 else math.nan
+        if len(best) == 3 and best[2][1] != f0:
+            # the root of the linear-fractional interpolant through all three
+            x1, f1 = best[2]
+            d0, d1 = (f0 - f2) / (x0 - x2), (f1 - f2) / (x1 - x2)
+            den = d0 + (d0 - d1) / (f1 - f0) * f0
+            if den and a < x2 - f2 / den < b:
+                s = x2 - f2 / den
         xs = {0.5 * (a + b)}
         if a < s < b:
             xs.add(s)
@@ -256,7 +272,7 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample):
             if sx.g_value == 0.0:
                 return "root", x, sx, n_evals
         best = sorted(best + [(x, sx.g_value) for x, sx in zip(xs, got)],
-                      key=lambda t: abs(t[1]))[:2]
+                      key=lambda t: abs(t[1]))[:3]
         pts = [(a, sa), *zip(xs, got), (b, sb)]
         j = min((k for k in range(len(pts) - 1)
                  if pts[k][1].g_value * pts[k + 1][1].g_value < 0.0),

@@ -8,7 +8,8 @@ Wronskian, the resonance ladder and the spectrum assembly (second-gauge
 check, exceptional tests, mirror-sector merge, dedup).  Every determinant,
 the exceptional tests' second-kind Wronskians included, is a lane of
 :func:`_wronskian`: one batched call, and so one kernel roll, per scan
-round, second-gauge check or sector ladder.
+round or second-gauge check.  A sector's ladder lanes ride in its grid
+call, so the exceptional tests cost no call of their own.
 """
 
 from __future__ import annotations
@@ -39,16 +40,18 @@ LADDER_MAX_M = 200
 #: |delta| / omega and |lam| / omega up to which the spin sectors decouple
 #: and each sector's determinant sees only its own levels
 UNCOUPLED_TOL = 1e-10
-#: flag bit of a lane whose value and derivative vanish together on one side
-_DEGENERATE = 8
-#: sample flags of each combination of the kernel's flag bits and _DEGENERATE
+#: flag bits of a lane whose value and derivative vanish together on one
+#: side, and of a first-kind lane glued too close to a singularity
+_DEGENERATE, _NEAR_SINGULAR = 8, 16
+#: sample flags of each combination of the kernel's and the two bits above
 _FLAG_SETS = tuple(
     frozenset(name for bit, name in (
         (_kernels.FLAG_NONCONVERGED, "series_nonconverged"),
         (_kernels.FLAG_RESONANT_COMPATIBLE, "near_resonance"),
         (_kernels.FLAG_RESONANT_INCOMPATIBLE, "near_resonance"),
-        (_DEGENERATE, "degenerate_series")) if bits & bit)
-    for bits in range(2 * _DEGENERATE))
+        (_DEGENERATE, "degenerate_series"),
+        (_NEAR_SINGULAR, "near_singular_eval_point")) if bits & bit)
+    for bits in range(2 * _NEAR_SINGULAR))
 
 
 @dataclass(frozen=True)
@@ -94,18 +97,17 @@ def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
     and zeta = 1, one sample per energy; both series of every energy are
     rolled in one batch."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    base = {"near_singular_eval_point"} \
-        if min(zeta_star, 1.0 - zeta_star) < 0.02 else set()
     return _wronskian(reduction, energies, np.zeros((2, energies.size), int),
-                      zeta_star, gauge, base)
+                      zeta_star, gauge)
 
 
-def _wronskian(reduction: Reduction, energies: np.ndarray, exponents,
-               zeta_star: float, gauge, base: set) -> list:
+def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray,
+               zeta_star: float, gauge) -> list:
     """Samples of the Wronskian at ``energies``; the series of energy i at
     zeta = 0 and at zeta = 1 are seeded on the Frobenius branches
-    exponents[0][i] and exponents[1][i] (0: the regular branch).  ``base``
-    flags every sample."""
+    exponents[0, i] and exponents[1, i] (0: the regular branch).  A lane
+    with both series on the regular branch is flagged
+    'near_singular_eval_point' when zeta_star lies within 0.02 of 0 or 1."""
     if not (0.0 < zeta_star < 1.0):
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
@@ -124,8 +126,9 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents,
         g = np.where(degenerate, 0.0, (v0 / n0) * (d1 / n1) - (v1 / n1) * (d0 / n0))
         log_g = np.log(np.abs(g)) + np.log(n0) + np.log(n1) + slog[:n] + slog[n:]
     bits = kflags[:n] | kflags[n:] | np.where(degenerate, _DEGENERATE, 0)
-    names = [flags | base for flags in _FLAG_SETS]
-    return [GFunctionSample(e, gv, lg, names[b]) for e, gv, lg, b in
+    if min(zeta_star, 1.0 - zeta_star) < 0.02:
+        bits = bits | np.where(exponents.any(axis=0), 0, _NEAR_SINGULAR)
+    return [GFunctionSample(e, gv, lg, _FLAG_SETS[b]) for e, gv, lg, b in
             zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
 
@@ -171,13 +174,13 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
     its ladder points.  A second gauge is evaluated once, at r +- 1e-8 omega
     for every refined root r: a sign change there labels the root
     'regular:both', else it is 'regular:<first>-only'.  Every ladder point
-    gets the exceptional test, all in one batched call: the second-kind
-    Wronskian, whose resonant-side series is seeded on its high-exponent
-    branch m + 1, vanishes where the ladder point is an exceptional
-    eigenvalue (a solution holomorphic at both points).  ``mirror`` (the
-    other spin sector, given where the sectors decouple) is scanned the same
-    way and merged with a 'mirror:' prefix.  Levels closer than
-    max(REFINE_TOL, 1e-9 omega) are merged, and the unprefixed sector's
+    gets the exceptional test, as extra lanes of the sector's grid call:
+    the second-kind Wronskian, whose resonant-side series is seeded on its
+    high-exponent branch m + 1, vanishes where the ladder point is an
+    exceptional eigenvalue (a solution holomorphic at both points).
+    ``mirror`` (the other spin sector, given where the sectors decouple) is
+    scanned the same way and merged with a 'mirror:' prefix.  Levels closer
+    than max(REFINE_TOL, 1e-9 omega) are merged, and the unprefixed sector's
     level wins.
     """
     levels, scans = [], []
@@ -188,8 +191,21 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
         zones = tuple((e, RESONANCE_HALF_WIDTH * red.omega, "resonance")
                       for e, _s, _n in ladder)
         cfg = RootScanConfig(e_min, e_max, grid_step, split_zones=zones)
-        report = scan_and_refine(
-            lambda es: g_function_batch(red, es, zeta_star, red.gauges[0]), cfg)
+        ladder_e = np.array([e for e, _s, _m in ladder])
+        seeded = np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
+                           for at in ("origin", "one")], dtype=int).reshape(2, -1)
+        tests = []
+
+        def scan(es):
+            # the ladder's lanes ride in the first (grid) call of the scan
+            k = 0 if tests else len(ladder)
+            got = _wronskian(red, np.concatenate([es, ladder_e[:k]]),
+                             np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
+                             zeta_star, red.gauges[0])
+            tests.extend(got[es.size:])
+            return got[:es.size]
+
+        report = scan_and_refine(scan, cfg)
         n = report.roots.size
         labels = ["regular"] * n
         if len(red.gauges) > 1 and not prefix and n:
@@ -201,17 +217,11 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
                       and lo.g_value * hi.g_value <= 0.0
                       else f"regular:{red.gauges[0]}-only"
                       for lo, hi in zip(near[:n], near[n:])]
-        found = list(zip(report.roots, labels))
-        if ladder:
-            tests = _wronskian(red, np.array([e for e, _s, _m in ladder]),
-                               [[m + 1 if side == at else 0 for _e, side, m in ladder]
-                                for at in ("origin", "one")],
-                               zeta_star, red.gauges[0], set())
-            # seeding past the resonance is the point, so its flag is dropped
-            found += [(e_r, f"exceptional:{side}:{m}")
-                      for (e_r, side, m), s in zip(ladder, tests)
-                      if not s.flags - {"near_resonance"}
-                      and abs(s.g_value) < EXCEPTIONAL_TOL]
+        # seeding past the resonance is the point, so its flag is dropped
+        found = list(zip(report.roots, labels)) + [
+            (e_r, f"exceptional:{side}:{m}")
+            for (e_r, side, m), s in zip(ladder, tests)
+            if not s.flags - {"near_resonance"} and abs(s.g_value) < EXCEPTIONAL_TOL]
         levels += [(e, prefix + lab) for e, lab in found]
         scans.append((report, ladder))
 

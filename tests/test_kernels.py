@@ -26,9 +26,17 @@ LANES = [
     (_che_shaped(1.3, 0.2, -0.4, 0.5, 0.1), 1e-4),     # high branches: tiny
     (_che_shaped(1.3, -40.0, -0.4, 0.0, 0.0), 0.5),    # stops before n = 40
 ]
-RECS = [ode_to_recurrence(ode) for ode, _x in LANES]
+# lanes that stop between the renormalization indices 50 and 100, where the
+# kernel sizes the second block from their tail decay: the first stops at
+# n = 87 inside its predicted block; the decay of the second slows down, so
+# it is still live where its predicted block ends and rolls a further block
+LATE = [
+    (_che_shaped(1.3, 0.2, -0.4, 0.5, 0.1), 0.7),
+    (_che_shaped(-6.0, 0.5, -4.0, 3.0, 2.0), 0.8),
+]
+RECS = [ode_to_recurrence(ode) for ode, _x in LANES + LATE]
 WEIGHTS = np.stack([r.weights for r in RECS])
-XS = np.array([x for _ode, x in LANES])
+XS = np.array([x for _ode, x in LANES + LATE])
 J_LEAD = RECS[0].j_lead
 
 
@@ -103,10 +111,21 @@ def test_lane_kernel_mixed_seeds_match_scalar_roll():
             assert n_used[0] < 50 and slog[0] == slog[2] == 0.0
 
 
+def test_lane_kernel_late_stops_match_scalar_roll():
+    stops = {len(LANES): 87, len(LANES) + 1: 95}
+    for lanes in ([*stops], [*stops, 0, 5, 3], [0, 5, len(LANES) + 1]):
+        for tail_tol in (1e-14, 0.0):
+            _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
+                [0] * len(lanes), 200, tail_tol, lanes)
+            if tail_tol:
+                assert all(n_used[i] == stops[k] for i, k in enumerate(lanes)
+                           if k in stops)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(LANES) - 1), st.integers(0, 55),
+@given(st.lists(st.tuples(st.integers(0, len(RECS) - 1), st.integers(0, 55),
                           st.integers(0, 5)), min_size=1, max_size=8),
-       st.sampled_from([60, 120]), st.sampled_from([1e-14, 0.0]))
+       st.sampled_from([60, 120, 200]), st.sampled_from([1e-14, 0.0]))
 def test_lane_kernel_random_seed_mixes_match_scalar_roll(picks, max_n, tail_tol):
     lanes, exponents, pads = zip(*picks)
     _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import GFunctionSample, RootScanConfig, scan_and_refine
-from rabi_spectra.rootscan import REFINE_TOL
+from rabi_spectra.rootscan import MAX_GRID_POINTS, REFINE_TOL
 
 
 def per_point(sample):
@@ -81,6 +81,12 @@ def test_roots_sorted_and_separated():
     f = plain(lambda e: math.sin(5.0 * e))
     rep = scan_and_refine(f, RootScanConfig(0.1, 3.0, 0.1))
     assert np.all(np.diff(rep.roots) > 1e-10)
+
+
+def test_grid_cap():
+    with pytest.raises(ValueError, match="points"):
+        RootScanConfig(-1.0, 4.0, 1e-6)
+    RootScanConfig(0.0, 0.5 * MAX_GRID_POINTS, 0.5)
 
 
 def test_empty_range():
@@ -172,4 +178,16 @@ def test_refiner_hard_cases_take_no_more_rounds_than_bisection(case):
     assert len(rep.suspects) == n_suspects
     assert len(rep.brackets) == 1
     assert len(calls) <= bisection_calls(rep)
+    assert rep.n_evaluations == sum(calls)
+
+
+def test_rational_step_next_to_a_pole():
+    # a pole 1e-5 below the bracket: the secant steps keep falling back to the
+    # midpoint (11 calls), the linear-fractional step models f exactly
+    r, p = 3.4908251150, 3.49
+    f, calls = counted(lambda e: GFunctionSample(e, (e - r) / (e - p)))
+    rep = scan_and_refine(f, RootScanConfig(3.49001, 3.54001, 0.05))
+    assert len(rep.brackets) == 1 and p < rep.brackets[0][0] < r
+    np.testing.assert_allclose(rep.roots, [r], rtol=0.0, atol=REFINE_TOL)
+    assert len(calls) <= 5
     assert rep.n_evaluations == sum(calls)

@@ -80,27 +80,43 @@ def test_ladder_hits_the_scalar_resonant_index(route):
 
 @pytest.fixture
 def determinants(monkeypatch):
-    """(reduction, gauge, energies, exceptional) of every batched determinant
-    call; exceptional calls seed some series on a high-exponent branch."""
+    """(reduction, gauge, energies, exponents) of every batched determinant
+    call; a lane with a nonzero exponent is an exceptional test, its series
+    seeded on a high-exponent branch."""
     calls = []
     wronskian = twopoint._wronskian
 
-    def recording(reduction, energies, exponents, zeta_star, gauge, base):
-        calls.append((reduction, gauge, energies, bool(np.any(exponents))))
-        return wronskian(reduction, energies, exponents, zeta_star, gauge, base)
+    def recording(reduction, energies, exponents, zeta_star, gauge):
+        calls.append((reduction, gauge, energies, np.asarray(exponents)))
+        return wronskian(reduction, energies, exponents, zeta_star, gauge)
 
     monkeypatch.setattr(twopoint, "_wronskian", recording)
     return calls
 
 
-#: route, params, window -> (most determinant calls, most n_evaluations); the
-#: evaluation caps are what per-bracket bisection took on the scanned gauge
+#: route, params, window -> (most determinant calls, most n_evaluations);
+#: the evaluation caps are what the secant refiner took on the scanned gauge,
+#: and below them what per-bracket bisection took
 ROUNDS = {
     "heun-P2": (heun_spectrum, heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
-                (-1.0, 4.0), 16, 417),
+                (-1.0, 4.0), 8, (244, 417)),
     "bcf-P3": (bcf_spectrum, bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02),
-               (-1.0, 3.0), 12, 303),
+               (-1.0, 3.0), 6, (181, 303)),
 }
+
+
+def assert_ladder_rides_in_grid_call(calls, sector, ladder):
+    """The sector's first (grid) call is its only call with nonzero
+    exponents: its trailing energies are the ladder, and only those lanes
+    are seeded."""
+    ours = [(es, x) for red, _g, es, x in calls if red is sector]
+    assert [bool(np.any(x)) for _es, x in ours] == [True] + [False] * (len(ours) - 1)
+    energies, exponents = ours[0]
+    k = len(ladder)
+    np.testing.assert_array_equal(energies[energies.size - k:],
+                                  [e for e, _s, _m in ladder])
+    np.testing.assert_array_equal(np.any(exponents, axis=0),
+                                  np.arange(energies.size) >= energies.size - k)
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDS))
@@ -109,12 +125,10 @@ def test_determinant_calls_per_window(case, determinants):
     p = validate_params(*params)
     res = route(p, e_min, e_max, 0.05)
     assert len(determinants) <= max_calls
-    assert res.report.n_evaluations <= max_evals
-    # the exceptional tests of the whole ladder are one call
-    ladder = np.array([e for e, _s, _m in res.metadata["ladder"]])
-    exceptional = [(red, es) for red, _g, es, exc in determinants if exc]
-    assert len(exceptional) == 1 and exceptional[0][0] is reduction(p)
-    np.testing.assert_array_equal(exceptional[0][1], ladder)
+    assert all(res.report.n_evaluations <= cap for cap in max_evals)
+    assert res.metadata["ladder"]
+    assert_ladder_rides_in_grid_call(determinants, reduction(p),
+                                     res.metadata["ladder"])
 
 
 @pytest.mark.parametrize("route, params, window", [
@@ -134,7 +148,7 @@ def test_one_kernel_roll_per_determinant_call(route, params, window,
 
     monkeypatch.setattr(_kernels, "roll_lanes", counting)
     route(validate_params(*params), *window, 0.05)
-    assert any(exc for _red, _g, _es, exc in determinants)
+    assert any(np.any(x) for _red, _g, _es, x in determinants)
     assert len(rolls) == len(determinants)
 
 
@@ -142,24 +156,52 @@ def test_each_sector_tests_its_ladder_in_one_call(determinants):
     p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
     heun_spectrum(p, -1.0, 2.0, 0.05)
     sectors = (heun_reduction(p), heun_reduction(p.mirrored()))
-    exceptional = [(red, es.size) for red, _g, es, exc in determinants if exc]
-    assert len(exceptional) == len(sectors)
-    for (red, size), sector in zip(exceptional, sectors):
-        assert red is sector and size == len(resonance_ladder(sector, -1.0, 2.0))
+    seeded = [red for red, _g, _es, x in determinants if np.any(x)]
+    assert len(seeded) == 2 and all(a is b for a, b in zip(seeded, sectors))
+    for sector in sectors:
+        ladder = resonance_ladder(sector, -1.0, 2.0)
+        assert ladder
+        assert_ladder_rides_in_grid_call(determinants, sector, ladder)
 
 
 def test_second_gauge_checks_each_root(determinants):
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     first, second = heun_reduction(p).gauges
-    check = [es for _red, gauge, es, _exc in determinants if gauge == second]
+    check = [es for _red, gauge, es, _x in determinants if gauge == second]
     assert len(check) == 1
     roots = res.report.roots
     np.testing.assert_allclose(check[0], np.concatenate([roots - 1e-8, roots + 1e-8]),
                                rtol=0.0, atol=1e-15)
-    assert all(gauge == first for _red, gauge, _es, _exc in determinants
+    assert all(gauge == first for _red, gauge, _es, _x in determinants
                if gauge != second)
     assert set(res.labels) == {"regular:both"}
+
+
+@pytest.mark.parametrize("route, params", [
+    (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0)),   # P2
+    (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02)),   # P3
+])
+def test_over_cap_grid_is_refused_before_any_determinant(route, params, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(twopoint, "_wronskian", refuse)
+    with pytest.raises(ValueError, match="points"):
+        route(validate_params(*params), -1.0, 4.0, 1e-5)
+
+
+def test_near_singular_flag_marks_first_kind_lanes_only():
+    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
+    ladder = resonance_ladder(red, -1.0, 4.0)
+    exponents = np.array([[0, 0] + [m + 1 if side == at else 0
+                                    for _e, side, m in ladder]
+                          for at in ("origin", "one")])
+    energies = np.array([0.1, 0.2] + [e for e, _s, _m in ladder])
+    for zeta_star in (0.01, 0.5, 0.99):
+        samples = twopoint._wronskian(red, energies, exponents, zeta_star, "minus")
+        flagged = ["near_singular_eval_point" in s.flags for s in samples]
+        assert flagged == [zeta_star != 0.5] * 2 + [False] * len(ladder)
 
 
 #: reduction, params, window -> the ladder sides whose points are exceptional;
@@ -209,7 +251,7 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     samples = twopoint._wronskian(
         red, np.array([e for e, _s, _m in ladder]),
         np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
-                  for at in ("origin", "one")]), 0.5, red.gauges[0], set())
+                  for at in ("origin", "one")]), 0.5, red.gauges[0])
     for (e, side, m), s in zip(ladder, samples):
         g, accept = _scalar_second_kind(red, e, side, m)
         assert s.g_value == pytest.approx(g, rel=0.0, abs=1e-10)
