@@ -22,7 +22,7 @@ from .audit import diagnose_report
 from .bcf import bcf_reduction, bcf_spectrum, g_function_bcf_batch
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, RegimeMismatchError, ValidationError
-from .fock import oracle_spectrum
+from .fock import MAX_CUTOFF, oracle_spectrum
 from .heun import g_function_heun_batch, heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import MAX_GRID_POINTS, SpectrumResult
@@ -31,6 +31,8 @@ from .twopoint import resonance_ladder
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+#: most closed-form levels per branch a spectrum run asks for
+MAX_NMAX = 10 ** 5
 
 
 def fmt(x) -> str:
@@ -250,10 +252,11 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         if (ns.emax - ns.emin) / grid > MAX_GRID_POINTS:
             raise ValidationError(f"--grid {grid} puts more than {MAX_GRID_POINTS} "
                                   f"points on [--emin, --emax]")
-    if ns.nmax < 0:
-        raise ValidationError(f"--nmax must be >= 0, got {ns.nmax}")
-    if ns.fock_cutoff < 1:
-        raise ValidationError(f"--fock-cutoff must be >= 1, got {ns.fock_cutoff}")
+    if not 0 <= ns.nmax <= MAX_NMAX:
+        raise ValidationError(f"--nmax must lie in [0, {MAX_NMAX}], got {ns.nmax}")
+    if not 1 <= ns.fock_cutoff <= MAX_CUTOFF:
+        raise ValidationError(f"--fock-cutoff must lie in [1, {MAX_CUTOFF}], "
+                              f"got {ns.fock_cutoff}")
     return RunConfig(ns.command, ns.method, params, ns.emin, ns.emax, grid,
                      ns.nmax, ns.fock_cutoff, ns.compare_oracle, ns.fmt,
                      ns.out, ns.zeta_star, ns.k_branch, ns.self_test,

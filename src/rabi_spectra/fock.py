@@ -9,6 +9,9 @@ import numpy as np
 from .errors import EigensolverError, NegativeCutoffError
 from .params import ModelParams
 
+#: largest cutoff the oracle accepts: dimension 8002, a 512 MB matrix
+MAX_CUTOFF = 4000
+
 
 @dataclass(frozen=True)
 class TruncatedHamiltonian:
@@ -39,27 +42,18 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     """
     if cutoff < 0:
         raise NegativeCutoffError(f"cutoff must be >= 0, got {cutoff}")
-    n_f = cutoff + 1
-    dim = 2 * n_f
-    h = np.zeros((dim, dim))
-    for n in range(n_f):
-        h[2 * n, 2 * n] = p.omega * n + p.delta
-        h[2 * n + 1, 2 * n + 1] = p.omega * n - p.delta
-        _set_flip(h, n, n, p.epsilon)
-    for n in range(n_f - 1):
-        _set_flip(h, n, n + 1, p.g * np.sqrt(n + 1.0))
-    for n in range(n_f - 2):
-        _set_flip(h, n, n + 2, p.lam * np.sqrt((n + 1.0) * (n + 2.0)))
+    n = np.arange(cutoff + 1, dtype=float)
+    up = 2 * np.arange(cutoff + 1)  # index of Fock level n with s = 0
+    h = np.zeros((2 * n.size, 2 * n.size))
+    h[up, up] = p.omega * n + p.delta
+    h[up + 1, up + 1] = p.omega * n - p.delta
+    # spin flips between Fock levels n and n + k
+    for k, amp in ((0, p.epsilon), (1, p.g * np.sqrt(n[1:])),
+                   (2, p.lam * np.sqrt(n[1:-1] * n[2:]))):
+        lo = up[:up.size - k]
+        for i, j in ((lo, lo + 2 * k + 1), (lo + 1, lo + 2 * k)):
+            h[i, j] = h[j, i] = amp
     return TruncatedHamiltonian(cutoff, h)
-
-
-def _set_flip(h: np.ndarray, n: int, m: int, amp: float) -> None:
-    """Spin-flip matrix element between Fock levels n and m (symmetrized)."""
-    pairs = {(min(2 * n, 2 * m + 1), max(2 * n, 2 * m + 1)),
-             (min(2 * n + 1, 2 * m), max(2 * n + 1, 2 * m))}
-    for (i, j) in sorted(pairs):
-        h[i, j] += amp
-        h[j, i] += amp
 
 
 def eigenvalues(p: ModelParams, cutoff: int) -> np.ndarray:
@@ -75,6 +69,8 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
     """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n."""
     if cutoff < 1:
         raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff > MAX_CUTOFF:
+        raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
     if k > 2 * (cutoff + 1):
         raise NegativeCutoffError(
             f"requested {k} eigenvalues from dimension {2 * (cutoff + 1)}")

@@ -1,13 +1,13 @@
 """Root location for spectral determinants: grid scan, bracketing, rational step.
 
-The scanned function returns :class:`GFunctionSample` objects rather than
-bare floats so that resonances, non-convergence and breakdown regions can be
-excluded and reported instead of polluting the root list.  Sign changes whose
-refinement does not actually shrink |G| are classified as poles, not roots.
-
-The scanned function maps an array of energies to one sample per energy, so
-a batched determinant sees the whole grid in one call; all brackets are then
-refined in lockstep, one call per round of a few energies per bracket.
+The scanned function maps an array of energies to arrays (g, flags), one
+value and one set of flag bits per energy, so a batched determinant sees the
+whole grid in one call; all brackets are then refined in lockstep, one call
+per round of a few energies per bracket.  Flagged samples (resonances,
+non-convergence, breakdown) are excluded and reported instead of polluting
+the root list.  Sign changes whose refinement does not actually shrink |G|
+are classified as poles, not roots.  :data:`FLAG_SETS` names the flag bits
+for the public :class:`GFunctionSample`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _kernels
 
 REFINE_TOL = 1e-10
 MAX_BISECT = 200
@@ -27,6 +29,18 @@ _SETTLED = 1e-3
 #: most grid points a scan may hold: the grid is one batched call, and a
 #: heun scan holds about 3 kB per point
 MAX_GRID_POINTS = 10 ** 5
+#: flag bits of a lane whose value and derivative vanish together on one
+#: side, and of a first-kind lane glued too close to a singularity
+FLAG_DEGENERATE, FLAG_NEAR_SINGULAR = 8, 16
+#: sample flags of each combination of the kernel's and the two bits above
+FLAG_SETS = tuple(
+    frozenset(name for bit, name in (
+        (_kernels.FLAG_NONCONVERGED, "series_nonconverged"),
+        (_kernels.FLAG_RESONANT_COMPATIBLE, "near_resonance"),
+        (_kernels.FLAG_RESONANT_INCOMPATIBLE, "near_resonance"),
+        (FLAG_DEGENERATE, "degenerate_series"),
+        (FLAG_NEAR_SINGULAR, "near_singular_eval_point")) if bits & bit)
+    for bits in range(2 * FLAG_NEAR_SINGULAR))
 
 
 @dataclass(frozen=True)
@@ -100,95 +114,77 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _build_grid(cfg: RootScanConfig):
+def usable(g: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """No flag set and g finite: the array form of GFunctionSample.ok."""
+    return (flags == 0) & np.isfinite(g)
+
+
+def _build_grid(cfg: RootScanConfig, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Grid points plus the edges lo, hi of the split zones, without the
+    points strictly inside a zone."""
     n = int(math.floor((cfg.e_max - cfg.e_min) / cfg.grid_step + 1e-9)) + 1
-    pts = [cfg.e_min + i * cfg.grid_step for i in range(n)]
+    pts = cfg.e_min + np.arange(n) * cfg.grid_step
+    edges = np.concatenate([lo, hi])
+    extra = [edges[(cfg.e_min < edges) & (edges < cfg.e_max)]]
     if pts[-1] < cfg.e_max - 1e-15 * max(1.0, abs(cfg.e_max)):
-        pts.append(cfg.e_max)
-    zones = [(c, hw) for (c, hw, _r) in cfg.split_zones]
-    for c, hw, _reason in cfg.split_zones:
-        for edge in (c - hw, c + hw):
-            if cfg.e_min < edge < cfg.e_max:
-                pts.append(edge)
-    pts = sorted(set(pts))
-    # drop points strictly inside a pre-excluded zone
-    out = []
-    for x in pts:
-        inside = any(c - hw < x < c + hw for c, hw in zones)
-        if not inside:
-            out.append(x)
-    return out
+        extra.append([cfg.e_max])
+    pts = np.unique(np.concatenate([pts, *extra]))
+    return pts[~np.any((lo < pts[:, None]) & (pts[:, None] < hi), axis=1)]
 
 
 def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     """Locate zeros of the sampled determinant on [e_min, e_max].
 
-    f maps an array of energies -> a sequence of GFunctionSample, one per
-    energy.  Sign changes between consecutive valid samples are refined to
-    REFINE_TOL by :func:`_refine`; flagged samples open excluded intervals
-    and adjacent sign changes, or a flag met while refining, become suspects;
-    sign changes whose |G| does not collapse are excluded as poles.  f is
-    called once for the grid and then once per lockstep round (at most
-    MAX_BISECT rounds); n_evaluations counts energies.
+    f maps an array of energies -> (g, flags), two arrays with one entry per
+    energy (see :func:`usable`).  Sign changes between consecutive usable
+    samples are refined to REFINE_TOL by :func:`_refine`; runs of unusable
+    samples open excluded intervals named after their flags ('flagged' if
+    they carry none), and adjacent sign changes, or an unusable sample met
+    while refining, become suspects; sign changes whose |G| does not
+    collapse are excluded as poles.  f is called once for the grid and then
+    once per lockstep round (at most MAX_BISECT rounds); n_evaluations
+    counts energies.
     """
-    grid = _build_grid(cfg)
-    if len(grid) == 0:
+    zc, zw = np.array([z[:2] for z in cfg.split_zones], float).reshape(-1, 2).T
+    z_lo, z_hi = zc - zw, zc + zw
+    grid = _build_grid(cfg, z_lo, z_hi)
+    if grid.size == 0:
         return RootReport(np.array([]))
-    samples = f(np.array(grid))
-    n_evals = len(samples)
+    g, flags = f(grid)
+    n_evals = g.size
+    x = grid.tolist()
 
     excluded = [ExcludedInterval(c - hw, c + hw, reason)
                 for (c, hw, reason) in cfg.split_zones
                 if c + hw >= cfg.e_min and c - hw <= cfg.e_max]
 
-    # contiguous runs of flagged samples -> excluded intervals
-    flagged_idx = [i for i, s in enumerate(samples) if not s.ok]
-    runs = []
-    for i in flagged_idx:
-        if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], i)
-        else:
-            runs.append((i, i))
-    flag_neighbor = set()
-    for lo, hi in runs:
-        span_lo = grid[lo - 1] if lo > 0 else cfg.e_min
-        span_hi = grid[hi + 1] if hi + 1 < len(grid) else cfg.e_max
-        reasons = sorted(set().union(*[samples[i].flags for i in range(lo, hi + 1)]))
-        excluded.append(ExcludedInterval(span_lo, span_hi, ",".join(reasons) or "flagged"))
-        if lo > 0:
-            flag_neighbor.add(lo - 1)
-        if hi + 1 < len(samples):
-            flag_neighbor.add(hi + 1)
+    # bad[i + 1]: sample i is unusable; its runs [lo, stop) -> excluded intervals
+    bad = np.concatenate([[False], ~usable(g, flags), [False]])
+    step = np.diff(bad.astype(int))
+    for lo, stop in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1)):
+        names = FLAG_SETS[np.bitwise_or.reduce(flags[lo:stop])]
+        excluded.append(ExcludedInterval(x[lo - 1] if lo > 0 else cfg.e_min,
+                                         x[stop] if stop < len(x) else cfg.e_max,
+                                         ",".join(sorted(names)) or "flagged"))
 
-    roots = []
-    suspects = []
-    brackets = []
+    # cells [i, i + 1] between usable samples that span no pre-excluded zone
+    cell = ~bad[1:-2] & ~bad[2:-1] & ~np.any(
+        (z_lo >= grid[:-1, None] - 1e-15) & (z_hi <= grid[1:, None] + 1e-15), axis=1)
+    zero = cell & (g[:-1] == 0.0)
+    change = cell & ~zero & (g[:-1] * g[1:] < 0.0)
+    # a sign change next to an unusable sample (i - 1 or i + 2) is a suspect
+    near_bad = bad[:-3] | bad[3:]
+    roots = grid[:-1][zero].tolist()
+    suspects = (0.5 * (grid[:-1] + grid[1:]))[change & near_bad].tolist()
+    cells = np.flatnonzero(change & ~near_bad).tolist()
+    brackets = [(x[i], x[i + 1]) for i in cells]
+    gs = g.tolist()
+    tasks = [_refine(x[i], x[i + 1], gs[i], gs[i + 1]) for i in cells]
 
-    tasks = []
-    for i in range(len(samples) - 1):
-        s0, s1 = samples[i], samples[i + 1]
-        if not (s0.ok and s1.ok):
-            continue
-        # do not bracket across a pre-excluded zone
-        between = any(c - hw >= grid[i] - 1e-15 and c + hw <= grid[i + 1] + 1e-15
-                      for c, hw, _r in cfg.split_zones)
-        if between:
-            continue
-        if s0.g_value == 0.0:
-            roots.append((grid[i], s0))
-            continue
-        if s0.g_value * s1.g_value >= 0.0:
-            continue
-        if i in flag_neighbor or (i + 1) in flag_neighbor:
-            suspects.append(0.5 * (grid[i] + grid[i + 1]))
-            continue
-        tasks.append(_refine(grid[i], grid[i + 1], s0, s1))
-        brackets.append((grid[i], grid[i + 1]))
-
-    for kind, r, s_r, n in _lockstep(f, tasks):
+    for kind, r, n in _lockstep(f, tasks):
         n_evals += n
         if kind == "root":
-            roots.append((r, s_r))
+            roots.append(r)
         elif kind == "pole":
             excluded.append(ExcludedInterval(r - REFINE_TOL,
                                              r + REFINE_TOL, "pole"))
@@ -196,9 +192,8 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
             suspects.append(r)
 
     # dedup and sort
-    roots.sort(key=lambda t: t[0])
     merged = []
-    for r, s in roots:
+    for r in sorted(roots):
         if merged and abs(r - merged[-1]) <= REFINE_TOL:
             continue
         merged.append(r)
@@ -208,16 +203,19 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
 
 def _lockstep(f, tasks: list) -> list:
     """Drive refinement generators together: each round evaluates every
-    pending energy of every task in one call of f.  Returns the tasks'
-    results in order."""
+    pending energy of every task in one call of f and sends each task the
+    values and usable bits of its energies.  Returns the tasks' results in
+    order."""
     results = [None] * len(tasks)
     pending = [(i, task, next(task)) for i, task in enumerate(tasks)]
     while pending:
-        samples = f(np.array([x for _i, _t, xs in pending for x in xs]))
+        g, flags = f(np.array([x for _i, _t, xs in pending for x in xs]))
+        gs, ok = g.tolist(), usable(g, flags).tolist()
         still, k = [], 0
         for i, task, xs in pending:
             try:
-                still.append((i, task, task.send(samples[k:k + len(xs)])))
+                still.append((i, task, task.send((gs[k:k + len(xs)],
+                                                  ok[k:k + len(xs)]))))
             except StopIteration as stop:
                 results[i] = stop.value
             k += len(xs)
@@ -225,24 +223,25 @@ def _lockstep(f, tasks: list) -> list:
     return results
 
 
-def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample):
-    """Generator: yields the energies of one round and is sent their samples.
-    Returns (kind, x, sample, n_evals) with kind in root|pole|suspect.
+def _refine(a: float, b: float, ga: float, gb: float):
+    """Generator: yields the energies of one round and is sent their values
+    and usable bits.  Returns (kind, x, n_evals) with kind in
+    root|pole|suspect; ga and gb are the values at the bracket ends a, b.
 
     A safeguarded rational step: each round evaluates the bracket midpoint
     and the root of the linear-fractional f ~ (u + v x)/(1 + w x) through
     the three samples with the smallest |G| seen so far (Jarratt & Nudds,
     Comput. J. 8, 62, 1965), or where that root is degenerate or outside the
     bracket the secant point of the best two; once these estimates settle
-    also the estimate +- REFINE_TOL/2.  A flagged sample makes a suspect.
+    also the estimate +- REFINE_TOL/2.  An unusable sample makes a suspect.
     The new bracket is the smallest sub-interval that keeps a sign change,
     so it at least halves every round and never needs more rounds than
     bisection.  The end of the final bracket with the smaller |G| is a root
     if |G| there fell below POLE_RATIO times the bracket-end magnitude, else
     a pole.
     """
-    end_mag = max(abs(sa.g_value), abs(sb.g_value))
-    best = sorted([(a, sa.g_value), (b, sb.g_value)], key=lambda t: abs(t[1]))
+    end_mag = max(abs(ga), abs(gb))
+    best = sorted([(a, ga), (b, gb)], key=lambda t: abs(t[1]))
     settled = _SETTLED * (b - a)
     last, n_evals = math.inf, 0
     for _ in range(MAX_BISECT):
@@ -264,23 +263,20 @@ def _refine(a: float, b: float, sa: GFunctionSample, sb: GFunctionSample):
         xs = sorted(x for x in xs if a < x < b)
         if not xs:
             break
-        got = yield xs
+        gs, ok = yield xs
         n_evals += len(xs)
-        for x, sx in zip(xs, got):
-            if not sx.ok:
-                return "suspect", x, sx, n_evals
-            if sx.g_value == 0.0:
-                return "root", x, sx, n_evals
-        best = sorted(best + [(x, sx.g_value) for x, sx in zip(xs, got)],
-                      key=lambda t: abs(t[1]))[:3]
-        pts = [(a, sa), *zip(xs, got), (b, sb)]
+        for x, gx, okx in zip(xs, gs, ok):
+            if not okx:
+                return "suspect", x, n_evals
+            if gx == 0.0:
+                return "root", x, n_evals
+        best = sorted(best + list(zip(xs, gs)), key=lambda t: abs(t[1]))[:3]
+        pts = [(a, ga), *zip(xs, gs), (b, gb)]
         j = min((k for k in range(len(pts) - 1)
-                 if pts[k][1].g_value * pts[k + 1][1].g_value < 0.0),
+                 if pts[k][1] * pts[k + 1][1] < 0.0),
                 key=lambda k: pts[k + 1][0] - pts[k][0])
-        (a, sa), (b, sb) = pts[j], pts[j + 1]
+        (a, ga), (b, gb) = pts[j], pts[j + 1]
         if b - a <= REFINE_TOL:
             break
-    r, sr = min((a, sa), (b, sb), key=lambda t: abs(t[1].g_value))
-    if abs(sr.g_value) <= POLE_RATIO * end_mag:
-        return "root", r, sr, n_evals
-    return "pole", r, sr, n_evals
+    r, gr = min((a, ga), (b, gb), key=lambda t: abs(t[1]))
+    return ("root" if abs(gr) <= POLE_RATIO * end_mag else "pole"), r, n_evals

@@ -22,13 +22,9 @@ import numpy as np
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
 from .params import ModelParams
-from .rootscan import (
-    REFINE_TOL,
-    GFunctionSample,
-    RootScanConfig,
-    SpectrumResult,
-    scan_and_refine,
-)
+from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
+                       GFunctionSample, RootScanConfig, SpectrumResult,
+                       scan_and_refine, usable)
 from .series import series_sums_lanes
 
 #: half-width of the exclusion zone planted around each resonance energy
@@ -40,18 +36,8 @@ LADDER_MAX_M = 200
 #: |delta| / omega and |lam| / omega up to which the spin sectors decouple
 #: and each sector's determinant sees only its own levels
 UNCOUPLED_TOL = 1e-10
-#: flag bits of a lane whose value and derivative vanish together on one
-#: side, and of a first-kind lane glued too close to a singularity
-_DEGENERATE, _NEAR_SINGULAR = 8, 16
-#: sample flags of each combination of the kernel's and the two bits above
-_FLAG_SETS = tuple(
-    frozenset(name for bit, name in (
-        (_kernels.FLAG_NONCONVERGED, "series_nonconverged"),
-        (_kernels.FLAG_RESONANT_COMPATIBLE, "near_resonance"),
-        (_kernels.FLAG_RESONANT_INCOMPATIBLE, "near_resonance"),
-        (_DEGENERATE, "degenerate_series"),
-        (_NEAR_SINGULAR, "near_singular_eval_point")) if bits & bit)
-    for bits in range(2 * _NEAR_SINGULAR))
+#: flag bits an exceptional test ignores, since it seeds past the resonance
+_RESONANT = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
 
 
 @dataclass(frozen=True)
@@ -94,20 +80,25 @@ class Reduction:
 def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
                      gauge=None) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
-    and zeta = 1, one sample per energy; both series of every energy are
-    rolled in one batch."""
+    and zeta = 1, one :class:`GFunctionSample` per energy; both series of
+    every energy are rolled in one batch.  This is the public sample
+    boundary: the spectrum itself works on :func:`_wronskian`'s arrays."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    return _wronskian(reduction, energies, np.zeros((2, energies.size), int),
-                      zeta_star, gauge)
+    g, log_g, bits = _wronskian(reduction, energies,
+                                np.zeros((2, energies.size), int), zeta_star, gauge)
+    return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
+            zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
 
 def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray,
-               zeta_star: float, gauge) -> list:
-    """Samples of the Wronskian at ``energies``; the series of energy i at
+               zeta_star: float, gauge):
+    """(g, log_g, flags) arrays of the Wronskian at ``energies``: the
+    angle-normalized value, the log of the raw magnitude and the flag bits
+    (named by :data:`rootscan.FLAG_SETS`).  The series of energy i at
     zeta = 0 and at zeta = 1 are seeded on the Frobenius branches
     exponents[0, i] and exponents[1, i] (0: the regular branch).  A lane
-    with both series on the regular branch is flagged
-    'near_singular_eval_point' when zeta_star lies within 0.02 of 0 or 1."""
+    with both series on the regular branch gets FLAG_NEAR_SINGULAR when
+    zeta_star lies within 0.02 of 0 or 1."""
     if not (0.0 < zeta_star < 1.0):
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
@@ -125,11 +116,10 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(degenerate, 0.0, (v0 / n0) * (d1 / n1) - (v1 / n1) * (d0 / n0))
         log_g = np.log(np.abs(g)) + np.log(n0) + np.log(n1) + slog[:n] + slog[n:]
-    bits = kflags[:n] | kflags[n:] | np.where(degenerate, _DEGENERATE, 0)
+    bits = kflags[:n] | kflags[n:] | np.where(degenerate, FLAG_DEGENERATE, 0)
     if min(zeta_star, 1.0 - zeta_star) < 0.02:
-        bits = bits | np.where(exponents.any(axis=0), 0, _NEAR_SINGULAR)
-    return [GFunctionSample(e, gv, lg, _FLAG_SETS[b]) for e, gv, lg, b in
-            zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
+        bits = bits | np.where(exponents.any(axis=0), 0, FLAG_NEAR_SINGULAR)
+    return g, log_g, bits
 
 
 def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
@@ -194,34 +184,36 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
         ladder_e = np.array([e for e, _s, _m in ladder])
         seeded = np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
                            for at in ("origin", "one")], dtype=int).reshape(2, -1)
-        tests = []
+        tests = []  # (g, flags) of the ladder lanes
 
         def scan(es):
             # the ladder's lanes ride in the first (grid) call of the scan
             k = 0 if tests else len(ladder)
-            got = _wronskian(red, np.concatenate([es, ladder_e[:k]]),
-                             np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
-                             zeta_star, red.gauges[0])
-            tests.extend(got[es.size:])
-            return got[:es.size]
+            g, _log_g, bits = _wronskian(
+                red, np.concatenate([es, ladder_e[:k]]),
+                np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
+                zeta_star, red.gauges[0])
+            if not tests:
+                tests.append((g[es.size:], bits[es.size:]))
+            return g[:es.size], bits[:es.size]
 
         report = scan_and_refine(scan, cfg)
-        n = report.roots.size
+        roots, n = report.roots, report.roots.size
         labels = ["regular"] * n
         if len(red.gauges) > 1 and not prefix and n:
             h = 1e-8 * red.omega
-            near = g_function_batch(red, np.concatenate([report.roots - h,
-                                                         report.roots + h]),
-                                    zeta_star, red.gauges[1])
-            labels = ["regular:both" if lo.ok and hi.ok
-                      and lo.g_value * hi.g_value <= 0.0
-                      else f"regular:{red.gauges[0]}-only"
-                      for lo, hi in zip(near[:n], near[n:])]
-        # seeding past the resonance is the point, so its flag is dropped
-        found = list(zip(report.roots, labels)) + [
+            g, _log_g, bits = _wronskian(red, np.concatenate([roots - h, roots + h]),
+                                         np.zeros((2, 2 * n), int), zeta_star,
+                                         red.gauges[1])
+            ok = usable(g, bits)
+            both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
+            labels = np.where(both, "regular:both",
+                              f"regular:{red.gauges[0]}-only").tolist()
+        g, bits = tests[0] if tests else (np.zeros(0), np.zeros(0, int))
+        accept = ((bits & ~_RESONANT) == 0) & (np.abs(g) < EXCEPTIONAL_TOL)
+        found = list(zip(roots, labels)) + [
             (e_r, f"exceptional:{side}:{m}")
-            for (e_r, side, m), s in zip(ladder, tests)
-            if not s.flags - {"near_resonance"} and abs(s.g_value) < EXCEPTIONAL_TOL]
+            for (e_r, side, m), a in zip(ladder, accept.tolist()) if a]
         levels += [(e, prefix + lab) for e, lab in found]
         scans.append((report, ladder))
 

@@ -6,11 +6,12 @@ import pytest
 from rabi_spectra import (
     ModelParams,
     build_hamiltonian,
+    fock,
     oracle_spectrum,
     validate_params,
 )
 from rabi_spectra.errors import NegativeCutoffError
-from rabi_spectra.fock import eigenvalues
+from rabi_spectra.fock import MAX_CUTOFF, eigenvalues
 
 
 def test_two_by_two_block():
@@ -30,6 +31,32 @@ def test_ladder_matrix_elements():
     # lam sqrt((n+1)(n+2)) between n and n+2 with spin flip
     assert h[2 * n, 2 * (n + 2) + 1] == pytest.approx(
         0.25 * math.sqrt((n + 1) * (n + 2)))
+
+
+def reference_hamiltonian(p, cutoff):
+    """build_hamiltonian element by element: diagonal omega n +- delta, and
+    the spin flip between Fock levels n and m = n, n + 1, n + 2."""
+    h = np.zeros((2 * cutoff + 2, 2 * cutoff + 2))
+    for n in range(cutoff + 1):
+        h[2 * n, 2 * n] = p.omega * n + p.delta
+        h[2 * n + 1, 2 * n + 1] = p.omega * n - p.delta
+        for m, amp in ((n, p.epsilon), (n + 1, p.g * math.sqrt(n + 1.0)),
+                       (n + 2, p.lam * math.sqrt((n + 1.0) * (n + 2.0)))):
+            if m <= cutoff:
+                for i, j in ((2 * n, 2 * m + 1), (2 * n + 1, 2 * m)):
+                    h[i, j] = h[j, i] = amp
+    return h
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 10])
+def test_matrix_matches_element_by_element_reference(cutoff):
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        p = validate_params(rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
+                            rng.uniform(-1, 1), rng.uniform(-1, 1),
+                            rng.uniform(-0.2, 0.2))
+        assert np.array_equal(build_hamiltonian(p, cutoff).matrix,
+                              reference_hamiltonian(p, cutoff))
 
 
 def test_symmetric_bit_exact():
@@ -111,3 +138,14 @@ def test_oracle_rejects_cutoff_below_one_by_name(cutoff):
     p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
     with pytest.raises(NegativeCutoffError, match=rf"cutoff must be >= 1, got {cutoff}$"):
         oracle_spectrum(p, cutoff)
+
+
+def test_oracle_rejects_cutoff_above_cap_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(fock, "build_hamiltonian", refuse)
+    p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
+    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
+                                                  rf"got {10 ** 6}$"):
+        oracle_spectrum(p, 10 ** 6)

@@ -1,5 +1,6 @@
 """The spectrum routes stay on one determinant path: they import nothing of
-the scalar series chain or of the paper audit."""
+the scalar series chain or of the paper audit.  The root scan is the layer
+below the routes: it imports none of them."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
 ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py")
 FORBIDDEN = {"ode_to_recurrence", "series_eval", "SeriesSolution", "ScaledValue",
              "audit", "canonical", "special"}
+ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
 
 
 def imported_names(path: Path) -> set:
@@ -28,3 +30,7 @@ def imported_names(path: Path) -> set:
 @pytest.mark.parametrize("module", ROUTES)
 def test_route_imports_no_scalar_chain_or_audit(module):
     assert imported_names(SRC / module) & FORBIDDEN == set()
+
+
+def test_rootscan_imports_no_layer_above_it():
+    assert imported_names(SRC / "rootscan.py") & ABOVE_ROOTSCAN == set()

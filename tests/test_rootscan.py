@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from rabi_spectra import GFunctionSample, RootScanConfig, scan_and_refine
-from rabi_spectra.rootscan import MAX_GRID_POINTS, REFINE_TOL
+from rabi_spectra.rootscan import FLAG_SETS, MAX_GRID_POINTS, REFINE_TOL
 
 
-def per_point(sample):
-    """Array signature for a per-energy sample function."""
-    def samples(energies):
-        return [sample(float(e)) for e in energies]
-    return samples
-
-
-def plain(f):
-    return per_point(lambda e: GFunctionSample(e, f(e)))
+def arrays(sample):
+    """The (g, flags) array signature for a per-energy sample function; the
+    number of energies of every call is recorded in ``.calls``."""
+    def f(energies):
+        f.calls.append(len(energies))
+        got = [sample(float(e)) for e in energies]
+        return (np.array([s.g_value for s in got]),
+                np.array([FLAG_SETS.index(s.flags) for s in got]))
+    f.calls = []
+    return f
 
 
 def test_quadratic_root():
     cfg = RootScanConfig(0.0, 2.0, 0.1)
-    rep = scan_and_refine(plain(lambda e: e * e - 2.0), cfg)
+    rep = scan_and_refine(arrays(lambda e: GFunctionSample(e, e * e - 2.0)), cfg)
     assert len(rep.roots) == 1
     assert rep.roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
@@ -32,7 +33,7 @@ def test_flagged_pole_is_excluded_not_rooted():
         return GFunctionSample(e, 1.0 / (e - 1.0))
 
     cfg = RootScanConfig(0.0, 2.0, 0.02)
-    rep = scan_and_refine(per_point(f), cfg)
+    rep = scan_and_refine(arrays(f), cfg)
     assert len(rep.roots) == 0
     assert any("near_resonance" in iv.reason for iv in rep.excluded)
 
@@ -40,7 +41,7 @@ def test_flagged_pole_is_excluded_not_rooted():
 def test_unflagged_pole_detected_as_pole():
     # sign change through a pole between grid points: |f| never collapses
     cfg = RootScanConfig(0.0, 2.0, 0.3)
-    rep = scan_and_refine(plain(lambda e: 1.0 / (e - 1.05)), cfg)
+    rep = scan_and_refine(arrays(lambda e: GFunctionSample(e, 1.0 / (e - 1.05))), cfg)
     assert len(rep.roots) == 0
     assert any(iv.reason == "pole" for iv in rep.excluded)
 
@@ -52,13 +53,13 @@ def test_pole_and_root_separated_by_split_zone():
 
     cfg = RootScanConfig(0.0, 2.0, 0.5,
                          split_zones=((1.0, 1e-9, "resonance"),))
-    rep = scan_and_refine(per_point(f), cfg)
+    rep = scan_and_refine(arrays(f), cfg)
     assert len(rep.roots) == 1
     assert rep.roots[0] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_grid_step_robustness():
-    f = plain(lambda e: math.sin(3.0 * e))
+    f = arrays(lambda e: GFunctionSample(e, math.sin(3.0 * e)))
     roots_coarse = scan_and_refine(f, RootScanConfig(0.2, 4.0, 0.3)).roots
     roots_fine = scan_and_refine(f, RootScanConfig(0.2, 4.0, 0.15)).roots
     for r in roots_coarse:
@@ -69,7 +70,8 @@ def test_bisection_contract():
     def f(e):
         return (e - 1.234567891) ** 3
 
-    rep = scan_and_refine(plain(f), RootScanConfig(0.0, 2.0, 0.1))
+    rep = scan_and_refine(arrays(lambda e: GFunctionSample(e, f(e))),
+                          RootScanConfig(0.0, 2.0, 0.1))
     r = rep.roots[0]
     assert abs(r - 1.234567891) <= 1e-9
     fr = abs(f(r))
@@ -78,7 +80,7 @@ def test_bisection_contract():
 
 
 def test_roots_sorted_and_separated():
-    f = plain(lambda e: math.sin(5.0 * e))
+    f = arrays(lambda e: GFunctionSample(e, math.sin(5.0 * e)))
     rep = scan_and_refine(f, RootScanConfig(0.1, 3.0, 0.1))
     assert np.all(np.diff(rep.roots) > 1e-10)
 
@@ -91,7 +93,7 @@ def test_grid_cap():
 
 def test_empty_range():
     cfg = RootScanConfig(1.0, 1.0, 0.1)
-    rep = scan_and_refine(plain(lambda e: e - 2.0), cfg)
+    rep = scan_and_refine(arrays(lambda e: GFunctionSample(e, e - 2.0)), cfg)
     assert rep.roots.size == 0
 
 
@@ -104,20 +106,26 @@ def test_suspect_next_to_flagged_run():
                                    frozenset({"series_nonconverged"}))
         return GFunctionSample(e, -1.0 if e < 1.12 else 1.0)
 
-    rep = scan_and_refine(per_point(f), RootScanConfig(0.0, 2.0, 0.05))
+    rep = scan_and_refine(arrays(f), RootScanConfig(0.0, 2.0, 0.05))
     assert len(rep.roots) == 0
     assert rep.suspects == pytest.approx((1.125,), abs=1e-12)
     assert any("series_nonconverged" in iv.reason for iv in rep.excluded)
 
 
-def counted(sample):
-    """Array signature that records the number of energies of every call."""
-    calls = []
+def test_unflagged_non_finite_sample_is_excluded_not_rooted():
+    # NaN with an empty flag set: on the grid it hides the root at 1.0 and
+    # opens an excluded interval named 'flagged'; met while refining the
+    # bracket around 1.234567891 it makes a suspect
+    def f(e):
+        if abs(e - 1.0) < 0.03 or abs(e - 1.234567891) < 1e-4:
+            return GFunctionSample(e, math.nan)
+        return GFunctionSample(e, (e - 1.0) * (e - 1.234567891))
 
-    def f(energies):
-        calls.append(len(energies))
-        return [sample(float(e)) for e in energies]
-    return f, calls
+    rep = scan_and_refine(arrays(f), RootScanConfig(0.0, 2.0, 0.05))
+    assert rep.roots.size == 0
+    assert [iv.reason for iv in rep.excluded] == ["flagged"]
+    assert (rep.excluded[0].lo, rep.excluded[0].hi) == pytest.approx((0.95, 1.05))
+    assert len(rep.suspects) == 1 and abs(rep.suspects[0] - 1.234567891) < 1e-4
 
 
 def bisection_calls(rep):
@@ -130,7 +138,8 @@ def bisection_calls(rep):
 def test_brackets_are_refined_in_lockstep():
     # roots of sin(3e) at k*pi/3 and a pole at 1.57, which sits between grid
     # points and is refined like a root until the pole test rejects it
-    f, calls = counted(lambda e: GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57)))
+    f = arrays(lambda e: GFunctionSample(e, math.sin(3.0 * e) / (e - 1.57)))
+    calls = f.calls
     cfg = RootScanConfig(0.2, 4.0, 0.1)
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
@@ -143,7 +152,8 @@ def test_brackets_are_refined_in_lockstep():
     assert rep.n_evaluations == sum(calls)
 
     # without the pole the secant steps converge in a few rounds
-    f, calls = counted(lambda e: GFunctionSample(e, math.sin(3.0 * e)))
+    f = arrays(lambda e: GFunctionSample(e, math.sin(3.0 * e)))
+    calls = f.calls
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, [math.pi / 3, 2 * math.pi / 3, math.pi],
                                atol=1e-10)
@@ -170,7 +180,8 @@ HARD = {
 @pytest.mark.parametrize("case", sorted(HARD))
 def test_refiner_hard_cases_take_no_more_rounds_than_bisection(case):
     sample, roots, reasons, n_suspects = HARD[case]
-    f, calls = counted(sample)
+    f = arrays(sample)
+    calls = f.calls
     cfg = RootScanConfig(1.0, 1.5, 0.05)
     rep = scan_and_refine(f, cfg)
     np.testing.assert_allclose(rep.roots, roots, atol=1e-9)
@@ -185,7 +196,8 @@ def test_rational_step_next_to_a_pole():
     # a pole 1e-5 below the bracket: the secant steps keep falling back to the
     # midpoint (11 calls), the linear-fractional step models f exactly
     r, p = 3.4908251150, 3.49
-    f, calls = counted(lambda e: GFunctionSample(e, (e - r) / (e - p)))
+    f = arrays(lambda e: GFunctionSample(e, (e - r) / (e - p)))
+    calls = f.calls
     rep = scan_and_refine(f, RootScanConfig(3.49001, 3.54001, 0.05))
     assert len(rep.brackets) == 1 and p < rep.brackets[0][0] < r
     np.testing.assert_allclose(rep.roots, [r], rtol=0.0, atol=REFINE_TOL)

@@ -7,11 +7,14 @@ from rabi_spectra import (
     PolyOde,
     RootScanConfig,
     _kernels,
+    bcf,
     bcf_reduce,
     bcf_spectrum,
     che_params,
+    heun,
     heun_spectrum,
     ode_to_recurrence,
+    rootscan,
     scan_and_refine,
     series_eval,
     twopoint,
@@ -20,6 +23,7 @@ from rabi_spectra import (
 from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.heun import heun_reduction
 from rabi_spectra.polyops import poly
+from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.twopoint import resonance_ladder
 
 #: (route, params, window) -> labels; only the assembly decides these: the
@@ -131,11 +135,15 @@ def test_determinant_calls_per_window(case, determinants):
                                      res.metadata["ladder"])
 
 
-@pytest.mark.parametrize("route, params, window", [
-    (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),   # P2
-    (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)),   # P3
-    (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),    # two sectors
-])
+#: route, params, window: heun P2, bcf P3 and a heun window with two sectors
+WINDOWS = [
+    (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),
+    (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)),
+    (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("route, params, window", WINDOWS)
 def test_one_kernel_roll_per_determinant_call(route, params, window,
                                               determinants, monkeypatch):
     # the exceptional calls mix Frobenius branches, and still roll once
@@ -150,6 +158,17 @@ def test_one_kernel_roll_per_determinant_call(route, params, window,
     route(validate_params(*params), *window, 0.05)
     assert any(np.any(x) for _red, _g, _es, x in determinants)
     assert len(rolls) == len(determinants)
+
+
+@pytest.mark.parametrize("route, params, window", WINDOWS)
+def test_spectrum_builds_no_sample_objects(route, params, window, monkeypatch):
+    # samples are the public g_function_* format; a spectrum works on arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GFunctionSample was built")
+
+    for module in (rootscan, twopoint, heun, bcf):
+        monkeypatch.setattr(module, "GFunctionSample", refuse)
+    assert route(validate_params(*params), *window, 0.05).energies.size
 
 
 def test_each_sector_tests_its_ladder_in_one_call(determinants):
@@ -199,8 +218,9 @@ def test_near_singular_flag_marks_first_kind_lanes_only():
                           for at in ("origin", "one")])
     energies = np.array([0.1, 0.2] + [e for e, _s, _m in ladder])
     for zeta_star in (0.01, 0.5, 0.99):
-        samples = twopoint._wronskian(red, energies, exponents, zeta_star, "minus")
-        flagged = ["near_singular_eval_point" in s.flags for s in samples]
+        _g, _log_g, bits = twopoint._wronskian(red, energies, exponents, zeta_star,
+                                               "minus")
+        flagged = ["near_singular_eval_point" in FLAG_SETS[b] for b in bits]
         assert flagged == [zeta_star != 0.5] * 2 + [False] * len(ladder)
 
 
@@ -248,13 +268,13 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     res = twopoint.spectrum(red, None, e_min, e_max)
     accepted = {(e, lab) for e, lab in zip(res.energies, res.labels)
                 if lab.startswith("exceptional:")}
-    samples = twopoint._wronskian(
+    lanes, _log_g, _bits = twopoint._wronskian(
         red, np.array([e for e, _s, _m in ladder]),
         np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
                   for at in ("origin", "one")]), 0.5, red.gauges[0])
-    for (e, side, m), s in zip(ladder, samples):
+    for (e, side, m), g_lane in zip(ladder, lanes):
         g, accept = _scalar_second_kind(red, e, side, m)
-        assert s.g_value == pytest.approx(g, rel=0.0, abs=1e-10)
+        assert g_lane == pytest.approx(g, rel=0.0, abs=1e-10)
         assert ((e, f"exceptional:{side}:{m}") in accepted) == accept
     assert {lab.split(":")[1] for _e, lab in accepted} == exceptional_sides
     if exceptional_sides:
@@ -281,7 +301,9 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
     def f(energies):
         if energies.size > 3:
             zeroed.append(energies[3])
-        return twopoint.g_function_batch(red, energies, 0.5, "minus")
+        g, _log_g, flags = twopoint._wronskian(
+            red, energies, np.zeros((2, energies.size), int), 0.5, "minus")
+        return g, flags
 
     report = scan_and_refine(f, RootScanConfig(-1.0, 4.0, 0.05))
     assert zeroed and report.roots.size
