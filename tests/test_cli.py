@@ -57,13 +57,13 @@ def test_validation_exit_2_on_bad_params(capsys):
     (["spectrum", "--method", "closed", *BASE, "--nmax", "-3"], "--nmax"),
     (["spectrum", "--method", "oracle", *BASE, "--fock-cutoff", "0"],
      "--fock-cutoff"),
+    # the default grid 0.05 * omega would put about 6e301 points on the window
+    (["spectrum", "--method", "heun", "--omega", "1e-300", "--delta", "0.4",
+      "--g", "0.3", "--eps", "0.1", "--emin", "-1", "--emax", "2"], "--grid"),
     (["spectrum", "--method", "closed", "--omega", "1", "--g", "0.4",
       "--nmax", "1000000000000"], "--nmax"),
     (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4",
       "--fock-cutoff", "100000"], "--fock-cutoff"),
-    # the default grid 0.05 * omega would put about 6e301 points on the window
-    (["spectrum", "--method", "heun", "--omega", "1e-300", "--delta", "0.4",
-      "--g", "0.3", "--eps", "0.1", "--emin", "-1", "--emax", "2"], "--grid"),
 ])
 def test_bad_run_settings_exit_2_with_one_line(args, needle, capsys):
     code, out, err = run_cli(args, capsys)
