@@ -5,7 +5,6 @@ truncated-Fock diagonalization oracle."""
 from .params import (
     ModelParams,
     NormalizedParams,
-    Regime,
     RegimeTag,
     classify_regime,
     normalize_params,
@@ -63,7 +62,7 @@ from .canonical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "NormalizedParams", "Regime", "RegimeTag",
+    "ModelParams", "NormalizedParams", "RegimeTag",
     "classify_regime", "normalize_params", "validate_params",
     "Ode4Coeffs", "operator_compose",
     "PolyOde", "RecurrenceSpec", "ScaledValue", "SeriesSolution",

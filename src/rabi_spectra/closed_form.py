@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeltaNotZeroError, LambdaZeroError
-from .params import ModelParams
+from .params import ModelParams, vanishes
 from .special import kummer_1f1, kummer_1f1_d012
-
-DELTA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,16 +45,15 @@ class WeberParams:
         return zeta1 / self.stretch - self.shift
 
 
-def _require_uncoupled(p: ModelParams, tol: float) -> None:
-    if abs(p.delta) > tol * p.omega:
+def _require_uncoupled(p: ModelParams) -> None:
+    if not vanishes(p, p.delta):
         raise DeltaNotZeroError(
             f"closed-form route needs delta = 0, got {p.delta}")
 
 
-def uncoupled_spectrum(p: ModelParams, n_max: int,
-                       tol: float = DELTA_TOL) -> tuple:
+def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
     """(positive branch, negative branch) ladders for n = 0..n_max."""
-    _require_uncoupled(p, tol)
+    _require_uncoupled(p)
     spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
     n = np.arange(n_max + 1)
     out = []
@@ -68,10 +65,9 @@ def uncoupled_spectrum(p: ModelParams, n_max: int,
     return tuple(out)
 
 
-def weber_params(p: ModelParams, energy: float, branch: int = +1,
-                 tol: float = DELTA_TOL) -> WeberParams:
+def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams:
     """Weber-equation data for one branch; branch -1 mirrors (eps, g, lam)."""
-    _require_uncoupled(p, tol)
+    _require_uncoupled(p)
     if p.lam == 0.0:
         raise LambdaZeroError("the zeta_1 stretch degenerates at lambda = 0")
     if branch not in (+1, -1):

@@ -51,10 +51,6 @@ class NegativeCutoffError(ValidationError):
     pass
 
 
-class RegimeMismatchError(ValidationError):
-    pass
-
-
 # --- series / special functions -------------------------------------------
 
 class IrregularPointError(ValidationError):

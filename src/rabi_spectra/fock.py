@@ -9,7 +9,7 @@ import numpy as np
 from .errors import EigensolverError, NegativeCutoffError
 from .params import ModelParams
 
-#: largest cutoff the oracle accepts: dimension 8002, a 512 MB matrix
+#: largest cutoff a Hamiltonian is built for: dimension 8002, a 512 MB matrix
 MAX_CUTOFF = 4000
 
 
@@ -42,6 +42,8 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     """
     if cutoff < 0:
         raise NegativeCutoffError(f"cutoff must be >= 0, got {cutoff}")
+    if cutoff > MAX_CUTOFF:
+        raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
     n = np.arange(cutoff + 1, dtype=float)
     up = 2 * np.arange(cutoff + 1)  # index of Fock level n with s = 0
     h = np.zeros((2 * n.size, 2 * n.size))
@@ -69,8 +71,6 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
     """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n."""
     if cutoff < 1:
         raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
-    if cutoff > MAX_CUTOFF:
-        raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
     if k > 2 * (cutoff + 1):
         raise NegativeCutoffError(
             f"requested {k} eigenvalues from dimension {2 * (cutoff + 1)}")

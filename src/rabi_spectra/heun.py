@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GZeroError, LambdaNotZeroError
 from .operators import asymmetric_second_order
-from .params import CLASSIFY_TOL, ModelParams
+from .params import ModelParams, vanishes
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -43,12 +43,11 @@ class CheParams:
     quad_residual: float
 
 
-def che_params(p: ModelParams, energy: float, k_branch: str = "minus",
-               tol: float = CLASSIFY_TOL) -> CheParams:
+def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> CheParams:
     """Partial fractions of the (corrected) second-order reduction, mapped to
     zeta in [0, 1] and gauged by exp(k zeta)."""
-    if abs(p.lam) > tol * p.omega:
-        raise LambdaNotZeroError(f"Heun route needs lambda = 0, got {p.lam}")
+    if not vanishes(p, p.lam):
+        raise LambdaNotZeroError(f"heun route needs lambda = 0, got {p.lam}")
     if p.g == 0.0:
         raise GZeroError("the two regular singularities collide at g = 0")
     p0, p1, p2 = asymmetric_second_order(p, energy)

@@ -12,8 +12,9 @@ from .errors import (
     SqueezeTooStrongError,
 )
 
-#: default relative tolerance (in units of omega) for regime classification
-CLASSIFY_TOL = 1e-12
+#: |coupling| / omega up to which a coupling counts as zero: the one rule
+#: behind the regime routing, every route's own check and the mirror sector
+VANISHING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,17 @@ class RegimeTag(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class Regime:
-    tag: RegimeTag
-    tol: float
+def vanishes(p: ModelParams, coupling: float) -> bool:
+    """Whether ``coupling`` counts as zero next to p.omega (VANISHING_TOL)."""
+    return abs(coupling) <= VANISHING_TOL * p.omega
 
 
-def classify_regime(p: ModelParams, tol: float = CLASSIFY_TOL) -> Regime:
-    """Deterministic routing by which couplings vanish (tol in units of omega)."""
-    t = tol * p.omega
-    if abs(p.delta) <= t:
-        tag = RegimeTag.UNCOUPLED
-    elif abs(p.lam) <= t:
-        tag = RegimeTag.ASYMMETRIC
-    elif abs(p.g) <= t:
-        tag = RegimeTag.TWO_PHOTON
-    else:
-        tag = RegimeTag.GENERAL
-    return Regime(tag, tol)
+def classify_regime(p: ModelParams) -> RegimeTag:
+    """Deterministic routing by which couplings vanish."""
+    if vanishes(p, p.delta):
+        return RegimeTag.UNCOUPLED
+    if vanishes(p, p.lam):
+        return RegimeTag.ASYMMETRIC
+    if vanishes(p, p.g):
+        return RegimeTag.TWO_PHOTON
+    return RegimeTag.GENERAL

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import IrregularPointError
+from .errors import IrregularPointError, NumericalError
 from .polyops import falling_factorial_poly, poly, pshift, ptrim, pval
 
 DEFAULT_TAIL_TOL = 1e-14
@@ -49,7 +49,7 @@ class PolyOde:
             raise ValueError("leading-derivative polynomial must not vanish identically")
         for p in ps:
             if not all(math.isfinite(c) for c in p):
-                raise ValueError("non-finite ODE coefficient")
+                raise NumericalError("non-finite ODE coefficient")
 
     @property
     def order(self) -> int:

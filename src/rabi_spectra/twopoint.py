@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
-from .params import ModelParams
+from .params import ModelParams, vanishes
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
-                       GFunctionSample, RootScanConfig, SpectrumResult,
+                       GFunctionSample, RootReport, RootScanConfig, SpectrumResult,
                        scan_and_refine, usable)
 from .series import series_sums_lanes
 
@@ -33,9 +33,6 @@ RESONANCE_HALF_WIDTH = 1e-9
 EXCEPTIONAL_TOL = 1e-8
 #: highest resonant index m put on the ladder
 LADDER_MAX_M = 200
-#: |delta| / omega and |lam| / omega up to which the spin sectors decouple
-#: and each sector's determinant sees only its own levels
-UNCOUPLED_TOL = 1e-10
 #: flag bits an exceptional test ignores, since it seeds past the resonance
 _RESONANT = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
 
@@ -149,8 +146,9 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
 
 def mirror_sector(p: ModelParams, reduce) -> Reduction | None:
     """``reduce(p.mirrored())``, the other spin sector's reduction, where the
-    sectors decouple (delta ~ 0 and lam ~ 0), else None."""
-    if max(abs(p.delta), abs(p.lam)) <= UNCOUPLED_TOL * p.omega:
+    sectors decouple (delta and lam vanish, so each sector's determinant sees
+    only its own levels), else None."""
+    if vanishes(p, p.delta) and vanishes(p, p.lam):
         return reduce(p.mirrored())
     return None
 
@@ -171,9 +169,10 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
     ``mirror`` (the other spin sector, given where the sectors decouple) is
     scanned the same way and merged with a 'mirror:' prefix.  Levels closer
     than max(REFINE_TOL, 1e-9 omega) are merged, and the unprefixed sector's
-    level wins.
+    level wins.  The report holds both sectors' scans: their roots, excluded
+    intervals, suspects, brackets and evaluations.
     """
-    levels, scans = [], []
+    levels, reports, ladders = [], [], []
     for red, prefix in ((reduction, ""), (mirror, "mirror:")):
         if red is None:
             continue
@@ -215,14 +214,18 @@ def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
             (e_r, f"exceptional:{side}:{m}")
             for (e_r, side, m), a in zip(ladder, accept.tolist()) if a]
         levels += [(e, prefix + lab) for e, lab in found]
-        scans.append((report, ladder))
+        reports.append(report)
+        ladders.append(ladder)
 
     keep = []
     for e, lab in sorted(levels, key=lambda t: (t[1].startswith("mirror:"), t[0])):
         if all(abs(e - k) > max(REFINE_TOL, 1e-9 * reduction.omega) for k, _ in keep):
             keep.append((float(e), lab))
     keep.sort(key=lambda t: t[0])
-    report, ladder = scans[0]
+    report = RootReport(np.sort(np.concatenate([r.roots for r in reports])),
+                        *(tuple(x for r in reports for x in getattr(r, name))
+                          for name in ("excluded", "suspects", "brackets")),
+                        sum(r.n_evaluations for r in reports))
     return SpectrumResult(reduction.method, np.array([e for e, _lab in keep]),
                           tuple(lab for _e, lab in keep), report,
-                          {"ladder": ladder, "zeta_star": zeta_star})
+                          {"ladder": ladders[0], "zeta_star": zeta_star})

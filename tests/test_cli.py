@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rabi_spectra.cli import main
+from rabi_spectra.cli import build_parser, main
 
 BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
         "--eps", "0.1"]
@@ -179,3 +181,116 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(target, tmp_path, capsys
     assert err.count("\n") == 1 and "--out" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
     assert list((tmp_path / "a-directory").iterdir()) == []
+
+
+@pytest.mark.parametrize("args, method, exact", [
+    # lambda and delta below 1e-10 omega count as zero for routing and route
+    (["spectrum", "--omega", "1", "--delta", "0.4", "--g", "0.6", "--eps", "0.1",
+      "--lambda", "5e-11", "--emin", "-1", "--emax", "1"], "heun", ("--lambda", "0")),
+    (["spectrum", "--omega", "1", "--delta", "5e-11", "--g", "0.4",
+      "--lambda", "0.2", "--nmax", "2"], "closed", ("--delta", "0")),
+])
+def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and {r["method"] for r in rows} == {method}
+    # the vanishing coupling is dropped: the levels are those at exactly zero
+    i = args.index(exact[0])
+    code, out_exact, _ = run_cli(args[:i] + list(exact) + args[i + 2:], capsys)
+    assert code == 0 and out_exact == out
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
+    ["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
+     "--emin", "-1", "--emax", "1"],
+    ["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
+     "--g", "1", "--emin", "-1", "--emax", "1"],
+    ["diagnose", "--omega", "1e300"],
+    ["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"],
+    ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
+])
+def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+
+
+PARAMS = {"--delta", "--eps", "--g", "--lambda"}
+SCAN = {"--emin", "--emax", "--grid", "--method", "--format", "--zeta-star", "--out"}
+#: the options each command takes besides the required --omega
+OPTIONS = {
+    "spectrum": PARAMS | SCAN | {"--nmax", "--fock-cutoff", "--compare-oracle"},
+    "gscan": PARAMS | SCAN | {"--k-branch"},
+    "diagnose": PARAMS | {"--fock-cutoff", "--self-test", "--out"},
+}
+FLAGS = {"--compare-oracle", "--self-test", "-v"}
+VALUE = {"--method": "heun", "--format": "json", "--k-branch": "plus",
+         "--nmax": "3", "--fock-cutoff": "40", "--out": "x.csv"}
+
+
+@pytest.mark.parametrize("command, settable", [("spectrum", 15), ("gscan", 13),
+                                               ("diagnose", 8)])
+def test_each_command_takes_only_the_options_it_reads(command, settable, capsys):
+    assert len(OPTIONS[command]) + 1 == settable
+    for option in sorted(set().union(*OPTIONS.values()) | FLAGS):
+        argv = [command, "--omega", "1", option]
+        if option not in FLAGS:
+            argv.append(VALUE.get(option, "0.1"))
+        if option in OPTIONS[command]:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, option
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_gscan_refuses_a_method_without_a_determinant(method, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gscan", "--omega", "1", "--method", method])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+#: fuzz values: non-finite, signs, extremes and a coupling under 1e-10 omega;
+#: "half" sets lambda to omega / 2, the squeeze limit
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
+               "5e-11", "1")
+FUZZ_CHOICES = {"--method": ("auto", "oracle", "closed", "heun", "bcf"),
+                "--format": ("csv", "json"), "--k-branch": ("plus", "minus"),
+                "--nmax": ("-1", "0", "3", "1000000000000"),
+                "--fock-cutoff": ("0", "1", "40", "5000")}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    omega = draw(st.sampled_from(FUZZ_VALUES))
+    argv = [command, f"--omega={omega}"]
+    for option in draw(st.lists(st.sampled_from(sorted(OPTIONS[command] - {"--out"})),
+                                unique=True)):
+        if option in FLAGS:
+            argv.append(option)
+            continue
+        choices = FUZZ_CHOICES.get(option, FUZZ_VALUES + ("half",) * (option == "--lambda"))
+        value = draw(st.sampled_from(choices))
+        # "--emin=-inf": argparse reads a separate "-inf" as an option
+        argv.append(f"{option}={repr(float(omega) / 2) if value == 'half' else value}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_exits_0_2_or_3(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3)

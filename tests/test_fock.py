@@ -140,12 +140,24 @@ def test_oracle_rejects_cutoff_below_one_by_name(cutoff):
         oracle_spectrum(p, cutoff)
 
 
-def test_oracle_rejects_cutoff_above_cap_before_building(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a matrix was built")
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
 
-    monkeypatch.setattr(fock, "build_hamiltonian", refuse)
+
+def test_oracle_rejects_cutoff_above_cap_before_building(monkeypatch):
+    # the cap is checked in build_hamiltonian before any array is made
+    monkeypatch.setattr(fock, "np", _NoNumpy())
     p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
     with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
                                                   rf"got {10 ** 6}$"):
         oracle_spectrum(p, 10 ** 6)
+
+
+@pytest.mark.parametrize("build", [fock.build_hamiltonian, fock.eigenvalues])
+def test_cutoff_above_cap_is_refused_before_any_array(build, monkeypatch):
+    monkeypatch.setattr(fock, "np", _NoNumpy())
+    p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
+    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
+                                                  rf"got {MAX_CUTOFF + 1}$"):
+        build(p, MAX_CUTOFF + 1)

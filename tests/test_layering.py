@@ -1,6 +1,7 @@
 """The spectrum routes stay on one determinant path: they import nothing of
 the scalar series chain or of the paper audit.  The root scan is the layer
-below the routes: it imports none of them."""
+below the routes: it imports none of them.  The CLI imports the audit only
+inside the diagnose command."""
 
 import ast
 from pathlib import Path
@@ -14,10 +15,12 @@ FORBIDDEN = {"ode_to_recurrence", "series_eval", "SeriesSolution", "ScaledValue"
 ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
 
 
-def imported_names(path: Path) -> set:
-    """Every module path component and name an import statement mentions."""
+def imported_names(path: Path, module_level: bool = False) -> set:
+    """Every module path component and name an import statement mentions;
+    with ``module_level`` only the statements at the top of the module."""
+    tree = ast.parse(path.read_text())
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in (tree.body if module_level else ast.walk(tree)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names.update(alias.name.split("."))
@@ -34,3 +37,9 @@ def test_route_imports_no_scalar_chain_or_audit(module):
 
 def test_rootscan_imports_no_layer_above_it():
     assert imported_names(SRC / "rootscan.py") & ABOVE_ROOTSCAN == set()
+
+
+def test_cli_imports_the_audit_only_where_diagnose_reads_it():
+    assert imported_names(SRC / "cli.py", module_level=True) \
+        & {"audit", "diagnose_report", "canonical", "special"} == set()
+    assert "audit" in imported_names(SRC / "cli.py")

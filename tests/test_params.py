@@ -4,15 +4,23 @@ import pytest
 from rabi_spectra import (
     ModelParams,
     RegimeTag,
+    che_params,
     classify_regime,
     normalize_params,
+    uncoupled_spectrum,
     validate_params,
+    weber_params,
 )
 from rabi_spectra.errors import (
+    DeltaNotZeroError,
+    LambdaNotZeroError,
     LambdaZeroError,
     NonPositiveOmegaError,
     SqueezeTooStrongError,
 )
+from rabi_spectra.heun import heun_reduction
+from rabi_spectra.params import VANISHING_TOL
+from rabi_spectra.twopoint import mirror_sector
 
 
 def test_validate_ok():
@@ -40,7 +48,7 @@ def test_validate_omega():
 ])
 def test_classify(delta, g, lam, tag):
     p = validate_params(1.0, delta, 0.05, g, lam)
-    assert classify_regime(p).tag is tag
+    assert classify_regime(p) is tag
 
 
 def test_classify_total_and_deterministic():
@@ -51,7 +59,32 @@ def test_classify_total_and_deterministic():
         r1 = classify_regime(p)
         r2 = classify_regime(p)
         assert r1 == r2
-        assert r1.tag in RegimeTag
+        assert r1 in RegimeTag
+
+
+@pytest.mark.parametrize("omega", [1.0, 1e-3, 40.0])
+def test_one_vanishing_rule_for_routing_and_routes(omega):
+    # a coupling at or below VANISHING_TOL * omega is zero for the routing,
+    # for each route's own check and for the mirror sector alike
+    small, large = 0.5 * VANISHING_TOL * omega, 2.0 * VANISHING_TOL * omega
+    assert classify_regime(validate_params(omega, small, 0.0, 0.3 * omega,
+                                           0.1 * omega)) is RegimeTag.UNCOUPLED
+    assert classify_regime(validate_params(omega, large, 0.0, 0.3 * omega,
+                                           0.1 * omega)) is RegimeTag.GENERAL
+    p = validate_params(omega, small, 0.0, 0.3 * omega, 0.1 * omega)
+    uncoupled_spectrum(p, 2)
+    weber_params(p, 0.0)
+    with pytest.raises(DeltaNotZeroError):
+        uncoupled_spectrum(validate_params(omega, large, 0.0, 0.3 * omega, 0.0), 2)
+    p = validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, small)
+    assert classify_regime(p) is RegimeTag.ASYMMETRIC
+    che_params(p, 0.0)
+    with pytest.raises(LambdaNotZeroError):
+        che_params(validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, large), 0.0)
+    p = validate_params(omega, small, 0.0, 0.6 * omega, small)
+    assert mirror_sector(p, heun_reduction) is not None
+    assert mirror_sector(validate_params(omega, large, 0.0, 0.6 * omega, small),
+                         heun_reduction) is None
 
 
 def test_normalize_roundtrip():

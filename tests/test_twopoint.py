@@ -183,6 +183,22 @@ def test_each_sector_tests_its_ladder_in_one_call(determinants):
         assert_ladder_rides_in_grid_call(determinants, sector, ladder)
 
 
+def test_report_holds_both_sectors_scans():
+    # delta = 0: each sector's scan excludes its own ladder, so the mirror's
+    # zone at -0.26 and its 81 evaluations belong in the report too
+    p = validate_params(1.0, 0.0, 0.1, 0.6, 0.0)
+    rep = heun_spectrum(p, -1.0, 2.0, 0.05).report
+    sectors = [twopoint.spectrum(red, None, -1.0, 2.0).report
+               for red in (heun_reduction(p), heun_reduction(p.mirrored()))]
+    assert [r.n_evaluations for r in sectors] == [81, 81]
+    assert rep.n_evaluations == 162
+    for name in ("excluded", "suspects", "brackets"):
+        assert getattr(rep, name) == sum((getattr(r, name) for r in sectors), ())
+    np.testing.assert_allclose(rep.roots, [-0.46, -0.26], rtol=0.0, atol=1e-9)
+    zones = [iv for iv in rep.excluded if iv.reason == "resonance"]
+    assert len(zones) == 10 and any(iv.contains(-0.26) for iv in zones)
+
+
 def test_second_gauge_checks_each_root(determinants):
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
