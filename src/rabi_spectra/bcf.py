@@ -6,7 +6,7 @@ Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
 to zeta = 1, 0.  The zeta-form coefficients are quadratics in E, taken once
 per parameter set from three probes of :func:`bcf_reduce`, so a whole vector
 of trial energies is reduced at once.  The route has no gauge, so a spectrum
-scans one branch.
+scans one branch; where delta vanishes it returns the exact closed form.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexSingularityError, DegenerateQError, GNotZeroError
+from .closed_form import closed_window
+from .errors import (ComplexSingularityError, DegenerateQError, GNotZeroError,
+                     NumericalError)
 from .operators import bcf_truncated_parent
-from .params import ModelParams
+from .params import ModelParams, vanishes
 from .polyops import poly, split_two_poles
 from .rootscan import (
     ExcludedInterval,
@@ -28,7 +30,7 @@ from .rootscan import (
     SpectrumResult,
 )
 from .series import PolyOde
-from .twopoint import Reduction, g_function_batch, mirror_sector, spectrum
+from .twopoint import Reduction, g_function_batch, spectrum
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
     if p.lam == 0.0 and p.g == 0.0:
         raise DegenerateQError("q = 0: both couplings vanish")
     p0, p1, p2 = bcf_truncated_parent(p, energy)
+    if not all(np.all(np.isfinite(c)) for c in (p0, p1, p2)):
+        raise NumericalError("non-finite ODE coefficient")
     om2 = -p2[-1]
     q2 = float(p2[0] / om2)
     if q2 <= 0.0:
@@ -158,13 +162,13 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  zeta_star: float = 0.5) -> SpectrumResult:
     """Grid scan + rational-step refinement of the reduced-equation G-function.
 
-    Ladder points get exclusion zones and exceptional tests.  At delta ~ 0
-    with lam > 0 one sector's determinant already returns the levels of
-    both, so no mirror sector is scanned; at delta ~ 0 and lam ~ 0 the
-    truncation is exact, the sectors decouple and the mirrored one is
-    scanned too.  A window where the reduction itself breaks down (q^2 <= 0
-    or q ~ 0, for every energy alike) is reported as excluded.
+    Ladder points get exclusion zones and exceptional tests.  Where delta
+    vanishes the exact ladders of :func:`closed_window` are returned instead.
+    A window where the reduction itself breaks down (q^2 <= 0 or q ~ 0, for
+    every energy alike) is reported as excluded.
     """
+    if vanishes(p, p.delta):
+        return closed_window(p, "bcf", e_min, e_max, grid_step)
     try:
         reduction = bcf_reduction(p)
     except (ComplexSingularityError, DegenerateQError) as exc:
@@ -172,5 +176,4 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
             if isinstance(exc, ComplexSingularityError) else "degenerate_q"
         rep = RootReport(np.array([]), (ExcludedInterval(e_min, e_max, reason),))
         return SpectrumResult("bcf", np.array([]), (), rep, {reason: True})
-    return spectrum(reduction, mirror_sector(p, bcf_reduction), e_min, e_max,
-                    grid_step, zeta_star)
+    return spectrum(reduction, e_min, e_max, grid_step, zeta_star)

@@ -220,6 +220,7 @@ def _params(ns: argparse.Namespace) -> ModelParams:
     return params
 
 
+@np.errstate(all="ignore")  # a non-finite result raises where it is checked
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaNotZeroError, LambdaZeroError
+from .errors import DeltaNotZeroError, LambdaZeroError, ValidationError
 from .params import ModelParams, vanishes
+from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 from .special import kummer_1f1, kummer_1f1_d012
 
 
@@ -63,6 +64,29 @@ def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
         energies = spacing * (n + 0.5) + coupling + offset
         out.append(BranchSpectrum(sigma, energies, spacing, coupling, offset))
     return tuple(out)
+
+
+def closed_window(p: ModelParams, method: str, e_min: float, e_max: float,
+                  grid_step: float) -> SpectrumResult:
+    """The levels of :func:`uncoupled_spectrum` on [e_min, e_max], as the
+    determinant route ``method`` returns them where delta vanishes.
+
+    A doublet appears once per branch, as 'closed:+:<n>' and 'closed:-:<n>'.
+    The window is held to the scan's contract (:class:`RootScanConfig`), and
+    the report holds no scan.
+    """
+    RootScanConfig(e_min, e_max, grid_step)
+    lowest = uncoupled_spectrum(p, 0)
+    top = (e_max - min(b.energies[0] for b in lowest)) / lowest[0].spacing
+    if not top <= MAX_GRID_POINTS:
+        raise ValidationError(f"more than {MAX_GRID_POINTS} closed-form levels "
+                              "per branch lie below e_max")
+    levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}")
+                    for b in uncoupled_spectrum(p, max(0, math.ceil(top)))
+                    for n, e in enumerate(b.energies.tolist()) if e_min <= e <= e_max)
+    return SpectrumResult(method, np.array([e for e, _lab in levels]),
+                          tuple(lab for _e, lab in levels),
+                          RootReport(np.array([])), {"route": "closed"})
 
 
 def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams:

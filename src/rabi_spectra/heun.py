@@ -7,7 +7,7 @@ root k of its quadratic gives the confluent Heun equation.  Its zeta-form
 coefficients are quadratics in E, taken once per parameter set from three
 probes of :func:`che_params`, so a whole vector of trial energies is reduced
 at once.  The spectrum scans the minus gauge branch and checks its roots in
-the plus branch.
+the plus branch; where delta vanishes too it returns the exact closed form.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import closed_window
 from .errors import GZeroError, LambdaNotZeroError
 from .operators import asymmetric_second_order
 from .params import ModelParams, vanishes
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
-from .twopoint import Reduction, g_function_batch, mirror_sector, spectrum
+from .twopoint import Reduction, g_function_batch, spectrum
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,10 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
 
     The minus gauge branch is scanned and the plus branch evaluated just
     either side of each refined root ('regular:both' where it changes sign
-    there); ladder points are tested for exceptional eigenvalues; at
-    delta ~ 0 the mirrored spin sector (eps, g, lam -> negated) is scanned
-    too, since the two sectors decouple there and each Wronskian sees only
-    one of them.
+    there); ladder points are tested for exceptional eigenvalues.  Where
+    delta vanishes too, :func:`closed_window` is returned instead (the
+    reduction refuses lam != 0 either way).
     """
-    return spectrum(heun_reduction(p), mirror_sector(p, heun_reduction),
-                    e_min, e_max, grid_step, zeta_star)
+    if vanishes(p, p.delta) and vanishes(p, p.lam):
+        return closed_window(p, "heun", e_min, e_max, grid_step)
+    return spectrum(heun_reduction(p), e_min, e_max, grid_step, zeta_star)

@@ -13,7 +13,8 @@ from .errors import (
 )
 
 #: |coupling| / omega up to which a coupling counts as zero: the one rule
-#: behind the regime routing, every route's own check and the mirror sector
+#: behind the regime routing, every route's own check and the closed form
+#: that the determinant routes return where delta vanishes
 VANISHING_TOL = 1e-10
 
 

@@ -5,11 +5,11 @@ zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 100401, 2011).  Everything past the reduction lives here: the batched
 Wronskian, the resonance ladder and the spectrum assembly (second-gauge
-check, exceptional tests, mirror-sector merge, dedup).  Every determinant,
-the exceptional tests' second-kind Wronskians included, is a lane of
-:func:`_wronskian`: one batched call, and so one kernel roll, per scan
-round or second-gauge check.  A sector's ladder lanes ride in its grid
-call, so the exceptional tests cost no call of their own.
+check, exceptional tests).  Every determinant, the exceptional tests'
+second-kind Wronskians included, is a lane of :func:`_wronskian`: one
+batched call, and so one kernel roll, per scan round or second-gauge check.
+The ladder lanes ride in the grid call, so the exceptional tests cost no
+call of their own.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
-from .params import ModelParams, vanishes
-from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
-                       GFunctionSample, RootReport, RootScanConfig, SpectrumResult,
+from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS,
+                       GFunctionSample, RootScanConfig, SpectrumResult,
                        scan_and_refine, usable)
 from .series import series_sums_lanes
 
@@ -144,88 +143,57 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
     return out
 
 
-def mirror_sector(p: ModelParams, reduce) -> Reduction | None:
-    """``reduce(p.mirrored())``, the other spin sector's reduction, where the
-    sectors decouple (delta and lam vanish, so each sector's determinant sees
-    only its own levels), else None."""
-    if vanishes(p, p.delta) and vanishes(p, p.lam):
-        return reduce(p.mirrored())
-    return None
-
-
-def spectrum(reduction: Reduction, mirror: Reduction | None, e_min: float,
-             e_max: float, grid_step: float = 0.05,
-             zeta_star: float = 0.5) -> SpectrumResult:
+def spectrum(reduction: Reduction, e_min: float, e_max: float,
+             grid_step: float = 0.05, zeta_star: float = 0.5) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
 
     The first gauge of ``reduction`` is scanned, with exclusion zones around
     its ladder points.  A second gauge is evaluated once, at r +- 1e-8 omega
     for every refined root r: a sign change there labels the root
     'regular:both', else it is 'regular:<first>-only'.  Every ladder point
-    gets the exceptional test, as extra lanes of the sector's grid call:
-    the second-kind Wronskian, whose resonant-side series is seeded on its
+    gets the exceptional test, as extra lanes of the grid call: the
+    second-kind Wronskian, whose resonant-side series is seeded on its
     high-exponent branch m + 1, vanishes where the ladder point is an
     exceptional eigenvalue (a solution holomorphic at both points).
-    ``mirror`` (the other spin sector, given where the sectors decouple) is
-    scanned the same way and merged with a 'mirror:' prefix.  Levels closer
-    than max(REFINE_TOL, 1e-9 omega) are merged, and the unprefixed sector's
-    level wins.  The report holds both sectors' scans: their roots, excluded
-    intervals, suspects, brackets and evaluations.
     """
-    levels, reports, ladders = [], [], []
-    for red, prefix in ((reduction, ""), (mirror, "mirror:")):
-        if red is None:
-            continue
-        ladder = resonance_ladder(red, e_min, e_max)
-        zones = tuple((e, RESONANCE_HALF_WIDTH * red.omega, "resonance")
-                      for e, _s, _n in ladder)
-        cfg = RootScanConfig(e_min, e_max, grid_step, split_zones=zones)
-        ladder_e = np.array([e for e, _s, _m in ladder])
-        seeded = np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
-                           for at in ("origin", "one")], dtype=int).reshape(2, -1)
-        tests = []  # (g, flags) of the ladder lanes
+    ladder = resonance_ladder(reduction, e_min, e_max)
+    zones = tuple((e, RESONANCE_HALF_WIDTH * reduction.omega, "resonance")
+                  for e, _s, _n in ladder)
+    cfg = RootScanConfig(e_min, e_max, grid_step, split_zones=zones)
+    ladder_e = np.array([e for e, _s, _m in ladder])
+    seeded = np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
+                       for at in ("origin", "one")], dtype=int).reshape(2, -1)
+    tests = []  # (g, flags) of the ladder lanes
 
-        def scan(es):
-            # the ladder's lanes ride in the first (grid) call of the scan
-            k = 0 if tests else len(ladder)
-            g, _log_g, bits = _wronskian(
-                red, np.concatenate([es, ladder_e[:k]]),
-                np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
-                zeta_star, red.gauges[0])
-            if not tests:
-                tests.append((g[es.size:], bits[es.size:]))
-            return g[:es.size], bits[:es.size]
+    def scan(es):
+        # the ladder's lanes ride in the first (grid) call of the scan
+        k = 0 if tests else len(ladder)
+        g, _log_g, bits = _wronskian(
+            reduction, np.concatenate([es, ladder_e[:k]]),
+            np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
+            zeta_star, reduction.gauges[0])
+        if not tests:
+            tests.append((g[es.size:], bits[es.size:]))
+        return g[:es.size], bits[:es.size]
 
-        report = scan_and_refine(scan, cfg)
-        roots, n = report.roots, report.roots.size
-        labels = ["regular"] * n
-        if len(red.gauges) > 1 and not prefix and n:
-            h = 1e-8 * red.omega
-            g, _log_g, bits = _wronskian(red, np.concatenate([roots - h, roots + h]),
-                                         np.zeros((2, 2 * n), int), zeta_star,
-                                         red.gauges[1])
-            ok = usable(g, bits)
-            both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
-            labels = np.where(both, "regular:both",
-                              f"regular:{red.gauges[0]}-only").tolist()
-        g, bits = tests[0] if tests else (np.zeros(0), np.zeros(0, int))
-        accept = ((bits & ~_RESONANT) == 0) & (np.abs(g) < EXCEPTIONAL_TOL)
-        found = list(zip(roots, labels)) + [
-            (e_r, f"exceptional:{side}:{m}")
-            for (e_r, side, m), a in zip(ladder, accept.tolist()) if a]
-        levels += [(e, prefix + lab) for e, lab in found]
-        reports.append(report)
-        ladders.append(ladder)
-
-    keep = []
-    for e, lab in sorted(levels, key=lambda t: (t[1].startswith("mirror:"), t[0])):
-        if all(abs(e - k) > max(REFINE_TOL, 1e-9 * reduction.omega) for k, _ in keep):
-            keep.append((float(e), lab))
-    keep.sort(key=lambda t: t[0])
-    report = RootReport(np.sort(np.concatenate([r.roots for r in reports])),
-                        *(tuple(x for r in reports for x in getattr(r, name))
-                          for name in ("excluded", "suspects", "brackets")),
-                        sum(r.n_evaluations for r in reports))
-    return SpectrumResult(reduction.method, np.array([e for e, _lab in keep]),
-                          tuple(lab for _e, lab in keep), report,
-                          {"ladder": ladders[0], "zeta_star": zeta_star})
+    report = scan_and_refine(scan, cfg)
+    roots, n = report.roots, report.roots.size
+    labels = ["regular"] * n
+    if len(reduction.gauges) > 1 and n:
+        h = 1e-8 * reduction.omega
+        g, _log_g, bits = _wronskian(reduction, np.concatenate([roots - h, roots + h]),
+                                     np.zeros((2, 2 * n), int), zeta_star,
+                                     reduction.gauges[1])
+        ok = usable(g, bits)
+        both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
+        labels = np.where(both, "regular:both",
+                          f"regular:{reduction.gauges[0]}-only").tolist()
+    g, bits = tests[0] if tests else (np.zeros(0), np.zeros(0, int))
+    accept = ((bits & ~_RESONANT) == 0) & (np.abs(g) < EXCEPTIONAL_TOL)
+    levels = sorted(list(zip(roots.tolist(), labels)) + [
+        (e_r, f"exceptional:{side}:{m}")
+        for (e_r, side, m), a in zip(ladder, accept.tolist()) if a],
+        key=lambda t: t[0])
+    return SpectrumResult(reduction.method, np.array([e for e, _lab in levels]),
+                          tuple(lab for _e, lab in levels), report,
+                          {"ladder": ladder, "zeta_star": zeta_star})

@@ -139,8 +139,6 @@ def test_lambda_to_zero_continuity():
 
 
 def test_delta_zero_approaches_closed_form():
-    # eps splits the two branches so the close pair is resolvable on the
-    # grid; lam < g^2/2 keeps the mirrored sector's singularities real
     p = validate_params(1.0, 0.0, 0.3, 0.1, 0.004)
     res = bcf_spectrum(p, -0.6, 1.4, 0.05)
     plus, minus = uncoupled_spectrum(p, 3)
@@ -177,15 +175,3 @@ def test_full_series_general_and_two_photon():
     for j in (1, 3, 5, 7):
         assert not np.any(np.abs(rec.weights[j]) > 0)
     assert ode_residual(ode5, sol5, 0.1) < 1e-10
-
-
-def test_delta0_lam0_scans_both_sectors():
-    # at lam = 0 the truncation is exact and the spin sectors decouple, so
-    # each sector's determinant sees only its own levels
-    p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
-    res = bcf_spectrum(p, -1.0, 4.0, 0.05)
-    ev = oracle_spectrum(p, 150, 30).eigenvalues
-    win = ev[(ev > -1.0) & (ev < 4.0)]
-    assert len(win) == 10
-    np.testing.assert_allclose(res.energies, win, rtol=0.0, atol=1e-9)
-    assert sum(lab.startswith("mirror:") for lab in res.labels) == 5

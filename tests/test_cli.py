@@ -4,10 +4,11 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra.cli import build_parser, main
 
@@ -16,7 +17,12 @@ BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    """Exit code, stdout and stderr of one run, which lets no numpy
+    RuntimeWarning escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -31,12 +37,14 @@ def test_closed_spectrum_row_count(capsys):
 
 
 def test_method_regime_mismatch_exit_2(capsys):
-    code, _out, err = run_cli(
-        ["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
-         "--lambda", "0.1", "--g", "0.6", "--eps", "0.15",
-         "--emin", "-1", "--emax", "2"], capsys)
-    assert code == 2
-    assert "heun" in err
+    # delta = 0 returns the closed form, but heun still refuses lambda != 0
+    for delta in ("0.4", "0"):
+        code, _out, err = run_cli(
+            ["spectrum", "--method", "heun", "--omega", "1", "--delta", delta,
+             "--lambda", "0.1", "--g", "0.6", "--eps", "0.15",
+             "--emin", "-1", "--emax", "2"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "heun" in err
 
 
 def test_validation_exit_2_on_bad_params(capsys):
@@ -66,6 +74,10 @@ def test_validation_exit_2_on_bad_params(capsys):
       "--nmax", "1000000000000"], "--nmax"),
     (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4",
       "--fock-cutoff", "100000"], "--fock-cutoff"),
+    # delta = 0: the closed-form ladder spacing is 1e-7, so [-1, 1] would
+    # need some 1e7 levels per branch
+    (["spectrum", "--method", "bcf", "--omega", "1", "--g", "0.3",
+      "--lambda", "0.4999999999999975", "--emin", "-1", "--emax", "1"], "levels"),
 ])
 def test_bad_run_settings_exit_2_with_one_line(args, needle, capsys):
     code, out, err = run_cli(args, capsys)
@@ -210,6 +222,14 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     ["diagnose", "--omega", "1e300"],
     ["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"],
     ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
+    # omega^2 overflows in the bcf reduction (delta 0.3 vanishes next to
+    # omega, so spectrum takes the closed form; 1e295 does not)
+    ["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
+     "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
+    ["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
+     "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
+    ["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
+     "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
 ])
 def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -285,12 +305,18 @@ def cli_argv(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(cli_argv())
+@example(["diagnose", "--omega=1e300", "--g=5e-11", "--lambda=0"])
 def test_fuzzed_argv_exits_0_2_or_3(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             assert exc.code == 2
             return
     assert code in (0, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

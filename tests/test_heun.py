@@ -45,6 +45,12 @@ def test_che_requires_lambda_zero_and_g_nonzero():
         che_params(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
 
 
+def test_route_refuses_lambda_before_the_closed_form():
+    # delta = 0 takes the closed form, but only inside the route's own domain
+    with pytest.raises(LambdaNotZeroError):
+        heun_spectrum(validate_params(1.0, 0.0, 0.1, 0.4, 0.1), -1.0, 3.0, 0.05)
+
+
 def test_series_solve_the_transformed_equation():
     # local series of both expansions satisfy the CHE to machine accuracy
     che = che_params(P_CRIT, -0.1)

@@ -4,8 +4,10 @@ import pytest
 from rabi_spectra import (
     ModelParams,
     RegimeTag,
+    bcf_spectrum,
     che_params,
     classify_regime,
+    heun_spectrum,
     normalize_params,
     uncoupled_spectrum,
     validate_params,
@@ -18,9 +20,7 @@ from rabi_spectra.errors import (
     NonPositiveOmegaError,
     SqueezeTooStrongError,
 )
-from rabi_spectra.heun import heun_reduction
 from rabi_spectra.params import VANISHING_TOL
-from rabi_spectra.twopoint import mirror_sector
 
 
 def test_validate_ok():
@@ -65,7 +65,7 @@ def test_classify_total_and_deterministic():
 @pytest.mark.parametrize("omega", [1.0, 1e-3, 40.0])
 def test_one_vanishing_rule_for_routing_and_routes(omega):
     # a coupling at or below VANISHING_TOL * omega is zero for the routing,
-    # for each route's own check and for the mirror sector alike
+    # for each route's own check and for the closed form of the scan routes alike
     small, large = 0.5 * VANISHING_TOL * omega, 2.0 * VANISHING_TOL * omega
     assert classify_regime(validate_params(omega, small, 0.0, 0.3 * omega,
                                            0.1 * omega)) is RegimeTag.UNCOUPLED
@@ -81,10 +81,14 @@ def test_one_vanishing_rule_for_routing_and_routes(omega):
     che_params(p, 0.0)
     with pytest.raises(LambdaNotZeroError):
         che_params(validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, large), 0.0)
-    p = validate_params(omega, small, 0.0, 0.6 * omega, small)
-    assert mirror_sector(p, heun_reduction) is not None
-    assert mirror_sector(validate_params(omega, large, 0.0, 0.6 * omega, small),
-                         heun_reduction) is None
+    for route in (heun_spectrum, bcf_spectrum):
+        closed = route(validate_params(omega, small, 0.0, 0.6 * omega, small),
+                       -omega, 2 * omega, 0.05 * omega)
+        scanned = route(validate_params(omega, large, 0.0, 0.6 * omega, small),
+                        -omega, 2 * omega, 0.05 * omega)
+        assert closed.metadata["route"] == "closed"
+        assert closed.report.n_evaluations == 0 and closed.energies.size
+        assert "route" not in scanned.metadata and scanned.report.n_evaluations > 0
 
 
 def test_normalize_roundtrip():

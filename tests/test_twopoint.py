@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rabi_spectra import (
     bcf_reduce,
     bcf_spectrum,
     che_params,
+    fock,
     heun,
     heun_spectrum,
     ode_to_recurrence,
@@ -26,20 +28,18 @@ from rabi_spectra.polyops import poly
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.twopoint import resonance_ladder
 
-#: (route, params, window) -> labels; only the assembly decides these: the
-#: second-gauge check, exceptional tests, the delta = 0 mirror merge and the
-#: dedup, where the unprefixed sector wins
+#: (route, params, window) -> labels; the assembly decides these (second-gauge
+#: check, exceptional tests), and at delta = 0 the closed-form branches
 LABELS = {
     "heun-delta0": (heun_spectrum, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 2.0),
-                    ("mirror:regular", "regular:both", "mirror:exceptional:one:0",
-                     "exceptional:origin:0", "mirror:exceptional:one:1",
-                     "exceptional:origin:1")),
+                    ("closed:-:0", "closed:+:0", "closed:-:1", "closed:+:1",
+                     "closed:-:2", "closed:+:2")),
     "bcf-delta0": (bcf_spectrum, (1.0, 0.0, 0.3, 0.1, 0.004), (-0.6, 1.4),
-                   ("regular",) * 4),
-    # levels -0.36, 0.64, 1.64 (each doubly degenerate), returned once each
+                   ("closed:-:0", "closed:+:0", "closed:-:1", "closed:+:1")),
+    # levels -0.36, 0.64, 1.64, each doubly degenerate and returned once per branch
     "heun-delta0-eps0": (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0),
-                         ("mirror:regular", "exceptional:origin:0",
-                          "exceptional:origin:1")),
+                         ("closed:+:0", "closed:-:0", "closed:+:1", "closed:-:1",
+                          "closed:+:2", "closed:-:2")),
     "bcf-degenerate": (bcf_spectrum, (1.0, 0.3, 0.1, 0.0, 0.0), (-1.0, 2.0), ()),
 }
 
@@ -50,12 +50,50 @@ def test_assembly_labels(case):
     res = route(validate_params(*params), e_min, e_max, 0.05)
     assert res.labels == labels
     assert len(res.energies) == len(labels)
-    assert np.all(np.diff(res.energies) > 0)
+    assert np.all(np.diff(res.energies) >= 0)
     if case == "heun-delta0-eps0":
-        np.testing.assert_allclose(res.energies, [-0.36, 0.64, 1.64], atol=1e-9)
+        np.testing.assert_array_equal(res.energies[::2], res.energies[1::2])
+        np.testing.assert_allclose(res.energies[::2], [-0.36, 0.64, 1.64], atol=1e-12)
     if not labels:
         assert [(iv.lo, iv.hi, iv.reason) for iv in res.report.excluded] \
             == [(e_min, e_max, "degenerate_q")]
+
+
+#: (route, params, window) at delta = 0, where the routes return the closed
+#: form; on bcf-delta0-a, bcf-delta0-b and heun-delta0-eps0 a determinant scan
+#: of the decoupled sectors finds only 0 of 7, 2 of 7 and 3 of 6 levels
+DELTA0 = {
+    "heun-delta0": (heun_spectrum, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 2.0)),
+    "heun-delta0-eps0": (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),
+    "heun-delta0-eps0.1": (heun_spectrum, (1.0, 0.0, 0.1, 0.6, 0.0), (-1.0, 2.0)),
+    "heun-delta0-g0.4": (heun_spectrum, (1.0, 0.0, 0.1, 0.4, 0.0), (-1.0, 3.0)),
+    "bcf-delta0": (bcf_spectrum, (1.0, 0.0, 0.3, 0.1, 0.004), (-0.6, 1.4)),
+    "bcf-delta0-lam0": (bcf_spectrum, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 4.0)),
+    "bcf-delta0-a": (bcf_spectrum, (1.0, 0.0, 0.0321, 0.1494, 0.0242), (-1.0, 3.0)),
+    "bcf-delta0-b": (bcf_spectrum, (1.0, 0.0, -0.0192, 0.0594, 0.0098), (-1.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DELTA0))
+def test_delta0_window_is_the_oracle_spectrum(case, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a reduction was built")
+
+    monkeypatch.setattr(heun, "heun_reduction", refuse)
+    monkeypatch.setattr(bcf, "bcf_reduction", refuse)
+    route, params, (e_min, e_max) = DELTA0[case]
+    p = validate_params(*params)
+    res = route(p, e_min, e_max, 0.05)
+    ev = fock.eigenvalues(p, 200)
+    # every oracle level, with its multiplicity
+    np.testing.assert_allclose(res.energies, ev[(ev >= e_min) & (ev <= e_max)],
+                               rtol=0.0, atol=1e-12)
+    assert all(re.fullmatch(r"closed:[+-]:\d+", lab) for lab in res.labels)
+    assert len(set(res.labels)) == len(res.labels)
+    assert res.metadata == {"route": "closed"}
+    rep = res.report
+    assert (rep.roots.size, rep.excluded, rep.suspects, rep.brackets,
+            rep.n_evaluations) == (0, (), (), (), 0)
 
 
 #: route -> (reduction, params, scalar resonant index at (energy, side))
@@ -135,11 +173,17 @@ def test_determinant_calls_per_window(case, determinants):
                                      res.metadata["ladder"])
 
 
-#: route, params, window: heun P2, bcf P3 and a heun window with two sectors
+def heun_delta0_sector(p, e_min, e_max, grid_step):
+    """One spin sector's determinant scan at delta = 0, where the heun route
+    itself returns the closed form."""
+    return twopoint.spectrum(heun_reduction(p), e_min, e_max, grid_step)
+
+
+#: route, params, window: heun P2, bcf P3 and one delta = 0 sector's scan
 WINDOWS = [
     (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),
     (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)),
-    (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),
+    (heun_delta0_sector, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),
 ]
 
 
@@ -169,34 +213,6 @@ def test_spectrum_builds_no_sample_objects(route, params, window, monkeypatch):
     for module in (rootscan, twopoint, heun, bcf):
         monkeypatch.setattr(module, "GFunctionSample", refuse)
     assert route(validate_params(*params), *window, 0.05).energies.size
-
-
-def test_each_sector_tests_its_ladder_in_one_call(determinants):
-    p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
-    heun_spectrum(p, -1.0, 2.0, 0.05)
-    sectors = (heun_reduction(p), heun_reduction(p.mirrored()))
-    seeded = [red for red, _g, _es, x in determinants if np.any(x)]
-    assert len(seeded) == 2 and all(a is b for a, b in zip(seeded, sectors))
-    for sector in sectors:
-        ladder = resonance_ladder(sector, -1.0, 2.0)
-        assert ladder
-        assert_ladder_rides_in_grid_call(determinants, sector, ladder)
-
-
-def test_report_holds_both_sectors_scans():
-    # delta = 0: each sector's scan excludes its own ladder, so the mirror's
-    # zone at -0.26 and its 81 evaluations belong in the report too
-    p = validate_params(1.0, 0.0, 0.1, 0.6, 0.0)
-    rep = heun_spectrum(p, -1.0, 2.0, 0.05).report
-    sectors = [twopoint.spectrum(red, None, -1.0, 2.0).report
-               for red in (heun_reduction(p), heun_reduction(p.mirrored()))]
-    assert [r.n_evaluations for r in sectors] == [81, 81]
-    assert rep.n_evaluations == 162
-    for name in ("excluded", "suspects", "brackets"):
-        assert getattr(rep, name) == sum((getattr(r, name) for r in sectors), ())
-    np.testing.assert_allclose(rep.roots, [-0.46, -0.26], rtol=0.0, atol=1e-9)
-    zones = [iv for iv in rep.excluded if iv.reason == "resonance"]
-    assert len(zones) == 10 and any(iv.contains(-0.26) for iv in zones)
 
 
 def test_second_gauge_checks_each_root(determinants):
@@ -281,7 +297,7 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     red = reduction(validate_params(*params))
     ladder = resonance_ladder(red, e_min, e_max)
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
-    res = twopoint.spectrum(red, None, e_min, e_max)
+    res = twopoint.spectrum(red, e_min, e_max)
     accepted = {(e, lab) for e, lab in zip(res.energies, res.labels)
                 if lab.startswith("exceptional:")}
     lanes, _log_g, _bits = twopoint._wronskian(
