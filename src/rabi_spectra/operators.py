@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from numpy.polynomial import polynomial as npoly
-
 from .errors import LambdaZeroError
 from .params import ModelParams
-from .polyops import compose_operators, poly, ptrim
+from .polyops import compose_operators, padd, pmul, poly, ptrim
 
 __all__ = [
     "coupled_operator_polys",
@@ -44,7 +42,7 @@ def compose_fourth_order(p: ModelParams, energy: float) -> list:
     d_op = [c2, c1, poly([p.lam])]
     dbar_op = [c2b, c1b, poly([p.lam])]
     out = compose_operators(dbar_op, d_op)
-    out[0] = npoly.polyadd(out[0], poly([p.delta ** 2]))
+    out[0] = padd(out[0], poly([p.delta ** 2]))
     return out
 
 
@@ -58,9 +56,9 @@ def printed_fourth_order(p: ModelParams, energy: float) -> list:
                  om * g + lam * g,
                  om * lam])
     s = poly([ep, g, lam])  # epsilon + g z + lam z^2
-    phi0 = npoly.polyadd(
-        npoly.polyadd(poly([2 * lam * lam]), npoly.polymul(poly([g, -om]), poly([g, 2 * lam]))),
-        npoly.polyadd(npoly.polymul(s, s), poly([-E * E + de * de])))
+    phi0 = padd(
+        padd(poly([2 * lam * lam]), pmul(poly([g, -om]), poly([g, 2 * lam]))),
+        padd(pmul(s, s), poly([-E * E + de * de])))
     return [ptrim(phi0), ptrim(phi1), ptrim(phi2), poly([2 * lam * g]), poly([lam * lam])]
 
 
@@ -148,7 +146,7 @@ def asymmetric_second_order(p: ModelParams, energy: float) -> list:
     m_op = [poly([p.epsilon - energy, p.g]), poly([p.g, p.omega])]
     mbar_op = [poly([p.epsilon + energy, p.g]), poly([p.g, -p.omega])]
     out = compose_operators(mbar_op, m_op)
-    out[0] = npoly.polyadd(out[0], poly([p.delta ** 2]))
+    out[0] = padd(out[0], poly([p.delta ** 2]))
     return out
 
 

@@ -2,24 +2,50 @@
 
 Polynomials are 1-D float arrays of ascending coefficients.  A differential
 operator is a list ``ops[k]`` = polynomial multiplying d^k/dz^k.
+
+The arithmetic helpers are bit-identical to their counterparts in NumPy's
+polynomial package (``polyadd``, ``polymul``, ``polyder``, ``polyval`` and
+``polydiv``): the same floating-point operations in the same order, and the
+same trimming of trailing exact zeros from the inputs and the result, so
+every table, recurrence and residual the audit prints is unchanged to the
+last bit.  ``tests/test_polyops.py`` holds that equality.  The library does
+not call that package because the operands here have one to seven
+coefficients, and its per-call conversion and type checks (``as_series``,
+``common_type``) then cost several times the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 def poly(coeffs) -> np.ndarray:
-    return np.atleast_1d(np.asarray(coeffs, dtype=float))
+    return np.array(coeffs, dtype=float, ndmin=1, copy=None)
+
+
+def _trimseq(c: np.ndarray) -> np.ndarray:
+    """Drop trailing exact zeros; keep at least the first coefficient."""
+    n = c.size
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _series(a) -> np.ndarray:
+    """A float coefficient array without trailing zeros; empty is an error."""
+    c = poly(a)
+    if c.size == 0:
+        raise ValueError("Coefficient array is empty")
+    return _trimseq(c)
 
 
 def ptrim(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Drop trailing (near-)zero coefficients; keep at least the constant."""
     c = poly(c)
-    scale = np.max(np.abs(c)) if c.size else 0.0
+    scale = np.abs(c).max() if c.size else 0.0
     n = c.size
     while n > 1 and abs(c[n - 1]) <= tol * scale:
         n -= 1
@@ -27,20 +53,61 @@ def ptrim(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 
 def padd(a, b) -> np.ndarray:
-    return npoly.polyadd(poly(a), poly(b))
+    a, b = _series(a), _series(b)
+    if a.size > b.size:
+        a, b = b, a
+    out = b.copy()
+    out[:a.size] += a
+    return _trimseq(out)
 
 
 def pmul(a, b) -> np.ndarray:
-    return npoly.polymul(poly(a), poly(b))
+    return _trimseq(np.convolve(_series(a), _series(b)))
 
 
 def pder(a, m: int = 1) -> np.ndarray:
-    d = npoly.polyder(poly(a), m)
-    return d if d.size else np.zeros(1)
+    if m < 0:
+        raise ValueError("The order of derivation must be non-negative")
+    c = poly(a)
+    if c.size == 0:
+        return np.zeros(1)
+    if m >= c.size:
+        return c[:1] * 0
+    if m == 0:
+        return c.copy()
+    for _ in range(m):
+        c = c[1:] * np.arange(1, c.size)
+    return c
 
 
 def pval(a, x: float) -> float:
-    return float(npoly.polyval(x, poly(a)))
+    c = poly(a).tolist()
+    # x * 0 keeps the type of x, as numpy's Horner start does: an int x adds
+    # an integer zero, a negative float x a negative zero
+    acc = c[-1] + x * 0
+    for ci in reversed(c[:-1]):
+        acc = ci + acc * x
+    return float(acc)
+
+
+def _pdiv(num, den):
+    """(quotient, remainder) of num / den by numpy's long-division steps."""
+    c1, c2 = _series(num).copy(), _series(den)
+    if c2[-1] == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lc1, lc2 = c1.size, c2.size
+    if lc1 < lc2:
+        return c1[:1] * 0, c1
+    if lc2 == 1:
+        return c1 / c2[-1], c1[:1] * 0
+    scl = c2[-1]
+    c2 = c2[:-1] / scl
+    i, j = lc1 - lc2, lc1 - 1
+    while i >= 0:
+        c1[i:j] -= c2 * c1[j]
+        i -= 1
+        j -= 1
+    return c1[j + 1:] / scl, _trimseq(c1[:j + 1])
 
 
 def split_two_poles(num, p2, q: float):
@@ -48,7 +115,7 @@ def split_two_poles(num, p2, q: float):
     p2 = p2_lead (z^2 - q^2)."""
     p2 = ptrim(p2)
     lead = p2[-1]
-    quot, rem = npoly.polydiv(poly(num), poly(p2))
+    quot, rem = _pdiv(num, p2)
     rem = ptrim(rem)
     res_plus = pval(rem, q) / (lead * 2 * q)
     res_minus = pval(rem, -q) / (lead * (-2 * q))
@@ -57,11 +124,13 @@ def split_two_poles(num, p2, q: float):
 
 def pshift(a, z0: float) -> np.ndarray:
     """Coefficients of p(t + z0) in t, i.e. recenter p at z0."""
-    a = poly(a)
+    step = np.array([z0, 1.0])
     out = np.zeros(1)
-    # Horner in (t + z0)
-    for c in a[::-1]:
-        out = padd(pmul(out, [z0, 1.0]), [c])
+    # Horner in (t + z0): out is trimmed and step ends in 1, so each step is
+    # pmul(out, step) then padd with [c], whose sum keeps the nonzero top
+    for c in poly(a)[::-1]:
+        out = _trimseq(np.convolve(out, step))
+        out[0] += c
     return out
 
 
@@ -75,11 +144,11 @@ def compose_operators(outer: list, inner: list) -> list:
     out = [np.zeros(1) for _ in range(order + 1)]
     for k, p in enumerate(outer):
         p = poly(p)
-        if not np.any(p):
+        if not p.any():
             continue
         for j, q in enumerate(inner):
             q = poly(q)
-            if not np.any(q):
+            if not q.any():
                 continue
             for i in range(k + 1):
                 term = pmul(p, pder(q, k - i)) * math.comb(k, i)
@@ -87,11 +156,15 @@ def compose_operators(outer: list, inner: list) -> list:
     return [ptrim(c, 1e-300) for c in out]
 
 
+@functools.lru_cache(maxsize=None)
 def falling_factorial_poly(shift: float, k: int) -> np.ndarray:
-    """(m + shift)(m + shift - 1)...(m + shift - k + 1) as a polynomial in m."""
+    """(m + shift)(m + shift - 1)...(m + shift - k + 1) as a polynomial in m.
+
+    Cached per (shift, k); the array is shared, so it is read-only."""
     out = poly([1.0])
     for i in range(k):
         out = pmul(out, [shift - i, 1.0])
+    out.setflags(write=False)
     return out
 
 

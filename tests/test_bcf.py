@@ -10,9 +10,9 @@ from rabi_spectra import (
     g_function_bcf,
     heun_spectrum,
     oracle_spectrum,
-    uncoupled_spectrum,
     validate_params,
 )
+from rabi_spectra import fock
 from rabi_spectra.bcf import bcf_ode
 from rabi_spectra.errors import ComplexSingularityError
 from rabi_spectra.operators import compose_fourth_order
@@ -141,12 +141,11 @@ def test_lambda_to_zero_continuity():
 def test_delta_zero_approaches_closed_form():
     p = validate_params(1.0, 0.0, 0.3, 0.1, 0.004)
     res = bcf_spectrum(p, -0.6, 1.4, 0.05)
-    plus, minus = uncoupled_spectrum(p, 3)
-    cf = np.sort(np.concatenate([plus.energies, minus.energies]))
-    cf = cf[(cf >= -0.6) & (cf <= 1.4)]
-    assert len(cf) >= 3
-    for e in cf:
-        assert np.min(np.abs(res.energies - e)) < 2e-3
+    ev = fock.eigenvalues(p, 200)
+    ref = ev[(ev >= -0.6) & (ev <= 1.4)]
+    assert len(ref) >= 3
+    assert len(res.energies) == len(ref)
+    np.testing.assert_allclose(res.energies, ref, rtol=0, atol=1e-12)
 
 
 def _fourth_order_series(p, n_terms):

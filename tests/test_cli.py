@@ -213,29 +213,38 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     assert code == 0 and out_exact == out
 
 
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
-    ["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
-     "--emin", "-1", "--emax", "1"],
-    ["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
-     "--g", "1", "--emin", "-1", "--emax", "1"],
-    ["diagnose", "--omega", "1e300"],
-    ["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"],
-    ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
-    # omega^2 overflows in the bcf reduction (delta 0.3 vanishes next to
-    # omega, so spectrum takes the closed form; 1e295 does not)
-    ["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-     "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
-    ["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-     "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
-    ["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
-     "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"],
-])
-def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, capsys):
+#: (argv, text the one stderr line contains), with ids by position
+OVERFLOW_CASES = [
+    (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
+     "overflow"),
+    (["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
+      "--emin", "-1", "--emax", "1"], ""),
+    (["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
+      "--g", "1", "--emin", "-1", "--emax", "1"], "overflow"),
+    (["diagnose", "--omega", "1e300"], ""),
+    (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
+    (["diagnose", "--omega", "1e-300", "--g", "1e-300"], ""),
+    # delta 0.3 vanishes next to omega, so spectrum takes the closed form,
+    # where omega^2 overflows; 1e295 does not vanish
+    (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
+      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], "overflow"),
+    (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
+      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
+    (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
+      "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
+    (["spectrum", "--method", "closed", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
+      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], "overflow"),
+]
+
+
+@pytest.mark.parametrize("args, needle", OVERFLOW_CASES,
+                         ids=[f"args{i}" for i in range(len(OVERFLOW_CASES))])
+def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+    assert needle in err
 
 
 PARAMS = {"--delta", "--eps", "--g", "--lambda"}

@@ -8,10 +8,9 @@ from rabi_spectra import (
     g_function_heun,
     heun_spectrum,
     oracle_spectrum,
-    uncoupled_spectrum,
     validate_params,
 )
-from rabi_spectra import _kernels, bcf
+from rabi_spectra import _kernels, bcf, fock
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
 from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
@@ -133,11 +132,10 @@ def test_empty_window():
 def test_delta_zero_reproduces_closed_form():
     p = validate_params(1.0, 0.0, 0.15, 0.6, 0.0)
     res = heun_spectrum(p, -1.0, 2.0, 0.05)
-    plus, minus = uncoupled_spectrum(p, 4)
-    cf = np.sort(np.concatenate([plus.energies, minus.energies]))
-    cf = cf[(cf >= -1.0) & (cf <= 2.0)]
-    assert len(res.energies) == len(cf)
-    np.testing.assert_allclose(res.energies, cf, atol=1e-8)
+    ev = fock.eigenvalues(p, 200)
+    ref = ev[(ev >= -1.0) & (ev <= 2.0)]  # degenerate pairs counted twice
+    assert len(res.energies) == len(ref)
+    np.testing.assert_allclose(res.energies, ref, rtol=0, atol=1e-12)
 
 
 def test_exact_solvability_random_draws():

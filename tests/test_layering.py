@@ -43,3 +43,21 @@ def test_cli_imports_the_audit_only_where_diagnose_reads_it():
     assert imported_names(SRC / "cli.py", module_level=True) \
         & {"audit", "diagnose_report", "canonical", "special"} == set()
     assert "audit" in imported_names(SRC / "cli.py")
+
+
+def test_no_module_uses_numpy_polynomial():
+    """polyops stands in for numpy.polynomial, bit for bit (test_polyops)."""
+    used = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):  # np.polynomial.<...>
+                names = ["numpy.polynomial"] if node.attr == "polynomial" else []
+            else:
+                continue
+            used += [f"{path.name}: {n}" for n in names
+                     if n.startswith("numpy.polynomial")]
+    assert used == []

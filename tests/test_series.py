@@ -101,6 +101,15 @@ def test_recentering():
     assert val.to_float() == pytest.approx(math.cosh(1.0), rel=1e-13)
 
 
+def test_recentered_once_per_ode_and_read_only():
+    ode = PolyOde(((1.0, 0.0, 3.0), (0.5,), (1.0, 2.0)), z0=0.5)
+    polys = ode.recentered
+    assert polys is ode.recentered  # ode_to_recurrence and ode_residual share it
+    assert not any(c.flags.writeable for c in polys)
+    np.testing.assert_array_equal(polys[0], [1.75, 3.0, 3.0])  # 1 + 3 (t + 1/2)^2
+    np.testing.assert_array_equal(polys[2], [2.0, 2.0])
+
+
 def test_solution_derivatives_consistency():
     rec = ode_to_recurrence(exp_ode())
     _, _, sol = series_eval(rec, 0.5, seeds=np.array([1.0, 1.0]))
