@@ -9,6 +9,7 @@ silently corrected.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -506,7 +507,15 @@ def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False,
 
     With corrupt=True a coefficient of each derived recurrence is perturbed
     first; residuals must then blow past the threshold (negative control).
+    The suite draws its own parameters from ``seed``, so its rows do not
+    depend on the model a report audits: they are computed once per
+    argument set, and each call gets its own copies.
     """
+    return [dict(r) for r in _residual_rows(n_draws, seed, corrupt, threshold)]
+
+
+@functools.lru_cache(maxsize=16)
+def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> tuple:
     rng = np.random.RandomState(seed)
     rows = []
     for _ in range(n_draws):
@@ -553,7 +562,7 @@ def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False,
         rows.append({"context": "weber-kummer", "residual": max(r_e, r_o),
                      "threshold": threshold,
                      "ok": max(r_e, r_o) < threshold})
-    return rows
+    return tuple(rows)
 
 
 def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,

@@ -220,6 +220,15 @@ def _params(ns: argparse.Namespace) -> ModelParams:
     return params
 
 
+def _raised_in(exc: BaseException) -> str:
+    """module.function of the frame that raised exc."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+
 @np.errstate(all="ignore")  # a non-finite result raises where it is checked
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
@@ -246,7 +255,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, ArithmeticError) as exc:  # overflow of huge inputs too
+    except OverflowError as exc:  # a huge finite input, e.g. omega**2 past the float range
+        print(f"numerical failure: overflow in {_raised_in(exc)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RabiSpectraError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaNotZeroError, LambdaZeroError, NumericalError, ValidationError
+from .errors import DeltaNotZeroError, LambdaZeroError, ValidationError
 from .params import ModelParams, vanishes
 from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 from .special import kummer_1f1, kummer_1f1_d012
@@ -52,23 +52,14 @@ def _require_uncoupled(p: ModelParams) -> None:
             f"closed-form route needs delta = 0, got {p.delta}")
 
 
-def _square(name: str, x: float) -> float:
-    """x ** 2; an overflow is reported by the name of what overflowed."""
-    try:
-        return x ** 2
-    except OverflowError:
-        raise NumericalError(f"overflow: {name}**2 in the closed form") from None
-
-
 def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
     """(positive branch, negative branch) ladders for n = 0..n_max."""
     _require_uncoupled(p)
-    # |2 lambda| < omega, so lambda**2 overflows only where omega**2 does
-    spacing = math.sqrt(_square("omega", p.omega) - 4 * p.lam ** 2)
+    spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
     n = np.arange(n_max + 1)
     out = []
     for sigma in (+1, -1):
-        coupling = -_square("g", p.g) / (p.omega + sigma * 2 * p.lam)
+        coupling = -p.g ** 2 / (p.omega + sigma * 2 * p.lam)
         offset = -p.omega / 2 + sigma * p.epsilon
         energies = spacing * (n + 0.5) + coupling + offset
         out.append(BranchSpectrum(sigma, energies, spacing, coupling, offset))

@@ -23,7 +23,8 @@ import numpy as np
 
 
 def poly(coeffs) -> np.ndarray:
-    return np.array(coeffs, dtype=float, ndmin=1, copy=None)
+    c = np.asarray(coeffs, dtype=float)
+    return c if c.ndim else c.reshape(1)
 
 
 def _trimseq(c: np.ndarray) -> np.ndarray:

@@ -55,10 +55,14 @@ class PolyOde:
     def order(self) -> int:
         return len(self.polys) - 1
 
+    def recentered(self) -> list:
+        """Coefficient arrays rewritten in t = z - z0."""
+        return [c.copy() for c in self._recentered]
+
     @functools.cached_property
-    def recentered(self) -> tuple:
-        """Coefficient arrays rewritten in t = z - z0; computed once per ODE
-        and read-only, as ode_to_recurrence and ode_residual share them."""
+    def _recentered(self) -> tuple:
+        """recentered(), computed once per ODE and read-only, as
+        ode_to_recurrence and ode_residual share it."""
         out = tuple(ptrim(pshift(p, self.z0), 1e-300) for p in self.polys)
         for c in out:
             c.setflags(write=False)
@@ -172,7 +176,7 @@ def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
     Raises IrregularPointError unless z0 is an ordinary or regular singular
     point (Frobenius condition: ord(p_k) >= ord(p_s) - (s - k) at z0).
     """
-    polys = ode.recentered
+    polys = ode._recentered
     s = ode.order
 
     def vanish_order(c):
@@ -353,7 +357,7 @@ def ode_residual(ode: PolyOde, sol: SeriesSolution, x: float) -> float:
     """|sum_k p_k(x) s^(k)(x)| / max(1, |s(x)|) from the truncated series."""
     x_rel = x - ode.z0
     derivs = solution_derivatives(sol, x, ode.order)
-    polys = ode.recentered
+    polys = ode._recentered
     base = max(d.log_scale for d in derivs)
     num = 0.0
     for k, d in enumerate(derivs):

@@ -5,7 +5,7 @@ source text: which displays are algebraically consistent and which are not.
 import numpy as np
 import pytest
 
-from rabi_spectra import validate_params, normalize_params
+from rabi_spectra import audit, validate_params, normalize_params
 from rabi_spectra.audit import (
     audit_appendix,
     audit_asymmetric_tables,
@@ -119,6 +119,20 @@ def test_residual_suite_green_and_corruptible():
     assert rows and all(r["ok"] for r in rows)
     bad = residual_suite(n_draws=1, seed=12, corrupt=True)
     assert any(not r["ok"] for r in bad)
+
+
+def test_residual_suite_is_computed_once_and_handed_out_as_copies():
+    first = residual_suite(n_draws=2, seed=12)
+    hits = audit._residual_rows.cache_info().hits
+    first[0]["ok"] = "changed"
+    first.append({})
+    again = residual_suite(n_draws=2, seed=12)
+    assert len(again) == len(first) - 1 and again[0]["ok"] is True
+    assert audit._residual_rows.cache_info().hits == hits + 1
+    # the suite does not read the audited model: reports share its rows
+    assert (diagnose_report(P_GEN, n_draws=2)["residuals"]
+            == diagnose_report(P_ASYM, n_draws=2)["residuals"]
+            == residual_suite(n_draws=2))
 
 
 def test_diagnose_report_shape():

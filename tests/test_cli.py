@@ -213,27 +213,31 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     assert code == 0 and out_exact == out
 
 
+#: the one stderr line of an OverflowError names the function that raised it
+CLOSED = "overflow in rabi_spectra.closed_form.uncoupled_spectrum"
 #: (argv, text the one stderr line contains), with ids by position
 OVERFLOW_CASES = [
     (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
-     "overflow"),
+     CLOSED),
     (["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
-      "--emin", "-1", "--emax", "1"], ""),
+      "--emin", "-1", "--emax", "1"],
+     "overflow in rabi_spectra.operators.asymmetric_second_order"),
     (["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
-      "--g", "1", "--emin", "-1", "--emax", "1"], "overflow"),
-    (["diagnose", "--omega", "1e300"], ""),
+      "--g", "1", "--emin", "-1", "--emax", "1"], CLOSED),
+    (["diagnose", "--omega", "1e300"],
+     "overflow in rabi_spectra.operators.printed_general_table"),
     (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
     (["diagnose", "--omega", "1e-300", "--g", "1e-300"], ""),
     # delta 0.3 vanishes next to omega, so spectrum takes the closed form,
     # where omega^2 overflows; 1e295 does not vanish
     (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], "overflow"),
+      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], CLOSED),
     (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
       "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
     (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
       "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
     (["spectrum", "--method", "closed", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], "overflow"),
+      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], CLOSED),
 ]
 
 

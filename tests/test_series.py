@@ -103,11 +103,17 @@ def test_recentering():
 
 def test_recentered_once_per_ode_and_read_only():
     ode = PolyOde(((1.0, 0.0, 3.0), (0.5,), (1.0, 2.0)), z0=0.5)
-    polys = ode.recentered
-    assert polys is ode.recentered  # ode_to_recurrence and ode_residual share it
+    polys = ode._recentered
+    assert polys is ode._recentered  # ode_to_recurrence and ode_residual share it
     assert not any(c.flags.writeable for c in polys)
     np.testing.assert_array_equal(polys[0], [1.75, 3.0, 3.0])  # 1 + 3 (t + 1/2)^2
     np.testing.assert_array_equal(polys[2], [2.0, 2.0])
+    # the public call hands out writable copies
+    out = ode.recentered()
+    assert isinstance(out, list) and all(c.flags.writeable for c in out)
+    for c, shared in zip(out, polys, strict=True):
+        np.testing.assert_array_equal(c, shared)
+        assert not np.shares_memory(c, shared)
 
 
 def test_solution_derivatives_consistency():
