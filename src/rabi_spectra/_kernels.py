@@ -7,7 +7,7 @@ kernel repeats ``roll``'s arithmetic operation for operation, so each lane
 equals the scalar rollout bit for bit.  At batch size one ``roll`` is the
 faster of the two, which is why both exist: single-series callers (the
 audit's residual checks) use ``roll``; every G-function evaluation, the
-exceptional tests' high-exponent series included, uses ``roll_lanes``.  Each
+ladder points' high-exponent series included, uses ``roll_lanes``.  Each
 lane carries its own seed vector, so a batch mixing Frobenius branches is
 one call.
 

@@ -162,8 +162,8 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
                  zeta_star: float = 0.5) -> SpectrumResult:
     """Grid scan + rational-step refinement of the reduced-equation G-function.
 
-    Ladder points get exclusion zones and exceptional tests.  Where delta
-    vanishes the exact ladders of :func:`closed_window` are returned instead.
+    Ladder points are knots of the grid.  Where delta vanishes the exact
+    ladders of :func:`closed_window` are returned instead.
     A window where the reduction itself breaks down (q^2 <= 0 or q ~ 0, for
     every energy alike) is reported as excluded.
     """

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation error (bad parameters, method/regime
 mismatch), 3 numerical failure (non-convergence, residual threshold,
-overflow).
+overflow, a window the route excludes whole).
 Output files are written atomically and floats are serialized with 17
 significant digits so identical configs give byte-identical files.
 """
@@ -18,14 +18,14 @@ import tempfile
 
 import numpy as np
 
-from .bcf import bcf_reduction, bcf_spectrum, g_function_bcf_batch
+from .bcf import bcf_reduction, bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import MAX_CUTOFF, oracle_spectrum
-from .heun import g_function_heun_batch, heun_reduction, heun_spectrum
+from .heun import heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import MAX_GRID_POINTS
-from .twopoint import resonance_ladder
+from .twopoint import g_function_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,6 +69,10 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     else:
         _need_window(ns)
         sr = ROUTES[method](p, ns.emin, ns.emax, ns.grid, zeta_star=ns.zeta_star)
+        for iv in sr.report.excluded:
+            if iv.lo <= ns.emin and ns.emax <= iv.hi:
+                raise NumericalError(f"the {method} route excludes the whole "
+                                     f"window: {iv.reason}")
         energies = list(sr.energies)
         flags = list(sr.labels)
 
@@ -91,30 +95,19 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     _need_window(ns)
     header = ["energy", "scaled_g", "scale_log", "flags"]
-    reduce = heun_reduction if method == "heun" else bcf_reduction
-    try:
-        ladder = [e for e, _s, _n in resonance_ladder(reduce(p), ns.emin - ns.grid,
-                                                      ns.emax + ns.grid)]
-    except NumericalError:  # the bcf reduction broke down: the samples say so
-        ladder = []
     rows = []
     if ns.emin >= ns.emax:
         return header, rows
     n = int(np.floor((ns.emax - ns.emin) / ns.grid + 1e-9)) + 1
     grid = [ns.emin + i * ns.grid for i in range(n)]
-    if method == "heun":
-        samples = g_function_heun_batch(p, grid, ns.zeta_star, ns.k_branch)
-    else:
-        samples = g_function_bcf_batch(p, grid, ns.zeta_star)
+    reduce = heun_reduction if method == "heun" else bcf_reduction
+    # signed as the spectrum scans it, so sign changes are roots, not poles
+    samples = g_function_batch(reduce(p), grid, ns.zeta_star,
+                               ns.k_branch if method == "heun" else None, pole_free=True)
     for e, s in zip(grid, samples):
-        flags = set(s.flags)
-        # a determinant pole lives at each ladder point; mark its neighborhood
-        # so sign changes across it are not read as roots
-        if any(abs(e - L) <= 0.5 * ns.grid for L in ladder):
-            flags.add("near_resonance")
         rows.append({"energy": float(e), "scaled_g": float(s.g_value),
                      "scale_log": float(s.scale_log),
-                     "flags": ";".join(sorted(flags))})
+                     "flags": ";".join(sorted(s.flags))})
     return header, rows
 
 

@@ -127,11 +127,11 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
                   zeta_star: float = 0.5) -> SpectrumResult:
     """Scan the spectral determinant on [e_min, e_max].
 
-    The minus gauge branch is scanned and the plus branch evaluated just
-    either side of each refined root ('regular:both' where it changes sign
-    there); ladder points are tested for exceptional eigenvalues.  Where
-    delta vanishes too, :func:`closed_window` is returned instead (the
-    reduction refuses lam != 0 either way).
+    The minus gauge branch is scanned, its ladder points as knots, and the
+    plus branch evaluated just either side of each refined root
+    ('regular:both' where it changes sign there).  Where delta vanishes
+    too, :func:`closed_window` is returned instead (the reduction refuses
+    lam != 0 either way).
     """
     if vanishes(p, p.delta) and vanishes(p, p.lam):
         return closed_window(p, "heun", e_min, e_max, grid_step)

@@ -3,11 +3,11 @@
 The scanned function maps an array of energies to arrays (g, flags), one
 value and one set of flag bits per energy, so a batched determinant sees the
 whole grid in one call; all brackets are then refined in lockstep, one call
-per round of a few energies per bracket.  Flagged samples (resonances,
-non-convergence, breakdown) are excluded and reported instead of polluting
-the root list.  Sign changes whose refinement does not actually shrink |G|
-are classified as poles, not roots.  :data:`FLAG_SETS` names the flag bits
-for the public :class:`GFunctionSample`.
+per round of a few energies per bracket.  A caller's knots are grid points
+like the others.  Flagged samples (non-convergence, breakdown) are excluded
+and reported instead of polluting the root list.  Sign changes whose
+refinement does not actually shrink |G| are classified as poles, not roots.
+:data:`FLAG_SETS` names the flag bits for the public :class:`GFunctionSample`.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ class RootScanConfig:
     e_min: float
     e_max: float
     grid_step: float
-    #: (center, half_width, reason) zones to pre-exclude, with grid points
-    #: injected at both edges (used for analytically known resonances)
-    split_zones: tuple = ()
+    #: energies put on the grid; a grid point at the same energy gives way
+    knots: tuple = ()
 
     def __post_init__(self):
         if not (self.e_min <= self.e_max):
@@ -119,17 +118,22 @@ def usable(g: np.ndarray, flags: np.ndarray) -> np.ndarray:
     return (flags == 0) & np.isfinite(g)
 
 
-def _build_grid(cfg: RootScanConfig, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Grid points plus the edges lo, hi of the split zones, without the
-    points strictly inside a zone."""
+def same_energy(a, b):
+    """Whether energies a and b are one grid point: 1e-15 max(1, |b|) apart."""
+    return np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b))
+
+
+def _build_grid(cfg: RootScanConfig) -> np.ndarray:
+    """Grid points from e_min in steps of grid_step, e_max and the knots on
+    [e_min, e_max]; a point at the same energy as a knot gives way to it."""
     n = int(math.floor((cfg.e_max - cfg.e_min) / cfg.grid_step + 1e-9)) + 1
     pts = cfg.e_min + np.arange(n) * cfg.grid_step
-    edges = np.concatenate([lo, hi])
-    extra = [edges[(cfg.e_min < edges) & (edges < cfg.e_max)]]
-    if pts[-1] < cfg.e_max - 1e-15 * max(1.0, abs(cfg.e_max)):
-        extra.append([cfg.e_max])
-    pts = np.unique(np.concatenate([pts, *extra]))
-    return pts[~np.any((lo < pts[:, None]) & (pts[:, None] < hi), axis=1)]
+    if pts[-1] < cfg.e_max and not same_energy(pts[-1], cfg.e_max):
+        pts = np.append(pts, cfg.e_max)
+    knots = np.array(cfg.knots, dtype=float)
+    knots = knots[(cfg.e_min <= knots) & (knots <= cfg.e_max)]
+    pts = pts[~same_energy(pts[:, None], knots).any(axis=1)]
+    return np.sort(np.concatenate([pts, knots]))
 
 
 def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
@@ -141,35 +145,26 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     samples open excluded intervals named after their flags ('flagged' if
     they carry none), and adjacent sign changes, or an unusable sample met
     while refining, become suspects; sign changes whose |G| does not
-    collapse are excluded as poles.  f is called once for the grid and then
-    once per lockstep round (at most MAX_BISECT rounds); n_evaluations
+    collapse are excluded as poles.  f is called once for the sorted grid,
+    which holds the knots exactly, and then once per lockstep round (at
+    most MAX_BISECT rounds, strictly inside grid cells); n_evaluations
     counts energies.
     """
-    zc, zw = np.array([z[:2] for z in cfg.split_zones], float).reshape(-1, 2).T
-    z_lo, z_hi = zc - zw, zc + zw
-    grid = _build_grid(cfg, z_lo, z_hi)
-    if grid.size == 0:
-        return RootReport(np.array([]))
+    grid = _build_grid(cfg)
     g, flags = f(grid)
     n_evals = g.size
     x = grid.tolist()
 
-    excluded = [ExcludedInterval(c - hw, c + hw, reason)
-                for (c, hw, reason) in cfg.split_zones
-                if c + hw >= cfg.e_min and c - hw <= cfg.e_max]
-
     # bad[i + 1]: sample i is unusable; its runs [lo, stop) -> excluded intervals
     bad = np.concatenate([[False], ~usable(g, flags), [False]])
     step = np.diff(bad.astype(int))
-    for lo, stop in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1)):
-        names = FLAG_SETS[np.bitwise_or.reduce(flags[lo:stop])]
-        excluded.append(ExcludedInterval(x[lo - 1] if lo > 0 else cfg.e_min,
-                                         x[stop] if stop < len(x) else cfg.e_max,
-                                         ",".join(sorted(names)) or "flagged"))
+    excluded = [ExcludedInterval(
+        x[lo - 1] if lo > 0 else cfg.e_min, x[stop] if stop < len(x) else cfg.e_max,
+        ",".join(sorted(FLAG_SETS[np.bitwise_or.reduce(flags[lo:stop])])) or "flagged")
+        for lo, stop in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
 
-    # cells [i, i + 1] between usable samples that span no pre-excluded zone
-    cell = ~bad[1:-2] & ~bad[2:-1] & ~np.any(
-        (z_lo >= grid[:-1, None] - 1e-15) & (z_hi <= grid[1:, None] + 1e-15), axis=1)
+    # cells [i, i + 1] between usable samples
+    cell = ~bad[1:-2] & ~bad[2:-1]
     zero = cell & (g[:-1] == 0.0)
     change = cell & ~zero & (g[:-1] * g[1:] < 0.0)
     # a sign change next to an unusable sample (i - 1 or i + 2) is a suspect
@@ -205,21 +200,26 @@ def _lockstep(f, tasks: list) -> list:
     """Drive refinement generators together: each round evaluates every
     pending energy of every task in one call of f and sends each task the
     values and usable bits of its energies.  Returns the tasks' results in
-    order."""
+    order; a task may return before its first round."""
     results = [None] * len(tasks)
-    pending = [(i, task, next(task)) for i, task in enumerate(tasks)]
+    replies = [None] * len(tasks)  # what each task is sent next
+    pending = list(range(len(tasks)))
     while pending:
-        g, flags = f(np.array([x for _i, _t, xs in pending for x in xs]))
-        gs, ok = g.tolist(), usable(g, flags).tolist()
-        still, k = [], 0
-        for i, task, xs in pending:
+        asked = []
+        for i in pending:
             try:
-                still.append((i, task, task.send((gs[k:k + len(xs)],
-                                                  ok[k:k + len(xs)]))))
+                asked.append((i, tasks[i].send(replies[i])))
             except StopIteration as stop:
                 results[i] = stop.value
+        if not asked:
+            break
+        g, flags = f(np.array([x for _i, xs in asked for x in xs]))
+        gs, ok = g.tolist(), usable(g, flags).tolist()
+        k = 0
+        for i, xs in asked:
+            replies[i] = (gs[k:k + len(xs)], ok[k:k + len(xs)])
             k += len(xs)
-        pending = still
+        pending = [i for i, _xs in asked]
     return results
 
 

@@ -4,12 +4,12 @@ A reduction supplies a second-order equation with regular singularities at
 zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 100401, 2011).  Everything past the reduction lives here: the batched
-Wronskian, the resonance ladder and the spectrum assembly (second-gauge
-check, exceptional tests).  Every determinant, the exceptional tests'
-second-kind Wronskians included, is a lane of :func:`_wronskian`: one
-batched call, and so one kernel roll, per scan round or second-gauge check.
-The ladder lanes ride in the grid call, so the exceptional tests cost no
-call of their own.
+Wronskian, the resonance ladder and the spectrum assembly.  The determinant
+has a simple pole at each ladder point E_m, so the spectrum scans g *
+prod_m sign(E - E_m), which is continuous there.  Every determinant, the
+ladder points' second-kind Wronskians included, is a lane of
+:func:`_wronskian`: one batched call, and so one kernel roll, per scan round
+or second-gauge check.
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
-from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS,
+from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
-                       scan_and_refine, usable)
+                       same_energy, scan_and_refine, usable)
 from .series import series_sums_lanes
 
-#: half-width of the exclusion zone planted around each resonance energy
-RESONANCE_HALF_WIDTH = 1e-9
-#: |angle Wronskian| below which a ladder point is accepted as exceptional
-EXCEPTIONAL_TOL = 1e-8
 #: highest resonant index m put on the ladder
 LADDER_MAX_M = 200
-#: flag bits an exceptional test ignores, since it seeds past the resonance
-_RESONANT = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
+#: flag bits of a lane that the kernel's resonance guard caught
+_GUARDED = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,8 @@ class Reduction:
     (a quantity's value at E is c0 + E (c1 + E c2)), and ``to_polys(values,
     gauge)`` maps their lane values to the coefficients (p0, p1, p2) of
     zeta(zeta-1) times the equation, so p2 = zeta^2 - zeta.  ``gauges`` are
-    the gauge branches a spectrum scans; the first one also serves the
-    ladder and the exceptional tests.
+    the gauge branches of a spectrum: it scans the first and checks its
+    roots in the second.
     """
 
     method: str
@@ -74,14 +70,18 @@ class Reduction:
 
 
 def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
-                     gauge=None) -> list:
+                     gauge=None, pole_free: bool = False) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
     and zeta = 1, one :class:`GFunctionSample` per energy; both series of
-    every energy are rolled in one batch.  This is the public sample
+    every energy are rolled in one batch, and signed as the spectrum scans
+    them (:func:`_pole_free`) with ``pole_free``.  This is the public sample
     boundary: the spectrum itself works on :func:`_wronskian`'s arrays."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     g, log_g, bits = _wronskian(reduction, energies,
                                 np.zeros((2, energies.size), int), zeta_star, gauge)
+    if pole_free and energies.size:
+        ladder = resonance_ladder(reduction, energies.min(), energies.max())
+        g = _pole_free(g, energies, np.array([e for e, _s, _m in ladder]))
     return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
             zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
@@ -119,7 +119,7 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
 
 
 def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
-    """(energy, side, m) for every series resonance in (e_min, e_max) with
+    """(energy, side, m) for every series resonance in [e_min, e_max] with
     m <= LADDER_MAX_M.
 
     With p2 = zeta^2 - zeta the second Frobenius exponent minus one is p1(0)
@@ -135,46 +135,62 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
         slope = (index[1] - index[0]) / reduction.omega
         if abs(slope) < 1e-300:
             continue
-        for m in range(LADDER_MAX_M + 1):
-            e_m = (m - index[0]) / slope
-            if e_min < e_m < e_max:
-                out.append((float(e_m), side, m))
-    out.sort(key=lambda t: t[0])
-    return out
+        e_m = (np.arange(LADDER_MAX_M + 1) - index[0]) / slope
+        out += [(e, side, m) for m, e in enumerate(e_m.tolist()) if e_min <= e <= e_max]
+    return sorted(out, key=lambda t: t[0])
+
+
+def _pole_free(g: np.ndarray, energies: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """g * prod_m sign(E - E_m) over the sorted ladder energies ``poles``."""
+    above = poles.size - np.searchsorted(poles, energies, side="right")
+    return np.where(above % 2 == 1, -g, g)
 
 
 def spectrum(reduction: Reduction, e_min: float, e_max: float,
              grid_step: float = 0.05, zeta_star: float = 0.5) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
 
-    The first gauge of ``reduction`` is scanned, with exclusion zones around
-    its ladder points.  A second gauge is evaluated once, at r +- 1e-8 omega
-    for every refined root r: a sign change there labels the root
-    'regular:both', else it is 'regular:<first>-only'.  Every ladder point
-    gets the exceptional test, as extra lanes of the grid call: the
-    second-kind Wronskian, whose resonant-side series is seeded on its
-    high-exponent branch m + 1, vanishes where the ladder point is an
-    exceptional eigenvalue (a solution holomorphic at both points).
+    The first gauge of ``reduction`` is scanned as :func:`_pole_free` g, with
+    its ladder points as knots of the grid.  A knot's sample, which every
+    lane the kernel's resonance guard catches takes too, is the second-kind
+    Wronskian, each resonant side (both, at a double pole) seeded on branch
+    m + 1, signed by a first-kind lane 1e-9 omega above the knot.  A root
+    within REFINE_TOL of a ladder point is an exceptional eigenvalue,
+    'exceptional:<side>:<m>'.  A second gauge is evaluated at r +- 1e-8
+    omega for every root r: a sign change labels r 'regular:both', else it
+    is 'regular:<first>-only'.
     """
     ladder = resonance_ladder(reduction, e_min, e_max)
-    zones = tuple((e, RESONANCE_HALF_WIDTH * reduction.omega, "resonance")
-                  for e, _s, _n in ladder)
-    cfg = RootScanConfig(e_min, e_max, grid_step, split_zones=zones)
-    ladder_e = np.array([e for e, _s, _m in ladder])
-    seeded = np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
-                       for at in ("origin", "one")], dtype=int).reshape(2, -1)
-    tests = []  # (g, flags) of the ladder lanes
+    poles = np.array([e for e, _s, _m in ladder])
+    first = np.concatenate([[True], ~same_energy(poles[1:], poles[:-1])])[:poles.size]
+    knots = poles[first]
+    seeded = np.zeros((2, knots.size), int)
+    for (_e, side, m), k in zip(ladder, np.cumsum(first) - 1):
+        seeded[int(side == "one"), k] = m + 1
+    cfg = RootScanConfig(e_min, e_max, grid_step, knots=tuple(knots.tolist()))
+    knot_samples = []  # g and flags at the knots, from the grid call
 
     def scan(es):
-        # the ladder's lanes ride in the first (grid) call of the scan
-        k = 0 if tests else len(ladder)
-        g, _log_g, bits = _wronskian(
-            reduction, np.concatenate([es, ladder_e[:k]]),
-            np.hstack([np.zeros((2, es.size), int), seeded[:, :k]]),
-            zeta_star, reduction.gauges[0])
-        if not tests:
-            tests.append((g[es.size:], bits[es.size:]))
-        return g[:es.size], bits[:es.size]
+        n, grid_call, at = es.size, not knot_samples, np.searchsorted(es, knots)
+        lanes = np.concatenate([es, knots + 1e-9 * reduction.omega]) if grid_call else es
+        exponents = np.zeros((2, lanes.size), int)
+        if grid_call:
+            exponents[:, at] = seeded
+        g, _log_g, bits = _wronskian(reduction, lanes, exponents, zeta_star,
+                                     reduction.gauges[0])
+        g = _pole_free(g, lanes, poles)
+        take = (bits[:n] & _GUARDED) != 0
+        if grid_call:
+            # a knot lane the guard caught too (a double pole the merge
+            # missed) gives way to the first-kind lane above it
+            mag = np.abs(np.where(take[at], g[n:], g[at]))
+            knot_samples.extend([mag * np.sign(g[n:]), bits[at] & ~_GUARDED | bits[n:]])
+            take[at] = True
+        g, bits = g[:n], bits[:n]
+        if take.any() and knots.size:
+            k = np.abs(es[take, None] - knots).argmin(axis=1)
+            g[take], bits[take] = knot_samples[0][k], knot_samples[1][k]
+        return g, bits
 
     report = scan_and_refine(scan, cfg)
     roots, n = report.roots, report.roots.size
@@ -188,12 +204,8 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
         both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
         labels = np.where(both, "regular:both",
                           f"regular:{reduction.gauges[0]}-only").tolist()
-    g, bits = tests[0] if tests else (np.zeros(0), np.zeros(0, int))
-    accept = ((bits & ~_RESONANT) == 0) & (np.abs(g) < EXCEPTIONAL_TOL)
-    levels = sorted(list(zip(roots.tolist(), labels)) + [
-        (e_r, f"exceptional:{side}:{m}")
-        for (e_r, side, m), a in zip(ladder, accept.tolist()) if a],
-        key=lambda t: t[0])
-    return SpectrumResult(reduction.method, np.array([e for e, _lab in levels]),
-                          tuple(lab for _e, lab in levels), report,
+    for i, r in enumerate(roots.tolist()):
+        labels[i] = next((f"exceptional:{side}:{m}" for e, side, m in ladder
+                          if abs(r - e) <= REFINE_TOL), labels[i])
+    return SpectrumResult(reduction.method, roots, tuple(labels), report,
                           {"ladder": ladder, "zeta_star": zeta_star})

@@ -145,6 +145,25 @@ def test_gscan_sign_changes_match_spectrum_roots(tmp_path, capsys):
         assert abs(c - r) <= 0.05
 
 
+#: auto picks bcf, and lambda < 0 with a small g puts q^2 < 0
+COMPLEX_Q = ["--omega", "1", "--delta", "0.3", "--g", "0.01", "--lambda", "-0.1"]
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["spectrum", *COMPLEX_Q], "complex_singularity"),
+    # both couplings vanish, so q = 0
+    (["spectrum", "--method", "bcf", "--omega", "1", "--delta", "0.3", "--eps", "0.1"],
+     "degenerate_q"),
+    # gscan builds the reduction itself and reports its error
+    (["gscan", *COMPLEX_Q], "singularities leave the real axis"),
+])
+def test_route_that_excludes_the_whole_window_exits_3(args, reason, capsys):
+    code, out, err = run_cli([*args, "--emin", "-1", "--emax", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+    assert reason in err
+
+
 def test_bcf_compare_oracle_error_column(capsys):
     code, out, _ = run_cli(
         ["spectrum", "--method", "bcf", "--omega", "1", "--delta", "0.3",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
     che_params,
@@ -13,6 +14,7 @@ from rabi_spectra import (
 from rabi_spectra import _kernels, bcf, fock
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
 from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
+from rabi_spectra.rootscan import same_energy
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
 from rabi_spectra.twopoint import resonance_ladder
 
@@ -189,3 +191,77 @@ def test_batched_g_matches_scalar_reduction_chain(route):
     # lanes do not interact: a one-lane call gives the same sample bit for bit
     for i in (0, 11, 22):
         assert g_batch(energies[i:i + 1])[0] == batch[i]
+
+
+REGULAR = "regular:both"
+#: heun windows that must be the oracle spectrum level by level, with their
+#: labels: the two sides' ladders coincide (eps = 0 or omega/2, double poles),
+#: delta is tuned so that a ladder point is an exceptional eigenvalue, or
+#: delta sits just above the vanishing threshold
+ORACLE_WINDOWS = {
+    "coincident-eps0": ((1.0, 0.4, 0.0, 0.6, 0.0), (-1.0, 4.0), (REGULAR,) * 10),
+    "coincident-eps0-g0.5": ((1.0, 0.3, 0.0, 0.5, 0.0), (-1.0, 4.0), (REGULAR,) * 10),
+    "coincident-eps0.5": ((1.0, 0.4, 0.5, 0.6, 0.0), (-1.0, 4.0), (REGULAR,) * 9),
+    "exceptional-one": ((1.0, 0.389143621728628, 0.15, 0.6, 0.0), (-1.0, 4.0),
+                        (REGULAR,) * 2 + ("exceptional:one:1",) + (REGULAR,) * 7),
+    "exceptional-origin": ((1.0, 0.253313644078915, 0.1, 0.4, 0.0), (-1.0, 4.0),
+                           (REGULAR,) * 3 + ("exceptional:origin:0",) + (REGULAR,) * 6),
+    # each doublet splits by about 5e-7 around a ladder point
+    "near-threshold": ((1.0, 1e-6, 0.0, 0.6, 0.0), (-1.0, 2.0), (REGULAR,) * 6),
+}
+#: the exceptional eigenvalue of each tuned window
+EXCEPTIONAL_AT = {"exceptional-one": 0.49, "exceptional-origin": 0.94}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_WINDOWS))
+def test_window_is_the_oracle_spectrum(case):
+    params, (e_min, e_max), labels = ORACLE_WINDOWS[case]
+    p = validate_params(*params)
+    res = heun_spectrum(p, e_min, e_max, 0.05)
+    ev = fock.eigenvalues(p, 200)
+    np.testing.assert_allclose(res.energies, ev[(ev >= e_min) & (ev <= e_max)],
+                               rtol=0.0, atol=1e-8)
+    assert res.labels == labels
+    for e, lab in zip(res.energies, res.labels):
+        if lab.startswith("exceptional:"):
+            assert e == pytest.approx(EXCEPTIONAL_AT[case], abs=1e-10)
+
+
+def test_double_pole_the_merge_misses_is_still_sampled():
+    # eps = omega/2: the two sides' ladder points near 3.777 come out 4e-15
+    # apart, beyond the grid's same-energy rule, so each knot's second-kind
+    # lane is caught by the other side's resonance guard
+    p = validate_params(1.0, 0.9667503230887787, 0.5, 0.8501217180972922, 0.0)
+    (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), 3.7, 3.8)
+    assert 0.0 < e1 - e0 < 1e-14 and not same_energy(e0, e1)
+    res = heun_spectrum(p, -1.0, 4.0, 0.05)
+    ev = fock.eigenvalues(p, 200)
+    np.testing.assert_allclose(res.energies, ev[(ev >= -1.0) & (ev <= 4.0)],
+                               rtol=0.0, atol=1e-8)
+    assert (res.report.excluded, res.report.suspects) == ((), ())
+
+
+def test_juddian_point_flips_no_sign():
+    # eps = 0 and delta^2 = omega^2 - 4 g^2: both sides are compatible at the
+    # double knot 0.91 = omega - g^2, so the determinant has no pole there;
+    # no sign may flip (which would read as a pole or a spurious root)
+    p = validate_params(1.0, 0.8, 0.0, 0.3, 0.0)
+    res = heun_spectrum(p, -1.0, 3.0, 0.05)
+    ev = fock.eigenvalues(p, 200)
+    assert res.energies.size == 5
+    assert all(np.min(np.abs(ev - e)) <= 1e-8 for e in res.energies)
+    assert (res.report.excluded, res.report.suspects) == ((), ())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(delta=st.floats(0.05, 0.8), eps=st.sampled_from([0.0, 0.5, None]),
+       eps_free=st.floats(-0.4, 0.4), g=st.floats(0.2, 0.8),
+       e_min=st.floats(-1.5, 1.0), width=st.floats(0.5, 3.0))
+def test_every_level_is_a_distinct_oracle_level(delta, eps, eps_free, g, e_min, width):
+    # eps = 0 and omega/2 put the two sides' ladder points on one energy
+    p = validate_params(1.0, delta, eps_free if eps is None else eps, g, 0.0)
+    res = heun_spectrum(p, e_min, e_min + width, 0.05)
+    free = list(fock.eigenvalues(p, 200))
+    for e in res.energies:
+        j = int(np.argmin(np.abs(np.array(free) - e)))
+        assert abs(free.pop(j) - e) <= 1e-8, (p, e)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import GFunctionSample, RootScanConfig, scan_and_refine
+from rabi_spectra import GFunctionSample, RootScanConfig, rootscan, scan_and_refine
 from rabi_spectra.rootscan import FLAG_SETS, MAX_GRID_POINTS, REFINE_TOL
 
 
@@ -46,16 +46,32 @@ def test_unflagged_pole_detected_as_pole():
     assert any(iv.reason == "pole" for iv in rep.excluded)
 
 
-def test_pole_and_root_separated_by_split_zone():
-    # f = (e - 0.8)/(e - 1.0): root at 0.8, pole at 1.0
+def test_pole_and_root_separated_by_a_knot():
+    # f = (e - 0.8)/(e - 0.9) has a root and a pole in the cell [0.5, 1.0] and
+    # the same sign at both ends.  Angle-normalized and with its sign flip at
+    # the pole taken out, as a route scans its determinant, it is continuous
+    # through the pole, which is a knot whose sample is the limit 1
     def f(e):
-        return GFunctionSample(e, (e - 0.8) / (e - 1.0))
+        if e == 0.9:
+            return GFunctionSample(e, 1.0)
+        v = (e - 0.8) / (e - 0.9)
+        return GFunctionSample(e, v / math.hypot(1.0, v) * math.copysign(1.0, e - 0.9))
 
-    cfg = RootScanConfig(0.0, 2.0, 0.5,
-                         split_zones=((1.0, 1e-9, "resonance"),))
-    rep = scan_and_refine(arrays(f), cfg)
+    grids = []
+    sampled = arrays(f)
+
+    def recording(energies):
+        grids.append(energies)
+        return sampled(energies)
+
+    # 1.0 + 4e-16 stands for the grid point 1.0; 3.0 lies outside the window
+    cfg = RootScanConfig(0.0, 2.0, 0.5, knots=(0.9, 1.0 + 4e-16, 3.0))
+    rep = scan_and_refine(recording, cfg)
+    np.testing.assert_array_equal(grids[0], [0.0, 0.5, 0.9, 1.0 + 4e-16, 1.5, 2.0])
     assert len(rep.roots) == 1
     assert rep.roots[0] == pytest.approx(0.8, abs=1e-9)
+    assert rep.excluded == () and rep.suspects == ()
+    assert rep.brackets == ((0.5, 0.9),)
 
 
 def test_grid_step_robustness():
@@ -203,3 +219,16 @@ def test_rational_step_next_to_a_pole():
     np.testing.assert_allclose(rep.roots, [r], rtol=0.0, atol=REFINE_TOL)
     assert len(calls) <= 5
     assert rep.n_evaluations == sum(calls)
+
+
+def test_lockstep_collects_a_task_that_returns_before_its_first_round():
+    # [1, 1 + ulp] has no representable interior point, so its refiner
+    # returns at once and asks for no call; the other bracket is refined
+    f = arrays(lambda e: GFunctionSample(e, e - 0.3))
+    tiny = rootscan._refine(1.0, math.nextafter(1.0, 2.0), -1e-12, 1.0)
+    assert rootscan._lockstep(f, [tiny]) == [("root", 1.0, 0)] and f.calls == []
+    tiny = rootscan._refine(1.0, math.nextafter(1.0, 2.0), -1e-12, 1.0)
+    first, (kind, r, n) = rootscan._lockstep(
+        f, [tiny, rootscan._refine(0.0, 0.5, -0.3, 0.2)])
+    assert first == ("root", 1.0, 0) and (kind, n) == ("root", sum(f.calls))
+    assert r == pytest.approx(0.3, abs=1e-10)

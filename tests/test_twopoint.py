@@ -147,18 +147,22 @@ ROUNDS = {
 }
 
 
-def assert_ladder_rides_in_grid_call(calls, sector, ladder):
+def assert_knots_ride_in_grid_call(calls, sector, ladder, omega):
     """The sector's first (grid) call is its only call with nonzero
-    exponents: its trailing energies are the ladder, and only those lanes
-    are seeded."""
+    exponents: its seeded lanes are the knots, one per ladder point, each
+    seeded on branch m + 1 of its resonant side, and its trailing lanes are
+    the first-kind lanes 1e-9 omega above the knots that sign them."""
     ours = [(es, x) for red, _g, es, x in calls if red is sector]
     assert [bool(np.any(x)) for _es, x in ours] == [True] + [False] * (len(ours) - 1)
     energies, exponents = ours[0]
-    k = len(ladder)
-    np.testing.assert_array_equal(energies[energies.size - k:],
-                                  [e for e, _s, _m in ladder])
-    np.testing.assert_array_equal(np.any(exponents, axis=0),
-                                  np.arange(energies.size) >= energies.size - k)
+    seeded = np.any(exponents, axis=0)
+    np.testing.assert_array_equal(energies[seeded], [e for e, _s, _m in ladder])
+    np.testing.assert_array_equal(
+        exponents[:, seeded], [[m + 1 if side == at else 0 for _e, side, m in ladder]
+                               for at in ("origin", "one")])
+    knots = energies[seeded]
+    np.testing.assert_array_equal(energies[energies.size - knots.size:],
+                                  knots + 1e-9 * omega)
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDS))
@@ -169,28 +173,36 @@ def test_determinant_calls_per_window(case, determinants):
     assert len(determinants) <= max_calls
     assert all(res.report.n_evaluations <= cap for cap in max_evals)
     assert res.metadata["ladder"]
-    assert_ladder_rides_in_grid_call(determinants, reduction(p),
-                                     res.metadata["ladder"])
+    assert_knots_ride_in_grid_call(determinants, reduction(p),
+                                   res.metadata["ladder"], p.omega)
 
 
-def heun_delta0_sector(p, e_min, e_max, grid_step):
-    """One spin sector's determinant scan at delta = 0, where the heun route
-    itself returns the closed form."""
-    return twopoint.spectrum(heun_reduction(p), e_min, e_max, grid_step)
+def test_coincident_ladder_points_share_one_knot(determinants):
+    # eps = 0: each origin point m shares its energy with the one point m + 1,
+    # a double pole; the knot there is seeded on both sides at once
+    p = validate_params(1.0, 0.4, 0.0, 0.6, 0.0)
+    res = heun_spectrum(p, -1.0, 4.0, 0.05)
+    assert len(res.metadata["ladder"]) == 9
+    energies, exponents = determinants[0][2:]
+    seeded = np.any(exponents, axis=0)
+    np.testing.assert_allclose(energies[seeded], [-0.36, 0.64, 1.64, 2.64, 3.64],
+                               rtol=0.0, atol=1e-14)
+    assert exponents[:, seeded].T.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
 
 
-#: route, params, window: heun P2, bcf P3 and one delta = 0 sector's scan
+#: route, params, window: heun P2, bcf P3 and a heun window whose delta is
+#: tuned so that the ladder point 0.49 is an exceptional eigenvalue
 WINDOWS = [
     (heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),
     (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)),
-    (heun_delta0_sector, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0)),
+    (heun_spectrum, (1.0, 0.389143621728628, 0.15, 0.6, 0.0), (-1.0, 4.0)),
 ]
 
 
 @pytest.mark.parametrize("route, params, window", WINDOWS)
 def test_one_kernel_roll_per_determinant_call(route, params, window,
                                               determinants, monkeypatch):
-    # the exceptional calls mix Frobenius branches, and still roll once
+    # the grid call mixes Frobenius branches (the knots), and still rolls once
     rolls = []
     roll_lanes = _kernels.roll_lanes
 
@@ -257,7 +269,9 @@ def test_near_singular_flag_marks_first_kind_lanes_only():
 
 
 #: reduction, params, window -> the ladder sides whose points are exceptional;
-#: together they cover both sides, accepted and rejected points and m >= 10
+#: together they cover both sides, accepted and rejected points and m >= 10.
+#: The heun routes return the closed form at delta = 0; these sectors are
+#: scanned here directly
 EXCEPTIONAL = {
     "heun-delta0": (heun_reduction, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 15.0),
                     {"origin"}),
@@ -270,7 +284,7 @@ EXCEPTIONAL = {
 
 def _scalar_second_kind(red, energy, side, m):
     """The second-kind Wronskian from one derived recurrence per series, the
-    resonant side seeded on z^(m+1); and whether it accepts the point."""
+    resonant side seeded on z^(m+1), and whether the series converged."""
     coeffs = red.polys(np.array([energy]), red.gauges[0])
     ode = tuple(poly([float(np.ravel(v)[0]) for v in c]) for c in coeffs)
     sums, kflags = [], 0
@@ -286,9 +300,7 @@ def _scalar_second_kind(red, energy, side, m):
     # value and derivative of one side share a scale, which cancels
     a, b, c, d = (v.mantissa for v in sums)
     g = (a * d - c * b) / (math.hypot(a, b) * math.hypot(c, d))
-    accept = math.isfinite(g) and not kflags & _kernels.FLAG_NONCONVERGED \
-        and abs(g) < twopoint.EXCEPTIONAL_TOL
-    return g, accept
+    return g, math.isfinite(g) and not kflags & _kernels.FLAG_NONCONVERGED
 
 
 @pytest.mark.parametrize("case", sorted(EXCEPTIONAL))
@@ -298,19 +310,24 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     ladder = resonance_ladder(red, e_min, e_max)
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
     res = twopoint.spectrum(red, e_min, e_max)
-    accepted = {(e, lab) for e, lab in zip(res.energies, res.labels)
+    labelled = {(e, lab) for e, lab in zip(res.energies, res.labels)
                 if lab.startswith("exceptional:")}
     lanes, _log_g, _bits = twopoint._wronskian(
         red, np.array([e for e, _s, _m in ladder]),
         np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
                   for at in ("origin", "one")]), 0.5, red.gauges[0])
     for (e, side, m), g_lane in zip(ladder, lanes):
-        g, accept = _scalar_second_kind(red, e, side, m)
+        g, converged = _scalar_second_kind(red, e, side, m)
         assert g_lane == pytest.approx(g, rel=0.0, abs=1e-10)
-        assert ((e, f"exceptional:{side}:{m}") in accepted) == accept
-    assert {lab.split(":")[1] for _e, lab in accepted} == exceptional_sides
+        # a ladder point whose second-kind Wronskian vanishes is a level,
+        # and only such a point is labelled exceptional
+        vanishes = converged and abs(g) < 1e-8
+        assert vanishes == bool(np.any(np.abs(res.energies - e) <= 1e-9))
+        label = f"exceptional:{side}:{m}"
+        assert not any(lab == label for _e, lab in labelled) or vanishes
+    assert {lab.split(":")[1] for _e, lab in labelled} == exceptional_sides
     if exceptional_sides:
-        assert max(int(lab.split(":")[2]) for _e, lab in accepted) >= 10
+        assert max(int(lab.split(":")[2]) for _e, lab in labelled) >= 10
 
 
 def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
