@@ -1,15 +1,16 @@
 """Recurrence-rollout kernels.
 
-``roll`` sums one series and keeps every coefficient; ``roll_lanes`` sums a
-batch of series of one recurrence shape at once (numpy over the lane axis,
-looping over the index n) and keeps only the derivative sums.  The lane
-kernel repeats ``roll``'s arithmetic operation for operation, so each lane
-equals the scalar rollout bit for bit.  At batch size one ``roll`` is the
-faster of the two, which is why both exist: single-series callers (the
-audit's residual checks) use ``roll``; every G-function evaluation, the
-ladder points' high-exponent series included, uses ``roll_lanes``.  Each
-lane carries its own seed vector, so a batch mixing Frobenius branches is
-one call.
+``roll`` sums one series; ``roll_lanes`` sums a batch of series of one
+recurrence shape at once (numpy over the lane axis, looping over the index
+n).  Both return the derivative sums up to the recurrence's order, and no
+coefficients.  The lane kernel repeats ``roll``'s arithmetic operation for
+operation, so each lane equals the scalar rollout bit for bit, and ``roll``
+is the reference the lane tests compare against.  At batch size one ``roll``
+is the faster of the two, which is why both exist: single-series callers
+(the audit's residual checks) use ``roll``; every G-function evaluation,
+the ladder points' high-exponent series included, uses ``roll_lanes``.
+Each lane carries its own seed vector, so a batch mixing Frobenius branches
+is one call.
 
 Both roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
 shared scale factor (log) is renormalized periodically to keep all mantissas
@@ -36,11 +37,10 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     """Roll the recurrence sum L_j(m) a_{m+order-j} = 0 and accumulate
     derivative sums at x.
 
-    Returns (deriv_mantissas[order+1], scale_log, n_used, flags,
-             coeff_mantissas[max_n+1], coeff_logs[max_n+1], tail_rel).
+    Returns (deriv_mantissas[order+1], scale_log, n_used, flags, tail_rel).
 
     deriv[k] * exp(scale_log) = sum_n n(n-1)..(n-k+1) a_n x^n  (divide by x^k
-    outside to get the k-th derivative).  coeff arrays reconstruct a_n.
+    outside to get the k-th derivative).
     """
     n_lags = L.shape[0]
     n_deg = L.shape[1]
@@ -50,20 +50,13 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
 
     window = np.zeros(span + 1)  # window[d] = b_{n-d}
     ds = np.zeros(order + 1)
-    coeff_m = np.zeros(max_n + 1)
-    coeff_log = np.zeros(max_n + 1)
     scale_log = 0.0
     flags = 0
     n_used = n_seed - 1
     tail_rel = 0.0
 
-    ax = abs(x)
-    lx = math.log(ax) if ax > 0.0 else 0.0
-    sx = 1.0 if x >= 0.0 else -1.0
-
     # seed terms
     xp = 1.0
-    sgn = 1.0
     for j in range(n_seed):
         b = seeds[j] * xp
         for d in range(span, 0, -1):
@@ -73,11 +66,7 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
         for k in range(order + 1):
             ds[k] += ffv * b
             ffv *= (j - k)
-        if j <= max_n:
-            coeff_m[j] = b * sgn
-            coeff_log[j] = scale_log - j * lx
         xp *= x
-        sgn *= sx
 
     quiet = 0
     for n in range(n_seed, max_n + 1):
@@ -124,9 +113,6 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
         for k in range(order + 1):
             ds[k] += ffv * b_n
             ffv *= (n - k)
-        coeff_m[n] = b_n * sgn
-        coeff_log[n] = scale_log - n * lx
-        sgn *= sx
         n_used = n
 
         # convergence: a full span of consecutive negligible terms, with the
@@ -164,7 +150,7 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
 
     if tail_tol > 0.0 and n_used >= max_n and tail_rel > tail_tol:
         flags |= FLAG_NONCONVERGED
-    return ds, scale_log, n_used, flags, coeff_m, coeff_log, tail_rel
+    return ds, scale_log, n_used, flags, tail_rel
 
 
 #: most bytes of one block's weight values [n, lag, lane]; a block also ends
@@ -215,7 +201,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
 
     Returns (deriv_mantissas[lanes, order+1], scale_log, n_used, flags,
     tail_rel), each lane equal to ``roll``'s output on (L[i], x[i],
-    seeds[i, :n_seed[i]]).  No coefficients are kept.
+    seeds[i, :n_seed[i]]).
     """
     n_lanes, n_lags, n_deg = L.shape
     span = n_lags - 1 - j_lead

@@ -575,7 +575,7 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
         rec = type(rec)(weights=w, order=rec.order, j_lead=rec.j_lead,
                         z0=rec.z0, provenance=rec.provenance)
     _v, _d, sol = series_eval(rec, x, seeds=seeds)
-    res = ode_residual(ode, sol, x)
+    res = ode_residual(ode, sol)
     return {"context": tag, "residual": float(res), "threshold": threshold,
             "ok": bool(res < threshold)}
 

@@ -3,9 +3,10 @@ reduction with two regular singularities, a two-point route of
 :mod:`rabi_spectra.twopoint` whose local series obey four-term recurrences.
 
 Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
-to zeta = 1, 0.  The zeta-form coefficients are quadratics in E, taken once
-per parameter set from three probes of :func:`bcf_reduce`, so a whole vector
-of trial energies is reduced at once.  The route has no gauge, so a spectrum
+to zeta = 1, 0.  The zeta-form coefficients, and so the series' recurrence
+weights, are quadratics in E: the weights are fitted once per parameter set
+from three probes of :func:`bcf_reduce`, and a whole vector of trial
+energies is reduced at once.  The route has no gauge, so a spectrum
 scans one branch; where delta vanishes it returns the exact closed form.
 """
 
@@ -111,44 +112,28 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
         kappa=ga1 + ga2 + ga3)
 
 
-#: BcfParams fields that feed the zeta-form equation, in _bcf_polys order
-_ZETA_FIELDS = ("alpha1", "alpha2", "beta1", "beta2", "gamma1", "gamma2", "gamma3")
-
-
-def _bcf_polys(al1, al2, be1, be2, ga1, ga2, ga3):
-    """Coefficients (p0, p1, p2) of zeta(zeta-1) times the reduced zeta-form
-    equation; the entries are floats or lane arrays."""
-    return ([ga3, -(ga2 + ga3 - ga1), -ga1],
-            [be2, -(be1 + be2 - al2), -(al2 - al1), -al1],
-            [0.0, -1.0, 1.0])
-
-
 def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
     """zeta(zeta-1) times the reduced zeta-form equation, expanded at z0."""
-    polys = _bcf_polys(*(getattr(b, name) for name in _ZETA_FIELDS))
-    return PolyOde(tuple(poly(c) for c in polys), z0=z0)
+    return PolyOde(((b.gamma3, -(b.gamma2 + b.gamma3 - b.gamma1), -b.gamma1),
+                    (b.beta2, -(b.beta1 + b.beta2 - b.alpha2), -(b.alpha2 - b.alpha1),
+                     -b.alpha1),
+                    (0.0, -1.0, 1.0)), z0=z0)
 
 
 @functools.lru_cache(maxsize=64)
 def bcf_reduction(p: ModelParams) -> Reduction:
     """The reduced zeta-form equation as a two-point reduction with no gauge.
     p2 of the truncated parent does not depend on E, so q does not either
-    and the _ZETA_FIELDS are polynomial in E (degree <= 2)."""
+    and :func:`bcf_ode` is polynomial in E (degree <= 2)."""
     return Reduction.from_probes(
-        "bcf", p.omega,
-        lambda e: [getattr(bcf_reduce(p, e), name) for name in _ZETA_FIELDS],
-        lambda fields, _gauge: _bcf_polys(*fields))
+        "bcf", p.omega, lambda e, _gauge: bcf_ode(bcf_reduce(p, e), 0.0).polys)
 
 
 def g_function_bcf_batch(p: ModelParams, energies,
                          zeta_star: float = 0.5) -> list:
-    """:func:`g_function_bcf` for an array of energies, one sample each."""
-    try:
-        return g_function_batch(bcf_reduction(p), energies, zeta_star)
-    except ComplexSingularityError:
-        return [GFunctionSample(float(e), math.nan, 0.0,
-                                frozenset({"complex_singularity"}))
-                for e in np.atleast_1d(np.asarray(energies, dtype=float))]
+    """:func:`g_function_bcf` for an array of energies, one sample each.
+    Raises as :func:`bcf_reduce` does where the reduction breaks down."""
+    return g_function_batch(bcf_reduction(p), energies, zeta_star)
 
 
 def g_function_bcf(p: ModelParams, energy: float,

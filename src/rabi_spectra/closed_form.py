@@ -39,12 +39,6 @@ class WeberParams:
     a1: float
     branch: int
 
-    def zeta1(self, z: float) -> float:
-        return self.stretch * (z + self.shift)
-
-    def z_from_zeta1(self, zeta1: float) -> float:
-        return zeta1 / self.stretch - self.shift
-
 
 def _require_uncoupled(p: ModelParams) -> None:
     if not vanishes(p, p.delta):

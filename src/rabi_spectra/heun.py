@@ -3,25 +3,26 @@ Heun reduction, a two-point route of :mod:`rabi_spectra.twopoint`.
 
 The partial fractions of the second-order reduction map the two regular
 singularities to zeta = 0 and zeta = 1, and a gauge exp(k zeta) with either
-root k of its quadratic gives the confluent Heun equation.  Its zeta-form
-coefficients are quadratics in E, taken once per parameter set from three
-probes of :func:`che_params`, so a whole vector of trial energies is reduced
-at once.  The spectrum scans the minus gauge branch and checks its roots in
-the plus branch; where delta vanishes too it returns the exact closed form.
+root k of its quadratic gives the confluent Heun equation.  The root,
+k = -+2 g^2 / omega^2, does not depend on E, so the equation's coefficients
+and its series' recurrence weights are quadratics in E: the weights are
+fitted once per parameter set and gauge from three probes of
+:func:`che_params`, and a whole vector of trial energies is reduced at
+once.  The spectrum scans the minus gauge branch and checks its roots in the
+plus branch; where delta vanishes too it returns the exact closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .closed_form import closed_window
 from .errors import GZeroError, LambdaNotZeroError
 from .operators import asymmetric_second_order
 from .params import ModelParams, vanishes
-from .polyops import poly, split_two_poles
+from .polyops import split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
 from .twopoint import Reduction, g_function_batch, spectrum
@@ -65,48 +66,35 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     be3 = 2 * q * b3
     zeta_table = {"alpha1": al1, "alpha2": al2, "alpha3": al3,
                   "beta1": be1, "beta2": be2, "beta3": be3}
-    k, alpha, beta, gamma, mu, nu = (
-        float(v) for v in _gauged(*zeta_table.values(), k_branch))
+    if k_branch not in ("minus", "plus"):
+        raise ValueError("k_branch must be 'minus' or 'plus'")
+    disc = al1 * al1 - 4 * be1
+    if disc < 0:
+        raise GZeroError("gauge exponent k is complex for these parameters")
+    root = math.sqrt(disc)
+    k = (-al1 + root) / 2 if k_branch == "plus" else (-al1 - root) / 2
     quad = k * k + al1 * k + be1
-    return CheParams(alpha=alpha, beta=beta, gamma=gamma, mu=mu, nu=nu,
+    return CheParams(alpha=al1 + 2 * k, beta=al3 - 1.0, gamma=al2,
+                     mu=k * al3 + be3, nu=k * al2 + be2,
                      k=k, k_branch=k_branch, q=q,
                      a_table=a_table,
                      zeta_table=zeta_table, quad_residual=quad)
 
 
-def _gauged(al1, al2, al3, be1, be2, be3, k_branch: str):
-    """Gauge root k of k^2 + alpha1 k + beta1 = 0 and the CHE parameters
-    (k, alpha, beta, gamma, mu, nu); floats or lane arrays."""
-    if k_branch not in ("minus", "plus"):
-        raise ValueError("k_branch must be 'minus' or 'plus'")
-    disc = np.asarray(al1 * al1 - 4 * be1)
-    if np.any(disc < 0):
-        raise GZeroError("gauge exponent k is complex for these parameters")
-    root = np.sqrt(disc)
-    k = (-al1 + root) / 2 if k_branch == "plus" else (-al1 - root) / 2
-    return k, al1 + 2 * k, al3 - 1.0, al2, k * al3 + be3, k * al2 + be2
-
-
-def _che_polys(a, b, g_, mu, nu):
-    """Coefficients (p0, p1, p2) of zeta(zeta-1) times the confluent Heun
-    equation; the entries are floats or lane arrays."""
-    return ([-mu, mu + nu], [-(b + 1.0), b + 1.0 + g_ - a, a], [0.0, -1.0, 1.0])
-
-
 def che_ode(che: CheParams, z0: float) -> PolyOde:
     """The confluent Heun equation times zeta(zeta-1), expanded at z0."""
-    polys = _che_polys(che.alpha, che.beta, che.gamma, che.mu, che.nu)
-    return PolyOde(tuple(poly(c) for c in polys), z0=z0)
+    a, b, mu, nu = che.alpha, che.beta, che.mu, che.nu
+    return PolyOde(((-mu, mu + nu), (-(b + 1.0), b + 1.0 + che.gamma - a, a),
+                    (0.0, -1.0, 1.0)), z0=z0)
 
 
 @functools.lru_cache(maxsize=64)
 def heun_reduction(p: ModelParams) -> Reduction:
     """The confluent Heun equation as a two-point reduction, gauges minus and
-    plus.  p2 of the parent does not depend on E, so the zeta-form table
-    alpha1..beta3 is polynomial in it (degree <= 2)."""
+    plus.  p2 of the parent and the gauge root do not depend on E, so
+    :func:`che_ode` is polynomial in it (degree <= 2)."""
     return Reduction.from_probes(
-        "heun", p.omega, lambda e: list(che_params(p, e).zeta_table.values()),
-        lambda table, k_branch: _che_polys(*_gauged(*table, k_branch)[1:]),
+        "heun", p.omega, lambda e, k_branch: che_ode(che_params(p, e, k_branch), 0.0).polys,
         ("minus", "plus"))
 
 

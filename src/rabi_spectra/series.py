@@ -6,13 +6,15 @@ recurrence whose weights are polynomials in the index.  This module derives
 that recurrence mechanically, rolls it with overflow-safe scaling, and checks
 truncated solutions by direct residual insertion.
 
-Two entry points sum series.  :func:`series_eval` takes one recurrence and
-keeps its coefficients (residual checks).
-:func:`series_sums_lanes` takes a batch of ODEs of one polynomial shape, one
-lane per trial energy and expansion point: the weights are linear in the ODE
-coefficients, so they come from a basis derived once per (shape, z0), and
-the lanes are rolled by ``_kernels.roll_lanes``, one call per leading lag
-whatever Frobenius branches the lanes are seeded on.
+One collection of powers gives every recurrence's weights:
+:func:`ode_to_recurrence` adds the Frobenius test, and
+:func:`recurrence_weights` is what the two-point reductions fit in the
+energy.  :func:`series_eval` sums one recurrence at one point and keeps the
+kernel's derivative sums up to the ODE's order, which :func:`ode_residual`
+inserts into the ODE.  :func:`series_sums_lanes` sums a batch of
+recurrences of one shape, one lane per trial energy and expansion point, by
+``_kernels.roll_lanes``, one call per leading lag whatever Frobenius
+branches the lanes are seeded on.
 """
 
 from __future__ import annotations
@@ -130,11 +132,13 @@ class ScaledValue:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated local series with per-coefficient scale bookkeeping."""
+    """Truncated local series summed at x: ``sums[k] * exp(scale_log)`` is
+    sum_n n(n-1)..(n-k+1) a_n (x - z0)^n for k = 0..order."""
 
     z0: float
-    coeff_mantissa: np.ndarray
-    coeff_log: np.ndarray
+    x: float
+    sums: np.ndarray
+    scale_log: float
     n_used: int
     tail_rel: float
     flags: int
@@ -145,19 +149,19 @@ class SeriesSolution:
     def converged(self) -> bool:
         return not (self.flags & _kernels.FLAG_NONCONVERGED)
 
-    def coefficient(self, n: int) -> float:
-        """a_n as a plain float (may over/underflow for extreme scales)."""
-        return ScaledValue(float(self.coeff_mantissa[n]),
-                           float(self.coeff_log[n])).to_float()
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.coefficient(n) for n in range(self.n_used + 1)])
+    def derivatives(self) -> list:
+        """s^(k)(x), k = 0..order, as :class:`ScaledValue` of one scale."""
+        x_rel = self.x - self.z0
+        return [ScaledValue(float(d) / x_rel ** k, self.scale_log)
+                for k, d in enumerate(self.sums)]
 
 
-def _collect_weights(polys, K: int) -> np.ndarray:
+def _collect_weights(polys) -> np.ndarray:
     """Recurrence weights [K + 1, order + 1] of coefficient arrays already
-    centred at the expansion point; linear in those coefficients."""
+    centred at the expansion point, K = order + longest length - 1; linear in
+    those coefficients."""
     s = len(polys) - 1
+    K = s + max(len(c) for c in polys) - 1
     weights = np.zeros((K + 1, s + 1))
     for k, c in enumerate(polys):
         for i, cki in enumerate(c):
@@ -168,6 +172,13 @@ def _collect_weights(polys, K: int) -> np.ndarray:
             w = poly(cki) if ff.size == 0 else cki * ff
             weights[j, :w.size] += w
     return weights
+
+
+def recurrence_weights(polys, z0: float) -> np.ndarray:
+    """The weights :func:`ode_to_recurrence` derives at z0 for the ODE with
+    coefficient arrays ``polys`` (trailing zeros dropped), without its
+    Frobenius test."""
+    return _collect_weights([pshift(c, z0) for c in polys])
 
 
 def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
@@ -193,12 +204,11 @@ def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
                 f"expansion point {ode.z0} is an irregular singularity "
                 f"(p_{k} vanishes to order {ok} < {lead_ord - (s - k)})")
 
-    K = s + max(len(c) - 1 for c in polys)
-    weights = _collect_weights(polys, K)
+    weights = _collect_weights(polys)
     j_lead = 0
-    while j_lead <= K and not np.any(np.abs(weights[j_lead]) > 0):
+    while j_lead < weights.shape[0] and not np.any(np.abs(weights[j_lead]) > 0):
         j_lead += 1
-    if j_lead > K:
+    if j_lead == weights.shape[0]:
         raise ValueError("empty recurrence")
     return RecurrenceSpec(weights=weights, order=s, j_lead=j_lead,
                           z0=ode.z0, provenance=provenance)
@@ -218,150 +228,76 @@ def _roll(rec: RecurrenceSpec, x_rel: float, max_n: int, tail_tol: float,
                          float(x_rel), int(max_n), float(tail_tol))
 
 
-@functools.lru_cache(maxsize=None)
-def _weight_basis(shape: tuple, z0: float) -> np.ndarray:
-    """basis[c] = recurrence weights at z0 of the ODE whose only nonzero
-    coefficient is the c-th of its polynomials (lengths ``shape``) laid end
-    to end.  An ODE of that shape with coefficients C has the weights
-    sum_c C[c] * basis[c]."""
-    K = len(shape) - 1 + max(shape) - 1
-    basis = []
-    for k, n_k in enumerate(shape):
-        for i in range(n_k):
-            polys = [np.zeros(n) for n in shape]
-            polys[k][i] = 1.0
-            basis.append(_collect_weights([pshift(c, z0) for c in polys], K))
-    out = np.array(basis)
-    out.setflags(write=False)
-    return out
+def series_sums_lanes(weights, x, exponent):
+    """:func:`series_eval` for a batch of recurrences of one shape.
 
-
-def _trim_columns(c: np.ndarray) -> np.ndarray:
-    """Drop trailing columns that vanish in every lane (keep at least one)."""
-    live = np.flatnonzero(np.any(c != 0.0, axis=0))
-    return c[:, :live[-1] + 1] if live.size else c[:, :1]
-
-
-def series_sums_lanes(polys, z0, x, exponent):
-    """:func:`series_eval` for a batch of ODEs.
-
-    ``polys[k]`` is a [lanes, len_k] array whose row i holds lane i's
-    coefficients of y^(k); lane i expands about z0[i] and sums at x[i],
-    strictly inside the convergence disk and x[i] != z0[i].  Each z0 must be
-    a regular singular or ordinary point: the Frobenius test of
-    :func:`ode_to_recurrence` is not repeated here.  Trailing coefficients
-    that vanish in every lane are dropped, as ode_to_recurrence drops them.
-    Lane i is seeded on the Frobenius branch (z - z0)^exponent[i]: a_e = 1
-    and every coefficient below it 0.  Exponent 0 is series_eval's default
-    seed; a higher one is meaningful only at a resonant index, where the
-    skipped equations hold by themselves.  Lanes of one leading lag, mixed
-    branches included, are rolled in one kernel call.
+    ``weights[i]`` holds lane i's recurrence weights, laid out as
+    :attr:`RecurrenceSpec.weights` of an ODE of order weights.shape[2] - 1;
+    lane i sums at x[i] from its expansion point, strictly inside the
+    convergence disk and x[i] != 0.  Each expansion point must be a regular
+    singular or ordinary point: the Frobenius test of
+    :func:`ode_to_recurrence` is not repeated here.  Lane i is seeded on the
+    Frobenius branch (z - z0)^exponent[i]: a_e = 1 and every coefficient
+    below it 0.  Exponent 0 is series_eval's default seed; a higher one is
+    meaningful only at a resonant index, where the skipped equations hold by
+    themselves.  Lanes of one leading lag, mixed branches included, are
+    rolled in one kernel call.
 
     Returns (value, derivative, scale_log, flags) arrays; the value of lane i
     is value[i] * exp(scale_log[i]), its derivative likewise.
     """
-    polys = [_trim_columns(np.asarray(c, dtype=np.float64)) for c in polys]
-    coeffs = np.concatenate(polys, axis=1)
-    shape = tuple(c.shape[1] for c in polys)
-    order = len(shape) - 1
-    z0 = np.asarray(z0, dtype=np.float64)
-    x_rel = np.asarray(x, dtype=np.float64) - z0
+    order = weights.shape[2] - 1
+    x = np.asarray(x, dtype=np.float64)
     exponent = np.asarray(exponent, dtype=np.int64)
-    weights = np.empty((coeffs.shape[0], len(shape) + max(shape) - 1, order + 1))
-    for z in np.unique(z0):
-        sel = z0 == z
-        basis = _weight_basis(shape, float(z))
-        w = coeffs[sel, 0, None, None] * basis[0]
-        for c in range(1, basis.shape[0]):  # fixed order: lanes do not interact
-            w = w + coeffs[sel, c, None, None] * basis[c]
-        weights[sel] = w
     j_lead = np.argmax(np.any(weights != 0.0, axis=2), axis=1)
 
-    value = np.empty(x_rel.shape)
-    deriv = np.empty(x_rel.shape)
-    scale_log = np.empty(x_rel.shape)
-    flags = np.empty(x_rel.shape, dtype=np.int64)
+    value = np.empty(x.shape)
+    deriv = np.empty(x.shape)
+    scale_log = np.empty(x.shape)
+    flags = np.empty(x.shape, dtype=np.int64)
     for j in np.unique(j_lead).tolist():
         sel = j_lead == j
         n_seed = np.maximum(order - j, exponent[sel] + 1)
         seeds = np.zeros((n_seed.size, n_seed.max()))
         seeds[np.arange(n_seed.size), exponent[sel]] = 1.0
         ds, scale_log[sel], _n, flags[sel], _tail = _kernels.roll_lanes(
-            weights[sel], j, order, seeds, n_seed, x_rel[sel], DEFAULT_MAX_N,
+            weights[sel], j, order, seeds, n_seed, x[sel], DEFAULT_MAX_N,
             DEFAULT_TAIL_TOL)
         value[sel] = ds[:, 0]
-        deriv[sel] = ds[:, 1] / x_rel[sel]
+        deriv[sel] = ds[:, 1] / x[sel]
     return value, deriv, scale_log, flags
 
 
 def series_eval(rec: RecurrenceSpec, x: float,
                 max_n: int = DEFAULT_MAX_N, tail_tol: float = DEFAULT_TAIL_TOL,
                 seeds: np.ndarray | None = None):
-    """Sum the local series and its first derivative at x.
+    """Sum the local series and its first derivative at x != rec.z0.
 
     Returns (value, derivative, SeriesSolution) with value/derivative as
-    :class:`ScaledValue`; non-convergence and resonances are flagged in the
-    solution.  The caller is responsible for x lying strictly inside the
-    convergence disk.
+    :class:`ScaledValue`; the solution keeps every derivative sum up to the
+    recurrence's order, and flags non-convergence and resonances.  The
+    caller is responsible for x lying strictly inside the convergence disk.
     """
     if seeds is None:
         seeds = default_seeds(rec)
     x_rel = x - rec.z0
     if x_rel == 0.0:
-        # expansion point: value a0, derivative a1; generate the coefficients
-        # in plain a-form (x=1 rollout, no convergence gate)
-        n_min = max(len(seeds) + rec.span + 2, max_n)
-        ds, slog, n_used, flags, cm, cl, tail = _roll(rec, 1.0, n_min, 0.0, seeds)
-        sol = SeriesSolution(rec.z0, cm, cl, n_used, tail, flags,
-                             rec.provenance, rec)
-        val = ScaledValue(float(cm[0]), float(cl[0]))
-        der = (ScaledValue(float(cm[1]), float(cl[1]))
-               if n_used >= 1 else ScaledValue(0.0))
-        return val, der, sol
-    ds, slog, n_used, flags, cm, cl, tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
+        raise ValueError(f"series_eval sums away from the expansion point, "
+                         f"got x = z0 = {rec.z0}")
+    ds, slog, n_used, flags, tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
     val = ScaledValue(float(ds[0]), slog)
     der = ScaledValue(float(ds[1]) / x_rel, slog)
-    sol = SeriesSolution(rec.z0, cm[:n_used + 1], cl[:n_used + 1], n_used,
-                         tail, flags, rec.provenance, rec)
+    sol = SeriesSolution(rec.z0, x, ds, slog, n_used, tail, flags,
+                         rec.provenance, rec)
     return val, der, sol
 
 
-def solution_derivatives(sol: SeriesSolution, x: float, order: int):
-    """ScaledValue list of s^(k)(x), k = 0..order, from stored coefficients."""
-    n = np.arange(sol.n_used + 1, dtype=float)
-    cm = sol.coeff_mantissa[:sol.n_used + 1]
-    cl = sol.coeff_log[:sol.n_used + 1].copy()
-    x_rel = x - sol.z0
-    out = []
-    if x_rel == 0.0:
-        for k in range(order + 1):
-            if k <= sol.n_used:
-                out.append(ScaledValue(float(cm[k]) * math.factorial(k),
-                                       float(cl[k])))
-            else:
-                out.append(ScaledValue(0.0))
-        return out
-    lx = math.log(abs(x_rel))
-    term_log = cl + n * lx
-    base = float(np.max(term_log[np.abs(cm) > 0], initial=-745.0))
-    scaled = cm * np.exp(term_log - base) * np.sign(x_rel) ** n
-    ff = np.ones_like(n)
-    for k in range(order + 1):
-        acc = float(np.sum(ff * scaled))
-        out.append(ScaledValue(acc / x_rel ** k, base))
-        ff = ff * (n - k)
-    return out
-
-
-def ode_residual(ode: PolyOde, sol: SeriesSolution, x: float) -> float:
-    """|sum_k p_k(x) s^(k)(x)| / max(1, |s(x)|) from the truncated series."""
-    x_rel = x - ode.z0
-    derivs = solution_derivatives(sol, x, ode.order)
-    polys = ode._recentered
-    base = max(d.log_scale for d in derivs)
+def ode_residual(ode: PolyOde, sol: SeriesSolution) -> float:
+    """|sum_k p_k(x) s^(k)(x)| / max(1, |s(x)|) at the solution's x, from
+    the kernel's derivative sums."""
+    x_rel = sol.x - ode.z0
+    derivs = [d.mantissa for d in sol.derivatives()]
     num = 0.0
-    for k, d in enumerate(derivs):
-        num += pval(polys[k], x_rel) * d.mantissa * math.exp(d.log_scale - base)
-    s0 = abs(derivs[0].mantissa) * math.exp(derivs[0].log_scale - base)
-    denom = max(math.exp(-base), s0)
-    return abs(num) / denom
+    for c, d in zip(ode._recentered, derivs):
+        num += pval(c, x_rel) * d
+    return abs(num) / max(math.exp(-sol.scale_log), abs(derivs[0]))

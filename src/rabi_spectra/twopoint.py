@@ -4,7 +4,10 @@ A reduction supplies a second-order equation with regular singularities at
 zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 100401, 2011).  Everything past the reduction lives here: the batched
-Wronskian, the resonance ladder and the spectrum assembly.  The determinant
+Wronskian, the resonance ladder and the spectrum assembly.  The equation's
+coefficients are quadratics in E, and so are its series' recurrence
+weights: :class:`Reduction` fits them once from three probes, and a
+determinant call evaluates them at its energies.  The determinant
 has a simple pole at each ladder point E_m, so the spectrum scans g *
 prod_m sign(E - E_m), which is continuous there.  Every determinant, the
 ladder points' second-kind Wronskians included, is a lane of
@@ -24,7 +27,7 @@ from .errors import EvalPointOutOfDiskError
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
                        same_energy, scan_and_refine, usable)
-from .series import series_sums_lanes
+from .series import recurrence_weights, series_sums_lanes
 
 #: highest resonant index m put on the ladder
 LADDER_MAX_M = 200
@@ -34,39 +37,61 @@ _GUARDED = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIB
 
 @dataclass(frozen=True)
 class Reduction:
-    """One sector's equation in zeta form, as quadratics in the energy.
+    """One sector's equation in zeta form, with its recurrence weights as
+    quadratics in the energy.
 
-    ``fields`` holds rows c0, c1, c2 of the reduction's zeta-form quantities
-    (a quantity's value at E is c0 + E (c1 + E c2)), and ``to_polys(values,
-    gauge)`` maps their lane values to the coefficients (p0, p1, p2) of
-    zeta(zeta-1) times the equation, so p2 = zeta^2 - zeta.  ``gauges`` are
-    the gauge branches of a spectrum: it scans the first and checks its
-    roots in the second.
+    ``ode_at(energy, gauge)`` gives the coefficients (p0, p1, p2) of
+    zeta(zeta-1) times the equation, so p2 = zeta^2 - zeta.  ``weights[gauge]``
+    holds rows c0, c1, c2 of the recurrence weights at zeta = 0 and at
+    zeta = 1, as [3, side, lag, degree]: the weights at E are
+    c0 + E (c1 + E c2).  ``ladder_lines`` holds (side, index at E = 0, index
+    at E = omega) of each side's second Frobenius exponent minus one.
+    ``gauges`` are the gauge branches of a spectrum: it scans the first and
+    checks its roots in the second.
     """
 
     method: str
     omega: float
-    fields: np.ndarray
-    to_polys: Callable
+    ode_at: Callable
+    weights: dict
+    ladder_lines: tuple
     gauges: tuple = (None,)
 
     @classmethod
-    def from_probes(cls, method: str, omega: float, values_at, to_polys,
+    def from_probes(cls, method: str, omega: float, ode_at,
                     gauges: tuple = (None,)) -> "Reduction":
-        """Fit ``fields`` to ``values_at`` (energy -> sequence of quantities
-        of degree <= 2 in E) at E = -omega, 0, omega."""
-        fm, f0, fp = (np.array(values_at(e), dtype=float)
-                      for e in (-omega, 0.0, omega))
-        fields = np.array([f0, (fp - fm) / (2 * omega),
-                           ((fp + fm) / 2 - f0) / omega ** 2])
-        fields.setflags(write=False)
-        return cls(method, omega, fields, to_polys, gauges)
+        """Fit the weights of each gauge and side to their derivation at
+        E = -omega, 0, omega; the equation's coefficients are of degree <= 2
+        in E, and so are the weights.  A coefficient that vanishes at all
+        three probes is dropped, as the derivation drops it at one energy
+        (the probes must agree on which coefficients vanish)."""
+        probes = {gauge: [ode_at(e, gauge) for e in (-omega, 0.0, omega)]
+                  for gauge in gauges}
+        weights = {}
+        for gauge, odes in probes.items():
+            wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
+                                   for polys in odes])
+            fit = np.array([w0, (wp - wm) / (2 * omega),
+                            ((wp + wm) / 2 - w0) / omega ** 2])
+            fit.setflags(write=False)
+            weights[gauge] = fit
+        # with p2 = zeta^2 - zeta the index is p1(0) at zeta = 0 and -p1(1)
+        # at zeta = 1, affine in E
+        _, at_zero, at_omega = (np.asarray(polys[1], dtype=float)
+                                for polys in probes[gauges[0]])
+        lines = (("origin", at_zero[0], at_omega[0]),
+                 ("one", -at_zero.sum(), -at_omega.sum()))
+        return cls(method, omega, ode_at, weights, lines, gauges)
 
-    def polys(self, energies: np.ndarray, gauge=None):
-        """(p0, p1, p2) with one lane per energy; floats are shared."""
-        e = energies[None, :]
-        return self.to_polys(self.fields[0][:, None] + e * (
-            self.fields[1][:, None] + e * self.fields[2][:, None]), gauge)
+    def lane_weights(self, energies: np.ndarray, gauge) -> np.ndarray:
+        """Recurrence weights at ``energies``, the zeta = 0 lanes and then
+        the zeta = 1 lanes, as [2 * energies, lag, degree]."""
+        if gauge not in self.weights:
+            raise ValueError(f"gauge {gauge!r} is not one of {self.gauges}")
+        c0, c1, c2 = self.weights[gauge]
+        e = energies[None, :, None, None]
+        w = c0[:, None] + e * (c1[:, None] + e * c2[:, None])
+        return w.reshape(2 * energies.size, *c0.shape[1:])
 
 
 def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
@@ -98,11 +123,9 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     if not (0.0 < zeta_star < 1.0):
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
-    polys = [np.column_stack([np.broadcast_to(v, (n,)) for v in c])
-             for c in reduction.polys(energies, gauge)]
     val, der, slog, kflags = series_sums_lanes(
-        [np.concatenate([c, c]) for c in polys], np.repeat([0.0, 1.0], n),
-        np.full(2 * n, zeta_star), np.concatenate(exponents))
+        reduction.lane_weights(energies, gauge),
+        np.repeat([zeta_star, zeta_star - 1.0], n), np.concatenate(exponents))
     # v0 d1 and v1 d0 share the scale exp(s0 + s1), so the angle-normalized
     # G is the cross product of the two unit (value, derivative) vectors
     v0, v1 = val[:n], val[n:]
@@ -122,20 +145,17 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
     """(energy, side, m) for every series resonance in [e_min, e_max] with
     m <= LADDER_MAX_M.
 
-    With p2 = zeta^2 - zeta the second Frobenius exponent minus one is p1(0)
-    at zeta = 0 (side 'origin') and -p1(1) at zeta = 1 (side 'one'); where it
-    equals an integer m >= 0 the leading weight of that series vanishes at
-    index m.  Both are affine in E, so two probes pin each line (robust under
-    g < 0, where the two singularities swap roles).
+    Where a side's second Frobenius exponent minus one equals an integer
+    m >= 0, the leading weight of that series vanishes at index m.  The
+    exponent is affine in E, so the two probes of ``ladder_lines`` pin it
+    (robust under g < 0, where the two singularities swap roles).
     """
-    p1 = [np.broadcast_to(c, (2,)) for c in reduction.polys(
-        np.array([0.0, reduction.omega]), reduction.gauges[0])[1]]
     out = []
-    for side, index in (("origin", p1[0]), ("one", -sum(p1))):
-        slope = (index[1] - index[0]) / reduction.omega
+    for side, at_zero, at_omega in reduction.ladder_lines:
+        slope = (at_omega - at_zero) / reduction.omega
         if abs(slope) < 1e-300:
             continue
-        e_m = (np.arange(LADDER_MAX_M + 1) - index[0]) / slope
+        e_m = (np.arange(LADDER_MAX_M + 1) - at_zero) / slope
         out += [(e, side, m) for m, e in enumerate(e_m.tolist()) if e_min <= e <= e_max]
     return sorted(out, key=lambda t: t[0])
 

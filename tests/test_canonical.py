@@ -15,8 +15,8 @@ from rabi_spectra import (
 from rabi_spectra import canonical as canon
 from rabi_spectra.errors import GNotZeroError, GZeroError
 from rabi_spectra.polyops import pval
-from rabi_spectra.series import ode_to_recurrence, series_eval, solution_derivatives
-from rabi_spectra.special import bch_coefficients, bch_derivatives
+from rabi_spectra.series import ode_to_recurrence, series_eval
+from rabi_spectra.special import bch_derivatives, bch_series
 
 NB = normalize_params(validate_params(1.0, 0.3, 0.1, 0.6, 0.05), 0.2)
 
@@ -68,7 +68,7 @@ def test_second_normal_form_residual_derived_vs_printed():
     rec = ode_to_recurrence(ode)
     z = 0.1
     _v, _d, sol = series_eval(rec, z, max_n=3000)
-    u = tuple(x.to_float() for x in solution_derivatives(sol, z, 2))
+    u = tuple(x.to_float() for x in sol.derivatives())
     assert canon.general_normal_form_residual(cc, nf, z, u) < 1e-9
     # the in-text lambda1 = gamma1 - alpha1/4 fails the same residual check
     nf_printed = dataclasses.replace(nf, lambda1=nf.printed["lambda1"])
@@ -143,7 +143,8 @@ def test_engine_series_matches_bch_coefficients():
     a, g = 2.7, 0.35
     ode = canon.bch_first_normal_ode(a, 0.0, g, 0.0)
     rec = ode_to_recurrence(ode)
-    _v, _d, sol = series_eval(rec, 0.0, max_n=18)
-    mine = sol.coefficients()[:16]
-    ref = bch_coefficients(a, 0.0, g, 0.0, 16)
-    np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-15)
+    for zeta in (-0.7, 0.3, 1.2, 2.5):
+        mine, _d, sol = series_eval(rec, zeta)
+        assert sol.converged
+        assert mine.to_float() == pytest.approx(bch_series(a, 0.0, g, 0.0, zeta),
+                                                rel=1e-12, abs=1e-12)

@@ -59,7 +59,7 @@ def test_series_solve_the_transformed_equation():
         ode = che_ode(che, z0)
         rec = ode_to_recurrence(ode)
         _v, _d, sol = series_eval(rec, x)
-        assert ode_residual(ode, sol, x) < 1e-10
+        assert ode_residual(ode, sol) < 1e-10
 
 
 def test_g_small_at_eigenvalue(oracle_crit):
@@ -228,11 +228,11 @@ def test_window_is_the_oracle_spectrum(case):
 
 
 def test_double_pole_the_merge_misses_is_still_sampled():
-    # eps = omega/2: the two sides' ladder points near 3.777 come out 4e-15
-    # apart, beyond the grid's same-energy rule, so each knot's second-kind
-    # lane is caught by the other side's resonance guard
-    p = validate_params(1.0, 0.9667503230887787, 0.5, 0.8501217180972922, 0.0)
-    (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), 3.7, 3.8)
+    # eps = 3 omega/2: the two sides' ladder points near 3.4395 come out
+    # 4.4e-15 apart, beyond the grid's same-energy rule, so each knot's
+    # second-kind lane is caught by the other side's resonance guard
+    p = validate_params(1.0, 0.12156865567593268, 1.5, 0.24601231812709579, 0.0)
+    (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), 3.4, 3.5)
     assert 0.0 < e1 - e0 < 1e-14 and not same_energy(e0, e1)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     ev = fock.eigenvalues(p, 200)

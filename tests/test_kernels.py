@@ -64,7 +64,7 @@ def _roll_lanes_matching_roll(exponents, max_n, tail_tol,
                               XS[lanes], max_n, tail_tol)
     ds, slog, n_used, flags, tail = out
     for i, lane in enumerate(lanes):
-        ds_i, slog_i, n_i, flags_i, _cm, _cl, tail_i = _kernels.roll(
+        ds_i, slog_i, n_i, flags_i, tail_i = _kernels.roll(
             RECS[lane].weights, J_LEAD, 2, seeds[i, :n_seed[i]], XS[lane],
             max_n, tail_tol)
         assert _bits(ds[i]) == _bits(ds_i)

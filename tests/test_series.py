@@ -10,7 +10,6 @@ from rabi_spectra import (
     series_eval,
 )
 from rabi_spectra.errors import IrregularPointError
-from rabi_spectra.series import SeriesSolution, default_seeds, solution_derivatives
 
 
 def exp_ode():
@@ -38,10 +37,10 @@ def test_exp_series_value():
 
 
 def test_value_at_expansion_point():
+    # the series is summed away from its expansion point only
     rec = ode_to_recurrence(exp_ode())
-    val, der, _ = series_eval(rec, 0.0, seeds=np.array([2.0, 3.0]))
-    assert val.to_float() == 2.0
-    assert der.to_float() == 3.0
+    with pytest.raises(ValueError):
+        series_eval(rec, 0.0, seeds=np.array([2.0, 3.0]))
 
 
 def test_cosh_even_series_convergence_with_zero_terms():
@@ -55,15 +54,13 @@ def test_cosh_even_series_convergence_with_zero_terms():
 def test_residual_machine_precision_and_sensitivity():
     rec = ode_to_recurrence(exp_ode())
     _, _, sol = series_eval(rec, 0.3, seeds=np.array([1.0, 1.0]))
-    assert ode_residual(exp_ode(), sol, 0.3) < 1e-12
-    # corrupt a_3 by +1e-3
-    cm = sol.coeff_mantissa.copy()
-    cl = sol.coeff_log.copy()
-    a3 = cm[3] * math.exp(cl[3])
-    cm[3] = a3 + 1e-3
-    cl[3] = 0.0
-    bad = SeriesSolution(sol.z0, cm, cl, sol.n_used, sol.tail_rel, sol.flags)
-    assert ode_residual(exp_ode(), bad, 0.3) > 1e-5
+    assert ode_residual(exp_ode(), sol) < 1e-12
+    # perturb the back weight -1 of a_{n+2} = a_n / ((n+2)(n+1)) by 1e-3
+    w = rec.weights.copy()
+    w[rec.j_lead + 2, 0] += 1e-3
+    bad = type(rec)(weights=w, order=rec.order, j_lead=rec.j_lead, z0=rec.z0)
+    _, _, bad_sol = series_eval(bad, 0.3, seeds=np.array([1.0, 1.0]))
+    assert ode_residual(exp_ode(), bad_sol) > 1e-5
 
 
 def test_scale_log_matches_unscaled_summation():
@@ -71,12 +68,9 @@ def test_scale_log_matches_unscaled_summation():
     ode = PolyOde(((0.0,), (-1.0,), (1.0, -1.0)), z0=0.0)  # (1-z) u'' = u'
     rec = ode_to_recurrence(ode)
     val, _, sol = series_eval(rec, 0.4, seeds=np.array([0.0, 1.0]))
-    coeffs = sol.coefficients()
-    plain = sum(c * 0.4 ** n for n, c in enumerate(coeffs))
-    assert val.to_float() == pytest.approx(plain, rel=1e-13)
-    # -log(1-z) has these coefficients: a_n = 1/n
-    for n in range(1, 8):
-        assert coeffs[n] == pytest.approx(1.0 / n, rel=1e-13)
+    assert sol.scale_log == 0.0
+    # the seeds a_0 = 0, a_1 = 1 give -log(1 - z) = sum z^n / n
+    assert val.to_float() == pytest.approx(-math.log(0.6), rel=1e-13)
 
 
 def test_irregular_point_rejected():
@@ -119,7 +113,8 @@ def test_recentered_once_per_ode_and_read_only():
 def test_solution_derivatives_consistency():
     rec = ode_to_recurrence(exp_ode())
     _, _, sol = series_eval(rec, 0.5, seeds=np.array([1.0, 1.0]))
-    d = solution_derivatives(sol, 0.5, 2)
+    d = sol.derivatives()
+    assert sol.sums.shape == (3,) and len(d) == 3
     e = math.exp(0.5)
     for k in range(3):
         assert d[k].to_float() == pytest.approx(e, rel=1e-12)

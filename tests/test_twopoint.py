@@ -24,7 +24,6 @@ from rabi_spectra import (
 )
 from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.heun import heun_reduction
-from rabi_spectra.polyops import poly
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.twopoint import resonance_ladder
 
@@ -118,6 +117,41 @@ def test_ladder_hits_the_scalar_resonant_index(route):
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
     for e, side, m in ladder:
         assert index(p, e, side) == pytest.approx(m, abs=1e-9)
+
+
+#: reductions whose weights are fitted from three probes; alpha1 vanishes on
+#: the bcf route, so every probe drops that coefficient
+FITTED = {
+    "heun-P2": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0)),
+    "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0)),
+    "bcf-P3": (bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02)),
+    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FITTED))
+def test_fitted_weights_are_the_derived_recurrence(case):
+    # the equation is quadratic in E, so three probes pin its weights anywhere
+    reduction, params = FITTED[case]
+    red = reduction(validate_params(*params))
+    for gauge in red.gauges:
+        for e in (-3.0 * red.omega, 2.5 * red.omega, 7.0 * red.omega):
+            fitted = red.lane_weights(np.array([e]), gauge)
+            for side, z0 in enumerate((0.0, 1.0)):
+                ref = ode_to_recurrence(PolyOde(red.ode_at(e, gauge), z0=z0)).weights
+                assert fitted[side].shape == ref.shape
+                assert np.max(np.abs(fitted[side] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("reduction, params, gauge", [
+    (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), None),
+    (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), "up"),
+    (bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02), "minus"),
+])
+def test_a_gauge_the_reduction_lacks_is_refused(reduction, params, gauge):
+    red = reduction(validate_params(*params))
+    with pytest.raises(ValueError, match=re.escape(repr(red.gauges))):
+        twopoint.g_function_batch(red, [0.5], 0.5, gauge)
 
 
 @pytest.fixture
@@ -285,8 +319,7 @@ EXCEPTIONAL = {
 def _scalar_second_kind(red, energy, side, m):
     """The second-kind Wronskian from one derived recurrence per series, the
     resonant side seeded on z^(m+1), and whether the series converged."""
-    coeffs = red.polys(np.array([energy]), red.gauges[0])
-    ode = tuple(poly([float(np.ravel(v)[0]) for v in c]) for c in coeffs)
+    ode = red.ode_at(energy, red.gauges[0])
     sums, kflags = [], 0
     for z0, at in ((0.0, "origin"), (1.0, "one")):
         seeds = None
@@ -333,8 +366,8 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
 def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
     sums = twopoint.series_sums_lanes
 
-    def zero_lane(polys, z0, x, exponent):
-        value, deriv, scale_log, flags = sums(polys, z0, x, exponent)
+    def zero_lane(weights, x, exponent):
+        value, deriv, scale_log, flags = sums(weights, x, exponent)
         if value.size >= 8:  # the zeta = 0 series of the fourth energy
             value[3] = deriv[3] = 0.0
         return value, deriv, scale_log, flags
