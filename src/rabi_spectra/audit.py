@@ -9,6 +9,7 @@ silently corrected.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -271,23 +272,23 @@ def _table_entry(name, pairs, note=""):
             "note": note, "symbols": {}}
 
 
+def _poly_entry(name, kind, triples, note):
+    """An entry comparing (key, derived, printed) polynomials, key by key."""
+    items = [{"lag": key, "match": polys_equal(d, pr, RTOL),
+              "derived": _poly_str(d), "printed": _poly_str(pr)}
+             for key, d, pr in triples]
+    return {"name": name, "kind": kind, "match": all(i["match"] for i in items),
+            "items": items, "symbols": {}, "note": note}
+
+
 def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
     comp = compose_fourth_order(p, energy)
     prin = printed_fourth_order(p, energy)
-    items = []
-    ok = True
-    for k in range(5):
-        m = polys_equal(comp[k], prin[k], RTOL)
-        if not m:
-            ok = False
-        items.append({"lag": f"phi^({k})", "match": m,
-                      "derived": _poly_str(comp[k]),
-                      "printed": _poly_str(prin[k])})
-    return {"name": "fourth-order-operator", "kind": "operator", "match": ok,
-            "items": items, "symbols": {},
-            "note": "the printed expansion drops lam*c2 from the phi'' "
-                    "coefficient and 2 lam c2' + c1bar c2 from the phi' "
-                    "coefficient"}
+    return _poly_entry("fourth-order-operator", "operator",
+                       [(f"phi^({k})", comp[k], prin[k]) for k in range(5)],
+                       "the printed expansion drops lam*c2 from the phi'' "
+                       "coefficient and 2 lam c2' + c1bar c2 from the phi' "
+                       "coefficient")
 
 
 def audit_general_table(p: ModelParams, energy: float) -> dict:
@@ -411,32 +412,16 @@ def _printed_approx_c(nb: NormalizedParams):
 
 def audit_appendix(nb: NormalizedParams) -> list:
     out = []
-    dc2, dc3, dc4 = canon.exact_c_polys(nb)
-    pc2, pc3, pc4 = _printed_exact_c(nb)
-    items = []
-    ok = True
-    for name, d, pr in (("c2", dc2, pc2), ("c3", dc3, pc3), ("c4", dc4, pc4)):
-        m = polys_equal(d, pr, RTOL)
-        ok = ok and m
-        items.append({"lag": name, "match": m, "derived": _poly_str(d),
-                      "printed": _poly_str(pr)})
-    out.append({"name": "appendix-exact-c", "kind": "table", "match": ok,
-                "items": items, "symbols": {},
-                "note": "printed exact c4 z^2 term carries (om^2/4+1) where "
-                        "the product gives (om^2+4)"})
-
-    ac2, ac3, ac4 = canon.approx_c_polys(nb)
-    qc2, qc3, qc4 = _printed_approx_c(nb)
-    items = []
-    ok = True
-    for name, d, pr in (("c2", ac2, qc2), ("c3", ac3, qc3), ("c4", ac4, qc4)):
-        m = polys_equal(d, pr, RTOL)
-        ok = ok and m
-        items.append({"lag": name, "match": m, "derived": _poly_str(d),
-                      "printed": _poly_str(pr)})
-    out.append({"name": "appendix-approx-c", "kind": "table", "match": ok,
-                "items": items, "symbols": {},
-                "note": "z^2 coefficient of c4 inherits the exact-c4 misprint"})
+    keys = ("c2", "c3", "c4")
+    out.append(_poly_entry(
+        "appendix-exact-c", "table",
+        zip(keys, canon.exact_c_polys(nb), _printed_exact_c(nb)),
+        "printed exact c4 z^2 term carries (om^2/4+1) where the product "
+        "gives (om^2+4)"))
+    out.append(_poly_entry(
+        "appendix-approx-c", "table",
+        zip(keys, canon.approx_c_polys(nb), _printed_approx_c(nb)),
+        "z^2 coefficient of c4 inherits the exact-c4 misprint"))
 
     om, de, ep, g, e = (nb.omega_bar, nb.delta_bar, nb.epsilon_bar,
                         nb.g_bar, nb.e_bar)
@@ -567,13 +552,11 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
 
 def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
                   threshold: float, seeds=None) -> dict:
-    rec = ode_to_recurrence(ode, tag)
+    rec = ode_to_recurrence(ode)
     if corrupt:
         w = rec.weights.copy()
-        j = rec.j_lead + 1
-        w[j, 0] += 1e-3 * max(1.0, np.max(np.abs(w)))
-        rec = type(rec)(weights=w, order=rec.order, j_lead=rec.j_lead,
-                        z0=rec.z0, provenance=rec.provenance)
+        w[rec.j_lead + 1, 0] += 1e-3 * max(1.0, np.max(np.abs(w)))
+        rec = dataclasses.replace(rec, weights=w)
     _v, _d, sol = series_eval(rec, x, seeds=seeds)
     res = ode_residual(ode, sol)
     return {"context": tag, "residual": float(res), "threshold": threshold,

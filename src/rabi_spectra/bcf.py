@@ -24,12 +24,7 @@ from .errors import (ComplexSingularityError, DegenerateQError, GNotZeroError,
 from .operators import bcf_truncated_parent
 from .params import ModelParams, vanishes
 from .polyops import poly, split_two_poles
-from .rootscan import (
-    ExcludedInterval,
-    GFunctionSample,
-    RootReport,
-    SpectrumResult,
-)
+from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
 from .twopoint import Reduction, g_function_batch, spectrum
 
@@ -148,17 +143,11 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     """Grid scan + rational-step refinement of the reduced-equation G-function.
 
     Ladder points are knots of the grid.  Where delta vanishes the exact
-    ladders of :func:`closed_window` are returned instead.
-    A window where the reduction itself breaks down (q^2 <= 0 or q ~ 0, for
-    every energy alike) is reported as excluded.
+    ladders of :func:`closed_window` are returned instead.  Where the
+    reduction itself breaks down (q^2 <= 0 or q ~ 0, for every energy alike)
+    this raises as :func:`bcf_reduction` does: ComplexSingularityError or
+    DegenerateQError.
     """
     if vanishes(p, p.delta):
         return closed_window(p, "bcf", e_min, e_max, grid_step)
-    try:
-        reduction = bcf_reduction(p)
-    except (ComplexSingularityError, DegenerateQError) as exc:
-        reason = "complex_singularity" \
-            if isinstance(exc, ComplexSingularityError) else "degenerate_q"
-        rep = RootReport(np.array([]), (ExcludedInterval(e_min, e_max, reason),))
-        return SpectrumResult("bcf", np.array([]), (), rep, {reason: True})
-    return spectrum(reduction, e_min, e_max, grid_step, zeta_star)
+    return spectrum(bcf_reduction(p), e_min, e_max, grid_step, zeta_star)

@@ -1,8 +1,9 @@
 """Command-line front end: spectra, G-function scans, and diagnostics.
 
-Exit codes: 0 success, 2 validation error (bad parameters, method/regime
-mismatch), 3 numerical failure (non-convergence, residual threshold,
-overflow, a window the route excludes whole).
+Exit codes: 0 success, 2 validation error (bad parameters or settings,
+method/regime mismatch), 3 numerical failure (non-convergence, residual
+threshold, overflow, a bcf reduction that breaks down).  Each setting is
+checked by the library call that reads it.
 Output files are written atomically and floats are serialized with 17
 significant digits so identical configs give byte-identical files.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -21,17 +21,15 @@ import numpy as np
 from .bcf import bcf_reduction, bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
-from .fock import MAX_CUTOFF, oracle_spectrum
+from .fock import oracle_spectrum
 from .heun import heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
-from .rootscan import MAX_GRID_POINTS
+from .rootscan import RootScanConfig
 from .twopoint import g_function_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-#: most closed-form levels per branch a spectrum run asks for
-MAX_NMAX = 10 ** 5
 #: the --method choices of the commands that take an energy window; gscan
 #: needs a determinant route
 METHODS = {"spectrum": ["auto", "oracle", "closed", "heun", "bcf"],
@@ -69,10 +67,6 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     else:
         _need_window(ns)
         sr = ROUTES[method](p, ns.emin, ns.emax, ns.grid, zeta_star=ns.zeta_star)
-        for iv in sr.report.excluded:
-            if iv.lo <= ns.emin and ns.emax <= iv.hi:
-                raise NumericalError(f"the {method} route excludes the whole "
-                                     f"window: {iv.reason}")
         energies = list(sr.energies)
         flags = list(sr.labels)
 
@@ -188,28 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(ns: argparse.Namespace) -> ModelParams:
-    """Validate the parameters and the run settings the command took, and
-    fill in the default --grid."""
+    """Validate the parameters, fill in the default --grid and check the
+    window where both edges are given; the library checks every other
+    setting where it reads it."""
     params = validate_params(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
     if "grid" in ns:
         if ns.grid is None:
             ns.grid = 0.05 * ns.omega
-        if not (math.isfinite(ns.grid) and ns.grid > 0):
-            raise ValidationError(f"--grid must be finite and > 0, got {ns.grid}")
-        for name, value in (("--emin", ns.emin), ("--emax", ns.emax)):
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
         if ns.emin is not None and ns.emax is not None:
-            if ns.emin > ns.emax:
-                raise ValidationError(f"--emin {ns.emin} exceeds --emax {ns.emax}")
-            if (ns.emax - ns.emin) / ns.grid > MAX_GRID_POINTS:
-                raise ValidationError(f"--grid {ns.grid} puts more than "
-                                      f"{MAX_GRID_POINTS} points on [--emin, --emax]")
-    if "nmax" in ns and not 0 <= ns.nmax <= MAX_NMAX:
-        raise ValidationError(f"--nmax must lie in [0, {MAX_NMAX}], got {ns.nmax}")
-    if "fock_cutoff" in ns and not 1 <= ns.fock_cutoff <= MAX_CUTOFF:
-        raise ValidationError(f"--fock-cutoff must lie in [1, {MAX_CUTOFF}], "
-                              f"got {ns.fock_cutoff}")
+            RootScanConfig(ns.emin, ns.emax, ns.grid)
     return params
 
 

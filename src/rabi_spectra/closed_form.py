@@ -47,8 +47,15 @@ def _require_uncoupled(p: ModelParams) -> None:
 
 
 def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
-    """(positive branch, negative branch) ladders for n = 0..n_max."""
+    """(positive branch, negative branch) ladders for n = 0..n_max.
+
+    The one level cap: n_max must lie in [0, MAX_GRID_POINTS], else
+    ValidationError.
+    """
     _require_uncoupled(p)
+    if not 0 <= n_max <= MAX_GRID_POINTS:
+        raise ValidationError(f"n_max must lie in [0, {MAX_GRID_POINTS}] levels per "
+                              f"branch above the lowest, got {n_max}")
     spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
     n = np.arange(n_max + 1)
     out = []
@@ -66,17 +73,15 @@ def closed_window(p: ModelParams, method: str, e_min: float, e_max: float,
     determinant route ``method`` returns them where delta vanishes.
 
     A doublet appears once per branch, as 'closed:+:<n>' and 'closed:-:<n>'.
-    The window is held to the scan's contract (:class:`RootScanConfig`), and
-    the report holds no scan.
+    The window is checked by :class:`RootScanConfig` and the level count by
+    :func:`uncoupled_spectrum`, both raising ValidationError; the report
+    holds no scan.
     """
     RootScanConfig(e_min, e_max, grid_step)
     lowest = uncoupled_spectrum(p, 0)
     top = (e_max - min(b.energies[0] for b in lowest)) / lowest[0].spacing
-    if not top <= MAX_GRID_POINTS:
-        raise ValidationError(f"more than {MAX_GRID_POINTS} closed-form levels "
-                              "per branch lie below e_max")
     levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}")
-                    for b in uncoupled_spectrum(p, max(0, math.ceil(top)))
+                    for b in uncoupled_spectrum(p, np.ceil(max(top, 0.0)))
                     for n, e in enumerate(b.energies.tolist()) if e_min <= e <= e_max)
     return SpectrumResult(method, np.array([e for e, _lab in levels]),
                           tuple(lab for _e, lab in levels),

@@ -40,12 +40,12 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     <n+1|a†|n> = sqrt(n+1), <n+2|a†²|n> = sqrt((n+1)(n+2)).  Built
     symmetrically, so H == H.T bit-exactly.
     """
-    if cutoff < 0:
+    if not cutoff >= 0:
         raise NegativeCutoffError(f"cutoff must be >= 0, got {cutoff}")
-    if cutoff > MAX_CUTOFF:
+    if not cutoff <= MAX_CUTOFF:
         raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
     n = np.arange(cutoff + 1, dtype=float)
-    up = 2 * np.arange(cutoff + 1)  # index of Fock level n with s = 0
+    up = 2 * np.arange(n.size)  # index of Fock level n with s = 0
     h = np.zeros((2 * n.size, 2 * n.size))
     h[up, up] = p.omega * n + p.delta
     h[up + 1, up + 1] = p.omega * n - p.delta
@@ -68,14 +68,21 @@ def eigenvalues(p: ModelParams, cutoff: int) -> np.ndarray:
 
 def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
                     delta_n: int = 40) -> OracleResult:
-    """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n."""
-    if cutoff < 1:
+    """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n.
+
+    Needs cutoff >= 1 (and at most MAX_CUTOFF, checked by
+    :func:`build_hamiltonian`), k in [1, 2 (cutoff + 1)] and delta_n >= 0;
+    anything else raises NegativeCutoffError.
+    """
+    if not cutoff >= 1:
         raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
-    if k > 2 * (cutoff + 1):
+    if not 1 <= k <= 2 * (cutoff + 1):
         raise NegativeCutoffError(
-            f"requested {k} eigenvalues from dimension {2 * (cutoff + 1)}")
+            f"k must lie in [1, {2 * (cutoff + 1)}] (the dimension), got {k}")
+    if not delta_n >= 0:
+        raise NegativeCutoffError(f"delta_n must be >= 0, got {delta_n}")
     ev = eigenvalues(p, cutoff)[:k]
     ref_cut = max(cutoff - delta_n, 0)
-    ev_ref = eigenvalues(p, ref_cut)[:min(k, 2 * (ref_cut + 1))]
+    ev_ref = eigenvalues(p, ref_cut)[:k]
     deltas = np.abs(ev[:ev_ref.size] - ev_ref)
     return OracleResult(ev, cutoff, deltas, ref_cut)

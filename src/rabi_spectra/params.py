@@ -28,10 +28,11 @@ class ModelParams:
     g        linear coupling
     lam      squeezing (two-photon) coupling
 
-    A real discrete spectrum additionally needs |2*lam| < omega; use
-    :func:`validate_params` to enforce both invariants.  Direct construction
-    is allowed so diagnostics (e.g. the divergence guard of the Fock oracle)
-    can probe the forbidden region.
+    Every field must be finite and omega > 0 (NonPositiveOmegaError).  A
+    real discrete spectrum additionally needs |2*lam| < omega, which
+    :func:`validate_params` enforces; direct construction is allowed so
+    diagnostics (e.g. the divergence guard of the Fock oracle) can probe
+    the forbidden region.
     """
 
     omega: float
@@ -40,6 +41,14 @@ class ModelParams:
     g: float
     lam: float
 
+    def __post_init__(self):
+        for name in ("omega", "delta", "epsilon", "g", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonPositiveOmegaError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.omega > 0:
+            raise NonPositiveOmegaError(f"omega must be > 0, got {self.omega}")
+
     def mirrored(self) -> "ModelParams":
         """Parameters of the other spin sector: (eps, g, lam) -> -(eps, g, lam)."""
         return ModelParams(self.omega, self.delta, -self.epsilon, -self.g, -self.lam)
@@ -47,21 +56,15 @@ class ModelParams:
 
 def validate_params(omega: float, delta: float, epsilon: float,
                     g: float, lam: float) -> ModelParams:
-    """Validate and build :class:`ModelParams`.
-
-    Raises NonPositiveOmegaError or SqueezeTooStrongError.
+    """Build :class:`ModelParams` (which raises NonPositiveOmegaError) and
+    enforce |2*lambda| < omega (SqueezeTooStrongError).
     """
-    for name, v in (("omega", omega), ("delta", delta), ("epsilon", epsilon),
-                    ("g", g), ("lam", lam)):
-        if not math.isfinite(v):
-            raise NonPositiveOmegaError(f"{name} must be finite, got {v!r}")
-    if omega <= 0:
-        raise NonPositiveOmegaError(f"omega must be > 0, got {omega}")
+    p = ModelParams(omega, delta, epsilon, g, lam)
     if abs(2.0 * lam) >= omega:
         raise SqueezeTooStrongError(
             f"|2*lambda| = {abs(2 * lam)} >= omega = {omega}: "
             "sqrt(omega^2 - 4 lambda^2) is not real positive")
-    return ModelParams(omega, delta, epsilon, g, lam)
+    return p
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .errors import ValidationError
 
 REFINE_TOL = 1e-10
 MAX_BISECT = 200
@@ -65,6 +66,13 @@ class GFunctionSample:
 
 @dataclass(frozen=True)
 class RootScanConfig:
+    """A scan window: the one rule for every window a spectrum reads.
+
+    e_min, e_max and grid_step must be finite, e_min <= e_max,
+    grid_step > 0, and the grid may hold at most MAX_GRID_POINTS points;
+    anything else raises ValidationError naming the field.
+    """
+
     e_min: float
     e_max: float
     grid_step: float
@@ -72,13 +80,16 @@ class RootScanConfig:
     knots: tuple = ()
 
     def __post_init__(self):
-        if not (self.e_min <= self.e_max):
-            raise ValueError("e_min must be <= e_max")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be > 0")
-        if (self.e_max - self.e_min) / self.grid_step > MAX_GRID_POINTS:
-            raise ValueError(f"grid_step {self.grid_step} puts more than "
-                             f"{MAX_GRID_POINTS} points on [e_min, e_max]")
+        for name in ("e_min", "e_max", "grid_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.e_min <= self.e_max:
+            raise ValidationError(f"e_min {self.e_min} exceeds e_max {self.e_max}")
+        if not self.grid_step > 0:
+            raise ValidationError(f"grid_step must be > 0, got {self.grid_step}")
+        if not (self.e_max - self.e_min) / self.grid_step <= MAX_GRID_POINTS:
+            raise ValidationError(f"grid_step {self.grid_step} puts more than "
+                                  f"{MAX_GRID_POINTS} points on [e_min, e_max]")
 
 
 @dataclass(frozen=True)

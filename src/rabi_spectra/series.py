@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class RecurrenceSpec:
     order: int
     j_lead: int
     z0: float = 0.0
-    provenance: str = ""
 
     @property
     def span(self) -> int:
@@ -140,10 +139,7 @@ class SeriesSolution:
     sums: np.ndarray
     scale_log: float
     n_used: int
-    tail_rel: float
     flags: int
-    provenance: str = ""
-    recurrence: RecurrenceSpec | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -181,7 +177,7 @@ def recurrence_weights(polys, z0: float) -> np.ndarray:
     return _collect_weights([pshift(c, z0) for c in polys])
 
 
-def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
+def ode_to_recurrence(ode: PolyOde) -> RecurrenceSpec:
     """Derive the exact recurrence at ode.z0 by substitution and collection.
 
     Raises IrregularPointError unless z0 is an ordinary or regular singular
@@ -210,8 +206,7 @@ def ode_to_recurrence(ode: PolyOde, provenance: str = "") -> RecurrenceSpec:
         j_lead += 1
     if j_lead == weights.shape[0]:
         raise ValueError("empty recurrence")
-    return RecurrenceSpec(weights=weights, order=s, j_lead=j_lead,
-                          z0=ode.z0, provenance=provenance)
+    return RecurrenceSpec(weights=weights, order=s, j_lead=j_lead, z0=ode.z0)
 
 
 def default_seeds(rec: RecurrenceSpec) -> np.ndarray:
@@ -284,11 +279,10 @@ def series_eval(rec: RecurrenceSpec, x: float,
     if x_rel == 0.0:
         raise ValueError(f"series_eval sums away from the expansion point, "
                          f"got x = z0 = {rec.z0}")
-    ds, slog, n_used, flags, tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
+    ds, slog, n_used, flags, _tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
     val = ScaledValue(float(ds[0]), slog)
     der = ScaledValue(float(ds[1]) / x_rel, slog)
-    sol = SeriesSolution(rec.z0, x, ds, slog, n_used, tail, flags,
-                         rec.provenance, rec)
+    sol = SeriesSolution(rec.z0, x, ds, slog, n_used, flags)
     return val, der, sol
 
 

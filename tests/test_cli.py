@@ -53,7 +53,12 @@ def test_validation_exit_2_on_bad_params(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("args, needle", [
+#: the library parameter whose check refuses a bad value of each option
+READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
+           "--nmax": "levels", "--fock-cutoff": "cutoff"}
+
+
+@pytest.mark.parametrize("args, option", [
     (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
       "--emin", "-1", "--emax", "1", "--grid", "0"], "--grid"),
     (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
@@ -79,11 +84,11 @@ def test_validation_exit_2_on_bad_params(capsys):
     (["spectrum", "--method", "bcf", "--omega", "1", "--g", "0.3",
       "--lambda", "0.4999999999999975", "--emin", "-1", "--emax", "1"], "levels"),
 ])
-def test_bad_run_settings_exit_2_with_one_line(args, needle, capsys):
+def test_bad_run_settings_exit_2_with_one_line(args, option, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and needle in err
+    assert err.count("\n") == 1 and READ_AS.get(option, option) in err
 
 
 def test_json_and_csv_encode_identical_data(tmp_path, capsys):
@@ -147,6 +152,9 @@ def test_gscan_sign_changes_match_spectrum_roots(tmp_path, capsys):
 
 #: auto picks bcf, and lambda < 0 with a small g puts q^2 < 0
 COMPLEX_Q = ["--omega", "1", "--delta", "0.3", "--g", "0.01", "--lambda", "-0.1"]
+#: the message the bcf reduction raises for each breakdown
+BREAKDOWN = {"complex_singularity": "singularities leave the real axis",
+             "degenerate_q": "q = 0: both couplings vanish"}
 
 
 @pytest.mark.parametrize("args, reason", [
@@ -154,14 +162,14 @@ COMPLEX_Q = ["--omega", "1", "--delta", "0.3", "--g", "0.01", "--lambda", "-0.1"
     # both couplings vanish, so q = 0
     (["spectrum", "--method", "bcf", "--omega", "1", "--delta", "0.3", "--eps", "0.1"],
      "degenerate_q"),
-    # gscan builds the reduction itself and reports its error
+    # gscan builds the reduction too
     (["gscan", *COMPLEX_Q], "singularities leave the real axis"),
 ])
 def test_route_that_excludes_the_whole_window_exits_3(args, reason, capsys):
     code, out, err = run_cli([*args, "--emin", "-1", "--emax", "2"], capsys)
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
-    assert reason in err
+    assert BREAKDOWN.get(reason, reason) in err
 
 
 def test_bcf_compare_oracle_error_column(capsys):

@@ -11,7 +11,7 @@ from rabi_spectra import (
     oracle_spectrum,
     validate_params,
 )
-from rabi_spectra import _kernels, bcf, fock
+from rabi_spectra import _kernels, bcf, fock, twopoint
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
 from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
 from rabi_spectra.rootscan import same_energy
@@ -239,6 +239,35 @@ def test_double_pole_the_merge_misses_is_still_sampled():
     np.testing.assert_allclose(res.energies, ev[(ev >= -1.0) & (ev <= 4.0)],
                                rtol=0.0, atol=1e-8)
     assert (res.report.excluded, res.report.suspects) == ((), ())
+
+
+def test_caught_knot_takes_the_lane_above(monkeypatch):
+    # the same window: each knot near 2.4395 and 3.4395 is caught by the
+    # guard, its own second-kind lane reading about 1e-5; its grid sample
+    # takes the magnitude (and sign) of the first-kind lane 1e-9 omega above
+    p = validate_params(1.0, 0.12156865567593268, 1.5, 0.24601231812709579, 0.0)
+    grid_calls = []
+    scan_and_refine = twopoint.scan_and_refine
+
+    def recording(f, cfg):
+        def recorded(es):
+            g, bits = f(es)
+            grid_calls.append((es, g.copy()))
+            return g, bits
+        return scan_and_refine(recorded, cfg)
+
+    monkeypatch.setattr(twopoint, "scan_and_refine", recording)
+    heun_spectrum(p, -1.0, 4.0, 0.05)
+    red = heun_reduction(p)
+    ladder = np.array([e for e, _s, _m in resonance_ladder(red, -1.0, 4.0)])
+    knots = ladder[ladder > 2.0]
+    es, g = grid_calls[0]
+    at = np.searchsorted(es, knots)
+    np.testing.assert_array_equal(es[at], knots)
+    above, _log_g, _bits = twopoint._wronskian(
+        red, knots + 1e-9 * p.omega, np.zeros((2, knots.size), int), 0.5, "minus")
+    np.testing.assert_allclose(np.abs(g[at]), np.abs(above), rtol=1e-12)
+    np.testing.assert_allclose(np.abs(g[at]), [0.53, 0.53, 0.32, 0.32], atol=0.01)
 
 
 def test_juddian_point_flips_no_sign():

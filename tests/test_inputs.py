@@ -1,0 +1,62 @@
+"""The library's input contract: each setting is checked by the call that
+reads it, and a bad value raises a RabiSpectraError (a ValidationError for
+settings), never a bare ValueError or OverflowError and never a silently
+short answer."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rabi_spectra import (
+    bcf_spectrum,
+    heun_spectrum,
+    oracle_spectrum,
+    uncoupled_spectrum,
+    validate_params,
+)
+from rabi_spectra.errors import RabiSpectraError, ValidationError
+
+P2 = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
+#: delta = 0: heun returns the closed form
+DELTA0 = validate_params(1.0, 0.0, 0.1, 0.4, 0.0)
+VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heun_spectrum(P2, -1.0, 4.0, math.nan),
+    lambda: bcf_spectrum(P3, -1.0, 3.0, math.nan),
+    lambda: heun_spectrum(DELTA0, -1.0, 4.0, math.nan),
+    lambda: heun_spectrum(DELTA0, -math.inf, -math.inf, 0.05),
+    lambda: oracle_spectrum(P2, 10, -1),
+    lambda: oracle_spectrum(P2, 10, 0),
+    lambda: oracle_spectrum(P2, 10, 10, -1),
+    lambda: uncoupled_spectrum(DELTA0, -3),
+], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
+        "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3"])
+def test_bad_setting_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+ROUTES = {
+    "heun": lambda a, b, c: heun_spectrum(P2, a, b, c),
+    "heun-delta0": lambda a, b, c: heun_spectrum(DELTA0, a, b, c),
+    "bcf": lambda a, b, c: bcf_spectrum(P3, a, b, c),
+    "uncoupled": lambda a, _b, _c: uncoupled_spectrum(DELTA0, a),
+    "oracle": lambda a, b, c: oracle_spectrum(P2, a, b, c),
+}
+#: with a valid cutoff and k too, so the oracle's later checks are reached
+SETTING = st.sampled_from(VALUES + (20, 4))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ROUTES)), SETTING, SETTING, SETTING)
+def test_any_setting_gives_a_result_or_a_package_error(route, a, b, c):
+    try:
+        with np.errstate(all="ignore"):  # overflowing energies may warn
+            ROUTES[route](a, b, c)
+    except RabiSpectraError:
+        pass

@@ -1,7 +1,7 @@
 """The spectrum routes stay on one determinant path: they import nothing of
 the scalar series chain or of the paper audit.  The root scan is the layer
 below the routes: it imports none of them.  The CLI imports the audit only
-inside the diagnose command."""
+inside the diagnose command, and keeps no bound of its own."""
 
 import ast
 from pathlib import Path
@@ -43,6 +43,16 @@ def test_cli_imports_the_audit_only_where_diagnose_reads_it():
     assert imported_names(SRC / "cli.py", module_level=True) \
         & {"audit", "diagnose_report", "canonical", "special"} == set()
     assert "audit" in imported_names(SRC / "cli.py")
+
+
+def test_cli_keeps_no_bound_of_its_own():
+    """Each setting is checked by the library call that reads it, so the
+    CLI neither imports nor defines a MAX_* bound."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = imported_names(SRC / "cli.py")
+    names.update(t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name))
+    assert [n for n in names if n.startswith("MAX_")] == []
 
 
 def test_no_module_uses_numpy_polynomial():

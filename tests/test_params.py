@@ -40,6 +40,20 @@ def test_validate_omega():
         validate_params(float("nan"), 0.1, 0.1, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("fields, needle", [
+    ((-1.0, 0.4, 0.15, 0.6, 0.0), "omega must be > 0"),
+    ((0.0, 0.4, 0.15, 0.06, 0.02), "omega must be > 0"),
+    ((1.0, 0.4, float("inf"), 0.6, 0.0), "epsilon must be finite"),
+    ((1.0, 0.4, 0.15, float("nan"), 0.0), "g must be finite"),
+])
+def test_model_params_keep_their_own_invariants(fields, needle):
+    # direct construction is refused too, so no route sees omega <= 0 (heun
+    # and bcf used to fail on it with unrelated errors and numpy warnings)
+    with pytest.raises(NonPositiveOmegaError, match=needle):
+        ModelParams(*fields)
+    ModelParams(1.0, 0.0, 0.0, 0.0, 0.6)  # |2 lambda| >= omega is left to validate_params
+
+
 @pytest.mark.parametrize("delta,g,lam,tag", [
     (0.0, 0.3, 0.1, RegimeTag.UNCOUPLED),
     (0.3, 0.5, 0.0, RegimeTag.ASYMMETRIC),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rabi_spectra import GFunctionSample, RootScanConfig, rootscan, scan_and_refine
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.rootscan import FLAG_SETS, MAX_GRID_POINTS, REFINE_TOL
 
 
@@ -102,7 +103,7 @@ def test_roots_sorted_and_separated():
 
 
 def test_grid_cap():
-    with pytest.raises(ValueError, match="points"):
+    with pytest.raises(ValidationError, match="points"):
         RootScanConfig(-1.0, 4.0, 1e-6)
     RootScanConfig(0.0, 0.5 * MAX_GRID_POINTS, 0.5)
 

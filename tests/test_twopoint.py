@@ -23,12 +23,14 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.bcf import bcf_reduction
+from rabi_spectra.errors import DegenerateQError, ValidationError
 from rabi_spectra.heun import heun_reduction
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.twopoint import resonance_ladder
 
-#: (route, params, window) -> labels; the assembly decides these (second-gauge
-#: check, exceptional tests), and at delta = 0 the closed-form branches
+#: (route, params, window) -> labels, or the error the route raises; the
+#: assembly decides these (second-gauge check, exceptional tests), and at
+#: delta = 0 the closed-form branches
 LABELS = {
     "heun-delta0": (heun_spectrum, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 2.0),
                     ("closed:-:0", "closed:+:0", "closed:-:1", "closed:+:1",
@@ -39,13 +41,19 @@ LABELS = {
     "heun-delta0-eps0": (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0),
                          ("closed:+:0", "closed:-:0", "closed:+:1", "closed:-:1",
                           "closed:+:2", "closed:-:2")),
-    "bcf-degenerate": (bcf_spectrum, (1.0, 0.3, 0.1, 0.0, 0.0), (-1.0, 2.0), ()),
+    # both couplings vanish, so q = 0 and the reduction breaks down
+    "bcf-degenerate": (bcf_spectrum, (1.0, 0.3, 0.1, 0.0, 0.0), (-1.0, 2.0),
+                       DegenerateQError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LABELS))
 def test_assembly_labels(case):
     route, params, (e_min, e_max), labels = LABELS[case]
+    if isinstance(labels, type):
+        with pytest.raises(labels):
+            route(validate_params(*params), e_min, e_max, 0.05)
+        return
     res = route(validate_params(*params), e_min, e_max, 0.05)
     assert res.labels == labels
     assert len(res.energies) == len(labels)
@@ -53,9 +61,6 @@ def test_assembly_labels(case):
     if case == "heun-delta0-eps0":
         np.testing.assert_array_equal(res.energies[::2], res.energies[1::2])
         np.testing.assert_allclose(res.energies[::2], [-0.36, 0.64, 1.64], atol=1e-12)
-    if not labels:
-        assert [(iv.lo, iv.hi, iv.reason) for iv in res.report.excluded] \
-            == [(e_min, e_max, "degenerate_q")]
 
 
 #: (route, params, window) at delta = 0, where the routes return the closed
@@ -284,7 +289,7 @@ def test_over_cap_grid_is_refused_before_any_determinant(route, params, monkeypa
         raise AssertionError("a determinant was computed")
 
     monkeypatch.setattr(twopoint, "_wronskian", refuse)
-    with pytest.raises(ValueError, match="points"):
+    with pytest.raises(ValidationError, match="points"):
         route(validate_params(*params), -1.0, 4.0, 1e-5)
 
 
