@@ -1,20 +1,16 @@
-"""Recurrence-rollout kernels.
+"""Recurrence-rollout kernel.
 
-``roll`` sums one series; ``roll_lanes`` sums a batch of series of one
-recurrence shape at once (numpy over the lane axis, looping over the index
-n).  Both return the derivative sums up to the recurrence's order, and no
-coefficients.  The lane kernel repeats ``roll``'s arithmetic operation for
-operation, so each lane equals the scalar rollout bit for bit, and ``roll``
-is the reference the lane tests compare against.  At batch size one ``roll``
-is the faster of the two, which is why both exist: single-series callers
-(the audit's residual checks) use ``roll``; every G-function evaluation,
-the ladder points' high-exponent series included, uses ``roll_lanes``.
-Each lane carries its own seed vector, so a batch mixing Frobenius branches
-is one call.
+``roll_lanes`` sums a batch of series of one recurrence shape at once (numpy
+over the lane axis, looping over the index n) and returns the derivative
+sums up to the recurrence's order, and no coefficients; ``roll`` is its
+one-lane entry.  Each lane carries its own seed vector, so a batch mixing
+Frobenius branches is one call, and each lane's result does not depend on
+the batch it is rolled in: the tests compare every lane bit for bit with a
+scalar reference rollout that sums term by term.
 
-Both roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
-shared scale factor (log) is renormalized periodically to keep all mantissas
-inside double range even for strongly growing coefficient windows.
+Lanes roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
+per-lane scale factor (log) is renormalized periodically to keep all
+mantissas inside double range even for strongly growing coefficient windows.
 """
 
 from __future__ import annotations
@@ -34,123 +30,14 @@ _COMPAT_TOL = 1e-12
 
 
 def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
-    """Roll the recurrence sum L_j(m) a_{m+order-j} = 0 and accumulate
-    derivative sums at x.
-
-    Returns (deriv_mantissas[order+1], scale_log, n_used, flags, tail_rel).
-
-    deriv[k] * exp(scale_log) = sum_n n(n-1)..(n-k+1) a_n x^n  (divide by x^k
-    outside to get the k-th derivative).
-    """
-    n_lags = L.shape[0]
-    n_deg = L.shape[1]
-    q = order - j_lead  # equation-index offset: eq m determines a_{m+q}
-    n_seed = seeds.shape[0]  # >= q; longer seeds select a higher exponent
-    span = n_lags - 1 - j_lead  # how many back terms the newest one needs
-
-    window = np.zeros(span + 1)  # window[d] = b_{n-d}
-    ds = np.zeros(order + 1)
-    scale_log = 0.0
-    flags = 0
-    n_used = n_seed - 1
-    tail_rel = 0.0
-
-    # seed terms
-    xp = 1.0
-    for j in range(n_seed):
-        b = seeds[j] * xp
-        for d in range(span, 0, -1):
-            window[d] = window[d - 1]
-        window[0] = b
-        ffv = 1.0
-        for k in range(order + 1):
-            ds[k] += ffv * b
-            ffv *= (j - k)
-        xp *= x
-
-    quiet = 0
-    for n in range(n_seed, max_n + 1):
-        m = float(n - q)
-        # leading weight L_{j_lead}(m) and its magnitude reference
-        lead = 0.0
-        lead_ref = 0.0
-        mp = 1.0
-        mref = 1.0
-        mabs = abs(m) if abs(m) > 1.0 else 1.0
-        for d in range(n_deg):
-            lead += L[j_lead, d] * mp
-            lead_ref += abs(L[j_lead, d]) * mref
-            mp *= m
-            mref *= mabs
-        rhs = 0.0
-        rhs_ref = 0.0
-        xd = x
-        for dlag in range(1, span + 1):
-            w = 0.0
-            mp = 1.0
-            for d in range(n_deg):
-                w += L[j_lead + dlag, d] * mp
-                mp *= m
-            t = w * xd * window[dlag - 1]
-            rhs -= t
-            rhs_ref += abs(t)
-            xd *= x
-        if abs(lead) <= _RES_GUARD * lead_ref:
-            if abs(rhs) <= _COMPAT_TOL * (rhs_ref + 1e-300):
-                b_n = 0.0
-                flags |= FLAG_RESONANT_COMPATIBLE
-            else:
-                flags |= FLAG_RESONANT_INCOMPATIBLE
-                n_used = n - 1
-                break
-        else:
-            b_n = rhs / lead
-
-        for d in range(span, 0, -1):
-            window[d] = window[d - 1]
-        window[0] = b_n
-        ffv = 1.0
-        for k in range(order + 1):
-            ds[k] += ffv * b_n
-            ffv *= (n - k)
-        n_used = n
-
-        # convergence: a full span of consecutive negligible terms, with the
-        # n^order amplification of the highest derivative accounted for
-        ref = abs(ds[0])
-        if ref < 1.0:
-            ref = 1.0
-        amp = 1.0
-        for _ in range(order):
-            amp *= (n + 1.0)
-        tail_rel = abs(b_n) * amp / ref
-        if tail_tol > 0.0 and tail_rel <= tail_tol:
-            quiet += 1
-            if quiet > span + 2 and n > n_seed + 8:
-                break
-        else:
-            quiet = 0
-
-        if n % _RENORM_EVERY == 0:
-            big = 0.0
-            for d in range(span + 1):
-                if abs(window[d]) > big:
-                    big = abs(window[d])
-            for k in range(order + 1):
-                if abs(ds[k]) > big:
-                    big = abs(ds[k])
-            if big > 1e100 or (0.0 < big < 1e-100):
-                f = big
-                lf = math.log(f)
-                for d in range(span + 1):
-                    window[d] /= f
-                for k in range(order + 1):
-                    ds[k] /= f
-                scale_log += lf
-
-    if tail_tol > 0.0 and n_used >= max_n and tail_rel > tail_tol:
-        flags |= FLAG_NONCONVERGED
-    return ds, scale_log, n_used, flags, tail_rel
+    """One series: :func:`roll_lanes` on the single lane (L, seeds, x), with
+    scalar outputs (deriv_mantissas[order+1], scale_log, n_used, flags,
+    tail_rel)."""
+    seeds = np.asarray(seeds, dtype=np.float64)
+    ds, slog, n_used, flags, tail = roll_lanes(
+        np.asarray(L, dtype=np.float64)[None], j_lead, order, seeds[None],
+        [seeds.size], [x], int(max_n), tail_tol)
+    return ds[0], float(slog[0]), int(n_used[0]), int(flags[0]), float(tail[0])
 
 
 #: most bytes of one block's weight values [n, lag, lane]; a block also ends
@@ -160,9 +47,9 @@ _LANE_BLOCK_BYTES = 1 << 20
 
 @functools.lru_cache(maxsize=16)
 def _index_factors(q, n_deg, order, max_n):
-    """Factors of the indices n = 0..max_n, multiplied up as ``roll`` does:
-    the powers of m = n - q and of max(|m|, 1) as [n, d], the falling
-    factorials as [n, k] and the gate's (n+1)^order amplification."""
+    """Factors of the indices n = 0..max_n, multiplied up as the reference
+    rollout does: the powers of m = n - q and of max(|m|, 1) as [n, d], the
+    falling factorials as [n, k] and the gate's (n+1)^order amplification."""
     ns = np.arange(max_n + 1)
     m = ns - float(q)
     pw = [np.ones(ns.size)]
@@ -180,28 +67,30 @@ def _index_factors(q, n_deg, order, max_n):
 
 
 def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
-    """``roll`` for many lanes of one recurrence shape at once.
+    """Roll the recurrence sum_j L_j(m) a_{m+order-j} = 0 of many lanes at
+    once and accumulate each lane's derivative sums at its point.
 
-    ``L[i]`` holds lane i's weights (laid out as ``roll``'s L), ``x[i]`` its
-    evaluation point and ``seeds[i, :n_seed[i]]`` its seed vector, with
-    n_seed[i] <= max_n + 1; j_lead, order, max_n and tail_tol are shared.
-    Every lane keeps ``roll``'s checks: the resonance guard and its
-    compatible/incompatible flags, the convergence gate with the n^order
-    amplification, renormalization every _RENORM_EVERY terms (per-lane
-    scale_log) and the nonconverged flag.
+    ``L[i, j, d]`` is the d-th power coefficient of lane i's weight L_j,
+    ``x[i]`` its evaluation point and ``seeds[i, :n_seed[i]]`` its seed
+    vector (at least order - j_lead terms; a longer one selects a higher
+    exponent), with n_seed[i] <= max_n + 1; j_lead, order, max_n and
+    tail_tol are shared.  Every lane has a resonance guard with
+    compatible/incompatible flags, a convergence gate (a full span of
+    negligible terms, with the n^order amplification of the highest
+    derivative accounted for), renormalization every _RENORM_EVERY terms
+    (per-lane scale_log) and the nonconverged flag.
 
-    The index loop runs in blocks that end where ``roll`` renormalizes, or,
-    after the first block, where the live lanes' tail decay predicts they
-    all stop (a lane still live there runs another block).  Outside
-    resonances and seed terms, a term takes three numpy operations:
-    weights times the previous terms, a sum, and a division into the
-    block's history rows.  The derivative sums, the gate, the resonance
-    stops and renormalization run once per block; a lane that stops inside a
-    block takes its state from the history rows.
+    The index loop runs in blocks that end at the renormalization indices,
+    or, after the first block, where the live lanes' tail decay predicts
+    they all stop (a lane still live there runs another block).  Outside
+    resonances and seed terms, a term takes three numpy operations: weights
+    times the previous terms, a sum, and a division into the block's
+    history rows.  The derivative sums, the gate, the resonance stops and
+    renormalization run once per block; a lane that stops inside a block
+    takes its state from the history rows.
 
     Returns (deriv_mantissas[lanes, order+1], scale_log, n_used, flags,
-    tail_rel), each lane equal to ``roll``'s output on (L[i], x[i],
-    seeds[i, :n_seed[i]]).
+    tail_rel); deriv[i, k] * exp(scale_log[i]) = sum_n n..(n-k+1) a_n x[i]^n.
     """
     n_lanes, n_lags, n_deg = L.shape
     span = n_lags - 1 - j_lead
@@ -215,7 +104,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     # live-lane state, lane axis last: window[d] = b_{n-d}, the seed terms
     # seeds[i, j] x^j, the weights from lag j_lead on as [d, lag, lane] and
     # -x^d, the factor of lag j_lead + d (summed from 0.0, the products then
-    # give roll's rhs bit for bit)
+    # give the reference rollout's rhs bit for bit)
     state = [np.arange(n_lanes), np.zeros((span + 1, n_lanes)),
              np.zeros((order + 1, n_lanes)), np.zeros(n_lanes),
              np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes, dtype=np.int64),
@@ -227,17 +116,20 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     n0, stride = 0, max_n + 1
     with np.errstate(all="ignore"):  # a lane stopped mid-block rolls on to its end
         while n0 <= max_n:
-            if hit.any():
+            if hit.any() or state[0].size < 2:
                 keep = np.flatnonzero(~hit)
                 if not keep.size:
                     break
-                state = [a.take(keep, axis=-1) for a in state]
+                # numpy sums one lane's span pairwise from 8 terms on, and a
+                # batch's row by row: a lone lane rolls beside its own copy
+                state = [a.take(np.resize(keep, max(keep.size, 2)), axis=-1)
+                         for a in state]
             lanes, window, ds, slog, flags, quiet, tail, seed_b, lt, nxd, n_seed = state
             n1 = min((n0 // _RENORM_EVERY + 1) * _RENORM_EVERY + 1, max_n + 1,
                      n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)),
                      n0 + stride)
             nb = n1 - n0
-            # weight values W_j(n - q) for the block, summed in roll's order
+            # weight values W_j(n - q) for the block, in the reference order
             wv = np.add.reduce(lt * pw[n0:n1, :, None, None], axis=1, initial=0.0)
             lead = wv[:, 0]
             lref = np.add.reduce(np.abs(lt[:, 0]) * pref[n0:n1, :, None],
@@ -267,7 +159,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
             window = h[:span + 1]
 
             # row j of dsum and tails: the state after j terms of the block;
-            # cumsum adds in roll's order
+            # cumsum adds in the reference order
             terms = h[nb - 1::-1]
             dsum = np.empty((nb + 1, order + 1, lanes.size))
             dsum[0] = ds
@@ -332,8 +224,8 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
 
 
 def _falling(ns: np.ndarray, order: int) -> np.ndarray:
-    """out[i, k] = n(n-1)..(n-k+1) at n = ns[i], multiplied up as ``roll``
-    does."""
+    """out[i, k] = n(n-1)..(n-k+1) at n = ns[i], multiplied up as the
+    reference rollout does."""
     out = np.ones((ns.size, order + 1))
     for k in range(1, order + 1):
         out[:, k] = out[:, k - 1] * (ns - (k - 1))

@@ -24,7 +24,7 @@ from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import oracle_spectrum
 from .heun import heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
-from .rootscan import RootScanConfig
+from .rootscan import RootScanConfig, _build_grid
 from .twopoint import g_function_batch
 
 EXIT_OK = 0
@@ -92,8 +92,7 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     rows = []
     if ns.emin >= ns.emax:
         return header, rows
-    n = int(np.floor((ns.emax - ns.emin) / ns.grid + 1e-9)) + 1
-    grid = [ns.emin + i * ns.grid for i in range(n)]
+    grid = _build_grid(RootScanConfig(ns.emin, ns.emax, ns.grid))
     reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
     samples = g_function_batch(reduce(p), grid, ns.zeta_star,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeltaNotZeroError, LambdaZeroError, ValidationError
-from .params import ModelParams, vanishes
+from .params import ModelParams, vanishes, whole
 from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 from .special import kummer_1f1, kummer_1f1_d012
 
@@ -49,13 +49,14 @@ def _require_uncoupled(p: ModelParams) -> None:
 def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
     """(positive branch, negative branch) ladders for n = 0..n_max.
 
-    The one level cap: n_max must lie in [0, MAX_GRID_POINTS], else
-    ValidationError.
+    The one level cap: n_max must be a whole number in [0, MAX_GRID_POINTS],
+    else ValidationError.
     """
     _require_uncoupled(p)
     if not 0 <= n_max <= MAX_GRID_POINTS:
         raise ValidationError(f"n_max must lie in [0, {MAX_GRID_POINTS}] levels per "
                               f"branch above the lowest, got {n_max}")
+    n_max = whole("n_max", n_max)
     spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
     n = np.arange(n_max + 1)
     out = []

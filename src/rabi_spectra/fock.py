@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, NegativeCutoffError
-from .params import ModelParams
+from .params import ModelParams, whole
 
 #: largest cutoff a Hamiltonian is built for: dimension 8002, a 512 MB matrix
 MAX_CUTOFF = 4000
@@ -44,6 +44,7 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
         raise NegativeCutoffError(f"cutoff must be >= 0, got {cutoff}")
     if not cutoff <= MAX_CUTOFF:
         raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
+    cutoff = whole("cutoff", cutoff, NegativeCutoffError)
     n = np.arange(cutoff + 1, dtype=float)
     up = 2 * np.arange(n.size)  # index of Fock level n with s = 0
     h = np.zeros((2 * n.size, 2 * n.size))
@@ -70,17 +71,20 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
                     delta_n: int = 40) -> OracleResult:
     """Lowest k eigenvalues plus convergence deltas against cutoff - delta_n.
 
-    Needs cutoff >= 1 (and at most MAX_CUTOFF, checked by
+    Needs whole numbers cutoff >= 1 (and at most MAX_CUTOFF, checked by
     :func:`build_hamiltonian`), k in [1, 2 (cutoff + 1)] and delta_n >= 0;
     anything else raises NegativeCutoffError.
     """
     if not cutoff >= 1:
         raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
+    cutoff = whole("cutoff", cutoff, NegativeCutoffError)
     if not 1 <= k <= 2 * (cutoff + 1):
         raise NegativeCutoffError(
             f"k must lie in [1, {2 * (cutoff + 1)}] (the dimension), got {k}")
+    k = whole("k", k, NegativeCutoffError)
     if not delta_n >= 0:
         raise NegativeCutoffError(f"delta_n must be >= 0, got {delta_n}")
+    delta_n = whole("delta_n", delta_n, NegativeCutoffError)
     ev = eigenvalues(p, cutoff)[:k]
     ref_cut = max(cutoff - delta_n, 0)
     ev_ref = eigenvalues(p, ref_cut)[:k]

@@ -10,6 +10,7 @@ from .errors import (
     LambdaZeroError,
     NonPositiveOmegaError,
     SqueezeTooStrongError,
+    ValidationError,
 )
 
 #: |coupling| / omega up to which a coupling counts as zero: the one rule
@@ -65,6 +66,14 @@ def validate_params(omega: float, delta: float, epsilon: float,
             f"|2*lambda| = {abs(2 * lam)} >= omega = {omega}: "
             "sqrt(omega^2 - 4 lambda^2) is not real positive")
     return p
+
+
+def whole(name: str, value, error=ValidationError) -> int:
+    """A count as an int: whole numbers (20.0 and numpy integers too) pass,
+    anything else raises ``error``.  Called where the count is read."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise error(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ truncated solutions by direct residual insertion.
 One collection of powers gives every recurrence's weights:
 :func:`ode_to_recurrence` adds the Frobenius test, and
 :func:`recurrence_weights` is what the two-point reductions fit in the
-energy.  :func:`series_eval` sums one recurrence at one point and keeps the
-kernel's derivative sums up to the ODE's order, which :func:`ode_residual`
-inserts into the ODE.  :func:`series_sums_lanes` sums a batch of
-recurrences of one shape, one lane per trial energy and expansion point, by
-``_kernels.roll_lanes``, one call per leading lag whatever Frobenius
-branches the lanes are seeded on.
+energy.  :func:`series_eval` sums one recurrence at one point, a batch of
+one lane, and keeps the kernel's derivative sums up to the ODE's order,
+which :func:`ode_residual` inserts into the ODE.  :func:`series_sums_lanes`
+sums a batch of recurrences of one shape, one lane per trial energy and
+expansion point, one call per leading lag whatever Frobenius branches the
+lanes are seeded on.  Both run the one kernel, ``_kernels.roll_lanes``,
+and a lane's sums do not depend on the batch it is rolled in.
 """
 
 from __future__ import annotations
@@ -215,14 +216,6 @@ def default_seeds(rec: RecurrenceSpec) -> np.ndarray:
     return seeds
 
 
-def _roll(rec: RecurrenceSpec, x_rel: float, max_n: int, tail_tol: float,
-          seeds: np.ndarray):
-    return _kernels.roll(np.ascontiguousarray(rec.weights, dtype=np.float64),
-                         rec.j_lead, rec.order,
-                         np.ascontiguousarray(seeds, dtype=np.float64),
-                         float(x_rel), int(max_n), float(tail_tol))
-
-
 def series_sums_lanes(weights, x, exponent):
     """:func:`series_eval` for a batch of recurrences of one shape.
 
@@ -279,7 +272,8 @@ def series_eval(rec: RecurrenceSpec, x: float,
     if x_rel == 0.0:
         raise ValueError(f"series_eval sums away from the expansion point, "
                          f"got x = z0 = {rec.z0}")
-    ds, slog, n_used, flags, _tail = _roll(rec, x_rel, max_n, tail_tol, seeds)
+    ds, slog, n_used, flags, _tail = _kernels.roll(
+        rec.weights, rec.j_lead, rec.order, seeds, x_rel, max_n, tail_tol)
     val = ScaledValue(float(ds[0]), slog)
     der = ScaledValue(float(ds[1]) / x_rel, slog)
     sol = SeriesSolution(rec.z0, x, ds, slog, n_used, flags)

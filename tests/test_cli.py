@@ -132,6 +132,16 @@ def test_gscan_empty_window(capsys):
     assert out.strip() == "energy,scaled_g,scale_log,flags"
 
 
+def test_gscan_samples_the_window_edge_the_step_misses(capsys):
+    # 0.05 does not divide [0, 0.12]: the scan's grid ends on e_max
+    code, out, _ = run_cli(["gscan", "--omega", "1", "--delta", "0.4",
+                            "--g", "0.6", "--eps", "0.15",
+                            "--emin", "0", "--emax", "0.12", "--grid", "0.05"], capsys)
+    assert code == 0
+    energies = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out))]
+    assert energies == [0.0, 0.05, 0.1, 0.12]
+
+
 def test_gscan_sign_changes_match_spectrum_roots(tmp_path, capsys):
     common = ["--omega", "1", "--delta", "0.4", "--g", "0.6", "--eps", "0.15",
               "--emin", "-0.8", "--emax", "0.2", "--grid", "0.05"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
     bcf_spectrum,
+    build_hamiltonian,
     heun_spectrum,
     oracle_spectrum,
     uncoupled_spectrum,
@@ -34,8 +35,16 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: oracle_spectrum(P2, 10, 0),
     lambda: oracle_spectrum(P2, 10, 10, -1),
     lambda: uncoupled_spectrum(DELTA0, -3),
+    # counts must be whole numbers
+    lambda: oracle_spectrum(P2, 20, 4.5),
+    lambda: build_hamiltonian(P2, 19.5),
+    lambda: oracle_spectrum(P2, 20, 4, 0.5),
+    lambda: oracle_spectrum(P2, 20.5, 4),
+    lambda: uncoupled_spectrum(DELTA0, 0.5),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
-        "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3"])
+        "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
+        "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
+        "oracle-cutoff20.5", "uncoupled-n_max0.5"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()

@@ -1,11 +1,137 @@
-"""The lane kernel must reproduce the scalar rollout lane by lane."""
+"""The lane kernel must reproduce the scalar reference rollout lane by lane,
+whatever the batch a lane is rolled in."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import _kernels
+from rabi_spectra.operators import compose_fourth_order
+from rabi_spectra.params import ModelParams
 from rabi_spectra.series import ode_to_recurrence, series_eval
 from rabi_spectra import PolyOde
+
+
+def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
+    """The scalar reference rollout: roll the recurrence
+    sum L_j(m) a_{m+order-j} = 0 term by term and accumulate derivative
+    sums at x, one Python operation at a time.
+
+    Returns (deriv_mantissas[order+1], scale_log, n_used, flags, tail_rel).
+
+    deriv[k] * exp(scale_log) = sum_n n(n-1)..(n-k+1) a_n x^n  (divide by x^k
+    outside to get the k-th derivative).
+    """
+    n_lags = L.shape[0]
+    n_deg = L.shape[1]
+    q = order - j_lead  # equation-index offset: eq m determines a_{m+q}
+    n_seed = seeds.shape[0]  # >= q; longer seeds select a higher exponent
+    span = n_lags - 1 - j_lead  # how many back terms the newest one needs
+
+    window = np.zeros(span + 1)  # window[d] = b_{n-d}
+    ds = np.zeros(order + 1)
+    scale_log = 0.0
+    flags = 0
+    n_used = n_seed - 1
+    tail_rel = 0.0
+
+    # seed terms
+    xp = 1.0
+    for j in range(n_seed):
+        b = seeds[j] * xp
+        for d in range(span, 0, -1):
+            window[d] = window[d - 1]
+        window[0] = b
+        ffv = 1.0
+        for k in range(order + 1):
+            ds[k] += ffv * b
+            ffv *= (j - k)
+        xp *= x
+
+    quiet = 0
+    for n in range(n_seed, max_n + 1):
+        m = float(n - q)
+        # leading weight L_{j_lead}(m) and its magnitude reference
+        lead = 0.0
+        lead_ref = 0.0
+        mp = 1.0
+        mref = 1.0
+        mabs = abs(m) if abs(m) > 1.0 else 1.0
+        for d in range(n_deg):
+            lead += L[j_lead, d] * mp
+            lead_ref += abs(L[j_lead, d]) * mref
+            mp *= m
+            mref *= mabs
+        rhs = 0.0
+        rhs_ref = 0.0
+        xd = x
+        for dlag in range(1, span + 1):
+            w = 0.0
+            mp = 1.0
+            for d in range(n_deg):
+                w += L[j_lead + dlag, d] * mp
+                mp *= m
+            t = w * xd * window[dlag - 1]
+            rhs -= t
+            rhs_ref += abs(t)
+            xd *= x
+        if abs(lead) <= _kernels._RES_GUARD * lead_ref:
+            if abs(rhs) <= _kernels._COMPAT_TOL * (rhs_ref + 1e-300):
+                b_n = 0.0
+                flags |= _kernels.FLAG_RESONANT_COMPATIBLE
+            else:
+                flags |= _kernels.FLAG_RESONANT_INCOMPATIBLE
+                n_used = n - 1
+                break
+        else:
+            b_n = rhs / lead
+
+        for d in range(span, 0, -1):
+            window[d] = window[d - 1]
+        window[0] = b_n
+        ffv = 1.0
+        for k in range(order + 1):
+            ds[k] += ffv * b_n
+            ffv *= (n - k)
+        n_used = n
+
+        # convergence: a full span of consecutive negligible terms, with the
+        # n^order amplification of the highest derivative accounted for
+        ref = abs(ds[0])
+        if ref < 1.0:
+            ref = 1.0
+        amp = 1.0
+        for _ in range(order):
+            amp *= (n + 1.0)
+        tail_rel = abs(b_n) * amp / ref
+        if tail_tol > 0.0 and tail_rel <= tail_tol:
+            quiet += 1
+            if quiet > span + 2 and n > n_seed + 8:
+                break
+        else:
+            quiet = 0
+
+        if n % _kernels._RENORM_EVERY == 0:
+            big = 0.0
+            for d in range(span + 1):
+                if abs(window[d]) > big:
+                    big = abs(window[d])
+            for k in range(order + 1):
+                if abs(ds[k]) > big:
+                    big = abs(ds[k])
+            if big > 1e100 or (0.0 < big < 1e-100):
+                f = big
+                lf = math.log(f)
+                for d in range(span + 1):
+                    window[d] /= f
+                for k in range(order + 1):
+                    ds[k] /= f
+                scale_log += lf
+
+    if tail_tol > 0.0 and n_used >= max_n and tail_rel > tail_tol:
+        flags |= _kernels.FLAG_NONCONVERGED
+    return ds, scale_log, n_used, flags, tail_rel
 
 
 def _che_shaped(a, b, g, mu, nu):
@@ -35,9 +161,7 @@ LATE = [
     (_che_shaped(-6.0, 0.5, -4.0, 3.0, 2.0), 0.8),
 ]
 RECS = [ode_to_recurrence(ode) for ode, _x in LANES + LATE]
-WEIGHTS = np.stack([r.weights for r in RECS])
 XS = np.array([x for _ode, x in LANES + LATE])
-J_LEAD = RECS[0].j_lead
 
 
 def _seed_rows(exponents, pads=0):
@@ -54,23 +178,31 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
-def _roll_lanes_matching_roll(exponents, max_n, tail_tol,
-                              lanes=range(len(LANES)), pads=0):
-    """roll_lanes on the chosen lanes, each checked bit for bit against
-    roll on its own seed vector."""
-    lanes = list(lanes)
-    seeds, n_seed = _seed_rows(exponents, pads)
-    out = _kernels.roll_lanes(WEIGHTS[lanes], J_LEAD, 2, seeds, n_seed,
-                              XS[lanes], max_n, tail_tol)
+def _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol):
+    """roll_lanes on the lanes (recs[i], xs[i], seeds[i, :n_seed[i]]), each
+    checked bit for bit against the reference rollout."""
+    out = _kernels.roll_lanes(np.stack([r.weights for r in recs]),
+                              recs[0].j_lead, recs[0].order, seeds, n_seed,
+                              np.asarray(xs, dtype=float), max_n, tail_tol)
     ds, slog, n_used, flags, tail = out
-    for i, lane in enumerate(lanes):
-        ds_i, slog_i, n_i, flags_i, tail_i = _kernels.roll(
-            RECS[lane].weights, J_LEAD, 2, seeds[i, :n_seed[i]], XS[lane],
+    for i, rec in enumerate(recs):
+        ds_i, slog_i, n_i, flags_i, tail_i = reference_roll(
+            rec.weights, rec.j_lead, rec.order, seeds[i, :n_seed[i]], xs[i],
             max_n, tail_tol)
         assert _bits(ds[i]) == _bits(ds_i)
         assert _bits([slog[i], tail[i]]) == _bits([slog_i, tail_i])
         assert (n_used[i], flags[i]) == (n_i, flags_i)
     return out
+
+
+def _roll_lanes_matching_roll(exponents, max_n, tail_tol,
+                              lanes=range(len(LANES)), pads=0):
+    """roll_lanes on the chosen order-2 lanes, each checked bit for bit
+    against the reference rollout on its own seed vector."""
+    lanes = list(lanes)
+    seeds, n_seed = _seed_rows(exponents, pads)
+    return _matching_reference([RECS[k] for k in lanes], XS[lanes], seeds,
+                               n_seed, max_n, tail_tol)
 
 
 def test_lane_kernel_matches_scalar_roll_per_lane():
@@ -129,6 +261,56 @@ def test_lane_kernel_late_stops_match_scalar_roll():
 def test_lane_kernel_random_seed_mixes_match_scalar_roll(picks, max_n, tail_tol):
     lanes, exponents, pads = zip(*picks)
     _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads)
+
+
+# the residual audit's order-4 shape: nine lags, so the newest term takes a
+# sum of 8 (numpy sums 8 terms of one lane pairwise); the lanes at x = 0.7
+# and 1.5 roll on alone past index 50, where the lanes at 0.1 have stopped
+NINE = [ode_to_recurrence(PolyOde(tuple(compose_fourth_order(
+            ModelParams(1.0, *p), energy)), z0=0.0))
+        for p, energy in (((0.4, 0.1, 0.5, 0.2), 0.7),
+                          ((0.3, -0.2, 0.7, 0.1), 1.9))]
+NINE_LANES = [(NINE[0], 0.1), (NINE[1], 0.1), (NINE[1], 0.7), (NINE[0], -0.4),
+              (NINE[0], 1.5)]
+
+
+def _order_four(lanes):
+    recs, xs = zip(*(NINE_LANES[k] for k in lanes))
+    seeds = np.zeros((len(lanes), 4))
+    seeds[:, 0] = 1.0
+    return list(recs), list(xs), seeds, np.full(len(lanes), 4)
+
+
+def test_lane_kernel_matches_scalar_roll_at_order_four():
+    assert NINE[0].weights.shape[0] == 9 and NINE[0].span == 9
+    for lanes in ([0], [2], [0, 1], [0, 2], [1, 4], [0, 1, 2, 3, 4]):
+        for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
+            _ds, _slog, n_used, _flags, _tail = _matching_reference(
+                *_order_four(lanes), max_n, tail_tol)
+            if tail_tol and lanes[0] < 2 <= lanes[-1]:
+                assert n_used[0] < 50 < n_used[-1]
+    # the one-lane entry is the same rollout
+    rec, x = NINE_LANES[0]
+    mine = _kernels.roll(rec.weights, rec.j_lead, 4, [1.0, 0.0, 0.0, 0.0], x,
+                         200, 1e-14)
+    ref = reference_roll(rec.weights, rec.j_lead, 4, np.array([1.0, 0.0, 0.0, 0.0]),
+                         x, 200, 1e-14)
+    assert _bits(mine[0]) == _bits(ref[0]) and mine[1:] == ref[1:]
+
+
+def test_lane_result_does_not_depend_on_its_batch():
+    order_two = (RECS, list(XS),
+                 *_seed_rows([0] * len(RECS)))
+    for recs, xs, seeds, n_seed in (order_two, _order_four(range(len(NINE_LANES)))):
+        whole = _kernels.roll_lanes(np.stack([r.weights for r in recs]),
+                                    recs[0].j_lead, recs[0].order, seeds, n_seed,
+                                    np.asarray(xs), 200, 1e-14)
+        for i, rec in enumerate(recs):
+            alone = _kernels.roll_lanes(rec.weights[None], rec.j_lead, rec.order,
+                                        seeds[i:i + 1], n_seed[i:i + 1],
+                                        np.asarray(xs[i:i + 1]), 200, 1e-14)
+            for a, b in zip(alone, whole):
+                assert _bits(a[0]) == _bits(b[i])
 
 
 def test_kernel_scaling_stays_finite_for_growing_series():
