@@ -6,8 +6,8 @@ Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
 to zeta = 1, 0.  The zeta-form coefficients, and so the series' recurrence
 weights, are quadratics in E: the weights are fitted once per parameter set
 from three probes of :func:`bcf_reduce`, and a whole vector of trial
-energies is reduced at once.  The route has no gauge, so a spectrum
-scans one branch; where delta vanishes it returns the exact closed form.
+energies is reduced at once, in units of omega.  The route has no gauge, so
+a spectrum scans one branch; where delta vanishes it returns the closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .closed_form import closed_window
 from .errors import (ComplexSingularityError, DegenerateQError, GNotZeroError,
                      NumericalError)
 from .operators import bcf_truncated_parent
-from .params import ModelParams, vanishes
+from .params import ModelParams, in_units_of_omega, times_omega, vanishes
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -117,18 +117,18 @@ def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
 
 @functools.lru_cache(maxsize=64)
 def bcf_reduction(p: ModelParams) -> Reduction:
-    """The reduced zeta-form equation as a two-point reduction with no gauge.
-    p2 of the truncated parent does not depend on E, so q does not either
-    and :func:`bcf_ode` is polynomial in E (degree <= 2)."""
+    """The reduced zeta-form equation of p, in units of omega, as a two-point
+    reduction with no gauge.  p2 of the truncated parent does not depend on E,
+    so q does not either and :func:`bcf_ode` is polynomial in E (degree <= 2)."""
     return Reduction.from_probes(
-        "bcf", p.omega, lambda e, _gauge: bcf_ode(bcf_reduce(p, e), 0.0).polys)
+        "bcf", lambda e, _gauge: bcf_ode(bcf_reduce(p, e), 0.0).polys)
 
 
 def g_function_bcf_batch(p: ModelParams, energies,
                          zeta_star: float = 0.5) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each.
     Raises as :func:`bcf_reduce` does where the reduction breaks down."""
-    return g_function_batch(bcf_reduction(p), energies, zeta_star)
+    return g_function_batch(bcf_reduction, p, energies, zeta_star)
 
 
 def g_function_bcf(p: ModelParams, energy: float,
@@ -150,4 +150,5 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     """
     if vanishes(p, p.delta):
         return closed_window(p, "bcf", e_min, e_max, grid_step)
-    return spectrum(bcf_reduction(p), e_min, e_max, grid_step, zeta_star)
+    q, *window = in_units_of_omega(p, e_min, e_max, grid_step)
+    return times_omega(spectrum(bcf_reduction(q), *window, zeta_star), p.omega)

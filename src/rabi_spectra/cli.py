@@ -95,7 +95,7 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     grid = _build_grid(RootScanConfig(ns.emin, ns.emax, ns.grid))
     reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
-    samples = g_function_batch(reduce(p), grid, ns.zeta_star,
+    samples = g_function_batch(reduce, p, grid, ns.zeta_star,
                                ns.k_branch if method == "heun" else None, pole_free=True)
     for e, s in zip(grid, samples):
         rows.append({"energy": float(e), "scaled_g": float(s.g_value),
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OverflowError as exc:  # a huge finite input, e.g. omega**2 past the float range
+    except OverflowError as exc:  # diagnose's paper tables square physical parameters
         print(f"numerical failure: overflow in {_raised_in(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NumericalError, ArithmeticError) as exc:

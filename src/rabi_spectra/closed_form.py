@@ -1,7 +1,7 @@
 """Exact spectrum of the uncoupled (delta = 0) model.
 
 The two spin sectors decouple into displaced squeezed oscillators; each
-branch is an equally spaced ladder with spacing sqrt(omega^2 - 4 lambda^2).
+branch is an equally spaced ladder with spacing omega sqrt(1 - 4 (lam/omega)^2).
 The parabolic-cylinder (Weber) route provides the same quantization through
 a_1 = n + 1/2 and the even/odd Kummer solutions.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeltaNotZeroError, LambdaZeroError, ValidationError
-from .params import ModelParams, vanishes, whole
+from .params import ModelParams, in_units_of_omega, vanishes, whole
 from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 from .special import kummer_1f1, kummer_1f1_d012
 
@@ -57,12 +57,13 @@ def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
         raise ValidationError(f"n_max must lie in [0, {MAX_GRID_POINTS}] levels per "
                               f"branch above the lowest, got {n_max}")
     n_max = whole("n_max", n_max)
-    spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
+    (q,) = in_units_of_omega(p)
+    spacing = p.omega * math.sqrt(1.0 - 4 * (q.lam * q.lam))
     n = np.arange(n_max + 1)
     out = []
     for sigma in (+1, -1):
-        coupling = -p.g ** 2 / (p.omega + sigma * 2 * p.lam)
-        offset = -p.omega / 2 + sigma * p.epsilon
+        coupling = -p.omega * (q.g * q.g) / (1.0 + sigma * 2 * q.lam)
+        offset = p.omega * (-0.5 + sigma * q.epsilon)
         energies = spacing * (n + 0.5) + coupling + offset
         out.append(BranchSpectrum(sigma, energies, spacing, coupling, offset))
     return tuple(out)

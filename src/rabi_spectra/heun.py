@@ -8,8 +8,8 @@ k = -+2 g^2 / omega^2, does not depend on E, so the equation's coefficients
 and its series' recurrence weights are quadratics in E: the weights are
 fitted once per parameter set and gauge from three probes of
 :func:`che_params`, and a whole vector of trial energies is reduced at
-once.  The spectrum scans the minus gauge branch and checks its roots in the
-plus branch; where delta vanishes too it returns the exact closed form.
+once, in units of omega.  The spectrum scans the minus gauge branch, checks
+its roots in the plus branch, and where delta vanishes too is the closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .closed_form import closed_window
 from .errors import GZeroError, LambdaNotZeroError
 from .operators import asymmetric_second_order
-from .params import ModelParams, vanishes
+from .params import ModelParams, in_units_of_omega, times_omega, vanishes
 from .polyops import split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -90,18 +90,18 @@ def che_ode(che: CheParams, z0: float) -> PolyOde:
 
 @functools.lru_cache(maxsize=64)
 def heun_reduction(p: ModelParams) -> Reduction:
-    """The confluent Heun equation as a two-point reduction, gauges minus and
-    plus.  p2 of the parent and the gauge root do not depend on E, so
-    :func:`che_ode` is polynomial in it (degree <= 2)."""
+    """The confluent Heun equation of p, in units of omega, as a two-point
+    reduction, gauges minus and plus.  p2 of the parent and the gauge root do
+    not depend on E, so :func:`che_ode` is polynomial in it (degree <= 2)."""
     return Reduction.from_probes(
-        "heun", p.omega, lambda e, k_branch: che_ode(che_params(p, e, k_branch), 0.0).polys,
+        "heun", lambda e, k_branch: che_ode(che_params(p, e, k_branch), 0.0).polys,
         ("minus", "plus"))
 
 
 def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5,
                           k_branch: str = "minus") -> list:
     """:func:`g_function_heun` for an array of energies, one sample each."""
-    return g_function_batch(heun_reduction(p), energies, zeta_star, k_branch)
+    return g_function_batch(heun_reduction, p, energies, zeta_star, k_branch)
 
 
 def g_function_heun(p: ModelParams, energy: float, zeta_star: float = 0.5,
@@ -123,4 +123,5 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
     """
     if vanishes(p, p.delta) and vanishes(p, p.lam):
         return closed_window(p, "heun", e_min, e_max, grid_step)
-    return spectrum(heun_reduction(p), e_min, e_max, grid_step, zeta_star)
+    q, *window = in_units_of_omega(p, e_min, e_max, grid_step)
+    return times_omega(spectrum(heun_reduction(q), *window, zeta_star), p.omega)

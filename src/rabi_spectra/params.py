@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     LambdaZeroError,
@@ -12,11 +12,14 @@ from .errors import (
     SqueezeTooStrongError,
     ValidationError,
 )
+from .rootscan import SpectrumResult
 
 #: |coupling| / omega up to which a coupling counts as zero: the one rule
 #: behind the regime routing, every route's own check and the closed form
 #: that the determinant routes return where delta vanishes
 VANISHING_TOL = 1e-10
+#: largest |coupling| / omega: the square of each ratio stays finite
+MAX_RATIO = 1e150
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,9 @@ class ModelParams:
     g        linear coupling
     lam      squeezing (two-photon) coupling
 
-    Every field must be finite and omega > 0 (NonPositiveOmegaError).  A
-    real discrete spectrum additionally needs |2*lam| < omega, which
+    Every field must be finite, omega > 0 (NonPositiveOmegaError) and each
+    coupling at most MAX_RATIO omega (ValidationError).  A real discrete
+    spectrum additionally needs |2*lam| < omega, which
     :func:`validate_params` enforces; direct construction is allowed so
     diagnostics (e.g. the divergence guard of the Fock oracle) can probe
     the forbidden region.
@@ -49,6 +53,10 @@ class ModelParams:
                     f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.omega > 0:
             raise NonPositiveOmegaError(f"omega must be > 0, got {self.omega}")
+        for name in ("delta", "epsilon", "g", "lam"):
+            if abs(getattr(self, name)) > MAX_RATIO * self.omega:
+                raise ValidationError(f"|{name}| / omega must be at most {MAX_RATIO:g}, "
+                                      f"got {getattr(self, name)} / {self.omega}")
 
     def mirrored(self) -> "ModelParams":
         """Parameters of the other spin sector: (eps, g, lam) -> -(eps, g, lam)."""
@@ -66,6 +74,26 @@ def validate_params(omega: float, delta: float, epsilon: float,
             f"|2*lambda| = {abs(2 * lam)} >= omega = {omega}: "
             "sqrt(omega^2 - 4 lambda^2) is not real positive")
     return p
+
+
+def in_units_of_omega(p: ModelParams, *energies) -> tuple:
+    """(p, *energies), each energy divided by p.omega: the parameters and
+    energies the routes work at.  :func:`times_omega` takes the answer back."""
+    w = p.omega
+    return (ModelParams(1.0, p.delta / w, p.epsilon / w, p.g / w, p.lam / w),
+            *(e / w for e in energies))
+
+
+def times_omega(res: SpectrumResult, omega: float) -> SpectrumResult:
+    """A spectrum in units of omega in the caller's units: its energies,
+    report and ladder multiplied by ``omega``."""
+    rep, ladder = res.report, res.metadata["ladder"]
+    return replace(res, energies=res.energies * omega, report=replace(
+        rep, roots=rep.roots * omega, suspects=tuple(s * omega for s in rep.suspects),
+        excluded=tuple(replace(iv, lo=iv.lo * omega, hi=iv.hi * omega)
+                       for iv in rep.excluded),
+        brackets=tuple((a * omega, b * omega) for a, b in rep.brackets)),
+        metadata={**res.metadata, "ladder": [(e * omega, s, m) for e, s, m in ladder]})
 
 
 def whole(name: str, value, error=ValidationError) -> int:

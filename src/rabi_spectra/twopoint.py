@@ -3,12 +3,12 @@
 A reduction supplies a second-order equation with regular singularities at
 zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
 gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
-100401, 2011).  Everything past the reduction lives here: the batched
-Wronskian, the resonance ladder and the spectrum assembly.  The equation's
-coefficients are quadratics in E, and so are its series' recurrence
-weights: :class:`Reduction` fits them once from three probes, and a
-determinant call evaluates them at its energies.  The determinant
-has a simple pole at each ladder point E_m, so the spectrum scans g *
+100401, 2011).  Everything past the reduction lives here, in units of omega
+(the public entry points divide by it once): the batched Wronskian, the
+resonance ladder and the spectrum assembly.  The equation's coefficients
+are quadratics in E, and so are its series' recurrence weights:
+:class:`Reduction` fits them once from three probes, and a determinant call
+evaluates them at its energies.  The determinant has a simple pole at each ladder point E_m, so the spectrum scans g *
 prod_m sign(E - E_m), which is continuous there.  Every determinant, the
 ladder points' second-kind Wronskians included, is a lane of
 :func:`_wronskian`: one batched call, and so one kernel roll, per scan round
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EvalPointOutOfDiskError
+from .params import ModelParams, in_units_of_omega
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
                        same_energy, scan_and_refine, usable)
@@ -37,51 +38,48 @@ _GUARDED = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIB
 
 @dataclass(frozen=True)
 class Reduction:
-    """One sector's equation in zeta form, with its recurrence weights as
-    quadratics in the energy.
+    """One sector's equation in zeta form, in units of omega, with its
+    recurrence weights as quadratics in the energy.
 
     ``ode_at(energy, gauge)`` gives the coefficients (p0, p1, p2) of
     zeta(zeta-1) times the equation, so p2 = zeta^2 - zeta.  ``weights[gauge]``
     holds rows c0, c1, c2 of the recurrence weights at zeta = 0 and at
     zeta = 1, as [3, side, lag, degree]: the weights at E are
     c0 + E (c1 + E c2).  ``ladder_lines`` holds (side, index at E = 0, index
-    at E = omega) of each side's second Frobenius exponent minus one.
+    at E = 1) of each side's second Frobenius exponent minus one.
     ``gauges`` are the gauge branches of a spectrum: it scans the first and
     checks its roots in the second.
     """
 
     method: str
-    omega: float
     ode_at: Callable
     weights: dict
     ladder_lines: tuple
     gauges: tuple = (None,)
 
     @classmethod
-    def from_probes(cls, method: str, omega: float, ode_at,
-                    gauges: tuple = (None,)) -> "Reduction":
+    def from_probes(cls, method: str, ode_at, gauges: tuple = (None,)) -> "Reduction":
         """Fit the weights of each gauge and side to their derivation at
-        E = -omega, 0, omega; the equation's coefficients are of degree <= 2
+        E = -1, 0, 1; the equation's coefficients are of degree <= 2
         in E, and so are the weights.  A coefficient that vanishes at all
         three probes is dropped, as the derivation drops it at one energy
         (the probes must agree on which coefficients vanish)."""
-        probes = {gauge: [ode_at(e, gauge) for e in (-omega, 0.0, omega)]
+        probes = {gauge: [ode_at(e, gauge) for e in (-1.0, 0.0, 1.0)]
                   for gauge in gauges}
         weights = {}
         for gauge, odes in probes.items():
             wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
                                    for polys in odes])
-            fit = np.array([w0, (wp - wm) / (2 * omega),
-                            ((wp + wm) / 2 - w0) / omega ** 2])
+            fit = np.array([w0, (wp - wm) / 2, (wp + wm) / 2 - w0])
             fit.setflags(write=False)
             weights[gauge] = fit
         # with p2 = zeta^2 - zeta the index is p1(0) at zeta = 0 and -p1(1)
         # at zeta = 1, affine in E
-        _, at_zero, at_omega = (np.asarray(polys[1], dtype=float)
-                                for polys in probes[gauges[0]])
-        lines = (("origin", at_zero[0], at_omega[0]),
-                 ("one", -at_zero.sum(), -at_omega.sum()))
-        return cls(method, omega, ode_at, weights, lines, gauges)
+        _, at_zero, at_one = (np.asarray(polys[1], dtype=float)
+                              for polys in probes[gauges[0]])
+        lines = (("origin", at_zero[0], at_one[0]),
+                 ("one", -at_zero.sum(), -at_one.sum()))
+        return cls(method, ode_at, weights, lines, gauges)
 
     def lane_weights(self, energies: np.ndarray, gauge) -> np.ndarray:
         """Recurrence weights at ``energies``, the zeta = 0 lanes and then
@@ -94,19 +92,22 @@ class Reduction:
         return w.reshape(2 * energies.size, *c0.shape[1:])
 
 
-def g_function_batch(reduction: Reduction, energies, zeta_star: float = 0.5,
-                     gauge=None, pole_free: bool = False) -> list:
+def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
+                     zeta_star: float = 0.5, gauge=None, pole_free: bool = False) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
-    and zeta = 1, one :class:`GFunctionSample` per energy; both series of
-    every energy are rolled in one batch, and signed as the spectrum scans
-    them (:func:`_pole_free`) with ``pole_free``.  This is the public sample
-    boundary: the spectrum itself works on :func:`_wronskian`'s arrays."""
+    and zeta = 1 of ``reduction_of`` (p in units of omega), one sample per
+    energy; both series of every energy are rolled in one batch, and signed
+    as the spectrum scans them (:func:`_pole_free`) with ``pole_free``.  The
+    public sample boundary: it divides by omega once, and the spectrum itself
+    works on :func:`_wronskian`'s arrays."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g, log_g, bits = _wronskian(reduction, energies,
-                                np.zeros((2, energies.size), int), zeta_star, gauge)
-    if pole_free and energies.size:
-        ladder = resonance_ladder(reduction, energies.min(), energies.max())
-        g = _pole_free(g, energies, np.array([e for e, _s, _m in ladder]))
+    q, unit = in_units_of_omega(p, energies)
+    reduction = reduction_of(q)
+    g, log_g, bits = _wronskian(reduction, unit, np.zeros((2, unit.size), int),
+                                zeta_star, gauge)
+    if pole_free and unit.size:
+        ladder = resonance_ladder(reduction, unit.min(), unit.max())
+        g = _pole_free(g, unit, np.array([e for e, _s, _m in ladder]))
     return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
             zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
@@ -151,8 +152,8 @@ def resonance_ladder(reduction: Reduction, e_min: float, e_max: float) -> list:
     (robust under g < 0, where the two singularities swap roles).
     """
     out = []
-    for side, at_zero, at_omega in reduction.ladder_lines:
-        slope = (at_omega - at_zero) / reduction.omega
+    for side, at_zero, at_one in reduction.ladder_lines:
+        slope = at_one - at_zero
         if abs(slope) < 1e-300:
             continue
         e_m = (np.arange(LADDER_MAX_M + 1) - at_zero) / slope
@@ -174,11 +175,11 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     its ladder points as knots of the grid.  A knot's sample, which every
     lane the kernel's resonance guard catches takes too, is the second-kind
     Wronskian, each resonant side (both, at a double pole) seeded on branch
-    m + 1, signed by a first-kind lane 1e-9 omega above the knot.  A root
-    within REFINE_TOL of a ladder point is an exceptional eigenvalue,
-    'exceptional:<side>:<m>'.  A second gauge is evaluated at r +- 1e-8
-    omega for every root r: a sign change labels r 'regular:both', else it
-    is 'regular:<first>-only'.
+    m + 1, signed by a first-kind lane 1e-9 above the knot.  A root within
+    REFINE_TOL of a ladder point is an exceptional eigenvalue,
+    'exceptional:<side>:<m>'.  A second gauge is evaluated at r +- 1e-8 for
+    every root r: a sign change labels r 'regular:both', else it is
+    'regular:<first>-only'.  Energies are in units of omega.
     """
     ladder = resonance_ladder(reduction, e_min, e_max)
     poles = np.array([e for e, _s, _m in ladder])
@@ -192,7 +193,7 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
 
     def scan(es):
         n, grid_call, at = es.size, not knot_samples, np.searchsorted(es, knots)
-        lanes = np.concatenate([es, knots + 1e-9 * reduction.omega]) if grid_call else es
+        lanes = np.concatenate([es, knots + 1e-9]) if grid_call else es
         exponents = np.zeros((2, lanes.size), int)
         if grid_call:
             exponents[:, at] = seeded
@@ -216,9 +217,8 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     roots, n = report.roots, report.roots.size
     labels = ["regular"] * n
     if len(reduction.gauges) > 1 and n:
-        h = 1e-8 * reduction.omega
-        g, _log_g, bits = _wronskian(reduction, np.concatenate([roots - h, roots + h]),
-                                     np.zeros((2, 2 * n), int), zeta_star,
+        around = np.concatenate([roots - 1e-8, roots + 1e-8])
+        g, _log_g, bits = _wronskian(reduction, around, np.zeros((2, 2 * n), int), zeta_star,
                                      reduction.gauges[1])
         ok = usable(g, bits)
         both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra.cli import build_parser, main
+from rabi_spectra.rootscan import REFINE_TOL
 
 BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
         "--eps", "0.1"]
@@ -73,8 +74,8 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
     (["spectrum", "--method", "oracle", *BASE, "--fock-cutoff", "0"],
      "--fock-cutoff"),
     # the default grid 0.05 * omega would put about 6e301 points on the window
-    (["spectrum", "--method", "heun", "--omega", "1e-300", "--delta", "0.4",
-      "--g", "0.3", "--eps", "0.1", "--emin", "-1", "--emax", "2"], "--grid"),
+    (["spectrum", "--method", "heun", "--omega", "1e-300", "--delta", "4e-301",
+      "--g", "3e-301", "--eps", "1e-301", "--emin", "-1", "--emax", "2"], "--grid"),
     (["spectrum", "--method", "closed", "--omega", "1", "--g", "0.4",
       "--nmax", "1000000000000"], "--nmax"),
     (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4",
@@ -250,42 +251,88 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     assert code == 0 and out_exact == out
 
 
-#: the one stderr line of an OverflowError names the function that raised it
-CLOSED = "overflow in rabi_spectra.closed_form.uncoupled_spectrum"
-#: (argv, text the one stderr line contains), with ids by position
-OVERFLOW_CASES = [
-    (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
-     CLOSED),
-    (["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
-      "--emin", "-1", "--emax", "1"],
-     "overflow in rabi_spectra.operators.asymmetric_second_order"),
-    (["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
-      "--g", "1", "--emin", "-1", "--emax", "1"], CLOSED),
-    (["diagnose", "--omega", "1e300"],
-     "overflow in rabi_spectra.operators.printed_general_table"),
-    (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
-    (["diagnose", "--omega", "1e-300", "--g", "1e-300"], ""),
-    # delta 0.3 vanishes next to omega, so spectrum takes the closed form,
-    # where omega^2 overflows; 1e295 does not vanish
-    (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], CLOSED),
-    (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
-    (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
-      "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
-    (["spectrum", "--method", "closed", "--omega", "1e300", "--delta", "0.3", "--g", "0.05",
-      "--lambda", "0.02", "--emin", "-1", "--emax", "1"], CLOSED),
-]
+#: id -> (argv, text the one stderr line contains); the paper audit squares
+#: physical parameters, and a bcf reduction breaks down where g and lambda
+#: vanish next to omega
+OVERFLOW_CASES = {
+    "args3": (["diagnose", "--omega", "1e300"],
+              "overflow in rabi_spectra.operators.printed_general_table"),
+    "args4": (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
+    "args7": (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
+               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
+    "args8": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
+               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
+}
 
 
-@pytest.mark.parametrize("args, needle", OVERFLOW_CASES,
-                         ids=[f"args{i}" for i in range(len(OVERFLOW_CASES))])
+@pytest.mark.parametrize("args, needle", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES)
 def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
     assert needle in err
+
+
+#: id -> argv of a coupling more than 1e150 omega: its square over omega^2
+#: would leave the float range.  diagnose substitutes lambda = 0.1 where
+#: lambda is 0, which is refused next to omega = 1e-300.
+RATIO_CASES = {
+    "args1": ["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
+              "--emin", "-1", "--emax", "1"],
+    "args5": ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
+}
+
+
+@pytest.mark.parametrize("args", RATIO_CASES.values(), ids=RATIO_CASES)
+def test_coupling_far_above_omega_exits_2_with_one_line(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "/ omega must be at most 1e+150" in err
+
+
+#: id -> (argv of a spectrum at a huge or tiny omega, rows): closed, heun and
+#: bcf (whose delta vanishes, so it takes the closed form) at omega 1e300 and
+#: 1e200, and heun P2 at omega 1e-9
+SCALED_CASES = {
+    "args0": (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
+              20),
+    "args2": (["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
+               "--g", "1", "--emin", "-1", "--emax", "1"], 2),
+    "args6": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
+               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], 2),
+    "args9": (["spectrum", "--method", "closed", "--omega", "1e300", "--delta", "0.3",
+               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], 20),
+    "heun-omega1e-9": (["spectrum", "--method", "heun", "--omega", "1e-9", "--delta",
+                        "4e-10", "--eps", "1.5e-10", "--g", "6e-10", "--emin=-1e-9",
+                        "--emax", "4e-9"], 10),
+}
+#: the options that carry an energy
+ENERGIES = ("--omega", "--delta", "--eps", "--g", "--lambda", "--emin", "--emax", "--grid")
+
+
+def in_units_of_omega(argv: list) -> list:
+    """argv with every energy divided by its --omega, as option=value."""
+    argv = [part for arg in argv for part in arg.split("=", 1)]
+    omega = float(argv[argv.index("--omega") + 1])
+    return [f"{k}={float(v) / omega!r}" if k in ENERGIES else v
+            for k, v in zip([None] + argv, argv) if v not in ENERGIES]
+
+
+@pytest.mark.parametrize("args, n_rows", SCALED_CASES.values(), ids=SCALED_CASES)
+def test_spectrum_rows_scale_with_omega(args, n_rows, capsys):
+    # every row is the omega = 1 row with its energy times omega
+    omega = float(args[args.index("--omega") + 1])
+    code, out, err = run_cli(args, capsys)
+    code_1, out_1, _ = run_cli(in_units_of_omega(args), capsys)
+    assert (code, err, code_1) == (0, "", 0)
+    rows, rows_1 = (list(csv.DictReader(io.StringIO(o))) for o in (out, out_1))
+    assert len(rows) == n_rows
+    assert [r["flags"] for r in rows] == [r["flags"] for r in rows_1]
+    np.testing.assert_allclose([float(r["energy"]) for r in rows],
+                               [float(r["energy"]) * omega for r in rows_1],
+                               rtol=0.0, atol=REFINE_TOL * omega)
 
 
 PARAMS = {"--delta", "--eps", "--g", "--lambda"}

@@ -3,6 +3,8 @@ reads it, and a bad value raises a RabiSpectraError (a ValidationError for
 settings), never a bare ValueError or OverflowError and never a silently
 short answer."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,6 +20,8 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.errors import RabiSpectraError, ValidationError
+from rabi_spectra.params import ModelParams
+from rabi_spectra.rootscan import REFINE_TOL
 
 P2 = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
@@ -69,3 +73,52 @@ def test_any_setting_gives_a_result_or_a_package_error(route, a, b, c):
             ROUTES[route](a, b, c)
     except RabiSpectraError:
         pass
+
+
+@pytest.mark.parametrize("omega, coupling", [(1.0, 1e151), (1e-300, 0.4), (1e-300, -1e-149)])
+@pytest.mark.parametrize("field", ["delta", "epsilon", "g", "lam"])
+def test_coupling_above_1e150_omega_raises_validation_error(field, omega, coupling):
+    with pytest.raises(ValidationError, match=f"{field}. / omega"):
+        ModelParams(**{**dict(omega=omega, delta=0.0, epsilon=0.0, g=0.0, lam=0.0),
+                       field: coupling})
+    ModelParams(**{**dict(omega=omega, delta=0.0, epsilon=0.0, g=0.0, lam=0.0),
+                   field: 1e150 * omega})
+
+
+#: route -> (spectrum, parameters, window) at omega = 1: heun P2, bcf P3 and
+#: a delta = 0 set, which bcf returns in closed form
+SCALED = {
+    "heun": (heun_spectrum, P2, (-1.0, 4.0)),
+    "bcf": (bcf_spectrum, P3, (-1.0, 3.0)),
+    "closed": (bcf_spectrum, validate_params(1.0, 0.0, 0.1, 0.4, 0.2), (-1.0, 3.0)),
+}
+
+
+@functools.cache
+def scaled(route: str, omega: float):
+    """(energies / omega, labels, n_evaluations) with the route's parameters,
+    window and grid step all multiplied by omega."""
+    spectrum, p, (lo, hi) = SCALED[route]
+    res = spectrum(ModelParams(*(x * omega for x in dataclasses.astuple(p))),
+                   lo * omega, hi * omega, 0.05 * omega)
+    return res.energies / omega, res.labels, res.report.n_evaluations
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCALED)), st.integers(-900, 900))
+def test_spectrum_at_a_power_of_two_omega_is_bit_identical(route, k):
+    # division by a power of two is exact, so every energy / omega is too
+    energies, labels, n_evaluations = scaled(route, 2.0 ** k)
+    unit = scaled(route, 1.0)
+    np.testing.assert_array_equal(energies, unit[0])
+    assert (labels, n_evaluations) == unit[1:]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCALED)), st.integers(-300, 300))
+def test_spectrum_at_a_power_of_ten_omega_agrees_in_units_of_omega(route, j):
+    # the divided window edges are not exact, so the scan may take other steps
+    energies, labels, _n_evaluations = scaled(route, 10.0 ** j)
+    unit = scaled(route, 1.0)
+    np.testing.assert_allclose(energies, unit[0], rtol=0.0, atol=REFINE_TOL)
+    assert labels == unit[1]

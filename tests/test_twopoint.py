@@ -25,6 +25,7 @@ from rabi_spectra import (
 from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.errors import DegenerateQError, ValidationError
 from rabi_spectra.heun import heun_reduction
+from rabi_spectra.params import in_units_of_omega
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.twopoint import resonance_ladder
 
@@ -100,7 +101,8 @@ def test_delta0_window_is_the_oracle_spectrum(case, monkeypatch):
             rep.n_evaluations) == (0, (), (), (), 0)
 
 
-#: route -> (reduction, params, scalar resonant index at (energy, side))
+#: route -> (reduction, params, scalar resonant index at (energy, side)); a
+#: reduction works in units of omega, so the window [-1, 4] is divided by it
 INDEX = {
     "heun": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
              lambda p, e, side: -che_params(p, e).beta - 1.0 if side == "origin"
@@ -117,15 +119,16 @@ INDEX = {
 @pytest.mark.parametrize("route", sorted(INDEX))
 def test_ladder_hits_the_scalar_resonant_index(route):
     reduction, params, index = INDEX[route]
-    p = validate_params(*params)
-    ladder = resonance_ladder(reduction(p), -1.0, 4.0)
+    q, lo, hi = in_units_of_omega(validate_params(*params), -1.0, 4.0)
+    ladder = resonance_ladder(reduction(q), lo, hi)
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
     for e, side, m in ladder:
-        assert index(p, e, side) == pytest.approx(m, abs=1e-9)
+        assert index(q, e, side) == pytest.approx(m, abs=1e-9)
 
 
 #: reductions whose weights are fitted from three probes; alpha1 vanishes on
-#: the bcf route, so every probe drops that coefficient
+#: the bcf route, so every probe drops that coefficient.  A reduction works
+#: in units of omega.
 FITTED = {
     "heun-P2": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0)),
     "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0)),
@@ -138,9 +141,10 @@ FITTED = {
 def test_fitted_weights_are_the_derived_recurrence(case):
     # the equation is quadratic in E, so three probes pin its weights anywhere
     reduction, params = FITTED[case]
-    red = reduction(validate_params(*params))
+    (q,) = in_units_of_omega(validate_params(*params))
+    red = reduction(q)
     for gauge in red.gauges:
-        for e in (-3.0 * red.omega, 2.5 * red.omega, 7.0 * red.omega):
+        for e in (-3.0, 2.5, 7.0):
             fitted = red.lane_weights(np.array([e]), gauge)
             for side, z0 in enumerate((0.0, 1.0)):
                 ref = ode_to_recurrence(PolyOde(red.ode_at(e, gauge), z0=z0)).weights
@@ -154,9 +158,9 @@ def test_fitted_weights_are_the_derived_recurrence(case):
     (bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02), "minus"),
 ])
 def test_a_gauge_the_reduction_lacks_is_refused(reduction, params, gauge):
-    red = reduction(validate_params(*params))
-    with pytest.raises(ValueError, match=re.escape(repr(red.gauges))):
-        twopoint.g_function_batch(red, [0.5], 0.5, gauge)
+    p = validate_params(*params)
+    with pytest.raises(ValueError, match=re.escape(repr(reduction(p).gauges))):
+        twopoint.g_function_batch(reduction, p, [0.5], 0.5, gauge)
 
 
 @pytest.fixture
@@ -378,8 +382,10 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
         return value, deriv, scale_log, flags
 
     monkeypatch.setattr(twopoint, "series_sums_lanes", zero_lane)
-    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
-    samples = twopoint.g_function_batch(red, np.linspace(-1.0, 4.0, 9), 0.5, "minus")
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+    red = heun_reduction(p)
+    samples = twopoint.g_function_batch(heun_reduction, p, np.linspace(-1.0, 4.0, 9), 0.5,
+                                        "minus")
     assert samples[3].flags == {"degenerate_series"} and not samples[3].ok
     assert all(s.ok for i, s in enumerate(samples) if i != 3)
 
