@@ -11,15 +11,7 @@ from .params import (
     validate_params,
 )
 from .operators import Ode4Coeffs, operator_compose
-from .series import (
-    PolyOde,
-    RecurrenceSpec,
-    ScaledValue,
-    SeriesSolution,
-    ode_residual,
-    ode_to_recurrence,
-    series_eval,
-)
+from .series import PolyOde, RecurrenceSpec, ode_residual, ode_to_recurrence
 from .special import bch_series, kummer_1f1
 from .closed_form import (
     BranchSpectrum,
@@ -65,8 +57,7 @@ __all__ = [
     "ModelParams", "NormalizedParams", "RegimeTag",
     "classify_regime", "normalize_params", "validate_params",
     "Ode4Coeffs", "operator_compose",
-    "PolyOde", "RecurrenceSpec", "ScaledValue", "SeriesSolution",
-    "ode_residual", "ode_to_recurrence", "series_eval",
+    "PolyOde", "RecurrenceSpec", "ode_residual", "ode_to_recurrence",
     "bch_series", "kummer_1f1",
     "BranchSpectrum", "WeberParams", "uncoupled_spectrum", "weber_params",
     "weber_solutions",

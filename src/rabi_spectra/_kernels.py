@@ -2,11 +2,13 @@
 
 ``roll_lanes`` sums a batch of series of one recurrence shape at once (numpy
 over the lane axis, looping over the index n) and returns the derivative
-sums up to the recurrence's order, and no coefficients; ``roll`` is its
-one-lane entry.  Each lane carries its own seed vector, so a batch mixing
-Frobenius branches is one call, and each lane's result does not depend on
-the batch it is rolled in: the tests compare every lane bit for bit with a
-scalar reference rollout that sums term by term.
+sums up to the recurrence's order, and no coefficients; in the package only
+``series.series_sums_lanes`` calls it.  Each lane carries its own seed
+vector, so a batch mixing Frobenius branches is one call, and each lane's
+result does not depend on the batch it is rolled in: the tests compare
+every lane bit for bit with a scalar reference rollout that sums term by
+term.  ``roll``, its one-lane entry, has no caller in the package; it is
+kept because the benchmark's hook table (``perfbench/tracing.py``) names it.
 
 Lanes roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
 per-lane scale factor (log) is renormalized periodically to keep all

@@ -9,7 +9,6 @@ silently corrected.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -27,12 +26,7 @@ from .operators import (
 )
 from .params import ModelParams, NormalizedParams, normalize_params
 from .polyops import poly, polys_equal, ptrim
-from .series import (
-    PolyOde,
-    ode_residual,
-    ode_to_recurrence,
-    series_eval,
-)
+from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 from .closed_form import weber_params, weber_residual_exact
 
 RTOL = 1e-12
@@ -527,12 +521,10 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
 
         ode9 = PolyOde(tuple(compose_fourth_order(
             ModelParams(om, de, ep, g, lam), energy)), z0=0.0)
-        rows.append(_residual_row("nine-term", ode9, 0.1, corrupt, threshold,
-                                  seeds=np.array([1.0, 0.0, 0.0, 0.0])))
+        rows.append(_residual_row("nine-term", ode9, 0.1, corrupt, threshold))
         ode5 = PolyOde(tuple(compose_fourth_order(
             ModelParams(om, de, ep, 0.0, lam), energy)), z0=0.0)
-        rows.append(_residual_row("five-term", ode5, 0.1, corrupt, threshold,
-                                  seeds=np.array([1.0, 0.0, 0.0, 0.0])))
+        rows.append(_residual_row("five-term", ode5, 0.1, corrupt, threshold))
 
         nb = normalize_params(ModelParams(om, de, ep, 0.0, lam), energy)
         bp = canon.bch_params_g0(nb)
@@ -551,14 +543,14 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
 
 
 def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
-                  threshold: float, seeds=None) -> dict:
+                  threshold: float) -> dict:
     rec = ode_to_recurrence(ode)
+    w = rec.weights
     if corrupt:
-        w = rec.weights.copy()
+        w = w.copy()
         w[rec.j_lead + 1, 0] += 1e-3 * max(1.0, np.max(np.abs(w)))
-        rec = dataclasses.replace(rec, weights=w)
-    _v, _d, sol = series_eval(rec, x, seeds=seeds)
-    res = ode_residual(ode, sol)
+    sums, scale_log, _flags = series_sums_lanes(w[None], [x - ode.z0], [0])
+    res = ode_residual(ode, x, sums[0], scale_log[0])
     return {"context": tag, "residual": float(res), "threshold": threshold,
             "ok": bool(res < threshold)}
 
@@ -569,11 +561,15 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
 def diagnose_report(p: ModelParams, energy: float = 0.2,
                     n_draws: int = 5, corrupt: bool = False,
                     fock_cutoff: int = 120) -> dict:
-    """Full machine-readable audit: recurrences, tables, residuals, oracle."""
-    p_asym = ModelParams(p.omega, p.delta, p.epsilon,
-                         p.g if p.g else 0.6, 0.0)
-    p_gen = p if p.lam != 0.0 else ModelParams(p.omega, p.delta, p.epsilon,
-                                               p.g if p.g else 0.2, 0.1)
+    """Full machine-readable audit: recurrences, tables, residuals, oracle.
+
+    Where the model's g or lambda vanishes, the tables that need them audit
+    g = 0.6 omega (asymmetric) or 0.2 omega (general) and lambda = 0.1 omega.
+    """
+    om = p.omega
+    p_asym = ModelParams(om, p.delta, p.epsilon, p.g if p.g else 0.6 * om, 0.0)
+    p_gen = p if p.lam != 0.0 else ModelParams(om, p.delta, p.epsilon,
+                                               p.g if p.g else 0.2 * om, 0.1 * om)
     entries = []
     entries += audit_recurrences(p_asym, energy, p_gen, energy)
     entries.append(audit_fourth_order_operator(p_gen, energy))

@@ -92,7 +92,9 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     rows = []
     if ns.emin >= ns.emax:
         return header, rows
-    grid = _build_grid(RootScanConfig(ns.emin, ns.emax, ns.grid))
+    # built in units of omega, as the routes build theirs
+    om = p.omega
+    grid = om * _build_grid(RootScanConfig(ns.emin / om, ns.emax / om, ns.grid / om))
     reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
     samples = g_function_batch(reduce, p, grid, ns.zeta_star,

@@ -124,9 +124,10 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     if not (0.0 < zeta_star < 1.0):
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
-    val, der, slog, kflags = series_sums_lanes(
-        reduction.lane_weights(energies, gauge),
-        np.repeat([zeta_star, zeta_star - 1.0], n), np.concatenate(exponents))
+    x = np.repeat([zeta_star, zeta_star - 1.0], n)
+    sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies, gauge),
+                                           x, np.concatenate(exponents))
+    val, der = sums[:, 0], sums[:, 1] / x
     # v0 d1 and v1 d0 share the scale exp(s0 + s1), so the angle-normalized
     # G is the cross product of the two unit (value, derivative) vectors
     v0, v1 = val[:n], val[n:]

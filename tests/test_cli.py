@@ -253,11 +253,16 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
 
 #: id -> (argv, text the one stderr line contains); the paper audit squares
 #: physical parameters, and a bcf reduction breaks down where g and lambda
-#: vanish next to omega
+#: vanish next to omega.  Where the caller's g or lambda vanishes, diagnose
+#: audits 0.6 or 0.2 omega and 0.1 omega: at omega = 1e300 their derived
+#: recurrences leave the float range before the printed tables overflow, and
+#: at omega = 1e-300 no ratio rule refuses a lambda the caller never gave
 OVERFLOW_CASES = {
-    "args3": (["diagnose", "--omega", "1e300"],
-              "overflow in rabi_spectra.operators.printed_general_table"),
+    "args3": (["diagnose", "--omega", "1e300"], "non-finite ODE coefficient"),
+    "args3-couplings": (["diagnose", "--omega", "1e300", "--g", "0.2", "--lambda", "0.1"],
+                        "overflow in rabi_spectra.operators.printed_general_table"),
     "args4": (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
+    "args5": (["diagnose", "--omega", "1e-300", "--g", "1e-300"], "zero polynomial"),
     "args7": (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
                "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
     "args8": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
@@ -275,12 +280,10 @@ def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsy
 
 
 #: id -> argv of a coupling more than 1e150 omega: its square over omega^2
-#: would leave the float range.  diagnose substitutes lambda = 0.1 where
-#: lambda is 0, which is refused next to omega = 1e-300.
+#: would leave the float range
 RATIO_CASES = {
     "args1": ["spectrum", "--omega", "1", "--delta", "1e300", "--g", "1e5", "--lambda", "0",
               "--emin", "-1", "--emax", "1"],
-    "args5": ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
 }
 
 
@@ -294,7 +297,8 @@ def test_coupling_far_above_omega_exits_2_with_one_line(args, capsys):
 
 #: id -> (argv of a spectrum at a huge or tiny omega, rows): closed, heun and
 #: bcf (whose delta vanishes, so it takes the closed form) at omega 1e300 and
-#: 1e200, and heun P2 at omega 1e-9
+#: 1e200, heun P2 at omega 1e-9, and the gscan of P2 at omega 1e-20, whose
+#: grid keeps the window's end point
 SCALED_CASES = {
     "args0": (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
               20),
@@ -307,6 +311,9 @@ SCALED_CASES = {
     "heun-omega1e-9": (["spectrum", "--method", "heun", "--omega", "1e-9", "--delta",
                         "4e-10", "--eps", "1.5e-10", "--g", "6e-10", "--emin=-1e-9",
                         "--emax", "4e-9"], 10),
+    "gscan-omega1e-20": (["gscan", "--omega", "1e-20", "--delta", "4e-21", "--eps",
+                          "1.5e-21", "--g", "6e-21", "--emin=-1e-20", "--emax",
+                          "3.3e-21", "--grid", "5e-22"], 28),
 }
 #: the options that carry an energy
 ENERGIES = ("--omega", "--delta", "--eps", "--g", "--lambda", "--emin", "--emax", "--grid")

@@ -15,8 +15,9 @@ from rabi_spectra import _kernels, bcf, fock, twopoint
 from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
 from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
 from rabi_spectra.rootscan import same_energy
-from rabi_spectra.series import ode_residual, ode_to_recurrence, series_eval
+from rabi_spectra.series import ode_residual, ode_to_recurrence, series_sums_lanes
 from rabi_spectra.twopoint import resonance_ladder
+from test_kernels import reference_series
 
 P_CRIT = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 
@@ -58,8 +59,8 @@ def test_series_solve_the_transformed_equation():
     for z0, x in ((0.0, 0.15), (1.0, 0.85)):
         ode = che_ode(che, z0)
         rec = ode_to_recurrence(ode)
-        _v, _d, sol = series_eval(rec, x)
-        assert ode_residual(ode, sol) < 1e-10
+        sums, slog, _flags = series_sums_lanes(rec.weights[None], [x - z0], [0])
+        assert ode_residual(ode, x, sums[0], slog[0]) < 1e-10
 
 
 def test_g_small_at_eigenvalue(oracle_crit):
@@ -169,19 +170,20 @@ ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_batched_g_matches_scalar_reduction_chain(route):
-    # energies reach well past the template's probes at E = -omega, 0, omega
+    # energies reach well past the template's probes at E = -omega, 0, omega;
+    # the reference rolls each derived recurrence by the scalar reference loop
     ode_at_0, g_batch = ROUTES[route]
     energies = np.linspace(-1.0, 4.0, 23)
     batch = g_batch(energies)
     for e, s in zip(energies, batch):
         ode0 = ode_at_0(e)
         ode1 = type(ode0)(ode0.polys, z0=1.0)
-        v0, d0, s0 = series_eval(ode_to_recurrence(ode0), 0.5)
-        v1, d1, s1 = series_eval(ode_to_recurrence(ode1), 0.5)
+        ds0, _s0, f0 = reference_series(ode_to_recurrence(ode0), 0.5)
+        ds1, _s1, f1 = reference_series(ode_to_recurrence(ode1), 0.5)
         # value and derivative of one side share a scale, which cancels
-        (a, b), (c, d) = [(v.mantissa, dv.mantissa) for v, dv in ((v0, d0), (v1, d1))]
+        (a, b), (c, d) = (ds0[0], ds0[1] / 0.5), (ds1[0], ds1[1] / -0.5)
         ref = (a * d - c * b) / (math.hypot(a, b) * math.hypot(c, d))
-        kflags = s0.flags | s1.flags
+        kflags = f0 | f1
         flags = {name for bit, name in (
             (_kernels.FLAG_NONCONVERGED, "series_nonconverged"),
             (_kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE,
@@ -294,3 +296,16 @@ def test_every_level_is_a_distinct_oracle_level(delta, eps, eps_free, g, e_min, 
     for e in res.energies:
         j = int(np.argmin(np.abs(np.array(free) - e)))
         assert abs(free.pop(j) - e) <= 1e-8, (p, e)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(delta=st.floats(0.05, 0.9), eps=st.floats(-0.4, 0.4), g=st.floats(0.1, 0.9))
+def test_mirrored_sector_has_the_same_spectrum(delta, eps, g):
+    # (eps, g) -> -(eps, g) is the other spin sector of one Hamiltonian.  The
+    # bcf route is left out: its q^2 = g^2 + 2 lambda (omega + eps) is not
+    # mirror-symmetric, and a mirrored draw can leave the real axis
+    # (ComplexSingularityError)
+    p = validate_params(1.0, delta, eps, g, 0.0)
+    res, mirror = (heun_spectrum(q, -1.0, 3.0, 0.05) for q in (p, p.mirrored()))
+    assert mirror.labels == res.labels
+    np.testing.assert_allclose(mirror.energies, res.energies, rtol=0.0, atol=1e-9)

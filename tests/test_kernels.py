@@ -4,12 +4,18 @@ whatever the batch a lane is rolled in."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import _kernels
 from rabi_spectra.operators import compose_fourth_order
 from rabi_spectra.params import ModelParams
-from rabi_spectra.series import ode_to_recurrence, series_eval
+from rabi_spectra.series import (
+    DEFAULT_MAX_N,
+    DEFAULT_TAIL_TOL,
+    ode_to_recurrence,
+    series_sums_lanes,
+)
 from rabi_spectra import PolyOde
 
 
@@ -134,6 +140,18 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     return ds, scale_log, n_used, flags, tail_rel
 
 
+def reference_series(rec, x, exponent=0):
+    """The reference rollout of rec's series on the Frobenius branch
+    (z - z0)^exponent, seeded and rolled as series_sums_lanes does one lane,
+    summed at the point x: (deriv_mantissas[order+1], scale_log, flags)."""
+    seeds = np.zeros(max(rec.order - rec.j_lead, exponent + 1))
+    seeds[exponent] = 1.0
+    ds, scale_log, _n, flags, _tail = reference_roll(
+        rec.weights, rec.j_lead, rec.order, seeds, x - rec.z0, DEFAULT_MAX_N,
+        DEFAULT_TAIL_TOL)
+    return ds, scale_log, flags
+
+
 def _che_shaped(a, b, g, mu, nu):
     """zeta(zeta-1) times a confluent Heun equation, expanded at 0."""
     return PolyOde(((-mu, mu + nu), (-(b + 1.0), b + 1.0 + g - a, a),
@@ -168,7 +186,7 @@ def _seed_rows(exponents, pads=0):
     """Per-lane seeds of the Frobenius branches z^e: a_e = 1, and a_n = 0 for
     the other n < e + 1 + pad."""
     exponents = np.asarray(exponents)
-    n_seed = np.maximum(RECS[0].n_free, exponents + 1 + np.asarray(pads))
+    n_seed = np.maximum(RECS[0].order - RECS[0].j_lead, exponents + 1 + np.asarray(pads))
     seeds = np.zeros((n_seed.size, n_seed.max()))
     seeds[np.arange(n_seed.size), exponents] = 1.0
     return seeds, n_seed
@@ -282,7 +300,9 @@ def _order_four(lanes):
 
 
 def test_lane_kernel_matches_scalar_roll_at_order_four():
-    assert NINE[0].weights.shape[0] == 9 and NINE[0].span == 9
+    # nine lags, the first and the last of them used
+    assert NINE[0].weights.shape[0] == 9
+    assert np.all(np.any(NINE[0].weights[[0, -1]] != 0.0, axis=1))
     for lanes in ([0], [2], [0, 1], [0, 2], [1, 4], [0, 1, 2, 3, 4]):
         for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
             _ds, _slog, n_used, _flags, _tail = _matching_reference(
@@ -314,9 +334,12 @@ def test_lane_result_does_not_depend_on_its_batch():
 
 
 def test_kernel_scaling_stays_finite_for_growing_series():
-    # geometric series at x just inside the disk: coefficients all 1, value 1/(1-x)
-    ode = PolyOde(((0.0,), (-1.0,), (1.0, -1.0)), z0=0.0)  # (1-z)u'' = u'
+    # (1 - z) u'' = u' just inside its disk: branch 0 is u = 1, branch 1 is
+    # -log(1 - z) = sum z^n / n, so the lanes' sum is 1 - log(0.1)
+    ode = PolyOde(((0.0,), (-1.0,), (1.0, -1.0)), z0=0.0)
     rec = ode_to_recurrence(ode)
-    val, _, sol = series_eval(rec, 0.9, seeds=np.array([1.0, 1.0]))
-    assert np.isfinite(val.mantissa)
-    assert val.to_float() > 0
+    sums, slog, flags = series_sums_lanes(np.stack([rec.weights] * 2), [0.9, 0.9],
+                                          [0, 1])
+    assert np.all(np.isfinite(sums)) and list(flags) == [0, 0]
+    value = float(np.sum(sums[:, 0] * np.exp(slog)))
+    assert value == pytest.approx(1.0 - math.log(0.1), rel=1e-13)

@@ -1,5 +1,7 @@
 """The spectrum routes stay on one determinant path: they import nothing of
-the scalar series chain or of the paper audit.  The root scan is the layer
+the audit's recurrence and residual checks or of the paper audit.  One
+series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
+no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them.  The CLI imports the audit only
 inside the diagnose command, and keeps no bound of its own."""
 
@@ -10,7 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
 ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py")
-FORBIDDEN = {"ode_to_recurrence", "series_eval", "SeriesSolution", "ScaledValue",
+FORBIDDEN = {"ode_to_recurrence", "ode_residual", "RecurrenceSpec",
              "audit", "canonical", "special"}
 ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
 
@@ -33,6 +35,26 @@ def imported_names(path: Path, module_level: bool = False) -> set:
 @pytest.mark.parametrize("module", ROUTES)
 def test_route_imports_no_scalar_chain_or_audit(module):
     assert imported_names(SRC / module) & FORBIDDEN == set()
+
+
+def kernel_entries_used(path: Path) -> set:
+    """The kernel entries ``roll_lanes`` and ``roll`` a module names, as
+    ``_kernels.<entry>`` or imported from ``_kernels``."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "_kernels"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_kernels"):
+            used.update(alias.name for alias in node.names)
+    return used & {"roll_lanes", "roll"}
+
+
+def test_only_series_reaches_the_kernel():
+    users = {path.name: kernel_entries_used(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "_kernels.py"}
+    assert {name for name, used in users.items() if "roll_lanes" in used} == {"series.py"}
+    assert {name for name, used in users.items() if "roll" in used} == set()
 
 
 def test_rootscan_imports_no_layer_above_it():
