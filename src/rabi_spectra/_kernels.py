@@ -42,17 +42,22 @@ def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     return ds[0], float(slog[0]), int(n_used[0]), int(flags[0]), float(tail[0])
 
 
+#: fewest index rows of a factor table; a roll past them takes the next
+#: power of two
+_FACTOR_ROWS = 64
 #: most bytes of one block's weight values [n, lag, lane]; a block also ends
 #: at each renormalization index, so this cuts blocks short only on wide grids
 _LANE_BLOCK_BYTES = 1 << 20
 
 
 @functools.lru_cache(maxsize=16)
-def _index_factors(q, n_deg, order, max_n):
-    """Factors of the indices n = 0..max_n, multiplied up as the reference
+def _index_factors(q, n_deg, order, size):
+    """Factors of the indices n = 0..size-1, multiplied up as the reference
     rollout does: the powers of m = n - q and of max(|m|, 1) as [n, d], the
-    falling factorials as [n, k] and the gate's (n+1)^order amplification."""
-    ns = np.arange(max_n + 1)
+    falling factorials as [n, k] and the gate's (n+1)^order amplification.
+    Each row depends on its own index only, so a longer table repeats the
+    rows of a shorter one bit for bit."""
+    ns = np.arange(size)
     m = ns - float(q)
     pw = [np.ones(ns.size)]
     pref = [np.ones(ns.size)]
@@ -96,7 +101,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     """
     n_lanes, n_lags, n_deg = L.shape
     span = n_lags - 1 - j_lead
-    ns, pw, pref, ff, amp = _index_factors(order - j_lead, n_deg, order, max_n)
+    ns, pw, pref, ff, amp = _index_factors(order - j_lead, n_deg, order, _FACTOR_ROWS)
     x = np.asarray(x, dtype=np.float64)
     xp = np.ones((seeds.shape[1], n_lanes))
     xp[1:] = x
@@ -131,6 +136,9 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
                      n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)),
                      n0 + stride)
             nb = n1 - n0
+            if n1 > ns.size:  # the next power of two of index rows
+                ns, pw, pref, ff, amp = _index_factors(
+                    order - j_lead, n_deg, order, 1 << (n1 - 1).bit_length())
             # weight values W_j(n - q) for the block, in the reference order
             wv = np.add.reduce(lt * pw[n0:n1, :, None, None], axis=1, initial=0.0)
             lead = wv[:, 0]

@@ -116,8 +116,9 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
     """Scan the spectral determinant on [e_min, e_max].
 
     The minus gauge branch is scanned, its ladder points as knots, and the
-    plus branch evaluated just either side of each refined root
-    ('regular:both' where it changes sign there).  Where delta vanishes
+    plus branch evaluated just either side of each root's settled estimate,
+    in the lanes of the refine round where it settles ('regular:both' where
+    it changes sign there).  Where delta vanishes
     too, :func:`closed_window` is returned instead (the reduction refuses
     lam != 0 either way).
     """

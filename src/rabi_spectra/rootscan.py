@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import ValidationError
 
 REFINE_TOL = 1e-10
-MAX_BISECT = 200
+MAX_ROUNDS = 200
 #: accept a refined root only if |G| dropped this far below the bracket ends
 POLE_RATIO = 1e-3
 #: secant points that move less than this share of the starting bracket
@@ -147,7 +147,7 @@ def _build_grid(cfg: RootScanConfig) -> np.ndarray:
     return np.sort(np.concatenate([pts, knots]))
 
 
-def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
+def scan_and_refine(f, cfg: RootScanConfig, settled=None) -> RootReport:
     """Locate zeros of the sampled determinant on [e_min, e_max].
 
     f maps an array of energies -> (g, flags), two arrays with one entry per
@@ -158,8 +158,11 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     while refining, become suspects; sign changes whose |G| does not
     collapse are excluded as poles.  f is called once for the sorted grid,
     which holds the knots exactly, and then once per lockstep round (at
-    most MAX_BISECT rounds, strictly inside grid cells); n_evaluations
-    counts energies.
+    most MAX_ROUNDS rounds, strictly inside grid cells); n_evaluations
+    counts the energies f is asked for.  ``settled``, if given, is called
+    before each round's f with the list of that round's settled estimates
+    (see :func:`_lockstep`), so a caller can evaluate more at them in the
+    same call.
     """
     grid = _build_grid(cfg)
     g, flags = f(grid)
@@ -187,7 +190,7 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     gs = g.tolist()
     tasks = [_refine(x[i], x[i + 1], gs[i], gs[i + 1]) for i in cells]
 
-    for kind, r, n in _lockstep(f, tasks):
+    for kind, r, n in _lockstep(f, tasks, settled):
         n_evals += n
         if kind == "root":
             roots.append(r)
@@ -207,11 +210,13 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
                       tuple(brackets), n_evals)
 
 
-def _lockstep(f, tasks: list) -> list:
+def _lockstep(f, tasks: list, settled=None) -> list:
     """Drive refinement generators together: each round evaluates every
     pending energy of every task in one call of f and sends each task the
-    values and usable bits of its energies.  Returns the tasks' results in
-    order; a task may return before its first round."""
+    values and usable bits of its energies.  A task yields its energies with
+    its settled estimate or None; ``settled``, if given, is called with the
+    round's settled estimates before the round's f.  Returns the tasks'
+    results in order; a task may return before its first round."""
     results = [None] * len(tasks)
     replies = [None] * len(tasks)  # what each task is sent next
     pending = list(range(len(tasks)))
@@ -219,43 +224,51 @@ def _lockstep(f, tasks: list) -> list:
         asked = []
         for i in pending:
             try:
-                asked.append((i, tasks[i].send(replies[i])))
+                asked.append((i, *tasks[i].send(replies[i])))
             except StopIteration as stop:
                 results[i] = stop.value
         if not asked:
             break
-        g, flags = f(np.array([x for _i, xs in asked for x in xs]))
+        if settled is not None:
+            settled([s for _i, _xs, s in asked if s is not None])
+        g, flags = f(np.array([x for _i, xs, _s in asked for x in xs]))
         gs, ok = g.tolist(), usable(g, flags).tolist()
         k = 0
-        for i, xs in asked:
+        for i, xs, _s in asked:
             replies[i] = (gs[k:k + len(xs)], ok[k:k + len(xs)])
             k += len(xs)
-        pending = [i for i, _xs in asked]
+        pending = [i for i, _xs, _s in asked]
     return results
 
 
 def _refine(a: float, b: float, ga: float, gb: float):
-    """Generator: yields the energies of one round and is sent their values
-    and usable bits.  Returns (kind, x, n_evals) with kind in
-    root|pole|suspect; ga and gb are the values at the bracket ends a, b.
+    """Generator: yields the energies of one round with the round's settled
+    estimate (or None) and is sent their values and usable bits.  Returns
+    (kind, x, n_evals) with kind in root|pole|suspect; ga and gb are the
+    values at the bracket ends a, b.
 
     A safeguarded rational step: each round evaluates the bracket midpoint
-    and the root of the linear-fractional f ~ (u + v x)/(1 + w x) through
-    the three samples with the smallest |G| seen so far (Jarratt & Nudds,
-    Comput. J. 8, 62, 1965), or where that root is degenerate or outside the
-    bracket the secant point of the best two; once these estimates settle
-    also the estimate +- REFINE_TOL/2.  An unusable sample makes a suspect.
-    The new bracket is the smallest sub-interval that keeps a sign change,
-    so it at least halves every round and never needs more rounds than
-    bisection.  The end of the final bracket with the smaller |G| is a root
-    if |G| there fell below POLE_RATIO times the bracket-end magnitude, else
-    a pole.
+    and the estimate s, the root of the linear-fractional
+    f ~ (u + v x)/(1 + w x) through the three samples with the smallest |G|
+    seen so far (Jarratt & Nudds, Comput. J. 8, 62, 1965), or where that
+    root is degenerate or outside the bracket the secant point of the best
+    two.  Beside s it evaluates s +- max(1e-2 |s - previous s|,
+    REFINE_TOL/2), so a good estimate is bracketed at once; once s moves
+    less than _SETTLED of the starting bracket it has settled, the pair
+    sits at s +- REFINE_TOL/2 and s is yielded as the round's settled
+    estimate.  Where s falls outside the bracket, or the last round cut the
+    bracket less than 4 times, the quarter points join the midpoint.  An
+    unusable sample makes a suspect.  The new bracket is the smallest
+    sub-interval that keeps a sign change, so it at least halves every
+    round and never needs more rounds than bisection.  The end of the final
+    bracket with the smaller |G| is a root if |G| there fell below
+    POLE_RATIO times the bracket-end magnitude, else a pole.
     """
     end_mag = max(abs(ga), abs(gb))
     best = sorted([(a, ga), (b, gb)], key=lambda t: abs(t[1]))
-    settled = _SETTLED * (b - a)
-    last, n_evals = math.inf, 0
-    for _ in range(MAX_BISECT):
+    settle_step = _SETTLED * (b - a)
+    last, shrunk, n_evals = math.inf, True, 0
+    for _ in range(MAX_ROUNDS):
         (x2, f2), (x0, f0) = best[:2]
         s = x2 - f2 * (x2 - x0) / (f2 - f0) if f2 != f0 else math.nan
         if len(best) == 3 and best[2][1] != f0:
@@ -265,16 +278,19 @@ def _refine(a: float, b: float, ga: float, gb: float):
             den = d0 + (d0 - d1) / (f1 - f0) * f0
             if den and a < x2 - f2 / den < b:
                 s = x2 - f2 / den
-        xs = {0.5 * (a + b)}
+        xs, done = {0.5 * (a + b)}, None
+        if not (a < s < b and shrunk):
+            xs |= {0.75 * a + 0.25 * b, 0.25 * a + 0.75 * b}
         if a < s < b:
-            xs.add(s)
-            if abs(s - last) < settled:
-                xs |= {s - 0.5 * REFINE_TOL, s + 0.5 * REFINE_TOL}
+            step = abs(s - last)  # inf in the first round: no pair yet
+            done = s if step < settle_step else None
+            d = 0.5 * REFINE_TOL if done is not None else max(1e-2 * step, 0.5 * REFINE_TOL)
+            xs |= {s - d, s, s + d}
             last = s
         xs = sorted(x for x in xs if a < x < b)
         if not xs:
             break
-        gs, ok = yield xs
+        gs, ok = yield xs, done
         n_evals += len(xs)
         for x, gx, okx in zip(xs, gs, ok):
             if not okx:
@@ -286,8 +302,10 @@ def _refine(a: float, b: float, ga: float, gb: float):
         j = min((k for k in range(len(pts) - 1)
                  if pts[k][1] * pts[k + 1][1] < 0.0),
                 key=lambda k: pts[k + 1][0] - pts[k][0])
+        width = b - a
         (a, ga), (b, gb) = pts[j], pts[j + 1]
         if b - a <= REFINE_TOL:
             break
+        shrunk = b - a <= 0.25 * width
     r, gr = min((a, ga), (b, gb), key=lambda t: abs(t[1]))
     return ("root" if abs(gr) <= POLE_RATIO * end_mag else "pole"), r, n_evals

@@ -10,9 +10,10 @@ are quadratics in E, and so are its series' recurrence weights:
 :class:`Reduction` fits them once from three probes, and a determinant call
 evaluates them at its energies.  The determinant has a simple pole at each ladder point E_m, so the spectrum scans g *
 prod_m sign(E - E_m), which is continuous there.  Every determinant, the
-ladder points' second-kind Wronskians included, is a lane of
-:func:`_wronskian`: one batched call, and so one kernel roll, per scan round
-or second-gauge check.
+ladder points' second-kind Wronskians and the second gauge's check lanes
+included, is a lane of :func:`_wronskian`: one batched call, and so one
+kernel roll, per scan round.  The check lanes ride in the round in which
+the refiner's estimate of a root settles.
 """
 
 from __future__ import annotations
@@ -83,13 +84,17 @@ class Reduction:
 
     def lane_weights(self, energies: np.ndarray, gauge) -> np.ndarray:
         """Recurrence weights at ``energies``, the zeta = 0 lanes and then
-        the zeta = 1 lanes, as [2 * energies, lag, degree]."""
-        if gauge not in self.weights:
-            raise ValueError(f"gauge {gauge!r} is not one of {self.gauges}")
-        c0, c1, c2 = self.weights[gauge]
+        the zeta = 1 lanes, as [2 * energies, lag, degree]; ``gauge`` is one
+        gauge for every energy or a list of one gauge per energy."""
+        per_lane = isinstance(gauge, list)
+        for name in set(gauge) if per_lane else (gauge,):
+            if name not in self.weights:
+                raise ValueError(f"gauge {name!r} is not one of {self.gauges}")
+        c = (np.stack([self.weights[name] for name in gauge], axis=2) if per_lane
+             else self.weights[gauge][:, :, None])
         e = energies[None, :, None, None]
-        w = c0[:, None] + e * (c1[:, None] + e * c2[:, None])
-        return w.reshape(2 * energies.size, *c0.shape[1:])
+        w = c[0] + e * (c[1] + e * c[2])
+        return w.reshape(2 * energies.size, *c.shape[3:])
 
 
 def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
@@ -168,6 +173,14 @@ def _pole_free(g: np.ndarray, energies: np.ndarray, poles: np.ndarray) -> np.nda
     return np.where(above % 2 == 1, -g, g)
 
 
+def _both(g: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Whether a second gauge changes sign across each root, from its lanes
+    just below every root and then just above every root."""
+    n = g.size // 2
+    ok = usable(g, bits)
+    return ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
+
+
 def spectrum(reduction: Reduction, e_min: float, e_max: float,
              grid_step: float = 0.05, zeta_star: float = 0.5) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
@@ -178,9 +191,14 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     Wronskian, each resonant side (both, at a double pole) seeded on branch
     m + 1, signed by a first-kind lane 1e-9 above the knot.  A root within
     REFINE_TOL of a ladder point is an exceptional eigenvalue,
-    'exceptional:<side>:<m>'.  A second gauge is evaluated at r +- 1e-8 for
-    every root r: a sign change labels r 'regular:both', else it is
-    'regular:<first>-only'.  Energies are in units of omega.
+    'exceptional:<side>:<m>'.  A second gauge, if the reduction has one,
+    is evaluated at s +- 1e-8 for every settled estimate s of the refiner,
+    in the lanes of that round's call: a sign change there labels a root r
+    within REFINE_TOL of s 'regular:both', else it is
+    'regular:<first>-only'.  Roots with no such s (a sample that was exactly
+    zero) are checked at r +- 1e-8 in one more call.  metadata holds the
+    ladder, zeta_star and ``determinant_calls``, the number of
+    :func:`_wronskian` calls.  Energies are in units of omega.
     """
     ladder = resonance_ladder(reduction, e_min, e_max)
     poles = np.array([e for e, _s, _m in ladder])
@@ -190,16 +208,29 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     for (_e, side, m), k in zip(ladder, np.cumsum(first) - 1):
         seeded[int(side == "one"), k] = m + 1
     cfg = RootScanConfig(e_min, e_max, grid_step, knots=tuple(knots.tolist()))
+    gauges = reduction.gauges
     knot_samples = []  # g and flags at the knots, from the grid call
+    handed = []  # the coming round's settled estimates
+    checked = {}  # settled estimate -> whether the second gauge changes sign
+    calls = 0
 
     def scan(es):
+        nonlocal calls
+        calls += 1
         n, grid_call, at = es.size, not knot_samples, np.searchsorted(es, knots)
-        lanes = np.concatenate([es, knots + 1e-9]) if grid_call else es
+        est = np.array(handed)
+        handed.clear()
+        # trailing lanes: the grid call's sign the knots, a round's check
+        # its settled estimates in the second gauge
+        lanes = np.concatenate([es, knots + 1e-9 if grid_call else est - 1e-8, est + 1e-8])
         exponents = np.zeros((2, lanes.size), int)
         if grid_call:
             exponents[:, at] = seeded
-        g, _log_g, bits = _wronskian(reduction, lanes, exponents, zeta_star,
-                                     reduction.gauges[0])
+        gauge = [gauges[0]] * n + [gauges[1]] * (2 * est.size) if est.size else gauges[0]
+        g, _log_g, bits = _wronskian(reduction, lanes, exponents, zeta_star, gauge)
+        if est.size:
+            checked.update(zip(est.tolist(), _both(g[n:], bits[n:]).tolist()))
+            lanes, g, bits = es, g[:n], bits[:n]
         g = _pole_free(g, lanes, poles)
         take = (bits[:n] & _GUARDED) != 0
         if grid_call:
@@ -214,19 +245,25 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
             g[take], bits[take] = knot_samples[0][k], knot_samples[1][k]
         return g, bits
 
-    report = scan_and_refine(scan, cfg)
+    report = scan_and_refine(scan, cfg, settled=handed.extend if len(gauges) > 1 else None)
     roots, n = report.roots, report.roots.size
     labels = ["regular"] * n
-    if len(reduction.gauges) > 1 and n:
-        around = np.concatenate([roots - 1e-8, roots + 1e-8])
-        g, _log_g, bits = _wronskian(reduction, around, np.zeros((2, 2 * n), int), zeta_star,
-                                     reduction.gauges[1])
-        ok = usable(g, bits)
-        both = ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
-        labels = np.where(both, "regular:both",
-                          f"regular:{reduction.gauges[0]}-only").tolist()
+    if len(gauges) > 1 and n:
+        est = np.array([*checked, np.inf])
+        near = est[np.abs(roots[:, None] - est).argmin(axis=1)]
+        hit = np.abs(near - roots) <= REFINE_TOL
+        both = np.array([checked.get(e, False) for e in near.tolist()])
+        if not hit.all():
+            rest = roots[~hit]
+            calls += 1
+            g, _log_g, bits = _wronskian(reduction, np.concatenate([rest - 1e-8, rest + 1e-8]),
+                                         np.zeros((2, 2 * rest.size), int), zeta_star,
+                                         gauges[1])
+            both[~hit] = _both(g, bits)
+        labels = np.where(both, "regular:both", f"regular:{gauges[0]}-only").tolist()
     for i, r in enumerate(roots.tolist()):
         labels[i] = next((f"exceptional:{side}:{m}" for e, side, m in ladder
                           if abs(r - e) <= REFINE_TOL), labels[i])
     return SpectrumResult(reduction.method, roots, tuple(labels), report,
-                          {"ladder": ladder, "zeta_star": zeta_star})
+                          {"ladder": ladder, "zeta_star": zeta_star,
+                           "determinant_calls": calls})

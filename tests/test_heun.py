@@ -251,12 +251,12 @@ def test_caught_knot_takes_the_lane_above(monkeypatch):
     grid_calls = []
     scan_and_refine = twopoint.scan_and_refine
 
-    def recording(f, cfg):
+    def recording(f, cfg, **kwargs):
         def recorded(es):
             g, bits = f(es)
             grid_calls.append((es, g.copy()))
             return g, bits
-        return scan_and_refine(recorded, cfg)
+        return scan_and_refine(recorded, cfg, **kwargs)
 
     monkeypatch.setattr(twopoint, "scan_and_refine", recording)
     heun_spectrum(p, -1.0, 4.0, 0.05)

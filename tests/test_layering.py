@@ -2,7 +2,8 @@
 the audit's recurrence and residual checks or of the paper audit.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
-below the routes: it imports none of them.  The CLI imports the audit only
+below the routes: it imports none of them, and hands a route its settled
+estimates through a callback.  The CLI imports the audit only
 inside the diagnose command, and keeps no bound of its own."""
 
 import ast
@@ -58,6 +59,9 @@ def test_only_series_reaches_the_kernel():
 
 
 def test_rootscan_imports_no_layer_above_it():
+    """The refiner stays route-agnostic: a route learns the settled estimates
+    through the ``settled`` callback of ``scan_and_refine`` and evaluates
+    its second gauge itself."""
     assert imported_names(SRC / "rootscan.py") & ABOVE_ROOTSCAN == set()
 
 

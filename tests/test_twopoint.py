@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
     PolyOde,
@@ -25,7 +27,7 @@ from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.errors import DegenerateQError, ValidationError
 from rabi_spectra.heun import heun_reduction
 from rabi_spectra.params import in_units_of_omega
-from rabi_spectra.rootscan import FLAG_SETS
+from rabi_spectra.rootscan import FLAG_SETS, REFINE_TOL
 from rabi_spectra.twopoint import resonance_ladder
 from test_kernels import reference_series
 
@@ -165,14 +167,16 @@ def test_a_gauge_the_reduction_lacks_is_refused(reduction, params, gauge):
 
 @pytest.fixture
 def determinants(monkeypatch):
-    """(reduction, gauge, energies, exponents) of every batched determinant
-    call; a lane with a nonzero exponent is an exceptional test, its series
-    seeded on a high-exponent branch."""
+    """(reduction, gauges, energies, exponents) of every batched determinant
+    call, gauges as one entry per lane; a lane with a nonzero exponent is an
+    exceptional test, its series seeded on a high-exponent branch."""
     calls = []
     wronskian = twopoint._wronskian
 
     def recording(reduction, energies, exponents, zeta_star, gauge):
-        calls.append((reduction, gauge, energies, np.asarray(exponents)))
+        per_lane = gauge if isinstance(gauge, list) else [gauge] * energies.size
+        calls.append((reduction, np.array(per_lane, dtype=object), energies,
+                      np.asarray(exponents)))
         return wronskian(reduction, energies, exponents, zeta_star, gauge)
 
     monkeypatch.setattr(twopoint, "_wronskian", recording)
@@ -181,12 +185,13 @@ def determinants(monkeypatch):
 
 #: route, params, window -> (most determinant calls, most n_evaluations);
 #: the evaluation caps are what the secant refiner took on the scanned gauge,
-#: and below them what per-bracket bisection took
+#: and below them what per-bracket bisection took.  The bracketing refiner
+#: takes 5 and 4 calls: heun checks its second gauge inside the rounds
 ROUNDS = {
     "heun-P2": (heun_spectrum, heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
-                (-1.0, 4.0), 8, (244, 417)),
+                (-1.0, 4.0), 5, (244, 417)),
     "bcf-P3": (bcf_spectrum, bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02),
-               (-1.0, 3.0), 6, (181, 303)),
+               (-1.0, 3.0), 4, (181, 303)),
 }
 
 
@@ -214,6 +219,7 @@ def test_determinant_calls_per_window(case, determinants):
     p = validate_params(*params)
     res = route(p, e_min, e_max, 0.05)
     assert len(determinants) <= max_calls
+    assert res.metadata["determinant_calls"] == len(determinants)
     assert all(res.report.n_evaluations <= cap for cap in max_evals)
     assert res.metadata["ladder"]
     assert_knots_ride_in_grid_call(determinants, reduction(p),
@@ -271,17 +277,88 @@ def test_spectrum_builds_no_sample_objects(route, params, window, monkeypatch):
 
 
 def test_second_gauge_checks_each_root(determinants):
+    # the second gauge rides in the refine rounds: a round's trailing lanes
+    # sit at s - 1e-8 and then s + 1e-8 for its settled estimates s
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     first, second = heun_reduction(p).gauges
-    check = [es for _red, gauge, es, _x in determinants if gauge == second]
-    assert len(check) == 1
-    roots = res.report.roots
-    np.testing.assert_allclose(check[0], np.concatenate([roots - 1e-8, roots + 1e-8]),
-                               rtol=0.0, atol=1e-15)
-    assert all(gauge == first for _red, gauge, _es, _x in determinants
-               if gauge != second)
+    settled = []
+    for _red, gauges, es, _x in determinants:
+        check = es[gauges == second]
+        assert np.all(gauges[:gauges.size - check.size] == first)
+        below, above = np.split(check, 2)
+        np.testing.assert_allclose(above - below, 2e-8, rtol=0.0, atol=1e-15)
+        settled += (0.5 * (below + above)).tolist()
+    assert len(determinants) == res.metadata["determinant_calls"]
+    assert not np.any(determinants[0][1] == second)  # none in the grid call
+    for r in res.report.roots:
+        assert np.min(np.abs(np.array(settled) - r)) <= REFINE_TOL
     assert set(res.labels) == {"regular:both"}
+
+
+def test_roots_without_a_settled_estimate_are_checked_in_one_call(monkeypatch):
+    # with no estimate handed over (as for a sample that is exactly zero)
+    # every root is checked in one more call, with the same labels; on P2
+    # every root settles, so that call is the only extra one
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+    res = heun_spectrum(p, -1.0, 4.0, 0.05)
+    scan_and_refine = twopoint.scan_and_refine
+    monkeypatch.setattr(twopoint, "scan_and_refine",
+                        lambda f, cfg, settled: scan_and_refine(f, cfg))
+    alone = heun_spectrum(p, -1.0, 4.0, 0.05)
+    assert alone.labels == res.labels
+    np.testing.assert_array_equal(alone.energies, res.energies)
+    assert alone.metadata["determinant_calls"] == res.metadata["determinant_calls"] + 1
+
+
+#: heun windows on [-1, 4] beside ladder points whose brackets fell back to
+#: halving for up to 9 rounds before the bracketing refiner (12 and 11 calls)
+SLOW = [(1.0, 0.4044263894278308, 0.2673628228501737, 0.7653383654836137, 0.0),
+        (1.0, 0.5429617106350277, 0.010075672591639306, 0.7377932678579665, 0.0)]
+
+
+@pytest.mark.parametrize("params", SLOW)
+def test_windows_beside_ladder_points_take_few_calls(params, determinants):
+    res = heun_spectrum(validate_params(*params), -1.0, 4.0, 0.05)
+    assert res.metadata["determinant_calls"] == len(determinants) <= 7
+    assert res.energies.size
+
+
+def assert_labels_as_a_check_at_each_root(red, res):
+    """Every label that is not exceptional is the one a separate call of
+    the second gauge at r +- 1e-8 gives."""
+    roots = res.report.roots
+    gv, _log_g, bits = twopoint._wronskian(
+        red, np.concatenate([roots - 1e-8, roots + 1e-8]),
+        np.zeros((2, 2 * roots.size), int), 0.5, red.gauges[1])
+    ok = [not FLAG_SETS[b] and math.isfinite(v) for v, b in zip(gv, bits)]
+    n = roots.size
+    for i, label in enumerate(res.labels):
+        b = ok[i] and ok[n + i] and gv[i] * gv[n + i] <= 0.0
+        if not label.startswith("exceptional:"):
+            assert label == ("regular:both" if b else f"regular:{red.gauges[0]}-only")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=st.floats(0.2, 0.6), eps=st.floats(0.0, 0.3), g=st.floats(0.3, 0.9))
+def test_settled_check_labels_as_a_check_at_each_root(delta, eps, g):
+    # the labels read from the lanes at settled estimates are the labels of
+    # a separate second-gauge call at r +- 1e-8 (heun-sweep box)
+    p = validate_params(1.0, delta, eps, g, 0.0)
+    res = heun_spectrum(p, -1.0, 4.0, 0.05)
+    assert_labels_as_a_check_at_each_root(heun_reduction(p), res)
+
+
+def test_a_second_gauge_without_the_roots_labels_them_first_only():
+    # a second "gauge" that is the scanned gauge of another delta has no root
+    # near P2's, so every P2 level is 'regular:minus-only'
+    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
+    other = heun_reduction(validate_params(1.0, 0.3, 0.15, 0.6, 0.0))
+    swapped = dataclasses.replace(red, weights={"minus": red.weights["minus"],
+                                                "plus": other.weights["minus"]})
+    res = twopoint.spectrum(swapped, -1.0, 4.0)
+    assert set(res.labels) == {"regular:minus-only"}
+    assert_labels_as_a_check_at_each_root(swapped, res)
 
 
 @pytest.mark.parametrize("route, params", [
