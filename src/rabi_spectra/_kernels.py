@@ -101,7 +101,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
     """
     n_lanes, n_lags, n_deg = L.shape
     span = n_lags - 1 - j_lead
-    ns, pw, pref, ff, amp = _index_factors(order - j_lead, n_deg, order, _FACTOR_ROWS)
+    ns = ()  # index rows of the factor tables, taken as the blocks reach them
     x = np.asarray(x, dtype=np.float64)
     xp = np.ones((seeds.shape[1], n_lanes))
     xp[1:] = x
@@ -136,9 +136,9 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
                      n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)),
                      n0 + stride)
             nb = n1 - n0
-            if n1 > ns.size:  # the next power of two of index rows
+            if n1 > len(ns):
                 ns, pw, pref, ff, amp = _index_factors(
-                    order - j_lead, n_deg, order, 1 << (n1 - 1).bit_length())
+                    order - j_lead, n_deg, order, max(_FACTOR_ROWS, 1 << (n1 - 1).bit_length()))
             # weight values W_j(n - q) for the block, in the reference order
             wv = np.add.reduce(lt * pw[n0:n1, :, None, None], axis=1, initial=0.0)
             lead = wv[:, 0]
