@@ -1,25 +1,15 @@
 """rabi-spectra: spectra of the two-level system coupled to a squeezed
 bosonic mode, via closed forms, Heun-class spectral determinants, and a
-truncated-Fock diagonalization oracle."""
+truncated-Fock diagonalization oracle.
 
-from .params import (
-    ModelParams,
-    NormalizedParams,
-    RegimeTag,
-    classify_regime,
-    normalize_params,
-    validate_params,
-)
-from .operators import Ode4Coeffs, operator_compose
-from .series import PolyOde, RecurrenceSpec, ode_residual, ode_to_recurrence
-from .special import bch_series, kummer_1f1
-from .closed_form import (
-    BranchSpectrum,
-    WeberParams,
-    uncoupled_spectrum,
-    weber_params,
-    weber_solutions,
-)
+Importing the package loads the solver only.  The printed-vs-derived audit
+of the paper's displays (:mod:`rabi_spectra.audit`) and its validation-grade
+derivations (:mod:`rabi_spectra.canonical`, :mod:`rabi_spectra.special`)
+are imported from their modules.
+"""
+
+from .params import ModelParams, RegimeTag, classify_regime, validate_params
+from .closed_form import BranchSpectrum, uncoupled_spectrum
 from .fock import TruncatedHamiltonian, OracleResult, build_hamiltonian, oracle_spectrum
 from .rootscan import (
     GFunctionSample,
@@ -42,25 +32,12 @@ from .bcf import (
     g_function_bcf,
     g_function_bcf_batch,
 )
-from .canonical import (
-    BchParams,
-    CanonicalCoeffs,
-    NormalFormCoeffs,
-    bch_params_g0,
-    canonical_coeffs,
-    normal_form_coeffs,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "NormalizedParams", "RegimeTag",
-    "classify_regime", "normalize_params", "validate_params",
-    "Ode4Coeffs", "operator_compose",
-    "PolyOde", "RecurrenceSpec", "ode_residual", "ode_to_recurrence",
-    "bch_series", "kummer_1f1",
-    "BranchSpectrum", "WeberParams", "uncoupled_spectrum", "weber_params",
-    "weber_solutions",
+    "ModelParams", "RegimeTag", "classify_regime", "validate_params",
+    "BranchSpectrum", "uncoupled_spectrum",
     "TruncatedHamiltonian", "OracleResult", "build_hamiltonian",
     "oracle_spectrum",
     "GFunctionSample", "RootReport", "RootScanConfig", "SpectrumResult",
@@ -69,7 +46,5 @@ __all__ = [
     "heun_spectrum",
     "BcfParams", "bcf_reduce", "bcf_spectrum", "g_function_bcf",
     "g_function_bcf_batch",
-    "BchParams", "CanonicalCoeffs", "NormalFormCoeffs", "bch_params_g0",
-    "canonical_coeffs", "normal_form_coeffs",
     "__version__",
 ]

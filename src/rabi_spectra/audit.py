@@ -2,8 +2,10 @@
 
 Every closed form the derivation chapters print (operator expansions,
 coefficient tables, recurrences, normal-form coefficients) is transcribed
-here verbatim and compared against the mechanically derived counterpart.
-Nothing in this module feeds the solvers; mismatches are reported, never
+here verbatim, and only here, and compared against the mechanically derived
+counterpart from :mod:`rabi_spectra.operators`, the routes and
+:mod:`rabi_spectra.canonical`.  Nothing in this module feeds the solvers,
+and ``import rabi_spectra`` does not load it; mismatches are reported, never
 silently corrected.
 """
 
@@ -18,16 +20,10 @@ from . import bcf as bcf_mod
 from . import canonical as canon
 from . import heun as heun_mod
 from .fock import oracle_spectrum
-from .operators import (
-    GENERAL_TABLE_KEYS,
-    compose_fourth_order,
-    operator_compose,
-    printed_fourth_order,
-)
-from .params import ModelParams, NormalizedParams, normalize_params
-from .polyops import poly, polys_equal, ptrim
+from .operators import compose_fourth_order, general_table
+from .params import ModelParams, in_units_of_omega
+from .polyops import padd, pmul, poly, polys_equal, ptrim
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
-from .closed_form import weber_params, weber_residual_exact
 
 RTOL = 1e-12
 
@@ -207,7 +203,7 @@ def audit_recurrences(p_asym: ModelParams | None = None,
 
     p_tp = ModelParams(p_general.omega, p_general.delta, p_general.epsilon,
                        0.0, p_general.lam)
-    tbl_tp = operator_compose(p_tp, e_general).composed
+    tbl_tp = general_table(p_tp, e_general)
     sym5 = {"A1": tbl_tp["B1"], "A2": tbl_tp["B3"], "B1": tbl_tp["C2"],
             "B2": tbl_tp["C4"], "C1": tbl_tp["D1"], "C2": tbl_tp["D3"]}
     ode_tp = PolyOde(tuple(compose_fourth_order(p_tp, e_general)), z0=0.0)
@@ -218,7 +214,7 @@ def audit_recurrences(p_asym: ModelParams | None = None,
              "a_{n-2}; the composed table has B2 = 0, so the instantiated "
              "forms coincide"))
 
-    tbl = operator_compose(p_general, e_general).composed
+    tbl = general_table(p_general, e_general)
     ode_g = PolyOde(tuple(compose_fourth_order(p_general, e_general)), z0=0.0)
     out.append(compare_recurrences(
         "nine-term-series", ode_to_recurrence(ode_g),
@@ -253,6 +249,51 @@ def audit_recurrences(p_asym: ModelParams | None = None,
 # --------------------------------------------------------------------------
 # operator / coefficient-table audits
 
+def printed_fourth_order(p: ModelParams, energy: float) -> list:
+    """The fourth-order equation as printed: the polynomials multiplying
+    phi^(k), k = 0..4."""
+    om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
+    E = energy
+    phi2 = poly([g * g + lam * (2 * om + ep + E), lam * g, lam * lam - om * om])
+    phi1 = poly([om * g + g * (ep + E),
+                 -om * om + om * (ep + E) + g * g,
+                 om * g + lam * g,
+                 om * lam])
+    s = poly([ep, g, lam])  # epsilon + g z + lam z^2
+    phi0 = padd(
+        padd(poly([2 * lam * lam]), pmul(poly([g, -om]), poly([g, 2 * lam]))),
+        padd(pmul(s, s), poly([-E * E + de * de])))
+    return [ptrim(phi0), ptrim(phi1), ptrim(phi2), poly([2 * lam * g]), poly([lam * lam])]
+
+
+GENERAL_TABLE_KEYS = ("A1", "B1", "B2", "B3", "C1", "C2", "C3", "C4",
+                      "D1", "D2", "D3", "D4")
+
+
+def printed_general_table(p: ModelParams, energy: float) -> dict:
+    """The general-case coefficient list as literally printed.
+
+    Note it is not even self-consistent with the printed fourth-order
+    equation: the constant term there carries +delta^2, the list -delta^2.
+    """
+    om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
+    E = energy
+    return {
+        "A1": 2 * g / lam,
+        "B1": g * g / lam ** 2 + (2 * om + ep + E) / lam,
+        "B2": g / lam,
+        "B3": 1.0 - om ** 2 / lam ** 2,
+        "C1": g * (om + ep + E) / lam ** 2,
+        "C2": (-om ** 2 + om * (ep + E) + g * g) / lam ** 2,
+        "C3": om * g / lam ** 2 + g / lam,
+        "C4": om / lam,
+        "D1": 2.0 + (g * g + ep ** 2 - E ** 2 - de ** 2) / lam ** 2,
+        "D2": g * (2 * ep - om) / lam ** 2 + 2 * g / lam,
+        "D3": g * g / lam ** 2 + 2 * (ep - om) / lam,
+        "D4": 2 * g / lam,
+    }
+
+
 def _table_entry(name, pairs, note=""):
     items = []
     ok = True
@@ -286,15 +327,16 @@ def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
 
 
 def audit_general_table(p: ModelParams, energy: float) -> dict:
-    t = operator_compose(p, energy)
-    pairs = [(k, t.composed[k], t.printed[k]) for k in GENERAL_TABLE_KEYS]
+    composed = general_table(p, energy)
+    printed = printed_general_table(p, energy)
+    pairs = [(k, composed[k], printed[k]) for k in GENERAL_TABLE_KEYS]
     note = "D1: printed has -delta^2, composition gives +delta^2"
     return _table_entry("general-coefficient-table", pairs, note)
 
 
 def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
     p0 = ModelParams(p.omega, p.delta, p.epsilon, 0.0, p.lam)
-    t = operator_compose(p0, energy).composed
+    t = general_table(p0, energy)
     om, de, ep, lam = p0.omega, p0.delta, p0.epsilon, p0.lam
     E = energy
     printed = {
@@ -373,7 +415,7 @@ def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
 # --------------------------------------------------------------------------
 # appendix tables
 
-def _printed_exact_c(nb: NormalizedParams):
+def _printed_exact_c(nb: canon.NormalizedParams):
     om, de, ep, g, e = (nb.omega_bar, nb.delta_bar, nb.epsilon_bar,
                         nb.g_bar, nb.e_bar)
     s = ep - om / 2 - g * g / 4
@@ -390,7 +432,7 @@ def _printed_exact_c(nb: NormalizedParams):
     return c2, c3, c4
 
 
-def _printed_approx_c(nb: NormalizedParams):
+def _printed_approx_c(nb: canon.NormalizedParams):
     om, ep, g, e = nb.omega_bar, nb.epsilon_bar, nb.g_bar, nb.e_bar
     de = nb.delta_bar
     s = ep - om / 2 - g * g / 4
@@ -404,7 +446,18 @@ def _printed_approx_c(nb: NormalizedParams):
     return c2, c3, c4
 
 
-def audit_appendix(nb: NormalizedParams) -> list:
+def printed_normal_form(cc: canon.CanonicalCoeffs) -> dict:
+    """The in-text normal-form coefficients lambda1, mu1 and mu2; lambda1
+    and the mu cross terms differ from :func:`canonical.normal_form_coeffs`."""
+    a1, a2, b1, b2, q = cc.alpha1, cc.alpha2, cc.beta1, cc.beta2, cc.q
+    return {
+        "lambda1": cc.gamma1 - a1 / 4.0,
+        "mu1": cc.delta1 - 0.5 * (q * a1 + a2 + b2 / (4 * q)) * b1,
+        "mu2": cc.delta2 + 0.5 * (q * a1 - a2 + b1 / (4 * q)) * b2,
+    }
+
+
+def audit_appendix(nb: canon.NormalizedParams) -> list:
     out = []
     keys = ("c2", "c3", "c4")
     out.append(_poly_entry(
@@ -449,9 +502,8 @@ def audit_appendix(nb: NormalizedParams) -> list:
             note="gamma3/delta1/delta2 inherit the c4 z^2 misprint"))
 
         nf = canon.normal_form_coeffs(cc)
-        pairs = [("lambda1", nf.lambda1, nf.printed["lambda1"]),
-                 ("mu1", nf.mu1, nf.printed["mu1"]),
-                 ("mu2", nf.mu2, nf.printed["mu2"])]
+        printed = printed_normal_form(cc)
+        pairs = [(k, getattr(nf, k), printed[k]) for k in printed]
         out.append(_table_entry(
             "appendix-normal-form", pairs,
             note="printed lambda1 = gamma1 - alpha1/4 (Liouville gives "
@@ -526,7 +578,7 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
             ModelParams(om, de, ep, 0.0, lam), energy)), z0=0.0)
         rows.append(_residual_row("five-term", ode5, 0.1, corrupt, threshold))
 
-        nb = normalize_params(ModelParams(om, de, ep, 0.0, lam), energy)
+        nb = canon.normalize_params(ModelParams(om, de, ep, 0.0, lam), energy)
         bp = canon.bch_params_g0(nb)
         if abs(bp.gamma - round(bp.gamma)) > 1e-6:
             ode_b = canon.bch_first_normal_ode(bp.alpha, 0.0, bp.gamma, 0.0)
@@ -534,8 +586,8 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
                                       corrupt, threshold))
 
         p_unc = ModelParams(om, 0.0, ep, g, lam if abs(2 * lam) < om else 0.2)
-        wp = weber_params(p_unc, energy)
-        r_e, r_o = weber_residual_exact(wp.a1, rng.uniform(0.2, 1.5))
+        wp = canon.weber_params(p_unc, energy)
+        r_e, r_o = canon.weber_residual_exact(wp.a1, rng.uniform(0.2, 1.5))
         rows.append({"context": "weber-kummer", "residual": max(r_e, r_o),
                      "threshold": threshold,
                      "ok": max(r_e, r_o) < threshold})
@@ -563,13 +615,15 @@ def diagnose_report(p: ModelParams, energy: float = 0.2,
                     fock_cutoff: int = 120) -> dict:
     """Full machine-readable audit: recurrences, tables, residuals, oracle.
 
+    The audit works in units of omega: p and the trial energy are divided by
+    p.omega once, and the oracle's convergence deltas are multiplied back.
     Where the model's g or lambda vanishes, the tables that need them audit
-    g = 0.6 omega (asymmetric) or 0.2 omega (general) and lambda = 0.1 omega.
+    g = 0.6 (asymmetric) or 0.2 (general) and lambda = 0.1.
     """
-    om = p.omega
-    p_asym = ModelParams(om, p.delta, p.epsilon, p.g if p.g else 0.6 * om, 0.0)
-    p_gen = p if p.lam != 0.0 else ModelParams(om, p.delta, p.epsilon,
-                                               p.g if p.g else 0.2 * om, 0.1 * om)
+    q, energy = in_units_of_omega(p, energy)
+    p_asym = ModelParams(1.0, q.delta, q.epsilon, q.g if q.g else 0.6, 0.0)
+    p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
+                                               q.g if q.g else 0.2, 0.1)
     entries = []
     entries += audit_recurrences(p_asym, energy, p_gen, energy)
     entries.append(audit_fourth_order_operator(p_gen, energy))
@@ -577,14 +631,14 @@ def diagnose_report(p: ModelParams, energy: float = 0.2,
     entries.append(audit_two_photon_table(p_gen, energy))
     entries.append(audit_asymmetric_tables(p_asym, energy))
     entries.append(audit_bcf_tables(p_gen, energy))
-    nb = normalize_params(p_gen, energy)
+    nb = canon.normalize_params(p_gen, energy)
     entries += audit_appendix(nb)
-    nb0 = normalize_params(ModelParams(p_gen.omega, p_gen.delta,
-                                       p_gen.epsilon, 0.0, p_gen.lam), energy)
+    nb0 = canon.normalize_params(ModelParams(p_gen.omega, p_gen.delta,
+                                             p_gen.epsilon, 0.0, p_gen.lam), energy)
     entries += audit_appendix(nb0)
 
     residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
-    oracle = oracle_spectrum(p, cutoff=fock_cutoff, k=10)
+    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=10)
     ok_residuals = all(r["ok"] for r in residuals)
     return {
         "audit": entries,
@@ -593,7 +647,7 @@ def diagnose_report(p: ModelParams, energy: float = 0.2,
         "oracle_convergence": {
             "cutoff": oracle.cutoff,
             "reference_cutoff": oracle.reference_cutoff,
-            "deltas": [float(d) for d in oracle.convergence_deltas],
+            "deltas": [float(d) * p.omega for d in oracle.convergence_deltas],
         },
         "mismatched_entries": [e["name"] for e in entries if not e["match"]],
     }

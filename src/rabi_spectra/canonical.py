@@ -1,21 +1,54 @@
-"""Second-canonical-form pipeline in lam-normalized variables: approximate
-second-order reduction, partial fractions, normal-form coefficients and the
-g = 0 biconfluent-Heun parameters.  Validation-grade: cross-checks the main
-reduction, exposes no root scan.
+"""Validation-grade derivations that cross-check the solver routes; none
+of them feeds a spectrum, and only :mod:`rabi_spectra.audit` and the tests
+read them.
+
+- The second-canonical-form pipeline in lam-normalized variables:
+  approximate second-order reduction, partial fractions, normal-form
+  coefficients and the g = 0 biconfluent-Heun parameters.
+- The parabolic-cylinder (Weber) route of the uncoupled (delta = 0) model,
+  whose quantization a_1 = n + 1/2 and even/odd Kummer solutions reproduce
+  the closed-form ladder of :mod:`rabi_spectra.closed_form`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import require_uncoupled
 from .errors import GNotZeroError, GZeroError, LambdaZeroError
-from .params import NormalizedParams
+from .params import ModelParams
 from .polyops import padd, pder, pmul, poly, ptrim, pval, split_two_poles
 from .series import PolyOde
+from .special import kummer_1f1, kummer_1f1_d012
+
+
+@dataclass(frozen=True)
+class NormalizedParams:
+    """Dimensionless parameters, each physical quantity divided by lam;
+    the map is invertible for lam != 0."""
+
+    omega_bar: float
+    delta_bar: float
+    epsilon_bar: float
+    g_bar: float
+    e_bar: float
+
+    @property
+    def lam_bar(self) -> float:
+        """lam / lam: 1 by construction."""
+        return 1.0
+
+
+def normalize_params(p: ModelParams, energy: float) -> NormalizedParams:
+    """Divide (omega, delta, epsilon, g, E) by lam.  Requires lam != 0."""
+    if p.lam == 0.0:
+        raise LambdaZeroError("normalization divides by lambda")
+    return NormalizedParams(p.omega / p.lam, p.delta / p.lam,
+                            p.epsilon / p.lam, p.g / p.lam, energy / p.lam)
 
 
 def q1_q2_polys(nb: NormalizedParams):
@@ -135,9 +168,6 @@ class NormalFormCoeffs:
     nu1: float
     nu2: float
     q: float
-    #: the in-text formulas, kept for the audit (lambda1 and the mu cross
-    #: terms differ from the derivation)
-    printed: dict = field(default_factory=dict)
 
     def potential_at(self, z: float) -> float:
         return (self.lambda1 * z * z + self.lambda2 * z + self.lambda3
@@ -157,12 +187,7 @@ def normal_form_coeffs(cc: CanonicalCoeffs) -> NormalFormCoeffs:
     m2 = cc.delta2 + 0.5 * (a1 * q - a2 + b1 / (2 * q)) * b2
     n1 = 0.5 * b1 * (1.0 - 0.5 * b1)
     n2 = 0.5 * b2 * (1.0 - 0.5 * b2)
-    printed = {
-        "lambda1": cc.gamma1 - a1 / 4.0,
-        "mu1": cc.delta1 - 0.5 * (q * a1 + a2 + b2 / (4 * q)) * b1,
-        "mu2": cc.delta2 + 0.5 * (q * a1 - a2 + b1 / (4 * q)) * b2,
-    }
-    return NormalFormCoeffs(l1, l2, l3, m1, m2, n1, n2, q, printed)
+    return NormalFormCoeffs(l1, l2, l3, m1, m2, n1, n2, q)
 
 
 @dataclass(frozen=True)
@@ -251,3 +276,83 @@ def second_normal_residual(alpha: float, beta: float, gamma: float,
     pot = second_normal_potential(alpha, beta, gamma, delta, zeta)
     num = v2 + 2 * ell * v1 + (ell_p + ell * ell - pot) * v0
     return abs(num) / max(1.0, abs(v0))
+
+
+@dataclass(frozen=True)
+class WeberParams:
+    """Affine map zeta_1 = stretch (z + shift) and the Weber parameter a_1."""
+
+    stretch: float
+    shift: float
+    a1: float
+    branch: int
+
+
+def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams:
+    """Weber-equation data for one branch; branch -1 mirrors (eps, g, lam)."""
+    require_uncoupled(p)
+    if p.lam == 0.0:
+        raise LambdaZeroError("the zeta_1 stretch degenerates at lambda = 0")
+    if branch not in (+1, -1):
+        raise ValueError("branch must be +1 or -1")
+    q = p if branch == +1 else p.mirrored()
+    stretch = (q.omega ** 2 / q.lam ** 2 - 4.0) ** 0.25
+    shift = q.g / (q.omega + 2 * q.lam)
+    a1 = (1.0 / q.lam) * (q.omega ** 2 / q.lam ** 2 - 4.0) ** -0.5 \
+        * (energy + q.g ** 2 / (q.omega + 2 * q.lam) + q.omega / 2 - q.epsilon)
+    return WeberParams(stretch, shift, a1, branch)
+
+
+def weber_solutions(a1: float, zeta1: float) -> tuple:
+    """Even and odd solutions of u'' = (zeta^2/4 + a1) u."""
+    x = zeta1 ** 2 / 2.0
+    pref = math.exp(-zeta1 ** 2 / 4.0)
+    ue = pref * kummer_1f1(a1 / 2 + 0.25, 0.5, x)
+    uo = zeta1 * pref * kummer_1f1(a1 / 2 + 0.75, 1.5, x)
+    return ue, uo
+
+
+def weber_residual_exact(a1: float, zeta1: float) -> tuple:
+    """|u'' - (zeta^2/4 + a1) u| for (U_e, U_o), with exact derivatives.
+
+    Differentiates exp(-z^2/4) 1F1(A; b; z^2/2) in closed form through the
+    contiguous-parameter identities, so the residual is limited only by the
+    series tolerance, not by finite differences.
+    """
+    z = zeta1
+    pot = z * z / 4.0 + a1
+    out = []
+    for which in ("even", "odd"):
+        if which == "even":
+            A, b = a1 / 2 + 0.25, 0.5
+        else:
+            A, b = a1 / 2 + 0.75, 1.5
+        m0, m1, m2 = kummer_1f1_d012(A, b, z * z / 2.0)
+        e = math.exp(-z * z / 4.0)
+        # f = e(z) M(z^2/2): assemble f, f', f''
+        f = m0
+        fp = -z / 2 * m0 + z * m1
+        fpp = (z * z / 4 - 0.5) * m0 + (-z * z + 1.0) * m1 + z * z * m2
+        if which == "even":
+            u, upp = e * f, e * fpp
+        else:
+            u = z * e * f
+            upp = e * (z * fpp + 2 * fp)
+        out.append(abs(upp - pot * u) / max(1.0, abs(u)))
+    return tuple(out)
+
+
+def weber_residual_fd(a1: float, zeta1: float, h: float = 4e-3) -> tuple:
+    """Central finite-difference residual of (U_e, U_o), Richardson refined."""
+    out = []
+    for idx in (0, 1):
+        def u(z, idx=idx):
+            return weber_solutions(a1, z)[idx]
+
+        def second(hh):
+            return (u(zeta1 + hh) - 2 * u(zeta1) + u(zeta1 - hh)) / hh ** 2
+
+        upp = (4.0 * second(h / 2) - second(h)) / 3.0
+        out.append(abs(upp - (zeta1 ** 2 / 4 + a1) * u(zeta1))
+                   / max(1.0, abs(u(zeta1))))
+    return tuple(out)

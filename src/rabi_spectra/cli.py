@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OverflowError as exc:  # diagnose's paper tables square physical parameters
+    except OverflowError as exc:  # diagnose's tables divide by lambda and square
         print(f"numerical failure: overflow in {_raised_in(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NumericalError, ArithmeticError) as exc:

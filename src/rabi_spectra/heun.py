@@ -41,7 +41,6 @@ class CheParams:
     k_branch: str
     q: float
     a_table: dict
-    zeta_table: dict
     quad_residual: float
 
 
@@ -64,8 +63,6 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     be1 = 4 * q * q * b1
     be2 = 2 * q * b2
     be3 = 2 * q * b3
-    zeta_table = {"alpha1": al1, "alpha2": al2, "alpha3": al3,
-                  "beta1": be1, "beta2": be2, "beta3": be3}
     if k_branch not in ("minus", "plus"):
         raise ValueError("k_branch must be 'minus' or 'plus'")
     disc = al1 * al1 - 4 * be1
@@ -77,8 +74,7 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     return CheParams(alpha=al1 + 2 * k, beta=al3 - 1.0, gamma=al2,
                      mu=k * al3 + be3, nu=k * al2 + be2,
                      k=k, k_branch=k_branch, q=q,
-                     a_table=a_table,
-                     zeta_table=zeta_table, quad_residual=quad)
+                     a_table=a_table, quad_residual=quad)
 
 
 def che_ode(che: CheParams, z0: float) -> PolyOde:

@@ -1,30 +1,17 @@
-"""Governing ODEs of the model, built two ways.
+"""Governing ODEs of the model, composed from the two coupled operators.
 
-The authoritative route composes the two coupled second-order operators
-directly (with the full product rule).  The transcribed closed forms that the
-derivation chapters print are kept alongside purely as audit references: they
-drop two product-rule terms, and everything downstream of them inherits the
-defect.  See audit.audit_fourth_order_operator for the itemized comparison.
+The fourth-order operator and its monic coefficient table come from the
+composition with the full product rule; the lam = 0 and small-coupling
+reductions feed the heun and bcf routes.  The displays the derivation
+chapters print drop two product-rule terms; they are transcribed in
+:mod:`rabi_spectra.audit`, which compares them with what is derived here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import LambdaZeroError
 from .params import ModelParams
-from .polyops import compose_operators, padd, pmul, poly, ptrim
-
-__all__ = [
-    "coupled_operator_polys",
-    "compose_fourth_order",
-    "printed_fourth_order",
-    "Ode4Coeffs",
-    "operator_compose",
-    "asymmetric_second_order",
-    "bcf_truncated_parent",
-    "GENERAL_TABLE_KEYS",
-]
+from .polyops import compose_operators, padd, poly
 
 
 def coupled_operator_polys(p: ModelParams, energy: float):
@@ -46,53 +33,12 @@ def compose_fourth_order(p: ModelParams, energy: float) -> list:
     return out
 
 
-def printed_fourth_order(p: ModelParams, energy: float) -> list:
-    """The fourth-order equation as printed (audit reference only)."""
-    om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
-    E = energy
-    phi2 = poly([g * g + lam * (2 * om + ep + E), lam * g, lam * lam - om * om])
-    phi1 = poly([om * g + g * (ep + E),
-                 -om * om + om * (ep + E) + g * g,
-                 om * g + lam * g,
-                 om * lam])
-    s = poly([ep, g, lam])  # epsilon + g z + lam z^2
-    phi0 = padd(
-        padd(poly([2 * lam * lam]), pmul(poly([g, -om]), poly([g, 2 * lam]))),
-        padd(pmul(s, s), poly([-E * E + de * de])))
-    return [ptrim(phi0), ptrim(phi1), ptrim(phi2), poly([2 * lam * g]), poly([lam * lam])]
-
-
-GENERAL_TABLE_KEYS = ("A1", "B1", "B2", "B3", "C1", "C2", "C3", "C4",
-                      "D1", "D2", "D3", "D4")
-
-
-def printed_general_table(p: ModelParams, energy: float) -> dict:
-    """The general-case coefficient list as literally printed (audit only).
-
-    Note it is not even self-consistent with the printed fourth-order
-    equation: the constant term there carries +delta^2, the list -delta^2.
-    """
-    om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
-    E = energy
-    return {
-        "A1": 2 * g / lam,
-        "B1": g * g / lam ** 2 + (2 * om + ep + E) / lam,
-        "B2": g / lam,
-        "B3": 1.0 - om ** 2 / lam ** 2,
-        "C1": g * (om + ep + E) / lam ** 2,
-        "C2": (-om ** 2 + om * (ep + E) + g * g) / lam ** 2,
-        "C3": om * g / lam ** 2 + g / lam,
-        "C4": om / lam,
-        "D1": 2.0 + (g * g + ep ** 2 - E ** 2 - de ** 2) / lam ** 2,
-        "D2": g * (2 * ep - om) / lam ** 2 + 2 * g / lam,
-        "D3": g * g / lam ** 2 + 2 * (ep - om) / lam,
-        "D4": 2 * g / lam,
-    }
-
-
-def _table_from_operator(op: list, lam: float) -> dict:
-    """Named entries of the monic general form (operator divided by lam^2)."""
-    norm = [poly(c) / lam ** 2 for c in op]
+def general_table(p: ModelParams, energy: float) -> dict:
+    """Named entries A1 .. D4 of the monic general form: the composed
+    fourth-order operator divided by lam^2."""
+    if p.lam == 0.0:
+        raise LambdaZeroError("the fourth-order normal form divides by lambda^2")
+    norm = [poly(c) / p.lam ** 2 for c in compose_fourth_order(p, energy)]
 
     def entry(k, i):
         c = norm[k]
@@ -104,37 +50,6 @@ def _table_from_operator(op: list, lam: float) -> dict:
         "C1": entry(1, 0), "C2": entry(1, 1), "C3": entry(1, 2), "C4": entry(1, 3),
         "D1": entry(0, 0), "D2": entry(0, 1), "D3": entry(0, 2), "D4": entry(0, 3),
     }
-
-
-@dataclass(frozen=True)
-class Ode4Coeffs:
-    """General-case fourth-order coefficient table at a trial energy.
-
-    ``composed`` entries come from the operator composition and are the ones
-    the solvers consume; ``printed`` holds the transcribed closed forms;
-    ``mismatches`` names every entry where the two disagree.
-    """
-
-    params: ModelParams
-    energy: float
-    composed: dict
-    printed: dict
-    mismatches: tuple = field(default_factory=tuple)
-
-
-def operator_compose(p: ModelParams, energy: float, rtol: float = 1e-12) -> Ode4Coeffs:
-    """Build the fourth-order table both ways and report disagreements."""
-    if p.lam == 0.0:
-        raise LambdaZeroError("the fourth-order normal form divides by lambda^2")
-    op = compose_fourth_order(p, energy)
-    composed = _table_from_operator(op, p.lam)
-    printed = printed_general_table(p, energy)
-    bad = []
-    for key in GENERAL_TABLE_KEYS:
-        a, b = composed[key], printed[key]
-        if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
-            bad.append(key)
-    return Ode4Coeffs(p, energy, composed, printed, tuple(bad))
 
 
 def asymmetric_second_order(p: ModelParams, energy: float) -> list:

@@ -1,4 +1,4 @@
-"""Physical parameters, validation, normalization and regime classification."""
+"""Physical parameters, validation, units of omega and regime classification."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import (
-    LambdaZeroError,
     NonPositiveOmegaError,
     SqueezeTooStrongError,
     ValidationError,
@@ -102,30 +101,6 @@ def whole(name: str, value, error=ValidationError) -> int:
     if not (math.isfinite(value) and value == int(value)):
         raise error(f"{name} must be a whole number, got {value}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class NormalizedParams:
-    """Dimensionless parameters, each physical quantity divided by lam.
-
-    lam_bar == 1 by construction; the map is invertible for lam != 0.
-    """
-
-    omega_bar: float
-    delta_bar: float
-    epsilon_bar: float
-    g_bar: float
-    e_bar: float
-
-    lam_bar: float = 1.0
-
-
-def normalize_params(p: ModelParams, energy: float) -> NormalizedParams:
-    """Divide (omega, delta, epsilon, g, E) by lam.  Requires lam != 0."""
-    if p.lam == 0.0:
-        raise LambdaZeroError("normalization divides by lambda")
-    return NormalizedParams(p.omega / p.lam, p.delta / p.lam,
-                            p.epsilon / p.lam, p.g / p.lam, energy / p.lam)
 
 
 class RegimeTag(enum.Enum):

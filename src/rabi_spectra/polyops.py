@@ -154,7 +154,7 @@ def compose_operators(outer: list, inner: list) -> list:
             for i in range(k + 1):
                 term = pmul(p, pder(q, k - i)) * math.comb(k, i)
                 out[i + j] = padd(out[i + j], term)
-    return [ptrim(c, 1e-300) for c in out]
+    return [ptrim(c) for c in out]
 
 
 @functools.lru_cache(maxsize=None)

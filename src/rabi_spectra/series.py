@@ -49,7 +49,7 @@ class PolyOde:
         ps = tuple(tuple(float(c) for c in poly(p)) for p in self.polys)
         object.__setattr__(self, "polys", ps)
         if not any(abs(c) > 0 for c in ps[-1]):
-            raise ValueError("leading-derivative polynomial must not vanish identically")
+            raise NumericalError("leading-derivative polynomial must not vanish identically")
         for p in ps:
             if not all(math.isfinite(c) for c in p):
                 raise NumericalError("non-finite ODE coefficient")
@@ -62,7 +62,7 @@ class PolyOde:
     def _recentered(self) -> tuple:
         """Coefficient arrays rewritten in t = z - z0, computed once per ODE
         and read-only, as ode_to_recurrence and ode_residual share them."""
-        out = tuple(ptrim(pshift(p, self.z0), 1e-300) for p in self.polys)
+        out = tuple(ptrim(pshift(p, self.z0)) for p in self.polys)
         for c in out:
             c.setflags(write=False)
         return out

@@ -5,7 +5,8 @@ source text: which displays are algebraically consistent and which are not.
 import numpy as np
 import pytest
 
-from rabi_spectra import audit, validate_params, normalize_params
+from rabi_spectra import audit, validate_params
+from rabi_spectra.canonical import normalize_params
 from rabi_spectra.audit import (
     audit_appendix,
     audit_asymmetric_tables,

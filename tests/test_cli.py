@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rabi_spectra.audit import diagnose_report
 from rabi_spectra.cli import build_parser, main
+from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
 
 BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
@@ -251,18 +253,16 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     assert code == 0 and out_exact == out
 
 
-#: id -> (argv, text the one stderr line contains); the paper audit squares
-#: physical parameters, and a bcf reduction breaks down where g and lambda
-#: vanish next to omega.  Where the caller's g or lambda vanishes, diagnose
-#: audits 0.6 or 0.2 omega and 0.1 omega: at omega = 1e300 their derived
-#: recurrences leave the float range before the printed tables overflow, and
-#: at omega = 1e-300 no ratio rule refuses a lambda the caller never gave
+#: id -> (argv, text the one stderr line contains); the paper audit works in
+#: units of omega, where these couplings underflow (lambda^2 vanishes, so the
+#: fourth-order operator has no leading term) or the trial energy 0.2 is
+#: 2e299 omega, and a bcf reduction breaks down where g and lambda vanish
+#: next to omega
 OVERFLOW_CASES = {
-    "args3": (["diagnose", "--omega", "1e300"], "non-finite ODE coefficient"),
     "args3-couplings": (["diagnose", "--omega", "1e300", "--g", "0.2", "--lambda", "0.1"],
-                        "overflow in rabi_spectra.operators.printed_general_table"),
-    "args4": (["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"], ""),
-    "args5": (["diagnose", "--omega", "1e-300", "--g", "1e-300"], "zero polynomial"),
+                        "leading-derivative polynomial"),
+    "args5": (["diagnose", "--omega", "1e-300", "--g", "1e-300"],
+              "non-finite ODE coefficient"),
     "args7": (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
                "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
     "args8": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
@@ -277,6 +277,45 @@ def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsy
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
     assert needle in err
+
+
+#: id -> diagnose argv at omega = 1e300, which overflowed while the paper
+#: audit worked in physical units
+DIAGNOSE_SCALED_CASES = {
+    "args3": ["diagnose", "--omega", "1e300"],
+    "args4": ["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"],
+    "couplings": ["diagnose", "--omega", "1e300", "--delta", "4e299", "--eps", "1.5e299",
+                  "--g", "6e299"],
+}
+
+
+@pytest.mark.parametrize("args", DIAGNOSE_SCALED_CASES.values(), ids=DIAGNOSE_SCALED_CASES)
+def test_diagnose_scales_with_omega(args, capsys):
+    """The report at omega = 1e300 has the mismatched entries of the argv in
+    units of omega, at the trial energy 0.2 / omega."""
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    ns = build_parser().parse_args(in_units_of_omega(args))
+    unit = ModelParams(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
+    with np.errstate(all="ignore"):  # as main runs it
+        ref = diagnose_report(unit, energy=0.2 / 1e300)
+    assert json.loads(out)["mismatched_entries"] == ref["mismatched_entries"]
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+@pytest.mark.parametrize("unit", [(1.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.4, 0.15, 0.6, 0.0),
+                                  (1.0, 0.3, 0.1, 0.2, 0.1)])
+def test_diagnose_report_is_bit_identical_at_omega_2_to_the_900(unit, k):
+    """At omega = 2^k, with the trial energy scaled too, the audit and
+    residual rows are those at omega = 1 to the bit, and the oracle's
+    convergence deltas are omega times those."""
+    omega = 2.0 ** k
+    ref = diagnose_report(ModelParams(*unit))
+    got = diagnose_report(ModelParams(*(omega * v for v in unit)), energy=0.2 * omega)
+    for key in ("audit", "residuals"):
+        assert json.dumps(got[key]) == json.dumps(ref[key])
+    assert got["oracle_convergence"]["deltas"] \
+        == [d * omega for d in ref["oracle_convergence"]["deltas"]]
 
 
 #: id -> argv of a coupling more than 1e150 omega: its square over omega^2
@@ -424,3 +463,22 @@ def test_fuzzed_argv_exits_0_2_or_3(argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+#: the diagnose fuzz: omega, and couplings in units of omega at the edges
+#: of the ratio rule (1e150), of the squared ratio's range and of underflow
+DIAGNOSE_OMEGAS = (1.0, 1e-300, 1e300, 3.7)
+DIAGNOSE_RATIOS = (0.0, 1e-301, 1e-20, 0.3, 1e20, 1e149, 1e150, -1e150)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(DIAGNOSE_OMEGAS), st.tuples(*[st.sampled_from(DIAGNOSE_RATIOS)] * 4))
+@example(1.0, (0.4, 1e150, 0.6, 0.1))  # trimmed phi^0 terms once ended in an IndexError
+def test_fuzzed_diagnose_exits_0_2_or_3_with_one_line(omega, ratios):
+    argv = ["diagnose", f"--omega={omega!r}"] + [
+        f"--{name}={r * omega!r}" for name, r in zip(("delta", "eps", "g", "lambda"), ratios)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0), err.getvalue()

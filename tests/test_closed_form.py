@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import (
-    ModelParams,
-    oracle_spectrum,
-    uncoupled_spectrum,
-    validate_params,
+from rabi_spectra import oracle_spectrum, uncoupled_spectrum, validate_params
+from rabi_spectra.canonical import (
     weber_params,
+    weber_residual_exact,
+    weber_residual_fd,
     weber_solutions,
 )
-from rabi_spectra.closed_form import weber_residual_exact, weber_residual_fd
 from rabi_spectra.errors import DeltaNotZeroError, LambdaZeroError
 
 

@@ -13,10 +13,10 @@ from rabi_spectra.params import ModelParams
 from rabi_spectra.series import (
     DEFAULT_MAX_N,
     DEFAULT_TAIL_TOL,
+    PolyOde,
     ode_to_recurrence,
     series_sums_lanes,
 )
-from rabi_spectra import PolyOde
 
 
 def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):

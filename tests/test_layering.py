@@ -1,5 +1,6 @@
 """The spectrum routes stay on one determinant path: they import nothing of
-the audit's recurrence and residual checks or of the paper audit.  One
+the audit's recurrence and residual checks or of the paper audit, and
+``import rabi_spectra`` loads the solver only.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them, and hands a route its settled
@@ -7,12 +8,16 @@ estimates through a callback.  The CLI imports the audit only
 inside the diagnose command, and keeps no bound of its own."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
-ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py")
+ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py", "closed_form.py")
 FORBIDDEN = {"ode_to_recurrence", "ode_residual", "RecurrenceSpec",
              "audit", "canonical", "special"}
 ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
@@ -36,6 +41,54 @@ def imported_names(path: Path, module_level: bool = False) -> set:
 @pytest.mark.parametrize("module", ROUTES)
 def test_route_imports_no_scalar_chain_or_audit(module):
     assert imported_names(SRC / module) & FORBIDDEN == set()
+
+
+#: after ``import rabi_spectra``, and again after a spectrum and a gscan run
+#: of the CLI, the rabi_spectra modules a fresh interpreter holds
+LOADED = """
+import json, sys
+import rabi_spectra
+loaded = [sorted(sys.modules)]
+from rabi_spectra.cli import main
+for argv in (["spectrum", "--omega", "1", "--delta", "0.4", "--g", "0.6", "--emin", "-1",
+              "--emax", "1"],
+             ["gscan", "--omega", "1", "--delta", "0.3", "--g", "0.05", "--lambda", "0.02",
+              "--emin", "-1", "--emax", "1"]):
+    assert main(argv) == 0
+    loaded.append(sorted(sys.modules))
+sys.stderr.write(json.dumps([[m.split(".", 1)[1] for m in mods
+                              if m.startswith("rabi_spectra.")] for mods in loaded]))
+"""
+
+
+def test_import_and_spectrum_commands_load_no_paper_audit():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    res = subprocess.run([sys.executable, "-c", LOADED], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    after_import, *after_runs = json.loads(res.stderr)
+    assert "heun" in after_import and "bcf" in after_import
+    for loaded in (after_import, *after_runs):
+        assert set(loaded) & {"audit", "canonical", "special"} == set()
+
+
+def top_level_names(path: Path) -> set:
+    """The functions, classes and variables a module defines at its top."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_the_audit_defines_printed_transcriptions():
+    """The paper's printed displays are transcribed in ``audit`` alone, so no
+    module the solver loads carries one."""
+    assert {path.name for path in sorted(SRC.glob("*.py"))
+            if any(n.startswith("printed_") for n in top_level_names(path))} \
+        == {"audit.py"}
 
 
 def kernel_entries_used(path: Path) -> set:

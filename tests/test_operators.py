@@ -8,14 +8,15 @@ against the composed fourth-order operator applied to the same polynomial.
 import numpy as np
 import pytest
 
-from rabi_spectra import ModelParams, operator_compose, validate_params
+from rabi_spectra import ModelParams, validate_params
+from rabi_spectra.audit import audit_general_table, printed_fourth_order, printed_general_table
 from rabi_spectra.errors import LambdaZeroError
 from rabi_spectra.operators import (
     asymmetric_second_order,
     bcf_truncated_parent,
     compose_fourth_order,
     coupled_operator_polys,
-    printed_fourth_order,
+    general_table,
 )
 from rabi_spectra.polyops import pder, pmul, poly, padd
 
@@ -46,8 +47,7 @@ def test_composition_matches_sequential_application():
 def test_operator_compose_full_table():
     # frozen from the composition oracle at these parameters
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    t = operator_compose(p, 0.0)
-    c = t.composed
+    c = general_table(p, 0.0)
     assert c["A1"] == pytest.approx(2 * 0.2 / 0.1, rel=1e-12)
     assert c["B1"] == pytest.approx(0.2 ** 2 / 0.01 + 2 * (1.0 + 0.1) / 0.1, rel=1e-12)
     assert c["B2"] == pytest.approx(2 * 0.2 / 0.1, rel=1e-12)
@@ -73,7 +73,7 @@ def test_delta_zero_constant_term():
 def test_g_zero_specialization():
     # g = 0 kills the odd-degree structure: A1 = B2 = C1 = C3 = D2 = D4 = 0
     p = validate_params(1.0, 0.3, 0.1, 0.0, 0.1)
-    c = operator_compose(p, 0.2).composed
+    c = general_table(p, 0.2)
     for key in ("A1", "B2", "C1", "C3", "D2", "D4"):
         assert c[key] == 0.0
 
@@ -82,15 +82,16 @@ def test_mismatch_report_names_exactly_the_incorrect_entries():
     # A1, D2, D3, D4 are the only printed entries the composition confirms;
     # D1 differs by the delta^2 sign alone
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
-    t = operator_compose(p, 0.17)
-    assert set(t.mismatches) == {"B1", "B2", "B3", "C1", "C2", "C3", "C4", "D1"}
-    assert t.composed["D1"] - t.printed["D1"] == pytest.approx(
-        2 * p.delta ** 2 / p.lam ** 2, rel=1e-12)
+    entry = audit_general_table(p, 0.17)
+    assert {it["lag"] for it in entry["items"] if not it["match"]} \
+        == {"B1", "B2", "B3", "C1", "C2", "C3", "C4", "D1"}
+    assert general_table(p, 0.17)["D1"] - printed_general_table(p, 0.17)["D1"] \
+        == pytest.approx(2 * p.delta ** 2 / p.lam ** 2, rel=1e-12)
 
 
 def test_operator_compose_requires_lambda():
     with pytest.raises(LambdaZeroError):
-        operator_compose(validate_params(1.0, 0.3, 0.1, 0.2, 0.0), 0.0)
+        general_table(validate_params(1.0, 0.3, 0.1, 0.2, 0.0), 0.0)
 
 
 def test_printed_operator_differs_only_in_phi1_phi2_rows():

@@ -8,11 +8,10 @@ from rabi_spectra import (
     che_params,
     classify_regime,
     heun_spectrum,
-    normalize_params,
     uncoupled_spectrum,
     validate_params,
-    weber_params,
 )
+from rabi_spectra.canonical import normalize_params, weber_params
 from rabi_spectra.errors import (
     DeltaNotZeroError,
     LambdaNotZeroError,

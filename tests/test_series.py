@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import PolyOde, ode_residual, ode_to_recurrence
 from rabi_spectra.errors import IrregularPointError
-from rabi_spectra.series import series_sums_lanes
+from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 
 def exp_ode():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import bch_series, kummer_1f1
 from rabi_spectra.errors import GammaResonanceError, PoleInBError
 from rabi_spectra.special import (
     bch_a_coefficients,
     bch_coefficients,
     bch_derivatives,
+    bch_series,
+    kummer_1f1,
     kummer_1f1_d012,
 )
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
-    PolyOde,
     RootScanConfig,
     _kernels,
     bcf,
@@ -17,7 +16,6 @@ from rabi_spectra import (
     fock,
     heun,
     heun_spectrum,
-    ode_to_recurrence,
     rootscan,
     scan_and_refine,
     twopoint,
@@ -28,6 +26,7 @@ from rabi_spectra.errors import DegenerateQError, ValidationError
 from rabi_spectra.heun import heun_reduction
 from rabi_spectra.params import in_units_of_omega
 from rabi_spectra.rootscan import FLAG_SETS, REFINE_TOL
+from rabi_spectra.series import PolyOde, ode_to_recurrence
 from rabi_spectra.twopoint import resonance_ladder
 from test_kernels import reference_series
 
