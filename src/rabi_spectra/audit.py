@@ -19,17 +19,32 @@ import numpy as np
 from . import bcf as bcf_mod
 from . import canonical as canon
 from . import heun as heun_mod
+from .errors import NumericalError
 from .fock import oracle_spectrum
 from .operators import compose_fourth_order, general_table
-from .params import ModelParams, in_units_of_omega
+from .params import ModelParams, in_units_of_omega, vanishes
 from .polyops import padd, pmul, poly, polys_equal, ptrim
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 RTOL = 1e-12
+#: the trial energy of a diagnose report, in units of omega
+TRIAL_ENERGY = 0.2
 
 
 # --------------------------------------------------------------------------
 # helpers
+
+def _in_float_range(audit):
+    """``audit``, raising NumericalError where a printed form leaves the
+    float range (a float power raises OverflowError there)."""
+    @functools.wraps(audit)
+    def checked(*args, **kwargs):
+        try:
+            return audit(*args, **kwargs)
+        except OverflowError as exc:
+            raise NumericalError(f"overflow in {audit.__name__}") from exc
+    return checked
+
 
 def _wmat(rows: dict, n_lags: int, deg: int) -> np.ndarray:
     w = np.zeros((n_lags + 1, deg + 1))
@@ -178,6 +193,7 @@ def printed_bch(s: dict) -> dict:
     }
 
 
+@_in_float_range
 def audit_recurrences(p_asym: ModelParams | None = None,
                       e_asym: float = -0.1,
                       p_general: ModelParams | None = None,
@@ -316,6 +332,7 @@ def _poly_entry(name, kind, triples, note):
             "items": items, "symbols": {}, "note": note}
 
 
+@_in_float_range
 def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
     comp = compose_fourth_order(p, energy)
     prin = printed_fourth_order(p, energy)
@@ -326,6 +343,7 @@ def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
                        "coefficient")
 
 
+@_in_float_range
 def audit_general_table(p: ModelParams, energy: float) -> dict:
     composed = general_table(p, energy)
     printed = printed_general_table(p, energy)
@@ -334,6 +352,7 @@ def audit_general_table(p: ModelParams, energy: float) -> dict:
     return _table_entry("general-coefficient-table", pairs, note)
 
 
+@_in_float_range
 def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
     p0 = ModelParams(p.omega, p.delta, p.epsilon, 0.0, p.lam)
     t = general_table(p0, energy)
@@ -356,6 +375,7 @@ def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
              "C2: printed /lam^2 is dimensionally off by one power of lam")
 
 
+@_in_float_range
 def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
     che = heun_mod.che_params(p, energy)
     om, de, ep, g = p.omega, p.delta, p.epsilon, p.g
@@ -380,6 +400,7 @@ def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
              "alpha1 = -2q^2 (derived alpha1 = 0, k_pm = pm 2 g^2/omega^2)")
 
 
+@_in_float_range
 def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
     om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
     E = energy
@@ -457,6 +478,7 @@ def printed_normal_form(cc: canon.CanonicalCoeffs) -> dict:
     }
 
 
+@_in_float_range
 def audit_appendix(nb: canon.NormalizedParams) -> list:
     out = []
     keys = ("c2", "c3", "c4")
@@ -610,18 +632,21 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
 # --------------------------------------------------------------------------
 # top-level report
 
-def diagnose_report(p: ModelParams, energy: float = 0.2,
-                    n_draws: int = 5, corrupt: bool = False,
+def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
                     fock_cutoff: int = 120) -> dict:
     """Full machine-readable audit: recurrences, tables, residuals, oracle.
 
-    The audit works in units of omega: p and the trial energy are divided by
-    p.omega once, and the oracle's convergence deltas are multiplied back.
-    Where the model's g or lambda vanishes, the tables that need them audit
-    g = 0.6 (asymmetric) or 0.2 (general) and lambda = 0.1.
+    The audit works in units of omega: p is divided by p.omega once, the
+    tables are audited at the trial energy TRIAL_ENERGY omega, and the
+    oracle's convergence deltas are multiplied back.  Where g vanishes next
+    to omega (:func:`vanishes`), the asymmetric tables audit g = 0.6, since
+    the heun reduction divides by g / omega.  Where lambda is exactly 0, the
+    general tables audit lambda = 0.1, and g = 0.2 if g is 0 too.  A printed
+    form that leaves the float range raises NumericalError.
     """
-    q, energy = in_units_of_omega(p, energy)
-    p_asym = ModelParams(1.0, q.delta, q.epsilon, q.g if q.g else 0.6, 0.0)
+    (q,) = in_units_of_omega(p)
+    energy = TRIAL_ENERGY
+    p_asym = ModelParams(1.0, q.delta, q.epsilon, 0.6 if vanishes(q, q.g) else q.g, 0.0)
     p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
                                                q.g if q.g else 0.2, 0.1)
     entries = []

@@ -6,8 +6,8 @@ Dropping every O(lam^2, lam g) term leaves singularities at z = +-q, mapped
 to zeta = 1, 0.  The zeta-form coefficients, and so the series' recurrence
 weights, are quadratics in E: the weights are fitted once per parameter set
 from three probes of :func:`bcf_reduce`, and a whole vector of trial
-energies is reduced at once, in units of omega.  The route has no gauge, so
-a spectrum scans one branch; where delta vanishes it returns the closed form.
+energies is reduced at once, in units of omega.  The route has no gauge;
+where delta vanishes it returns the closed form.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def bcf_reduction(p: ModelParams) -> Reduction:
     reduction with no gauge.  p2 of the truncated parent does not depend on E,
     so q does not either and :func:`bcf_ode` is polynomial in E (degree <= 2)."""
     return Reduction.from_probes(
-        "bcf", lambda e, _gauge: bcf_ode(bcf_reduce(p, e), 0.0).polys)
+        "bcf", lambda e: bcf_ode(bcf_reduce(p, e), 0.0).polys)
 
 
 def g_function_bcf_batch(p: ModelParams, energies,

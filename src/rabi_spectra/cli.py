@@ -11,6 +11,7 @@ significant digits so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,10 +96,10 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     # built in units of omega, as the routes build theirs
     om = p.omega
     grid = om * _build_grid(RootScanConfig(ns.emin / om, ns.emax / om, ns.grid / om))
-    reduce = heun_reduction if method == "heun" else bcf_reduction
+    reduce = (functools.partial(heun_reduction, k_branch=ns.k_branch) if method == "heun"
+              else bcf_reduction)
     # signed as the spectrum scans it, so sign changes are roots, not poles
-    samples = g_function_batch(reduce, p, grid, ns.zeta_star,
-                               ns.k_branch if method == "heun" else None, pole_free=True)
+    samples = g_function_batch(reduce, p, grid, ns.zeta_star, pole_free=True)
     for e, s in zip(grid, samples):
         rows.append({"energy": float(e), "scaled_g": float(s.g_value),
                      "scale_log": float(s.scale_log),
@@ -195,15 +196,6 @@ def _params(ns: argparse.Namespace) -> ModelParams:
     return params
 
 
-def _raised_in(exc: BaseException) -> str:
-    """module.function of the frame that raised exc."""
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    frame = tb.tb_frame
-    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
-
-
 @np.errstate(all="ignore")  # a non-finite result raises where it is checked
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
@@ -230,9 +222,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OverflowError as exc:  # diagnose's tables divide by lambda and square
-        print(f"numerical failure: overflow in {_raised_in(exc)}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,8 +8,10 @@ k = -+2 g^2 / omega^2, does not depend on E, so the equation's coefficients
 and its series' recurrence weights are quadratics in E: the weights are
 fitted once per parameter set and gauge from three probes of
 :func:`che_params`, and a whole vector of trial energies is reduced at
-once, in units of omega.  The spectrum scans the minus gauge branch, checks
-its roots in the plus branch, and where delta vanishes too is the closed form.
+once, in units of omega.  The gauge factor multiplies both local solutions
+alike, so the Wronskian's zeros do not depend on the root k: the spectrum
+scans the minus branch alone, and where delta vanishes too is the closed
+form.  The plus branch stays reachable through ``k_branch``.
 """
 
 from __future__ import annotations
@@ -85,19 +87,20 @@ def che_ode(che: CheParams, z0: float) -> PolyOde:
 
 
 @functools.lru_cache(maxsize=64)
-def heun_reduction(p: ModelParams) -> Reduction:
-    """The confluent Heun equation of p, in units of omega, as a two-point
-    reduction, gauges minus and plus.  p2 of the parent and the gauge root do
-    not depend on E, so :func:`che_ode` is polynomial in it (degree <= 2)."""
+def heun_reduction(p: ModelParams, k_branch: str = "minus") -> Reduction:
+    """The confluent Heun equation of p, in units of omega, gauged by the
+    ``k_branch`` root, as a two-point reduction.  p2 of the parent and the
+    gauge root do not depend on E, so :func:`che_ode` is polynomial in it
+    (degree <= 2)."""
     return Reduction.from_probes(
-        "heun", lambda e, k_branch: che_ode(che_params(p, e, k_branch), 0.0).polys,
-        ("minus", "plus"))
+        "heun", lambda e: che_ode(che_params(p, e, k_branch), 0.0).polys)
 
 
 def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5,
                           k_branch: str = "minus") -> list:
     """:func:`g_function_heun` for an array of energies, one sample each."""
-    return g_function_batch(heun_reduction, p, energies, zeta_star, k_branch)
+    return g_function_batch(functools.partial(heun_reduction, k_branch=k_branch),
+                            p, energies, zeta_star)
 
 
 def g_function_heun(p: ModelParams, energy: float, zeta_star: float = 0.5,
@@ -111,12 +114,10 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
                   zeta_star: float = 0.5) -> SpectrumResult:
     """Scan the spectral determinant on [e_min, e_max].
 
-    The minus gauge branch is scanned, its ladder points as knots, and the
-    plus branch evaluated just either side of each root's settled estimate,
-    in the lanes of the refine round where it settles ('regular:both' where
-    it changes sign there).  Where delta vanishes
-    too, :func:`closed_window` is returned instead (the reduction refuses
-    lam != 0 either way).
+    The minus gauge branch is scanned, its ladder points as knots; a root is
+    'regular' or, at a ladder point, 'exceptional:<side>:<m>'.  Where delta
+    vanishes too, :func:`closed_window` is returned instead (the reduction
+    refuses lam != 0 either way).
     """
     if vanishes(p, p.delta) and vanishes(p, p.lam):
         return closed_window(p, "heun", e_min, e_max, grid_step)

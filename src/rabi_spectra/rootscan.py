@@ -147,7 +147,7 @@ def _build_grid(cfg: RootScanConfig) -> np.ndarray:
     return np.sort(np.concatenate([pts, knots]))
 
 
-def scan_and_refine(f, cfg: RootScanConfig, settled=None) -> RootReport:
+def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
     """Locate zeros of the sampled determinant on [e_min, e_max].
 
     f maps an array of energies -> (g, flags), two arrays with one entry per
@@ -159,10 +159,7 @@ def scan_and_refine(f, cfg: RootScanConfig, settled=None) -> RootReport:
     collapse are excluded as poles.  f is called once for the sorted grid,
     which holds the knots exactly, and then once per lockstep round (at
     most MAX_ROUNDS rounds, strictly inside grid cells); n_evaluations
-    counts the energies f is asked for.  ``settled``, if given, is called
-    before each round's f with the list of that round's settled estimates
-    (see :func:`_lockstep`), so a caller can evaluate more at them in the
-    same call.
+    counts the energies f is asked for.
     """
     grid = _build_grid(cfg)
     g, flags = f(grid)
@@ -190,7 +187,7 @@ def scan_and_refine(f, cfg: RootScanConfig, settled=None) -> RootReport:
     gs = g.tolist()
     tasks = [_refine(x[i], x[i + 1], gs[i], gs[i + 1]) for i in cells]
 
-    for kind, r, n in _lockstep(f, tasks, settled):
+    for kind, r, n in _lockstep(f, tasks):
         n_evals += n
         if kind == "root":
             roots.append(r)
@@ -210,12 +207,10 @@ def scan_and_refine(f, cfg: RootScanConfig, settled=None) -> RootReport:
                       tuple(brackets), n_evals)
 
 
-def _lockstep(f, tasks: list, settled=None) -> list:
+def _lockstep(f, tasks: list) -> list:
     """Drive refinement generators together: each round evaluates every
     pending energy of every task in one call of f and sends each task the
-    values and usable bits of its energies.  A task yields its energies with
-    its settled estimate or None; ``settled``, if given, is called with the
-    round's settled estimates before the round's f.  Returns the tasks'
+    values and usable bits of the energies it yielded.  Returns the tasks'
     results in order; a task may return before its first round."""
     results = [None] * len(tasks)
     replies = [None] * len(tasks)  # what each task is sent next
@@ -224,28 +219,25 @@ def _lockstep(f, tasks: list, settled=None) -> list:
         asked = []
         for i in pending:
             try:
-                asked.append((i, *tasks[i].send(replies[i])))
+                asked.append((i, tasks[i].send(replies[i])))
             except StopIteration as stop:
                 results[i] = stop.value
         if not asked:
             break
-        if settled is not None:
-            settled([s for _i, _xs, s in asked if s is not None])
-        g, flags = f(np.array([x for _i, xs, _s in asked for x in xs]))
+        g, flags = f(np.array([x for _i, xs in asked for x in xs]))
         gs, ok = g.tolist(), usable(g, flags).tolist()
         k = 0
-        for i, xs, _s in asked:
+        for i, xs in asked:
             replies[i] = (gs[k:k + len(xs)], ok[k:k + len(xs)])
             k += len(xs)
-        pending = [i for i, _xs, _s in asked]
+        pending = [i for i, _xs in asked]
     return results
 
 
 def _refine(a: float, b: float, ga: float, gb: float):
-    """Generator: yields the energies of one round with the round's settled
-    estimate (or None) and is sent their values and usable bits.  Returns
-    (kind, x, n_evals) with kind in root|pole|suspect; ga and gb are the
-    values at the bracket ends a, b.
+    """Generator: yields the energies of one round and is sent their values
+    and usable bits.  Returns (kind, x, n_evals) with kind in
+    root|pole|suspect; ga and gb are the values at the bracket ends a, b.
 
     A safeguarded rational step: each round evaluates the bracket midpoint
     and the estimate s, the root of the linear-fractional
@@ -254,15 +246,14 @@ def _refine(a: float, b: float, ga: float, gb: float):
     root is degenerate or outside the bracket the secant point of the best
     two.  Beside s it evaluates s +- max(1e-2 |s - previous s|,
     REFINE_TOL/2), so a good estimate is bracketed at once; once s moves
-    less than _SETTLED of the starting bracket it has settled, the pair
-    sits at s +- REFINE_TOL/2 and s is yielded as the round's settled
-    estimate.  Where s falls outside the bracket, or the last round cut the
-    bracket less than 4 times, the quarter points join the midpoint.  An
-    unusable sample makes a suspect.  The new bracket is the smallest
-    sub-interval that keeps a sign change, so it at least halves every
-    round and never needs more rounds than bisection.  The end of the final
-    bracket with the smaller |G| is a root if |G| there fell below
-    POLE_RATIO times the bracket-end magnitude, else a pole.
+    less than _SETTLED of the starting bracket it has settled, and the pair
+    sits at s +- REFINE_TOL/2.  Where s falls outside the bracket, or the
+    last round cut the bracket less than 4 times, the quarter points join
+    the midpoint.  An unusable sample makes a suspect.  The new bracket is
+    the smallest sub-interval that keeps a sign change, so it at least
+    halves every round and never needs more rounds than bisection.  The end
+    of the final bracket with the smaller |G| is a root if |G| there fell
+    below POLE_RATIO times the bracket-end magnitude, else a pole.
     """
     end_mag = max(abs(ga), abs(gb))
     best = sorted([(a, ga), (b, gb)], key=lambda t: abs(t[1]))
@@ -278,19 +269,19 @@ def _refine(a: float, b: float, ga: float, gb: float):
             den = d0 + (d0 - d1) / (f1 - f0) * f0
             if den and a < x2 - f2 / den < b:
                 s = x2 - f2 / den
-        xs, done = {0.5 * (a + b)}, None
+        xs = {0.5 * (a + b)}
         if not (a < s < b and shrunk):
             xs |= {0.75 * a + 0.25 * b, 0.25 * a + 0.75 * b}
         if a < s < b:
             step = abs(s - last)  # inf in the first round: no pair yet
-            done = s if step < settle_step else None
-            d = 0.5 * REFINE_TOL if done is not None else max(1e-2 * step, 0.5 * REFINE_TOL)
+            done = step < settle_step
+            d = 0.5 * REFINE_TOL if done else max(1e-2 * step, 0.5 * REFINE_TOL)
             xs |= {s - d, s, s + d}
             last = s
         xs = sorted(x for x in xs if a < x < b)
         if not xs:
             break
-        gs, ok = yield xs, done
+        gs, ok = yield xs
         n_evals += len(xs)
         for x, gx, okx in zip(xs, gs, ok):
             if not okx:

@@ -8,12 +8,13 @@ gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
 resonance ladder and the spectrum assembly.  The equation's coefficients
 are quadratics in E, and so are its series' recurrence weights:
 :class:`Reduction` fits them once from three probes, and a determinant call
-evaluates them at its energies.  The determinant has a simple pole at each ladder point E_m, so the spectrum scans g *
-prod_m sign(E - E_m), which is continuous there.  Every determinant, the
-ladder points' second-kind Wronskians and the second gauge's check lanes
+evaluates them at its energies.  A reduction is one equation: the heun
+route's gauge is chosen before it is built, and the zeros of the Wronskian
+do not depend on it.  The determinant has a simple pole at each ladder point
+E_m, so the spectrum scans g * prod_m sign(E - E_m), which is continuous
+there.  Every determinant, the ladder points' second-kind Wronskians
 included, is a lane of :func:`_wronskian`: one batched call, and so one
-kernel roll, per scan round.  The check lanes ride in the round in which
-the refiner's estimate of a root settles.
+kernel roll, per scan round.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import EvalPointOutOfDiskError
 from .params import ModelParams, in_units_of_omega
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
-                       same_energy, scan_and_refine, usable)
+                       same_energy, scan_and_refine)
 from .series import recurrence_weights, series_sums_lanes
 
 #: highest resonant index m put on the ladder
@@ -42,63 +43,49 @@ class Reduction:
     """One sector's equation in zeta form, in units of omega, with its
     recurrence weights as quadratics in the energy.
 
-    ``ode_at(energy, gauge)`` gives the coefficients (p0, p1, p2) of
-    zeta(zeta-1) times the equation, so p2 = zeta^2 - zeta.  ``weights[gauge]``
-    holds rows c0, c1, c2 of the recurrence weights at zeta = 0 and at
-    zeta = 1, as [3, side, lag, degree]: the weights at E are
-    c0 + E (c1 + E c2).  ``ladder_lines`` holds (side, index at E = 0, index
-    at E = 1) of each side's second Frobenius exponent minus one.
-    ``gauges`` are the gauge branches of a spectrum: it scans the first and
-    checks its roots in the second.
+    ``ode_at(energy)`` gives the coefficients (p0, p1, p2) of zeta(zeta-1)
+    times the equation, so p2 = zeta^2 - zeta.  ``weights`` holds rows c0,
+    c1, c2 of the recurrence weights at zeta = 0 and at zeta = 1, as
+    [3, side, lag, degree]: the weights at E are c0 + E (c1 + E c2).
+    ``ladder_lines`` holds (side, index at E = 0, index at E = 1) of each
+    side's second Frobenius exponent minus one.
     """
 
     method: str
     ode_at: Callable
-    weights: dict
+    weights: np.ndarray
     ladder_lines: tuple
-    gauges: tuple = (None,)
 
     @classmethod
-    def from_probes(cls, method: str, ode_at, gauges: tuple = (None,)) -> "Reduction":
-        """Fit the weights of each gauge and side to their derivation at
-        E = -1, 0, 1; the equation's coefficients are of degree <= 2
-        in E, and so are the weights.  A coefficient that vanishes at all
-        three probes is dropped, as the derivation drops it at one energy
-        (the probes must agree on which coefficients vanish)."""
-        probes = {gauge: [ode_at(e, gauge) for e in (-1.0, 0.0, 1.0)]
-                  for gauge in gauges}
-        weights = {}
-        for gauge, odes in probes.items():
-            wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
-                                   for polys in odes])
-            fit = np.array([w0, (wp - wm) / 2, (wp + wm) / 2 - w0])
-            fit.setflags(write=False)
-            weights[gauge] = fit
+    def from_probes(cls, method: str, ode_at) -> "Reduction":
+        """Fit the weights of each side to their derivation at E = -1, 0, 1;
+        the equation's coefficients are of degree <= 2 in E, and so are the
+        weights.  A coefficient that vanishes at all three probes is
+        dropped, as the derivation drops it at one energy (the probes must
+        agree on which coefficients vanish)."""
+        odes = [ode_at(e) for e in (-1.0, 0.0, 1.0)]
+        wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
+                               for polys in odes])
+        weights = np.array([w0, (wp - wm) / 2, (wp + wm) / 2 - w0])
+        weights.setflags(write=False)
         # with p2 = zeta^2 - zeta the index is p1(0) at zeta = 0 and -p1(1)
         # at zeta = 1, affine in E
-        _, at_zero, at_one = (np.asarray(polys[1], dtype=float)
-                              for polys in probes[gauges[0]])
+        _, at_zero, at_one = (np.asarray(polys[1], dtype=float) for polys in odes)
         lines = (("origin", at_zero[0], at_one[0]),
                  ("one", -at_zero.sum(), -at_one.sum()))
-        return cls(method, ode_at, weights, lines, gauges)
+        return cls(method, ode_at, weights, lines)
 
-    def lane_weights(self, energies: np.ndarray, gauge) -> np.ndarray:
+    def lane_weights(self, energies: np.ndarray) -> np.ndarray:
         """Recurrence weights at ``energies``, the zeta = 0 lanes and then
-        the zeta = 1 lanes, as [2 * energies, lag, degree]; ``gauge`` is one
-        gauge for every energy or a list of one gauge per energy."""
-        per_lane = isinstance(gauge, list)
-        for name in set(gauge) if per_lane else (gauge,):
-            if name not in self.weights:
-                raise ValueError(f"gauge {name!r} is not one of {self.gauges}")
-        c = (np.stack([self.weights[name] for name in gauge], axis=2) if per_lane
-             else self.weights[gauge][:, :, None])
+        the zeta = 1 lanes, as [2 * energies, lag, degree]."""
+        c = self.weights[:, :, None]
         e = energies[None, :, None, None]
         w = c[0] + e * (c[1] + e * c[2])
         return w.reshape(2 * energies.size, *c.shape[3:])
 
 
 def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
-                     zeta_star: float = 0.5, gauge=None, pole_free: bool = False) -> list:
+                     zeta_star: float = 0.5, pole_free: bool = False) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
     and zeta = 1 of ``reduction_of`` (p in units of omega), one sample per
     energy; both series of every energy are rolled in one batch, and signed
@@ -109,7 +96,7 @@ def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
     q, unit = in_units_of_omega(p, energies)
     reduction = reduction_of(q)
     g, log_g, bits = _wronskian(reduction, unit, np.zeros((2, unit.size), int),
-                                zeta_star, gauge)
+                                zeta_star)
     if pole_free and unit.size:
         ladder = resonance_ladder(reduction, unit.min(), unit.max())
         g = _pole_free(g, unit, np.array([e for e, _s, _m in ladder]))
@@ -118,7 +105,7 @@ def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
 
 
 def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray,
-               zeta_star: float, gauge):
+               zeta_star: float):
     """(g, log_g, flags) arrays of the Wronskian at ``energies``: the
     angle-normalized value, the log of the raw magnitude and the flag bits
     (named by :data:`rootscan.FLAG_SETS`).  The series of energy i at
@@ -130,7 +117,7 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
         raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
     x = np.repeat([zeta_star, zeta_star - 1.0], n)
-    sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies, gauge),
+    sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies),
                                            x, np.concatenate(exponents))
     val, der = sums[:, 0], sums[:, 1] / x
     # v0 d1 and v1 d0 share the scale exp(s0 + s1), so the angle-normalized
@@ -173,32 +160,19 @@ def _pole_free(g: np.ndarray, energies: np.ndarray, poles: np.ndarray) -> np.nda
     return np.where(above % 2 == 1, -g, g)
 
 
-def _both(g: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Whether a second gauge changes sign across each root, from its lanes
-    just below every root and then just above every root."""
-    n = g.size // 2
-    ok = usable(g, bits)
-    return ok[:n] & ok[n:] & (g[:n] * g[n:] <= 0.0)
-
-
 def spectrum(reduction: Reduction, e_min: float, e_max: float,
              grid_step: float = 0.05, zeta_star: float = 0.5) -> SpectrumResult:
     """Spectrum on [e_min, e_max].
 
-    The first gauge of ``reduction`` is scanned as :func:`_pole_free` g, with
-    its ladder points as knots of the grid.  A knot's sample, which every
-    lane the kernel's resonance guard catches takes too, is the second-kind
-    Wronskian, each resonant side (both, at a double pole) seeded on branch
-    m + 1, signed by a first-kind lane 1e-9 above the knot.  A root within
-    REFINE_TOL of a ladder point is an exceptional eigenvalue,
-    'exceptional:<side>:<m>'.  A second gauge, if the reduction has one,
-    is evaluated at s +- 1e-8 for every settled estimate s of the refiner,
-    in the lanes of that round's call: a sign change there labels a root r
-    within REFINE_TOL of s 'regular:both', else it is
-    'regular:<first>-only'.  Roots with no such s (a sample that was exactly
-    zero) are checked at r +- 1e-8 in one more call.  metadata holds the
-    ladder, zeta_star and ``determinant_calls``, the number of
-    :func:`_wronskian` calls.  Energies are in units of omega.
+    The reduction is scanned as :func:`_pole_free` g, with its ladder points
+    as knots of the grid.  A knot's sample, which every lane the kernel's
+    resonance guard catches takes too, is the second-kind Wronskian, each
+    resonant side (both, at a double pole) seeded on branch m + 1, signed by
+    a first-kind lane 1e-9 above the knot.  A root within REFINE_TOL of a
+    ladder point is an exceptional eigenvalue, 'exceptional:<side>:<m>';
+    every other root is 'regular'.  metadata holds the ladder, zeta_star and
+    ``determinant_calls``, the number of :func:`_wronskian` calls.  Energies
+    are in units of omega.
     """
     ladder = resonance_ladder(reduction, e_min, e_max)
     poles = np.array([e for e, _s, _m in ladder])
@@ -208,29 +182,19 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     for (_e, side, m), k in zip(ladder, np.cumsum(first) - 1):
         seeded[int(side == "one"), k] = m + 1
     cfg = RootScanConfig(e_min, e_max, grid_step, knots=tuple(knots.tolist()))
-    gauges = reduction.gauges
     knot_samples = []  # g and flags at the knots, from the grid call
-    handed = []  # the coming round's settled estimates
-    checked = {}  # settled estimate -> whether the second gauge changes sign
     calls = 0
 
     def scan(es):
         nonlocal calls
         calls += 1
         n, grid_call, at = es.size, not knot_samples, np.searchsorted(es, knots)
-        est = np.array(handed)
-        handed.clear()
-        # trailing lanes: the grid call's sign the knots, a round's check
-        # its settled estimates in the second gauge
-        lanes = np.concatenate([es, knots + 1e-9 if grid_call else est - 1e-8, est + 1e-8])
+        # the grid call's trailing lanes sign the knots
+        lanes = np.concatenate([es, knots + 1e-9]) if grid_call else es
         exponents = np.zeros((2, lanes.size), int)
         if grid_call:
             exponents[:, at] = seeded
-        gauge = [gauges[0]] * n + [gauges[1]] * (2 * est.size) if est.size else gauges[0]
-        g, _log_g, bits = _wronskian(reduction, lanes, exponents, zeta_star, gauge)
-        if est.size:
-            checked.update(zip(est.tolist(), _both(g[n:], bits[n:]).tolist()))
-            lanes, g, bits = es, g[:n], bits[:n]
+        g, _log_g, bits = _wronskian(reduction, lanes, exponents, zeta_star)
         g = _pole_free(g, lanes, poles)
         take = (bits[:n] & _GUARDED) != 0
         if grid_call:
@@ -245,25 +209,10 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
             g[take], bits[take] = knot_samples[0][k], knot_samples[1][k]
         return g, bits
 
-    report = scan_and_refine(scan, cfg, settled=handed.extend if len(gauges) > 1 else None)
-    roots, n = report.roots, report.roots.size
-    labels = ["regular"] * n
-    if len(gauges) > 1 and n:
-        est = np.array([*checked, np.inf])
-        near = est[np.abs(roots[:, None] - est).argmin(axis=1)]
-        hit = np.abs(near - roots) <= REFINE_TOL
-        both = np.array([checked.get(e, False) for e in near.tolist()])
-        if not hit.all():
-            rest = roots[~hit]
-            calls += 1
-            g, _log_g, bits = _wronskian(reduction, np.concatenate([rest - 1e-8, rest + 1e-8]),
-                                         np.zeros((2, 2 * rest.size), int), zeta_star,
-                                         gauges[1])
-            both[~hit] = _both(g, bits)
-        labels = np.where(both, "regular:both", f"regular:{gauges[0]}-only").tolist()
-    for i, r in enumerate(roots.tolist()):
-        labels[i] = next((f"exceptional:{side}:{m}" for e, side, m in ladder
-                          if abs(r - e) <= REFINE_TOL), labels[i])
-    return SpectrumResult(reduction.method, roots, tuple(labels), report,
+    report = scan_and_refine(scan, cfg)
+    roots = report.roots
+    labels = tuple(next((f"exceptional:{side}:{m}" for e, side, m in ladder
+                         if abs(r - e) <= REFINE_TOL), "regular") for r in roots.tolist())
+    return SpectrumResult(reduction.method, roots, labels, report,
                           {"ladder": ladder, "zeta_star": zeta_star,
                            "determinant_calls": calls})

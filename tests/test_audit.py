@@ -7,6 +7,8 @@ import pytest
 
 from rabi_spectra import audit, validate_params
 from rabi_spectra.canonical import normalize_params
+from rabi_spectra.errors import NumericalError
+from rabi_spectra.params import ModelParams
 from rabi_spectra.audit import (
     audit_appendix,
     audit_asymmetric_tables,
@@ -145,3 +147,10 @@ def test_diagnose_report_shape():
     names = {e["name"] for e in rep["audit"]}
     assert {"five-term-series", "nine-term-series",
             "general-coefficient-table"} <= names
+
+
+def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
+    # the appendix divides by lambda: its g = 0 table squares
+    # epsilon / lambda = 1e169, where Python's float power raises OverflowError
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="audit_appendix"):
+        diagnose_report(ModelParams(1.0, -1e150, 1e149, 1e20, 1e-20))

@@ -255,14 +255,11 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
 
 #: id -> (argv, text the one stderr line contains); the paper audit works in
 #: units of omega, where these couplings underflow (lambda^2 vanishes, so the
-#: fourth-order operator has no leading term) or the trial energy 0.2 is
-#: 2e299 omega, and a bcf reduction breaks down where g and lambda vanish
-#: next to omega
+#: fourth-order operator has no leading term), and a bcf reduction breaks
+#: down where g and lambda vanish next to omega
 OVERFLOW_CASES = {
     "args3-couplings": (["diagnose", "--omega", "1e300", "--g", "0.2", "--lambda", "0.1"],
                         "leading-derivative polynomial"),
-    "args5": (["diagnose", "--omega", "1e-300", "--g", "1e-300"],
-              "non-finite ODE coefficient"),
     "args7": (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
                "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
     "args8": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
@@ -280,38 +277,49 @@ def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsy
 
 
 #: id -> diagnose argv at omega = 1e300, which overflowed while the paper
-#: audit worked in physical units
+#: audit worked in physical units, and at omega = 1e-300, where the trial
+#: energy 0.2 read 2e299 omega before it was 0.2 omega
 DIAGNOSE_SCALED_CASES = {
     "args3": ["diagnose", "--omega", "1e300"],
     "args4": ["diagnose", "--omega", "1e300", "--g", "5e-11", "--lambda", "0"],
+    "args5": ["diagnose", "--omega", "1e-300", "--g", "1e-300"],
     "couplings": ["diagnose", "--omega", "1e300", "--delta", "4e299", "--eps", "1.5e299",
                   "--g", "6e299"],
+    "uncoupled-omega1e-300": ["diagnose", "--omega", "1e-300"],
 }
 
 
 @pytest.mark.parametrize("args", DIAGNOSE_SCALED_CASES.values(), ids=DIAGNOSE_SCALED_CASES)
 def test_diagnose_scales_with_omega(args, capsys):
-    """The report at omega = 1e300 has the mismatched entries of the argv in
-    units of omega, at the trial energy 0.2 / omega."""
+    """The report at a huge or tiny omega has the mismatched entries of the
+    argv in units of omega."""
     code, out, err = run_cli(args, capsys)
     assert (code, err) == (0, "")
     ns = build_parser().parse_args(in_units_of_omega(args))
     unit = ModelParams(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
     with np.errstate(all="ignore"):  # as main runs it
-        ref = diagnose_report(unit, energy=0.2 / 1e300)
+        ref = diagnose_report(unit)
     assert json.loads(out)["mismatched_entries"] == ref["mismatched_entries"]
+
+
+def test_diagnose_of_one_coupling_ratio_is_one_report(capsys):
+    """g / omega = 5e-311 gives one report, whatever omega carries it."""
+    runs = [run_cli(["diagnose", "--omega", omega, "--g", g], capsys)
+            for omega, g in (("1", "5e-311"), ("1e300", "5e-11"))]
+    assert [(code, err) for code, _out, err in runs] == [(0, "")] * 2
+    entries = [json.loads(out)["mismatched_entries"] for _code, out, _err in runs]
+    assert entries[0] == entries[1] and entries[0]
 
 
 @pytest.mark.parametrize("k", [-900, 900])
 @pytest.mark.parametrize("unit", [(1.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.4, 0.15, 0.6, 0.0),
                                   (1.0, 0.3, 0.1, 0.2, 0.1)])
 def test_diagnose_report_is_bit_identical_at_omega_2_to_the_900(unit, k):
-    """At omega = 2^k, with the trial energy scaled too, the audit and
-    residual rows are those at omega = 1 to the bit, and the oracle's
-    convergence deltas are omega times those."""
+    """At omega = 2^k the audit and residual rows are those at omega = 1 to
+    the bit, and the oracle's convergence deltas are omega times those."""
     omega = 2.0 ** k
     ref = diagnose_report(ModelParams(*unit))
-    got = diagnose_report(ModelParams(*(omega * v for v in unit)), energy=0.2 * omega)
+    got = diagnose_report(ModelParams(*(omega * v for v in unit)))
     for key in ("audit", "residuals"):
         assert json.dumps(got[key]) == json.dumps(ref[key])
     assert got["oracle_convergence"]["deltas"] \

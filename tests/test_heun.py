@@ -106,15 +106,26 @@ def test_spectrum_matches_oracle_small_window(oracle_crit):
         assert np.min(np.abs(res.energies - e)) < 1e-6
 
 
-def test_k_branch_consistency(oracle_crit):
-    # the plus gauge is not scanned; at every 'regular:both' root of the
-    # minus gauge it must change sign across r +- 1e-8
-    res = heun_spectrum(P_CRIT, -1.0, 1.0, 0.05)
-    assert res.labels and all(lab == "regular:both" for lab in res.labels)
-    lo = g_function_heun_batch(P_CRIT, res.energies - 1e-8, k_branch="plus")
-    hi = g_function_heun_batch(P_CRIT, res.energies + 1e-8, k_branch="plus")
+def assert_plus_gauge_changes_sign_at_each_regular_root(p, res):
+    """The gauge factor exp(k zeta) multiplies both local solutions alike, so
+    the plus gauge, which no spectrum evaluates, changes sign across r +- 1e-8
+    omega at every root r of the scanned minus gauge that is not exceptional."""
+    roots = np.array([e for e, lab in zip(res.energies, res.labels) if lab == "regular"])
+    lo = g_function_heun_batch(p, roots - 1e-8 * p.omega, k_branch="plus")
+    hi = g_function_heun_batch(p, roots + 1e-8 * p.omega, k_branch="plus")
     assert all(a.ok and b.ok and a.g_value * b.g_value < 0.0
-               for a, b in zip(lo, hi))
+               for a, b in zip(lo, hi)), p
+
+
+def test_k_branch_consistency():
+    res = heun_spectrum(P_CRIT, -1.0, 1.0, 0.05)
+    assert res.labels and set(res.labels) == {"regular"}
+    assert_plus_gauge_changes_sign_at_each_regular_root(P_CRIT, res)
+
+
+def test_an_unknown_k_branch_is_refused():
+    with pytest.raises(ValueError, match="k_branch"):
+        g_function_heun_batch(P_CRIT, [0.5], k_branch="up")
 
 
 def test_zero_set_stable_across_gluing_points():
@@ -195,7 +206,7 @@ def test_batched_g_matches_scalar_reduction_chain(route):
         assert g_batch(energies[i:i + 1])[0] == batch[i]
 
 
-REGULAR = "regular:both"
+REGULAR = "regular"
 #: heun windows that must be the oracle spectrum level by level, with their
 #: labels: the two sides' ladders coincide (eps = 0 or omega/2, double poles),
 #: delta is tuned so that a ladder point is an exceptional eigenvalue, or
@@ -251,12 +262,12 @@ def test_caught_knot_takes_the_lane_above(monkeypatch):
     grid_calls = []
     scan_and_refine = twopoint.scan_and_refine
 
-    def recording(f, cfg, **kwargs):
+    def recording(f, cfg):
         def recorded(es):
             g, bits = f(es)
             grid_calls.append((es, g.copy()))
             return g, bits
-        return scan_and_refine(recorded, cfg, **kwargs)
+        return scan_and_refine(recorded, cfg)
 
     monkeypatch.setattr(twopoint, "scan_and_refine", recording)
     heun_spectrum(p, -1.0, 4.0, 0.05)
@@ -267,7 +278,7 @@ def test_caught_knot_takes_the_lane_above(monkeypatch):
     at = np.searchsorted(es, knots)
     np.testing.assert_array_equal(es[at], knots)
     above, _log_g, _bits = twopoint._wronskian(
-        red, knots + 1e-9 * p.omega, np.zeros((2, knots.size), int), 0.5, "minus")
+        red, knots + 1e-9 * p.omega, np.zeros((2, knots.size), int), 0.5)
     np.testing.assert_allclose(np.abs(g[at]), np.abs(above), rtol=1e-12)
     np.testing.assert_allclose(np.abs(g[at]), [0.53, 0.53, 0.32, 0.32], atol=0.01)
 

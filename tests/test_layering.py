@@ -3,11 +3,13 @@ the audit's recurrence and residual checks or of the paper audit, and
 ``import rabi_spectra`` loads the solver only.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
-below the routes: it imports none of them, and hands a route its settled
-estimates through a callback.  The CLI imports the audit only
-inside the diagnose command, and keeps no bound of its own."""
+below the routes: it imports none of them and takes no callback from them.
+A spectrum scans one gauge, and only ``heun`` names a gauge branch.  The CLI
+imports the audit only inside the diagnose command, and keeps no bound of
+its own."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from rabi_spectra.rootscan import scan_and_refine
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
 ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py", "closed_form.py")
@@ -112,10 +116,40 @@ def test_only_series_reaches_the_kernel():
 
 
 def test_rootscan_imports_no_layer_above_it():
-    """The refiner stays route-agnostic: a route learns the settled estimates
-    through the ``settled`` callback of ``scan_and_refine`` and evaluates
-    its second gauge itself."""
+    """The refiner stays route-agnostic: it imports no route, and a route
+    hands ``scan_and_refine`` only the scanned function and the window."""
     assert imported_names(SRC / "rootscan.py") & ABOVE_ROOTSCAN == set()
+    assert list(inspect.signature(scan_and_refine).parameters) == ["f", "cfg"]
+
+
+#: module -> text of the only lines outside heun.py that may name a gauge
+#: branch: the CLI's --k-branch option and its pass-through to the heun
+#: reduction, and the audit's k_plus row
+GAUGE_NAMERS = {"cli.py": ('"--k-branch"', "k_branch=ns.k_branch"),
+                "audit.py": ('che_params(p, energy, "plus")',)}
+
+
+def gauge_lines(path: Path) -> set:
+    """The stripped source lines that name a gauge branch: the strings
+    "plus" and "minus", or ``k_branch`` as a name, attribute or argument."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return {lines[node.lineno - 1].strip() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Constant) and node.value in ("plus", "minus")
+            or isinstance(node, ast.Name) and node.id == "k_branch"
+            or isinstance(node, ast.Attribute) and node.attr == "k_branch"
+            or isinstance(node, (ast.keyword, ast.arg)) and node.arg == "k_branch"}
+
+
+def test_only_heun_names_a_gauge_branch():
+    """The Wronskian's zeros do not depend on the gauge, so a spectrum scans
+    one; no second gauge may come back beside the route that chooses it."""
+    assert gauge_lines(SRC / "heun.py")
+    for path in sorted(SRC.glob("*.py")):
+        allowed = GAUGE_NAMERS.get(path.name, ())
+        if path.name != "heun.py":
+            assert [line for line in gauge_lines(path)
+                    if not any(text in line for text in allowed)] == [], path.name
 
 
 def test_cli_imports_the_audit_only_where_diagnose_reads_it():

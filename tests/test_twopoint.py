@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -25,14 +24,15 @@ from rabi_spectra.bcf import bcf_reduction
 from rabi_spectra.errors import DegenerateQError, ValidationError
 from rabi_spectra.heun import heun_reduction
 from rabi_spectra.params import in_units_of_omega
-from rabi_spectra.rootscan import FLAG_SETS, REFINE_TOL
+from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.series import PolyOde, ode_to_recurrence
 from rabi_spectra.twopoint import resonance_ladder
+from test_heun import assert_plus_gauge_changes_sign_at_each_regular_root
 from test_kernels import reference_series
 
 #: (route, params, window) -> labels, or the error the route raises; the
-#: assembly decides these (second-gauge check, exceptional tests), and at
-#: delta = 0 the closed-form branches
+#: assembly decides these (exceptional tests), and at delta = 0 the
+#: closed-form branches
 LABELS = {
     "heun-delta0": (heun_spectrum, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 2.0),
                     ("closed:-:0", "closed:+:0", "closed:-:1", "closed:+:1",
@@ -144,48 +144,33 @@ def test_fitted_weights_are_the_derived_recurrence(case):
     reduction, params = FITTED[case]
     (q,) = in_units_of_omega(validate_params(*params))
     red = reduction(q)
-    for gauge in red.gauges:
-        for e in (-3.0, 2.5, 7.0):
-            fitted = red.lane_weights(np.array([e]), gauge)
-            for side, z0 in enumerate((0.0, 1.0)):
-                ref = ode_to_recurrence(PolyOde(red.ode_at(e, gauge), z0=z0)).weights
-                assert fitted[side].shape == ref.shape
-                assert np.max(np.abs(fitted[side] - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("reduction, params, gauge", [
-    (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), None),
-    (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), "up"),
-    (bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02), "minus"),
-])
-def test_a_gauge_the_reduction_lacks_is_refused(reduction, params, gauge):
-    p = validate_params(*params)
-    with pytest.raises(ValueError, match=re.escape(repr(reduction(p).gauges))):
-        twopoint.g_function_batch(reduction, p, [0.5], 0.5, gauge)
+    for e in (-3.0, 2.5, 7.0):
+        fitted = red.lane_weights(np.array([e]))
+        for side, z0 in enumerate((0.0, 1.0)):
+            ref = ode_to_recurrence(PolyOde(red.ode_at(e), z0=z0)).weights
+            assert fitted[side].shape == ref.shape
+            assert np.max(np.abs(fitted[side] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.fixture
 def determinants(monkeypatch):
-    """(reduction, gauges, energies, exponents) of every batched determinant
-    call, gauges as one entry per lane; a lane with a nonzero exponent is an
-    exceptional test, its series seeded on a high-exponent branch."""
+    """(reduction, energies, exponents) of every batched determinant call; a
+    lane with a nonzero exponent is an exceptional test, its series seeded
+    on a high-exponent branch."""
     calls = []
     wronskian = twopoint._wronskian
 
-    def recording(reduction, energies, exponents, zeta_star, gauge):
-        per_lane = gauge if isinstance(gauge, list) else [gauge] * energies.size
-        calls.append((reduction, np.array(per_lane, dtype=object), energies,
-                      np.asarray(exponents)))
-        return wronskian(reduction, energies, exponents, zeta_star, gauge)
+    def recording(reduction, energies, exponents, zeta_star):
+        calls.append((reduction, energies, np.asarray(exponents)))
+        return wronskian(reduction, energies, exponents, zeta_star)
 
     monkeypatch.setattr(twopoint, "_wronskian", recording)
     return calls
 
 
 #: route, params, window -> (most determinant calls, most n_evaluations);
-#: the evaluation caps are what the secant refiner took on the scanned gauge,
-#: and below them what per-bracket bisection took.  The bracketing refiner
-#: takes 5 and 4 calls: heun checks its second gauge inside the rounds
+#: the evaluation caps are what the secant refiner took, and below them what
+#: per-bracket bisection took.  The bracketing refiner takes 5 and 4 calls
 ROUNDS = {
     "heun-P2": (heun_spectrum, heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
                 (-1.0, 4.0), 5, (244, 417)),
@@ -199,7 +184,7 @@ def assert_knots_ride_in_grid_call(calls, sector, ladder, omega):
     exponents: its seeded lanes are the knots, one per ladder point, each
     seeded on branch m + 1 of its resonant side, and its trailing lanes are
     the first-kind lanes 1e-9 omega above the knots that sign them."""
-    ours = [(es, x) for red, _g, es, x in calls if red is sector]
+    ours = [(es, x) for red, es, x in calls if red is sector]
     assert [bool(np.any(x)) for _es, x in ours] == [True] + [False] * (len(ours) - 1)
     energies, exponents = ours[0]
     seeded = np.any(exponents, axis=0)
@@ -225,13 +210,35 @@ def test_determinant_calls_per_window(case, determinants):
                                    res.metadata["ladder"], p.omega)
 
 
+@pytest.mark.parametrize("case", sorted(ROUNDS))
+def test_lanes_are_the_evaluations_and_the_knot_signs(case, determinants):
+    # every lane of a determinant call is an energy the scan asked for, or
+    # one of the grid call's first-kind lanes that sign the knots
+    route, _reduction, params, (e_min, e_max), _calls, _evals = ROUNDS[case]
+    res = route(validate_params(*params), e_min, e_max, 0.05)
+    knot_signs = np.any(determinants[0][2], axis=0).sum()
+    assert knot_signs == len({e for e, _s, _m in res.metadata["ladder"]}) > 0
+    assert sum(es.size for _red, es, _x in determinants) \
+        == res.report.n_evaluations + knot_signs
+
+
+def test_a_heun_reduction_is_fitted_from_three_probes(monkeypatch):
+    probes = []
+    che_params = heun.che_params
+    monkeypatch.setattr(heun, "che_params",
+                        lambda *args: probes.append(args[1:]) or che_params(*args))
+    heun.heun_reduction.cache_clear()
+    heun_spectrum(validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0, 0.05)
+    assert probes == [(-1.0, "minus"), (0.0, "minus"), (1.0, "minus")]
+
+
 def test_coincident_ladder_points_share_one_knot(determinants):
     # eps = 0: each origin point m shares its energy with the one point m + 1,
     # a double pole; the knot there is seeded on both sides at once
     p = validate_params(1.0, 0.4, 0.0, 0.6, 0.0)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     assert len(res.metadata["ladder"]) == 9
-    energies, exponents = determinants[0][2:]
+    energies, exponents = determinants[0][1:]
     seeded = np.any(exponents, axis=0)
     np.testing.assert_allclose(energies[seeded], [-0.36, 0.64, 1.64, 2.64, 3.64],
                                rtol=0.0, atol=1e-14)
@@ -260,7 +267,7 @@ def test_one_kernel_roll_per_determinant_call(route, params, window,
 
     monkeypatch.setattr(_kernels, "roll_lanes", counting)
     route(validate_params(*params), *window, 0.05)
-    assert any(np.any(x) for _red, _g, _es, x in determinants)
+    assert any(np.any(x) for _red, _es, x in determinants)
     assert len(rolls) == len(determinants)
 
 
@@ -273,41 +280,6 @@ def test_spectrum_builds_no_sample_objects(route, params, window, monkeypatch):
     for module in (rootscan, twopoint, heun, bcf):
         monkeypatch.setattr(module, "GFunctionSample", refuse)
     assert route(validate_params(*params), *window, 0.05).energies.size
-
-
-def test_second_gauge_checks_each_root(determinants):
-    # the second gauge rides in the refine rounds: a round's trailing lanes
-    # sit at s - 1e-8 and then s + 1e-8 for its settled estimates s
-    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
-    res = heun_spectrum(p, -1.0, 4.0, 0.05)
-    first, second = heun_reduction(p).gauges
-    settled = []
-    for _red, gauges, es, _x in determinants:
-        check = es[gauges == second]
-        assert np.all(gauges[:gauges.size - check.size] == first)
-        below, above = np.split(check, 2)
-        np.testing.assert_allclose(above - below, 2e-8, rtol=0.0, atol=1e-15)
-        settled += (0.5 * (below + above)).tolist()
-    assert len(determinants) == res.metadata["determinant_calls"]
-    assert not np.any(determinants[0][1] == second)  # none in the grid call
-    for r in res.report.roots:
-        assert np.min(np.abs(np.array(settled) - r)) <= REFINE_TOL
-    assert set(res.labels) == {"regular:both"}
-
-
-def test_roots_without_a_settled_estimate_are_checked_in_one_call(monkeypatch):
-    # with no estimate handed over (as for a sample that is exactly zero)
-    # every root is checked in one more call, with the same labels; on P2
-    # every root settles, so that call is the only extra one
-    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
-    res = heun_spectrum(p, -1.0, 4.0, 0.05)
-    scan_and_refine = twopoint.scan_and_refine
-    monkeypatch.setattr(twopoint, "scan_and_refine",
-                        lambda f, cfg, settled: scan_and_refine(f, cfg))
-    alone = heun_spectrum(p, -1.0, 4.0, 0.05)
-    assert alone.labels == res.labels
-    np.testing.assert_array_equal(alone.energies, res.energies)
-    assert alone.metadata["determinant_calls"] == res.metadata["determinant_calls"] + 1
 
 
 #: heun windows on [-1, 4] beside ladder points whose brackets fell back to
@@ -323,41 +295,14 @@ def test_windows_beside_ladder_points_take_few_calls(params, determinants):
     assert res.energies.size
 
 
-def assert_labels_as_a_check_at_each_root(red, res):
-    """Every label that is not exceptional is the one a separate call of
-    the second gauge at r +- 1e-8 gives."""
-    roots = res.report.roots
-    gv, _log_g, bits = twopoint._wronskian(
-        red, np.concatenate([roots - 1e-8, roots + 1e-8]),
-        np.zeros((2, 2 * roots.size), int), 0.5, red.gauges[1])
-    ok = [not FLAG_SETS[b] and math.isfinite(v) for v, b in zip(gv, bits)]
-    n = roots.size
-    for i, label in enumerate(res.labels):
-        b = ok[i] and ok[n + i] and gv[i] * gv[n + i] <= 0.0
-        if not label.startswith("exceptional:"):
-            assert label == ("regular:both" if b else f"regular:{red.gauges[0]}-only")
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(delta=st.floats(0.2, 0.6), eps=st.floats(0.0, 0.3), g=st.floats(0.3, 0.9))
 def test_settled_check_labels_as_a_check_at_each_root(delta, eps, g):
-    # the labels read from the lanes at settled estimates are the labels of
-    # a separate second-gauge call at r +- 1e-8 (heun-sweep box)
+    # no spectrum evaluates the plus gauge; it must still change sign across
+    # every regular root of the scanned minus gauge (heun-sweep box)
     p = validate_params(1.0, delta, eps, g, 0.0)
-    res = heun_spectrum(p, -1.0, 4.0, 0.05)
-    assert_labels_as_a_check_at_each_root(heun_reduction(p), res)
-
-
-def test_a_second_gauge_without_the_roots_labels_them_first_only():
-    # a second "gauge" that is the scanned gauge of another delta has no root
-    # near P2's, so every P2 level is 'regular:minus-only'
-    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
-    other = heun_reduction(validate_params(1.0, 0.3, 0.15, 0.6, 0.0))
-    swapped = dataclasses.replace(red, weights={"minus": red.weights["minus"],
-                                                "plus": other.weights["minus"]})
-    res = twopoint.spectrum(swapped, -1.0, 4.0)
-    assert set(res.labels) == {"regular:minus-only"}
-    assert_labels_as_a_check_at_each_root(swapped, res)
+    assert_plus_gauge_changes_sign_at_each_regular_root(
+        p, heun_spectrum(p, -1.0, 4.0, 0.05))
 
 
 @pytest.mark.parametrize("route, params", [
@@ -381,8 +326,7 @@ def test_near_singular_flag_marks_first_kind_lanes_only():
                           for at in ("origin", "one")])
     energies = np.array([0.1, 0.2] + [e for e, _s, _m in ladder])
     for zeta_star in (0.01, 0.5, 0.99):
-        _g, _log_g, bits = twopoint._wronskian(red, energies, exponents, zeta_star,
-                                               "minus")
+        _g, _log_g, bits = twopoint._wronskian(red, energies, exponents, zeta_star)
         flagged = ["near_singular_eval_point" in FLAG_SETS[b] for b in bits]
         assert flagged == [zeta_star != 0.5] * 2 + [False] * len(ladder)
 
@@ -405,7 +349,7 @@ def _scalar_second_kind(red, energy, side, m):
     """The second-kind Wronskian from one derived recurrence per series,
     rolled by the scalar reference loop, the resonant side seeded on
     z^(m+1), and whether the series converged."""
-    ode = red.ode_at(energy, red.gauges[0])
+    ode = red.ode_at(energy)
     sums, kflags = [], 0
     for z0, at in ((0.0, "origin"), (1.0, "one")):
         ds, _slog, flags = reference_series(ode_to_recurrence(PolyOde(ode, z0=z0)),
@@ -430,7 +374,7 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
     lanes, _log_g, _bits = twopoint._wronskian(
         red, np.array([e for e, _s, _m in ladder]),
         np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
-                  for at in ("origin", "one")]), 0.5, red.gauges[0])
+                  for at in ("origin", "one")]), 0.5)
     for (e, side, m), g_lane in zip(ladder, lanes):
         g, converged = _scalar_second_kind(red, e, side, m)
         assert g_lane == pytest.approx(g, rel=0.0, abs=1e-10)
@@ -457,8 +401,7 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
     monkeypatch.setattr(twopoint, "series_sums_lanes", zero_lane)
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     red = heun_reduction(p)
-    samples = twopoint.g_function_batch(heun_reduction, p, np.linspace(-1.0, 4.0, 9), 0.5,
-                                        "minus")
+    samples = twopoint.g_function_batch(heun_reduction, p, np.linspace(-1.0, 4.0, 9), 0.5)
     assert samples[3].flags == {"degenerate_series"} and not samples[3].ok
     assert all(s.ok for i, s in enumerate(samples) if i != 3)
 
@@ -468,7 +411,7 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
         if energies.size > 3:
             zeroed.append(energies[3])
         g, _log_g, flags = twopoint._wronskian(
-            red, energies, np.zeros((2, energies.size), int), 0.5, "minus")
+            red, energies, np.zeros((2, energies.size), int), 0.5)
         return g, flags
 
     report = scan_and_refine(f, RootScanConfig(-1.0, 4.0, 0.05))
