@@ -7,14 +7,15 @@ to zeta = 1, 0.  The zeta-form coefficients, and so the series' recurrence
 weights, are quadratics in E: the weights are fitted once per parameter set
 from three probes of :func:`bcf_reduce`, and a whole vector of trial
 energies is reduced at once, in units of omega.  The route has no gauge;
-where delta vanishes it returns the closed form.
+where delta vanishes it returns the closed form.  The reduction of a
+parameter set is kept, and so are the last few :func:`bcf_reduce` results.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .closed_form import closed_window
 from .errors import (ComplexSingularityError, DegenerateQError, GNotZeroError,
                      NumericalError)
 from .operators import bcf_truncated_parent
-from .params import ModelParams, in_units_of_omega, times_omega, vanishes
+from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -41,8 +42,8 @@ class BcfParams:
     """
 
     q: float
-    a_table: dict
-    b_table: dict
+    a_table: MappingProxyType
+    b_table: MappingProxyType
     alpha1: float
     alpha2: float
     beta1: float
@@ -58,8 +59,10 @@ class BcfParams:
     kappa: float
 
 
+@memoized(4)
 def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
-    """Partial fractions and zeta-form coefficients of the truncated ODE."""
+    """Partial fractions and zeta-form coefficients of the truncated ODE.
+    The result is shared: its tables are read-only."""
     if p.lam == 0.0 and p.g == 0.0:
         raise DegenerateQError("q = 0: both couplings vanish")
     p0, p1, p2 = bcf_truncated_parent(p, energy)
@@ -79,10 +82,10 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
     # z-form tables in the (z^2-q^2) phi'' = (A...) phi' + (B...) phi shape
     a_poly = poly(p1) / om2
     b_poly = poly(p0) / om2
-    a_table = {f"A{i + 1}": float(a_poly[i]) if i < a_poly.size else 0.0
-               for i in range(4)}
-    b_table = {f"B{i + 1}": float(b_poly[i]) if i < b_poly.size else 0.0
-               for i in range(3)}
+    a_table = MappingProxyType({f"A{i + 1}": float(a_poly[i]) if i < a_poly.size
+                                else 0.0 for i in range(4)})
+    b_table = MappingProxyType({f"B{i + 1}": float(b_poly[i]) if i < b_poly.size
+                                else 0.0 for i in range(3)})
     # zeta form: phi'' = (al1 z + al2 + be1/(z-1) + be2/z) phi' + ...
     c1 = float(quot1[1]) if quot1.size > 1 else 0.0
     c0 = float(quot1[0]) if quot1.size else 0.0
@@ -115,7 +118,7 @@ def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
                     (0.0, -1.0, 1.0)), z0=z0)
 
 
-@functools.lru_cache(maxsize=64)
+@memoized(64)
 def bcf_reduction(p: ModelParams) -> Reduction:
     """The reduced zeta-form equation of p, in units of omega, as a two-point
     reduction with no gauge.  p2 of the truncated parent does not depend on E,

@@ -11,7 +11,9 @@ fitted once per parameter set and gauge from three probes of
 once, in units of omega.  The gauge factor multiplies both local solutions
 alike, so the Wronskian's zeros do not depend on the root k: the spectrum
 scans the minus branch alone, and where delta vanishes too is the closed
-form.  The plus branch stays reachable through ``k_branch``.
+form.  The plus branch stays reachable through ``k_branch``.  The
+reduction of a parameter set and gauge is kept, and so are the last few
+:func:`che_params` results, whichever way the branch is passed.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .closed_form import closed_window
 from .errors import GZeroError, LambdaNotZeroError
 from .operators import asymmetric_second_order
-from .params import ModelParams, in_units_of_omega, times_omega, vanishes
+from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
 from .polyops import split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -42,13 +45,15 @@ class CheParams:
     k: float
     k_branch: str
     q: float
-    a_table: dict
+    a_table: MappingProxyType
     quad_residual: float
 
 
+@memoized(4)
 def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> CheParams:
     """Partial fractions of the (corrected) second-order reduction, mapped to
-    zeta in [0, 1] and gauged by exp(k zeta)."""
+    zeta in [0, 1] and gauged by exp(k zeta).  The result is shared: its
+    partial-fraction table is read-only."""
     if not vanishes(p, p.lam):
         raise LambdaNotZeroError(f"heun route needs lambda = 0, got {p.lam}")
     if p.g == 0.0:
@@ -59,7 +64,8 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     quot0, b2, b3 = split_two_poles(p0, p2, q)
     a1 = float(quot1[0]) if quot1.size else 0.0
     b1 = float(quot0[0]) if quot0.size else 0.0
-    a_table = {"A1": a1, "A2": a2, "A3": a3, "B1": b1, "B2": b2, "B3": b3}
+    a_table = MappingProxyType({"A1": a1, "A2": a2, "A3": a3,
+                                "B1": b1, "B2": b2, "B3": b3})
     al1 = 2 * q * a1
     al2, al3 = a2, a3
     be1 = 4 * q * q * b1
@@ -86,7 +92,7 @@ def che_ode(che: CheParams, z0: float) -> PolyOde:
                     (0.0, -1.0, 1.0)), z0=z0)
 
 
-@functools.lru_cache(maxsize=64)
+@memoized(64)
 def heun_reduction(p: ModelParams, k_branch: str = "minus") -> Reduction:
     """The confluent Heun equation of p, in units of omega, gauged by the
     ``k_branch`` root, as a two-point reduction.  p2 of the parent and the

@@ -2,15 +2,17 @@
 
 The fourth-order operator and its monic coefficient table come from the
 composition with the full product rule; the lam = 0 and small-coupling
-reductions feed the heun and bcf routes.  The displays the derivation
-chapters print drop two product-rule terms; they are transcribed in
-:mod:`rabi_spectra.audit`, which compares them with what is derived here.
+reductions feed the heun and bcf routes.  The composition is kept for the
+last few (parameters, energy) pairs, so the audits of one report share
+it.  The displays the derivation chapters print drop two product-rule
+terms; they are transcribed in :mod:`rabi_spectra.audit`, which compares
+them with what is derived here.
 """
 
 from __future__ import annotations
 
 from .errors import LambdaZeroError
-from .params import ModelParams
+from .params import ModelParams, memoized
 from .polyops import compose_operators, padd, poly
 
 
@@ -23,14 +25,18 @@ def coupled_operator_polys(p: ModelParams, energy: float):
     return c1, c2, c1b, c2b
 
 
-def compose_fourth_order(p: ModelParams, energy: float) -> list:
-    """Fourth-order operator annihilating phi_1: Dbar o D + delta^2."""
+@memoized(4)
+def compose_fourth_order(p: ModelParams, energy: float) -> tuple:
+    """Fourth-order operator annihilating phi_1: Dbar o D + delta^2, as a
+    shared tuple of read-only coefficient arrays."""
     c1, c2, c1b, c2b = coupled_operator_polys(p, energy)
     d_op = [c2, c1, poly([p.lam])]
     dbar_op = [c2b, c1b, poly([p.lam])]
     out = compose_operators(dbar_op, d_op)
     out[0] = padd(out[0], poly([p.delta ** 2]))
-    return out
+    for c in out:
+        c.setflags(write=False)
+    return tuple(out)
 
 
 def general_table(p: ModelParams, energy: float) -> dict:

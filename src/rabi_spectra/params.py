@@ -1,8 +1,11 @@
-"""Physical parameters, validation, units of omega and regime classification."""
+"""Physical parameters, validation, units of omega, regime classification
+and the bounded memo of results per parameter set."""
 
 from __future__ import annotations
 
 import enum
+import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -101,6 +104,34 @@ def whole(name: str, value, error=ValidationError) -> int:
     if not (math.isfinite(value) and value == int(value)):
         raise error(f"{name} must be a whole number, got {value}")
     return int(value)
+
+
+def memoized(maxsize: int):
+    """Decorator keeping the last ``maxsize`` results of a pure function of
+    hashable arguments, such as a parameter set and an energy.
+
+    Entries are keyed on the arguments bound to the signature, defaults
+    filled in, so ``f(p, e)`` and ``f(p, e, k_branch="minus")`` share one
+    (``functools.lru_cache`` keys them apart).  Callers share each result,
+    so the function must return immutable values.  Unhashable arguments
+    bypass the cache.
+    """
+    def wrap(fn):
+        signature = inspect.signature(fn)
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            key = signature.bind(*args, **kwargs)
+            key.apply_defaults()
+            try:
+                hash(key.args)
+            except TypeError:
+                return fn(*key.args)
+            return cached(*key.args)
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+    return wrap
 
 
 class RegimeTag(enum.Enum):

@@ -5,7 +5,7 @@ source text: which displays are algebraically consistent and which are not.
 import numpy as np
 import pytest
 
-from rabi_spectra import audit, validate_params
+from rabi_spectra import audit, bcf, heun, operators, validate_params
 from rabi_spectra.canonical import normalize_params
 from rabi_spectra.errors import NumericalError
 from rabi_spectra.params import ModelParams
@@ -154,3 +154,23 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
     # epsilon / lambda = 1e169, where Python's float power raises OverflowError
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="audit_appendix"):
         diagnose_report(ModelParams(1.0, -1e150, 1e149, 1e20, 1e-20))
+
+
+def test_a_warm_report_derives_each_input_once():
+    diagnose_report(P_GEN)  # computes and keeps the residual rows
+    derivations = (operators.compose_fourth_order, heun.che_params, bcf.bcf_reduce)
+    for derive in derivations:
+        derive.cache_clear()
+    diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
+    # general and g = 0 operators; minus and plus gauges; one bcf reduction
+    assert [derive.cache_info().misses for derive in derivations] == [2, 2, 1]
+    assert all(derive.cache_info().maxsize == 4 for derive in derivations)
+
+
+def test_shared_derivations_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        operators.compose_fourth_order(P_GEN, 0.2)[0][0] = 0.0
+    with pytest.raises(TypeError):
+        heun.che_params(P_ASYM, 0.2).a_table["A1"] = 0.0
+    with pytest.raises(TypeError):
+        bcf.bcf_reduce(P_GEN, 0.2).b_table["B1"] = 0.0

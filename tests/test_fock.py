@@ -161,3 +161,33 @@ def test_cutoff_above_cap_is_refused_before_any_array(build, monkeypatch):
     with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
                                                   rf"got {MAX_CUTOFF + 1}$"):
         build(p, MAX_CUTOFF + 1)
+
+
+def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
+    # each step's reference cutoff is the previous step's cutoff
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: solved.append(m.shape[0]) or eigvalsh(m))
+    fock.eigenvalues.cache_clear()
+    for p in (validate_params(1.0, 0.3, 0.1, 0.4, 0.35),
+              validate_params(1.0, 0.2, -0.1, 0.3, 0.4)):
+        for cutoff in (200, 400, 800):
+            res = oracle_spectrum(p, cutoff, 40, cutoff // 2)
+        assert res.reference_cutoff == 400
+    # a second parameter set solves all four of its own cutoffs
+    assert solved == [402, 202, 802, 1602] * 2
+    assert fock.eigenvalues.cache_info().maxsize == 4
+
+
+def test_oracle_results_cannot_corrupt_the_kept_eigenvalues():
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.2)
+    first = oracle_spectrum(p, 40, 10)
+    expect = first.eigenvalues.copy()
+    first.eigenvalues[:] = 0.0
+    first.convergence_deltas[:] = 1.0
+    again = oracle_spectrum(p, 40, 10)
+    assert np.array_equal(again.eigenvalues, expect)
+    assert np.all(again.convergence_deltas < 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        eigenvalues(p, 40)[0] = 0.0

@@ -6,7 +6,7 @@ no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them and takes no callback from them.
 A spectrum scans one gauge, and only ``heun`` names a gauge branch.  The CLI
 imports the audit only inside the diagnose command, and keeps no bound of
-its own."""
+its own.  Every cache has a finite size."""
 
 import ast
 import inspect
@@ -184,3 +184,53 @@ def test_no_module_uses_numpy_polynomial():
             used += [f"{path.name}: {n}" for n in names
                      if n.startswith("numpy.polynomial")]
     assert used == []
+
+
+#: (module, function) of the caches whose keys are few enough to need no bound
+UNBOUNDED_CACHES = {("polyops", "falling_factorial_poly")}
+CACHE_MAKERS = {"lru_cache", "memoized"}
+
+
+def cache_bounds(path: Path) -> set:
+    """(module, innermost enclosing function, maxsize) of each cache a
+    module makes with ``lru_cache``, ``functools.cache`` or ``memoized``;
+    maxsize is the literal bound, the name passed on, or "default" where
+    the call gives none."""
+    found = set()
+
+    def maker(node):
+        return (isinstance(node, ast.Name) and node.id in CACHE_MAKERS
+                or isinstance(node, ast.Attribute) and node.attr in CACHE_MAKERS
+                or isinstance(node, ast.Attribute) and node.attr == "cache"
+                and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+    def visit(node, owner, called=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and maker(child.func):
+                bound = ([kw.value for kw in child.keywords if kw.arg == "maxsize"]
+                         or child.args[:1])
+                value = "default" if not bound else (
+                    bound[0].value if isinstance(bound[0], ast.Constant)
+                    else ast.unparse(bound[0]))
+                found.add((path.stem, owner, value))
+                visit(child, owner, child.func)
+            elif maker(child) and child is not called:
+                found.add((path.stem, owner, "default"))
+            elif isinstance(child, ast.FunctionDef | ast.ClassDef):
+                visit(child, child.name)
+            elif not isinstance(child, ast.Import | ast.ImportFrom):
+                visit(child, owner)
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_every_cache_is_bounded():
+    """A parameter sweep must not grow a cache without limit: each cache
+    names a whole-number maxsize, and ``memoized`` passes its own on."""
+    bounds = set().union(*(cache_bounds(path) for path in sorted(SRC.glob("*.py"))))
+    loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
+    assert loose == {("params", "wrap", "maxsize")} \
+        | {(*cache, None) for cache in UNBOUNDED_CACHES}
+    assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
+                                        ("operators", "compose_fourth_order"),
+                                        ("heun", "che_params"), ("bcf", "bcf_reduce")}

@@ -19,7 +19,7 @@ from rabi_spectra.errors import (
     NonPositiveOmegaError,
     SqueezeTooStrongError,
 )
-from rabi_spectra.params import VANISHING_TOL
+from rabi_spectra.params import VANISHING_TOL, memoized
 
 
 def test_validate_ok():
@@ -121,3 +121,20 @@ def test_normalize_requires_lambda():
 def test_mirror_involution():
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.05)
     assert p.mirrored().mirrored() == p
+
+
+def test_a_memoized_function_keys_on_its_bound_arguments():
+    calls = []
+
+    @memoized(2)
+    def derive(p, energy, branch="minus"):
+        calls.append((p, energy, branch))
+        return energy
+
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+    derive(p, 0.2), derive(p, 0.2, "minus"), derive(p, energy=0.2, branch="minus")
+    assert calls == [(p, 0.2, "minus")]
+    derive(p, 0.3), derive(p, 0.4), derive(p, 0.2)  # 0.2 was evicted
+    assert len(calls) == 4 and derive.cache_info().currsize == 2
+    # an unhashable argument is computed, not kept
+    assert derive(p, [0.5]) == [0.5] and derive.cache_info().currsize == 2

@@ -228,7 +228,11 @@ def test_a_heun_reduction_is_fitted_from_three_probes(monkeypatch):
     monkeypatch.setattr(heun, "che_params",
                         lambda *args: probes.append(args[1:]) or che_params(*args))
     heun.heun_reduction.cache_clear()
-    heun_spectrum(validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0, 0.05)
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
+    heun_spectrum(p, -1.0, 4.0, 0.05)
+    # g_function_heun names the branch by keyword, heun_spectrum not at all:
+    # both reach the one kept reduction of (p, "minus")
+    heun.g_function_heun(p, 0.3)
     assert probes == [(-1.0, "minus"), (0.0, "minus"), (1.0, "minus")]
 
 
