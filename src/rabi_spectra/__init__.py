@@ -4,8 +4,8 @@ truncated-Fock diagonalization oracle.
 
 Importing the package loads the solver only.  The printed-vs-derived audit
 of the paper's displays (:mod:`rabi_spectra.audit`) and its validation-grade
-derivations (:mod:`rabi_spectra.canonical`, :mod:`rabi_spectra.special`)
-are imported from their modules.
+derivations (:mod:`rabi_spectra.canonical`, with the Kummer and
+biconfluent-Heun series) are imported from their modules.
 """
 
 from .params import ModelParams, RegimeTag, classify_regime, validate_params

@@ -20,8 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .closed_form import closed_window
-from .errors import (ComplexSingularityError, DegenerateQError, GNotZeroError,
-                     NumericalError)
+from .errors import ComplexSingularityError, DegenerateQError, NumericalError
 from .operators import bcf_truncated_parent
 from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
 from .polyops import poly, split_two_poles
@@ -90,10 +89,6 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
     c1 = float(quot1[1]) if quot1.size > 1 else 0.0
     c0 = float(quot1[0]) if quot1.size else 0.0
     d0 = float(quot0[0]) if quot0.size else 0.0
-    d1 = float(quot0[1]) if quot0.size > 1 else 0.0
-    d2 = float(quot0[2]) if quot0.size > 2 else 0.0
-    if abs(d1) > 0 or abs(d2) > 0:
-        raise GNotZeroError("unexpected polynomial growth in the phi part")
     al1 = -4 * q2 * c1
     al2 = -(2 * q * c0 - 2 * q2 * c1)
     be1 = -bp

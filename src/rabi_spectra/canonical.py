@@ -18,12 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import (FLAG_NONCONVERGED, FLAG_RESONANT_COMPATIBLE,
+                       FLAG_RESONANT_INCOMPATIBLE)
 from .closed_form import require_uncoupled
-from .errors import GNotZeroError, GZeroError, LambdaZeroError
+from .errors import (GNotZeroError, GZeroError, LambdaZeroError,
+                     NonConvergedError, PoleInBError)
 from .params import ModelParams
 from .polyops import padd, pder, pmul, poly, ptrim, pval, split_two_poles
-from .series import PolyOde
-from .special import kummer_1f1, kummer_1f1_d012
+from .series import PolyOde, ode_to_recurrence, series_sums_lanes
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,8 @@ class BchParams:
 
 
 def bch_params_g0(nb: NormalizedParams) -> BchParams:
-    """g = 0 case: the in-text BCH parameter set, evaluable via bch_series.
+    """g = 0 case: the in-text BCH parameter set; the series solution rolls
+    :func:`bch_first_normal_ode` through ``series.series_sums_lanes``.
 
     The xi map zeta = e^{-i pi/4} (4 lambda1)^{1/4} z is kept complex; the
     phase cancels and the scale is real whenever lambda1 < 0.
@@ -303,32 +306,65 @@ def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams
     return WeberParams(stretch, shift, a1, branch)
 
 
+def _kummer_lanes(ab, x: float) -> np.ndarray:
+    """Rows (M, M', M'') of M = 1F1(a; b; x), one per (a, b) of ab.
+
+    M is the regular series at 0 of x M'' + (b - x) M' - a M = 0, and the
+    rows are lanes of one kernel call.  A nonpositive integer b makes the
+    recurrence resonant at the index 1 - b, and the kernel's resonance flag
+    raises PoleInBError wherever a lane reaches that index: at every x for
+    b >= -9, as a lane rolls at least ten terms.  Where x^2 is below the
+    normal range (x = 0 included), the derivative sums would lose their
+    digits, and the rows are the series' leading coefficients 1, a/b and
+    a(a+1)/(b(b+1)), which are the values to rounding there; the lanes then
+    roll at unit offset for their flags.
+    """
+    weights = np.stack([ode_to_recurrence(PolyOde(((-a,), (b, -1.0), (0.0, 1.0)))).weights
+                        for a, b in ab])
+    tiny = x * x < np.finfo(float).tiny
+    sums, scale_log, flags = series_sums_lanes(
+        weights, [1.0 if tiny else x] * len(ab), [0] * len(ab))
+    if np.any(flags & (FLAG_RESONANT_COMPATIBLE | FLAG_RESONANT_INCOMPATIBLE)):
+        raise PoleInBError(f"1F1 pole: b among {[b for _a, b in ab]} is a "
+                           "nonpositive integer")
+    if np.any(flags & FLAG_NONCONVERGED) or not np.isfinite(sums).all():
+        raise NonConvergedError(f"1F1 at x = {x} did not converge for (a, b) in {ab}")
+    if tiny:
+        return np.array([(1.0, a / b, a * (a + 1) / (b * (b + 1))) for a, b in ab])
+    return sums * np.exp(scale_log)[:, None] / x ** np.arange(3)
+
+
+def kummer_1f1_d012(a: float, b: float, x: float) -> tuple:
+    """(M, M', M'') of M = 1F1(a; b; x), summed as one series lane."""
+    return tuple(float(m) for m in _kummer_lanes(((a, b),), x)[0])
+
+
+def kummer_1f1(a: float, b: float, x: float) -> float:
+    """1F1(a; b; x) = sum (a)^(n)/(b)^(n) x^n/n!."""
+    return kummer_1f1_d012(a, b, x)[0]
+
+
 def weber_solutions(a1: float, zeta1: float) -> tuple:
     """Even and odd solutions of u'' = (zeta^2/4 + a1) u."""
-    x = zeta1 ** 2 / 2.0
     pref = math.exp(-zeta1 ** 2 / 4.0)
-    ue = pref * kummer_1f1(a1 / 2 + 0.25, 0.5, x)
-    uo = zeta1 * pref * kummer_1f1(a1 / 2 + 0.75, 1.5, x)
-    return ue, uo
+    (me, _, _), (mo, _, _) = _kummer_lanes(
+        ((a1 / 2 + 0.25, 0.5), (a1 / 2 + 0.75, 1.5)), zeta1 ** 2 / 2.0)
+    return float(pref * me), float(zeta1 * pref * mo)
 
 
 def weber_residual_exact(a1: float, zeta1: float) -> tuple:
     """|u'' - (zeta^2/4 + a1) u| for (U_e, U_o), with exact derivatives.
 
-    Differentiates exp(-z^2/4) 1F1(A; b; z^2/2) in closed form through the
-    contiguous-parameter identities, so the residual is limited only by the
+    Differentiates exp(-z^2/4) 1F1(A; b; z^2/2) in closed form from the
+    Kummer lanes' (M, M', M''), so the residual is limited only by the
     series tolerance, not by finite differences.
     """
     z = zeta1
     pot = z * z / 4.0 + a1
+    e = math.exp(-z * z / 4.0)
     out = []
-    for which in ("even", "odd"):
-        if which == "even":
-            A, b = a1 / 2 + 0.25, 0.5
-        else:
-            A, b = a1 / 2 + 0.75, 1.5
-        m0, m1, m2 = kummer_1f1_d012(A, b, z * z / 2.0)
-        e = math.exp(-z * z / 4.0)
+    lanes = _kummer_lanes(((a1 / 2 + 0.25, 0.5), (a1 / 2 + 0.75, 1.5)), z * z / 2.0)
+    for which, (m0, m1, m2) in zip(("even", "odd"), lanes):
         # f = e(z) M(z^2/2): assemble f, f', f''
         f = m0
         fp = -z / 2 * m0 + z * m1
@@ -338,7 +374,7 @@ def weber_residual_exact(a1: float, zeta1: float) -> tuple:
         else:
             u = z * e * f
             upp = e * (z * fpp + 2 * fp)
-        out.append(abs(upp - pot * u) / max(1.0, abs(u)))
+        out.append(float(abs(upp - pot * u) / max(1.0, abs(u))))
     return tuple(out)
 
 

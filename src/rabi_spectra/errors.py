@@ -51,7 +51,7 @@ class NegativeCutoffError(ValidationError):
     pass
 
 
-# --- series / special functions -------------------------------------------
+# --- local series ---------------------------------------------------------
 
 class IrregularPointError(ValidationError):
     """Series expansion requested at an irregular singular point."""
@@ -63,10 +63,6 @@ class EvalPointOutOfDiskError(ValidationError):
 
 class PoleInBError(ValidationError):
     """Kummer 1F1 with b a nonpositive integer."""
-
-
-class GammaResonanceError(ValidationError):
-    """Biconfluent-Heun series with gamma a nonnegative integer."""
 
 
 class NonConvergedError(NumericalError):

@@ -157,7 +157,7 @@ def compose_operators(outer: list, inner: list) -> list:
     return [ptrim(c) for c in out]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def falling_factorial_poly(shift: float, k: int) -> np.ndarray:
     """(m + shift)(m + shift - 1)...(m + shift - k + 1) as a polynomial in m.
 

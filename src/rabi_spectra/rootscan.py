@@ -176,11 +176,12 @@ def scan_and_refine(f, cfg: RootScanConfig) -> RootReport:
 
     # cells [i, i + 1] between usable samples
     cell = ~bad[1:-2] & ~bad[2:-1]
-    zero = cell & (g[:-1] == 0.0)
-    change = cell & ~zero & (g[:-1] * g[1:] < 0.0)
+    # an exact zero is a root at any usable sample, the window's ends included
+    zero = ~bad[1:-1] & (g == 0.0)
+    change = cell & (g[:-1] * g[1:] < 0.0)
     # a sign change next to an unusable sample (i - 1 or i + 2) is a suspect
     near_bad = bad[:-3] | bad[3:]
-    roots = grid[:-1][zero].tolist()
+    roots = grid[zero].tolist()
     suspects = (0.5 * (grid[:-1] + grid[1:]))[change & near_bad].tolist()
     cells = np.flatnonzero(change & ~near_bad).tolist()
     brackets = [(x[i], x[i + 1]) for i in cells]

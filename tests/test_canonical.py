@@ -16,9 +16,8 @@ from rabi_spectra.canonical import (
 )
 from rabi_spectra.errors import GNotZeroError, GZeroError
 from rabi_spectra.polyops import pval
-from rabi_spectra._kernels import FLAG_NONCONVERGED
 from rabi_spectra.series import ode_to_recurrence, series_sums_lanes
-from rabi_spectra.special import bch_derivatives, bch_series
+from test_special import engine_bch_derivatives, reference_bch_derivatives
 
 NB = normalize_params(validate_params(1.0, 0.3, 0.1, 0.6, 0.05), 0.2)
 
@@ -128,7 +127,7 @@ def test_bch_first_normal_form_residual():
     nb = NormalizedParams(20.0, 6.0, 0.0, 0.0, 2.0)
     bp = bch_params_g0(nb)
     z = 0.3
-    v = bch_derivatives(bp.alpha, 0.0, bp.gamma, 0.0, z)
+    v = engine_bch_derivatives(bp.alpha, 0.0, bp.gamma, 0.0, [z])[0]
     res = z * v[2] - (bp.gamma + z * z) * v[1] + bp.alpha * z * v[0]
     assert abs(res) / max(1.0, abs(v[0])) < 1e-9
 
@@ -137,18 +136,13 @@ def test_v1_map_second_normal_consistency():
     # V = BCH solves the first normal form  ==>  U = V/gauge solves the
     # second normal form with the same parameters
     for (a, g) in [(18.8, -0.4), (3.3, 0.7), (1.1, -1.3)]:
-        for z in (0.25, 0.8):
-            v = bch_derivatives(a, 0.0, g, 0.0, z)
+        for z, v in zip((0.25, 0.8), engine_bch_derivatives(a, 0.0, g, 0.0, [0.25, 0.8])):
             assert canon.second_normal_residual(a, 0.0, g, 0.0, z, v) < 1e-9
 
 
 def test_engine_series_matches_bch_coefficients():
-    a, g = 2.7, 0.35
-    ode = canon.bch_first_normal_ode(a, 0.0, g, 0.0)
-    rec = ode_to_recurrence(ode)
-    zetas = [-0.7, 0.3, 1.2, 2.5]
-    sums, slog, flags = series_sums_lanes(np.stack([rec.weights] * 4), zetas, [0] * 4)
-    assert not np.any(flags & FLAG_NONCONVERGED)
-    for zeta, value in zip(zetas, sums[:, 0] * np.exp(slog)):
-        assert value == pytest.approx(bch_series(a, 0.0, g, 0.0, zeta),
-                                      rel=1e-12, abs=1e-12)
+    zetas = [-0.7, 0.3, 1.2, 2.5, -1.9]
+    for a, b, g, d in [(2.7, 0.0, 0.35, 0.0), (0.8, 0.25, 0.6, 0.15)]:
+        for zeta, v in zip(zetas, engine_bch_derivatives(a, b, g, d, zetas)):
+            np.testing.assert_allclose(v, reference_bch_derivatives(a, b, g, d, zeta),
+                                       rtol=1e-12, atol=1e-12)

@@ -23,7 +23,7 @@ from rabi_spectra.rootscan import scan_and_refine
 SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
 ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py", "closed_form.py")
 FORBIDDEN = {"ode_to_recurrence", "ode_residual", "RecurrenceSpec",
-             "audit", "canonical", "special"}
+             "audit", "canonical"}
 ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
 
 
@@ -73,7 +73,7 @@ def test_import_and_spectrum_commands_load_no_paper_audit():
     after_import, *after_runs = json.loads(res.stderr)
     assert "heun" in after_import and "bcf" in after_import
     for loaded in (after_import, *after_runs):
-        assert set(loaded) & {"audit", "canonical", "special"} == set()
+        assert set(loaded) & {"audit", "canonical"} == set()
 
 
 def top_level_names(path: Path) -> set:
@@ -115,6 +115,40 @@ def test_only_series_reaches_the_kernel():
     assert {name for name, used in users.items() if "roll" in used} == set()
 
 
+def test_kummer_and_every_residual_row_reach_the_kernel(monkeypatch):
+    """No module sums a power series of its own: a Kummer value, and each
+    row of an uncached residual suite, weber-kummer included, is one
+    ``roll_lanes`` call."""
+    from rabi_spectra import _kernels, audit, canonical
+
+    calls = []
+    roll_lanes = _kernels.roll_lanes
+
+    def counted(*args):
+        calls.append(len(args[0]))  # the call's lanes
+        return roll_lanes(*args)
+
+    per_row = []
+
+    def one_row(f):
+        def wrapped(*args):
+            before = len(calls)
+            out = f(*args)
+            per_row.append(len(calls) - before)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_kernels, "roll_lanes", counted)
+    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    assert calls == [1]
+    monkeypatch.setattr(audit, "_residual_row", one_row(audit._residual_row))
+    monkeypatch.setattr(canonical, "weber_residual_exact",
+                        one_row(canonical.weber_residual_exact))
+    rows = audit._residual_rows.__wrapped__(1, 7, False, 1e-10)
+    assert "weber-kummer" in {row["context"] for row in rows}
+    assert per_row == [1] * len(rows)
+
+
 def test_rootscan_imports_no_layer_above_it():
     """The refiner stays route-agnostic: it imports no route, and a route
     hands ``scan_and_refine`` only the scanned function and the window."""
@@ -154,7 +188,7 @@ def test_only_heun_names_a_gauge_branch():
 
 def test_cli_imports_the_audit_only_where_diagnose_reads_it():
     assert imported_names(SRC / "cli.py", module_level=True) \
-        & {"audit", "diagnose_report", "canonical", "special"} == set()
+        & {"audit", "diagnose_report", "canonical"} == set()
     assert "audit" in imported_names(SRC / "cli.py")
 
 
@@ -186,8 +220,6 @@ def test_no_module_uses_numpy_polynomial():
     assert used == []
 
 
-#: (module, function) of the caches whose keys are few enough to need no bound
-UNBOUNDED_CACHES = {("polyops", "falling_factorial_poly")}
 CACHE_MAKERS = {"lru_cache", "memoized"}
 
 
@@ -229,8 +261,7 @@ def test_every_cache_is_bounded():
     names a whole-number maxsize, and ``memoized`` passes its own on."""
     bounds = set().union(*(cache_bounds(path) for path in sorted(SRC.glob("*.py"))))
     loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
-    assert loose == {("params", "wrap", "maxsize")} \
-        | {(*cache, None) for cache in UNBOUNDED_CACHES}
+    assert loose == {("params", "wrap", "maxsize")}
     assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
                                         ("operators", "compose_fourth_order"),
                                         ("heun", "che_params"), ("bcf", "bcf_reduce")}

@@ -114,6 +114,24 @@ def test_empty_range():
     assert rep.roots.size == 0
 
 
+def test_exact_zero_at_the_window_top_edge_is_a_root():
+    line = arrays(lambda e: GFunctionSample(e, e - 1.0))
+    for lo, hi in ((0.0, 1.0), (1.0, 2.0)):
+        rep = scan_and_refine(line, RootScanConfig(lo, hi, 0.25))
+        assert rep.roots.tolist() == [1.0]
+
+
+def test_exact_zero_next_to_a_flagged_sample_is_a_root():
+    def f(e):
+        if e == 1.25:
+            return GFunctionSample(e, 0.25, 0.0, frozenset({"near_resonance"}))
+        return GFunctionSample(e, e - 1.0)
+
+    rep = scan_and_refine(arrays(f), RootScanConfig(0.5, 1.5, 0.25))
+    assert rep.roots.tolist() == [1.0]
+    assert [iv.reason for iv in rep.excluded] == ["near_resonance"]
+
+
 def test_suspect_next_to_flagged_run():
     # flagged run 0.95..1.05; the sign changes between its unflagged right
     # neighbour 1.1 and the next sample 1.15, so that cell is only a suspect
