@@ -228,7 +228,8 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol):
 
     out_ds, out_slog, out_n, out_flags, out_tail = out
     if tail_tol > 0.0:
-        out_flags |= np.where((out_n >= max_n) & (out_tail > tail_tol),
+        # a nan tail (a nan offset or weight) counts as not converged
+        out_flags |= np.where((out_n >= max_n) & ~(out_tail <= tail_tol),
                               FLAG_NONCONVERGED, 0)
     return out_ds.T, out_slog, out_n, out_flags, out_tail
 

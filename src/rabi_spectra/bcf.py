@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .closed_form import closed_window
-from .errors import ComplexSingularityError, DegenerateQError, NumericalError
+from .errors import NumericalError
 from .operators import bcf_truncated_parent
 from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
 from .polyops import poly, split_two_poles
@@ -63,18 +63,17 @@ def bcf_reduce(p: ModelParams, energy: float) -> BcfParams:
     """Partial fractions and zeta-form coefficients of the truncated ODE.
     The result is shared: its tables are read-only."""
     if p.lam == 0.0 and p.g == 0.0:
-        raise DegenerateQError("q = 0: both couplings vanish")
+        raise NumericalError("q = 0: both couplings vanish")
     p0, p1, p2 = bcf_truncated_parent(p, energy)
     if not all(np.all(np.isfinite(c)) for c in (p0, p1, p2)):
         raise NumericalError("non-finite ODE coefficient")
     om2 = -p2[-1]
     q2 = float(p2[0] / om2)
     if q2 <= 0.0:
-        raise ComplexSingularityError(
-            f"q^2 = {q2}: singularities leave the real axis")
+        raise NumericalError(f"q^2 = {q2}: singularities leave the real axis")
     q = math.sqrt(q2)
     if q < 1e-10:
-        raise DegenerateQError(f"q = {q} too small; singularities collide")
+        raise NumericalError(f"q = {q} too small; singularities collide")
 
     quot1, bp, bm = split_two_poles(p1, p2, q)
     quot0, gp, gm = split_two_poles(p0, p2, q)
@@ -143,8 +142,8 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     Ladder points are knots of the grid.  Where delta vanishes the exact
     ladders of :func:`closed_window` are returned instead.  Where the
     reduction itself breaks down (q^2 <= 0 or q ~ 0, for every energy alike)
-    this raises as :func:`bcf_reduction` does: ComplexSingularityError or
-    DegenerateQError.
+    this raises NumericalError as :func:`bcf_reduction` does, the message
+    naming the breakdown.
     """
     if vanishes(p, p.delta):
         return closed_window(p, "bcf", e_min, e_max, grid_step)

@@ -21,8 +21,7 @@ import numpy as np
 from ._kernels import (FLAG_NONCONVERGED, FLAG_RESONANT_COMPATIBLE,
                        FLAG_RESONANT_INCOMPATIBLE)
 from .closed_form import require_uncoupled
-from .errors import (GNotZeroError, GZeroError, LambdaZeroError,
-                     NonConvergedError, PoleInBError)
+from .errors import NumericalError, ValidationError
 from .params import ModelParams
 from .polyops import padd, pder, pmul, poly, ptrim, pval, split_two_poles
 from .series import PolyOde, ode_to_recurrence, series_sums_lanes
@@ -48,7 +47,7 @@ class NormalizedParams:
 def normalize_params(p: ModelParams, energy: float) -> NormalizedParams:
     """Divide (omega, delta, epsilon, g, E) by lam.  Requires lam != 0."""
     if p.lam == 0.0:
-        raise LambdaZeroError("normalization divides by lambda")
+        raise ValidationError("normalization divides by lambda")
     return NormalizedParams(p.omega / p.lam, p.delta / p.lam,
                             p.epsilon / p.lam, p.g / p.lam, energy / p.lam)
 
@@ -143,7 +142,7 @@ class CanonicalCoeffs:
 def canonical_coeffs(nb: NormalizedParams) -> CanonicalCoeffs:
     """Approximated c-polynomials and the partial fractions of c3/c2, c4/c2."""
     if nb.g_bar == 0.0:
-        raise GZeroError("poles collide at 0; use the g = 0 route")
+        raise ValidationError("poles collide at 0; use the g = 0 route")
     c2, c3, c4 = approx_c_polys(nb)
     q = abs(nb.g_bar / nb.omega_bar)
     quot1, b1, b2 = split_two_poles(c3, c2, q)
@@ -217,10 +216,10 @@ def bch_params_g0(nb: NormalizedParams) -> BchParams:
     phase cancels and the scale is real whenever lambda1 < 0.
     """
     if nb.g_bar != 0.0:
-        raise GNotZeroError(f"g = 0 route called with g_bar = {nb.g_bar}")
+        raise ValidationError(f"g = 0 route called with g_bar = {nb.g_bar}")
     om, ep, e = nb.omega_bar, nb.epsilon_bar, nb.e_bar
     if om == 0.0:
-        raise LambdaZeroError("omega_bar must be nonzero")
+        raise ValidationError("omega_bar must be nonzero")
     t = (2.0 / om) * (e - ep)
     l1 = (1.0 + om / 2.0) * (1.0 - 3.0 * om / 4.0)
     l3 = 11.0 * om / 8.0 - 4.0 * e + 9.0 * ep / 4.0
@@ -295,9 +294,9 @@ def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams
     """Weber-equation data for one branch; branch -1 mirrors (eps, g, lam)."""
     require_uncoupled(p)
     if p.lam == 0.0:
-        raise LambdaZeroError("the zeta_1 stretch degenerates at lambda = 0")
+        raise ValidationError("the zeta_1 stretch degenerates at lambda = 0")
     if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
+        raise ValidationError("branch must be +1 or -1")
     q = p if branch == +1 else p.mirrored()
     stretch = (q.omega ** 2 / q.lam ** 2 - 4.0) ** 0.25
     shift = q.g / (q.omega + 2 * q.lam)
@@ -310,28 +309,36 @@ def _kummer_lanes(ab, x: float) -> np.ndarray:
     """Rows (M, M', M'') of M = 1F1(a; b; x), one per (a, b) of ab.
 
     M is the regular series at 0 of x M'' + (b - x) M' - a M = 0, and the
-    rows are lanes of one kernel call.  A nonpositive integer b makes the
-    recurrence resonant at the index 1 - b, and the kernel's resonance flag
-    raises PoleInBError wherever a lane reaches that index: at every x for
-    b >= -9, as a lane rolls at least ten terms.  Where x^2 is below the
-    normal range (x = 0 included), the derivative sums would lose their
+    rows are lanes of one kernel call.  For x < 0, whose terms would cancel,
+    the lanes sum N = 1F1(b - a; b; -x) instead, and Kummer's transformation
+    M = e^x N gives M' = e^x (N - N') and M'' = e^x (N - 2 N' + N''), e^x
+    joining the lanes' scale in log space.  A nonpositive integer b makes
+    the recurrence resonant at the index 1 - b, and the kernel's resonance
+    flag raises ValidationError wherever a lane reaches that index: at every
+    x for b >= -9, as a lane rolls at least ten terms.  Where x^2 is below
+    the normal range (x = 0 included), the derivative sums would lose their
     digits, and the rows are the series' leading coefficients 1, a/b and
     a(a+1)/(b(b+1)), which are the values to rounding there; the lanes then
     roll at unit offset for their flags.
     """
-    weights = np.stack([ode_to_recurrence(PolyOde(((-a,), (b, -1.0), (0.0, 1.0)))).weights
-                        for a, b in ab])
-    tiny = x * x < np.finfo(float).tiny
+    y = abs(x)
+    tops = [a if x >= 0 else b - a for a, b in ab]
+    weights = np.stack([ode_to_recurrence(PolyOde(((-c,), (b, -1.0), (0.0, 1.0)))).weights
+                        for c, (_a, b) in zip(tops, ab)])
+    tiny = y * y < np.finfo(float).tiny
     sums, scale_log, flags = series_sums_lanes(
-        weights, [1.0 if tiny else x] * len(ab), [0] * len(ab))
+        weights, [1.0 if tiny else y] * len(ab), [0] * len(ab))
     if np.any(flags & (FLAG_RESONANT_COMPATIBLE | FLAG_RESONANT_INCOMPATIBLE)):
-        raise PoleInBError(f"1F1 pole: b among {[b for _a, b in ab]} is a "
-                           "nonpositive integer")
+        raise ValidationError(f"1F1 pole: b among {[b for _a, b in ab]} is a "
+                              "nonpositive integer")
     if np.any(flags & FLAG_NONCONVERGED) or not np.isfinite(sums).all():
-        raise NonConvergedError(f"1F1 at x = {x} did not converge for (a, b) in {ab}")
+        raise NumericalError(f"1F1 at x = {x} did not converge for (a, b) in {ab}")
     if tiny:
         return np.array([(1.0, a / b, a * (a + 1) / (b * (b + 1))) for a, b in ab])
-    return sums * np.exp(scale_log)[:, None] / x ** np.arange(3)
+    if x >= 0:
+        return sums * np.exp(scale_log)[:, None] / x ** np.arange(3)
+    n0, n1, n2 = (sums / y ** np.arange(3)).T
+    return np.stack([n0, n0 - n1, n0 - 2 * n1 + n2], axis=1) * np.exp(x + scale_log)[:, None]
 
 
 def kummer_1f1_d012(a: float, b: float, x: float) -> tuple:

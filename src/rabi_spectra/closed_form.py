@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaNotZeroError, ValidationError
-from .params import ModelParams, in_units_of_omega, vanishes, whole
+from .errors import ValidationError
+from .params import ModelParams, in_units_of_omega, require_weak_squeeze, vanishes, whole
 from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 
 
@@ -31,10 +31,11 @@ class BranchSpectrum:
 
 
 def require_uncoupled(p: ModelParams) -> None:
-    """DeltaNotZeroError unless delta vanishes next to omega."""
+    """ValidationError unless delta vanishes next to omega and
+    |2*lambda| < omega, the closed form's two conditions."""
     if not vanishes(p, p.delta):
-        raise DeltaNotZeroError(
-            f"closed-form route needs delta = 0, got {p.delta}")
+        raise ValidationError(f"closed-form route needs delta = 0, got {p.delta}")
+    require_weak_squeeze(p)
 
 
 def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:

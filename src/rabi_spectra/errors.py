@@ -1,7 +1,8 @@
 """Exception hierarchy for rabi_spectra.
 
-Validation errors (bad inputs, regime mismatches) are distinct from numerical
-failures so the CLI can map them to exit codes 2 and 3 respectively.
+Two kinds: a ValidationError says the input broke a rule, a NumericalError
+that a numerical procedure failed; the message names the rule or the
+failure.  The CLI maps them to exit codes 2 and 3.
 """
 
 
@@ -15,67 +16,3 @@ class ValidationError(RabiSpectraError):
 
 class NumericalError(RabiSpectraError):
     """A numerical procedure failed (non-convergence, lost precision, ...)."""
-
-
-# --- parameter validation -------------------------------------------------
-
-class NonPositiveOmegaError(ValidationError):
-    pass
-
-
-class SqueezeTooStrongError(ValidationError):
-    """|2*lambda| >= omega: the discrete spectrum is not bounded below."""
-
-
-class LambdaZeroError(ValidationError):
-    pass
-
-
-class LambdaNotZeroError(ValidationError):
-    pass
-
-
-class DeltaNotZeroError(ValidationError):
-    pass
-
-
-class GZeroError(ValidationError):
-    pass
-
-
-class GNotZeroError(ValidationError):
-    pass
-
-
-class NegativeCutoffError(ValidationError):
-    pass
-
-
-# --- local series ---------------------------------------------------------
-
-class IrregularPointError(ValidationError):
-    """Series expansion requested at an irregular singular point."""
-
-
-class EvalPointOutOfDiskError(ValidationError):
-    """Evaluation point outside the series' convergence disk."""
-
-
-class PoleInBError(ValidationError):
-    """Kummer 1F1 with b a nonpositive integer."""
-
-
-class NonConvergedError(NumericalError):
-    pass
-
-
-class ComplexSingularityError(NumericalError):
-    """The reduced equation's singularity location q is imaginary here."""
-
-
-class DegenerateQError(NumericalError):
-    """Singularities collide (q ~ 0); the two-point gluing breaks down."""
-
-
-class EigensolverError(NumericalError):
-    pass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverError, NegativeCutoffError
+from .errors import NumericalError, ValidationError
 from .params import ModelParams, memoized, whole
 
 #: largest cutoff a Hamiltonian is built for: dimension 8002, a 512 MB matrix
@@ -47,10 +47,10 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     symmetrically, so H == H.T bit-exactly.
     """
     if not cutoff >= 0:
-        raise NegativeCutoffError(f"cutoff must be >= 0, got {cutoff}")
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if not cutoff <= MAX_CUTOFF:
-        raise NegativeCutoffError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
-    cutoff = whole("cutoff", cutoff, NegativeCutoffError)
+        raise ValidationError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
+    cutoff = whole("cutoff", cutoff)
     n = np.arange(cutoff + 1, dtype=float)
     up = 2 * np.arange(n.size)  # index of Fock level n with s = 0
     h = np.zeros((2 * n.size, 2 * n.size))
@@ -72,7 +72,7 @@ def eigenvalues(p: ModelParams, cutoff: int) -> np.ndarray:
     try:
         ev = np.linalg.eigvalsh(ham.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     ev.setflags(write=False)
     return ev
 
@@ -83,21 +83,21 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
 
     Needs whole numbers cutoff >= 1 (and at most MAX_CUTOFF, checked by
     :func:`build_hamiltonian`), k in [1, 2 (cutoff + 1)] and delta_n >= 0;
-    anything else raises NegativeCutoffError.  Each cutoff is solved once
+    anything else raises ValidationError.  Each cutoff is solved once
     while it stays among the last few: a ladder whose reference cutoff is
     the previous step's cutoff reuses that solve.  The arrays returned are
     the caller's own.
     """
     if not cutoff >= 1:
-        raise NegativeCutoffError(f"cutoff must be >= 1, got {cutoff}")
-    cutoff = whole("cutoff", cutoff, NegativeCutoffError)
+        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    cutoff = whole("cutoff", cutoff)
     if not 1 <= k <= 2 * (cutoff + 1):
-        raise NegativeCutoffError(
+        raise ValidationError(
             f"k must lie in [1, {2 * (cutoff + 1)}] (the dimension), got {k}")
-    k = whole("k", k, NegativeCutoffError)
+    k = whole("k", k)
     if not delta_n >= 0:
-        raise NegativeCutoffError(f"delta_n must be >= 0, got {delta_n}")
-    delta_n = whole("delta_n", delta_n, NegativeCutoffError)
+        raise ValidationError(f"delta_n must be >= 0, got {delta_n}")
+    delta_n = whole("delta_n", delta_n)
     ev = eigenvalues(p, cutoff)[:k].copy()
     ref_cut = max(cutoff - delta_n, 0)
     ev_ref = eigenvalues(p, ref_cut)[:k]

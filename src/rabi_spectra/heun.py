@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .closed_form import closed_window
-from .errors import GZeroError, LambdaNotZeroError
+from .errors import ValidationError
 from .operators import asymmetric_second_order
 from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
 from .polyops import split_two_poles
@@ -55,9 +55,9 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     zeta in [0, 1] and gauged by exp(k zeta).  The result is shared: its
     partial-fraction table is read-only."""
     if not vanishes(p, p.lam):
-        raise LambdaNotZeroError(f"heun route needs lambda = 0, got {p.lam}")
+        raise ValidationError(f"heun route needs lambda = 0, got {p.lam}")
     if p.g == 0.0:
-        raise GZeroError("the two regular singularities collide at g = 0")
+        raise ValidationError("the two regular singularities collide at g = 0")
     p0, p1, p2 = asymmetric_second_order(p, energy)
     q = abs(p.g / p.omega)
     quot1, a2, a3 = split_two_poles(p1, p2, q)
@@ -72,11 +72,9 @@ def che_params(p: ModelParams, energy: float, k_branch: str = "minus") -> ChePar
     be2 = 2 * q * b2
     be3 = 2 * q * b3
     if k_branch not in ("minus", "plus"):
-        raise ValueError("k_branch must be 'minus' or 'plus'")
-    disc = al1 * al1 - 4 * be1
-    if disc < 0:
-        raise GZeroError("gauge exponent k is complex for these parameters")
-    root = math.sqrt(disc)
+        raise ValidationError("k_branch must be 'minus' or 'plus'")
+    # A1 = 0 and B1 = -q^2, so the discriminant is 16 q^4 >= 0
+    root = math.sqrt(al1 * al1 - 4 * be1)
     k = (-al1 + root) / 2 if k_branch == "plus" else (-al1 - root) / 2
     quad = k * k + al1 * k + be1
     return CheParams(alpha=al1 + 2 * k, beta=al3 - 1.0, gamma=al2,

@@ -11,7 +11,7 @@ them with what is derived here.
 
 from __future__ import annotations
 
-from .errors import LambdaZeroError
+from .errors import ValidationError
 from .params import ModelParams, memoized
 from .polyops import compose_operators, padd, poly
 
@@ -43,7 +43,7 @@ def general_table(p: ModelParams, energy: float) -> dict:
     """Named entries A1 .. D4 of the monic general form: the composed
     fourth-order operator divided by lam^2."""
     if p.lam == 0.0:
-        raise LambdaZeroError("the fourth-order normal form divides by lambda^2")
+        raise ValidationError("the fourth-order normal form divides by lambda^2")
     norm = [poly(c) / p.lam ** 2 for c in compose_fourth_order(p, energy)]
 
     def entry(k, i):

@@ -9,11 +9,7 @@ import inspect
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    NonPositiveOmegaError,
-    SqueezeTooStrongError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .rootscan import SpectrumResult
 
 #: |coupling| / omega up to which a coupling counts as zero: the one rule
@@ -34,12 +30,11 @@ class ModelParams:
     g        linear coupling
     lam      squeezing (two-photon) coupling
 
-    Every field must be finite, omega > 0 (NonPositiveOmegaError) and each
-    coupling at most MAX_RATIO omega (ValidationError).  A real discrete
-    spectrum additionally needs |2*lam| < omega, which
-    :func:`validate_params` enforces; direct construction is allowed so
-    diagnostics (e.g. the divergence guard of the Fock oracle) can probe
-    the forbidden region.
+    Every field must be finite, omega > 0 and each coupling at most
+    MAX_RATIO omega, else ValidationError.  A real discrete spectrum
+    additionally needs |2*lam| < omega, which :func:`validate_params`
+    enforces; direct construction is allowed so diagnostics (e.g. the
+    divergence guard of the Fock oracle) can probe the forbidden region.
     """
 
     omega: float
@@ -51,10 +46,10 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega", "delta", "epsilon", "g", "lam"):
             if not math.isfinite(getattr(self, name)):
-                raise NonPositiveOmegaError(
+                raise ValidationError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.omega > 0:
-            raise NonPositiveOmegaError(f"omega must be > 0, got {self.omega}")
+            raise ValidationError(f"omega must be > 0, got {self.omega}")
         for name in ("delta", "epsilon", "g", "lam"):
             if abs(getattr(self, name)) > MAX_RATIO * self.omega:
                 raise ValidationError(f"|{name}| / omega must be at most {MAX_RATIO:g}, "
@@ -67,15 +62,20 @@ class ModelParams:
 
 def validate_params(omega: float, delta: float, epsilon: float,
                     g: float, lam: float) -> ModelParams:
-    """Build :class:`ModelParams` (which raises NonPositiveOmegaError) and
-    enforce |2*lambda| < omega (SqueezeTooStrongError).
-    """
+    """Build :class:`ModelParams` and enforce |2*lambda| < omega, each rule
+    raising ValidationError."""
     p = ModelParams(omega, delta, epsilon, g, lam)
-    if abs(2.0 * lam) >= omega:
-        raise SqueezeTooStrongError(
-            f"|2*lambda| = {abs(2 * lam)} >= omega = {omega}: "
-            "sqrt(omega^2 - 4 lambda^2) is not real positive")
+    require_weak_squeeze(p)
     return p
+
+
+def require_weak_squeeze(p: ModelParams) -> None:
+    """ValidationError unless |2*lambda| < omega, where the ladder spacing
+    sqrt(omega^2 - 4 lambda^2) is real and the spectrum bounded below."""
+    if abs(2.0 * p.lam) >= p.omega:
+        raise ValidationError(
+            f"|2*lambda| = {abs(2 * p.lam)} >= omega = {p.omega}: "
+            "sqrt(omega^2 - 4 lambda^2) is not real positive")
 
 
 def in_units_of_omega(p: ModelParams, *energies) -> tuple:
@@ -98,11 +98,11 @@ def times_omega(res: SpectrumResult, omega: float) -> SpectrumResult:
         metadata={**res.metadata, "ladder": [(e * omega, s, m) for e, s, m in ladder]})
 
 
-def whole(name: str, value, error=ValidationError) -> int:
+def whole(name: str, value) -> int:
     """A count as an int: whole numbers (20.0 and numpy integers too) pass,
-    anything else raises ``error``.  Called where the count is read."""
+    anything else raises ValidationError.  Called where the count is read."""
     if not (math.isfinite(value) and value == int(value)):
-        raise error(f"{name} must be a whole number, got {value}")
+        raise ValidationError(f"{name} must be a whole number, got {value}")
     return int(value)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import IrregularPointError, NumericalError
+from .errors import NumericalError, ValidationError
 from .polyops import falling_factorial_poly, poly, pshift, ptrim, pval
 
 DEFAULT_TAIL_TOL = 1e-14
@@ -112,7 +112,7 @@ def recurrence_weights(polys, z0: float) -> np.ndarray:
 def ode_to_recurrence(ode: PolyOde) -> RecurrenceSpec:
     """Derive the exact recurrence at ode.z0 by substitution and collection.
 
-    Raises IrregularPointError unless z0 is an ordinary or regular singular
+    Raises ValidationError unless z0 is an ordinary or regular singular
     point (Frobenius condition: ord(p_k) >= ord(p_s) - (s - k) at z0).
     """
     polys = ode._recentered
@@ -128,7 +128,7 @@ def ode_to_recurrence(ode: PolyOde) -> RecurrenceSpec:
         if ok is None:
             continue
         if ok < lead_ord - (s - k):
-            raise IrregularPointError(
+            raise ValidationError(
                 f"expansion point {ode.z0} is an irregular singularity "
                 f"(p_{k} vanishes to order {ok} < {lead_ord - (s - k)})")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EvalPointOutOfDiskError
+from .errors import ValidationError
 from .params import ModelParams, in_units_of_omega
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
@@ -114,7 +114,7 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     with both series on the regular branch gets FLAG_NEAR_SINGULAR when
     zeta_star lies within 0.02 of 0 or 1."""
     if not (0.0 < zeta_star < 1.0):
-        raise EvalPointOutOfDiskError(f"zeta_star must lie in (0, 1), got {zeta_star}")
+        raise ValidationError(f"zeta_star must lie in (0, 1), got {zeta_star}")
     n = energies.size
     x = np.repeat([zeta_star, zeta_star - 1.0], n)
     sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies),

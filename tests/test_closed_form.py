@@ -10,7 +10,7 @@ from rabi_spectra.canonical import (
     weber_residual_fd,
     weber_solutions,
 )
-from rabi_spectra.errors import DeltaNotZeroError, LambdaZeroError
+from rabi_spectra.errors import ValidationError
 
 
 def test_bare_oscillator():
@@ -66,7 +66,7 @@ def test_exactness_vs_oracle_random_draws():
 
 
 def test_requires_delta_zero():
-    with pytest.raises(DeltaNotZeroError):
+    with pytest.raises(ValidationError, match="closed-form route needs delta = 0"):
         uncoupled_spectrum(validate_params(1.0, 0.2, 0.0, 0.1, 0.0), 3)
 
 
@@ -98,7 +98,7 @@ def test_weber_params_negative_branch_via_mirror():
 
 
 def test_weber_params_lambda_zero_refused():
-    with pytest.raises(LambdaZeroError):
+    with pytest.raises(ValidationError, match="stretch degenerates at lambda = 0"):
         weber_params(validate_params(1.0, 0.0, 0.0, 0.3, 0.0), 0.1)
 
 

@@ -10,7 +10,7 @@ from rabi_spectra import (
     oracle_spectrum,
     validate_params,
 )
-from rabi_spectra.errors import NegativeCutoffError
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.fock import MAX_CUTOFF, eigenvalues
 
 
@@ -66,7 +66,7 @@ def test_symmetric_bit_exact():
 
 
 def test_negative_cutoff():
-    with pytest.raises(NegativeCutoffError):
+    with pytest.raises(ValidationError, match="cutoff must be >= 0, got -1"):
         build_hamiltonian(validate_params(1.0, 0, 0, 0, 0), -1)
 
 
@@ -129,14 +129,14 @@ def test_oracle_result_fields():
     assert res.reference_cutoff == 40
     assert np.all(np.diff(res.eigenvalues) >= -1e-12)
     assert np.all(res.convergence_deltas >= 0)
-    with pytest.raises(NegativeCutoffError):
+    with pytest.raises(ValidationError, match=r"k must lie in \[1, 6\]"):
         oracle_spectrum(p, 2, 100)
 
 
 @pytest.mark.parametrize("cutoff", [0, -1])
 def test_oracle_rejects_cutoff_below_one_by_name(cutoff):
     p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
-    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be >= 1, got {cutoff}$"):
+    with pytest.raises(ValidationError, match=rf"cutoff must be >= 1, got {cutoff}$"):
         oracle_spectrum(p, cutoff)
 
 
@@ -149,8 +149,8 @@ def test_oracle_rejects_cutoff_above_cap_before_building(monkeypatch):
     # the cap is checked in build_hamiltonian before any array is made
     monkeypatch.setattr(fock, "np", _NoNumpy())
     p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
-    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
-                                                  rf"got {10 ** 6}$"):
+    with pytest.raises(ValidationError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
+                                              rf"got {10 ** 6}$"):
         oracle_spectrum(p, 10 ** 6)
 
 
@@ -158,8 +158,8 @@ def test_oracle_rejects_cutoff_above_cap_before_building(monkeypatch):
 def test_cutoff_above_cap_is_refused_before_any_array(build, monkeypatch):
     monkeypatch.setattr(fock, "np", _NoNumpy())
     p = validate_params(1.0, 0.2, 0.0, 0.3, 0.1)
-    with pytest.raises(NegativeCutoffError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
-                                                  rf"got {MAX_CUTOFF + 1}$"):
+    with pytest.raises(ValidationError, match=rf"cutoff must be <= {MAX_CUTOFF}, "
+                                              rf"got {MAX_CUTOFF + 1}$"):
         build(p, MAX_CUTOFF + 1)
 
 

@@ -12,7 +12,7 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra import _kernels, bcf, fock, twopoint
-from rabi_spectra.errors import EvalPointOutOfDiskError, GZeroError, LambdaNotZeroError
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
 from rabi_spectra.rootscan import same_energy
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_sums_lanes
@@ -40,16 +40,32 @@ def test_che_quadratic_identity_and_beta():
     assert che.gamma == pytest.approx(-q2 - 0.15, rel=1e-12)
 
 
+def test_the_gauge_discriminant_is_16_q4():
+    # the partial fractions give A1 = 0 and B1 = -q^2, so the gauge exponent
+    # k = -+2 q^2 is real wherever g != 0
+    rng = np.random.RandomState(11)
+    for _ in range(200):
+        omega = 10 ** rng.uniform(-3, 3)
+        g = omega * 10 ** rng.uniform(-6, 1) * rng.choice([-1, 1])
+        p = validate_params(omega, *omega * rng.uniform(-2, 2, size=2), g, 0.0)
+        for k_branch in ("minus", "plus"):
+            che = che_params(p, omega * rng.uniform(-5, 5), k_branch)
+            q2 = che.q * che.q
+            assert che.a_table["A1"] == pytest.approx(0.0, abs=1e-12 * q2)
+            assert che.a_table["B1"] == pytest.approx(-q2, rel=1e-12)
+            assert abs(che.k) == pytest.approx(2 * q2, rel=1e-12)
+
+
 def test_che_requires_lambda_zero_and_g_nonzero():
-    with pytest.raises(LambdaNotZeroError):
+    with pytest.raises(ValidationError, match="heun route needs lambda = 0"):
         che_params(validate_params(1.0, 0.4, 0.1, 0.6, 0.1), 0.0)
-    with pytest.raises(GZeroError):
+    with pytest.raises(ValidationError, match="singularities collide at g = 0"):
         che_params(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
 
 
 def test_route_refuses_lambda_before_the_closed_form():
     # delta = 0 takes the closed form, but only inside the route's own domain
-    with pytest.raises(LambdaNotZeroError):
+    with pytest.raises(ValidationError, match="heun route needs lambda = 0"):
         heun_spectrum(validate_params(1.0, 0.0, 0.1, 0.4, 0.1), -1.0, 3.0, 0.05)
 
 
@@ -94,7 +110,7 @@ def test_zeta_star_invariance_of_sign_and_zero():
 
 
 def test_zeta_star_validation():
-    with pytest.raises(EvalPointOutOfDiskError):
+    with pytest.raises(ValidationError, match="zeta_star must lie in"):
         g_function_heun(P_CRIT, 0.0, zeta_star=1.2)
 
 
@@ -124,7 +140,7 @@ def test_k_branch_consistency():
 
 
 def test_an_unknown_k_branch_is_refused():
-    with pytest.raises(ValueError, match="k_branch"):
+    with pytest.raises(ValidationError, match="k_branch must be"):
         g_function_heun_batch(P_CRIT, [0.5], k_branch="up")
 
 
@@ -315,7 +331,7 @@ def test_mirrored_sector_has_the_same_spectrum(delta, eps, g):
     # (eps, g) -> -(eps, g) is the other spin sector of one Hamiltonian.  The
     # bcf route is left out: its q^2 = g^2 + 2 lambda (omega + eps) is not
     # mirror-symmetric, and a mirrored draw can leave the real axis
-    # (ComplexSingularityError)
+    # (NumericalError)
     p = validate_params(1.0, delta, eps, g, 0.0)
     res, mirror = (heun_spectrum(q, -1.0, 3.0, 0.05) for q in (p, p.mirrored()))
     assert mirror.labels == res.labels

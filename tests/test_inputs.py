@@ -19,6 +19,7 @@ from rabi_spectra import (
     uncoupled_spectrum,
     validate_params,
 )
+from rabi_spectra.canonical import weber_params
 from rabi_spectra.errors import RabiSpectraError, ValidationError
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
@@ -52,6 +53,19 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.6])
+@pytest.mark.parametrize("call", [
+    lambda p: uncoupled_spectrum(p, 3),
+    lambda p: bcf_spectrum(p, -1.0, 3.0),
+    lambda p: weber_params(p, 0.0),
+], ids=["uncoupled", "bcf-delta0", "weber"])
+def test_closed_form_refuses_squeeze_at_half_omega_and_past(call, lam):
+    # ModelParams admits |2 lambda| >= omega, where the closed-form ladder
+    # spacing sqrt(omega^2 - 4 lambda^2) is not real
+    with pytest.raises(ValidationError, match=r"sqrt\(omega\^2 - 4 lambda\^2\) is not real"):
+        call(ModelParams(1.0, 0.0, 0.1, 0.2, lam))
 
 
 ROUTES = {

@@ -135,7 +135,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
                     ds[k] /= f
                 scale_log += lf
 
-    if tail_tol > 0.0 and n_used >= max_n and tail_rel > tail_tol:
+    if tail_tol > 0.0 and n_used >= max_n and not tail_rel <= tail_tol:
         flags |= _kernels.FLAG_NONCONVERGED
     return ds, scale_log, n_used, flags, tail_rel
 
@@ -239,6 +239,17 @@ def test_lane_kernel_matches_scalar_roll_per_lane():
         [3] * len(LANES), 200, 1e-14)
     assert flags[1] == flags[2] == 0  # the resonance lies among the seeds
     assert n_used[2] > 3
+    # a nan offset rolls to max_n on a nan tail: flagged, not converged, as
+    # in the reference (nan sums need not match it bit for bit)
+    rec, (seeds, n_seed) = RECS[0], _seed_rows([0, 0])
+    ds, _slog, n_used, flags, _tail = _kernels.roll_lanes(
+        np.stack([rec.weights] * 2), rec.j_lead, rec.order, seeds, n_seed,
+        np.array([0.37, math.nan]), 200, 1e-14)
+    ref = reference_roll(rec.weights, rec.j_lead, rec.order, seeds[1, :n_seed[1]],
+                         math.nan, 200, 1e-14)
+    assert n_used[0] < 200 and flags[0] == 0
+    assert (n_used[1], flags[1]) == ref[2:4] == (200, _kernels.FLAG_NONCONVERGED)
+    assert np.isnan(ds[1]).all() and np.isnan(ref[0]).all()
 
 
 def test_lane_kernel_mixed_seeds_match_scalar_roll():

@@ -6,9 +6,11 @@ no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them and takes no callback from them.
 A spectrum scans one gauge, and only ``heun`` names a gauge branch.  The CLI
 imports the audit only inside the diagnose command, and keeps no bound of
-its own.  Every cache has a finite size."""
+its own.  Every cache has a finite size.  Errors come in two kinds, a
+ValidationError and a NumericalError, and no module defines a third."""
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -265,3 +267,32 @@ def test_every_cache_is_bounded():
     assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
                                         ("operators", "compose_fourth_order"),
                                         ("heun", "che_params"), ("bcf", "bcf_reduce")}
+
+
+def test_errors_come_in_two_kinds():
+    """``errors`` defines the base class and its two kinds, and no other
+    module defines an exception class: an error's kind says whether the
+    input or the numerics failed, and its message says which rule."""
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "rabi_spectra" if path.stem == "__init__" else f"rabi_spectra.{path.stem}")
+        defined[path.name] = {name for name, obj in vars(module).items()
+                              if isinstance(obj, type) and issubclass(obj, BaseException)
+                              and obj.__module__ == module.__name__}
+    assert {name: kinds for name, kinds in defined.items() if kinds} == {
+        "errors.py": {"RabiSpectraError", "ValidationError", "NumericalError"}}
+
+
+def test_bare_value_errors_stay_internal():
+    """A rule on the caller's input raises ValidationError; ``raise
+    ValueError`` is left to polyops' numpy-parity errors and series'
+    internal guards."""
+    def raises_value_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+    assert {path.name for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and raises_value_error(node)} == {"polyops.py", "series.py"}

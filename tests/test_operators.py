@@ -10,7 +10,7 @@ import pytest
 
 from rabi_spectra import ModelParams, validate_params
 from rabi_spectra.audit import audit_general_table, printed_fourth_order, printed_general_table
-from rabi_spectra.errors import LambdaZeroError
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.operators import (
     asymmetric_second_order,
     bcf_truncated_parent,
@@ -90,7 +90,7 @@ def test_mismatch_report_names_exactly_the_incorrect_entries():
 
 
 def test_operator_compose_requires_lambda():
-    with pytest.raises(LambdaZeroError):
+    with pytest.raises(ValidationError, match="divides by lambda\\^2"):
         general_table(validate_params(1.0, 0.3, 0.1, 0.2, 0.0), 0.0)
 
 

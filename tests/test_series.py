@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra.errors import IrregularPointError
+from rabi_spectra._kernels import FLAG_NONCONVERGED
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 
@@ -38,6 +39,10 @@ def test_exp_series_value():
     assert sums[0] == pytest.approx(math.e, rel=1e-14)
     assert sums[1] == pytest.approx(math.e, rel=1e-13)
     assert list(flags) == [0, 0]
+    # a nan offset beside it is flagged as not converged
+    _sums, _slog, flags = series_sums_lanes(np.stack([rec.weights] * 2),
+                                            [1.0, math.nan], [0, 0])
+    assert list(flags) == [0, FLAG_NONCONVERGED]
 
 
 def test_value_at_expansion_point():
@@ -79,7 +84,7 @@ def test_scale_log_matches_unscaled_summation():
 def test_irregular_point_rejected():
     # z^3 u'' + u = 0 has an irregular singularity at 0
     ode = PolyOde(((1.0,), (0.0,), (0.0, 0.0, 0.0, 1.0)), z0=0.0)
-    with pytest.raises(IrregularPointError):
+    with pytest.raises(ValidationError, match="is an irregular singularity"):
         ode_to_recurrence(ode)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from rabi_spectra._kernels import FLAG_RESONANT_COMPATIBLE, FLAG_RESONANT_INCOMPATIBLE
 from rabi_spectra.canonical import bch_first_normal_ode, kummer_1f1, kummer_1f1_d012
-from rabi_spectra.errors import PoleInBError
+from rabi_spectra.errors import NumericalError, ValidationError
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_sums_lanes
 
 
@@ -94,10 +94,25 @@ def test_kummer_against_term_oracle():
 
 def test_kummer_pole():
     for x in (1.0, -0.5, 0.0):
-        with pytest.raises(PoleInBError):
+        with pytest.raises(ValidationError, match="1F1 pole"):
             kummer_1f1(0.5, -2.0, x)
-        with pytest.raises(PoleInBError):
+        with pytest.raises(ValidationError, match="1F1 pole"):
             kummer_1f1(0.5, 0.0, x)
+
+
+def test_kummer_at_large_negative_x():
+    # summed directly, the alternating terms cancel to noise (M = -1.1e6 at
+    # x = -60) and overflow past x = -700; Kummer's transformation keeps M
+    # and its derivatives to rounding of M
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 0.5, 1.5
+    for x in (-60.0, -700.0, -800.0):
+        ref = [float(mpmath.diff(lambda t: mpmath.hyp1f1(a, b, t), x, k))
+               for k in range(3)]
+        assert kummer_1f1_d012(a, b, x) == pytest.approx(
+            ref, rel=1e-12, abs=1e-13 * abs(ref[0]))
+    with pytest.raises(NumericalError, match="did not converge"):
+        kummer_1f1_d012(a, b, -2000.0)
 
 
 def test_kummer_derivative_identities():
