@@ -22,7 +22,8 @@ import numpy as np
 from .closed_form import closed_window
 from .errors import NumericalError
 from .operators import bcf_truncated_parent
-from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
+from .params import (ModelParams, in_units_of_omega, memoized, require_weak_squeeze,
+                     times_omega, vanishes)
 from .polyops import poly, split_two_poles
 from .rootscan import GFunctionSample, SpectrumResult
 from .series import PolyOde
@@ -116,7 +117,10 @@ def bcf_ode(b: BcfParams, z0: float) -> PolyOde:
 def bcf_reduction(p: ModelParams) -> Reduction:
     """The reduced zeta-form equation of p, in units of omega, as a two-point
     reduction with no gauge.  p2 of the truncated parent does not depend on E,
-    so q does not either and :func:`bcf_ode` is polynomial in E (degree <= 2)."""
+    so q does not either and :func:`bcf_ode` is polynomial in E (degree <= 2).
+    Raises ValidationError unless |2*lambda| < omega, so every entry point
+    refuses a spectrum that is not bounded below."""
+    require_weak_squeeze(p)
     return Reduction.from_probes(
         "bcf", lambda e: bcf_ode(bcf_reduce(p, e), 0.0).polys)
 
@@ -124,7 +128,7 @@ def bcf_reduction(p: ModelParams) -> Reduction:
 def g_function_bcf_batch(p: ModelParams, energies,
                          zeta_star: float = 0.5) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each.
-    Raises as :func:`bcf_reduce` does where the reduction breaks down."""
+    Raises as :func:`bcf_reduction` does where the reduction breaks down."""
     return g_function_batch(bcf_reduction, p, energies, zeta_star)
 
 
@@ -140,10 +144,11 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     """Grid scan + rational-step refinement of the reduced-equation G-function.
 
     Ladder points are knots of the grid.  Where delta vanishes the exact
-    ladders of :func:`closed_window` are returned instead.  Where the
-    reduction itself breaks down (q^2 <= 0 or q ~ 0, for every energy alike)
-    this raises NumericalError as :func:`bcf_reduction` does, the message
-    naming the breakdown.
+    ladders of :func:`closed_window` are returned instead.  Where
+    |2*lambda| >= omega this raises ValidationError, and where the reduction
+    itself breaks down (q^2 <= 0 or q ~ 0, for every energy alike)
+    NumericalError, as :func:`bcf_reduction` does, the message naming the
+    rule or the breakdown.
     """
     if vanishes(p, p.delta):
         return closed_window(p, "bcf", e_min, e_max, grid_step)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra import (
     ModelParams,
@@ -11,7 +12,7 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.errors import ValidationError
-from rabi_spectra.fock import MAX_CUTOFF, eigenvalues
+from rabi_spectra.fock import BANDED_FROM, MAX_CUTOFF, eigenvalues
 
 
 def test_two_by_two_block():
@@ -48,7 +49,7 @@ def reference_hamiltonian(p, cutoff):
     return h
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 10])
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 10, 400])
 def test_matrix_matches_element_by_element_reference(cutoff):
     rng = np.random.default_rng(cutoff)
     for _ in range(3):
@@ -57,6 +58,19 @@ def test_matrix_matches_element_by_element_reference(cutoff):
                             rng.uniform(-0.2, 0.2))
         assert np.array_equal(build_hamiltonian(p, cutoff).matrix,
                               reference_hamiltonian(p, cutoff))
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 10])
+def test_band_holds_the_lower_diagonals(cutoff):
+    # band[d, j] = H[j + d, j], zero past the matrix's edge, as LAPACK reads it
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.2)
+    ham = build_hamiltonian(p, cutoff)
+    h = reference_hamiltonian(p, cutoff)
+    assert ham.band.shape == (6, ham.dimension)
+    for d, row in enumerate(ham.band):
+        expect = np.concatenate([np.diagonal(h, -d), np.zeros(d)])[:row.size]
+        assert np.array_equal(row, expect)
+    assert not np.any(np.tril(h, -6))
 
 
 def test_symmetric_bit_exact():
@@ -163,21 +177,58 @@ def test_cutoff_above_cap_is_refused_before_any_array(build, monkeypatch):
         build(p, MAX_CUTOFF + 1)
 
 
+def count_solves(monkeypatch) -> list:
+    """(solver, dimension) of each dense or banded eigensolve from now on."""
+    import scipy.linalg
+
+    solved = []
+    eigvalsh, eigvals_banded = np.linalg.eigvalsh, scipy.linalg.eigvals_banded
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(
+        ("dense", m.shape[0])) or eigvalsh(m))
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda b, lower: solved.append(
+        ("banded", b.shape[1])) or eigvals_banded(b, lower=lower))
+    fock.eigenvalues.cache_clear()
+    return solved
+
+
+def test_the_band_is_solved_from_cutoff_400(monkeypatch):
+    assert BANDED_FROM == 400
+    solved = count_solves(monkeypatch)
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    for cutoff in (BANDED_FROM - 1, BANDED_FROM, 120):
+        eigenvalues(p, cutoff)
+    assert solved == [("dense", 800), ("banded", 802), ("dense", 242)]
+
+
 def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
     # each step's reference cutoff is the previous step's cutoff
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: solved.append(m.shape[0]) or eigvalsh(m))
-    fock.eigenvalues.cache_clear()
+    solved = count_solves(monkeypatch)
     for p in (validate_params(1.0, 0.3, 0.1, 0.4, 0.35),
               validate_params(1.0, 0.2, -0.1, 0.3, 0.4)):
         for cutoff in (200, 400, 800):
             res = oracle_spectrum(p, cutoff, 40, cutoff // 2)
         assert res.reference_cutoff == 400
-    # a second parameter set solves all four of its own cutoffs
-    assert solved == [402, 202, 802, 1602] * 2
+    # a second parameter set solves all four of its own cutoffs: 200 and 100
+    # dense, 400 and 800 on the band
+    assert [dim for _solver, dim in solved] == [402, 202, 802, 1602] * 2
+    assert [solver for solver, _dim in solved] == ["dense", "dense", "banded",
+                                                   "banded"] * 2
     assert fock.eigenvalues.cache_info().maxsize == 4
+
+
+COUPLING = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.builds(ModelParams, st.just(1.0), COUPLING, COUPLING,
+                 st.floats(-2.0, 2.0), st.floats(-0.49, 0.49)))
+@example(ModelParams(1.0, 0.3, 0.1, 0.4, 0.6))  # |2 lam| >= omega
+def test_banded_eigenvalues_match_dense_at_the_switch(p):
+    # cutoff 399 is solved dense, 400 on the band
+    for cutoff in (BANDED_FROM - 1, BANDED_FROM):
+        dense = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)
+        ev = eigenvalues(p, cutoff)
+        assert np.all(np.abs(ev - dense) <= 1e-11 * np.maximum(1.0, np.abs(dense)))
 
 
 def test_oracle_results_cannot_corrupt_the_kept_eigenvalues():

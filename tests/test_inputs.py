@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from rabi_spectra import (
     bcf_spectrum,
     build_hamiltonian,
+    g_function_bcf,
+    g_function_bcf_batch,
     heun_spectrum,
     oracle_spectrum,
     uncoupled_spectrum,
@@ -66,6 +68,19 @@ def test_closed_form_refuses_squeeze_at_half_omega_and_past(call, lam):
     # spacing sqrt(omega^2 - 4 lambda^2) is not real
     with pytest.raises(ValidationError, match=r"sqrt\(omega\^2 - 4 lambda\^2\) is not real"):
         call(ModelParams(1.0, 0.0, 0.1, 0.2, lam))
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.6])
+@pytest.mark.parametrize("call", [
+    lambda p: bcf_spectrum(p, -1.0, 3.0),
+    lambda p: g_function_bcf(p, 0.2),
+    lambda p: g_function_bcf_batch(p, [0.2, 0.7]),
+], ids=["bcf", "g_function_bcf", "g_function_bcf_batch"])
+def test_bcf_refuses_squeeze_at_half_omega_and_past(call, lam):
+    # delta != 0, so the scanned reduction is reached, which would return an
+    # empty spectrum with no flag
+    with pytest.raises(ValidationError, match=r"\|2\*lambda\| = "):
+        call(ModelParams(1.0, 0.3, 0.0, 0.1, lam))
 
 
 ROUTES = {

@@ -1,6 +1,6 @@
 """The spectrum routes stay on one determinant path: they import nothing of
 the audit's recurrence and residual checks or of the paper audit, and
-``import rabi_spectra`` loads the solver only.  One
+``import rabi_spectra`` loads the solver only, and no scipy.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them and takes no callback from them.
@@ -10,6 +10,7 @@ its own.  Every cache has a finite size.  Errors come in two kinds, a
 ValidationError and a NumericalError, and no module defines a third."""
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -49,8 +50,9 @@ def test_route_imports_no_scalar_chain_or_audit(module):
     assert imported_names(SRC / module) & FORBIDDEN == set()
 
 
-#: after ``import rabi_spectra``, and again after a spectrum and a gscan run
-#: of the CLI, the rabi_spectra modules a fresh interpreter holds
+#: the modules a fresh interpreter holds after ``import rabi_spectra``, again
+#: after a spectrum and a gscan run of the CLI, and last after a diagnose
+#: report and an oracle spectrum at the default cutoff
 LOADED = """
 import json, sys
 import rabi_spectra
@@ -62,20 +64,40 @@ for argv in (["spectrum", "--omega", "1", "--delta", "0.4", "--g", "0.6", "--emi
               "--emin", "-1", "--emax", "1"]):
     assert main(argv) == 0
     loaded.append(sorted(sys.modules))
-sys.stderr.write(json.dumps([[m.split(".", 1)[1] for m in mods
-                              if m.startswith("rabi_spectra.")] for mods in loaded]))
+from rabi_spectra.audit import diagnose_report
+p = rabi_spectra.validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
+diagnose_report(p)
+rabi_spectra.oracle_spectrum(p, 120, 10)
+loaded.append(sorted(sys.modules))
+sys.stderr.write(json.dumps(loaded))
 """
 
 
-def test_import_and_spectrum_commands_load_no_paper_audit():
+@functools.cache
+def loaded_modules() -> list:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     res = subprocess.run([sys.executable, "-c", LOADED], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
-    after_import, *after_runs = json.loads(res.stderr)
+    return json.loads(res.stderr)
+
+
+def test_import_and_spectrum_commands_load_no_paper_audit():
+    after_import, *after_runs = [[m.split(".", 1)[1] for m in mods
+                                  if m.startswith("rabi_spectra.")]
+                                 for mods in loaded_modules()[:3]]
     assert "heun" in after_import and "bcf" in after_import
     for loaded in (after_import, *after_runs):
         assert set(loaded) & {"audit", "canonical"} == set()
+
+
+def test_no_solve_below_the_banded_cutoff_loads_scipy():
+    """scipy is imported inside the banded eigensolve only, so the import,
+    the spectra and a diagnose report (Fock cutoff 120) keep its load time
+    and memory out."""
+    assert "rabi_spectra.audit" in loaded_modules()[-1]
+    for mods in loaded_modules():
+        assert [m for m in mods if m.split(".")[0] == "scipy"] == []
 
 
 def top_level_names(path: Path) -> set:
