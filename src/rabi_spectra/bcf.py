@@ -118,9 +118,8 @@ def bcf_reduction(p: ModelParams) -> Reduction:
     """The reduced zeta-form equation of p, in units of omega, as a two-point
     reduction with no gauge.  p2 of the truncated parent does not depend on E,
     so q does not either and :func:`bcf_ode` is polynomial in E (degree <= 2).
-    Raises ValidationError unless |2*lambda| < omega, so every entry point
-    refuses a spectrum that is not bounded below."""
-    require_weak_squeeze(p)
+    Needs |2*lambda| < omega, which each entry point checks in the caller's
+    units before dividing by omega."""
     return Reduction.from_probes(
         "bcf", lambda e: bcf_ode(bcf_reduce(p, e), 0.0).polys)
 
@@ -128,7 +127,9 @@ def bcf_reduction(p: ModelParams) -> Reduction:
 def g_function_bcf_batch(p: ModelParams, energies,
                          zeta_star: float = 0.5) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each.
-    Raises as :func:`bcf_reduction` does where the reduction breaks down."""
+    Raises ValidationError unless |2*lambda| < omega, and NumericalError
+    where the reduction breaks down."""
+    require_weak_squeeze(p)
     return g_function_batch(bcf_reduction, p, energies, zeta_star)
 
 
@@ -150,6 +151,7 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     NumericalError, as :func:`bcf_reduction` does, the message naming the
     rule or the breakdown.
     """
+    require_weak_squeeze(p)
     if vanishes(p, p.delta):
         return closed_window(p, "bcf", e_min, e_max, grid_step)
     q, *window = in_units_of_omega(p, e_min, e_max, grid_step)

@@ -22,7 +22,7 @@ import numpy as np
 from .bcf import bcf_reduction, bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
-from .fock import oracle_spectrum
+from .fock import dimension, oracle_spectrum
 from .heun import heun_reduction, heun_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import RootScanConfig, _build_grid
@@ -73,7 +73,8 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 
     errors = None
     if ns.compare_oracle:
-        k = max(len(energies) + 6, 12)
+        # at most the Fock dimension, which a small --fock-cutoff lowers
+        k = min(max(len(energies) + 6, 12), dimension(ns.fock_cutoff))
         ev = oracle_spectrum(p, ns.fock_cutoff, k).eigenvalues
         errors = [float(np.min(np.abs(ev - e))) for e in energies]
     for i, e in enumerate(energies):

@@ -1,12 +1,16 @@
 """Independent ground truth: diagonalization in a truncated Fock basis.
 
 The Hamiltonian is built as its lower band (half-bandwidth 5 in the index
-2 n + s); from cutoff :data:`BANDED_FROM` up its eigenvalues come from
-LAPACK's banded solver, below it from a dense ``eigvalsh``.  The
-eigenvalues of the last few (parameters, cutoff) pairs are kept, read-only,
-never the matrix: a cutoff ladder whose reference cutoff is the previous
-step's cutoff reuses that step's solve, so the ladder 200, 400, 800 with
-``delta_n = cutoff // 2`` makes four eigensolves, not six.
+2 n + s).  From cutoff :data:`BANDED_FROM` up its eigenvalues come from
+LAPACK's banded solvers, below it from a dense ``eigvalsh``.  A caller that
+needs only the lowest k levels asks for k: on the band, where k is small
+against the dimension (:data:`BISECT_RATIO`), the levels are found by
+bisection with Sturm counts instead of the full QL sweep.  The eigenvalues
+of the last few (parameters, cutoff, k) lookups are kept, read-only, never
+the matrix: a cutoff ladder whose reference cutoff is the previous step's
+cutoff reuses that step's solve, so the ladder 200, 400, 800 with
+``delta_n = cutoff // 2`` and k = 40 makes four eigensolves, not six: 100
+dense, 200 and 400 on the band in full, 800 on the band by bisection.
 """
 
 from __future__ import annotations
@@ -21,12 +25,25 @@ from .params import ModelParams, memoized, whole
 #: largest cutoff a Hamiltonian is built for: dimension 8002, a 384 kB band,
 #: and a 512 MB matrix where ``.matrix`` is asked for
 MAX_CUTOFF = 4000
-#: smallest cutoff solved on the band.  At cutoff 400 the banded solve takes
-#: 20 ms against 40 ms dense (75 against 265 ms at 800), but importing
+#: smallest cutoff solved on the band.  At cutoff 200 the banded solve takes
+#: 4 ms against 7–8 ms dense (13 against 28 ms at 400), but importing
 #: scipy.linalg costs 0.23 s and 27 MB of RSS (28 -> 56 MB), more than a
 #: dense solve at the default cutoff 120 (3.5 ms), so smaller cutoffs stay
 #: dense and never load scipy
-BANDED_FROM = 400
+BANDED_FROM = 200
+#: a banded solve for the lowest k of dim levels bisects where
+#: ``BISECT_RATIO * k < dim``, else it runs the full ``?sbevd``.  After the
+#: band-to-tridiagonal reduction (about 6 ns dim^2) bisection costs about
+#: 0.27 us dim per level and the full QL sweep about 11.5 ns dim^2, so
+#: bisection wins where dim > 0.27 us / 11.5 ns k = 23 k.  For k = 40:
+#: 32 against 45 ms at cutoff 800 (dim 1602), but 12.1 against 11.3 ms at
+#: 400 (dim 802) and 5.1 against 3.1 ms at 200, where the full solve stays
+BISECT_RATIO = 23
+
+
+def dimension(cutoff: int) -> int:
+    """Size of the truncated basis, spin (x) Fock(0..cutoff)."""
+    return 2 * (cutoff + 1)
 
 
 @dataclass(frozen=True)
@@ -39,7 +56,7 @@ class TruncatedHamiltonian:
 
     @property
     def dimension(self) -> int:
-        return 2 * (self.cutoff + 1)
+        return dimension(self.cutoff)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -88,16 +105,29 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
 
 
 @memoized(4)
-def eigenvalues(p: ModelParams, cutoff: int) -> np.ndarray:
-    """All eigenvalues at ``cutoff``, ascending, as a shared read-only array:
-    from the band at cutoffs of at least BANDED_FROM, else dense."""
+def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray:
+    """The lowest min(k, dim) eigenvalues at ``cutoff`` (all of them where
+    k is None), ascending, as a shared read-only array: from the band at
+    cutoffs of at least BANDED_FROM, by bisection where BISECT_RATIO * k <
+    dim, else dense.  A k that is not a whole number >= 1 raises
+    ValidationError."""
+    if k is not None:
+        if not k >= 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        k = whole("k", k)
     ham = build_hamiltonian(p, cutoff)
+    dim = ham.dimension
+    k = dim if k is None else min(k, dim)
     try:
-        if cutoff >= BANDED_FROM:
-            from scipy.linalg import eigvals_banded
-            ev = eigvals_banded(ham.band, lower=True)
+        if cutoff < BANDED_FROM:
+            ev = np.linalg.eigvalsh(ham.matrix)[:k]
         else:
-            ev = np.linalg.eigvalsh(ham.matrix)
+            from scipy.linalg import eigvals_banded
+            if BISECT_RATIO * k < dim:
+                ev = eigvals_banded(ham.band, lower=True, select="i",
+                                    select_range=(0, k - 1))
+            else:
+                ev = eigvals_banded(ham.band, lower=True)[:k]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(str(exc)) from exc
     ev.setflags(write=False)
@@ -110,23 +140,24 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
 
     Needs whole numbers cutoff >= 1 (and at most MAX_CUTOFF, checked by
     :func:`build_hamiltonian`), k in [1, 2 (cutoff + 1)] and delta_n >= 0;
-    anything else raises ValidationError.  Each cutoff is solved once
-    while it stays among the last few: a ladder whose reference cutoff is
-    the previous step's cutoff reuses that solve.  The arrays returned are
-    the caller's own.
+    anything else raises ValidationError.  Both cutoffs are asked for k
+    levels, so a reference cutoff with fewer levels gives fewer deltas.
+    Each (cutoff, k) is solved once while it stays among the last few: a
+    ladder whose reference cutoff is the previous step's cutoff reuses that
+    solve.  The arrays returned are the caller's own.
     """
     if not cutoff >= 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
     cutoff = whole("cutoff", cutoff)
-    if not 1 <= k <= 2 * (cutoff + 1):
+    if not 1 <= k <= dimension(cutoff):
         raise ValidationError(
-            f"k must lie in [1, {2 * (cutoff + 1)}] (the dimension), got {k}")
+            f"k must lie in [1, {dimension(cutoff)}] (the dimension), got {k}")
     k = whole("k", k)
     if not delta_n >= 0:
         raise ValidationError(f"delta_n must be >= 0, got {delta_n}")
     delta_n = whole("delta_n", delta_n)
-    ev = eigenvalues(p, cutoff)[:k].copy()
+    ev = eigenvalues(p, cutoff, k).copy()
     ref_cut = max(cutoff - delta_n, 0)
-    ev_ref = eigenvalues(p, ref_cut)[:k]
+    ev_ref = eigenvalues(p, ref_cut, k)
     deltas = np.abs(ev[:ev_ref.size] - ev_ref)
     return OracleResult(ev, cutoff, deltas, ref_cut)

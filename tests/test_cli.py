@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra.audit import diagnose_report
 from rabi_spectra.cli import build_parser, main
+from rabi_spectra.fock import eigenvalues
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
 
@@ -194,6 +195,21 @@ def test_bcf_compare_oracle_error_column(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows
     assert all(float(r["error_vs_oracle"]) <= 5e-3 for r in rows)
+
+
+def test_compare_oracle_asks_a_small_cutoff_for_at_most_its_dimension(capsys):
+    # --fock-cutoff 3 has 8 levels, fewer than the 16 the comparison wants
+    code, out, err = run_cli(
+        ["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+         "--eps", "0.15", "--g", "0.6", "--emin", "-1", "--emax", "4",
+         "--fock-cutoff", "3", "--compare-oracle"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 10
+    ev = eigenvalues(ModelParams(1.0, 0.4, 0.15, 0.6, 0.0), 3)
+    assert ev.size == 8
+    assert [float(r["error_vs_oracle"]) for r in rows] == [
+        float(np.min(np.abs(ev - float(r["energy"])))) for r in rows]
 
 
 def test_diagnose_exit_codes(tmp_path):

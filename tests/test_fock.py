@@ -178,26 +178,34 @@ def test_cutoff_above_cap_is_refused_before_any_array(build, monkeypatch):
 
 
 def count_solves(monkeypatch) -> list:
-    """(solver, dimension) of each dense or banded eigensolve from now on."""
+    """(solver, dimension, levels) of each dense or banded eigensolve from
+    now on; each solver is wrapped with its real signature."""
     import scipy.linalg
 
     solved = []
-    eigvalsh, eigvals_banded = np.linalg.eigvalsh, scipy.linalg.eigvals_banded
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(
-        ("dense", m.shape[0])) or eigvalsh(m))
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda b, lower: solved.append(
-        ("banded", b.shape[1])) or eigvals_banded(b, lower=lower))
+
+    def counted(solver, fn):
+        def wrapped(*args, **kwargs):
+            ev = fn(*args, **kwargs)
+            # the matrix is dim x dim, the band 6 x dim
+            solved.append((solver, args[0].shape[-1], len(ev)))
+            return ev
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("dense", np.linalg.eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded",
+                        counted("banded", scipy.linalg.eigvals_banded))
     fock.eigenvalues.cache_clear()
     return solved
 
 
-def test_the_band_is_solved_from_cutoff_400(monkeypatch):
-    assert BANDED_FROM == 400
+def test_the_band_is_solved_from_cutoff_200(monkeypatch):
+    assert BANDED_FROM == 200
     solved = count_solves(monkeypatch)
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
     for cutoff in (BANDED_FROM - 1, BANDED_FROM, 120):
         eigenvalues(p, cutoff)
-    assert solved == [("dense", 800), ("banded", 802), ("dense", 242)]
+    assert solved == [("dense", 400, 400), ("banded", 402, 402), ("dense", 242, 242)]
 
 
 def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
@@ -208,27 +216,83 @@ def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
         for cutoff in (200, 400, 800):
             res = oracle_spectrum(p, cutoff, 40, cutoff // 2)
         assert res.reference_cutoff == 400
-    # a second parameter set solves all four of its own cutoffs: 200 and 100
-    # dense, 400 and 800 on the band
-    assert [dim for _solver, dim in solved] == [402, 202, 802, 1602] * 2
-    assert [solver for solver, _dim in solved] == ["dense", "dense", "banded",
-                                                   "banded"] * 2
+    # a second parameter set solves all four of its own cutoffs: 100 dense,
+    # 200 and 400 on the band in full, 800 on the band for its lowest 40
+    assert solved == [("banded", 402, 402), ("dense", 202, 202),
+                      ("banded", 802, 802), ("banded", 1602, 40)] * 2
     assert fock.eigenvalues.cache_info().maxsize == 4
+
+
+def test_the_lowest_k_are_bisected_where_k_is_small_against_the_dimension(monkeypatch):
+    solved = count_solves(monkeypatch)
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    for k in (17, 18, 100):  # 23 * 17 < 402 <= 23 * 18
+        assert eigenvalues(p, BANDED_FROM, k).size == k
+    assert solved == [("banded", 402, 17), ("banded", 402, 402), ("banded", 402, 402)]
+    assert fock.BISECT_RATIO == 23
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, math.nan])
+def test_eigenvalues_refuses_k_that_is_not_a_whole_number_from_one(k):
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    with pytest.raises(ValidationError, match=r"k must be (>= 1|a whole number)"):
+        eigenvalues(p, 10, k)
+
+
+def test_eigenvalues_clamps_k_to_the_dimension():
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    assert np.array_equal(eigenvalues(p, 10, 100), eigenvalues(p, 10))
+    assert eigenvalues(p, 10, 22.0).size == 22
+
+
+def test_a_reference_cutoff_with_fewer_levels_gives_fewer_deltas():
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    res = oracle_spectrum(p, 20, 40, 10)
+    assert (res.eigenvalues.size, res.convergence_deltas.size) == (40, 22)
+    assert res.reference_cutoff == 10
+    assert np.array_equal(res.convergence_deltas,
+                          np.abs(eigenvalues(p, 20)[:22] - eigenvalues(p, 10)))
 
 
 COUPLING = st.floats(-1.0, 1.0)
 
 
+PARAMS = st.builds(ModelParams, st.just(1.0), COUPLING, COUPLING,
+                   st.floats(-2.0, 2.0), st.floats(-0.49, 0.49))
+
+
+def assert_lowest_k_match_dense(p, cutoff):
+    """For k = 1, 10, 40 and all, ``eigenvalues(p, cutoff, k)`` agrees with
+    a dense ``eigvalsh`` of the expanded matrix and with the head of the
+    full spectrum, within 1e-11 max(1, |E|)."""
+    dense = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)
+    full = eigenvalues(p, cutoff)
+    for k in (1, 10, 40, None):
+        ev = eigenvalues(p, cutoff, k)
+        ref = dense[:k]
+        tol = 1e-11 * np.maximum(1.0, np.abs(ref))
+        assert ev.size == ref.size
+        assert np.all(np.abs(ev - ref) <= tol)
+        assert np.all(np.abs(ev - full[:k]) <= tol)
+
+
 @settings(derandomize=True, max_examples=10, deadline=None)
-@given(st.builds(ModelParams, st.just(1.0), COUPLING, COUPLING,
-                 st.floats(-2.0, 2.0), st.floats(-0.49, 0.49)))
+@given(PARAMS)
 @example(ModelParams(1.0, 0.3, 0.1, 0.4, 0.6))  # |2 lam| >= omega
 def test_banded_eigenvalues_match_dense_at_the_switch(p):
-    # cutoff 399 is solved dense, 400 on the band
+    # cutoff 199 is solved dense; 200 on the band, bisected for k = 1 and
+    # 10 and in full for k = 40 and all
     for cutoff in (BANDED_FROM - 1, BANDED_FROM):
-        dense = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)
-        ev = eigenvalues(p, cutoff)
-        assert np.all(np.abs(ev - dense) <= 1e-11 * np.maximum(1.0, np.abs(dense)))
+        assert_lowest_k_match_dense(p, cutoff)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(PARAMS)
+@example(ModelParams(1.0, 0.3, 0.1, 0.4, 0.6))  # |2 lam| >= omega
+def test_bisected_eigenvalues_match_dense_at_cutoff_800(p):
+    # dim 1602 bisects for every k up to 40; a dense solve there takes
+    # about 175 ms, so this property draws fewer examples
+    assert_lowest_k_match_dense(p, 800)
 
 
 def test_oracle_results_cannot_corrupt_the_kept_eigenvalues():

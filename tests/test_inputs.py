@@ -22,6 +22,7 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.canonical import weber_params
+from rabi_spectra.cli import main
 from rabi_spectra.errors import RabiSpectraError, ValidationError
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
@@ -81,6 +82,24 @@ def test_bcf_refuses_squeeze_at_half_omega_and_past(call, lam):
     # empty spectrum with no flag
     with pytest.raises(ValidationError, match=r"\|2\*lambda\| = "):
         call(ModelParams(1.0, 0.3, 0.0, 0.1, lam))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: bcf_spectrum(p, -1.0, 3.0),
+    lambda p: g_function_bcf(p, 0.2),
+    lambda p: g_function_bcf_batch(p, [0.2, 0.7]),
+], ids=["bcf", "g_function_bcf", "g_function_bcf_batch"])
+def test_bcf_squeeze_error_gives_the_callers_numbers(call):
+    # the routes work in units of omega, but the rule is read in the caller's
+    with pytest.raises(ValidationError, match=r"\|2\*lambda\| = 2.4 >= omega = 2.0:"):
+        call(ModelParams(2.0, 0.3, 0.0, 0.1, 1.2))
+
+
+def test_gscan_bcf_squeeze_error_gives_the_callers_numbers(capsys):
+    code = main(["gscan", "--method", "bcf", "--omega", "2", "--delta", "0.3",
+                 "--g", "0.1", "--lambda", "1.2", "--emin", "-1", "--emax", "3"])
+    assert code == 2
+    assert "|2*lambda| = 2.4 >= omega = 2.0:" in capsys.readouterr().err
 
 
 ROUTES = {

@@ -52,7 +52,7 @@ def test_route_imports_no_scalar_chain_or_audit(module):
 
 #: the modules a fresh interpreter holds after ``import rabi_spectra``, again
 #: after a spectrum and a gscan run of the CLI, and last after a diagnose
-#: report and an oracle spectrum at the default cutoff
+#: report and oracle spectra at the default cutoff and the largest dense one
 LOADED = """
 import json, sys
 import rabi_spectra
@@ -68,6 +68,7 @@ from rabi_spectra.audit import diagnose_report
 p = rabi_spectra.validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
 diagnose_report(p)
 rabi_spectra.oracle_spectrum(p, 120, 10)
+rabi_spectra.oracle_spectrum(p, rabi_spectra.fock.BANDED_FROM - 1, 10)
 loaded.append(sorted(sys.modules))
 sys.stderr.write(json.dumps(loaded))
 """
@@ -93,8 +94,8 @@ def test_import_and_spectrum_commands_load_no_paper_audit():
 
 def test_no_solve_below_the_banded_cutoff_loads_scipy():
     """scipy is imported inside the banded eigensolve only, so the import,
-    the spectra and a diagnose report (Fock cutoff 120) keep its load time
-    and memory out."""
+    the spectra, a diagnose report (Fock cutoffs 120 and 80) and any oracle
+    call below ``fock.BANDED_FROM`` keep its load time and memory out."""
     assert "rabi_spectra.audit" in loaded_modules()[-1]
     for mods in loaded_modules():
         assert [m for m in mods if m.split(".")[0] == "scipy"] == []
