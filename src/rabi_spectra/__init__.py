@@ -19,15 +19,11 @@ from .rootscan import (
     scan_and_refine,
 )
 from .heun import (
-    CheParams,
-    che_params,
     g_function_heun,
     g_function_heun_batch,
     heun_spectrum,
 )
 from .bcf import (
-    BcfParams,
-    bcf_reduce,
     bcf_spectrum,
     g_function_bcf,
     g_function_bcf_batch,
@@ -42,9 +38,7 @@ __all__ = [
     "oracle_spectrum",
     "GFunctionSample", "RootReport", "RootScanConfig", "SpectrumResult",
     "scan_and_refine",
-    "CheParams", "che_params", "g_function_heun", "g_function_heun_batch",
-    "heun_spectrum",
-    "BcfParams", "bcf_reduce", "bcf_spectrum", "g_function_bcf",
-    "g_function_bcf_batch",
+    "g_function_heun", "g_function_heun_batch", "heun_spectrum",
+    "bcf_spectrum", "g_function_bcf", "g_function_bcf_batch",
     "__version__",
 ]

@@ -21,9 +21,10 @@ from . import canonical as canon
 from . import heun as heun_mod
 from .errors import NumericalError
 from .fock import oracle_spectrum
-from .operators import compose_fourth_order, general_table
+from .operators import (asymmetric_second_order, bcf_truncated_parent,
+                        compose_fourth_order, general_table)
 from .params import ModelParams, in_units_of_omega, vanishes
-from .polyops import padd, pmul, poly, polys_equal, ptrim
+from .polyops import padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 RTOL = 1e-12
@@ -107,6 +108,62 @@ def compare_recurrences(name: str, derived, printed_rows: dict,
     return {"name": name, "kind": "recurrence", "match": ok,
             "symbols": {k: float(v) for k, v in symbols.items()},
             "items": items, "note": note}
+
+
+def _padded(c, n: int) -> np.ndarray:
+    """The first n coefficients of c, zeros past its end."""
+    c = poly(c)[:n]
+    return np.concatenate([c, np.zeros(n - c.size)])
+
+
+# --------------------------------------------------------------------------
+# the symbols of the printed chain, read off the route equations in zeta
+
+def che_symbols(zeta) -> dict:
+    """alpha, beta, gamma, mu and nu of the confluent Heun equation in the
+    coefficient form of :func:`heun.heun_zeta_form`: P1 = (-(beta + 1),
+    beta + 1 + gamma - alpha, alpha) and P0 = (-mu, mu + nu)."""
+    p0, p1 = _padded(zeta[0], 2).tolist(), _padded(zeta[1], 3).tolist()
+    return {"alpha": p1[2], "beta": -p1[0] - 1.0, "gamma": p1[0] + p1[1] + p1[2],
+            "mu": -p0[0], "nu": p0[0] + p0[1]}
+
+
+def _bcf_combinations(al1, al2, be1, be2, ga1, ga2, ga3) -> dict:
+    """The reduced equation's seven coefficients and the six recurrence
+    combinations built from them: mu, nu, gamma_c (origin) and delta, eta,
+    kappa (at one)."""
+    return {"alpha1": al1, "alpha2": al2, "beta1": be1, "beta2": be2,
+            "gamma1": ga1, "gamma2": ga2, "gamma3": ga3,
+            "mu": be1 + be2 - al2, "nu": al2 - al1, "gamma_c": ga2 + ga3 - ga1,
+            "delta": al1 + al2 + be1 + be2, "eta": 2 * al1 + al2,
+            "kappa": ga1 + ga2 + ga3}
+
+
+def bcf_symbols(zeta) -> dict:
+    """The thirteen symbols of the reduced equation in the coefficient form
+    of :func:`bcf.bcf_zeta_form`: P1 = (beta2, -(beta1 + beta2 - alpha2),
+    -(alpha2 - alpha1), -alpha1) and P0 = (gamma3, -(gamma2 + gamma3 -
+    gamma1), -gamma1)."""
+    p0, p1 = _padded(zeta[0], 3).tolist(), _padded(zeta[1], 4).tolist()
+    al1 = -p1[3]
+    return _bcf_combinations(al1, al1 - p1[2], -(p1[0] + p1[1] + p1[2] + p1[3]), p1[0],
+                             -p0[2], -(p0[0] + p0[1] + p0[2]), p0[0])
+
+
+def _che_partial_fractions(p: ModelParams, energy: float):
+    """(q, table, (k_plus, k_minus)) of the printed confluent Heun chain:
+    the partial fractions A1 + A2/(z - q) + A3/(z + q) of p1/p2 and B1 +
+    B2/(z - q) + B3/(z + q) of p0/p2 of the exact lam = 0 parent, and the
+    gauge roots of k^2 + 2 q A1 k + 4 q^2 B1."""
+    p0, p1, p2 = asymmetric_second_order(p, energy)
+    q = abs(p.g / p.omega)
+    quot1, a2, a3 = split_two_poles(p1, p2, q)
+    quot0, b2, b3 = split_two_poles(p0, p2, q)
+    table = {"A1": float(quot1[0]), "A2": a2, "A3": a3,
+             "B1": float(quot0[0]), "B2": b2, "B3": b3}
+    al1, be1 = 2 * q * table["A1"], 4 * q * q * table["B1"]
+    root = math.sqrt(al1 * al1 - 4 * be1)
+    return q, table, ((-al1 + root) / 2, (-al1 - root) / 2)
 
 
 # --------------------------------------------------------------------------
@@ -205,11 +262,10 @@ def audit_recurrences(p_asym: ModelParams | None = None,
         p_general = ModelParams(1.0, 0.3, 0.1, 0.2, 0.1)
     out = []
 
-    che = heun_mod.che_params(p_asym, e_asym)
-    sym = {"alpha": che.alpha, "beta": che.beta, "gamma": che.gamma,
-           "mu": che.mu, "nu": che.nu}
-    rec0 = ode_to_recurrence(heun_mod.che_ode(che, 0.0))
-    rec1 = ode_to_recurrence(heun_mod.che_ode(che, 1.0))
+    che = heun_mod.heun_zeta_form(p_asym, e_asym)
+    sym = che_symbols(che)
+    rec0 = ode_to_recurrence(PolyOde(che, z0=0.0))
+    rec1 = ode_to_recurrence(PolyOde(che, z0=1.0))
     out.append(compare_recurrences(
         "che-series-origin", rec0, printed_che_origin(sym), sym,
         note="printed a_n weight reads n^2+(beta+gamma-alpha)-mu; the "
@@ -238,19 +294,16 @@ def audit_recurrences(p_asym: ModelParams | None = None,
         note="the printed display repeats the subscript n+2 where the "
              "nine-term pattern requires n+1; transcribed as n+1"))
 
-    b = bcf_mod.bcf_reduce(p_general, e_general)
-    symb = {"alpha1": b.alpha1, "alpha2": b.alpha2, "beta1": b.beta1,
-            "beta2": b.beta2, "gamma1": b.gamma1, "gamma2": b.gamma2,
-            "gamma3": b.gamma3, "mu": b.mu, "nu": b.nu, "gamma_c": b.gamma_c,
-            "delta": b.delta, "eta": b.eta, "kappa": b.kappa}
+    b = bcf_mod.bcf_zeta_form(p_general, e_general)
+    symb = bcf_symbols(b)
     out.append(compare_recurrences(
-        "bcf-series-origin", ode_to_recurrence(bcf_mod.bcf_ode(b, 0.0)),
+        "bcf-series-origin", ode_to_recurrence(PolyOde(b, z0=0.0)),
         printed_bcf_origin(symb), symb,
         note="printed leading factor (n+beta2) and +n(n-1) disagree with the "
              "direct expansion, which gives (n-beta2) and -n(n-1); the "
              "printed form also fails the stated confluent-Heun reduction"))
     out.append(compare_recurrences(
-        "bcf-series-one", ode_to_recurrence(bcf_mod.bcf_ode(b, 1.0)),
+        "bcf-series-one", ode_to_recurrence(PolyOde(b, z0=1.0)),
         printed_bcf_one(symb), symb,
         note="printed back weight carries alpha2 where the derivation gives "
              "alpha1"))
@@ -377,7 +430,7 @@ def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
 
 @_in_float_range
 def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
-    che = heun_mod.che_params(p, energy)
+    _q, table, (k_plus, k_minus) = _che_partial_fractions(p, energy)
     om, de, ep, g = p.omega, p.delta, p.epsilon, p.g
     E = energy
     q = g / om
@@ -387,12 +440,9 @@ def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
                        - (ep ** 2 - E ** 2 + de ** 2) / (2 * om * g),
                  "B3": q + q ** 3 / 2 - ep * q / om
                        + (ep ** 2 - E ** 2 + de ** 2) / (2 * om * g)}
-    pairs = [(k, che.a_table[k], printed_a[k]) for k in printed_a]
-    kp = (1 + math.sqrt(5.0)) * q * q
-    km = (1 - math.sqrt(5.0)) * q * q
-    che_p = heun_mod.che_params(p, energy, "plus")
-    pairs.append(("k_plus", che_p.k, kp))
-    pairs.append(("k_minus", che.k, km))
+    pairs = [(k, table[k], printed_a[k]) for k in printed_a]
+    pairs.append(("k_plus", k_plus, (1 + math.sqrt(5.0)) * q * q))
+    pairs.append(("k_minus", k_minus, (1 - math.sqrt(5.0)) * q * q))
     return _table_entry(
         "asymmetric-reduction-table", pairs,
         note="A1 and A3 inherit the operator-expansion omission; printed "
@@ -404,7 +454,12 @@ def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
 def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
     om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
     E = energy
-    b = bcf_mod.bcf_reduce(p, energy)
+    sym = bcf_symbols(bcf_mod.bcf_zeta_form(p, energy))
+    p0, p1, p2 = bcf_truncated_parent(p, energy)
+    om2 = -p2[-1]
+    q = math.sqrt(p2[0] / om2)
+    a_table = dict(zip(("A1", "A2", "A3", "A4"), _padded(poly(p1) / om2, 4).tolist()))
+    b_table = dict(zip(("B1", "B2", "B3"), _padded(poly(p0) / om2, 3).tolist()))
     printed_q2 = (g * g + lam * (ep + E)) / om ** 2 + 2 * lam / om
     printed_a = {"A1": g * (ep + E) / om ** 2 + g / om,
                  "A2": g * g / om ** 2 + (ep + E) / om - 1.0,
@@ -412,25 +467,62 @@ def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
     printed_b = {"B1": (g * g + ep ** 2 - E ** 2 - de ** 2) / om ** 2,
                  "B2": 2 * ep * g / om ** 2 - g / om,
                  "B3": (g * g + 2 * ep * lam) / om ** 2 - 2 * lam / om}
-    pairs = [("q^2", b.q ** 2, printed_q2)]
+    pairs = [("q^2", q ** 2, printed_q2)]
     for k in printed_a:
-        pairs.append((k, b.a_table[k], printed_a[k]))
+        pairs.append((k, a_table[k], printed_a[k]))
     for k in printed_b:
-        pairs.append((k, b.b_table[k], printed_b[k]))
+        pairs.append((k, b_table[k], printed_b[k]))
     # beta_pm: printed formula vs residue values, using the derived A-table
-    a1, a2 = b.a_table["A1"], b.a_table["A2"]
-    a3, a4 = b.a_table["A3"], b.a_table["A4"]
-    q = b.q
+    a1, a2, a3, a4 = (a_table[k] for k in ("A1", "A2", "A3", "A4"))
     printed_beta_p = 0.5 * ((a4 + a3) * q * q + a2 + a1)
     printed_beta_m = 0.5 * ((a4 - a3) * q * q + a2 - a1)
-    pairs.append(("beta1(beta+)", b.beta1, printed_beta_p))
-    pairs.append(("beta2(beta-)", b.beta2, printed_beta_m))
-    pairs.append(("alpha1", b.alpha1, 2 * q * a4))
+    pairs.append(("beta1(beta+)", sym["beta1"], printed_beta_p))
+    pairs.append(("beta2(beta-)", sym["beta2"], printed_beta_m))
+    pairs.append(("alpha1", sym["alpha1"], 2 * q * a4))
     return _table_entry(
         "small-coupling-reduction-table", pairs,
         note="q^2, A and B1 inherit the operator omission (B1 also the "
              "delta^2 sign); printed beta_pm lack the /q on the odd part; "
              "printed alpha1 = 2 q A4 misses a 2q factor (map gives 4q^2 A4)")
+
+
+@_in_float_range
+def audit_reduction_chain(p_asym: ModelParams, p_general: ModelParams,
+                          energy: float) -> dict:
+    """The partial-fraction chain the paper prints against the one equation
+    builder of the routes: the confluent Heun symbols from the table and
+    the gauge root k_minus, and the reduced equation's symbols from the
+    partial fractions of the truncated parent, each against the route's
+    equation in zeta; and the truncated parent at lam = 0 against the exact
+    one."""
+    q, a, (_k_plus, k) = _che_partial_fractions(p_asym, energy)
+    printed = {"alpha": 2 * q * a["A1"] + 2 * k, "beta": a["A3"] - 1.0,
+               "gamma": a["A2"], "mu": k * a["A3"] + 2 * q * a["B3"],
+               "nu": k * a["A2"] + 2 * q * a["B2"]}
+    derived = che_symbols(heun_mod.heun_zeta_form(p_asym, energy))
+    pairs = [(f"che:{n}", derived[n], printed[n]) for n in printed]
+
+    derived = bcf_symbols(bcf_mod.bcf_zeta_form(p_general, energy))
+    p0, p1, p2 = bcf_truncated_parent(p_general, energy)
+    q2 = float(p2[0] / -p2[-1])
+    q = math.sqrt(q2)
+    (quot1, bp, bm), (quot0, gp, gm) = (split_two_poles(c, p2, q) for c in (p1, p0))
+    c0, c1 = _padded(quot1, 2).tolist()
+    printed = _bcf_combinations(-4 * q2 * c1, -(2 * q * c0 - 2 * q2 * c1), -bp, -bm,
+                                -4 * q2 * float(quot0[0]), -2 * q * gp, -2 * q * gm)
+    pairs += [(f"bcf:{n}", derived[n], printed[n]) for n in printed]
+
+    exact = asymmetric_second_order(p_asym, energy)
+    truncated = bcf_truncated_parent(p_asym, energy)
+    for k, (t, e) in enumerate(zip(truncated, exact)):
+        n = max(poly(t).size, poly(e).size)
+        pairs += [(f"phi^({k})[z^{i}]", d, pr) for i, (d, pr) in
+                  enumerate(zip(_padded(t, n).tolist(), _padded(e, n).tolist()))]
+    return _table_entry(
+        "reduction-chain", pairs,
+        note="derived: the route equations in zeta and the truncated parent "
+             "at lam = 0; printed: the partial-fraction formulas and the "
+             "exact lam = 0 parent")
 
 
 # --------------------------------------------------------------------------
@@ -580,16 +672,16 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
         energy = rng.uniform(-1.0, 2.5)
 
         p_asym = ModelParams(om, de, ep, g, 0.0)
-        che = heun_mod.che_params(p_asym, energy)
+        che = heun_mod.heun_zeta_form(p_asym, energy)
         for z0, tag in ((0.0, "che@0"), (1.0, "che@1")):
-            ode = heun_mod.che_ode(che, z0)
+            ode = PolyOde(che, z0=z0)
             x = z0 + 0.15 if z0 == 0.0 else z0 - 0.15
             rows.append(_residual_row(tag, ode, x, corrupt, threshold))
 
         p_gen = ModelParams(om, de, ep, 0.3 * g, 0.3 * lam)
-        b = bcf_mod.bcf_reduce(p_gen, energy)
+        b = bcf_mod.bcf_zeta_form(p_gen, energy)
         for z0, tag in ((0.0, "bcf@0"), (1.0, "bcf@1")):
-            ode = bcf_mod.bcf_ode(b, z0)
+            ode = PolyOde(b, z0=z0)
             x = z0 + 0.15 if z0 == 0.0 else z0 - 0.15
             rows.append(_residual_row(tag, ode, x, corrupt, threshold))
 
@@ -656,6 +748,7 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     entries.append(audit_two_photon_table(p_gen, energy))
     entries.append(audit_asymmetric_tables(p_asym, energy))
     entries.append(audit_bcf_tables(p_gen, energy))
+    entries.append(audit_reduction_chain(p_asym, p_gen, energy))
     nb = canon.normalize_params(p_gen, energy)
     entries += audit_appendix(nb)
     nb0 = canon.normalize_params(ModelParams(p_gen.omega, p_gen.delta,

@@ -11,7 +11,6 @@ significant digits so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -97,8 +96,7 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     # built in units of omega, as the routes build theirs
     om = p.omega
     grid = om * _build_grid(RootScanConfig(ns.emin / om, ns.emax / om, ns.grid / om))
-    reduce = (functools.partial(heun_reduction, k_branch=ns.k_branch) if method == "heun"
-              else bcf_reduction)
+    reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
     samples = g_function_batch(reduce, p, grid, ns.zeta_star, pole_free=True)
     for e, s in zip(grid, samples):
@@ -172,9 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "spectrum":
             sp.add_argument("--nmax", type=int, default=9)
             sp.add_argument("--compare-oracle", action="store_true")
-        if name == "gscan":
-            sp.add_argument("--k-branch", default="minus", choices=["plus", "minus"])
-        else:
+        if name != "gscan":
             sp.add_argument("--fock-cutoff", type=int, default=120)
         if name == "diagnose":
             sp.add_argument("--self-test", action="store_true",

@@ -111,8 +111,8 @@ def memoized(maxsize: int):
     hashable arguments, such as a parameter set and an energy.
 
     Entries are keyed on the arguments bound to the signature, defaults
-    filled in, so ``f(p, e)`` and ``f(p, e, k_branch="minus")`` share one
-    (``functools.lru_cache`` keys them apart).  Callers share each result,
+    filled in, so ``eigenvalues(p, c)`` and ``eigenvalues(p, cutoff=c,
+    k=None)`` share one (``functools.lru_cache`` keys them apart).  Callers share each result,
     so the function must return immutable values.  Unhashable arguments
     bypass the cache.
     """

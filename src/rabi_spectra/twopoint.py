@@ -1,41 +1,72 @@
 """The two-point Wronskian route shared by the ``heun`` and ``bcf`` spectra.
 
-A reduction supplies a second-order equation with regular singularities at
-zeta = 0 and zeta = 1; its spectral determinant is the Wronskian, at a
-gluing point zeta_star, of the two local Frobenius series (Braak, PRL 107,
-100401, 2011).  Everything past the reduction lives here, in units of omega
-(the public entry points divide by it once): the batched Wronskian, the
-resonance ladder and the spectrum assembly.  The equation's coefficients
-are quadratics in E, and so are its series' recurrence weights:
-:class:`Reduction` fits them once from three probes, and a determinant call
-evaluates them at its energies.  A reduction is one equation: the heun
-route's gauge is chosen before it is built, and the zeros of the Wronskian
-do not depend on it.  The determinant has a simple pole at each ladder point
-E_m, so the spectrum scans g * prod_m sign(E - E_m), which is continuous
-there.  Every determinant, the ladder points' second-kind Wronskians
-included, is a lane of :func:`_wronskian`: one batched call, and so one
-kernel roll, per scan round.
+A route supplies a parent: a second-order equation in z whose leading
+coefficient is a multiple of z^2 - q^2.  :func:`map_to_zeta` moves its two
+regular singularities to zeta = 0 and zeta = 1 and gauges it by exp(k zeta);
+the spectral determinant is the Wronskian, at a gluing point zeta_star, of
+the two local Frobenius series (Braak, PRL 107, 100401, 2011).  The gauge
+multiplies both local solutions alike, so the Wronskian's zeros do not
+depend on k: heun takes the k that leaves the confluent Heun equation, bcf
+takes k = 0.  Everything past the parent lives here, in units of omega
+(the public entry points divide by it once): the equation in zeta, the
+batched Wronskian, the resonance ladder and the spectrum assembly.  The
+equation's coefficients are quadratics in E, and so are its series'
+recurrence weights: :class:`Reduction` fits them once from three probes,
+and a determinant call evaluates them at its energies.  The determinant has
+a simple pole at each ladder point E_m, so the spectrum scans
+g * prod_m sign(E - E_m), which is continuous there.  Every determinant,
+the ladder points' second-kind Wronskians included, is a lane of
+:func:`_wronskian`: one batched call, and so one kernel roll, per scan
+round.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .params import ModelParams, in_units_of_omega
+from .polyops import padd, poly, pshift
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
                        same_energy, scan_and_refine)
-from .series import recurrence_weights, series_sums_lanes
+from .series import PolyOde, recurrence_weights, series_sums_lanes
 
 #: highest resonant index m put on the ladder
 LADDER_MAX_M = 200
 #: flag bits of a lane that the kernel's resonance guard caught
 _GUARDED = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
+
+
+def map_to_zeta(parent, k: float) -> tuple:
+    """Coefficients (P0, P1, P2) of zeta (zeta - 1) times the equation
+    p2 y'' + p1 y' + p0 y = 0 of ``parent`` = (p0, p1, p2) in z, where p2 is
+    a multiple of z^2 - q^2: z = q (2 zeta - 1) puts the singularities z = -q
+    and q at zeta = 0 and 1, so P2 = zeta^2 - zeta, and y = exp(k zeta) w
+    gauges the equation for w to (P0 + k P1 + k^2 P2, P1 + 2 k P2, P2).
+    Raises NumericalError where a coefficient is not finite, q = 0 or
+    q^2 < 0, the one breakdown rule of both routes."""
+    p0, p1, p2 = (poly(c) for c in parent)
+    if not all(np.all(np.isfinite(c)) for c in (p0, p1, p2)):
+        raise NumericalError("non-finite ODE coefficient")
+    lead = p2[-1]
+    q2 = float(-p2[0] / lead)
+    if q2 == 0.0:
+        raise NumericalError("q = 0: both couplings vanish")
+    if q2 < 0.0:
+        raise NumericalError(f"q^2 = {q2}: singularities leave the real axis")
+    s = 2.0 * math.sqrt(q2)
+    # c(z) s^-j / lead at z = s (zeta - 1/2): scale, then shift by -1/2
+    at0, at1 = (pshift(c * s ** (np.arange(c.size) - j) / lead, -0.5)
+                for j, c in enumerate((p0, p1)))
+    at2 = poly([0.0, -1.0, 1.0])
+    return PolyOde((padd(padd(at0, k * at1), k * k * at2), padd(at1, 2.0 * k * at2),
+                    at2)).polys
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from rabi_spectra.audit import (
     audit_fourth_order_operator,
     audit_general_table,
     audit_recurrences,
+    audit_reduction_chain,
     audit_two_photon_table,
     diagnose_report,
     residual_suite,
@@ -97,6 +98,20 @@ def test_bcf_table_audit():
     assert not by["beta1(beta+)"]         # missing /q on the odd part
 
 
+def test_the_printed_chain_is_the_one_equation_builder():
+    # the partial-fraction formulas give the symbols the route equations in
+    # zeta carry, and the truncated parent is the exact one at lam = 0
+    entry = audit_reduction_chain(P_ASYM, P_GEN, 0.2)
+    assert entry["match"]
+    lags = [it["lag"] for it in entry["items"]]
+    assert lags[:5] == ["che:alpha", "che:beta", "che:gamma", "che:mu", "che:nu"]
+    assert len([lag for lag in lags if lag.startswith("bcf:")]) == 13
+    assert {lag.split("[")[0] for lag in lags[18:]} == {"phi^(0)", "phi^(1)", "phi^(2)"}
+    report = diagnose_report(P_GEN, n_draws=2)
+    assert "reduction-chain" in {e["name"] for e in report["audit"]}
+    assert "reduction-chain" not in report["mismatched_entries"]
+
+
 def test_appendix_audit():
     nb = normalize_params(P_GEN, 0.2)
     entries = {e["name"]: e for e in audit_appendix(nb)}
@@ -158,12 +173,14 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
-    derivations = (operators.compose_fourth_order, heun.che_params, bcf.bcf_reduce)
+    derivations = (operators.compose_fourth_order, heun.heun_zeta_form,
+                   bcf.bcf_zeta_form)
     for derive in derivations:
         derive.cache_clear()
     diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
-    # general and g = 0 operators; minus and plus gauges; one bcf reduction
-    assert [derive.cache_info().misses for derive in derivations] == [2, 2, 1]
+    # general and g = 0 operators; one confluent Heun and one reduced
+    # equation, each read by the recurrence audit and the reduction chain
+    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 1]
     assert all(derive.cache_info().maxsize == 4 for derive in derivations)
 
 
@@ -171,6 +188,6 @@ def test_shared_derivations_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         operators.compose_fourth_order(P_GEN, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):
-        heun.che_params(P_ASYM, 0.2).a_table["A1"] = 0.0
+        heun.heun_zeta_form(P_ASYM, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):
-        bcf.bcf_reduce(P_GEN, 0.2).b_table["B1"] = 0.0
+        bcf.bcf_zeta_form(P_GEN, 0.2)[1] = ()

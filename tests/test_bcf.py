@@ -5,7 +5,6 @@ import pytest
 
 from rabi_spectra import (
     ModelParams,
-    bcf_reduce,
     bcf_spectrum,
     g_function_bcf,
     heun_spectrum,
@@ -13,11 +12,13 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra import fock
-from rabi_spectra.bcf import bcf_ode
+from rabi_spectra.audit import audit_bcf_tables, bcf_symbols
+from rabi_spectra.bcf import bcf_zeta_form
 from rabi_spectra.errors import NumericalError
-from rabi_spectra.operators import compose_fourth_order
+from rabi_spectra.operators import asymmetric_second_order, compose_fourth_order
 from rabi_spectra.polyops import poly
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
+from rabi_spectra.twopoint import map_to_zeta
 
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 
@@ -25,54 +26,78 @@ P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 def test_q_at_reference_point():
     # at eps = E = 0 the corrected and printed q coincide: sqrt(0.11)
     p = validate_params(1.0, 0.0, 0.0, 0.1, 0.05)
-    b = bcf_reduce(p, 0.0)
-    assert b.q == pytest.approx(math.sqrt(0.11), abs=1e-7)
+    row = next(it for it in audit_bcf_tables(p, 0.0)["items"] if it["lag"] == "q^2")
+    assert row["match"]
+    assert math.sqrt(float(row["derived"])) == pytest.approx(math.sqrt(0.11), abs=1e-7)
 
 
 def test_lambda_zero_limit():
+    # at lam = 0 the truncated parent is the exact one: the reduced equation
+    # is the heun route's parent mapped to zeta with no gauge
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.0)
-    b = bcf_reduce(p, 0.2)
-    assert b.q == pytest.approx(0.4, rel=1e-14)
-    assert b.alpha1 == 0.0
-    assert b.alpha2 == 0.0
-    # gamma1 = 4 q^2 B3 = 4 q^4 stays finite (the exp(k zeta) gauge is simply
-    # not applied on this route)
-    assert b.gamma1 == pytest.approx(-4 * 0.4 ** 4, rel=1e-12) or \
-        b.gamma1 == pytest.approx(4 * 0.4 ** 4, rel=1e-12)
+    zeta = bcf_zeta_form(p, 0.2)
+    exact = map_to_zeta(asymmetric_second_order(p, 0.2), 0.0)
+    for c, ref in zip(zeta, exact):
+        np.testing.assert_allclose(c, ref, rtol=1e-14, atol=1e-15)
+    b = bcf_symbols(zeta)
+    assert b["alpha1"] == 0.0
+    assert b["alpha2"] == 0.0
+    # gamma1 = 4 q^2 g^2 = 4 q^4, q = 0.4, stays finite (the exp(k zeta)
+    # gauge is simply not applied on this route)
+    assert b["gamma1"] == pytest.approx(4 * 0.4 ** 4, rel=1e-12)
 
 
 def test_defining_combinations_consistent():
-    b = bcf_reduce(P3, 0.3)
-    assert b.mu == pytest.approx(b.beta1 + b.beta2 - b.alpha2, abs=1e-14)
-    assert b.nu == pytest.approx(b.alpha2 - b.alpha1, abs=1e-14)
-    assert b.gamma_c == pytest.approx(b.gamma2 + b.gamma3 - b.gamma1, abs=1e-14)
-    assert b.delta == pytest.approx(b.alpha1 + b.alpha2 + b.beta1 + b.beta2,
-                                    abs=1e-14)
+    zeta = bcf_zeta_form(P3, 0.3)
+    b = bcf_symbols(zeta)
+    assert b["mu"] == pytest.approx(b["beta1"] + b["beta2"] - b["alpha2"], abs=1e-14)
+    assert b["nu"] == pytest.approx(b["alpha2"] - b["alpha1"], abs=1e-14)
+    assert b["gamma_c"] == pytest.approx(b["gamma2"] + b["gamma3"] - b["gamma1"],
+                                         abs=1e-14)
+    assert b["delta"] == pytest.approx(b["alpha1"] + b["alpha2"] + b["beta1"]
+                                       + b["beta2"], abs=1e-14)
+    # mu, nu and gamma_c are the linear coefficients of the equation
+    p0, p1 = (np.concatenate([c, np.zeros(4 - len(c))]) for c in zeta[:2])
+    assert (-p1[1], -p1[2], -p0[1]) == pytest.approx((b["mu"], b["nu"], b["gamma_c"]),
+                                                     abs=1e-14)
 
 
 def test_complex_singularity():
     # lam < 0 with tiny g drives q^2 negative
     p = ModelParams(1.0, 0.3, 0.0, 0.001, -0.05)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
-        bcf_reduce(p, 0.0)
+        bcf_zeta_form(p, 0.0)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
         bcf_spectrum(p, -0.5, 0.5, 0.05)
 
 
 def test_sample_call_raises_as_the_reduction_does():
-    # q^2 <= 0 at every energy: the public sample call fails as bcf_reduce
-    # (and bcf_spectrum) do
+    # q^2 <= 0 at every energy: the public sample call fails as the
+    # zeta-form (and bcf_spectrum) do
     p = validate_params(1.0, 0.3, 0.0, 0.01, -0.1)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
-        bcf_reduce(p, 0.0)
+        bcf_zeta_form(p, 0.0)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
         g_function_bcf(p, 0.0)
 
 
+@pytest.mark.parametrize("g, lam", [(1e-12, 0.0), (1e-30, 0.0), (1e-12, 1e-22),
+                                    (0.0, 1e-22)])
+def test_a_small_q_is_solved(g, lam):
+    # q down to 1e-30: the singularities stay apart, and the route returns
+    # every oracle level, as heun does at lam = 0
+    p = validate_params(1.0, 0.3, 0.1, g, lam)
+    res = bcf_spectrum(p, -1.0, 3.0, 0.05)
+    ev = fock.eigenvalues(p, 200)
+    ref = ev[(ev >= -1.0) & (ev <= 3.0)]
+    assert len(ref) == 7
+    np.testing.assert_allclose(res.energies, ref, rtol=0.0, atol=1e-10)
+
+
 def test_local_series_satisfy_reduced_equation():
-    b = bcf_reduce(P3, 0.1)
+    zeta = bcf_zeta_form(P3, 0.1)
     for z0, x in ((0.0, 0.15), (1.0, 0.85)):
-        ode = bcf_ode(b, z0)
+        ode = PolyOde(zeta, z0=z0)
         rec = ode_to_recurrence(ode)
         sums, slog, _flags = series_sums_lanes(rec.weights[None], [x - z0], [0])
         assert ode_residual(ode, x, sums[0], slog[0]) < 1e-10
@@ -81,11 +106,10 @@ def test_local_series_satisfy_reduced_equation():
 def test_four_term_reduces_to_three_term_when_alpha1_gamma1_zero():
     # coefficient-level identity: with alpha1 = gamma1 = 0 the lag-3 weights
     # vanish identically and the remaining weights are the confluent-Heun ones
-    b = bcf_reduce(P3, 0.1)
-    import dataclasses
-    b0 = dataclasses.replace(b, alpha1=0.0, gamma1=0.0)
+    p0, p1, p2 = bcf_zeta_form(P3, 0.1)
+    assert bcf_symbols((p0, p1, p2))["alpha1"] == 0.0  # the parent's p1 is linear
     for z0 in (0.0, 1.0):
-        rec = ode_to_recurrence(bcf_ode(b0, z0))
+        rec = ode_to_recurrence(PolyOde((p0[:2], p1, p2), z0=z0))  # gamma1 = 0
         last = rec.weights[4]
         assert not np.any(np.abs(last) > 0)
         used = np.flatnonzero(np.any(rec.weights != 0.0, axis=1))

@@ -271,15 +271,10 @@ def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
 
 #: id -> (argv, text the one stderr line contains); the paper audit works in
 #: units of omega, where these couplings underflow (lambda^2 vanishes, so the
-#: fourth-order operator has no leading term), and a bcf reduction breaks
-#: down where g and lambda vanish next to omega
+#: fourth-order operator has no leading term)
 OVERFLOW_CASES = {
     "args3-couplings": (["diagnose", "--omega", "1e300", "--g", "0.2", "--lambda", "0.1"],
                         "leading-derivative polynomial"),
-    "args7": (["gscan", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
-               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
-    "args8": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
-               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], ""),
 }
 
 
@@ -290,6 +285,30 @@ def test_overflow_on_huge_finite_input_exits_3_with_one_line(args, needle, capsy
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
     assert needle in err
+
+
+#: id -> bcf argv whose singularities z = +-q sit close together: q = 1e-12
+#: (g = 1e-12 omega), and q = 2e-151 (g = 5e-302 omega, lambda = 2e-302
+#: omega); the window holds 7 levels
+SMALL_Q = {
+    "q1e-12": ["spectrum", "--method", "bcf", "--omega", "1", "--delta", "0.3",
+               "--eps", "0.1", "--g", "1e-12", "--emin", "-1", "--emax", "3"],
+    "q2e-151": ["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "1e295",
+                "--g", "0.05", "--lambda", "0.02", "--emin=-1e300", "--emax=3e300"],
+}
+
+
+@pytest.mark.parametrize("args", SMALL_Q.values(), ids=SMALL_Q)
+def test_bcf_at_a_small_q_returns_the_oracle_levels(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    ns = build_parser().parse_args(args)
+    ev = eigenvalues(ModelParams(1.0, ns.delta / ns.omega, ns.eps / ns.omega,
+                                 ns.g / ns.omega, ns.lam / ns.omega), 200)
+    ref = ev[(ev >= ns.emin / ns.omega) & (ev <= ns.emax / ns.omega)]
+    got = [float(r["energy"]) / ns.omega for r in csv.DictReader(io.StringIO(out))]
+    assert len(ref) == 7
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=REFINE_TOL)
 
 
 #: id -> diagnose argv at omega = 1e300, which overflowed while the paper
@@ -410,15 +429,15 @@ SCAN = {"--emin", "--emax", "--grid", "--method", "--format", "--zeta-star", "--
 #: the options each command takes besides the required --omega
 OPTIONS = {
     "spectrum": PARAMS | SCAN | {"--nmax", "--fock-cutoff", "--compare-oracle"},
-    "gscan": PARAMS | SCAN | {"--k-branch"},
+    "gscan": PARAMS | SCAN,
     "diagnose": PARAMS | {"--fock-cutoff", "--self-test", "--out"},
 }
 FLAGS = {"--compare-oracle", "--self-test", "-v"}
-VALUE = {"--method": "heun", "--format": "json", "--k-branch": "plus",
-         "--nmax": "3", "--fock-cutoff": "40", "--out": "x.csv"}
+VALUE = {"--method": "heun", "--format": "json", "--nmax": "3", "--fock-cutoff": "40",
+         "--out": "x.csv"}
 
 
-@pytest.mark.parametrize("command, settable", [("spectrum", 15), ("gscan", 13),
+@pytest.mark.parametrize("command, settable", [("spectrum", 15), ("gscan", 12),
                                                ("diagnose", 8)])
 def test_each_command_takes_only_the_options_it_reads(command, settable, capsys):
     assert len(OPTIONS[command]) + 1 == settable
@@ -448,7 +467,7 @@ def test_gscan_refuses_a_method_without_a_determinant(method, capsys):
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
                "5e-11", "1")
 FUZZ_CHOICES = {"--method": ("auto", "oracle", "closed", "heun", "bcf"),
-                "--format": ("csv", "json"), "--k-branch": ("plus", "minus"),
+                "--format": ("csv", "json"),
                 "--nmax": ("-1", "0", "3", "1000000000000"),
                 "--fock-cutoff": ("0", "1", "40", "5000")}
 

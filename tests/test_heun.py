@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
-    che_params,
     g_function_heun,
     heun_spectrum,
     oracle_spectrum,
     validate_params,
 )
 from rabi_spectra import _kernels, bcf, fock, twopoint
+from rabi_spectra.audit import _che_partial_fractions, che_symbols
 from rabi_spectra.errors import ValidationError
-from rabi_spectra.heun import che_ode, g_function_heun_batch, heun_reduction
+from rabi_spectra.heun import g_function_heun_batch, heun_reduction, heun_zeta_form
+from rabi_spectra.operators import asymmetric_second_order
 from rabi_spectra.rootscan import same_energy
-from rabi_spectra.series import ode_residual, ode_to_recurrence, series_sums_lanes
-from rabi_spectra.twopoint import resonance_ladder
+from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
+from rabi_spectra.twopoint import Reduction, g_function_batch, map_to_zeta, resonance_ladder
 from test_kernels import reference_series
 
 P_CRIT = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
@@ -27,40 +28,56 @@ def oracle_crit():
     return oracle_spectrum(P_CRIT, 100, 14).eigenvalues
 
 
+def zeta2_coefficient(c):
+    """The zeta^2 coefficient of a coefficient tuple, whose trailing exact
+    zeros are trimmed."""
+    return (tuple(c) + (0.0,) * 3)[2]
+
+
 def test_che_quadratic_identity_and_beta():
-    che = che_params(P_CRIT, 0.0, "minus")
-    assert abs(che.quad_residual) < 1e-12
     q2 = 0.36
+    # the route's gauge k = -2 q^2 cancels the zeta^2 coefficient of the
+    # zero-order coefficient, which the confluent Heun equation drops
+    p0, p1, p2 = map_to_zeta(asymmetric_second_order(P_CRIT, 0.0), -2 * q2)
+    assert abs(zeta2_coefficient(p0)) < 1e-12
+    assert heun_zeta_form(P_CRIT, 0.0) == (p0[:2], p1, p2)
     # corrected gauge exponents are +-2 q^2 (the printed (1 pm sqrt5) q^2
     # descends from the misprinted reduction; see the audit)
-    assert che.k == pytest.approx(-2 * q2, rel=1e-12)
-    assert che_params(P_CRIT, 0.0, "plus").k == pytest.approx(2 * q2, rel=1e-12)
+    _q, _table, (k_plus, k_minus) = _che_partial_fractions(P_CRIT, 0.0)
+    assert (k_plus, k_minus) == pytest.approx((2 * q2, -2 * q2), rel=1e-12)
     # beta is E-dependent in the corrected chain: (eps - E)/omega - q^2
-    assert che.beta == pytest.approx((0.15 - 0.0) - q2, rel=1e-12)
-    assert che.gamma == pytest.approx(-q2 - 0.15, rel=1e-12)
+    sym = che_symbols(heun_zeta_form(P_CRIT, 0.0))
+    assert sym["beta"] == pytest.approx((0.15 - 0.0) - q2, rel=1e-12)
+    assert sym["gamma"] == pytest.approx(-q2 - 0.15, rel=1e-12)
 
 
 def test_the_gauge_discriminant_is_16_q4():
     # the partial fractions give A1 = 0 and B1 = -q^2, so the gauge exponent
-    # k = -+2 q^2 is real wherever g != 0
+    # k = -+2 q^2 is real wherever g != 0; the builder's zeta^2 coefficient
+    # of P0 is -4 q^4 + k^2, which each root cancels
     rng = np.random.RandomState(11)
     for _ in range(200):
         omega = 10 ** rng.uniform(-3, 3)
         g = omega * 10 ** rng.uniform(-6, 1) * rng.choice([-1, 1])
         p = validate_params(omega, *omega * rng.uniform(-2, 2, size=2), g, 0.0)
-        for k_branch in ("minus", "plus"):
-            che = che_params(p, omega * rng.uniform(-5, 5), k_branch)
-            q2 = che.q * che.q
-            assert che.a_table["A1"] == pytest.approx(0.0, abs=1e-12 * q2)
-            assert che.a_table["B1"] == pytest.approx(-q2, rel=1e-12)
-            assert abs(che.k) == pytest.approx(2 * q2, rel=1e-12)
+        energy = omega * rng.uniform(-5, 5)
+        q, table, roots = _che_partial_fractions(p, energy)
+        q2 = q * q
+        assert table["A1"] == pytest.approx(0.0, abs=1e-12 * q2)
+        assert table["B1"] == pytest.approx(-q2, rel=1e-12)
+        assert roots == pytest.approx((2 * q2, -2 * q2), rel=1e-12)
+        for k in roots:
+            p0 = map_to_zeta(asymmetric_second_order(p, energy), k)[0]
+            assert abs(zeta2_coefficient(p0)) <= 1e-12 * 4 * q2 * q2
+        # the route drops that coefficient: a three-term recurrence
+        assert len(heun_zeta_form(p, energy)[0]) <= 2
 
 
 def test_che_requires_lambda_zero_and_g_nonzero():
     with pytest.raises(ValidationError, match="heun route needs lambda = 0"):
-        che_params(validate_params(1.0, 0.4, 0.1, 0.6, 0.1), 0.0)
+        heun_zeta_form(validate_params(1.0, 0.4, 0.1, 0.6, 0.1), 0.0)
     with pytest.raises(ValidationError, match="singularities collide at g = 0"):
-        che_params(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
+        heun_zeta_form(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
 
 
 def test_route_refuses_lambda_before_the_closed_form():
@@ -71,9 +88,9 @@ def test_route_refuses_lambda_before_the_closed_form():
 
 def test_series_solve_the_transformed_equation():
     # local series of both expansions satisfy the CHE to machine accuracy
-    che = che_params(P_CRIT, -0.1)
+    che = heun_zeta_form(P_CRIT, -0.1)
     for z0, x in ((0.0, 0.15), (1.0, 0.85)):
-        ode = che_ode(che, z0)
+        ode = PolyOde(che, z0=z0)
         rec = ode_to_recurrence(ode)
         sums, slog, _flags = series_sums_lanes(rec.weights[None], [x - z0], [0])
         assert ode_residual(ode, x, sums[0], slog[0]) < 1e-10
@@ -122,26 +139,32 @@ def test_spectrum_matches_oracle_small_window(oracle_crit):
         assert np.min(np.abs(res.energies - e)) < 1e-6
 
 
-def assert_plus_gauge_changes_sign_at_each_regular_root(p, res):
+def g_function_gauged_batch(p, energies, k):
+    """G of p's exact lam = 0 parent mapped to zeta and gauged by exp(k zeta),
+    k in place of the heun route's -2 (g / omega)^2."""
+    def reduction_of(q):
+        return Reduction.from_probes(
+            "heun", lambda e: map_to_zeta(asymmetric_second_order(q, e), k))
+    return g_function_batch(reduction_of, p, energies)
+
+
+def assert_each_gauge_changes_sign_at_each_regular_root(p, res):
     """The gauge factor exp(k zeta) multiplies both local solutions alike, so
-    the plus gauge, which no spectrum evaluates, changes sign across r +- 1e-8
-    omega at every root r of the scanned minus gauge that is not exceptional."""
+    the gauges k = +2 (g / omega)^2 and k = 0, which no heun spectrum
+    evaluates, change sign across r +- 1e-8 omega at every root r of the
+    scanned gauge that is not exceptional."""
     roots = np.array([e for e, lab in zip(res.energies, res.labels) if lab == "regular"])
-    lo = g_function_heun_batch(p, roots - 1e-8 * p.omega, k_branch="plus")
-    hi = g_function_heun_batch(p, roots + 1e-8 * p.omega, k_branch="plus")
-    assert all(a.ok and b.ok and a.g_value * b.g_value < 0.0
-               for a, b in zip(lo, hi)), p
+    for k in (2 * (p.g / p.omega) ** 2, 0.0):
+        lo = g_function_gauged_batch(p, roots - 1e-8 * p.omega, k)
+        hi = g_function_gauged_batch(p, roots + 1e-8 * p.omega, k)
+        assert all(a.ok and b.ok and a.g_value * b.g_value < 0.0
+                   for a, b in zip(lo, hi)), (p, k)
 
 
 def test_k_branch_consistency():
     res = heun_spectrum(P_CRIT, -1.0, 1.0, 0.05)
     assert res.labels and set(res.labels) == {"regular"}
-    assert_plus_gauge_changes_sign_at_each_regular_root(P_CRIT, res)
-
-
-def test_an_unknown_k_branch_is_refused():
-    with pytest.raises(ValidationError, match="k_branch must be"):
-        g_function_heun_batch(P_CRIT, [0.5], k_branch="up")
+    assert_each_gauge_changes_sign_at_each_regular_root(P_CRIT, res)
 
 
 def test_zero_set_stable_across_gluing_points():
@@ -184,13 +207,16 @@ def test_exact_solvability_random_draws():
 
 
 P_BCF = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
-#: route -> (ODE at zeta = 0 from the scalar reduction, batched G-function)
+#: route -> (ODE at zeta = 0 from the one-energy zeta-form, batched
+#: G-function); heun-plus gauges P_CRIT by k = +2 q^2 instead of the route's
+#: -2 q^2
 ROUTES = {
-    "heun-minus": (lambda e: che_ode(che_params(P_CRIT, e, "minus"), 0.0),
-                   lambda es: g_function_heun_batch(P_CRIT, es, k_branch="minus")),
-    "heun-plus": (lambda e: che_ode(che_params(P_CRIT, e, "plus"), 0.0),
-                  lambda es: g_function_heun_batch(P_CRIT, es, k_branch="plus")),
-    "bcf": (lambda e: bcf.bcf_ode(bcf.bcf_reduce(P_BCF, e), 0.0),
+    "heun-minus": (lambda e: PolyOde(heun_zeta_form(P_CRIT, e)),
+                   lambda es: g_function_heun_batch(P_CRIT, es)),
+    "heun-plus": (lambda e: PolyOde(map_to_zeta(asymmetric_second_order(P_CRIT, e),
+                                                2 * 0.36)),
+                  lambda es: g_function_gauged_batch(P_CRIT, es, 2 * 0.36)),
+    "bcf": (lambda e: PolyOde(bcf.bcf_zeta_form(P_BCF, e)),
             lambda es: bcf.g_function_bcf_batch(P_BCF, es)),
 }
 
@@ -256,13 +282,19 @@ def test_window_is_the_oracle_spectrum(case):
             assert e == pytest.approx(EXCEPTIONAL_AT[case], abs=1e-10)
 
 
+#: eps = 3 omega/2 puts the two sides' ladder points on one energy; in this
+#: window each such pair near 2.2854 and 3.2854 comes out 2.7e-15 and
+#: 4.0e-15 apart, beyond the grid's same-energy rule
+P_UNMERGED = validate_params(1.0, 0.5954274078079556, 1.5, 0.46321231961389997, 0.0)
+
+
 def test_double_pole_the_merge_misses_is_still_sampled():
-    # eps = 3 omega/2: the two sides' ladder points near 3.4395 come out
-    # 4.4e-15 apart, beyond the grid's same-energy rule, so each knot's
-    # second-kind lane is caught by the other side's resonance guard
-    p = validate_params(1.0, 0.12156865567593268, 1.5, 0.24601231812709579, 0.0)
-    (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), 3.4, 3.5)
-    assert 0.0 < e1 - e0 < 1e-14 and not same_energy(e0, e1)
+    # each knot's second-kind lane is caught by the other side's resonance
+    # guard
+    p = P_UNMERGED
+    for lo in (2.2, 3.2):
+        (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), lo, lo + 0.1)
+        assert 0.0 < e1 - e0 < 1e-14 and not same_energy(e0, e1)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     ev = fock.eigenvalues(p, 200)
     np.testing.assert_allclose(res.energies, ev[(ev >= -1.0) & (ev <= 4.0)],
@@ -271,10 +303,10 @@ def test_double_pole_the_merge_misses_is_still_sampled():
 
 
 def test_caught_knot_takes_the_lane_above(monkeypatch):
-    # the same window: each knot near 2.4395 and 3.4395 is caught by the
-    # guard, its own second-kind lane reading about 1e-5; its grid sample
+    # the same window: each knot near 2.2854 and 3.2854 is caught by the
+    # guard, its own second-kind lane flagged resonant; its grid sample
     # takes the magnitude (and sign) of the first-kind lane 1e-9 omega above
-    p = validate_params(1.0, 0.12156865567593268, 1.5, 0.24601231812709579, 0.0)
+    p = P_UNMERGED
     grid_calls = []
     scan_and_refine = twopoint.scan_and_refine
 
@@ -296,7 +328,7 @@ def test_caught_knot_takes_the_lane_above(monkeypatch):
     above, _log_g, _bits = twopoint._wronskian(
         red, knots + 1e-9 * p.omega, np.zeros((2, knots.size), int), 0.5)
     np.testing.assert_allclose(np.abs(g[at]), np.abs(above), rtol=1e-12)
-    np.testing.assert_allclose(np.abs(g[at]), [0.53, 0.53, 0.32, 0.32], atol=0.01)
+    np.testing.assert_allclose(np.abs(g[at]), [0.56, 0.56, 0.33, 0.33], atol=0.01)
 
 
 def test_juddian_point_flips_no_sign():

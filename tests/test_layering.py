@@ -4,7 +4,9 @@ the audit's recurrence and residual checks or of the paper audit, and
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
 below the routes: it imports none of them and takes no callback from them.
-A spectrum scans one gauge, and only ``heun`` names a gauge branch.  The CLI
+A route passes its gauge to the one equation builder as a number, so no
+module names a gauge branch, and no module on the import path splits a
+parent into the printed chain's partial fractions.  The CLI
 imports the audit only inside the diagnose command, and keeps no bound of
 its own.  Every cache has a finite size.  Errors come in two kinds, a
 ValidationError and a NumericalError, and no module defines a third."""
@@ -181,13 +183,6 @@ def test_rootscan_imports_no_layer_above_it():
     assert list(inspect.signature(scan_and_refine).parameters) == ["f", "cfg"]
 
 
-#: module -> text of the only lines outside heun.py that may name a gauge
-#: branch: the CLI's --k-branch option and its pass-through to the heun
-#: reduction, and the audit's k_plus row
-GAUGE_NAMERS = {"cli.py": ('"--k-branch"', "k_branch=ns.k_branch"),
-                "audit.py": ('che_params(p, energy, "plus")',)}
-
-
 def gauge_lines(path: Path) -> set:
     """The stripped source lines that name a gauge branch: the strings
     "plus" and "minus", or ``k_branch`` as a name, attribute or argument."""
@@ -200,15 +195,31 @@ def gauge_lines(path: Path) -> set:
             or isinstance(node, (ast.keyword, ast.arg)) and node.arg == "k_branch"}
 
 
-def test_only_heun_names_a_gauge_branch():
+def test_no_module_names_a_gauge_branch():
     """The Wronskian's zeros do not depend on the gauge, so a spectrum scans
-    one; no second gauge may come back beside the route that chooses it."""
-    assert gauge_lines(SRC / "heun.py")
-    for path in sorted(SRC.glob("*.py")):
-        allowed = GAUGE_NAMERS.get(path.name, ())
-        if path.name != "heun.py":
-            assert [line for line in gauge_lines(path)
-                    if not any(text in line for text in allowed)] == [], path.name
+    one, and each route hands its k to the builder as a number."""
+    assert {path.name: gauge_lines(path) for path in sorted(SRC.glob("*.py"))
+            if gauge_lines(path)} == {}
+
+
+def calls_of(path: Path, name: str) -> list:
+    """The line numbers where a module calls ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
+def test_the_import_path_splits_no_partial_fractions():
+    """Both routes build their equation by the one map to zeta; only the
+    audit and the appendix derivations, which the import leaves out, split a
+    parent into partial fractions."""
+    after_import = [m.split(".", 1)[1] for m in loaded_modules()[0]
+                    if m.startswith("rabi_spectra.")]
+    assert "twopoint" in after_import
+    assert {m: calls_of(SRC / f"{m}.py", "split_two_poles") for m in after_import
+            if calls_of(SRC / f"{m}.py", "split_two_poles")} == {}
+    assert calls_of(SRC / "audit.py", "split_two_poles")
 
 
 def test_cli_imports_the_audit_only_where_diagnose_reads_it():
@@ -289,7 +300,8 @@ def test_every_cache_is_bounded():
     assert loose == {("params", "wrap", "maxsize")}
     assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
                                         ("operators", "compose_fourth_order"),
-                                        ("heun", "che_params"), ("bcf", "bcf_reduce")}
+                                        ("heun", "heun_zeta_form"),
+                                        ("bcf", "bcf_zeta_form")}
 
 
 def test_errors_come_in_two_kinds():

@@ -9,9 +9,7 @@ from rabi_spectra import (
     RootScanConfig,
     _kernels,
     bcf,
-    bcf_reduce,
     bcf_spectrum,
-    che_params,
     fock,
     heun,
     heun_spectrum,
@@ -20,14 +18,15 @@ from rabi_spectra import (
     twopoint,
     validate_params,
 )
-from rabi_spectra.bcf import bcf_reduction
+from rabi_spectra.audit import bcf_symbols, che_symbols
+from rabi_spectra.bcf import bcf_reduction, bcf_zeta_form
 from rabi_spectra.errors import NumericalError, ValidationError
-from rabi_spectra.heun import heun_reduction
+from rabi_spectra.heun import heun_reduction, heun_zeta_form
 from rabi_spectra.params import in_units_of_omega
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.series import PolyOde, ode_to_recurrence
 from rabi_spectra.twopoint import resonance_ladder
-from test_heun import assert_plus_gauge_changes_sign_at_each_regular_root
+from test_heun import assert_each_gauge_changes_sign_at_each_regular_root
 from test_kernels import reference_series
 
 #: (route, params, window) -> labels, or the error the route raises; the
@@ -102,18 +101,26 @@ def test_delta0_window_is_the_oracle_spectrum(case, monkeypatch):
             rep.n_evaluations) == (0, (), (), (), 0)
 
 
+def che_index(p, e, side):
+    """The resonant index of a confluent Heun series: -beta - 1 at zeta = 0
+    and -gamma at zeta = 1."""
+    sym = che_symbols(heun_zeta_form(p, e))
+    return -sym["beta"] - 1.0 if side == "origin" else -sym["gamma"]
+
+
+def bcf_index(p, e, side):
+    """The resonant index of a reduced-equation series: beta2 at zeta = 0
+    and beta1 at zeta = 1."""
+    sym = bcf_symbols(bcf_zeta_form(p, e))
+    return sym["beta2"] if side == "origin" else sym["beta1"]
+
+
 #: route -> (reduction, params, scalar resonant index at (energy, side)); a
 #: reduction works in units of omega, so the window [-1, 4] is divided by it
 INDEX = {
-    "heun": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
-             lambda p, e, side: -che_params(p, e).beta - 1.0 if side == "origin"
-             else -che_params(p, e).gamma),
-    "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0),
-                 lambda p, e, side: -che_params(p, e).beta - 1.0 if side == "origin"
-                 else -che_params(p, e).gamma),
-    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1),
-            lambda p, e, side: bcf_reduce(p, e).beta2 if side == "origin"
-            else bcf_reduce(p, e).beta1),
+    "heun": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), che_index),
+    "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0), che_index),
+    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1), bcf_index),
 }
 
 
@@ -224,16 +231,15 @@ def test_lanes_are_the_evaluations_and_the_knot_signs(case, determinants):
 
 def test_a_heun_reduction_is_fitted_from_three_probes(monkeypatch):
     probes = []
-    che_params = heun.che_params
-    monkeypatch.setattr(heun, "che_params",
-                        lambda *args: probes.append(args[1:]) or che_params(*args))
+    zeta_form = heun.heun_zeta_form
+    monkeypatch.setattr(heun, "heun_zeta_form",
+                        lambda *args: probes.append(args[1:]) or zeta_form(*args))
     heun.heun_reduction.cache_clear()
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     heun_spectrum(p, -1.0, 4.0, 0.05)
-    # g_function_heun names the branch by keyword, heun_spectrum not at all:
-    # both reach the one kept reduction of (p, "minus")
+    # g_function_heun reaches the one kept reduction of p
     heun.g_function_heun(p, 0.3)
-    assert probes == [(-1.0, "minus"), (0.0, "minus"), (1.0, "minus")]
+    assert probes == [(-1.0,), (0.0,), (1.0,)]
 
 
 def test_coincident_ladder_points_share_one_knot(determinants):
@@ -302,11 +308,26 @@ def test_windows_beside_ladder_points_take_few_calls(params, determinants):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(delta=st.floats(0.2, 0.6), eps=st.floats(0.0, 0.3), g=st.floats(0.3, 0.9))
 def test_settled_check_labels_as_a_check_at_each_root(delta, eps, g):
-    # no spectrum evaluates the plus gauge; it must still change sign across
-    # every regular root of the scanned minus gauge (heun-sweep box)
+    # no heun spectrum evaluates the gauges k = +2 q^2 and k = 0; each must
+    # still change sign across every regular root of the scanned one
+    # (heun-sweep box)
     p = validate_params(1.0, delta, eps, g, 0.0)
-    assert_plus_gauge_changes_sign_at_each_regular_root(
+    assert_each_gauge_changes_sign_at_each_regular_root(
         p, heun_spectrum(p, -1.0, 4.0, 0.05))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=st.floats(0.2, 0.6), eps=st.floats(0.0, 0.3), g=st.floats(0.3, 0.9))
+def test_heun_and_bcf_solve_one_equation_at_lambda_zero(delta, eps, g):
+    # at lam = 0 the bcf parent is the exact one, so both routes scan the
+    # same equation in zeta, gauged by k = -2 q^2 (heun) and k = 0 (bcf);
+    # the gauge moves no zero of the Wronskian (heun-sweep box)
+    p = validate_params(1.0, delta, eps, g, 0.0)
+    heun_res, bcf_res = (route(p, -1.0, 4.0, 0.05) for route in (heun_spectrum,
+                                                                  bcf_spectrum))
+    assert heun_res.labels and bcf_res.labels == heun_res.labels
+    np.testing.assert_allclose(bcf_res.energies, heun_res.energies,
+                               rtol=0.0, atol=rootscan.REFINE_TOL)
 
 
 @pytest.mark.parametrize("route, params", [
