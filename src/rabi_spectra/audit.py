@@ -20,11 +20,11 @@ from . import bcf as bcf_mod
 from . import canonical as canon
 from . import heun as heun_mod
 from .errors import NumericalError
-from .fock import oracle_spectrum
+from .fock import dimension, oracle_spectrum
 from .operators import (asymmetric_second_order, bcf_truncated_parent,
                         compose_fourth_order, general_table)
 from .params import ModelParams, in_units_of_omega, vanishes
-from .polyops import padd, pmul, poly, polys_equal, ptrim, split_two_poles
+from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 RTOL = 1e-12
@@ -47,26 +47,21 @@ def _in_float_range(audit):
     return checked
 
 
-def _wmat(rows: dict, n_lags: int, deg: int) -> np.ndarray:
-    w = np.zeros((n_lags + 1, deg + 1))
-    for j, coeffs in rows.items():
-        c = poly(coeffs)
-        w[j, :c.size] = c
-    return w
-
-
-def _normalize(w: np.ndarray) -> np.ndarray:
-    for j in range(w.shape[0]):
-        row = ptrim(w[j], 1e-300)
-        if np.any(np.abs(row) > 0):
-            top = row[-1]
-            return w / top
-    return w
+def _normalize(rows: list) -> list:
+    """rows divided by the top coefficient of the first nonzero row."""
+    for row in rows:
+        row = _trimmed(row, 1e-300)
+        if any(abs(v) > 0 for v in row):
+            # a zero top (a row holding a nan keeps its trailing zeros)
+            # divides as numpy does, to inf and nan
+            top = row[-1] or np.float64(row[-1])
+            return [[v / top for v in r] for r in rows]
+    return rows
 
 
 def _poly_str(c) -> str:
-    c = ptrim(c, 1e-300)
-    if not np.any(np.abs(c) > 0):
+    c = _trimmed(c, 1e-300)
+    if not any(abs(v) > 0 for v in c):
         return "0"
     parts = []
     for d, v in enumerate(c):
@@ -83,29 +78,26 @@ def compare_recurrences(name: str, derived, printed_rows: dict,
     Both sides are normalized by their leading weight's top coefficient and
     compared lag by lag as polynomials in the index.
     """
-    n_lags = derived.weights.shape[0] - 1
-    deg = derived.weights.shape[1] - 1
-    wp = _wmat(printed_rows, n_lags, max(deg, max(
-        (len(poly(c)) - 1 for c in printed_rows.values()), default=0)))
-    wd = np.zeros_like(wp)
-    wd[:, :derived.weights.shape[1]] = derived.weights
-    wdn = _normalize(wd.copy())
-    wpn = _normalize(wp.copy())
+    derived_rows = derived.weights.tolist()
+    printed = [[] for _ in derived_rows]
+    for j, c in printed_rows.items():
+        printed[j] = poly(c).tolist()
+    width = max(map(len, derived_rows + printed))
+    wdn, wpn = (_normalize([r + [0.0] * (width - len(r)) for r in rows])
+                for rows in (derived_rows, printed))
     items = []
-    ok = True
-    for j in range(n_lags + 1):
+    for j, (d, pr) in enumerate(zip(wdn, wpn)):
         lag = derived.order - j
-        m = polys_equal(wdn[j], wpn[j], RTOL)
-        if not m:
-            ok = False
-        if np.any(np.abs(wdn[j]) > 0) or np.any(np.abs(wpn[j]) > 0) or not m:
+        m = polys_equal(d, pr, RTOL)
+        if not m or any(abs(v) > 0 for v in d + pr):
             items.append({
                 "lag": f"a[n{lag:+d}]" if lag else "a[n]",
                 "match": m,
-                "derived": _poly_str(wdn[j]),
-                "printed": _poly_str(wpn[j]),
+                "derived": _poly_str(d),
+                "printed": _poly_str(pr),
             })
-    return {"name": name, "kind": "recurrence", "match": ok,
+    return {"name": name, "kind": "recurrence",
+            "match": all(i["match"] for i in items),
             "symbols": {k: float(v) for k, v in symbols.items()},
             "items": items, "note": note}
 
@@ -308,11 +300,19 @@ def audit_recurrences(p_asym: ModelParams | None = None,
         note="printed back weight carries alpha2 where the derivation gives "
              "alpha1"))
 
+    bch = _bch_series()
+    out.append({**bch, "symbols": dict(bch["symbols"]),
+                "items": [dict(i) for i in bch["items"]]})
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _bch_series() -> dict:
+    """The bch-series entry.  Its symbols are fixed, so it is compared once
+    per process, and each report gets its own copy."""
     symc = {"alpha": 0.7, "beta": 0.3, "gamma": 0.45, "delta": 0.2}
     rec_bch = ode_to_recurrence(canon.bch_first_normal_ode(**symc))
-    out.append(compare_recurrences(
-        "bch-series", rec_bch, printed_bch(symc), symc))
-    return out
+    return compare_recurrences("bch-series", rec_bch, printed_bch(symc), symc)
 
 
 # --------------------------------------------------------------------------
@@ -378,9 +378,11 @@ def _table_entry(name, pairs, note=""):
 
 def _poly_entry(name, kind, triples, note):
     """An entry comparing (key, derived, printed) polynomials, key by key."""
-    items = [{"lag": key, "match": polys_equal(d, pr, RTOL),
-              "derived": _poly_str(d), "printed": _poly_str(pr)}
-             for key, d, pr in triples]
+    items = []
+    for key, d, pr in triples:
+        d, pr = poly(d).tolist(), poly(pr).tolist()
+        items.append({"lag": key, "match": polys_equal(d, pr, RTOL),
+                      "derived": _poly_str(d), "printed": _poly_str(pr)})
     return {"name": name, "kind": kind, "match": all(i["match"] for i in items),
             "items": items, "symbols": {}, "note": note}
 
@@ -756,7 +758,8 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     entries += audit_appendix(nb0)
 
     residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
-    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=10)
+    # at most the Fock dimension, which a small fock_cutoff lowers
+    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=min(10, dimension(fock_cutoff)))
     ok_residuals = all(r["ok"] for r in residuals)
     return {
         "audit": entries,

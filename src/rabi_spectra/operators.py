@@ -2,11 +2,12 @@
 
 The fourth-order operator and its monic coefficient table come from the
 composition with the full product rule; the lam = 0 and small-coupling
-reductions feed the heun and bcf routes.  The composition is kept for the
-last few (parameters, energy) pairs, so the audits of one report share
-it.  The displays the derivation chapters print drop two product-rule
-terms; they are transcribed in :mod:`rabi_spectra.audit`, which compares
-them with what is derived here.
+reductions feed the heun and bcf routes.  The fourth-order composition
+and the lam = 0 parent are kept for the last few (parameters, energy)
+pairs, so the audits of one report share them.  The displays the
+derivation chapters print drop two product-rule terms; they are
+transcribed in :mod:`rabi_spectra.audit`, which compares them with what
+is derived here.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ def general_table(p: ModelParams, energy: float) -> dict:
     }
 
 
-def asymmetric_second_order(p: ModelParams, energy: float) -> list:
-    """Second-order operator for phi_1 at lam = 0 (first-order elimination).
+@memoized(4)
+def asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
+    """Second-order operator for phi_1 at lam = 0 (first-order elimination),
+    as a shared tuple of read-only coefficient arrays.
 
     Composition of the two first-order operators plus delta^2; exact, unlike
     the printed reduction which loses the (g - omega z)(eps - E + g z) term.
@@ -68,7 +71,9 @@ def asymmetric_second_order(p: ModelParams, energy: float) -> list:
     mbar_op = [poly([p.epsilon + energy, p.g]), poly([p.g, -p.omega])]
     out = compose_operators(mbar_op, m_op)
     out[0] = padd(out[0], poly([p.delta ** 2]))
-    return out
+    for c in out:
+        c.setflags(write=False)
+    return tuple(out)
 
 
 def bcf_truncated_parent(p: ModelParams, energy: float) -> list:

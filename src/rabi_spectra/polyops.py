@@ -11,18 +11,27 @@ every table, recurrence and residual the audit prints is unchanged to the
 last bit.  ``tests/test_polyops.py`` holds that equality.  The library does
 not call that package because the operands here have one to seven
 coefficients, and its per-call conversion and type checks (``as_series``,
-``common_type``) then cost several times the arithmetic.
+``common_type``) then cost several times the arithmetic.  For the same
+reason :func:`ptrim`, :func:`polys_equal` and the audit trim and compare
+on Python floats, by one rule that equals the array forms bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import zip_longest
 
 import numpy as np
 
 
+_FLOAT = np.dtype(float)
+
+
 def poly(coeffs) -> np.ndarray:
+    """coeffs as a 1-D float array; such an array is returned unchanged."""
+    if type(coeffs) is np.ndarray and coeffs.dtype is _FLOAT and coeffs.ndim == 1:
+        return coeffs
     c = np.asarray(coeffs, dtype=float)
     return c if c.ndim else c.reshape(1)
 
@@ -43,14 +52,26 @@ def _series(a) -> np.ndarray:
     return _trimseq(c)
 
 
+def _trimmed(c, tol: float) -> list:
+    """c as Python floats (a list is taken as such) without the trailing
+    ones of magnitude <= tol times the largest, keeping the first.  A nan
+    anywhere keeps all, as np.max returns it wherever it sits (Python's max
+    only from the front)."""
+    if type(c) is not list:
+        c = poly(c).tolist()
+    n = len(c)
+    bound = tol * max(map(abs, c), default=0.0)
+    while n > 1 and abs(c[n - 1]) <= bound:
+        n -= 1
+    # the magnitudes are >= 0, so their sum is nan exactly where one is
+    if n < len(c) and math.isnan(sum(map(abs, c))):
+        return c
+    return c[:n]
+
+
 def ptrim(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Drop trailing (near-)zero coefficients; keep at least the constant."""
-    c = poly(c)
-    scale = np.abs(c).max() if c.size else 0.0
-    n = c.size
-    while n > 1 and abs(c[n - 1]) <= tol * scale:
-        n -= 1
-    return c[:n].copy()
+    return np.array(_trimmed(poly(c), tol))
 
 
 def padd(a, b) -> np.ndarray:
@@ -170,13 +191,8 @@ def falling_factorial_poly(shift: float, k: int) -> np.ndarray:
 
 
 def polys_equal(a, b, rtol: float = 1e-12) -> bool:
-    """Coefficient-wise equality of two polynomials, relative to their scale."""
-    a = ptrim(a, 1e-300)
-    b = ptrim(b, 1e-300)
-    n = max(a.size, b.size)
-    aa = np.zeros(n)
-    bb = np.zeros(n)
-    aa[:a.size] = a
-    bb[:b.size] = b
-    scale = max(np.max(np.abs(aa)), np.max(np.abs(bb)), 1e-300)
-    return bool(np.max(np.abs(aa - bb)) <= rtol * scale)
+    """Coefficient-wise equality of two polynomials, relative to their scale;
+    a list is read as Python floats.  A nan in either never matches."""
+    a, b = _trimmed(a, 1e-300), _trimmed(b, 1e-300)
+    bound = rtol * max(1e-300, *map(abs, a), *map(abs, b))
+    return all(abs(x - y) <= bound for x, y in zip_longest(a, b, fillvalue=0.0))

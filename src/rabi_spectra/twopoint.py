@@ -41,6 +41,9 @@ from .series import PolyOde, recurrence_weights, series_sums_lanes
 LADDER_MAX_M = 200
 #: flag bits of a lane that the kernel's resonance guard caught
 _GUARDED = _kernels.FLAG_RESONANT_COMPATIBLE | _kernels.FLAG_RESONANT_INCOMPATIBLE
+#: a caught lane within GUARD_REACH max(1, |E_m|) of a ladder point E_m
+#: takes that point's sample; one caught farther off keeps its own flags
+GUARD_REACH = 1e-6
 
 
 def map_to_zeta(parent, k: float) -> tuple:
@@ -196,10 +199,11 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     """Spectrum on [e_min, e_max].
 
     The reduction is scanned as :func:`_pole_free` g, with its ladder points
-    as knots of the grid.  A knot's sample, which every lane the kernel's
-    resonance guard catches takes too, is the second-kind Wronskian, each
-    resonant side (both, at a double pole) seeded on branch m + 1, signed by
-    a first-kind lane 1e-9 above the knot.  A root within REFINE_TOL of a
+    as knots of the grid.  A knot's sample, which a lane the kernel's
+    resonance guard catches within GUARD_REACH of it takes too, is the
+    second-kind Wronskian, each resonant side (both, at a double pole)
+    seeded on branch m + 1, signed by a first-kind lane 1e-9 above the
+    knot.  A root within REFINE_TOL of a
     ladder point is an exceptional eigenvalue, 'exceptional:<side>:<m>';
     every other root is 'regular'.  metadata holds the ladder, zeta_star and
     ``determinant_calls``, the number of :func:`_wronskian` calls.  Energies
@@ -236,8 +240,12 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
             take[at] = True
         g, bits = g[:n], bits[:n]
         if take.any() and knots.size:
-            k = np.abs(es[take, None] - knots).argmin(axis=1)
-            g[take], bits[take] = knot_samples[0][k], knot_samples[1][k]
+            lane = np.flatnonzero(take)
+            k = np.abs(es[lane, None] - knots).argmin(axis=1)
+            reach = GUARD_REACH * np.maximum(1.0, np.abs(knots[k]))
+            near = np.abs(es[lane] - knots[k]) <= reach
+            lane, k = lane[near], k[near]
+            g[lane], bits[lane] = knot_samples[0][k], knot_samples[1][k]
         return g, bits
 
     report = scan_and_refine(scan, cfg)

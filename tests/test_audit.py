@@ -2,8 +2,11 @@
 source text: which displays are algebraically consistent and which are not.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra import audit, bcf, heun, operators, validate_params
 from rabi_spectra.canonical import normalize_params
@@ -21,6 +24,7 @@ from rabi_spectra.audit import (
     diagnose_report,
     residual_suite,
 )
+from test_polyops import reference_ptrim
 
 P_ASYM = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 P_GEN = validate_params(1.0, 0.3, 0.1, 0.2, 0.1)
@@ -153,6 +157,20 @@ def test_residual_suite_is_computed_once_and_handed_out_as_copies():
             == residual_suite(n_draws=2))
 
 
+def test_the_bch_series_entry_is_computed_once_and_handed_out_as_copies():
+    # its symbols are fixed: every report carries the same entry
+    first = audit_recurrences(P_ASYM, -0.1, P_GEN, 0.2)[-1]
+    hits = audit._bch_series.cache_info().hits
+    assert first["name"] == "bch-series" and first["match"]
+    first["symbols"]["alpha"] = "changed"
+    first["items"][0]["derived"] = "changed"
+    first["items"].append({})
+    again = audit_recurrences(P_ASYM, 0.3, P_GEN, 0.3)[-1]
+    assert audit._bch_series.cache_info().hits == hits + 1
+    assert again == audit._bch_series() != first
+    assert again["symbols"]["alpha"] == 0.7
+
+
 def test_diagnose_report_shape():
     rep = diagnose_report(P_GEN, n_draws=2)
     assert rep["residuals_ok"]
@@ -173,21 +191,64 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
-    derivations = (operators.compose_fourth_order, heun.heun_zeta_form,
-                   bcf.bcf_zeta_form)
+    derivations = (operators.compose_fourth_order, operators.asymmetric_second_order,
+                   heun.heun_zeta_form, bcf.bcf_zeta_form)
     for derive in derivations:
         derive.cache_clear()
     diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
-    # general and g = 0 operators; one confluent Heun and one reduced
-    # equation, each read by the recurrence audit and the reduction chain
-    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 1]
+    # general and g = 0 operators; one lam = 0 parent, read by the confluent
+    # Heun equation, both partial-fraction tables and the reduction chain;
+    # one confluent Heun and one reduced equation, each read by the
+    # recurrence audit and the reduction chain
+    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 1, 1]
     assert all(derive.cache_info().maxsize == 4 for derive in derivations)
 
 
 def test_shared_derivations_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         operators.compose_fourth_order(P_GEN, 0.2)[0][0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        operators.asymmetric_second_order(P_ASYM, 0.2)[0][0] = 0.0
+    with pytest.raises(TypeError):
+        operators.asymmetric_second_order(P_ASYM, 0.2)[0] = ()
     with pytest.raises(TypeError):
         heun.heun_zeta_form(P_ASYM, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):
         bcf.bcf_zeta_form(P_GEN, 0.2)[1] = ()
+
+
+def reference_poly_str(c) -> str:
+    """_poly_str on arrays, trimmed by the array rule."""
+    c = reference_ptrim(c, 1e-300)
+    if not np.any(np.abs(c) > 0):
+        return "0"
+    parts = []
+    for d, v in enumerate(c):
+        if v == 0:
+            continue
+        parts.append(f"{v:+.12g}" + ("" if d == 0 else f"*n^{d}" if d > 1 else "*n"))
+    return " ".join(parts)
+
+
+EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]),
+                 st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(EDGE, min_size=1, max_size=8))
+@example([1.0, math.nan, 0.0])  # Python's max skips this nan, np.max does not
+@example([math.nan, -0.0])  # a nan is not > 0: the polynomial prints as 0
+def test_poly_str_equals_the_array_form(c):
+    with np.errstate(all="ignore"):
+        ref = reference_poly_str(np.array(c))
+    assert audit._poly_str(c) == audit._poly_str(np.array(c)) == ref
+
+
+def test_a_row_with_a_nan_normalizes_as_numpy_divides():
+    # the nan keeps the trailing zero, so the top is 0.0 and numpy's
+    # division gives inf and nan where Python's would raise
+    rows = [[0.0, 0.0], [math.nan, 1.0, 0.0], [2.0, -3.0, 0.0]]
+    with np.errstate(all="ignore"):
+        got = audit._normalize(rows)
+        ref = [(np.array(r) / 0.0).tolist() for r in rows]
+    assert repr([[float(v) for v in r] for r in got]) == repr(ref)

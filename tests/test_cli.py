@@ -212,6 +212,18 @@ def test_compare_oracle_asks_a_small_cutoff_for_at_most_its_dimension(capsys):
         float(np.min(np.abs(ev - float(r["energy"])))) for r in rows]
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_diagnose_asks_a_small_cutoff_for_at_most_its_dimension(cutoff, capsys):
+    # cutoffs 1-3 have 4-8 levels, fewer than the 10 a report carries; the
+    # reference cutoff 0 has 2, so 2 deltas
+    code, out, err = run_cli(["diagnose", "--omega", "1", "--delta", "0.3",
+                              "--g", "0.2", "--fock-cutoff", str(cutoff)], capsys)
+    assert (code, err) == (0, "")
+    oracle = json.loads(out)["oracle_convergence"]
+    assert (oracle["cutoff"], oracle["reference_cutoff"]) == (cutoff, 0)
+    assert len(oracle["deltas"]) == 2
+
+
 def test_diagnose_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     args = ["diagnose", "--omega", "1", "--delta", "0.3", "--eps", "0.1",

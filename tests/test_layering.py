@@ -300,6 +300,7 @@ def test_every_cache_is_bounded():
     assert loose == {("params", "wrap", "maxsize")}
     assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
                                         ("operators", "compose_fourth_order"),
+                                        ("operators", "asymmetric_second_order"),
                                         ("heun", "heun_zeta_form"),
                                         ("bcf", "bcf_zeta_form")}
 

@@ -3,8 +3,11 @@
 ``polyops`` reimplements ``polyadd``, ``polymul``, ``polyder``, ``polyval``
 and ``polydiv`` without that package's per-call overhead, keeping its
 operations, their order and its trimming of trailing exact zeros.  This is
-the one place the package is imported: as the reference.
+the one place the package is imported: as the reference.  The trimming and
+comparison helpers, which read Python floats, equal their array forms.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from rabi_spectra.polyops import (
     pder,
     pmul,
     poly,
+    polys_equal,
     pshift,
+    ptrim,
     pval,
 )
 
@@ -102,3 +107,64 @@ def test_falling_factorial_is_cached_and_read_only():
     for i in range(3):
         ref = npoly.polymul(ref, [2.0 - i, 1.0])
     assert_same(ff, ref)
+
+
+def reference_ptrim(c, tol: float = 0.0) -> np.ndarray:
+    """ptrim on arrays: the scale is np.max, a nan wherever one sits."""
+    c = poly(c)
+    scale = np.abs(c).max() if c.size else 0.0
+    n = c.size
+    while n > 1 and abs(c[n - 1]) <= tol * scale:
+        n -= 1
+    return c[:n].copy()
+
+
+def reference_polys_equal(a, b, rtol: float = 1e-12) -> bool:
+    """polys_equal on zero-padded arrays."""
+    a = reference_ptrim(a, 1e-300)
+    b = reference_ptrim(b, 1e-300)
+    n = max(a.size, b.size)
+    aa = np.zeros(n)
+    bb = np.zeros(n)
+    aa[:a.size] = a
+    bb[:b.size] = b
+    scale = max(np.max(np.abs(aa)), np.max(np.abs(bb)), 1e-300)
+    return bool(np.max(np.abs(aa - bb)) <= rtol * scale)
+
+
+# the values where Python floats and numpy arrays could part: signed zeros,
+# the smallest subnormal, infinities and nan, at any position
+EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]),
+                 COEFF)
+EDGES = st.lists(EDGE, min_size=1, max_size=8)
+TOL = st.sampled_from([0.0, 1e-300, 1e-12])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(EDGES, TOL)
+# Python's max([1.0, nan]) is 1.0, np.max nan: the trailing zeros stay
+@example([1.0, math.nan, 0.0], 1e-300)
+@example([math.inf, 0.0, 1.0], 0.0)  # 0 * inf: the bound is nan, nothing goes
+def test_ptrim_equals_the_array_rule(c, tol):
+    with np.errstate(all="ignore"):
+        ref = reference_ptrim(np.array(c), tol)
+    assert_same(ptrim(c, tol), ref)
+    assert_same(ptrim(np.array(c), tol), ref)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(EDGES, EDGES, TOL)
+@example([1.0, math.nan], [1.0], 1e-12)  # a nan never matches
+@example([1.0, math.inf], [1.0], 1e-12)  # the inf bound trims it away
+@example([math.inf], [1.0], 1e-12)  # inf - 1 is within rtol times inf
+def test_polys_equal_equals_the_array_rule(a, b, rtol):
+    with np.errstate(all="ignore"):
+        ref = reference_polys_equal(np.array(a), np.array(b), rtol)
+    assert polys_equal(a, b, rtol) is ref
+    assert polys_equal(np.array(a), np.array(b), rtol) is ref
+
+
+def test_poly_passes_a_float_array_through():
+    c = np.array([1.0, 2.0])
+    assert poly(c) is c
+    assert poly([1, 2]).dtype == np.float64 and poly(3).shape == (1,)

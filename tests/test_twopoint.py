@@ -305,6 +305,23 @@ def test_windows_beside_ladder_points_take_few_calls(params, determinants):
     assert res.energies.size
 
 
+#: windows from 4 omega (heun) or 0 (bcf) to 1e300 in one step: past about
+#: 1e179 omega the weights overflow and the guard catches lanes far above
+#: every knot (at most 200 omega), which once took the top knot's usable
+#: sample and halved a bracket toward 1e300 for 200 calls
+HUGE = [(heun_spectrum, (1.0, 0.4, 0.15, 0.6, 0.0), 4.0),
+        (bcf_spectrum, (1.0, 0.3, 0.0, 0.05, 0.02), 0.0)]
+
+
+@pytest.mark.parametrize("route, params, e_min", HUGE)
+def test_a_lane_caught_far_from_every_knot_keeps_its_flags(route, params, e_min,
+                                                           determinants):
+    with np.errstate(all="ignore"):
+        res = route(validate_params(*params), e_min, 1e300, 1e300)
+    assert res.metadata["determinant_calls"] == len(determinants) <= 25
+    assert res.energies.size
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(delta=st.floats(0.2, 0.6), eps=st.floats(0.0, 0.3), g=st.floats(0.3, 0.9))
 def test_settled_check_labels_as_a_check_at_each_root(delta, eps, g):
