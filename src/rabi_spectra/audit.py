@@ -28,6 +28,8 @@ from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_p
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 
 RTOL = 1e-12
+#: largest ODE residual a row of :func:`residual_suite` passes with
+RESIDUAL_THRESHOLD = 1e-10
 #: the trial energy of a diagnose report, in units of omega
 TRIAL_ENERGY = 0.2
 
@@ -648,21 +650,20 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
 # --------------------------------------------------------------------------
 # residual battery
 
-def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False,
-                   threshold: float = 1e-10) -> list:
+def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False) -> list:
     """ODE residuals of every local series at points well inside their disks.
 
     With corrupt=True a coefficient of each derived recurrence is perturbed
-    first; residuals must then blow past the threshold (negative control).
+    first; residuals must then blow past RESIDUAL_THRESHOLD (negative control).
     The suite draws its own parameters from ``seed``, so its rows do not
     depend on the model a report audits: they are computed once per
     argument set, and each call gets its own copies.
     """
-    return [dict(r) for r in _residual_rows(n_draws, seed, corrupt, threshold)]
+    return [dict(r) for r in _residual_rows(n_draws, seed, corrupt)]
 
 
 @functools.lru_cache(maxsize=16)
-def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> tuple:
+def _residual_rows(n_draws: int, seed: int, corrupt: bool) -> tuple:
     rng = np.random.RandomState(seed)
     rows = []
     for _ in range(n_draws):
@@ -673,45 +674,35 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool, threshold: float) -> 
         lam = rng.uniform(0.02, 0.3)
         energy = rng.uniform(-1.0, 2.5)
 
-        p_asym = ModelParams(om, de, ep, g, 0.0)
-        che = heun_mod.heun_zeta_form(p_asym, energy)
-        for z0, tag in ((0.0, "che@0"), (1.0, "che@1")):
-            ode = PolyOde(che, z0=z0)
-            x = z0 + 0.15 if z0 == 0.0 else z0 - 0.15
-            rows.append(_residual_row(tag, ode, x, corrupt, threshold))
-
-        p_gen = ModelParams(om, de, ep, 0.3 * g, 0.3 * lam)
-        b = bcf_mod.bcf_zeta_form(p_gen, energy)
-        for z0, tag in ((0.0, "bcf@0"), (1.0, "bcf@1")):
-            ode = PolyOde(b, z0=z0)
-            x = z0 + 0.15 if z0 == 0.0 else z0 - 0.15
-            rows.append(_residual_row(tag, ode, x, corrupt, threshold))
+        che = heun_mod.heun_zeta_form(ModelParams(om, de, ep, g, 0.0), energy)
+        b = bcf_mod.bcf_zeta_form(ModelParams(om, de, ep, 0.3 * g, 0.3 * lam), energy)
+        for name, zeta in (("che", che), ("bcf", b)):
+            for z0, x in ((0.0, 0.15), (1.0, 0.85)):
+                rows.append(_residual_row(f"{name}@{z0:g}", PolyOde(zeta, z0=z0), x, corrupt))
 
         ode9 = PolyOde(tuple(compose_fourth_order(
             ModelParams(om, de, ep, g, lam), energy)), z0=0.0)
-        rows.append(_residual_row("nine-term", ode9, 0.1, corrupt, threshold))
+        rows.append(_residual_row("nine-term", ode9, 0.1, corrupt))
         ode5 = PolyOde(tuple(compose_fourth_order(
             ModelParams(om, de, ep, 0.0, lam), energy)), z0=0.0)
-        rows.append(_residual_row("five-term", ode5, 0.1, corrupt, threshold))
+        rows.append(_residual_row("five-term", ode5, 0.1, corrupt))
 
         nb = canon.normalize_params(ModelParams(om, de, ep, 0.0, lam), energy)
         bp = canon.bch_params_g0(nb)
         if abs(bp.gamma - round(bp.gamma)) > 1e-6:
             ode_b = canon.bch_first_normal_ode(bp.alpha, 0.0, bp.gamma, 0.0)
-            rows.append(_residual_row("bch-first-normal", ode_b, 0.2,
-                                      corrupt, threshold))
+            rows.append(_residual_row("bch-first-normal", ode_b, 0.2, corrupt))
 
         p_unc = ModelParams(om, 0.0, ep, g, lam if abs(2 * lam) < om else 0.2)
         wp = canon.weber_params(p_unc, energy)
         r_e, r_o = canon.weber_residual_exact(wp.a1, rng.uniform(0.2, 1.5))
         rows.append({"context": "weber-kummer", "residual": max(r_e, r_o),
-                     "threshold": threshold,
-                     "ok": max(r_e, r_o) < threshold})
+                     "threshold": RESIDUAL_THRESHOLD,
+                     "ok": max(r_e, r_o) < RESIDUAL_THRESHOLD})
     return tuple(rows)
 
 
-def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
-                  threshold: float) -> dict:
+def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool) -> dict:
     rec = ode_to_recurrence(ode)
     w = rec.weights
     if corrupt:
@@ -719,8 +710,8 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool,
         w[rec.j_lead + 1, 0] += 1e-3 * max(1.0, np.max(np.abs(w)))
     sums, scale_log, _flags = series_sums_lanes(w[None], [x - ode.z0], [0])
     res = ode_residual(ode, x, sums[0], scale_log[0])
-    return {"context": tag, "residual": float(res), "threshold": threshold,
-            "ok": bool(res < threshold)}
+    return {"context": tag, "residual": float(res), "threshold": RESIDUAL_THRESHOLD,
+            "ok": bool(res < RESIDUAL_THRESHOLD)}
 
 
 # --------------------------------------------------------------------------

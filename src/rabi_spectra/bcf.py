@@ -17,15 +17,15 @@ results.
 
 from __future__ import annotations
 
-from .closed_form import closed_window
+import functools
+
 from .operators import bcf_truncated_parent
-from .params import (ModelParams, in_units_of_omega, memoized, require_weak_squeeze,
-                     times_omega, vanishes)
+from .params import ModelParams, require_weak_squeeze
 from .rootscan import GFunctionSample, SpectrumResult
-from .twopoint import Reduction, g_function_batch, map_to_zeta, spectrum
+from .twopoint import Reduction, g_function_batch, map_to_zeta, route_spectrum
 
 
-@memoized(4)
+@functools.lru_cache(maxsize=4)
 def bcf_zeta_form(p: ModelParams, energy: float) -> tuple:
     """The reduced equation of p at one energy: the truncated parent mapped
     to zeta with no gauge, as the coefficient tuples (P0, P1, P2) of
@@ -34,7 +34,7 @@ def bcf_zeta_form(p: ModelParams, energy: float) -> tuple:
     return map_to_zeta(bcf_truncated_parent(p, energy), 0.0)
 
 
-@memoized(64)
+@functools.lru_cache(maxsize=64)
 def bcf_reduction(p: ModelParams) -> Reduction:
     """The reduced zeta-form equation of p, in units of omega, as a two-point
     reduction with no gauge.  p2 of the truncated parent does not depend on E,
@@ -72,7 +72,4 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     rule or the breakdown.
     """
     require_weak_squeeze(p)
-    if vanishes(p, p.delta):
-        return closed_window(p, "bcf", e_min, e_max, grid_step)
-    q, *window = in_units_of_omega(p, e_min, e_max, grid_step)
-    return times_omega(spectrum(bcf_reduction(q), *window, zeta_star), p.omega)
+    return route_spectrum("bcf", bcf_reduction, p, e_min, e_max, grid_step, zeta_star)

@@ -22,10 +22,10 @@ from .bcf import bcf_reduction, bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import dimension, oracle_spectrum
-from .heun import heun_reduction, heun_spectrum
+from .heun import heun_reduction, heun_spectrum, require_no_squeeze
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import RootScanConfig, _build_grid
-from .twopoint import g_function_batch
+from .twopoint import g_function_batch, window_in_units_of_omega
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,14 +88,16 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 
 
 def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
+    if method == "heun":
+        require_no_squeeze(p)
     _need_window(ns)
     header = ["energy", "scaled_g", "scale_log", "flags"]
     rows = []
     if ns.emin >= ns.emax:
         return header, rows
     # built in units of omega, as the routes build theirs
-    om = p.omega
-    grid = om * _build_grid(RootScanConfig(ns.emin / om, ns.emax / om, ns.grid / om))
+    _q, *window = window_in_units_of_omega(p, ns.emin, ns.emax, ns.grid)
+    grid = p.omega * _build_grid(RootScanConfig(*window))
     reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
     samples = g_function_batch(reduce, p, grid, ns.zeta_star, pole_free=True)
@@ -216,13 +218,10 @@ def main(argv=None) -> int:
         header, rows = rows_of(ns, p, method)
         _write_atomic(_serialize(header, rows, ns.fmt, _meta(ns, p, method)), ns.out)
         return EXIT_OK
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RabiSpectraError as exc:
+    except RabiSpectraError as exc:  # a ValidationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import ModelParams, in_units_of_omega, require_weak_squeeze, vanishes, whole
+from .params import ModelParams, in_units_of_omega, real, require_weak_squeeze, vanishes, whole
 from .rootscan import MAX_GRID_POINTS, RootReport, RootScanConfig, SpectrumResult
 
 
@@ -45,7 +45,7 @@ def uncoupled_spectrum(p: ModelParams, n_max: int) -> tuple:
     else ValidationError.
     """
     require_uncoupled(p)
-    if not 0 <= n_max <= MAX_GRID_POINTS:
+    if not 0 <= real("n_max", n_max) <= MAX_GRID_POINTS:
         raise ValidationError(f"n_max must lie in [0, {MAX_GRID_POINTS}] levels per "
                               f"branch above the lowest, got {n_max}")
     n_max = whole("n_max", n_max)

@@ -15,12 +15,13 @@ dense, 200 and 400 on the band in full, 800 on the band by bisection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .params import ModelParams, memoized, whole
+from .params import ModelParams, real, whole
 
 #: largest cutoff a Hamiltonian is built for: dimension 8002, a 384 kB band,
 #: and a 512 MB matrix where ``.matrix`` is asked for
@@ -85,7 +86,7 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     between Fock levels n and n + k sits at index offsets 2 k + 1 (from
     spin 0) and 2 k - 1 (from spin 1).
     """
-    if not cutoff >= 0:
+    if not real("cutoff", cutoff) >= 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if not cutoff <= MAX_CUTOFF:
         raise ValidationError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
@@ -104,7 +105,7 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     return TruncatedHamiltonian(cutoff, band)
 
 
-@memoized(4)
+@functools.lru_cache(maxsize=4)
 def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray:
     """The lowest min(k, dim) eigenvalues at ``cutoff`` (all of them where
     k is None), ascending, as a shared read-only array: from the band at
@@ -112,7 +113,7 @@ def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray
     dim, else dense.  A k that is not a whole number >= 1 raises
     ValidationError."""
     if k is not None:
-        if not k >= 1:
+        if not real("k", k) >= 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         k = whole("k", k)
     ham = build_hamiltonian(p, cutoff)
@@ -146,14 +147,14 @@ def oracle_spectrum(p: ModelParams, cutoff: int = 120, k: int = 10,
     ladder whose reference cutoff is the previous step's cutoff reuses that
     solve.  The arrays returned are the caller's own.
     """
-    if not cutoff >= 1:
+    if not real("cutoff", cutoff) >= 1:
         raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
     cutoff = whole("cutoff", cutoff)
-    if not 1 <= k <= dimension(cutoff):
+    if not 1 <= real("k", k) <= dimension(cutoff):
         raise ValidationError(
             f"k must lie in [1, {dimension(cutoff)}] (the dimension), got {k}")
     k = whole("k", k)
-    if not delta_n >= 0:
+    if not real("delta_n", delta_n) >= 0:
         raise ValidationError(f"delta_n must be >= 0, got {delta_n}")
     delta_n = whole("delta_n", delta_n)
     ev = eigenvalues(p, cutoff, k).copy()

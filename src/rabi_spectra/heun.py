@@ -18,21 +18,27 @@ reduction of a parameter set is kept, and so are the last few
 
 from __future__ import annotations
 
-from .closed_form import closed_window
+import functools
+
 from .errors import ValidationError
 from .operators import asymmetric_second_order
-from .params import ModelParams, in_units_of_omega, memoized, times_omega, vanishes
+from .params import ModelParams, vanishes
 from .rootscan import GFunctionSample, SpectrumResult
-from .twopoint import Reduction, g_function_batch, map_to_zeta, spectrum
+from .twopoint import Reduction, g_function_batch, map_to_zeta, route_spectrum
 
 
-@memoized(4)
+def require_no_squeeze(p: ModelParams) -> None:
+    """ValidationError unless lambda vanishes next to omega: the route's rule."""
+    if not vanishes(p, p.lam):
+        raise ValidationError(f"heun route needs lambda = 0, got {p.lam}")
+
+
+@functools.lru_cache(maxsize=4)
 def heun_zeta_form(p: ModelParams, energy: float) -> tuple:
     """The confluent Heun equation of p at one energy: the exact parent
     mapped to zeta and gauged by k = -2 (g / omega)^2, as the coefficient
     tuples (P0, P1, P2) of :func:`twopoint.map_to_zeta`."""
-    if not vanishes(p, p.lam):
-        raise ValidationError(f"heun route needs lambda = 0, got {p.lam}")
+    require_no_squeeze(p)
     if p.g == 0.0:
         raise ValidationError("the two regular singularities collide at g = 0")
     p0, p1, p2 = map_to_zeta(asymmetric_second_order(p, energy),
@@ -42,7 +48,7 @@ def heun_zeta_form(p: ModelParams, energy: float) -> tuple:
     return p0[:2], p1, p2
 
 
-@memoized(64)
+@functools.lru_cache(maxsize=64)
 def heun_reduction(p: ModelParams) -> Reduction:
     """The confluent Heun equation of p, in units of omega, as a two-point
     reduction.  p2 of the parent and the gauge do not depend on E, so
@@ -52,6 +58,7 @@ def heun_reduction(p: ModelParams) -> Reduction:
 
 def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5) -> list:
     """:func:`g_function_heun` for an array of energies, one sample each."""
+    require_no_squeeze(p)
     return g_function_batch(heun_reduction, p, energies, zeta_star)
 
 
@@ -68,10 +75,8 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
 
     The determinant is scanned with its ladder points as knots; a root is
     'regular' or, at a ladder point, 'exceptional:<side>:<m>'.  Where delta
-    vanishes too, :func:`closed_window` is returned instead (the reduction
-    refuses lam != 0 either way).
+    vanishes too, :func:`closed_window` is returned instead.  lam != 0 and a
+    bad window raise ValidationError, quoting the caller's numbers.
     """
-    if vanishes(p, p.delta) and vanishes(p, p.lam):
-        return closed_window(p, "heun", e_min, e_max, grid_step)
-    q, *window = in_units_of_omega(p, e_min, e_max, grid_step)
-    return times_omega(spectrum(heun_reduction(q), *window, zeta_star), p.omega)
+    require_no_squeeze(p)
+    return route_spectrum("heun", heun_reduction, p, e_min, e_max, grid_step, zeta_star)

@@ -12,8 +12,10 @@ is derived here.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ValidationError
-from .params import ModelParams, memoized
+from .params import ModelParams
 from .polyops import compose_operators, padd, poly
 
 
@@ -26,7 +28,7 @@ def coupled_operator_polys(p: ModelParams, energy: float):
     return c1, c2, c1b, c2b
 
 
-@memoized(4)
+@functools.lru_cache(maxsize=4)
 def compose_fourth_order(p: ModelParams, energy: float) -> tuple:
     """Fourth-order operator annihilating phi_1: Dbar o D + delta^2, as a
     shared tuple of read-only coefficient arrays."""
@@ -59,7 +61,7 @@ def general_table(p: ModelParams, energy: float) -> dict:
     }
 
 
-@memoized(4)
+@functools.lru_cache(maxsize=4)
 def asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
     """Second-order operator for phi_1 at lam = 0 (first-order elimination),
     as a shared tuple of read-only coefficient arrays.

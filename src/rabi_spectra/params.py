@@ -1,16 +1,15 @@
-"""Physical parameters, validation, units of omega, regime classification
-and the bounded memo of results per parameter set."""
+"""Physical parameters, validation, units of omega and regime classification."""
 
 from __future__ import annotations
 
 import enum
-import functools
-import inspect
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
-from .rootscan import SpectrumResult
 
 #: |coupling| / omega up to which a coupling counts as zero: the one rule
 #: behind the regime routing, every route's own check and the closed form
@@ -30,7 +29,8 @@ class ModelParams:
     g        linear coupling
     lam      squeezing (two-photon) coupling
 
-    Every field must be finite, omega > 0 and each coupling at most
+    Each field is kept as a finite Python float (:func:`real`), so a
+    parameter set hashes; omega must be > 0 and each coupling at most
     MAX_RATIO omega, else ValidationError.  A real discrete spectrum
     additionally needs |2*lam| < omega, which :func:`validate_params`
     enforces; direct construction is allowed so diagnostics (e.g. the
@@ -45,9 +45,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega", "delta", "epsilon", "g", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+            value = real(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not self.omega > 0:
             raise ValidationError(f"omega must be > 0, got {self.omega}")
         for name in ("delta", "epsilon", "g", "lam"):
@@ -80,58 +81,30 @@ def require_weak_squeeze(p: ModelParams) -> None:
 
 def in_units_of_omega(p: ModelParams, *energies) -> tuple:
     """(p, *energies), each energy divided by p.omega: the parameters and
-    energies the routes work at.  :func:`times_omega` takes the answer back."""
+    energies the routes work at."""
     w = p.omega
     return (ModelParams(1.0, p.delta / w, p.epsilon / w, p.g / w, p.lam / w),
             *(e / w for e in energies))
 
 
-def times_omega(res: SpectrumResult, omega: float) -> SpectrumResult:
-    """A spectrum in units of omega in the caller's units: its energies,
-    report and ladder multiplied by ``omega``."""
-    rep, ladder = res.report, res.metadata["ladder"]
-    return replace(res, energies=res.energies * omega, report=replace(
-        rep, roots=rep.roots * omega, suspects=tuple(s * omega for s in rep.suspects),
-        excluded=tuple(replace(iv, lo=iv.lo * omega, hi=iv.hi * omega)
-                       for iv in rep.excluded),
-        brackets=tuple((a * omega, b * omega) for a, b in rep.brackets)),
-        metadata={**res.metadata, "ladder": [(e * omega, s, m) for e, s, m in ladder]})
+def real(name: str, value) -> float:
+    """A Python or numpy real number or a 0-d real array as a Python float;
+    anything else, a str too, raises ValidationError naming ``name``."""
+    if isinstance(value, (float, int, numbers.Real)) or isinstance(value, np.ndarray) \
+            and value.ndim == 0 and value.dtype.kind in "biuf":
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValidationError(f"{name} must be a real number in the float range, got {value!r}")
 
 
 def whole(name: str, value) -> int:
     """A count as an int: whole numbers (20.0 and numpy integers too) pass,
     anything else raises ValidationError.  Called where the count is read."""
-    if not (math.isfinite(value) and value == int(value)):
+    if not (math.isfinite(real(name, value)) and value == int(value)):
         raise ValidationError(f"{name} must be a whole number, got {value}")
     return int(value)
-
-
-def memoized(maxsize: int):
-    """Decorator keeping the last ``maxsize`` results of a pure function of
-    hashable arguments, such as a parameter set and an energy.
-
-    Entries are keyed on the arguments bound to the signature, defaults
-    filled in, so ``eigenvalues(p, c)`` and ``eigenvalues(p, cutoff=c,
-    k=None)`` share one (``functools.lru_cache`` keys them apart).  Callers share each result,
-    so the function must return immutable values.  Unhashable arguments
-    bypass the cache.
-    """
-    def wrap(fn):
-        signature = inspect.signature(fn)
-        cached = functools.lru_cache(maxsize=maxsize)(fn)
-
-        @functools.wraps(fn)
-        def call(*args, **kwargs):
-            key = signature.bind(*args, **kwargs)
-            key.apply_defaults()
-            try:
-                hash(key.args)
-            except TypeError:
-                return fn(*key.args)
-            return cached(*key.args)
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-    return wrap
 
 
 class RegimeTag(enum.Enum):

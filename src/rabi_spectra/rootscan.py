@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
+from .params import real
 
 REFINE_TOL = 1e-10
 MAX_ROUNDS = 200
@@ -68,7 +69,7 @@ class GFunctionSample:
 class RootScanConfig:
     """A scan window: the one rule for every window a spectrum reads.
 
-    e_min, e_max and grid_step must be finite, e_min <= e_max,
+    e_min, e_max and grid_step must be finite real numbers, e_min <= e_max,
     grid_step > 0, and the grid may hold at most MAX_GRID_POINTS points;
     anything else raises ValidationError naming the field.
     """
@@ -81,7 +82,7 @@ class RootScanConfig:
 
     def __post_init__(self):
         for name in ("e_min", "e_max", "grid_step"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(real(name, getattr(self, name))):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_min <= self.e_max:
             raise ValidationError(f"e_min {self.e_min} exceeds e_max {self.e_max}")

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
+from .closed_form import closed_window
 from .errors import NumericalError, ValidationError
-from .params import ModelParams, in_units_of_omega
+from .params import ModelParams, in_units_of_omega, vanishes
 from .polyops import padd, poly, pshift
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
@@ -192,6 +193,35 @@ def _pole_free(g: np.ndarray, energies: np.ndarray, poles: np.ndarray) -> np.nda
     """g * prod_m sign(E - E_m) over the sorted ladder energies ``poles``."""
     above = poles.size - np.searchsorted(poles, energies, side="right")
     return np.where(above % 2 == 1, -g, g)
+
+
+def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
+                             grid_step: float) -> tuple:
+    """(p, e_min, e_max, grid_step) in units of omega, the window checked by
+    :class:`RootScanConfig` in the caller's units first."""
+    RootScanConfig(e_min, e_max, grid_step)
+    q, *window = in_units_of_omega(p, e_min, e_max, grid_step)
+    if not (all(map(math.isfinite, window)) and window[2] > 0):
+        raise ValidationError(f"the window [{e_min}, {e_max}] with grid_step {grid_step} "
+                              f"leaves the float range in units of omega = {p.omega}")
+    return (q, *window)
+
+
+def route_spectrum(method: str, reduction_of: Callable, p: ModelParams, e_min: float,
+                   e_max: float, grid_step: float, zeta_star: float) -> SpectrumResult:
+    """Route ``method``'s spectrum in the caller's units: where delta vanishes
+    :func:`closed_window`, else the :func:`spectrum` of ``reduction_of`` on the
+    window divided by omega once, its energies, report and ladder multiplied back."""
+    if vanishes(p, p.delta):
+        return closed_window(p, method, e_min, e_max, grid_step)
+    q, *window = window_in_units_of_omega(p, e_min, e_max, grid_step)
+    res, w = spectrum(reduction_of(q), *window, zeta_star), p.omega
+    rep, ladder = res.report, res.metadata["ladder"]
+    return replace(res, energies=res.energies * w, report=replace(
+        rep, roots=rep.roots * w, suspects=tuple(s * w for s in rep.suspects),
+        excluded=tuple(replace(iv, lo=iv.lo * w, hi=iv.hi * w) for iv in rep.excluded),
+        brackets=tuple((a * w, b * w) for a, b in rep.brackets)),
+        metadata={**res.metadata, "ladder": [(e * w, s, m) for e, s, m in ladder]})
 
 
 def spectrum(reduction: Reduction, e_min: float, e_max: float,

@@ -41,14 +41,16 @@ def test_closed_spectrum_row_count(capsys):
 
 
 def test_method_regime_mismatch_exit_2(capsys):
-    # delta = 0 returns the closed form, but heun still refuses lambda != 0
-    for delta in ("0.4", "0"):
+    # delta = 0 returns the closed form, but heun still refuses lambda != 0;
+    # the message quotes the caller's lambda at any omega
+    for command, omega, delta in (("spectrum", "1", "0.4"), ("spectrum", "1", "0"),
+                                  ("spectrum", "2", "0.4"), ("gscan", "2", "0.4")):
         code, _out, err = run_cli(
-            ["spectrum", "--method", "heun", "--omega", "1", "--delta", delta,
+            [command, "--method", "heun", "--omega", omega, "--delta", delta,
              "--lambda", "0.1", "--g", "0.6", "--eps", "0.15",
              "--emin", "-1", "--emax", "2"], capsys)
         assert code == 2
-        assert err.count("\n") == 1 and "heun" in err
+        assert err.count("\n") == 1 and "heun route needs lambda = 0, got 0.1\n" in err
 
 
 def test_validation_exit_2_on_bad_params(capsys):

@@ -223,6 +223,17 @@ def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
     assert fock.eigenvalues.cache_info().maxsize == 4
 
 
+def test_each_form_of_a_number_reuses_one_solve(monkeypatch):
+    # a parameter set holds floats, so 1, np.float64(1.0) and np.array(1.0)
+    # key the same solves
+    solved = count_solves(monkeypatch)
+    results = [oracle_spectrum(ModelParams(omega, 0.4, 0.15, 0.6, 0.0), 40, 3)
+               for omega in (1.0, 1, np.float64(1.0), np.array(1.0))]
+    assert len(solved) == 2  # cutoffs 40 and 0, for the first form only
+    for res in results[1:]:
+        assert np.array_equal(res.eigenvalues, results[0].eigenvalues)
+
+
 def test_the_lowest_k_are_bisected_where_k_is_small_against_the_dimension(monkeypatch):
     solved = count_solves(monkeypatch)
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
+    RootScanConfig,
     bcf_spectrum,
     build_hamiltonian,
     g_function_bcf,
     g_function_bcf_batch,
+    g_function_heun,
+    g_function_heun_batch,
     heun_spectrum,
     oracle_spectrum,
     uncoupled_spectrum,
@@ -49,10 +52,22 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: oracle_spectrum(P2, 20, 4, 0.5),
     lambda: oracle_spectrum(P2, 20.5, 4),
     lambda: uncoupled_spectrum(DELTA0, 0.5),
+    # a setting that is not a real number is refused, a str never parsed
+    lambda: oracle_spectrum(P2, "120"),
+    lambda: oracle_spectrum(P2, 120, None),
+    lambda: uncoupled_spectrum(validate_params(1.0, 0.0, 0.1, 0.3, 0.1), "3"),
+    lambda: RootScanConfig("a", 1, 0.1),
+    lambda: heun_spectrum(P2, "a", 1),
+    lambda: bcf_spectrum(validate_params(1.0, 0.0, 0.1, 0.3, 0.1), None, 1),
+    lambda: ModelParams("1", 0.4, 0.15, 0.6, 0),
+    lambda: ModelParams(None, 0.4, 0.15, 0.6, 0),
+    lambda: ModelParams(1, 0.4, 0.15, np.array([0.6]), 0),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
         "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
         "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
-        "oracle-cutoff20.5", "uncoupled-n_max0.5"])
+        "oracle-cutoff20.5", "uncoupled-n_max0.5", "oracle-cutoff-str", "oracle-k-none",
+        "uncoupled-n_max-str", "config-e_min-str", "heun-e_min-str", "bcf-e_min-none",
+        "params-omega-str", "params-omega-none", "params-g-array"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
@@ -93,6 +108,38 @@ def test_bcf_squeeze_error_gives_the_callers_numbers(call):
     # the routes work in units of omega, but the rule is read in the caller's
     with pytest.raises(ValidationError, match=r"\|2\*lambda\| = 2.4 >= omega = 2.0:"):
         call(ModelParams(2.0, 0.3, 0.0, 0.1, 1.2))
+
+
+#: omega = 2 and omega = 1e-10 parameter sets: heun, heun with lambda != 0
+#: and bcf
+P2_AT_2 = ModelParams(2.0, 0.4, 0.15, 0.6, 0.0)
+SQUEEZED_AT_2 = ModelParams(2.0, 0.4, 0.15, 0.6, 0.1)
+P3_AT_2 = ModelParams(2.0, 0.6, 0.0, 0.1, 0.04)
+P2_AT_1E_10 = ModelParams(1e-10, 4e-11, 1.5e-11, 6e-11, 0.0)
+P3_AT_1E_10 = ModelParams(1e-10, 3e-11, 0.0, 5e-12, 2e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: heun_spectrum(SQUEEZED_AT_2, -1, 1), "heun route needs lambda = 0, got 0.1"),
+    (lambda: g_function_heun(SQUEEZED_AT_2, 0.2), "heun route needs lambda = 0, got 0.1"),
+    (lambda: g_function_heun_batch(SQUEEZED_AT_2, [0.2]),
+     "heun route needs lambda = 0, got 0.1"),
+    (lambda: heun_spectrum(P2_AT_2, 3, 1), "e_min 3 exceeds e_max 1"),
+    (lambda: bcf_spectrum(P3_AT_2, 3, 1), "e_min 3 exceeds e_max 1"),
+    (lambda: heun_spectrum(P2_AT_2, -1, 1, 1e-7), "grid_step 1e-07 puts more than"),
+    (lambda: bcf_spectrum(P3_AT_2, -1, 1, 1e-7), "grid_step 1e-07 puts more than"),
+    # e_max / omega overflows, though e_max does not
+    (lambda: heun_spectrum(P2_AT_1E_10, -1, 1e300, 1e300),
+     r"the window \[-1, 1e\+300\] with grid_step 1e\+300 leaves the float range"),
+    (lambda: bcf_spectrum(P3_AT_1E_10, -1, 1e300, 1e300),
+     r"the window \[-1, 1e\+300\] with grid_step 1e\+300 leaves the float range"),
+], ids=["heun-lambda", "g_function_heun-lambda", "g_function_heun_batch-lambda",
+        "heun-window", "bcf-window", "heun-step", "bcf-step", "heun-overflow",
+        "bcf-overflow"])
+def test_a_route_error_gives_the_callers_numbers(call, message):
+    # the routes work in units of omega, but each rule is read in the caller's
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_gscan_bcf_squeeze_error_gives_the_callers_numbers(capsys):

@@ -8,8 +8,9 @@ A route passes its gauge to the one equation builder as a number, so no
 module names a gauge branch, and no module on the import path splits a
 parent into the printed chain's partial fractions.  The CLI
 imports the audit only inside the diagnose command, and keeps no bound of
-its own.  Every cache has a finite size.  Errors come in two kinds, a
-ValidationError and a NumericalError, and no module defines a third."""
+its own.  Every cache is a ``functools.lru_cache`` of finite size, and no
+module imports ``inspect``.  Errors come in two kinds, a ValidationError
+and a NumericalError, and no module defines a third."""
 
 import ast
 import functools
@@ -171,7 +172,7 @@ def test_kummer_and_every_residual_row_reach_the_kernel(monkeypatch):
     monkeypatch.setattr(audit, "_residual_row", one_row(audit._residual_row))
     monkeypatch.setattr(canonical, "weber_residual_exact",
                         one_row(canonical.weber_residual_exact))
-    rows = audit._residual_rows.__wrapped__(1, 7, False, 1e-10)
+    rows = audit._residual_rows.__wrapped__(1, 7, False)
     assert "weber-kummer" in {row["context"] for row in rows}
     assert per_row == [1] * len(rows)
 
@@ -256,14 +257,14 @@ def test_no_module_uses_numpy_polynomial():
     assert used == []
 
 
-CACHE_MAKERS = {"lru_cache", "memoized"}
+CACHE_MAKERS = {"lru_cache"}
 
 
 def cache_bounds(path: Path) -> set:
     """(module, innermost enclosing function, maxsize) of each cache a
-    module makes with ``lru_cache``, ``functools.cache`` or ``memoized``;
-    maxsize is the literal bound, the name passed on, or "default" where
-    the call gives none."""
+    module makes with ``lru_cache`` or ``functools.cache``; maxsize is the
+    literal bound, the name passed on, or "default" where the call gives
+    none."""
     found = set()
 
     def maker(node):
@@ -293,16 +294,25 @@ def cache_bounds(path: Path) -> set:
 
 
 def test_every_cache_is_bounded():
-    """A parameter sweep must not grow a cache without limit: each cache
-    names a whole-number maxsize, and ``memoized`` passes its own on."""
+    """A parameter sweep must not grow a cache without limit: each cache is
+    a ``functools.lru_cache`` that names a literal whole-number maxsize."""
     bounds = set().union(*(cache_bounds(path) for path in sorted(SRC.glob("*.py"))))
     loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
-    assert loose == {("params", "wrap", "maxsize")}
+    assert loose == set()
     assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
                                         ("operators", "compose_fourth_order"),
                                         ("operators", "asymmetric_second_order"),
                                         ("heun", "heun_zeta_form"),
-                                        ("bcf", "bcf_zeta_form")}
+                                        ("bcf", "bcf_zeta_form"),
+                                        ("heun", "heun_reduction"),
+                                        ("bcf", "bcf_reduction")}
+
+
+def test_no_module_imports_inspect():
+    """Reuse keys on the positional arguments as ``lru_cache`` sees them: no
+    module binds a call to its signature."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "inspect" in imported_names(path)] == []
 
 
 def test_errors_come_in_two_kinds():

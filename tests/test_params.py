@@ -13,7 +13,7 @@ from rabi_spectra import (
 from rabi_spectra.canonical import normalize_params, weber_params
 from rabi_spectra.errors import ValidationError
 from rabi_spectra.heun import heun_zeta_form
-from rabi_spectra.params import VANISHING_TOL, memoized
+from rabi_spectra.params import VANISHING_TOL
 
 
 def test_validate_ok():
@@ -117,18 +117,12 @@ def test_mirror_involution():
     assert p.mirrored().mirrored() == p
 
 
-def test_a_memoized_function_keys_on_its_bound_arguments():
-    calls = []
-
-    @memoized(2)
-    def derive(p, energy, branch="minus"):
-        calls.append((p, energy, branch))
-        return energy
-
-    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
-    derive(p, 0.2), derive(p, 0.2, "minus"), derive(p, energy=0.2, branch="minus")
-    assert calls == [(p, 0.2, "minus")]
-    derive(p, 0.3), derive(p, 0.4), derive(p, 0.2)  # 0.2 was evicted
-    assert len(calls) == 4 and derive.cache_info().currsize == 2
-    # an unhashable argument is computed, not kept
-    assert derive(p, [0.5]) == [0.5] and derive.cache_info().currsize == 2
+@pytest.mark.parametrize("omega", [1, np.float64(1.0), np.array(1.0), np.int64(1)],
+                         ids=["int", "float64", "0-d-array", "int64"])
+def test_a_parameter_set_holds_python_floats(omega):
+    # every cache keys on the parameter set, so each form of a number makes
+    # the same, hashable key
+    p = ModelParams(omega, 0.4, 0.15, np.array(0.6), np.float32(0.0))
+    ref = ModelParams(1.0, 0.4, 0.15, 0.6, 0.0)
+    assert p == ref and hash(p) == hash(ref)
+    assert all(type(getattr(p, f)) is float for f in ("omega", "delta", "epsilon", "g", "lam"))
