@@ -16,9 +16,7 @@ import math
 
 import numpy as np
 
-from . import bcf as bcf_mod
 from . import canonical as canon
-from . import heun as heun_mod
 from .errors import NumericalError
 from .fock import dimension, oracle_spectrum
 from .operators import (asymmetric_second_order, bcf_truncated_parent,
@@ -26,6 +24,7 @@ from .operators import (asymmetric_second_order, bcf_truncated_parent,
 from .params import ModelParams, in_units_of_omega, vanishes
 from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
+from .twopoint import ROUTES, zeta_form
 
 RTOL = 1e-12
 #: largest ODE residual a row of :func:`residual_suite` passes with
@@ -115,8 +114,8 @@ def _padded(c, n: int) -> np.ndarray:
 
 def che_symbols(zeta) -> dict:
     """alpha, beta, gamma, mu and nu of the confluent Heun equation in the
-    coefficient form of :func:`heun.heun_zeta_form`: P1 = (-(beta + 1),
-    beta + 1 + gamma - alpha, alpha) and P0 = (-mu, mu + nu)."""
+    coefficient form of :func:`twopoint.zeta_form` on the heun route:
+    P1 = (-(beta + 1), beta + 1 + gamma - alpha, alpha) and P0 = (-mu, mu + nu)."""
     p0, p1 = _padded(zeta[0], 2).tolist(), _padded(zeta[1], 3).tolist()
     return {"alpha": p1[2], "beta": -p1[0] - 1.0, "gamma": p1[0] + p1[1] + p1[2],
             "mu": -p0[0], "nu": p0[0] + p0[1]}
@@ -135,9 +134,9 @@ def _bcf_combinations(al1, al2, be1, be2, ga1, ga2, ga3) -> dict:
 
 def bcf_symbols(zeta) -> dict:
     """The thirteen symbols of the reduced equation in the coefficient form
-    of :func:`bcf.bcf_zeta_form`: P1 = (beta2, -(beta1 + beta2 - alpha2),
-    -(alpha2 - alpha1), -alpha1) and P0 = (gamma3, -(gamma2 + gamma3 -
-    gamma1), -gamma1)."""
+    of :func:`twopoint.zeta_form` on the bcf route: P1 = (beta2, -(beta1 +
+    beta2 - alpha2), -(alpha2 - alpha1), -alpha1) and P0 = (gamma3,
+    -(gamma2 + gamma3 - gamma1), -gamma1)."""
     p0, p1 = _padded(zeta[0], 3).tolist(), _padded(zeta[1], 4).tolist()
     al1 = -p1[3]
     return _bcf_combinations(al1, al1 - p1[2], -(p1[0] + p1[1] + p1[2] + p1[3]), p1[0],
@@ -248,15 +247,16 @@ def printed_bch(s: dict) -> dict:
 def audit_recurrences(p_asym: ModelParams | None = None,
                       e_asym: float = -0.1,
                       p_general: ModelParams | None = None,
-                      e_general: float = 0.2) -> list:
-    """Derived-vs-printed comparison for all transcribed recurrences."""
+                      e_general: float = 0.2, tables: tuple | None = None) -> list:
+    """Derived-vs-printed comparison for all transcribed recurrences;
+    ``tables``: the :func:`general_table` of p_general at g = 0 and of p_general."""
     if p_asym is None:
         p_asym = ModelParams(1.0, 0.4, 0.15, 0.6, 0.0)
     if p_general is None:
         p_general = ModelParams(1.0, 0.3, 0.1, 0.2, 0.1)
     out = []
 
-    che = heun_mod.heun_zeta_form(p_asym, e_asym)
+    che = zeta_form(ROUTES["heun"], p_asym, e_asym)
     sym = che_symbols(che)
     rec0 = ode_to_recurrence(PolyOde(che, z0=0.0))
     rec1 = ode_to_recurrence(PolyOde(che, z0=1.0))
@@ -269,7 +269,8 @@ def audit_recurrences(p_asym: ModelParams | None = None,
 
     p_tp = ModelParams(p_general.omega, p_general.delta, p_general.epsilon,
                        0.0, p_general.lam)
-    tbl_tp = general_table(p_tp, e_general)
+    tbl_tp, tbl = tables or (general_table(p_tp, e_general),
+                             general_table(p_general, e_general))
     sym5 = {"A1": tbl_tp["B1"], "A2": tbl_tp["B3"], "B1": tbl_tp["C2"],
             "B2": tbl_tp["C4"], "C1": tbl_tp["D1"], "C2": tbl_tp["D3"]}
     ode_tp = PolyOde(tuple(compose_fourth_order(p_tp, e_general)), z0=0.0)
@@ -280,7 +281,6 @@ def audit_recurrences(p_asym: ModelParams | None = None,
              "a_{n-2}; the composed table has B2 = 0, so the instantiated "
              "forms coincide"))
 
-    tbl = general_table(p_general, e_general)
     ode_g = PolyOde(tuple(compose_fourth_order(p_general, e_general)), z0=0.0)
     out.append(compare_recurrences(
         "nine-term-series", ode_to_recurrence(ode_g),
@@ -288,7 +288,7 @@ def audit_recurrences(p_asym: ModelParams | None = None,
         note="the printed display repeats the subscript n+2 where the "
              "nine-term pattern requires n+1; transcribed as n+1"))
 
-    b = bcf_mod.bcf_zeta_form(p_general, e_general)
+    b = zeta_form(ROUTES["bcf"], p_general, e_general)
     symb = bcf_symbols(b)
     out.append(compare_recurrences(
         "bcf-series-origin", ode_to_recurrence(PolyOde(b, z0=0.0)),
@@ -401,8 +401,9 @@ def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
 
 
 @_in_float_range
-def audit_general_table(p: ModelParams, energy: float) -> dict:
-    composed = general_table(p, energy)
+def audit_general_table(p: ModelParams, energy: float,
+                        composed: dict | None = None) -> dict:
+    composed = composed or general_table(p, energy)
     printed = printed_general_table(p, energy)
     pairs = [(k, composed[k], printed[k]) for k in GENERAL_TABLE_KEYS]
     note = "D1: printed has -delta^2, composition gives +delta^2"
@@ -410,10 +411,10 @@ def audit_general_table(p: ModelParams, energy: float) -> dict:
 
 
 @_in_float_range
-def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
-    p0 = ModelParams(p.omega, p.delta, p.epsilon, 0.0, p.lam)
-    t = general_table(p0, energy)
-    om, de, ep, lam = p0.omega, p0.delta, p0.epsilon, p0.lam
+def audit_two_photon_table(p: ModelParams, energy: float, t: dict | None = None) -> dict:
+    """``t``: the :func:`general_table` of p at g = 0, computed where not given."""
+    t = t or general_table(ModelParams(p.omega, p.delta, p.epsilon, 0.0, p.lam), energy)
+    om, de, ep, lam = p.omega, p.delta, p.epsilon, p.lam
     E = energy
     printed = {
         "A1": (2 * om + ep + E) / lam,
@@ -433,8 +434,9 @@ def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
 
 
 @_in_float_range
-def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
-    _q, table, (k_plus, k_minus) = _che_partial_fractions(p, energy)
+def audit_asymmetric_tables(p: ModelParams, energy: float,
+                            chain: tuple | None = None) -> dict:
+    _q, table, (k_plus, k_minus) = chain or _che_partial_fractions(p, energy)
     om, de, ep, g = p.omega, p.delta, p.epsilon, p.g
     E = energy
     q = g / om
@@ -458,7 +460,7 @@ def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
 def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
     om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
     E = energy
-    sym = bcf_symbols(bcf_mod.bcf_zeta_form(p, energy))
+    sym = bcf_symbols(zeta_form(ROUTES["bcf"], p, energy))
     p0, p1, p2 = bcf_truncated_parent(p, energy)
     om2 = -p2[-1]
     q = math.sqrt(p2[0] / om2)
@@ -492,21 +494,21 @@ def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
 
 @_in_float_range
 def audit_reduction_chain(p_asym: ModelParams, p_general: ModelParams,
-                          energy: float) -> dict:
+                          energy: float, chain: tuple | None = None) -> dict:
     """The partial-fraction chain the paper prints against the one equation
     builder of the routes: the confluent Heun symbols from the table and
     the gauge root k_minus, and the reduced equation's symbols from the
     partial fractions of the truncated parent, each against the route's
     equation in zeta; and the truncated parent at lam = 0 against the exact
     one."""
-    q, a, (_k_plus, k) = _che_partial_fractions(p_asym, energy)
+    q, a, (_k_plus, k) = chain or _che_partial_fractions(p_asym, energy)
     printed = {"alpha": 2 * q * a["A1"] + 2 * k, "beta": a["A3"] - 1.0,
                "gamma": a["A2"], "mu": k * a["A3"] + 2 * q * a["B3"],
                "nu": k * a["A2"] + 2 * q * a["B2"]}
-    derived = che_symbols(heun_mod.heun_zeta_form(p_asym, energy))
+    derived = che_symbols(zeta_form(ROUTES["heun"], p_asym, energy))
     pairs = [(f"che:{n}", derived[n], printed[n]) for n in printed]
 
-    derived = bcf_symbols(bcf_mod.bcf_zeta_form(p_general, energy))
+    derived = bcf_symbols(zeta_form(ROUTES["bcf"], p_general, energy))
     p0, p1, p2 = bcf_truncated_parent(p_general, energy)
     q2 = float(p2[0] / -p2[-1])
     q = math.sqrt(q2)
@@ -674,8 +676,8 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool) -> tuple:
         lam = rng.uniform(0.02, 0.3)
         energy = rng.uniform(-1.0, 2.5)
 
-        che = heun_mod.heun_zeta_form(ModelParams(om, de, ep, g, 0.0), energy)
-        b = bcf_mod.bcf_zeta_form(ModelParams(om, de, ep, 0.3 * g, 0.3 * lam), energy)
+        che = zeta_form(ROUTES["heun"], ModelParams(om, de, ep, g, 0.0), energy)
+        b = zeta_form(ROUTES["bcf"], ModelParams(om, de, ep, 0.3 * g, 0.3 * lam), energy)
         for name, zeta in (("che", che), ("bcf", b)):
             for z0, x in ((0.0, 0.15), (1.0, 0.85)):
                 rows.append(_residual_row(f"{name}@{z0:g}", PolyOde(zeta, z0=z0), x, corrupt))
@@ -734,19 +736,20 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     p_asym = ModelParams(1.0, q.delta, q.epsilon, 0.6 if vanishes(q, q.g) else q.g, 0.0)
     p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
                                                q.g if q.g else 0.2, 0.1)
+    p_tp = ModelParams(1.0, p_gen.delta, p_gen.epsilon, 0.0, p_gen.lam)
+    # each table is computed once and passed on to every entry that reads it
+    tables = (general_table(p_tp, energy), general_table(p_gen, energy))
+    chain = _che_partial_fractions(p_asym, energy)
     entries = []
-    entries += audit_recurrences(p_asym, energy, p_gen, energy)
+    entries += audit_recurrences(p_asym, energy, p_gen, energy, tables)
     entries.append(audit_fourth_order_operator(p_gen, energy))
-    entries.append(audit_general_table(p_gen, energy))
-    entries.append(audit_two_photon_table(p_gen, energy))
-    entries.append(audit_asymmetric_tables(p_asym, energy))
+    entries.append(audit_general_table(p_gen, energy, tables[1]))
+    entries.append(audit_two_photon_table(p_gen, energy, tables[0]))
+    entries.append(audit_asymmetric_tables(p_asym, energy, chain))
     entries.append(audit_bcf_tables(p_gen, energy))
-    entries.append(audit_reduction_chain(p_asym, p_gen, energy))
-    nb = canon.normalize_params(p_gen, energy)
-    entries += audit_appendix(nb)
-    nb0 = canon.normalize_params(ModelParams(p_gen.omega, p_gen.delta,
-                                             p_gen.epsilon, 0.0, p_gen.lam), energy)
-    entries += audit_appendix(nb0)
+    entries.append(audit_reduction_chain(p_asym, p_gen, energy, chain))
+    entries += audit_appendix(canon.normalize_params(p_gen, energy))
+    entries += audit_appendix(canon.normalize_params(p_tp, energy))
 
     residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
     # at most the Fock dimension, which a small fock_cutoff lowers

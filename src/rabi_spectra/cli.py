@@ -18,14 +18,12 @@ import tempfile
 
 import numpy as np
 
-from .bcf import bcf_reduction, bcf_spectrum
 from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import dimension, oracle_spectrum
-from .heun import heun_reduction, heun_spectrum, require_no_squeeze
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import RootScanConfig, _build_grid
-from .twopoint import g_function_batch, window_in_units_of_omega
+from .twopoint import ROUTES, g_function_batch, route_spectrum, window_in_units_of_omega
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,7 +35,6 @@ METHODS = {"spectrum": ["auto", "oracle", "closed", "heun", "bcf"],
 #: the route --method auto takes in each regime; every other regime gets bcf
 AUTO = {"spectrum": {RegimeTag.UNCOUPLED: "closed", RegimeTag.ASYMMETRIC: "heun"},
         "gscan": {RegimeTag.ASYMMETRIC: "heun"}}
-ROUTES = {"heun": heun_spectrum, "bcf": bcf_spectrum}
 
 
 def fmt(x) -> str:
@@ -53,6 +50,9 @@ def _need_window(ns: argparse.Namespace) -> None:
 
 def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     rows = []
+    if method in ("closed", "oracle") and None not in (ns.emin, ns.emax):
+        # neither reads the window, but a bad one is refused as a route refuses it
+        RootScanConfig(ns.emin, ns.emax, ns.grid)
     if method == "closed":
         plus, minus = uncoupled_spectrum(p, ns.nmax)
         items = [(e, f"branch=+;n={n}") for n, e in enumerate(plus.energies)]
@@ -66,7 +66,7 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
         flags = [f"cutoff={res.cutoff}"] * len(energies)
     else:
         _need_window(ns)
-        sr = ROUTES[method](p, ns.emin, ns.emax, ns.grid, zeta_star=ns.zeta_star)
+        sr = route_spectrum(ROUTES[method], p, ns.emin, ns.emax, ns.grid, ns.zeta_star)
         energies = list(sr.energies)
         flags = list(sr.labels)
 
@@ -88,19 +88,18 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 
 
 def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
-    if method == "heun":
-        require_no_squeeze(p)
+    route = ROUTES[method]
+    route.rule(p)  # an empty window gives no rows, but not in the wrong regime
     _need_window(ns)
     header = ["energy", "scaled_g", "scale_log", "flags"]
     rows = []
-    if ns.emin >= ns.emax:
-        return header, rows
     # built in units of omega, as the routes build theirs
     _q, *window = window_in_units_of_omega(p, ns.emin, ns.emax, ns.grid)
+    if ns.emin >= ns.emax:
+        return header, rows
     grid = p.omega * _build_grid(RootScanConfig(*window))
-    reduce = heun_reduction if method == "heun" else bcf_reduction
     # signed as the spectrum scans it, so sign changes are roots, not poles
-    samples = g_function_batch(reduce, p, grid, ns.zeta_star, pole_free=True)
+    samples = g_function_batch(route, p, grid, ns.zeta_star, pole_free=True)
     for e, s in zip(grid, samples):
         rows.append({"energy": float(e), "scaled_g": float(s.g_value),
                      "scale_log": float(s.scale_log),
@@ -183,15 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(ns: argparse.Namespace) -> ModelParams:
-    """Validate the parameters, fill in the default --grid and check the
-    window where both edges are given; the library checks every other
-    setting where it reads it."""
+    """Validate the parameters and fill in the default --grid; the library
+    checks every other setting where it reads it."""
     params = validate_params(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
-    if "grid" in ns:
-        if ns.grid is None:
-            ns.grid = 0.05 * ns.omega
-        if ns.emin is not None and ns.emax is not None:
-            RootScanConfig(ns.emin, ns.emax, ns.grid)
+    if "grid" in ns and ns.grid is None:
+        ns.grid = 0.05 * ns.omega
     return params
 
 

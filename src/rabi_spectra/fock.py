@@ -105,17 +105,21 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     return TruncatedHamiltonian(cutoff, band)
 
 
-@functools.lru_cache(maxsize=4)
 def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray:
     """The lowest min(k, dim) eigenvalues at ``cutoff`` (all of them where
     k is None), ascending, as a shared read-only array: from the band at
     cutoffs of at least BANDED_FROM, by bisection where BISECT_RATIO * k <
-    dim, else dense.  A k that is not a whole number >= 1 raises
-    ValidationError."""
+    dim, else dense.  cutoff and k are read as whole numbers before the
+    cache is looked up, and a k that is not one >= 1 raises ValidationError."""
     if k is not None:
         if not real("k", k) >= 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         k = whole("k", k)
+    return _eigenvalues(p, whole("cutoff", cutoff), k)
+
+
+@functools.lru_cache(maxsize=4)
+def _eigenvalues(p: ModelParams, cutoff: int, k: int | None) -> np.ndarray:
     ham = build_hamiltonian(p, cutoff)
     dim = ham.dimension
     k = dim if k is None else min(k, dim)

@@ -79,6 +79,12 @@ def require_weak_squeeze(p: ModelParams) -> None:
             "sqrt(omega^2 - 4 lambda^2) is not real positive")
 
 
+def require_no_squeeze(p: ModelParams) -> None:
+    """ValidationError unless lambda vanishes next to omega: the heun rule."""
+    if not vanishes(p, p.lam):
+        raise ValidationError(f"heun route needs lambda = 0, got {p.lam}")
+
+
 def in_units_of_omega(p: ModelParams, *energies) -> tuple:
     """(p, *energies), each energy divided by p.omega: the parameters and
     energies the routes work at."""

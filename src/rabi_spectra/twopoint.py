@@ -1,27 +1,29 @@
-"""The two-point Wronskian route shared by the ``heun`` and ``bcf`` spectra.
+"""The two-point Wronskian route, whose rows ``heun`` and ``bcf`` are
+:data:`ROUTES`.
 
-A route supplies a parent: a second-order equation in z whose leading
-coefficient is a multiple of z^2 - q^2.  :func:`map_to_zeta` moves its two
-regular singularities to zeta = 0 and zeta = 1 and gauges it by exp(k zeta);
-the spectral determinant is the Wronskian, at a gluing point zeta_star, of
-the two local Frobenius series (Braak, PRL 107, 100401, 2011).  The gauge
-multiplies both local solutions alike, so the Wronskian's zeros do not
-depend on k: heun takes the k that leaves the confluent Heun equation, bcf
-takes k = 0.  Everything past the parent lives here, in units of omega
-(the public entry points divide by it once): the equation in zeta, the
-batched Wronskian, the resonance ladder and the spectrum assembly.  The
-equation's coefficients are quadratics in E, and so are its series'
-recurrence weights: :class:`Reduction` fits them once from three probes,
-and a determinant call evaluates them at its energies.  The determinant has
-a simple pole at each ladder point E_m, so the spectrum scans
-g * prod_m sign(E - E_m), which is continuous there.  Every determinant,
-the ladder points' second-kind Wronskians included, is a lane of
-:func:`_wronskian`: one batched call, and so one kernel roll, per scan
+A :class:`Route` names an input rule, a gauge k(p) and a parent: a
+second-order equation in z whose leading coefficient is a multiple of
+z^2 - q^2.  :func:`map_to_zeta` moves its two regular singularities to
+zeta = 0 and zeta = 1 and gauges it by exp(k zeta); the spectral
+determinant is the Wronskian, at a gluing point zeta_star, of the two local
+Frobenius series (Braak, PRL 107, 100401, 2011).  The gauge multiplies both
+local solutions alike, so the Wronskian's zeros do not depend on k: heun
+maps the exact lam = 0 parent with the k that leaves the confluent Heun
+equation, bcf the truncated small-coupling parent with k = 0.  Everything
+past the parent lives here, in units of omega (the public entry points
+divide by it once).  The equation's coefficients are quadratics in E, and
+so are its series' recurrence weights: :func:`reduction` fits them once
+from three probes, and a determinant call evaluates them at its energies.
+The determinant has a simple pole at each ladder point E_m, so the
+spectrum scans g * prod_m sign(E - E_m), which is continuous there.  Every
+determinant, the ladder points' second-kind Wronskians included, is a lane
+of :func:`_wronskian`: one batched call, and so one kernel roll, per scan
 round.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -31,7 +33,9 @@ import numpy as np
 from . import _kernels
 from .closed_form import closed_window
 from .errors import NumericalError, ValidationError
-from .params import ModelParams, in_units_of_omega, vanishes
+from .operators import asymmetric_second_order, bcf_truncated_parent
+from .params import (ModelParams, in_units_of_omega, real, require_no_squeeze,
+                     require_weak_squeeze, vanishes)
 from .polyops import padd, poly, pshift
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootScanConfig, SpectrumResult,
@@ -74,41 +78,61 @@ def map_to_zeta(parent, k: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class Reduction:
-    """One sector's equation in zeta form, in units of omega, with its
-    recurrence weights as quadratics in the energy.
+class Route:
+    """A row of :data:`ROUTES`: ``rule(p)`` raises ValidationError outside
+    the route's regime, ``parent(p, energy)`` is its equation in z and
+    ``gauge(p)`` its k, which, where not 0, cancels P0's zeta^2 coefficient."""
 
-    ``ode_at(energy)`` gives the coefficients (p0, p1, p2) of zeta(zeta-1)
-    times the equation, so p2 = zeta^2 - zeta.  ``weights`` holds rows c0,
-    c1, c2 of the recurrence weights at zeta = 0 and at zeta = 1, as
-    [3, side, lag, degree]: the weights at E are c0 + E (c1 + E c2).
-    ``ladder_lines`` holds (side, index at E = 0, index at E = 1) of each
-    side's second Frobenius exponent minus one.
+    name: str
+    rule: Callable
+    parent: Callable
+    gauge: Callable
+
+
+def _exact_parent(p: ModelParams, energy: float) -> tuple:
+    """The exact lam = 0 parent; ValidationError where lam != 0, and at
+    g = 0, where its singularities collide."""
+    require_no_squeeze(p)
+    if p.g == 0.0:
+        raise ValidationError("the two regular singularities collide at g = 0")
+    return asymmetric_second_order(p, energy)
+
+
+ROUTES = {"heun": Route("heun", require_no_squeeze, _exact_parent,
+                        lambda p: -2.0 * (p.g / p.omega) ** 2),
+          "bcf": Route("bcf", require_weak_squeeze, bcf_truncated_parent, lambda p: 0.0)}
+
+
+def zeta_form(route: Route, p: ModelParams, energy: float) -> tuple:
+    """The equation of ``route`` for p at one energy, as the coefficient
+    tuples (P0, P1, P2) of :func:`map_to_zeta`, P0's zeta^2 coefficient
+    dropped where k != 0; the energy is read by :func:`params.real` first."""
+    return _zeta_form(route, p, real("energy", energy))
+
+
+@functools.lru_cache(maxsize=8)
+def _zeta_form(route: Route, p: ModelParams, energy: float) -> tuple:
+    k = route.gauge(p)
+    p0, p1, p2 = map_to_zeta(route.parent(p, energy), k)
+    # P0's zeta^2 coefficient, -4 q^4 + k^2 on heun, is zero up to rounding
+    # where k != 0: dropping it leaves a three-term recurrence
+    return (p0[:2] if k else p0), p1, p2
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One sector's equation in zeta form, in units of omega, as the
+    recurrence weights of its series, quadratics in the energy.
+
+    ``weights`` holds rows c0, c1, c2 of the recurrence weights at zeta = 0
+    and at zeta = 1, as [3, side, lag, degree]: the weights at E are
+    c0 + E (c1 + E c2).  ``ladder_lines`` holds (side, index at E = 0, index
+    at E = 1) of each side's second Frobenius exponent minus one.
     """
 
     method: str
-    ode_at: Callable
     weights: np.ndarray
     ladder_lines: tuple
-
-    @classmethod
-    def from_probes(cls, method: str, ode_at) -> "Reduction":
-        """Fit the weights of each side to their derivation at E = -1, 0, 1;
-        the equation's coefficients are of degree <= 2 in E, and so are the
-        weights.  A coefficient that vanishes at all three probes is
-        dropped, as the derivation drops it at one energy (the probes must
-        agree on which coefficients vanish)."""
-        odes = [ode_at(e) for e in (-1.0, 0.0, 1.0)]
-        wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
-                               for polys in odes])
-        weights = np.array([w0, (wp - wm) / 2, (wp + wm) / 2 - w0])
-        weights.setflags(write=False)
-        # with p2 = zeta^2 - zeta the index is p1(0) at zeta = 0 and -p1(1)
-        # at zeta = 1, affine in E
-        _, at_zero, at_one = (np.asarray(polys[1], dtype=float) for polys in odes)
-        lines = (("origin", at_zero[0], at_one[0]),
-                 ("one", -at_zero.sum(), -at_one.sum()))
-        return cls(method, ode_at, weights, lines)
 
     def lane_weights(self, energies: np.ndarray) -> np.ndarray:
         """Recurrence weights at ``energies``, the zeta = 0 lanes and then
@@ -119,21 +143,41 @@ class Reduction:
         return w.reshape(2 * energies.size, *c.shape[3:])
 
 
-def g_function_batch(reduction_of: Callable, p: ModelParams, energies,
+@functools.lru_cache(maxsize=128)
+def reduction(route: Route, p: ModelParams) -> Reduction:
+    """The :class:`Reduction` of ``route`` for p, in units of omega: each
+    side's weights fitted to their derivation at E = -1, 0, 1, exact since
+    the parent's p2 and k do not depend on E, so that the weights are of
+    degree <= 2 in it.  A coefficient that vanishes at all three probes is
+    dropped, as the derivation drops it at one energy (the probes must
+    agree on which coefficients vanish)."""
+    odes = [zeta_form(route, p, e) for e in (-1.0, 0.0, 1.0)]
+    wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
+                           for polys in odes])
+    weights = np.array([w0, (wp - wm) / 2, (wp + wm) / 2 - w0])
+    weights.setflags(write=False)
+    # with p2 = zeta^2 - zeta the index is p1(0) at zeta = 0 and -p1(1)
+    # at zeta = 1, affine in E
+    _, at_zero, at_one = (np.asarray(polys[1], dtype=float) for polys in odes)
+    lines = (("origin", at_zero[0], at_one[0]), ("one", -at_zero.sum(), -at_one.sum()))
+    return Reduction(route.name, weights, lines)
+
+
+def g_function_batch(route: Route, p: ModelParams, energies,
                      zeta_star: float = 0.5, pole_free: bool = False) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
-    and zeta = 1 of ``reduction_of`` (p in units of omega), one sample per
-    energy; both series of every energy are rolled in one batch, and signed
-    as the spectrum scans them (:func:`_pole_free`) with ``pole_free``.  The
-    public sample boundary: it divides by omega once, and the spectrum itself
-    works on :func:`_wronskian`'s arrays."""
+    and zeta = 1 of ``route``'s reduction, one sample per energy, once
+    ``route.rule`` passes p; both series of every energy are rolled in one
+    batch, and signed as the spectrum scans them (:func:`_pole_free`) with
+    ``pole_free``.  The public sample boundary: it divides by omega once, and
+    the spectrum itself works on :func:`_wronskian`'s arrays."""
+    route.rule(p)
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     q, unit = in_units_of_omega(p, energies)
-    reduction = reduction_of(q)
-    g, log_g, bits = _wronskian(reduction, unit, np.zeros((2, unit.size), int),
-                                zeta_star)
+    red = reduction(route, q)
+    g, log_g, bits = _wronskian(red, unit, np.zeros((2, unit.size), int), zeta_star)
     if pole_free and unit.size:
-        ladder = resonance_ladder(reduction, unit.min(), unit.max())
+        ladder = resonance_ladder(red, unit.min(), unit.max())
         g = _pole_free(g, unit, np.array([e for e, _s, _m in ladder]))
     return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
             zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
@@ -207,15 +251,17 @@ def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
     return (q, *window)
 
 
-def route_spectrum(method: str, reduction_of: Callable, p: ModelParams, e_min: float,
-                   e_max: float, grid_step: float, zeta_star: float) -> SpectrumResult:
-    """Route ``method``'s spectrum in the caller's units: where delta vanishes
-    :func:`closed_window`, else the :func:`spectrum` of ``reduction_of`` on the
-    window divided by omega once, its energies, report and ladder multiplied back."""
+def route_spectrum(route: Route, p: ModelParams, e_min: float, e_max: float,
+                   grid_step: float, zeta_star: float) -> SpectrumResult:
+    """``route``'s spectrum in the caller's units, once ``route.rule`` passes
+    p: where delta vanishes :func:`closed_window`, else the :func:`spectrum`
+    of its reduction on the window divided by omega once, its energies,
+    report and ladder multiplied back."""
+    route.rule(p)
     if vanishes(p, p.delta):
-        return closed_window(p, method, e_min, e_max, grid_step)
+        return closed_window(p, route.name, e_min, e_max, grid_step)
     q, *window = window_in_units_of_omega(p, e_min, e_max, grid_step)
-    res, w = spectrum(reduction_of(q), *window, zeta_star), p.omega
+    res, w = spectrum(reduction(route, q), *window, zeta_star), p.omega
     rep, ladder = res.report, res.metadata["ladder"]
     return replace(res, energies=res.energies * w, report=replace(
         rep, roots=rep.roots * w, suspects=tuple(s * w for s in rep.suspects),

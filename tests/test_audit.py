@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabi_spectra import audit, bcf, heun, operators, validate_params
+from rabi_spectra import audit, operators, twopoint, validate_params
 from rabi_spectra.canonical import normalize_params
 from rabi_spectra.errors import NumericalError
 from rabi_spectra.params import ModelParams
@@ -192,16 +192,30 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
     derivations = (operators.compose_fourth_order, operators.asymmetric_second_order,
-                   heun.heun_zeta_form, bcf.bcf_zeta_form)
+                   twopoint._zeta_form)
     for derive in derivations:
         derive.cache_clear()
     diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
     # general and g = 0 operators; one lam = 0 parent, read by the confluent
     # Heun equation, both partial-fraction tables and the reduction chain;
-    # one confluent Heun and one reduced equation, each read by the
-    # recurrence audit and the reduction chain
-    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 1, 1]
-    assert all(derive.cache_info().maxsize == 4 for derive in derivations)
+    # one zeta form per route, the confluent Heun and the reduced equation,
+    # each read by the recurrence audit and the reduction chain
+    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 2]
+    assert [derive.cache_info().maxsize for derive in derivations] == [4, 4, 8]
+
+
+def test_a_report_computes_each_table_once(monkeypatch):
+    # the general table of each of its two inputs and the confluent Heun
+    # partial fractions are passed on to every entry that reads them
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append((f.__name__, *args)) or f(*args)
+
+    for name in ("general_table", "_che_partial_fractions"):
+        monkeypatch.setattr(audit, name, counted(getattr(audit, name)))
+    diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_shared_derivations_are_read_only():
@@ -212,9 +226,9 @@ def test_shared_derivations_are_read_only():
     with pytest.raises(TypeError):
         operators.asymmetric_second_order(P_ASYM, 0.2)[0] = ()
     with pytest.raises(TypeError):
-        heun.heun_zeta_form(P_ASYM, 0.2)[0][0] = 0.0
+        twopoint.zeta_form(twopoint.ROUTES["heun"], P_ASYM, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):
-        bcf.bcf_zeta_form(P_GEN, 0.2)[1] = ()
+        twopoint.zeta_form(twopoint.ROUTES["bcf"], P_GEN, 0.2)[1] = ()
 
 
 def reference_poly_str(c) -> str:

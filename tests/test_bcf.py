@@ -13,13 +13,13 @@ from rabi_spectra import (
 )
 from rabi_spectra import fock
 from rabi_spectra.audit import audit_bcf_tables, bcf_symbols
-from rabi_spectra.bcf import bcf_zeta_form
 from rabi_spectra.errors import NumericalError
 from rabi_spectra.operators import asymmetric_second_order, compose_fourth_order
 from rabi_spectra.polyops import poly
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
-from rabi_spectra.twopoint import map_to_zeta
+from rabi_spectra.twopoint import ROUTES, map_to_zeta, zeta_form
 
+BCF = ROUTES["bcf"]
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 
 
@@ -35,7 +35,7 @@ def test_lambda_zero_limit():
     # at lam = 0 the truncated parent is the exact one: the reduced equation
     # is the heun route's parent mapped to zeta with no gauge
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.0)
-    zeta = bcf_zeta_form(p, 0.2)
+    zeta = zeta_form(BCF, p, 0.2)
     exact = map_to_zeta(asymmetric_second_order(p, 0.2), 0.0)
     for c, ref in zip(zeta, exact):
         np.testing.assert_allclose(c, ref, rtol=1e-14, atol=1e-15)
@@ -48,7 +48,7 @@ def test_lambda_zero_limit():
 
 
 def test_defining_combinations_consistent():
-    zeta = bcf_zeta_form(P3, 0.3)
+    zeta = zeta_form(BCF, P3, 0.3)
     b = bcf_symbols(zeta)
     assert b["mu"] == pytest.approx(b["beta1"] + b["beta2"] - b["alpha2"], abs=1e-14)
     assert b["nu"] == pytest.approx(b["alpha2"] - b["alpha1"], abs=1e-14)
@@ -66,7 +66,7 @@ def test_complex_singularity():
     # lam < 0 with tiny g drives q^2 negative
     p = ModelParams(1.0, 0.3, 0.0, 0.001, -0.05)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
-        bcf_zeta_form(p, 0.0)
+        zeta_form(BCF, p, 0.0)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
         bcf_spectrum(p, -0.5, 0.5, 0.05)
 
@@ -76,7 +76,7 @@ def test_sample_call_raises_as_the_reduction_does():
     # zeta-form (and bcf_spectrum) do
     p = validate_params(1.0, 0.3, 0.0, 0.01, -0.1)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
-        bcf_zeta_form(p, 0.0)
+        zeta_form(BCF, p, 0.0)
     with pytest.raises(NumericalError, match="singularities leave the real axis"):
         g_function_bcf(p, 0.0)
 
@@ -95,7 +95,7 @@ def test_a_small_q_is_solved(g, lam):
 
 
 def test_local_series_satisfy_reduced_equation():
-    zeta = bcf_zeta_form(P3, 0.1)
+    zeta = zeta_form(BCF, P3, 0.1)
     for z0, x in ((0.0, 0.15), (1.0, 0.85)):
         ode = PolyOde(zeta, z0=z0)
         rec = ode_to_recurrence(ode)
@@ -106,7 +106,7 @@ def test_local_series_satisfy_reduced_equation():
 def test_four_term_reduces_to_three_term_when_alpha1_gamma1_zero():
     # coefficient-level identity: with alpha1 = gamma1 = 0 the lag-3 weights
     # vanish identically and the remaining weights are the confluent-Heun ones
-    p0, p1, p2 = bcf_zeta_form(P3, 0.1)
+    p0, p1, p2 = zeta_form(BCF, P3, 0.1)
     assert bcf_symbols((p0, p1, p2))["alpha1"] == 0.0  # the parent's p1 is linear
     for z0 in (0.0, 1.0):
         rec = ode_to_recurrence(PolyOde((p0[:2], p1, p2), z0=z0))  # gamma1 = 0

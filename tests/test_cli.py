@@ -89,6 +89,13 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
     # need some 1e7 levels per branch
     (["spectrum", "--method", "bcf", "--omega", "1", "--g", "0.3",
       "--lambda", "0.4999999999999975", "--emin", "-1", "--emax", "1"], "levels"),
+    # closed and oracle do not read the window, but refuse a reversed one;
+    # gscan checks it before an empty window returns no rows
+    (["spectrum", "--method", "closed", "--omega", "1", "--emin", "2", "--emax", "1"],
+     "--emax"),
+    (["spectrum", "--method", "oracle", *BASE, "--emin", "2", "--emax", "1"], "--emax"),
+    (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
+      "--emin", "2", "--emax", "1"], "--emax"),
 ])
 def test_bad_run_settings_exit_2_with_one_line(args, option, capsys):
     code, out, err = run_cli(args, capsys)

@@ -195,7 +195,7 @@ def count_solves(monkeypatch) -> list:
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("dense", np.linalg.eigvalsh))
     monkeypatch.setattr(scipy.linalg, "eigvals_banded",
                         counted("banded", scipy.linalg.eigvals_banded))
-    fock.eigenvalues.cache_clear()
+    fock._eigenvalues.cache_clear()
     return solved
 
 
@@ -220,7 +220,7 @@ def test_a_cutoff_ladder_solves_each_cutoff_once(monkeypatch):
     # 200 and 400 on the band in full, 800 on the band for its lowest 40
     assert solved == [("banded", 402, 402), ("dense", 202, 202),
                       ("banded", 802, 802), ("banded", 1602, 40)] * 2
-    assert fock.eigenvalues.cache_info().maxsize == 4
+    assert fock._eigenvalues.cache_info().maxsize == 4
 
 
 def test_each_form_of_a_number_reuses_one_solve(monkeypatch):

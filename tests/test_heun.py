@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,21 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
+    g_function_bcf_batch,
     g_function_heun,
     heun_spectrum,
     oracle_spectrum,
     validate_params,
 )
-from rabi_spectra import _kernels, bcf, fock, twopoint
+from rabi_spectra import _kernels, fock, twopoint
 from rabi_spectra.audit import _che_partial_fractions, che_symbols
 from rabi_spectra.errors import ValidationError
-from rabi_spectra.heun import g_function_heun_batch, heun_reduction, heun_zeta_form
+from rabi_spectra.heun import g_function_heun_batch
 from rabi_spectra.operators import asymmetric_second_order
 from rabi_spectra.rootscan import same_energy
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
-from rabi_spectra.twopoint import Reduction, g_function_batch, map_to_zeta, resonance_ladder
+from rabi_spectra.twopoint import (g_function_batch, map_to_zeta, reduction, resonance_ladder,
+                                   zeta_form)
 from test_kernels import reference_series
 
+HEUN, BCF = twopoint.ROUTES["heun"], twopoint.ROUTES["bcf"]
 P_CRIT = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 
 
@@ -40,13 +44,13 @@ def test_che_quadratic_identity_and_beta():
     # zero-order coefficient, which the confluent Heun equation drops
     p0, p1, p2 = map_to_zeta(asymmetric_second_order(P_CRIT, 0.0), -2 * q2)
     assert abs(zeta2_coefficient(p0)) < 1e-12
-    assert heun_zeta_form(P_CRIT, 0.0) == (p0[:2], p1, p2)
+    assert zeta_form(HEUN, P_CRIT, 0.0) == (p0[:2], p1, p2)
     # corrected gauge exponents are +-2 q^2 (the printed (1 pm sqrt5) q^2
     # descends from the misprinted reduction; see the audit)
     _q, _table, (k_plus, k_minus) = _che_partial_fractions(P_CRIT, 0.0)
     assert (k_plus, k_minus) == pytest.approx((2 * q2, -2 * q2), rel=1e-12)
     # beta is E-dependent in the corrected chain: (eps - E)/omega - q^2
-    sym = che_symbols(heun_zeta_form(P_CRIT, 0.0))
+    sym = che_symbols(zeta_form(HEUN, P_CRIT, 0.0))
     assert sym["beta"] == pytest.approx((0.15 - 0.0) - q2, rel=1e-12)
     assert sym["gamma"] == pytest.approx(-q2 - 0.15, rel=1e-12)
 
@@ -70,14 +74,14 @@ def test_the_gauge_discriminant_is_16_q4():
             p0 = map_to_zeta(asymmetric_second_order(p, energy), k)[0]
             assert abs(zeta2_coefficient(p0)) <= 1e-12 * 4 * q2 * q2
         # the route drops that coefficient: a three-term recurrence
-        assert len(heun_zeta_form(p, energy)[0]) <= 2
+        assert len(zeta_form(HEUN, p, energy)[0]) <= 2
 
 
 def test_che_requires_lambda_zero_and_g_nonzero():
     with pytest.raises(ValidationError, match="heun route needs lambda = 0"):
-        heun_zeta_form(validate_params(1.0, 0.4, 0.1, 0.6, 0.1), 0.0)
+        zeta_form(HEUN, validate_params(1.0, 0.4, 0.1, 0.6, 0.1), 0.0)
     with pytest.raises(ValidationError, match="singularities collide at g = 0"):
-        heun_zeta_form(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
+        zeta_form(HEUN, validate_params(1.0, 0.4, 0.1, 0.0, 0.0), 0.0)
 
 
 def test_route_refuses_lambda_before_the_closed_form():
@@ -88,7 +92,7 @@ def test_route_refuses_lambda_before_the_closed_form():
 
 def test_series_solve_the_transformed_equation():
     # local series of both expansions satisfy the CHE to machine accuracy
-    che = heun_zeta_form(P_CRIT, -0.1)
+    che = zeta_form(HEUN, P_CRIT, -0.1)
     for z0, x in ((0.0, 0.15), (1.0, 0.85)):
         ode = PolyOde(che, z0=z0)
         rec = ode_to_recurrence(ode)
@@ -106,7 +110,7 @@ def test_sign_constant_between_eigenvalues(oracle_crit):
     # sign constant between consecutive eigenvalues, except across a pole of
     # the determinant (a resonance-ladder point), where it must flip
     e1, e2 = float(oracle_crit[0]), float(oracle_crit[1])
-    ladder = [e for e, _s, _n in resonance_ladder(heun_reduction(P_CRIT), e1, e2)]
+    ladder = [e for e, _s, _n in resonance_ladder(reduction(HEUN, P_CRIT), e1, e2)]
     pts = [e1 + t * (e2 - e1) for t in np.linspace(0.12, 0.88, 5)]
     samples = [(e, g_function_heun(P_CRIT, e)) for e in pts]
     for (ea, sa), (eb, sb) in zip(samples, samples[1:]):
@@ -142,10 +146,7 @@ def test_spectrum_matches_oracle_small_window(oracle_crit):
 def g_function_gauged_batch(p, energies, k):
     """G of p's exact lam = 0 parent mapped to zeta and gauged by exp(k zeta),
     k in place of the heun route's -2 (g / omega)^2."""
-    def reduction_of(q):
-        return Reduction.from_probes(
-            "heun", lambda e: map_to_zeta(asymmetric_second_order(q, e), k))
-    return g_function_batch(reduction_of, p, energies)
+    return g_function_batch(dataclasses.replace(HEUN, gauge=lambda _p: k), p, energies)
 
 
 def assert_each_gauge_changes_sign_at_each_regular_root(p, res):
@@ -211,13 +212,13 @@ P_BCF = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 #: G-function); heun-plus gauges P_CRIT by k = +2 q^2 instead of the route's
 #: -2 q^2
 ROUTES = {
-    "heun-minus": (lambda e: PolyOde(heun_zeta_form(P_CRIT, e)),
+    "heun-minus": (lambda e: PolyOde(zeta_form(HEUN, P_CRIT, e)),
                    lambda es: g_function_heun_batch(P_CRIT, es)),
     "heun-plus": (lambda e: PolyOde(map_to_zeta(asymmetric_second_order(P_CRIT, e),
                                                 2 * 0.36)),
                   lambda es: g_function_gauged_batch(P_CRIT, es, 2 * 0.36)),
-    "bcf": (lambda e: PolyOde(bcf.bcf_zeta_form(P_BCF, e)),
-            lambda es: bcf.g_function_bcf_batch(P_BCF, es)),
+    "bcf": (lambda e: PolyOde(zeta_form(BCF, P_BCF, e)),
+            lambda es: g_function_bcf_batch(P_BCF, es)),
 }
 
 
@@ -293,7 +294,7 @@ def test_double_pole_the_merge_misses_is_still_sampled():
     # guard
     p = P_UNMERGED
     for lo in (2.2, 3.2):
-        (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(heun_reduction(p), lo, lo + 0.1)
+        (e0, _s0, _m0), (e1, _s1, _m1) = resonance_ladder(reduction(HEUN, p), lo, lo + 0.1)
         assert 0.0 < e1 - e0 < 1e-14 and not same_energy(e0, e1)
     res = heun_spectrum(p, -1.0, 4.0, 0.05)
     ev = fock.eigenvalues(p, 200)
@@ -319,7 +320,7 @@ def test_caught_knot_takes_the_lane_above(monkeypatch):
 
     monkeypatch.setattr(twopoint, "scan_and_refine", recording)
     heun_spectrum(p, -1.0, 4.0, 0.05)
-    red = heun_reduction(p)
+    red = reduction(HEUN, p)
     ladder = np.array([e for e, _s, _m in resonance_ladder(red, -1.0, 4.0)])
     knots = ladder[ladder > 2.0]
     es, g = grid_calls[0]

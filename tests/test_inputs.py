@@ -15,12 +15,14 @@ from rabi_spectra import (
     RootScanConfig,
     bcf_spectrum,
     build_hamiltonian,
+    fock,
     g_function_bcf,
     g_function_bcf_batch,
     g_function_heun,
     g_function_heun_batch,
     heun_spectrum,
     oracle_spectrum,
+    twopoint,
     uncoupled_spectrum,
     validate_params,
 )
@@ -29,11 +31,13 @@ from rabi_spectra.cli import main
 from rabi_spectra.errors import RabiSpectraError, ValidationError
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
+from rabi_spectra.twopoint import zeta_form
 
 P2 = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
 P3 = validate_params(1.0, 0.3, 0.0, 0.05, 0.02)
 #: delta = 0: heun returns the closed form
 DELTA0 = validate_params(1.0, 0.0, 0.1, 0.4, 0.0)
+HEUN = twopoint.ROUTES["heun"]
 VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
 
 
@@ -62,15 +66,32 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: ModelParams("1", 0.4, 0.15, 0.6, 0),
     lambda: ModelParams(None, 0.4, 0.15, 0.6, 0),
     lambda: ModelParams(1, 0.4, 0.15, np.array([0.6]), 0),
+    # the cached entry points read their settings before the cache
+    lambda: fock.eigenvalues(P2, "40"),
+    lambda: fock.eigenvalues(P2, 40, "3"),
+    lambda: zeta_form(HEUN, P2, "0.3"),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
         "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
         "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
         "oracle-cutoff20.5", "uncoupled-n_max0.5", "oracle-cutoff-str", "oracle-k-none",
         "uncoupled-n_max-str", "config-e_min-str", "heun-e_min-str", "bcf-e_min-none",
-        "params-omega-str", "params-omega-none", "params-g-array"])
+        "params-omega-str", "params-omega-none", "params-g-array",
+        "eigenvalues-cutoff-str", "eigenvalues-k-str", "zeta_form-energy-str"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("call, python_numbers", [
+    (lambda: fock.eigenvalues(P2, np.array(40)), lambda: fock.eigenvalues(P2, 40)),
+    (lambda: fock.eigenvalues(P2, 40, np.array(3)), lambda: fock.eigenvalues(P2, 40, 3)),
+    (lambda: zeta_form(HEUN, P2, np.array(0.3)),
+     lambda: zeta_form(HEUN, P2, 0.3)),
+], ids=["eigenvalues-cutoff", "eigenvalues-k", "zeta_form-energy"])
+def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):
+    # the array is read as its value before the cache forms its key, so it
+    # hashes and shares the entry of the Python number
+    assert call() is python_numbers()
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.6])

@@ -299,13 +299,30 @@ def test_every_cache_is_bounded():
     bounds = set().union(*(cache_bounds(path) for path in sorted(SRC.glob("*.py"))))
     loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
     assert loose == set()
-    assert {b[:2] for b in bounds} >= {("fock", "eigenvalues"),
+    assert {b[:2] for b in bounds} >= {("fock", "_eigenvalues"),
                                         ("operators", "compose_fourth_order"),
                                         ("operators", "asymmetric_second_order"),
-                                        ("heun", "heun_zeta_form"),
-                                        ("bcf", "bcf_zeta_form"),
-                                        ("heun", "heun_reduction"),
-                                        ("bcf", "bcf_reduction")}
+                                        ("twopoint", "_zeta_form"),
+                                        ("twopoint", "reduction")}
+
+
+def test_the_route_modules_name_their_row_of_the_route_table():
+    """heun and bcf are rows of ``twopoint.ROUTES``: each module holds its
+    three public names, each a docstring and one statement, and neither
+    makes a cache or builds an equation, by the map to zeta or from a
+    parent."""
+    for name in ("heun", "bcf"):
+        defs = ast.parse((SRC / f"{name}.py").read_text()).body
+        assert top_level_names(SRC / f"{name}.py") == {
+            f"{name}_spectrum", f"g_function_{name}", f"g_function_{name}_batch"}
+        assert all(len(d.body) == 2 for d in defs if isinstance(d, ast.FunctionDef))
+    for name in ("heun.py", "bcf.py"):
+        assert cache_bounds(SRC / name) == set()
+        for builder in ("map_to_zeta", "asymmetric_second_order", "bcf_truncated_parent",
+                        "parent"):
+            assert calls_of(SRC / name, builder) == [], (name, builder)
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if calls_of(path, "map_to_zeta")] == ["twopoint.py"]
 
 
 def test_no_module_imports_inspect():

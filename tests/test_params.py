@@ -12,8 +12,8 @@ from rabi_spectra import (
 )
 from rabi_spectra.canonical import normalize_params, weber_params
 from rabi_spectra.errors import ValidationError
-from rabi_spectra.heun import heun_zeta_form
 from rabi_spectra.params import VANISHING_TOL
+from rabi_spectra.twopoint import ROUTES, zeta_form
 
 
 def test_validate_ok():
@@ -85,9 +85,10 @@ def test_one_vanishing_rule_for_routing_and_routes(omega):
         uncoupled_spectrum(validate_params(omega, large, 0.0, 0.3 * omega, 0.0), 2)
     p = validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, small)
     assert classify_regime(p) is RegimeTag.ASYMMETRIC
-    heun_zeta_form(p, 0.0)
+    zeta_form(ROUTES["heun"], p, 0.0)
     with pytest.raises(ValidationError, match="heun route needs lambda = 0"):
-        heun_zeta_form(validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, large), 0.0)
+        zeta_form(ROUTES["heun"],
+                  validate_params(omega, 0.4 * omega, 0.0, 0.6 * omega, large), 0.0)
     for route in (heun_spectrum, bcf_spectrum):
         closed = route(validate_params(omega, small, 0.0, 0.6 * omega, small),
                        -omega, 2 * omega, 0.05 * omega)

@@ -19,15 +19,15 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.audit import bcf_symbols, che_symbols
-from rabi_spectra.bcf import bcf_reduction, bcf_zeta_form
 from rabi_spectra.errors import NumericalError, ValidationError
-from rabi_spectra.heun import heun_reduction, heun_zeta_form
 from rabi_spectra.params import in_units_of_omega
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.series import PolyOde, ode_to_recurrence
-from rabi_spectra.twopoint import resonance_ladder
+from rabi_spectra.twopoint import ROUTES, reduction, resonance_ladder, zeta_form
 from test_heun import assert_each_gauge_changes_sign_at_each_regular_root
 from test_kernels import reference_series
+
+HEUN, BCF = ROUTES["heun"], ROUTES["bcf"]
 
 #: (route, params, window) -> labels, or the error the route raises; the
 #: assembly decides these (exceptional tests), and at delta = 0 the
@@ -84,8 +84,7 @@ def test_delta0_window_is_the_oracle_spectrum(case, monkeypatch):
     def refuse(*args):
         raise AssertionError("a reduction was built")
 
-    monkeypatch.setattr(heun, "heun_reduction", refuse)
-    monkeypatch.setattr(bcf, "bcf_reduction", refuse)
+    monkeypatch.setattr(twopoint, "reduction", refuse)
     route, params, (e_min, e_max) = DELTA0[case]
     p = validate_params(*params)
     res = route(p, e_min, e_max, 0.05)
@@ -104,31 +103,31 @@ def test_delta0_window_is_the_oracle_spectrum(case, monkeypatch):
 def che_index(p, e, side):
     """The resonant index of a confluent Heun series: -beta - 1 at zeta = 0
     and -gamma at zeta = 1."""
-    sym = che_symbols(heun_zeta_form(p, e))
+    sym = che_symbols(zeta_form(HEUN, p, e))
     return -sym["beta"] - 1.0 if side == "origin" else -sym["gamma"]
 
 
 def bcf_index(p, e, side):
     """The resonant index of a reduced-equation series: beta2 at zeta = 0
     and beta1 at zeta = 1."""
-    sym = bcf_symbols(bcf_zeta_form(p, e))
+    sym = bcf_symbols(zeta_form(BCF, p, e))
     return sym["beta2"] if side == "origin" else sym["beta1"]
 
 
-#: route -> (reduction, params, scalar resonant index at (energy, side)); a
+#: case -> (route, params, scalar resonant index at (energy, side)); a
 #: reduction works in units of omega, so the window [-1, 4] is divided by it
 INDEX = {
-    "heun": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), che_index),
-    "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0), che_index),
-    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1), bcf_index),
+    "heun": (HEUN, (1.0, 0.4, 0.15, 0.6, 0.0), che_index),
+    "heun-g<0": (HEUN, (1.3, 0.2, -0.1, -0.5, 0.0), che_index),
+    "bcf": (BCF, (1.0, 0.3, 0.1, 0.2, 0.1), bcf_index),
 }
 
 
-@pytest.mark.parametrize("route", sorted(INDEX))
-def test_ladder_hits_the_scalar_resonant_index(route):
-    reduction, params, index = INDEX[route]
+@pytest.mark.parametrize("case", sorted(INDEX))
+def test_ladder_hits_the_scalar_resonant_index(case):
+    route, params, index = INDEX[case]
     q, lo, hi = in_units_of_omega(validate_params(*params), -1.0, 4.0)
-    ladder = resonance_ladder(reduction(q), lo, hi)
+    ladder = resonance_ladder(reduction(route, q), lo, hi)
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
     for e, side, m in ladder:
         assert index(q, e, side) == pytest.approx(m, abs=1e-9)
@@ -138,23 +137,23 @@ def test_ladder_hits_the_scalar_resonant_index(route):
 #: the bcf route, so every probe drops that coefficient.  A reduction works
 #: in units of omega.
 FITTED = {
-    "heun-P2": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0)),
-    "heun-g<0": (heun_reduction, (1.3, 0.2, -0.1, -0.5, 0.0)),
-    "bcf-P3": (bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02)),
-    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1)),
+    "heun-P2": (HEUN, (1.0, 0.4, 0.15, 0.6, 0.0)),
+    "heun-g<0": (HEUN, (1.3, 0.2, -0.1, -0.5, 0.0)),
+    "bcf-P3": (BCF, (1.0, 0.3, 0.0, 0.05, 0.02)),
+    "bcf": (BCF, (1.0, 0.3, 0.1, 0.2, 0.1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FITTED))
 def test_fitted_weights_are_the_derived_recurrence(case):
     # the equation is quadratic in E, so three probes pin its weights anywhere
-    reduction, params = FITTED[case]
+    route, params = FITTED[case]
     (q,) = in_units_of_omega(validate_params(*params))
-    red = reduction(q)
+    red = reduction(route, q)
     for e in (-3.0, 2.5, 7.0):
         fitted = red.lane_weights(np.array([e]))
         for side, z0 in enumerate((0.0, 1.0)):
-            ref = ode_to_recurrence(PolyOde(red.ode_at(e), z0=z0)).weights
+            ref = ode_to_recurrence(PolyOde(zeta_form(route, q, e), z0=z0)).weights
             assert fitted[side].shape == ref.shape
             assert np.max(np.abs(fitted[side] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -179,9 +178,9 @@ def determinants(monkeypatch):
 #: the evaluation caps are what the secant refiner took, and below them what
 #: per-bracket bisection took.  The bracketing refiner takes 5 and 4 calls
 ROUNDS = {
-    "heun-P2": (heun_spectrum, heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0),
+    "heun-P2": (heun_spectrum, HEUN, (1.0, 0.4, 0.15, 0.6, 0.0),
                 (-1.0, 4.0), 5, (244, 417)),
-    "bcf-P3": (bcf_spectrum, bcf_reduction, (1.0, 0.3, 0.0, 0.05, 0.02),
+    "bcf-P3": (bcf_spectrum, BCF, (1.0, 0.3, 0.0, 0.05, 0.02),
                (-1.0, 3.0), 4, (181, 303)),
 }
 
@@ -206,14 +205,14 @@ def assert_knots_ride_in_grid_call(calls, sector, ladder, omega):
 
 @pytest.mark.parametrize("case", sorted(ROUNDS))
 def test_determinant_calls_per_window(case, determinants):
-    route, reduction, params, (e_min, e_max), max_calls, max_evals = ROUNDS[case]
+    spectrum, route, params, (e_min, e_max), max_calls, max_evals = ROUNDS[case]
     p = validate_params(*params)
-    res = route(p, e_min, e_max, 0.05)
+    res = spectrum(p, e_min, e_max, 0.05)
     assert len(determinants) <= max_calls
     assert res.metadata["determinant_calls"] == len(determinants)
     assert all(res.report.n_evaluations <= cap for cap in max_evals)
     assert res.metadata["ladder"]
-    assert_knots_ride_in_grid_call(determinants, reduction(p),
+    assert_knots_ride_in_grid_call(determinants, reduction(route, p),
                                    res.metadata["ladder"], p.omega)
 
 
@@ -221,8 +220,8 @@ def test_determinant_calls_per_window(case, determinants):
 def test_lanes_are_the_evaluations_and_the_knot_signs(case, determinants):
     # every lane of a determinant call is an energy the scan asked for, or
     # one of the grid call's first-kind lanes that sign the knots
-    route, _reduction, params, (e_min, e_max), _calls, _evals = ROUNDS[case]
-    res = route(validate_params(*params), e_min, e_max, 0.05)
+    spectrum, _route, params, (e_min, e_max), _calls, _evals = ROUNDS[case]
+    res = spectrum(validate_params(*params), e_min, e_max, 0.05)
     knot_signs = np.any(determinants[0][2], axis=0).sum()
     assert knot_signs == len({e for e, _s, _m in res.metadata["ladder"]}) > 0
     assert sum(es.size for _red, es, _x in determinants) \
@@ -231,10 +230,9 @@ def test_lanes_are_the_evaluations_and_the_knot_signs(case, determinants):
 
 def test_a_heun_reduction_is_fitted_from_three_probes(monkeypatch):
     probes = []
-    zeta_form = heun.heun_zeta_form
-    monkeypatch.setattr(heun, "heun_zeta_form",
-                        lambda *args: probes.append(args[1:]) or zeta_form(*args))
-    heun.heun_reduction.cache_clear()
+    monkeypatch.setattr(twopoint, "zeta_form",
+                        lambda *args: probes.append(args[2:]) or zeta_form(*args))
+    twopoint.reduction.cache_clear()
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
     heun_spectrum(p, -1.0, 4.0, 0.05)
     # g_function_heun reaches the one kept reduction of p
@@ -361,7 +359,7 @@ def test_over_cap_grid_is_refused_before_any_determinant(route, params, monkeypa
 
 
 def test_near_singular_flag_marks_first_kind_lanes_only():
-    red = heun_reduction(validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
+    red = reduction(HEUN, validate_params(1.0, 0.4, 0.15, 0.6, 0.0))
     ladder = resonance_ladder(red, -1.0, 4.0)
     exponents = np.array([[0, 0] + [m + 1 if side == at else 0
                                     for _e, side, m in ladder]
@@ -373,25 +371,23 @@ def test_near_singular_flag_marks_first_kind_lanes_only():
         assert flagged == [zeta_star != 0.5] * 2 + [False] * len(ladder)
 
 
-#: reduction, params, window -> the ladder sides whose points are exceptional;
+#: route, params, window -> the ladder sides whose points are exceptional;
 #: together they cover both sides, accepted and rejected points and m >= 10.
 #: The heun routes return the closed form at delta = 0; these sectors are
 #: scanned here directly
 EXCEPTIONAL = {
-    "heun-delta0": (heun_reduction, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 15.0),
-                    {"origin"}),
-    "heun-delta0-mirror": (heun_reduction, (1.0, 0.0, -0.15, -0.6, 0.0),
-                           (-1.0, 15.0), {"one"}),
-    "heun-P2": (heun_reduction, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0), set()),
-    "bcf": (bcf_reduction, (1.0, 0.3, 0.1, 0.2, 0.1), (-1.0, 11.0), set()),
+    "heun-delta0": (HEUN, (1.0, 0.0, 0.15, 0.6, 0.0), (-1.0, 15.0), {"origin"}),
+    "heun-delta0-mirror": (HEUN, (1.0, 0.0, -0.15, -0.6, 0.0), (-1.0, 15.0), {"one"}),
+    "heun-P2": (HEUN, (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0), set()),
+    "bcf": (BCF, (1.0, 0.3, 0.1, 0.2, 0.1), (-1.0, 11.0), set()),
 }
 
 
-def _scalar_second_kind(red, energy, side, m):
-    """The second-kind Wronskian from one derived recurrence per series,
-    rolled by the scalar reference loop, the resonant side seeded on
-    z^(m+1), and whether the series converged."""
-    ode = red.ode_at(energy)
+def _scalar_second_kind(route, p, energy, side, m):
+    """The second-kind Wronskian from one derived recurrence per series of
+    ``route``'s equation for p, rolled by the scalar reference loop, the
+    resonant side seeded on z^(m+1), and whether the series converged."""
+    ode = zeta_form(route, p, energy)
     sums, kflags = [], 0
     for z0, at in ((0.0, "origin"), (1.0, "one")):
         ds, _slog, flags = reference_series(ode_to_recurrence(PolyOde(ode, z0=z0)),
@@ -406,8 +402,9 @@ def _scalar_second_kind(red, energy, side, m):
 
 @pytest.mark.parametrize("case", sorted(EXCEPTIONAL))
 def test_exceptional_lanes_match_the_scalar_chain(case):
-    reduction, params, (e_min, e_max), exceptional_sides = EXCEPTIONAL[case]
-    red = reduction(validate_params(*params))
+    route, params, (e_min, e_max), exceptional_sides = EXCEPTIONAL[case]
+    p = validate_params(*params)
+    red = reduction(route, p)
     ladder = resonance_ladder(red, e_min, e_max)
     assert {side for _e, side, _m in ladder} == {"origin", "one"}
     res = twopoint.spectrum(red, e_min, e_max)
@@ -418,7 +415,7 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
         np.array([[m + 1 if side == at else 0 for _e, side, m in ladder]
                   for at in ("origin", "one")]), 0.5)
     for (e, side, m), g_lane in zip(ladder, lanes):
-        g, converged = _scalar_second_kind(red, e, side, m)
+        g, converged = _scalar_second_kind(route, p, e, side, m)
         assert g_lane == pytest.approx(g, rel=0.0, abs=1e-10)
         # a ladder point whose second-kind Wronskian vanishes is a level,
         # and only such a point is labelled exceptional
@@ -442,8 +439,8 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
 
     monkeypatch.setattr(twopoint, "series_sums_lanes", zero_lane)
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.0)
-    red = heun_reduction(p)
-    samples = twopoint.g_function_batch(heun_reduction, p, np.linspace(-1.0, 4.0, 9), 0.5)
+    red = reduction(HEUN, p)
+    samples = twopoint.g_function_batch(HEUN, p, np.linspace(-1.0, 4.0, 9), 0.5)
     assert samples[3].flags == {"degenerate_series"} and not samples[3].ok
     assert all(s.ok for i, s in enumerate(samples) if i != 3)
 
