@@ -13,8 +13,8 @@ from .twopoint import ROUTES, g_function_batch, route_spectrum
 def g_function_bcf_batch(p: ModelParams, energies,
                          zeta_star: float = 0.5) -> list:
     """:func:`g_function_bcf` for an array of energies, one sample each.
-    Raises ValidationError unless |2*lambda| < omega, and NumericalError
-    where the reduction breaks down."""
+    Raises ValidationError unless |2*lambda| < omega and at q = 0, and
+    NumericalError where the reduction breaks down."""
     return g_function_batch(ROUTES["bcf"], p, energies, zeta_star)
 
 
@@ -31,9 +31,9 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
 
     Ladder points are knots of the grid.  Where delta vanishes the exact
     ladders of :func:`closed_window` are returned instead.  Where
-    |2*lambda| >= omega this raises ValidationError, and where the reduction
-    itself breaks down (q^2 < 0 or q = 0, for every energy alike)
-    NumericalError, as :func:`twopoint.map_to_zeta` does, the message naming
-    the rule or the breakdown.
+    |2*lambda| >= omega, or at q = 0 (g = lambda = 0), this raises
+    ValidationError, and where the reduction itself breaks down (q^2 < 0,
+    for every energy alike) NumericalError, as :func:`twopoint.map_to_zeta`
+    does, the message naming the rule or the breakdown.
     """
     return route_spectrum(ROUTES["bcf"], p, e_min, e_max, grid_step, zeta_star)

@@ -28,7 +28,8 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
 
     The determinant is scanned with its ladder points as knots; a root is
     'regular' or, at a ladder point, 'exceptional:<side>:<m>'.  Where delta
-    vanishes too, :func:`closed_window` is returned instead.  lam != 0 and a
-    bad window raise ValidationError, quoting the caller's numbers.
+    vanishes too, :func:`closed_window` is returned instead.  lam != 0, g = 0
+    (where the two singularities collide) and a bad window raise
+    ValidationError, quoting the caller's numbers.
     """
     return route_spectrum(ROUTES["heun"], p, e_min, e_max, grid_step, zeta_star)

@@ -4,10 +4,11 @@ The fourth-order operator and its monic coefficient table come from the
 composition with the full product rule; the lam = 0 and small-coupling
 reductions feed the heun and bcf routes.  The fourth-order composition
 and the lam = 0 parent are kept for the last few (parameters, energy)
-pairs, so the audits of one report share them.  The displays the
-derivation chapters print drop two product-rule terms; they are
-transcribed in :mod:`rabi_spectra.audit`, which compares them with what
-is derived here.
+pairs, so the audits of one report share them; each reads its energy as a
+Python float before its cache forms the key, so a 0-d array shares the
+entry of its value.  The displays the derivation chapters print drop two
+product-rule terms; they are transcribed in :mod:`rabi_spectra.audit`,
+which compares them with what is derived here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ValidationError
-from .params import ModelParams
+from .params import ModelParams, real
 from .polyops import compose_operators, padd, poly
 
 
@@ -28,10 +29,15 @@ def coupled_operator_polys(p: ModelParams, energy: float):
     return c1, c2, c1b, c2b
 
 
-@functools.lru_cache(maxsize=4)
 def compose_fourth_order(p: ModelParams, energy: float) -> tuple:
     """Fourth-order operator annihilating phi_1: Dbar o D + delta^2, as a
-    shared tuple of read-only coefficient arrays."""
+    shared tuple of read-only coefficient arrays; the energy is read by
+    :func:`params.real` first."""
+    return _compose_fourth_order(p, real("energy", energy))
+
+
+@functools.lru_cache(maxsize=4)
+def _compose_fourth_order(p: ModelParams, energy: float) -> tuple:
     c1, c2, c1b, c2b = coupled_operator_polys(p, energy)
     d_op = [c2, c1, poly([p.lam])]
     dbar_op = [c2b, c1b, poly([p.lam])]
@@ -61,14 +67,19 @@ def general_table(p: ModelParams, energy: float) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=4)
 def asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
     """Second-order operator for phi_1 at lam = 0 (first-order elimination),
-    as a shared tuple of read-only coefficient arrays.
+    as a shared tuple of read-only coefficient arrays; the energy is read by
+    :func:`params.real` first.
 
     Composition of the two first-order operators plus delta^2; exact, unlike
     the printed reduction which loses the (g - omega z)(eps - E + g z) term.
     """
+    return _asymmetric_second_order(p, real("energy", energy))
+
+
+@functools.lru_cache(maxsize=4)
+def _asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
     m_op = [poly([p.epsilon - energy, p.g]), poly([p.g, p.omega])]
     mbar_op = [poly([p.epsilon + energy, p.g]), poly([p.g, -p.omega])]
     out = compose_operators(mbar_op, m_op)

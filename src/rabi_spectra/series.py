@@ -13,9 +13,12 @@ energy.  :func:`series_sums_lanes` is the one entry to the kernel,
 ``_kernels.roll_lanes``: it sums a batch of recurrences of one shape, one
 lane per trial energy and expansion point, one call per leading lag whatever
 Frobenius branches the lanes are seeded on, and returns the kernel's
-derivative sums up to the ODE's order.  The routes read the value and first
-derivative from them, and :func:`ode_residual` inserts all of them into the
-ODE.  A lane's sums do not depend on the batch it is rolled in.
+derivative sums up to a derivative count, by default the ODE's order.  The
+two-point routes read only the value and first derivative, so they ask for
+one, and the convergence gate weighs each term by the growth of the first
+derivative's sum only; :func:`ode_residual` inserts every derivative up to
+the order into the ODE, so the audit keeps the default.  A lane's sums do not
+depend on the batch it is rolled in.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def ode_to_recurrence(ode: PolyOde) -> RecurrenceSpec:
     return RecurrenceSpec(weights=weights, order=s, j_lead=j_lead, z0=ode.z0)
 
 
-def series_sums_lanes(weights, x, exponent):
+def series_sums_lanes(weights, x, exponent, derivs=None):
     """Sum a batch of recurrences of one shape, one lane per trial energy and
     expansion point.
 
@@ -157,29 +160,45 @@ def series_sums_lanes(weights, x, exponent):
     themselves.  Lanes of one leading lag, mixed branches included, are
     rolled in one kernel call.
 
+    ``derivs`` (default: the order) is the highest derivative summed; the
+    kernel's convergence gate weighs each term by the growth of that sum,
+    so a caller that reads fewer derivatives asks for fewer and rolls fewer
+    terms.
+
     Returns (sums, scale_log, flags): sums[i, k] * exp(scale_log[i]) is
-    sum_n n(n-1)..(n-k+1) a_n x[i]^n for k = 0..order, so the k-th
+    sum_n n(n-1)..(n-k+1) a_n x[i]^n for k = 0..derivs, so the k-th
     derivative of lane i is sums[i, k] / x[i]^k on that scale.
     """
     order = weights.shape[2] - 1
+    derivs = order if derivs is None else derivs
     x = np.asarray(x, dtype=np.float64)
     if np.any(x == 0.0):
         raise ValueError("a series is summed away from its expansion point, "
                          "got an offset of 0")
     exponent = np.asarray(exponent, dtype=np.int64)
-    j_lead = np.argmax(np.any(weights != 0.0, axis=2), axis=1)
+    # the first lag with a nonzero weight: the first nonzero of the lane's
+    # flattened [lag, degree] weights, divided by the degrees per lag
+    n_lanes, n_lags, n_deg = weights.shape
+    j_lead = np.argmax((weights != 0.0).reshape(n_lanes, n_lags * n_deg), axis=1) // n_deg
 
-    sums = np.empty((x.size, order + 1))
+    def roll(j, weights, x, exponent):
+        n_seed = np.maximum(order - j, exponent + 1)
+        seeds = np.zeros((n_seed.size, n_seed.max(initial=0)))
+        seeds[np.arange(n_seed.size), exponent] = 1.0
+        sums, scale_log, _n, flags, _tail = _kernels.roll_lanes(
+            weights, j, order, seeds, n_seed, x, DEFAULT_MAX_N, DEFAULT_TAIL_TOL,
+            derivs)
+        return sums, scale_log, flags
+
+    if np.all(j_lead == j_lead[:1]):  # one leading lag, or no lane: no masks
+        return roll(int(j_lead.max(initial=0)), weights, x, exponent)
+    sums = np.empty((x.size, derivs + 1))
     scale_log = np.empty(x.shape)
     flags = np.empty(x.shape, dtype=np.int64)
     for j in np.unique(j_lead).tolist():
         sel = j_lead == j
-        n_seed = np.maximum(order - j, exponent[sel] + 1)
-        seeds = np.zeros((n_seed.size, n_seed.max()))
-        seeds[np.arange(n_seed.size), exponent[sel]] = 1.0
-        sums[sel], scale_log[sel], _n, flags[sel], _tail = _kernels.roll_lanes(
-            weights[sel], j, order, seeds, n_seed, x[sel], DEFAULT_MAX_N,
-            DEFAULT_TAIL_TOL)
+        sums[sel], scale_log[sel], flags[sel] = roll(j, weights[sel], x[sel],
+                                                     exponent[sel])
     return sums, scale_log, flags
 
 

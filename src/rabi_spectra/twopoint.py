@@ -57,15 +57,16 @@ def map_to_zeta(parent, k: float) -> tuple:
     a multiple of z^2 - q^2: z = q (2 zeta - 1) puts the singularities z = -q
     and q at zeta = 0 and 1, so P2 = zeta^2 - zeta, and y = exp(k zeta) w
     gauges the equation for w to (P0 + k P1 + k^2 P2, P1 + 2 k P2, P2).
-    Raises NumericalError where a coefficient is not finite, q = 0 or
-    q^2 < 0, the one breakdown rule of both routes."""
+    Raises ValidationError at q = 0, where the singularities collide (on
+    either route where g = lam = 0), and NumericalError where a coefficient
+    is not finite or q^2 < 0: the one breakdown rule of both routes."""
     p0, p1, p2 = (poly(c) for c in parent)
     if not all(np.all(np.isfinite(c)) for c in (p0, p1, p2)):
         raise NumericalError("non-finite ODE coefficient")
     lead = p2[-1]
     q2 = float(-p2[0] / lead)
     if q2 == 0.0:
-        raise NumericalError("q = 0: both couplings vanish")
+        raise ValidationError("q = 0: the two regular singularities collide")
     if q2 < 0.0:
         raise NumericalError(f"q^2 = {q2}: singularities leave the real axis")
     s = 2.0 * math.sqrt(q2)
@@ -90,11 +91,8 @@ class Route:
 
 
 def _exact_parent(p: ModelParams, energy: float) -> tuple:
-    """The exact lam = 0 parent; ValidationError where lam != 0, and at
-    g = 0, where its singularities collide."""
+    """The exact lam = 0 parent; ValidationError where lam != 0."""
     require_no_squeeze(p)
-    if p.g == 0.0:
-        raise ValidationError("the two regular singularities collide at g = 0")
     return asymmetric_second_order(p, energy)
 
 
@@ -197,17 +195,18 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     n = energies.size
     x = np.repeat([zeta_star, zeta_star - 1.0], n)
     sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies),
-                                           x, np.concatenate(exponents))
+                                           x, np.concatenate(exponents), 1)
     val, der = sums[:, 0], sums[:, 1] / x
     # v0 d1 and v1 d0 share the scale exp(s0 + s1), so the angle-normalized
     # G is the cross product of the two unit (value, derivative) vectors
-    v0, v1 = val[:n], val[n:]
-    d0, d1 = der[:n], der[n:]
-    n0, n1 = np.hypot(v0, d0), np.hypot(v1, d1)
-    degenerate = (n0 == 0.0) | (n1 == 0.0)
+    norm = np.hypot(val, der)
+    zero = norm == 0.0
+    degenerate = zero[:n] | zero[n:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(degenerate, 0.0, (v0 / n0) * (d1 / n1) - (v1 / n1) * (d0 / n0))
-        log_g = np.log(np.abs(g)) + np.log(n0) + np.log(n1) + slog[:n] + slog[n:]
+        u, w = val / norm, der / norm
+        g = np.where(degenerate, 0.0, u[:n] * w[n:] - u[n:] * w[:n])
+        log_norm = np.log(norm)
+        log_g = np.log(np.abs(g)) + log_norm[:n] + log_norm[n:] + slog[:n] + slog[n:]
     bits = kflags[:n] | kflags[n:] | np.where(degenerate, FLAG_DEGENERATE, 0)
     if min(zeta_star, 1.0 - zeta_star) < 0.02:
         bits = bits | np.where(exponents.any(axis=0), 0, FLAG_NEAR_SINGULAR)

@@ -191,7 +191,7 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
-    derivations = (operators.compose_fourth_order, operators.asymmetric_second_order,
+    derivations = (operators._compose_fourth_order, operators._asymmetric_second_order,
                    twopoint._zeta_form)
     for derive in derivations:
         derive.cache_clear()

@@ -176,15 +176,13 @@ def test_gscan_sign_changes_match_spectrum_roots(tmp_path, capsys):
 #: auto picks bcf, and lambda < 0 with a small g puts q^2 < 0
 COMPLEX_Q = ["--omega", "1", "--delta", "0.3", "--g", "0.01", "--lambda", "-0.1"]
 #: the message the bcf reduction raises for each breakdown
-BREAKDOWN = {"complex_singularity": "singularities leave the real axis",
-             "degenerate_q": "q = 0: both couplings vanish"}
+BREAKDOWN = {"complex_singularity": "singularities leave the real axis"}
 
 
 @pytest.mark.parametrize("args, reason", [
     (["spectrum", *COMPLEX_Q], "complex_singularity"),
-    # both couplings vanish, so q = 0
-    (["spectrum", "--method", "bcf", "--omega", "1", "--delta", "0.3", "--eps", "0.1"],
-     "degenerate_q"),
+    # the route named rather than picked
+    (["spectrum", "--method", "bcf", *COMPLEX_Q], "complex_singularity"),
     # gscan builds the reduction too
     (["gscan", *COMPLEX_Q], "singularities leave the real axis"),
 ])
@@ -193,6 +191,16 @@ def test_route_that_excludes_the_whole_window_exits_3(args, reason, capsys):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and err.startswith("numerical failure: ")
     assert BREAKDOWN.get(reason, reason) in err
+
+
+@pytest.mark.parametrize("method", ["heun", "bcf"])
+def test_colliding_singularities_exit_2_on_both_routes(method, capsys):
+    # g = lambda = 0 with delta != 0: q = 0 on either route, an input rule
+    code, out, err = run_cli(["spectrum", "--method", method, "--omega", "1",
+                              "--delta", "0.4", "--emin", "-1", "--emax", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "q = 0: the two regular singularities collide" in err
 
 
 def test_bcf_compare_oracle_error_column(capsys):

@@ -21,6 +21,7 @@ from rabi_spectra import (
     g_function_heun,
     g_function_heun_batch,
     heun_spectrum,
+    operators,
     oracle_spectrum,
     twopoint,
     uncoupled_spectrum,
@@ -70,13 +71,16 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: fock.eigenvalues(P2, "40"),
     lambda: fock.eigenvalues(P2, 40, "3"),
     lambda: zeta_form(HEUN, P2, "0.3"),
+    lambda: operators.compose_fourth_order(P3, "0.2"),
+    lambda: operators.asymmetric_second_order(P2, "0.2"),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
         "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
         "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
         "oracle-cutoff20.5", "uncoupled-n_max0.5", "oracle-cutoff-str", "oracle-k-none",
         "uncoupled-n_max-str", "config-e_min-str", "heun-e_min-str", "bcf-e_min-none",
         "params-omega-str", "params-omega-none", "params-g-array",
-        "eigenvalues-cutoff-str", "eigenvalues-k-str", "zeta_form-energy-str"])
+        "eigenvalues-cutoff-str", "eigenvalues-k-str", "zeta_form-energy-str",
+        "compose_fourth_order-energy-str", "asymmetric_second_order-energy-str"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
@@ -87,7 +91,12 @@ def test_bad_setting_raises_validation_error(call):
     (lambda: fock.eigenvalues(P2, 40, np.array(3)), lambda: fock.eigenvalues(P2, 40, 3)),
     (lambda: zeta_form(HEUN, P2, np.array(0.3)),
      lambda: zeta_form(HEUN, P2, 0.3)),
-], ids=["eigenvalues-cutoff", "eigenvalues-k", "zeta_form-energy"])
+    (lambda: operators.compose_fourth_order(P3, np.array(0.2)),
+     lambda: operators.compose_fourth_order(P3, 0.2)),
+    (lambda: operators.asymmetric_second_order(P2, np.array(0.2)),
+     lambda: operators.asymmetric_second_order(P2, 0.2)),
+], ids=["eigenvalues-cutoff", "eigenvalues-k", "zeta_form-energy",
+        "compose_fourth_order-energy", "asymmetric_second_order-energy"])
 def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):
     # the array is read as its value before the cache forms its key, so it
     # hashes and shares the entry of the Python number

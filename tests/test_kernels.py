@@ -2,6 +2,7 @@
 whatever the batch a lane is rolled in."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,16 +20,18 @@ from rabi_spectra.series import (
 )
 
 
-def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
+def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol, derivs=None):
     """The scalar reference rollout: roll the recurrence
-    sum L_j(m) a_{m+order-j} = 0 term by term and accumulate derivative
-    sums at x, one Python operation at a time.
+    sum L_j(m) a_{m+order-j} = 0 term by term and accumulate the derivative
+    sums k = 0..derivs (default: the order) at x, one Python operation at a
+    time.
 
-    Returns (deriv_mantissas[order+1], scale_log, n_used, flags, tail_rel).
+    Returns (deriv_mantissas[derivs+1], scale_log, n_used, flags, tail_rel).
 
     deriv[k] * exp(scale_log) = sum_n n(n-1)..(n-k+1) a_n x^n  (divide by x^k
     outside to get the k-th derivative).
     """
+    derivs = order if derivs is None else derivs
     n_lags = L.shape[0]
     n_deg = L.shape[1]
     q = order - j_lead  # equation-index offset: eq m determines a_{m+q}
@@ -36,7 +39,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
     span = n_lags - 1 - j_lead  # how many back terms the newest one needs
 
     window = np.zeros(span + 1)  # window[d] = b_{n-d}
-    ds = np.zeros(order + 1)
+    ds = np.zeros(derivs + 1)
     scale_log = 0.0
     flags = 0
     n_used = n_seed - 1
@@ -50,7 +53,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
             window[d] = window[d - 1]
         window[0] = b
         ffv = 1.0
-        for k in range(order + 1):
+        for k in range(derivs + 1):
             ds[k] += ffv * b
             ffv *= (j - k)
         xp *= x
@@ -97,18 +100,18 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
             window[d] = window[d - 1]
         window[0] = b_n
         ffv = 1.0
-        for k in range(order + 1):
+        for k in range(derivs + 1):
             ds[k] += ffv * b_n
             ffv *= (n - k)
         n_used = n
 
         # convergence: a full span of consecutive negligible terms, with the
-        # n^order amplification of the highest derivative accounted for
+        # n^derivs amplification of the highest derivative summed accounted for
         ref = abs(ds[0])
         if ref < 1.0:
             ref = 1.0
         amp = 1.0
-        for _ in range(order):
+        for _ in range(derivs):
             amp *= (n + 1.0)
         tail_rel = abs(b_n) * amp / ref
         if tail_tol > 0.0 and tail_rel <= tail_tol:
@@ -123,7 +126,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
             for d in range(span + 1):
                 if abs(window[d]) > big:
                     big = abs(window[d])
-            for k in range(order + 1):
+            for k in range(derivs + 1):
                 if abs(ds[k]) > big:
                     big = abs(ds[k])
             if big > 1e100 or (0.0 < big < 1e-100):
@@ -131,7 +134,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol):
                 lf = math.log(f)
                 for d in range(span + 1):
                     window[d] /= f
-                for k in range(order + 1):
+                for k in range(derivs + 1):
                     ds[k] /= f
                 scale_log += lf
 
@@ -196,17 +199,17 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
-def _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol):
+def _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs=None):
     """roll_lanes on the lanes (recs[i], xs[i], seeds[i, :n_seed[i]]), each
     checked bit for bit against the reference rollout."""
     out = _kernels.roll_lanes(np.stack([r.weights for r in recs]),
                               recs[0].j_lead, recs[0].order, seeds, n_seed,
-                              np.asarray(xs, dtype=float), max_n, tail_tol)
+                              np.asarray(xs, dtype=float), max_n, tail_tol, derivs)
     ds, slog, n_used, flags, tail = out
     for i, rec in enumerate(recs):
         ds_i, slog_i, n_i, flags_i, tail_i = reference_roll(
             rec.weights, rec.j_lead, rec.order, seeds[i, :n_seed[i]], xs[i],
-            max_n, tail_tol)
+            max_n, tail_tol, derivs)
         assert _bits(ds[i]) == _bits(ds_i)
         assert _bits([slog[i], tail[i]]) == _bits([slog_i, tail_i])
         assert (n_used[i], flags[i]) == (n_i, flags_i)
@@ -214,13 +217,13 @@ def _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol):
 
 
 def _roll_lanes_matching_roll(exponents, max_n, tail_tol,
-                              lanes=range(len(LANES)), pads=0):
+                              lanes=range(len(LANES)), pads=0, derivs=None):
     """roll_lanes on the chosen order-2 lanes, each checked bit for bit
     against the reference rollout on its own seed vector."""
     lanes = list(lanes)
     seeds, n_seed = _seed_rows(exponents, pads)
     return _matching_reference([RECS[k] for k in lanes], XS[lanes], seeds,
-                               n_seed, max_n, tail_tol)
+                               n_seed, max_n, tail_tol, derivs)
 
 
 def test_lane_kernel_matches_scalar_roll_per_lane():
@@ -292,6 +295,53 @@ def test_lane_kernel_random_seed_mixes_match_scalar_roll(picks, max_n, tail_tol)
     _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(RECS) - 1), st.integers(0, 55),
+                          st.integers(0, 5)), min_size=1, max_size=8),
+       st.sampled_from([60, 120, 200]), st.sampled_from([1e-14, 0.0]),
+       st.integers(0, 1))
+def test_lane_kernel_with_fewer_derivatives_matches_scalar_roll(picks, max_n, tail_tol,
+                                                                 derivs):
+    # fewer sums than the order: the gate weighs each term by (n+1)^derivs
+    lanes, exponents, pads = zip(*picks)
+    ds = _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads, derivs)[0]
+    assert ds.shape == (len(lanes), derivs + 1)
+
+
+def test_fewer_derivatives_stop_sooner_on_the_same_sums():
+    # the value and slope sums of the default roll, read from a shorter gate:
+    # each lane stops no later, and some lane stops sooner
+    full = _roll_lanes_matching_roll([0] * len(LANES), 200, 1e-14)
+    short = _roll_lanes_matching_roll([0] * len(LANES), 200, 1e-14, derivs=1)
+    assert np.all(short[2] <= full[2]) and np.any(short[2] < full[2])
+    converged = (full[3] & _kernels.FLAG_NONCONVERGED) == 0
+    np.testing.assert_allclose((short[0] * np.exp(short[1])[:, None])[converged],
+                               (full[0][:, :2] * np.exp(full[1])[:, None])[converged],
+                               rtol=1e-13, atol=0.0)
+
+
+def _with_last_lag(rec, w):
+    """rec with its unweighed last lag given the weight polynomial w."""
+    weights = rec.weights.copy()
+    weights[-1] = w
+    return replace(rec, weights=weights)
+
+
+def test_lane_kernel_skips_only_lags_no_lane_weighs():
+    # every order-2 lane leaves its last lag unweighed, and _che_shaped with
+    # a = mu = nu = 0 leaves two: the kernel skips them in each term's sum
+    # but keeps them in the window and the gate's span
+    two_term = ode_to_recurrence(_che_shaped(0.0, 0.2, -0.4, 0.0, 0.0))
+    assert not two_term.weights[3:].any() and two_term.weights[2].any()
+    weighed = _with_last_lag(RECS[0], [0.3, -0.1, 0.05])
+    for recs, xs in (([two_term, two_term], [0.37, -0.6]),
+                     ([RECS[0], weighed, RECS[5]], [0.37, 0.37, -0.6])):
+        seeds, n_seed = _seed_rows([0] * len(recs))
+        for derivs in (None, 1):
+            for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
+                _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs)
+
+
 # the residual audit's order-4 shape: nine lags, so the newest term takes a
 # sum of 8 (numpy sums 8 terms of one lane pairwise); the lanes at x = 0.7
 # and 1.5 roll on alone past index 50, where the lanes at 0.1 have stopped
@@ -308,6 +358,12 @@ def _order_four(lanes):
     seeds = np.zeros((len(lanes), 4))
     seeds[:, 0] = 1.0
     return list(recs), list(xs), seeds, np.full(len(lanes), 4)
+
+
+@pytest.mark.parametrize("derivs", [0, 1, 2, 3])
+def test_lane_kernel_matches_scalar_roll_at_order_four_with_fewer_derivatives(derivs):
+    for lanes in ([0], [0, 1, 2, 3, 4]):
+        _matching_reference(*_order_four(lanes), 200, 1e-14, derivs)
 
 
 def test_lane_kernel_matches_scalar_roll_at_order_four():

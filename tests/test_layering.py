@@ -2,7 +2,8 @@
 the audit's recurrence and residual checks or of the paper audit, and
 ``import rabi_spectra`` loads the solver only, and no scipy.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
-no module calls the one-lane ``_kernels.roll``.  The root scan is the layer
+no module calls the one-lane ``_kernels.roll``; only ``twopoint`` asks it
+for fewer derivative sums than the order.  The root scan is the layer
 below the routes: it imports none of them and takes no callback from them.
 A route passes its gauge to the one equation builder as a number, so no
 module names a gauge branch, and no module on the import path splits a
@@ -177,6 +178,45 @@ def test_kummer_and_every_residual_row_reach_the_kernel(monkeypatch):
     assert per_row == [1] * len(rows)
 
 
+def series_calls(path: Path) -> list:
+    """(line, passes a derivative count) of each ``series_sums_lanes`` call
+    of a module: a fourth positional argument or a ``derivs`` keyword."""
+    return [(node.lineno, len(node.args) > 3 or any(kw.arg == "derivs" for kw in node.keywords))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "series_sums_lanes"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "series_sums_lanes")]
+
+
+def test_only_the_routes_pass_a_derivative_count():
+    """The determinant reads the value and slope only, so ``twopoint`` asks
+    for one derivative; the audit and the Kummer lanes insert every
+    derivative up to the order into their equation and keep the default,
+    so none of them reads a sum the convergence gate did not weigh."""
+    calls = {path.name: series_calls(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, found in calls.items() if any(p for _l, p in found)} \
+        == {"twopoint.py"}
+    for name in ("audit.py", "canonical.py"):
+        assert calls[name] and not any(p for _l, p in calls[name])
+
+
+def test_the_audit_rolls_every_derivative_up_to_the_order(monkeypatch):
+    from rabi_spectra import _kernels, audit, canonical
+
+    counts = []
+    roll_lanes = _kernels.roll_lanes
+
+    def counted(L, j_lead, order, *args):
+        counts.append((order, args[-1]))
+        return roll_lanes(L, j_lead, order, *args)
+
+    monkeypatch.setattr(_kernels, "roll_lanes", counted)
+    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    audit._residual_rows.__wrapped__(1, 7, False)
+    assert counts and all(derivs == order for order, derivs in counts)
+
+
 def test_rootscan_imports_no_layer_above_it():
     """The refiner stays route-agnostic: it imports no route, and a route
     hands ``scan_and_refine`` only the scanned function and the window."""
@@ -300,8 +340,8 @@ def test_every_cache_is_bounded():
     loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
     assert loose == set()
     assert {b[:2] for b in bounds} >= {("fock", "_eigenvalues"),
-                                        ("operators", "compose_fourth_order"),
-                                        ("operators", "asymmetric_second_order"),
+                                        ("operators", "_compose_fourth_order"),
+                                        ("operators", "_asymmetric_second_order"),
                                         ("twopoint", "_zeta_form"),
                                         ("twopoint", "reduction")}
 

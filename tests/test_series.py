@@ -129,3 +129,23 @@ def test_span_matches_order_plus_degree():
     ode = PolyOde(((1.0, 0.0, 3.0), (0.5,), (1.0, 2.0)), z0=0.0)
     rec = ode_to_recurrence(ode)
     assert rec.weights.shape[0] == 2 + 2 + 1
+
+
+def test_a_batch_of_two_leading_lags_gives_each_lane_its_own_sums():
+    # e^z (leading lag 0, padded with unweighed lags) beside a Bessel-type
+    # series (leading lag 2): one kernel call per lag, each lane's sums those
+    # it gets alone, for every derivative count
+    exp_w = np.zeros((5, 3))
+    exp_w[:3] = ode_to_recurrence(exp_ode()).weights
+    bessel = ode_to_recurrence(PolyOde(((0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 1.0)),
+                                       z0=0.0)).weights
+    weights, x, exponent = np.stack([exp_w, bessel, exp_w]), [0.5, 0.3, -0.4], [0, 0, 1]
+    for derivs in (None, 0, 1):
+        whole = series_sums_lanes(weights, x, exponent, derivs)
+        assert whole[0].shape == (3, 3 if derivs is None else derivs + 1)
+        for i in range(3):
+            alone = series_sums_lanes(weights[i:i + 1], x[i:i + 1], exponent[i:i + 1], derivs)
+            for a, b in zip(alone, whole):
+                assert a[0].tobytes() == b[i].tobytes()
+    empty = series_sums_lanes(np.zeros((0, 5, 3)), [], [], 1)
+    assert [a.shape for a in empty] == [(0, 2), (0,), (0,)]

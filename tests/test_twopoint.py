@@ -19,7 +19,7 @@ from rabi_spectra import (
     validate_params,
 )
 from rabi_spectra.audit import bcf_symbols, che_symbols
-from rabi_spectra.errors import NumericalError, ValidationError
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.params import in_units_of_omega
 from rabi_spectra.rootscan import FLAG_SETS
 from rabi_spectra.series import PolyOde, ode_to_recurrence
@@ -42,10 +42,19 @@ LABELS = {
     "heun-delta0-eps0": (heun_spectrum, (1.0, 0.0, 0.0, 0.6, 0.0), (-1.0, 2.0),
                          ("closed:+:0", "closed:-:0", "closed:+:1", "closed:-:1",
                           "closed:+:2", "closed:-:2")),
-    # both couplings vanish, so q = 0 and the reduction breaks down
+    # both couplings vanish, so q = 0: the singularities collide, an input
+    # outside the route's domain
     "bcf-degenerate": (bcf_spectrum, (1.0, 0.3, 0.1, 0.0, 0.0), (-1.0, 2.0),
-                       (NumericalError, "q = 0: both couplings vanish")),
+                       (ValidationError, "q = 0: the two regular singularities collide")),
 }
+
+
+@pytest.mark.parametrize("spectrum", [heun_spectrum, bcf_spectrum], ids=["heun", "bcf"])
+def test_both_routes_refuse_colliding_singularities(spectrum):
+    # g = lambda = 0 with delta != 0 puts q = 0 on either route: one input
+    # rule, one error kind
+    with pytest.raises(ValidationError, match="q = 0: the two regular singularities collide"):
+        spectrum(validate_params(1.0, 0.4, 0.1, 0.0, 0.0), -1.0, 1.0, 0.05)
 
 
 @pytest.mark.parametrize("case", sorted(LABELS))
@@ -156,6 +165,35 @@ def test_fitted_weights_are_the_derived_recurrence(case):
             ref = ode_to_recurrence(PolyOde(zeta_form(route, q, e), z0=z0)).weights
             assert fitted[side].shape == ref.shape
             assert np.max(np.abs(fitted[side] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+#: the acceptance windows, scanned on the grid of step 0.05
+GRIDS = {"heun-P2": (HEUN, (1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0),
+         "bcf-P3": (BCF, (1.0, 0.3, 0.0, 0.05, 0.02), -1.0, 3.0)}
+
+
+@pytest.mark.parametrize("case", sorted(GRIDS))
+def test_the_route_loses_nothing_to_the_shorter_gate(case, monkeypatch):
+    # the determinant reads the value and slope sums only, so it asks for one
+    # derivative and the gate weighs terms by n, not n^2: the two sums agree
+    # with the default roll's, and so do the samples
+    route, params, e_min, e_max = GRIDS[case]
+    p = validate_params(*params)
+    (q,) = in_units_of_omega(p)
+    energies = np.arange(e_min, e_max + 1e-9, 0.05)
+    x = np.repeat([0.5, -0.5], energies.size)
+    args = (reduction(route, q).lane_weights(energies), x, np.zeros(x.size, int))
+    (full, full_log, full_flags), (short, short_log, short_flags) = (
+        twopoint.series_sums_lanes(*args), twopoint.series_sums_lanes(*args, 1))
+    assert short.shape == (x.size, 2) and np.array_equal(short_flags, full_flags)
+    np.testing.assert_allclose(short * np.exp(short_log)[:, None],
+                               full[:, :2] * np.exp(full_log)[:, None], rtol=1e-13, atol=0.0)
+    samples = twopoint.g_function_batch(route, p, energies)
+    sums = twopoint.series_sums_lanes
+    monkeypatch.setattr(twopoint, "series_sums_lanes",
+                        lambda weights, x, exponent, derivs: sums(weights, x, exponent))
+    for a, b in zip(samples, twopoint.g_function_batch(route, p, energies), strict=True):
+        assert abs(a.g_value - b.g_value) <= 1e-12 and a.flags == b.flags
 
 
 @pytest.fixture
@@ -431,8 +469,8 @@ def test_exceptional_lanes_match_the_scalar_chain(case):
 def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
     sums = twopoint.series_sums_lanes
 
-    def zero_lane(weights, x, exponent):
-        out, scale_log, flags = sums(weights, x, exponent)
+    def zero_lane(weights, x, exponent, derivs=None):
+        out, scale_log, flags = sums(weights, x, exponent, derivs)
         if out.shape[0] >= 8:  # the zeta = 0 series of the fourth energy
             out[3, :2] = 0.0
         return out, scale_log, flags
