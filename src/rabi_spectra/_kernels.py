@@ -17,9 +17,8 @@ benchmark's hook table (``perfbench/tracing.py``) names it.
 Lanes roll b_n = a_n * x^n directly, so no explicit powers of x are formed; a
 per-lane scale factor (log) is renormalized periodically to keep all
 mantissas inside double range even for strongly growing coefficient windows.
-A lag that no lane of the batch weighs (the confluent Heun reduction's last
-one) stays in the window and the gate's span but is left out of each term's
-sum, where it could add only signed zeros.
+The kernel weighs every lag it is given: ``series`` sizes each recurrence to
+the lags it weighs, and hands over lanes of one leading lag.
 """
 
 from __future__ import annotations
@@ -111,13 +110,6 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
     derivs = order if derivs is None else derivs
     n_lanes, n_lags, n_deg = L.shape
     span = n_lags - 1 - j_lead
-    # the lags past the last one any lane weighs add only signed zeros (while
-    # the window is finite) to a term sum that starts from 0.0, which leave
-    # it as it is: they keep their place in the window and the gate's span,
-    # but are not weighed
-    used = span
-    while used and not L[:, j_lead + used].any():
-        used -= 1
     ns = ()  # index rows of the factor tables, taken as the blocks reach them
     x = np.asarray(x, dtype=np.float64)
     xp = np.ones((seeds.shape[1], n_lanes))
@@ -126,15 +118,15 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
            np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes, dtype=np.int64),
            np.zeros(n_lanes))
     # live-lane state, lane axis last: window[d] = b_{n-d}, the seed terms
-    # seeds[i, j] x^j, the weights of lags j_lead .. j_lead + used as
+    # seeds[i, j] x^j, the weights of lags j_lead .. n_lags - 1 as
     # [d, lag, lane] and -x^d, the factor of lag j_lead + d (summed from 0.0,
     # the products then give the reference rollout's rhs bit for bit)
     state = [np.arange(n_lanes), np.zeros((span + 1, n_lanes)),
              np.zeros((derivs + 1, n_lanes)), np.zeros(n_lanes),
              np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes, dtype=np.int64),
              np.zeros(n_lanes), seeds.T * np.cumprod(xp, axis=0),
-             np.ascontiguousarray(L[:, j_lead:j_lead + used + 1].transpose(2, 1, 0)),
-             -np.cumprod(np.ones((used, 1)) * x, axis=0),
+             np.ascontiguousarray(L[:, j_lead:].transpose(2, 1, 0)),
+             -np.cumprod(np.ones((span, 1)) * x, axis=0),
              np.asarray(n_seed, dtype=np.int64)]
     hit = np.zeros(n_lanes, dtype=bool)
     n0, stride = 0, max_n + 1
@@ -179,10 +171,10 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
             # term n0 + i goes to row nb - 1 - i, above the carried window
             h = np.empty((nb + span + 1, lanes.size))
             h[nb:] = window
-            t = np.empty((used, lanes.size))
+            t = np.empty((span, lanes.size))
             for i in range(nb):
                 r = nb - 1 - i
-                np.multiply(wx[i], h[r + 1:r + 1 + used], out=t)
+                np.multiply(wx[i], h[r + 1:r + 1 + span], out=t)
                 rhs = np.add.reduce(t, axis=0, initial=0.0, out=h[r])
                 if res_at[i]:
                     ok = np.abs(rhs) <= _COMPAT_TOL * (

@@ -17,11 +17,11 @@ import math
 import numpy as np
 
 from . import canonical as canon
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .fock import dimension, oracle_spectrum
 from .operators import (asymmetric_second_order, bcf_truncated_parent,
                         compose_fourth_order, general_table)
-from .params import ModelParams, in_units_of_omega, vanishes
+from .params import ModelParams, in_units_of_omega, vanishes, whole
 from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 from .twopoint import ROUTES, zeta_form
@@ -659,8 +659,14 @@ def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False) -> l
     first; residuals must then blow past RESIDUAL_THRESHOLD (negative control).
     The suite draws its own parameters from ``seed``, so its rows do not
     depend on the model a report audits: they are computed once per
-    argument set, and each call gets its own copies.
+    argument set, and each call gets its own copies.  ``n_draws`` must be a
+    whole number >= 1 and ``seed`` one in [0, 2**32), else ValidationError.
     """
+    n_draws, seed = whole("n_draws", n_draws), whole("seed", seed)
+    if n_draws < 1:
+        raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
+    if not 0 <= seed < 2 ** 32:
+        raise ValidationError(f"seed must lie in [0, 2**32), got {seed}")
     return [dict(r) for r in _residual_rows(n_draws, seed, corrupt)]
 
 

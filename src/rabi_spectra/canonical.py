@@ -38,12 +38,6 @@ class NormalizedParams:
     g_bar: float
     e_bar: float
 
-    @property
-    def lam_bar(self) -> float:
-        """lam / lam: 1 by construction."""
-        return 1.0
-
-
 def normalize_params(p: ModelParams, energy: float) -> NormalizedParams:
     """Divide (omega, delta, epsilon, g, E) by lam.  Requires lam != 0."""
     if p.lam == 0.0:

@@ -68,14 +68,20 @@ def closed_window(p: ModelParams, method: str, e_min: float, e_max: float,
 
     A doublet appears once per branch, as 'closed:+:<n>' and 'closed:-:<n>'.
     The window is checked by :class:`RootScanConfig` and the level count by
-    :func:`uncoupled_spectrum`, both raising ValidationError; the report
-    holds no scan.
+    :func:`uncoupled_spectrum`, both raising ValidationError, the second
+    naming the window; the report holds no scan.
     """
     RootScanConfig(e_min, e_max, grid_step)
     lowest = uncoupled_spectrum(p, 0)
-    top = (e_max - min(b.energies[0] for b in lowest)) / lowest[0].spacing
-    levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}")
-                    for b in uncoupled_spectrum(p, np.ceil(max(top, 0.0)))
+    top = np.ceil(max((e_max - min(b.energies[0] for b in lowest)) / lowest[0].spacing, 0.0))
+    try:
+        branches = uncoupled_spectrum(p, top)
+    except ValidationError as err:
+        raise ValidationError(
+            f"the window [e_min, e_max] = [{e_min}, {e_max}] reaches {top:.0f} levels "
+            f"per branch above the lowest, and the closed form lists at most "
+            f"{MAX_GRID_POINTS}: lower e_max") from err
+    levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}") for b in branches
                     for n, e in enumerate(b.energies.tolist()) if e_min <= e <= e_max)
     return SpectrumResult(method, np.array([e for e, _lab in levels]),
                           tuple(lab for _e, lab in levels),

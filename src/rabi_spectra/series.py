@@ -6,19 +6,19 @@ recurrence whose weights are polynomials in the index.  This module derives
 that recurrence mechanically, rolls it with overflow-safe scaling, and checks
 truncated solutions by direct residual insertion.
 
-One collection of powers gives every recurrence's weights:
-:func:`ode_to_recurrence` adds the Frobenius test, and
+One collection of powers gives every recurrence's weights, sized to the
+lags they weigh: :func:`ode_to_recurrence` adds the Frobenius test, and
 :func:`recurrence_weights` is what the two-point reductions fit in the
 energy.  :func:`series_sums_lanes` is the one entry to the kernel,
-``_kernels.roll_lanes``: it sums a batch of recurrences of one shape, one
-lane per trial energy and expansion point, one call per leading lag whatever
-Frobenius branches the lanes are seeded on, and returns the kernel's
-derivative sums up to a derivative count, by default the ODE's order.  The
-two-point routes read only the value and first derivative, so they ask for
-one, and the convergence gate weighs each term by the growth of the first
-derivative's sum only; :func:`ode_residual` inserts every derivative up to
-the order into the ODE, so the audit keeps the default.  A lane's sums do not
-depend on the batch it is rolled in.
+``_kernels.roll_lanes``: it sums a batch of recurrences of one shape and one
+leading lag in one call, one lane per trial energy and expansion point,
+whatever Frobenius branches the lanes are seeded on, and returns the
+kernel's derivative sums up to a derivative count, by default the ODE's
+order.  The two-point routes read only the value and first derivative, so
+they ask for one, and the convergence gate weighs each term by the growth
+of the first derivative's sum only; :func:`ode_residual` inserts every
+derivative up to the order into the ODE, so the audit keeps the default.
+A lane's sums do not depend on the batch it is rolled in.
 """
 
 from __future__ import annotations
@@ -89,10 +89,12 @@ class RecurrenceSpec:
 
 def _collect_weights(polys) -> np.ndarray:
     """Recurrence weights [K + 1, order + 1] of coefficient arrays already
-    centred at the expansion point, K = order + longest length - 1; linear in
-    those coefficients."""
+    centred at the expansion point, linear in those coefficients.  K is the
+    farthest lag a coefficient reaches, max over k of order - k + len(p_k)
+    - 1, so a trimmed coefficient set weighs its last lag: this is the one
+    place a recurrence's span is decided."""
     s = len(polys) - 1
-    K = s + max(len(c) for c in polys) - 1
+    K = max(s - k + len(c) - 1 for k, c in enumerate(polys))
     weights = np.zeros((K + 1, s + 1))
     for k, c in enumerate(polys):
         for i, cki in enumerate(c):
@@ -157,8 +159,9 @@ def series_sums_lanes(weights, x, exponent, derivs=None):
     the Frobenius branch (z - z0)^exponent[i]: a_e = 1 and every coefficient
     below it 0.  Exponent 0 is the regular seed; a higher one is meaningful
     only at a resonant index, where the skipped equations hold by
-    themselves.  Lanes of one leading lag, mixed branches included, are
-    rolled in one kernel call.
+    themselves.  The lanes, mixed branches included, are rolled in one
+    kernel call, so they must share one leading lag: a ValueError refuses a
+    batch that mixes them.
 
     ``derivs`` (default: the order) is the highest derivative summed; the
     kernel's convergence gate weighs each term by the growth of that sum,
@@ -180,25 +183,15 @@ def series_sums_lanes(weights, x, exponent, derivs=None):
     # flattened [lag, degree] weights, divided by the degrees per lag
     n_lanes, n_lags, n_deg = weights.shape
     j_lead = np.argmax((weights != 0.0).reshape(n_lanes, n_lags * n_deg), axis=1) // n_deg
-
-    def roll(j, weights, x, exponent):
-        n_seed = np.maximum(order - j, exponent + 1)
-        seeds = np.zeros((n_seed.size, n_seed.max(initial=0)))
-        seeds[np.arange(n_seed.size), exponent] = 1.0
-        sums, scale_log, _n, flags, _tail = _kernels.roll_lanes(
-            weights, j, order, seeds, n_seed, x, DEFAULT_MAX_N, DEFAULT_TAIL_TOL,
-            derivs)
-        return sums, scale_log, flags
-
-    if np.all(j_lead == j_lead[:1]):  # one leading lag, or no lane: no masks
-        return roll(int(j_lead.max(initial=0)), weights, x, exponent)
-    sums = np.empty((x.size, derivs + 1))
-    scale_log = np.empty(x.shape)
-    flags = np.empty(x.shape, dtype=np.int64)
-    for j in np.unique(j_lead).tolist():
-        sel = j_lead == j
-        sums[sel], scale_log[sel], flags[sel] = roll(j, weights[sel], x[sel],
-                                                     exponent[sel])
+    if np.any(j_lead != j_lead[:1]):
+        raise ValueError("the lanes of one call share one leading lag, got "
+                         f"the lags {sorted(set(j_lead.tolist()))}")
+    j = int(j_lead.max(initial=0))
+    n_seed = np.maximum(order - j, exponent + 1)
+    seeds = np.zeros((n_lanes, n_seed.max(initial=0)))
+    seeds[np.arange(n_lanes), exponent] = 1.0
+    sums, scale_log, _n, flags, _tail = _kernels.roll_lanes(
+        weights, j, order, seeds, n_seed, x, DEFAULT_MAX_N, DEFAULT_TAIL_TOL, derivs)
     return sums, scale_log, flags
 
 

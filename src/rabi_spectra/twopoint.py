@@ -148,7 +148,9 @@ def reduction(route: Route, p: ModelParams) -> Reduction:
     the parent's p2 and k do not depend on E, so that the weights are of
     degree <= 2 in it.  A coefficient that vanishes at all three probes is
     dropped, as the derivation drops it at one energy (the probes must
-    agree on which coefficients vanish)."""
+    agree on which coefficients vanish, and so on the recurrence's shape:
+    its last lag is set by a coefficient whose length does not depend on
+    E, P0's top one on bcf and P1's on heun)."""
     odes = [zeta_form(route, p, e) for e in (-1.0, 0.0, 1.0)]
     wm, w0, wp = np.array([[recurrence_weights(polys, z0) for z0 in (0.0, 1.0)]
                            for polys in odes])

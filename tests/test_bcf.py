@@ -104,16 +104,16 @@ def test_local_series_satisfy_reduced_equation():
 
 
 def test_four_term_reduces_to_three_term_when_alpha1_gamma1_zero():
-    # coefficient-level identity: with alpha1 = gamma1 = 0 the lag-3 weights
-    # vanish identically and the remaining weights are the confluent-Heun ones
+    # coefficient-level identity: with alpha1 = gamma1 = 0 the lag-4 weights
+    # are gone and the remaining weights are the confluent-Heun ones: four
+    # lags, weighed from lag 1 to lag 3, a three-term recurrence
     p0, p1, p2 = zeta_form(BCF, P3, 0.1)
     assert bcf_symbols((p0, p1, p2))["alpha1"] == 0.0  # the parent's p1 is linear
     for z0 in (0.0, 1.0):
         rec = ode_to_recurrence(PolyOde((p0[:2], p1, p2), z0=z0))  # gamma1 = 0
-        last = rec.weights[4]
-        assert not np.any(np.abs(last) > 0)
+        assert rec.weights.shape[0] == 4
         used = np.flatnonzero(np.any(rec.weights != 0.0, axis=1))
-        assert used[-1] - used[0] + 1 == 3
+        assert list(used) == [1, 2, 3] and rec.j_lead == 1
 
 
 def test_g_small_at_oracle_eigenvalue():

@@ -85,8 +85,8 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
       "--nmax", "1000000000000"], "--nmax"),
     (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4",
       "--fock-cutoff", "100000"], "--fock-cutoff"),
-    # delta = 0: the closed-form ladder spacing is 1e-7, so [-1, 1] would
-    # need some 1e7 levels per branch
+    # delta = 0: the closed-form ladder spacing is 1e-7 and the lowest level
+    # near -2e13, so [-1, 1] would need some 2e20 levels per branch
     (["spectrum", "--method", "bcf", "--omega", "1", "--g", "0.3",
       "--lambda", "0.4999999999999975", "--emin", "-1", "--emax", "1"], "levels"),
     # closed and oracle do not read the window, but refuse a reversed one;
@@ -96,6 +96,10 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
     (["spectrum", "--method", "oracle", *BASE, "--emin", "2", "--emax", "1"], "--emax"),
     (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
       "--emin", "2", "--emax", "1"], "--emax"),
+    # delta = 0 on a window a million levels high: refused in terms of the
+    # window, where no --nmax was given
+    (["spectrum", "--method", "heun", "--omega", "1", "--g", "0.4",
+      "--emin", "-1", "--emax", "1e6", "--grid", "1000"], "--emax"),
 ])
 def test_bad_run_settings_exit_2_with_one_line(args, option, capsys):
     code, out, err = run_cli(args, capsys)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import oracle_spectrum, uncoupled_spectrum, validate_params
+from rabi_spectra import heun_spectrum, oracle_spectrum, uncoupled_spectrum, validate_params
 from rabi_spectra.canonical import (
     weber_params,
     weber_residual_exact,
@@ -11,6 +11,7 @@ from rabi_spectra.canonical import (
     weber_solutions,
 )
 from rabi_spectra.errors import ValidationError
+from rabi_spectra.params import ModelParams
 
 
 def test_bare_oscillator():
@@ -68,6 +69,16 @@ def test_exactness_vs_oracle_random_draws():
 def test_requires_delta_zero():
     with pytest.raises(ValidationError, match="closed-form route needs delta = 0"):
         uncoupled_spectrum(validate_params(1.0, 0.2, 0.0, 0.1, 0.0), 3)
+
+
+def test_a_window_past_the_level_cap_is_refused_naming_it():
+    # delta = 0 sends the determinant routes to the closed form, whose level
+    # cap the window [-1, 1e6] passes: the message names the window, not
+    # the closed form's own n_max
+    with pytest.raises(ValidationError, match=r"\[e_min, e_max\] = \[-1.0, 1000000.0\]"
+                       r".* levels") as err:
+        heun_spectrum(ModelParams(1.0, 0.0, 0.0, 0.4, 0.0), -1.0, 1e6, 1e3)
+    assert "n_max" not in str(err.value)
 
 
 def test_weber_quantization_values():

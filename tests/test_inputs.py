@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import (
     RootScanConfig,
+    audit,
     bcf_spectrum,
     build_hamiltonian,
     fock,
@@ -73,6 +74,13 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: zeta_form(HEUN, P2, "0.3"),
     lambda: operators.compose_fourth_order(P3, "0.2"),
     lambda: operators.asymmetric_second_order(P2, "0.2"),
+    # no draws would pass the residual gate without computing a row
+    lambda: audit.diagnose_report(P2, n_draws=0),
+    lambda: audit.residual_suite(n_draws=-3),
+    lambda: audit.residual_suite(n_draws=2.5),
+    lambda: audit.residual_suite(n_draws="3"),
+    lambda: audit.residual_suite(seed=-1),
+    lambda: audit.residual_suite(seed=2 ** 32),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
         "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
         "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
@@ -80,7 +88,10 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
         "uncoupled-n_max-str", "config-e_min-str", "heun-e_min-str", "bcf-e_min-none",
         "params-omega-str", "params-omega-none", "params-g-array",
         "eigenvalues-cutoff-str", "eigenvalues-k-str", "zeta_form-energy-str",
-        "compose_fourth_order-energy-str", "asymmetric_second_order-energy-str"])
+        "compose_fourth_order-energy-str", "asymmetric_second_order-energy-str",
+        "diagnose-n_draws0", "residual_suite-n_draws-3", "residual_suite-n_draws2.5",
+        "residual_suite-n_draws-str", "residual_suite-seed-1",
+        "residual_suite-seed2**32"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
@@ -101,6 +112,14 @@ def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):
     # the array is read as its value before the cache forms its key, so it
     # hashes and shares the entry of the Python number
     assert call() is python_numbers()
+
+
+def test_residual_suite_reads_its_counts_before_its_cache():
+    # a 0-d array and a whole float share the entry of the Python numbers
+    first = audit.residual_suite(n_draws=1, seed=12)
+    hits = audit._residual_rows.cache_info().hits
+    assert audit.residual_suite(n_draws=np.array(1), seed=12.0) == first
+    assert audit._residual_rows.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.6])

@@ -175,7 +175,7 @@ LANES = [
 ]
 # lanes that stop between the renormalization indices 50 and 100, where the
 # kernel sizes the second block from their tail decay: the first stops at
-# n = 87 inside its predicted block; the decay of the second slows down, so
+# n = 86 inside its predicted block; the decay of the second slows down, so
 # it is still live where its predicted block ends and rolls a further block
 LATE = [
     (_che_shaped(1.3, 0.2, -0.4, 0.5, 0.1), 0.7),
@@ -276,7 +276,7 @@ def test_lane_kernel_mixed_seeds_match_scalar_roll():
 
 
 def test_lane_kernel_late_stops_match_scalar_roll():
-    stops = {len(LANES): 87, len(LANES) + 1: 95}
+    stops = {len(LANES): 86, len(LANES) + 1: 94}
     for lanes in ([*stops], [*stops, 0, 5, 3], [0, 5, len(LANES) + 1]):
         for tail_tol in (1e-14, 0.0):
             _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
@@ -321,25 +321,32 @@ def test_fewer_derivatives_stop_sooner_on_the_same_sums():
 
 
 def _with_last_lag(rec, w):
-    """rec with its unweighed last lag given the weight polynomial w."""
+    """rec with its last lag given the weight polynomial w."""
     weights = rec.weights.copy()
     weights[-1] = w
     return replace(rec, weights=weights)
 
 
-def test_lane_kernel_skips_only_lags_no_lane_weighs():
-    # every order-2 lane leaves its last lag unweighed, and _che_shaped with
-    # a = mu = nu = 0 leaves two: the kernel skips them in each term's sum
-    # but keeps them in the window and the gate's span
+def _with_zero_lag(rec):
+    """rec with an all-zero lag appended by hand."""
+    return replace(rec, weights=np.concatenate((rec.weights, np.zeros((1, rec.order + 1)))))
+
+
+def test_lane_kernel_weighs_a_hand_built_zero_lag_like_any_other():
+    # a derived recurrence weighs its last lag, down to _che_shaped with
+    # a = mu = nu = 0, two terms on three lags; a zero lag appended by hand
+    # is weighed like any other lag and widens the gate's span, bit for bit
+    # with the reference
     two_term = ode_to_recurrence(_che_shaped(0.0, 0.2, -0.4, 0.0, 0.0))
-    assert not two_term.weights[3:].any() and two_term.weights[2].any()
+    assert two_term.weights.shape[0] == 3 and two_term.weights[-1].any()
     weighed = _with_last_lag(RECS[0], [0.3, -0.1, 0.05])
     for recs, xs in (([two_term, two_term], [0.37, -0.6]),
                      ([RECS[0], weighed, RECS[5]], [0.37, 0.37, -0.6])):
-        seeds, n_seed = _seed_rows([0] * len(recs))
-        for derivs in (None, 1):
-            for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
-                _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs)
+        for recs in (recs, [_with_zero_lag(r) for r in recs]):
+            seeds, n_seed = _seed_rows([0] * len(recs))
+            for derivs in (None, 1):
+                for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
+                    _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs)
 
 
 # the residual audit's order-4 shape: nine lags, so the newest term takes a

@@ -217,6 +217,37 @@ def test_the_audit_rolls_every_derivative_up_to_the_order(monkeypatch):
     assert counts and all(derivs == order for order, derivs in counts)
 
 
+def test_every_kernel_call_weighs_its_last_lag_on_one_leading_lag(monkeypatch):
+    """A recurrence's shape is decided where it is derived: each
+    ``roll_lanes`` call of the routes, the residual suite and the Kummer
+    lanes weighs its last lag, and its lanes share the leading lag it is
+    given."""
+    import numpy as np
+
+    from rabi_spectra import _kernels, audit, canonical
+    from rabi_spectra.bcf import bcf_spectrum
+    from rabi_spectra.heun import heun_spectrum
+    from rabi_spectra.params import validate_params
+
+    calls = []
+    roll_lanes = _kernels.roll_lanes
+
+    def recorded(L, j_lead, *args):
+        calls.append((np.array(L), j_lead))
+        return roll_lanes(L, j_lead, *args)
+
+    monkeypatch.setattr(_kernels, "roll_lanes", recorded)
+    heun_spectrum(validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0, 0.05)
+    bcf_spectrum(validate_params(1.0, 0.3, 0.0, 0.05, 0.02), -1.0, 3.0, 0.05)
+    audit._residual_rows.__wrapped__(1, 7, False)
+    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    assert calls
+    for L, j_lead in calls:
+        assert L[:, -1].any(axis=1).all()
+        weighed = L.any(axis=2)
+        assert (weighed.argmax(axis=1) == j_lead).all()
+
+
 def test_rootscan_imports_no_layer_above_it():
     """The refiner stays route-agnostic: it imports no route, and a route
     hands ``scan_and_refine`` only the scanned function and the window."""

@@ -102,7 +102,6 @@ def test_one_vanishing_rule_for_routing_and_routes(omega):
 def test_normalize_roundtrip():
     p = validate_params(1.0, 0.3, 0.1, 0.2, 0.05)
     nb = normalize_params(p, 0.7)
-    assert nb.lam_bar == 1.0
     assert nb.omega_bar * p.lam == pytest.approx(p.omega, rel=1e-15)
     assert nb.e_bar * p.lam == pytest.approx(0.7, rel=1e-15)
 

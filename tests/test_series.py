@@ -126,26 +126,28 @@ def test_solution_derivatives_consistency():
 
 
 def test_span_matches_order_plus_degree():
+    # the farthest lag is order - k + deg p_k at its largest, whichever
+    # coefficient is the longest
     ode = PolyOde(((1.0, 0.0, 3.0), (0.5,), (1.0, 2.0)), z0=0.0)
     rec = ode_to_recurrence(ode)
     assert rec.weights.shape[0] == 2 + 2 + 1
+    # Kummer's z u'' + (b - z) u' - a u = 0: p0 is a constant, and
+    # (n + 1)(n + b) a_{n+1} = (n + a) a_n weighs lags 1 and 2 only
+    a, b = 0.3, 1.5
+    rec = ode_to_recurrence(PolyOde(((-a,), (b, -1.0), (0.0, 1.0)), z0=0.0))
+    assert (rec.weights.shape[0], rec.j_lead) == (3, 1)
+    assert rec.weights[0].tolist() == [0.0] * 3
+    np.testing.assert_array_equal(rec.weights[1:], [[b, 1.0 + b, 1.0], [-a, -1.0, 0.0]])
 
 
-def test_a_batch_of_two_leading_lags_gives_each_lane_its_own_sums():
-    # e^z (leading lag 0, padded with unweighed lags) beside a Bessel-type
-    # series (leading lag 2): one kernel call per lag, each lane's sums those
-    # it gets alone, for every derivative count
+def test_a_batch_mixing_leading_lags_is_refused():
+    # e^z (leading lag 0, padded to five lags) beside a Bessel-type series
+    # (leading lag 2): the lanes of one kernel call share one leading lag
     exp_w = np.zeros((5, 3))
     exp_w[:3] = ode_to_recurrence(exp_ode()).weights
     bessel = ode_to_recurrence(PolyOde(((0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.0, 1.0)),
                                        z0=0.0)).weights
-    weights, x, exponent = np.stack([exp_w, bessel, exp_w]), [0.5, 0.3, -0.4], [0, 0, 1]
-    for derivs in (None, 0, 1):
-        whole = series_sums_lanes(weights, x, exponent, derivs)
-        assert whole[0].shape == (3, 3 if derivs is None else derivs + 1)
-        for i in range(3):
-            alone = series_sums_lanes(weights[i:i + 1], x[i:i + 1], exponent[i:i + 1], derivs)
-            for a, b in zip(alone, whole):
-                assert a[0].tobytes() == b[i].tobytes()
+    with pytest.raises(ValueError, match="one leading lag"):
+        series_sums_lanes(np.stack([exp_w, bessel, exp_w]), [0.5, 0.3, -0.4], [0, 0, 1])
     empty = series_sums_lanes(np.zeros((0, 5, 3)), [], [], 1)
     assert [a.shape for a in empty] == [(0, 2), (0,), (0,)]
