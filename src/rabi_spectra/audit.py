@@ -743,6 +743,10 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
                                                q.g if q.g else 0.2, 0.1)
     p_tp = ModelParams(1.0, p_gen.delta, p_gen.epsilon, 0.0, p_gen.lam)
+    # the settings are refused before any table is built: neither reads one
+    residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
+    # at most the Fock dimension, which a small fock_cutoff lowers
+    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=min(10, dimension(fock_cutoff)))
     # each table is computed once and passed on to every entry that reads it
     tables = (general_table(p_tp, energy), general_table(p_gen, energy))
     chain = _che_partial_fractions(p_asym, energy)
@@ -757,9 +761,6 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     entries += audit_appendix(canon.normalize_params(p_gen, energy))
     entries += audit_appendix(canon.normalize_params(p_tp, energy))
 
-    residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
-    # at most the Fock dimension, which a small fock_cutoff lowers
-    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=min(10, dimension(fock_cutoff)))
     ok_residuals = all(r["ok"] for r in residuals)
     return {
         "audit": entries,

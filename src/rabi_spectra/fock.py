@@ -1,16 +1,23 @@
 """Independent ground truth: diagonalization in a truncated Fock basis.
 
-The Hamiltonian is built as its lower band (half-bandwidth 5 in the index
-2 n + s).  From cutoff :data:`BANDED_FROM` up its eigenvalues come from
-LAPACK's banded solvers, below it from a dense ``eigvalsh``.  A caller that
-needs only the lowest k levels asks for k: on the band, where k is small
-against the dimension (:data:`BISECT_RATIO`), the levels are found by
-bisection with Sturm counts instead of the full QL sweep.  The eigenvalues
-of the last few (parameters, cutoff, k) lookups are kept, read-only, never
-the matrix: a cutoff ladder whose reference cutoff is the previous step's
-cutoff reuses that step's solve, so the ladder 200, 400, 800 with
-``delta_n = cutoff // 2`` and k = 40 makes four eigensolves, not six: 100
-dense, 200 and 400 on the band in full, 800 on the band by bisection.
+The Hamiltonian is built as its lower band in the index 2 n + s
+(half-bandwidth 5), the public spin-basis form.  From cutoff
+:data:`BANDED_FROM` up its eigenvalues come from LAPACK's banded solvers,
+run on the same Hamiltonian in the spin-flip basis, where every coupling
+keeps the sigma_x eigenstate and the band is one diagonal narrower
+(half-bandwidth 4); below it they come from a dense ``eigvalsh`` of the
+spin-basis matrix.  A caller that needs only the lowest k levels asks for
+k: on the band, where k is small against the dimension
+(:data:`BISECT_RATIO`), the levels are found by bisection with Sturm counts
+instead of the full QL sweep.  The eigenvalues of the last few (parameters,
+cutoff, k) lookups are kept, read-only, never the matrix: a cutoff ladder
+whose reference cutoff is the previous step's cutoff reuses that step's
+solve, so the ladder 200, 400, 800 with ``delta_n = cutoff // 2`` and
+k = 40 makes four eigensolves, not six: 100 dense, 200 and 400 on the band
+in full, 800 on the band by bisection.
+
+Timings below are medians on a 2-core x86_64 machine with OpenBLAS 0.3.31,
+near spectral collapse (lam 0.3 to 0.45).
 """
 
 from __future__ import annotations
@@ -27,18 +34,20 @@ from .params import ModelParams, real, whole
 #: and a 512 MB matrix where ``.matrix`` is asked for
 MAX_CUTOFF = 4000
 #: smallest cutoff solved on the band.  At cutoff 200 the banded solve takes
-#: 4 ms against 7–8 ms dense (13 against 28 ms at 400), but importing
-#: scipy.linalg costs 0.23 s and 27 MB of RSS (28 -> 56 MB), more than a
-#: dense solve at the default cutoff 120 (3.5 ms), so smaller cutoffs stay
-#: dense and never load scipy
+#: 4.5–4.7 ms against 9–10 ms dense (16.5–16.8 against 46–50 ms at 400),
+#: but importing scipy.linalg costs 0.23 s and 27 MB of RSS (28 -> 56 MB),
+#: more than a dense solve at the default cutoff 120 (3.5 ms), so smaller
+#: cutoffs stay dense and never load scipy
 BANDED_FROM = 200
 #: a banded solve for the lowest k of dim levels bisects where
-#: ``BISECT_RATIO * k < dim``, else it runs the full ``?sbevd``.  After the
-#: band-to-tridiagonal reduction (about 6 ns dim^2) bisection costs about
-#: 0.27 us dim per level and the full QL sweep about 11.5 ns dim^2, so
-#: bisection wins where dim > 0.27 us / 11.5 ns k = 23 k.  For k = 40:
-#: 32 against 45 ms at cutoff 800 (dim 1602), but 12.1 against 11.3 ms at
-#: 400 (dim 802) and 5.1 against 3.1 ms at 200, where the full solve stays
+#: ``BISECT_RATIO * k < dim``, else it runs the full ``?sbevd``.  On the
+#: half-width-4 band, after the band-to-tridiagonal reduction (about
+#: 6–7 ns dim^2 from dim 802 up) bisection costs about 0.3–0.4 us dim per
+#: level and the full QL sweep about 14–20 ns dim^2; fitted crossovers lie
+#: at dim = 22 k, 24 k and 20 k for dim 402, 802 and 1602.  For k = 40:
+#: 44–46 against 65–69 ms at cutoff 800 (dim 1602), but 17.3–18.8 against
+#: 15.4–16.8 ms at 400 (dim 802) and 6.5–8.0 against 4.0–4.7 ms at 200,
+#: where the full solve stays
 BISECT_RATIO = 23
 
 
@@ -78,6 +87,15 @@ class OracleResult:
     reference_cutoff: int
 
 
+def _checked_cutoff(cutoff) -> int:
+    """cutoff as a whole number in [0, MAX_CUTOFF], before any array is made."""
+    if not real("cutoff", cutoff) >= 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
+    if not cutoff <= MAX_CUTOFF:
+        raise ValidationError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
+    return whole("cutoff", cutoff)
+
+
 def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     """Band of the Hamiltonian with spin blocks omega*n +- delta on the
     diagonal and the spin-flip coupling g(a+a†) + lam(a²+a†²) + eps.
@@ -86,11 +104,7 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     between Fock levels n and n + k sits at index offsets 2 k + 1 (from
     spin 0) and 2 k - 1 (from spin 1).
     """
-    if not real("cutoff", cutoff) >= 0:
-        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    if not cutoff <= MAX_CUTOFF:
-        raise ValidationError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
-    cutoff = whole("cutoff", cutoff)
+    cutoff = _checked_cutoff(cutoff)
     n = np.arange(cutoff + 1, dtype=float)
     band = np.zeros((6, 2 * n.size))  # lam reaches index offset 2 * 2 + 1
     band[0, 0::2] = p.omega * n + p.delta
@@ -105,11 +119,36 @@ def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
     return TruncatedHamiltonian(cutoff, band)
 
 
+def _flip_band(p: ModelParams, cutoff: int) -> np.ndarray:
+    """Lower band of the same Hamiltonian in the spin-flip basis, index
+    2 n + s with s = 0, 1 the sigma_x eigenstates (|up> +- |down>)/sqrt 2:
+    band[d, j] = (U H U^T)[j + d, j] for U = I (x) [[1, 1], [1, -1]]/sqrt 2.
+
+    Every coupling is a sigma_x spin flip, so there it is diagonal in s:
+    omega*n +- eps on the diagonal, delta between (n, +) and (n, -) at
+    offset 1, +-g sqrt(n+1) at offset 2 and +-lam sqrt((n+1)(n+2)) at
+    offset 4; offset 3 is zero.  Half-bandwidth 4 instead of 5, built from
+    p directly rather than by rotating the spin band, which would round.
+    The cutoff is one that :func:`_checked_cutoff` has passed.
+    """
+    n = np.arange(cutoff + 1, dtype=float)
+    band = np.zeros((5, 2 * n.size))
+    band[0, 0::2] = p.omega * n + p.epsilon
+    band[0, 1::2] = p.omega * n - p.epsilon
+    band[1, 0::2] = p.delta
+    # Fock levels n and n + k, for n = 0..cutoff - k, at offset 2 k
+    for k, amp in ((1, p.g * np.sqrt(n[1:])), (2, p.lam * np.sqrt(n[1:-1] * n[2:]))):
+        end = 2 * max(n.size - k, 0)
+        band[2 * k, 0:end:2] = amp
+        band[2 * k, 1:end:2] = -amp
+    return band
+
+
 def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray:
     """The lowest min(k, dim) eigenvalues at ``cutoff`` (all of them where
-    k is None), ascending, as a shared read-only array: from the band at
-    cutoffs of at least BANDED_FROM, by bisection where BISECT_RATIO * k <
-    dim, else dense.  cutoff and k are read as whole numbers before the
+    k is None), ascending, as a shared read-only array: from the spin-flip
+    band at cutoffs of at least BANDED_FROM, by bisection where
+    BISECT_RATIO * k < dim, else dense from the spin-basis matrix.  cutoff and k are read as whole numbers before the
     cache is looked up, and a k that is not one >= 1 raises ValidationError."""
     if k is not None:
         if not real("k", k) >= 1:
@@ -120,19 +159,19 @@ def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray
 
 @functools.lru_cache(maxsize=4)
 def _eigenvalues(p: ModelParams, cutoff: int, k: int | None) -> np.ndarray:
-    ham = build_hamiltonian(p, cutoff)
-    dim = ham.dimension
+    dim = dimension(_checked_cutoff(cutoff))
     k = dim if k is None else min(k, dim)
     try:
         if cutoff < BANDED_FROM:
-            ev = np.linalg.eigvalsh(ham.matrix)[:k]
+            ev = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)[:k]
         else:
+            band = _flip_band(p, cutoff)
             from scipy.linalg import eigvals_banded
             if BISECT_RATIO * k < dim:
-                ev = eigvals_banded(ham.band, lower=True, select="i",
+                ev = eigvals_banded(band, lower=True, select="i",
                                     select_range=(0, k - 1))
             else:
-                ev = eigvals_banded(ham.band, lower=True)[:k]
+                ev = eigvals_banded(band, lower=True)[:k]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(str(exc)) from exc
     ev.setflags(write=False)

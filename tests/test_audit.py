@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra import audit, operators, twopoint, validate_params
 from rabi_spectra.canonical import normalize_params
-from rabi_spectra.errors import NumericalError
+from rabi_spectra.errors import NumericalError, ValidationError
 from rabi_spectra.params import ModelParams
 from rabi_spectra.audit import (
     audit_appendix,
@@ -216,6 +216,17 @@ def test_a_report_computes_each_table_once(monkeypatch):
         monkeypatch.setattr(audit, name, counted(getattr(audit, name)))
     diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
     assert len(calls) == len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("setting", [{"n_draws": 0}, {"n_draws": 2.5},
+                                     {"fock_cutoff": 0}, {"fock_cutoff": 5000}])
+def test_a_report_refuses_its_settings_before_it_builds_a_table(setting, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(audit, "general_table", no_table)
+    with pytest.raises(ValidationError):
+        diagnose_report(P_GEN, **setting)
 
 
 def test_shared_derivations_are_read_only():

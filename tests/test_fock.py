@@ -73,6 +73,55 @@ def test_band_holds_the_lower_diagonals(cutoff):
     assert not np.any(np.tril(h, -6))
 
 
+def rotate_to_spin_flip_basis(h):
+    """U h U^T for U = I (x) [[1, 1], [1, -1]]/sqrt 2, which takes index
+    2 n + s from the sigma_z to the sigma_x eigenstates."""
+    u = np.kron(np.eye(h.shape[0] // 2), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return u @ h @ u.T / 2.0
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 10])
+def test_the_solved_band_is_the_matrix_in_the_spin_flip_basis(cutoff):
+    # every coupling flips the spin, so in the sigma_x basis it keeps s and
+    # the band is one diagonal narrower: offsets 0, 1, 2 and 4, none at 3
+    rng = np.random.default_rng(100 + cutoff)
+    for _ in range(3):
+        p = validate_params(rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
+                            rng.uniform(-1, 1), rng.uniform(-1, 1),
+                            rng.uniform(-0.2, 0.2))
+        band = fock._flip_band(p, cutoff)
+        assert band.shape == (5, fock.dimension(cutoff))
+        assert not np.any(band[3])
+        rotated = rotate_to_spin_flip_basis(build_hamiltonian(p, cutoff).matrix)
+        expanded = fock.TruncatedHamiltonian(cutoff, band).matrix
+        ulps = 4 * np.finfo(float).eps * np.max(np.abs(rotated))
+        assert np.max(np.abs(expanded - rotated)) <= ulps
+
+
+def test_the_banded_solver_is_given_the_spin_flip_band(monkeypatch):
+    import scipy.linalg
+
+    given_bands = []
+    solve = scipy.linalg.eigvals_banded
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded",
+                        lambda band, **kw: given_bands.append(band) or solve(band, **kw))
+    fock._eigenvalues.cache_clear()
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    eigenvalues(p, BANDED_FROM)
+    assert len(given_bands) == 1
+    assert np.array_equal(given_bands[0], fock._flip_band(p, BANDED_FROM))
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 10, 120, BANDED_FROM - 1])
+def test_the_dense_path_is_eigvalsh_of_the_spin_matrix_bit_for_bit(cutoff):
+    # what keeps every result below BANDED_FROM, diagnose reports
+    # included, the same to the last bit
+    p = validate_params(1.0, 0.4, 0.15, 0.6, 0.2)
+    dense = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)
+    for k in (1, 10, None):
+        assert np.array_equal(eigenvalues(p, cutoff, k), dense[:k])
+
+
 def test_symmetric_bit_exact():
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.2)
     h = build_hamiltonian(p, 40).matrix
@@ -187,7 +236,7 @@ def count_solves(monkeypatch) -> list:
     def counted(solver, fn):
         def wrapped(*args, **kwargs):
             ev = fn(*args, **kwargs)
-            # the matrix is dim x dim, the band 6 x dim
+            # the matrix is dim x dim, the band 5 x dim
             solved.append((solver, args[0].shape[-1], len(ev)))
             return ev
         return wrapped
