@@ -128,10 +128,6 @@ class CanonicalCoeffs:
         e2 = abs(self.q1_at(z) - pval(self.c4, z) / pval(self.c2, z))
         return max(e1, e2)
 
-    def reduced_ode(self) -> PolyOde:
-        """c2 u'' + c3 u' + c4 u = 0 as a PolyOde (ordinary point at 0)."""
-        return PolyOde((tuple(self.c4), tuple(self.c3), tuple(self.c2)), z0=0.0)
-
 
 def canonical_coeffs(nb: NormalizedParams) -> CanonicalCoeffs:
     """Approximated c-polynomials and the partial fractions of c3/c2, c4/c2."""
@@ -335,24 +331,6 @@ def _kummer_lanes(ab, x: float) -> np.ndarray:
     return np.stack([n0, n0 - n1, n0 - 2 * n1 + n2], axis=1) * np.exp(x + scale_log)[:, None]
 
 
-def kummer_1f1_d012(a: float, b: float, x: float) -> tuple:
-    """(M, M', M'') of M = 1F1(a; b; x), summed as one series lane."""
-    return tuple(float(m) for m in _kummer_lanes(((a, b),), x)[0])
-
-
-def kummer_1f1(a: float, b: float, x: float) -> float:
-    """1F1(a; b; x) = sum (a)^(n)/(b)^(n) x^n/n!."""
-    return kummer_1f1_d012(a, b, x)[0]
-
-
-def weber_solutions(a1: float, zeta1: float) -> tuple:
-    """Even and odd solutions of u'' = (zeta^2/4 + a1) u."""
-    pref = math.exp(-zeta1 ** 2 / 4.0)
-    (me, _, _), (mo, _, _) = _kummer_lanes(
-        ((a1 / 2 + 0.25, 0.5), (a1 / 2 + 0.75, 1.5)), zeta1 ** 2 / 2.0)
-    return float(pref * me), float(zeta1 * pref * mo)
-
-
 def weber_residual_exact(a1: float, zeta1: float) -> tuple:
     """|u'' - (zeta^2/4 + a1) u| for (U_e, U_o), with exact derivatives.
 
@@ -376,20 +354,4 @@ def weber_residual_exact(a1: float, zeta1: float) -> tuple:
             u = z * e * f
             upp = e * (z * fpp + 2 * fp)
         out.append(float(abs(upp - pot * u) / max(1.0, abs(u))))
-    return tuple(out)
-
-
-def weber_residual_fd(a1: float, zeta1: float, h: float = 4e-3) -> tuple:
-    """Central finite-difference residual of (U_e, U_o), Richardson refined."""
-    out = []
-    for idx in (0, 1):
-        def u(z, idx=idx):
-            return weber_solutions(a1, z)[idx]
-
-        def second(hh):
-            return (u(zeta1 + hh) - 2 * u(zeta1) + u(zeta1 - hh)) / hh ** 2
-
-        upp = (4.0 * second(h / 2) - second(h)) / 3.0
-        out.append(abs(upp - (zeta1 ** 2 / 4 + a1) * u(zeta1))
-                   / max(1.0, abs(u(zeta1))))
     return tuple(out)

@@ -1,13 +1,12 @@
 """Independent ground truth: diagonalization in a truncated Fock basis.
 
-The Hamiltonian is built as its lower band in the index 2 n + s
-(half-bandwidth 5), the public spin-basis form.  From cutoff
-:data:`BANDED_FROM` up its eigenvalues come from LAPACK's banded solvers,
-run on the same Hamiltonian in the spin-flip basis, where every coupling
-keeps the sigma_x eigenstate and the band is one diagonal narrower
-(half-bandwidth 4); below it they come from a dense ``eigvalsh`` of the
-spin-basis matrix.  A caller that needs only the lowest k levels asks for
-k: on the band, where k is small against the dimension
+The Hamiltonian is built once per solve, as its lower band in the index
+2 n + s with s = 0, 1 the sigma_x eigenstates: every coupling is a
+sigma_x spin flip and keeps s there, so the band has half-width 4.  From
+cutoff :data:`BANDED_FROM` up its eigenvalues come from LAPACK's banded
+solvers, run on that band; below it they come from a dense ``eigvalsh`` of
+the matrix it expands to.  A caller that needs only the lowest k levels
+asks for k: on the band, where k is small against the dimension
 (:data:`BISECT_RATIO`), the levels are found by bisection with Sturm counts
 instead of the full QL sweep.  The eigenvalues of the last few (parameters,
 cutoff, k) lookups are kept, read-only, never the matrix: a cutoff ladder
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .params import ModelParams, real, whole
 
-#: largest cutoff a Hamiltonian is built for: dimension 8002, a 384 kB band,
+#: largest cutoff a Hamiltonian is built for: dimension 8002, a 320 kB band,
 #: and a 512 MB matrix where ``.matrix`` is asked for
 MAX_CUTOFF = 4000
 #: smallest cutoff solved on the band.  At cutoff 200 the banded solve takes
@@ -58,8 +57,9 @@ def dimension(cutoff: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedHamiltonian:
-    """Symmetric matrix over spin (x) Fock(0..N), index = 2 n + s, held as
-    its lower band: ``band[d, j] = H[j + d, j]`` for d = 0..5."""
+    """Symmetric matrix over Fock(0..N) (x) the sigma_x eigenstates
+    (|up> +- |down>)/sqrt 2, index = 2 n + s, held as its lower band:
+    ``band[d, j] = H[j + d, j]`` for d = 0..4."""
 
     cutoff: int
     band: np.ndarray
@@ -87,50 +87,21 @@ class OracleResult:
     reference_cutoff: int
 
 
-def _checked_cutoff(cutoff) -> int:
-    """cutoff as a whole number in [0, MAX_CUTOFF], before any array is made."""
+def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
+    """Band of the Hamiltonian omega a†a + delta sigma_z + eps sigma_x +
+    [g(a + a†) + lam(a² + a†²)] sigma_x in the sigma_x basis.
+
+    omega*n +- eps on the diagonal, delta between (n, +) and (n, -) at
+    offset 1, +-g sqrt(n+1) between Fock levels n and n + 1 at offset 2, and
+    +-lam sqrt((n+1)(n+2)) between n and n + 2 at offset 4; offset 3 is
+    zero.  The cutoff must be a whole number in [0, MAX_CUTOFF], checked
+    before any array is made.
+    """
     if not real("cutoff", cutoff) >= 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if not cutoff <= MAX_CUTOFF:
         raise ValidationError(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
-    return whole("cutoff", cutoff)
-
-
-def build_hamiltonian(p: ModelParams, cutoff: int) -> TruncatedHamiltonian:
-    """Band of the Hamiltonian with spin blocks omega*n +- delta on the
-    diagonal and the spin-flip coupling g(a+a†) + lam(a²+a†²) + eps.
-
-    <n+1|a†|n> = sqrt(n+1), <n+2|a†²|n> = sqrt((n+1)(n+2)).  The flip
-    between Fock levels n and n + k sits at index offsets 2 k + 1 (from
-    spin 0) and 2 k - 1 (from spin 1).
-    """
-    cutoff = _checked_cutoff(cutoff)
-    n = np.arange(cutoff + 1, dtype=float)
-    band = np.zeros((6, 2 * n.size))  # lam reaches index offset 2 * 2 + 1
-    band[0, 0::2] = p.omega * n + p.delta
-    band[0, 1::2] = p.omega * n - p.delta
-    # spin flips between Fock levels n and n + k, for n = 0..cutoff - k
-    for k, amp in ((0, p.epsilon), (1, p.g * np.sqrt(n[1:])),
-                   (2, p.lam * np.sqrt(n[1:-1] * n[2:]))):
-        end = 2 * max(n.size - k, 0)
-        band[2 * k + 1, 0:end:2] = amp
-        if k:
-            band[2 * k - 1, 1:end:2] = amp
-    return TruncatedHamiltonian(cutoff, band)
-
-
-def _flip_band(p: ModelParams, cutoff: int) -> np.ndarray:
-    """Lower band of the same Hamiltonian in the spin-flip basis, index
-    2 n + s with s = 0, 1 the sigma_x eigenstates (|up> +- |down>)/sqrt 2:
-    band[d, j] = (U H U^T)[j + d, j] for U = I (x) [[1, 1], [1, -1]]/sqrt 2.
-
-    Every coupling is a sigma_x spin flip, so there it is diagonal in s:
-    omega*n +- eps on the diagonal, delta between (n, +) and (n, -) at
-    offset 1, +-g sqrt(n+1) at offset 2 and +-lam sqrt((n+1)(n+2)) at
-    offset 4; offset 3 is zero.  Half-bandwidth 4 instead of 5, built from
-    p directly rather than by rotating the spin band, which would round.
-    The cutoff is one that :func:`_checked_cutoff` has passed.
-    """
+    cutoff = whole("cutoff", cutoff)
     n = np.arange(cutoff + 1, dtype=float)
     band = np.zeros((5, 2 * n.size))
     band[0, 0::2] = p.omega * n + p.epsilon
@@ -141,15 +112,16 @@ def _flip_band(p: ModelParams, cutoff: int) -> np.ndarray:
         end = 2 * max(n.size - k, 0)
         band[2 * k, 0:end:2] = amp
         band[2 * k, 1:end:2] = -amp
-    return band
+    return TruncatedHamiltonian(cutoff, band)
 
 
 def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray:
     """The lowest min(k, dim) eigenvalues at ``cutoff`` (all of them where
-    k is None), ascending, as a shared read-only array: from the spin-flip
-    band at cutoffs of at least BANDED_FROM, by bisection where
-    BISECT_RATIO * k < dim, else dense from the spin-basis matrix.  cutoff and k are read as whole numbers before the
-    cache is looked up, and a k that is not one >= 1 raises ValidationError."""
+    k is None), ascending, as a shared read-only array: from the band at
+    cutoffs of at least BANDED_FROM, by bisection where BISECT_RATIO * k <
+    dim, else dense from the expanded matrix.  cutoff and k are read as
+    whole numbers before the cache is looked up, and a k that is not one
+    >= 1 raises ValidationError."""
     if k is not None:
         if not real("k", k) >= 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -159,19 +131,19 @@ def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray
 
 @functools.lru_cache(maxsize=4)
 def _eigenvalues(p: ModelParams, cutoff: int, k: int | None) -> np.ndarray:
-    dim = dimension(_checked_cutoff(cutoff))
+    ham = build_hamiltonian(p, cutoff)
+    dim = ham.dimension
     k = dim if k is None else min(k, dim)
     try:
         if cutoff < BANDED_FROM:
-            ev = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)[:k]
+            ev = np.linalg.eigvalsh(ham.matrix)[:k]
         else:
-            band = _flip_band(p, cutoff)
             from scipy.linalg import eigvals_banded
             if BISECT_RATIO * k < dim:
-                ev = eigvals_banded(band, lower=True, select="i",
+                ev = eigvals_banded(ham.band, lower=True, select="i",
                                     select_range=(0, k - 1))
             else:
-                ev = eigvals_banded(band, lower=True)[:k]
+                ev = eigvals_banded(ham.band, lower=True)[:k]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(str(exc)) from exc
     ev.setflags(write=False)

@@ -16,7 +16,7 @@ from rabi_spectra.canonical import (
 )
 from rabi_spectra.errors import ValidationError
 from rabi_spectra.polyops import pval
-from rabi_spectra.series import ode_to_recurrence, series_sums_lanes
+from rabi_spectra.series import PolyOde, ode_to_recurrence, series_sums_lanes
 from test_special import engine_bch_derivatives, reference_bch_derivatives
 
 NB = normalize_params(validate_params(1.0, 0.3, 0.1, 0.6, 0.05), 0.2)
@@ -62,10 +62,15 @@ def test_nu_values():
     assert normal_form_coeffs(b0).nu1 == 0.0
 
 
+def reduced_ode(cc) -> PolyOde:
+    """c2 u'' + c3 u' + c4 u = 0 as a PolyOde (ordinary point at 0)."""
+    return PolyOde((tuple(cc.c4), tuple(cc.c3), tuple(cc.c2)), z0=0.0)
+
+
 def test_second_normal_form_residual_derived_vs_printed():
     cc = canonical_coeffs(NB)
     nf = normal_form_coeffs(cc)
-    ode = cc.reduced_ode()
+    ode = reduced_ode(cc)
     rec = ode_to_recurrence(ode)
     z = 0.1
     sums, slog, flags = series_sums_lanes(rec.weights[None], [z - ode.z0], [0])

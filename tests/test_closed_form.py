@@ -4,14 +4,34 @@ import numpy as np
 import pytest
 
 from rabi_spectra import heun_spectrum, oracle_spectrum, uncoupled_spectrum, validate_params
-from rabi_spectra.canonical import (
-    weber_params,
-    weber_residual_exact,
-    weber_residual_fd,
-    weber_solutions,
-)
+from rabi_spectra.canonical import _kummer_lanes, weber_params, weber_residual_exact
 from rabi_spectra.errors import ValidationError
 from rabi_spectra.params import ModelParams
+
+
+def weber_solutions(a1: float, zeta1: float) -> tuple:
+    """Even and odd solutions of u'' = (zeta^2/4 + a1) u."""
+    pref = math.exp(-zeta1 ** 2 / 4.0)
+    (me, _, _), (mo, _, _) = _kummer_lanes(
+        ((a1 / 2 + 0.25, 0.5), (a1 / 2 + 0.75, 1.5)), zeta1 ** 2 / 2.0)
+    return float(pref * me), float(zeta1 * pref * mo)
+
+
+def weber_residual_fd(a1: float, zeta1: float, h: float = 4e-3) -> tuple:
+    """Central finite-difference residual of (U_e, U_o), Richardson refined:
+    the reference that ``canonical.weber_residual_exact`` is checked with."""
+    out = []
+    for idx in (0, 1):
+        def u(z, idx=idx):
+            return weber_solutions(a1, z)[idx]
+
+        def second(hh):
+            return (u(zeta1 + hh) - 2 * u(zeta1) + u(zeta1 - hh)) / hh ** 2
+
+        upp = (4.0 * second(h / 2) - second(h)) / 3.0
+        out.append(abs(upp - (zeta1 ** 2 / 4 + a1) * u(zeta1))
+                   / max(1.0, abs(u(zeta1))))
+    return tuple(out)
 
 
 def test_bare_oscillator():

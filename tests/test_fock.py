@@ -16,27 +16,37 @@ from rabi_spectra.fock import BANDED_FROM, MAX_CUTOFF, eigenvalues
 
 
 def test_two_by_two_block():
+    # cutoff 0 in the sigma_x basis: eps on the diagonal, delta between
+    # (0, +) and (0, -)
     p = validate_params(1.0, 0.3, 0.4, 0.0, 0.0)
+    assert np.array_equal(build_hamiltonian(p, 0).matrix, [[0.4, 0.3], [0.3, -0.4]])
     ev = eigenvalues(p, 0)
     r = math.hypot(0.3, 0.4)
     np.testing.assert_allclose(ev, [-r, r], rtol=1e-14)
 
 
 def test_ladder_matrix_elements():
-    p = validate_params(1.0, 0.0, 0.0, 0.7, 0.25)
+    p = validate_params(1.0, 0.3, 0.1, 0.7, 0.25)
     h = build_hamiltonian(p, 5).matrix
     n = 3
-    assert h[2 * n, 2 * n] == pytest.approx(1.0 * n)  # omega n + delta
-    # g sqrt(n+1) between n and n+1 with spin flip
-    assert h[2 * n, 2 * (n + 1) + 1] == pytest.approx(0.7 * math.sqrt(n + 1))
-    # lam sqrt((n+1)(n+2)) between n and n+2 with spin flip
-    assert h[2 * n, 2 * (n + 2) + 1] == pytest.approx(
-        0.25 * math.sqrt((n + 1) * (n + 2)))
+    assert h[2 * n, 2 * n] == pytest.approx(1.0 * n + 0.1)  # omega n + eps
+    assert h[2 * n + 1, 2 * n + 1] == pytest.approx(1.0 * n - 0.1)
+    assert h[2 * n, 2 * n + 1] == 0.3  # delta keeps n and flips s
+    assert h[2 * n + 1, 2 * (n + 1)] == 0.0
+    # +-g sqrt(n+1) between n and n+1, +-lam sqrt((n+1)(n+2)) between n and
+    # n+2, each keeping s
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        assert h[2 * n + s, 2 * (n + 1) + s] == pytest.approx(sign * 0.7 * math.sqrt(n + 1))
+        assert h[2 * n + s, 2 * (n + 1) + 1 - s] == 0.0
+        assert h[2 * n + s, 2 * (n + 2) + s] == pytest.approx(
+            sign * 0.25 * math.sqrt((n + 1) * (n + 2)))
+        assert h[2 * n + s, 2 * (n + 2) + 1 - s] == 0.0
 
 
 def reference_hamiltonian(p, cutoff):
-    """build_hamiltonian element by element: diagonal omega n +- delta, and
-    the spin flip between Fock levels n and m = n, n + 1, n + 2."""
+    """The Hamiltonian in the spin basis, element by element: diagonal
+    omega n +- delta, and the spin flip between Fock levels n and m = n,
+    n + 1, n + 2."""
     h = np.zeros((2 * cutoff + 2, 2 * cutoff + 2))
     for n in range(cutoff + 1):
         h[2 * n, 2 * n] = p.omega * n + p.delta
@@ -49,30 +59,6 @@ def reference_hamiltonian(p, cutoff):
     return h
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 10, 400])
-def test_matrix_matches_element_by_element_reference(cutoff):
-    rng = np.random.default_rng(cutoff)
-    for _ in range(3):
-        p = validate_params(rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
-                            rng.uniform(-1, 1), rng.uniform(-1, 1),
-                            rng.uniform(-0.2, 0.2))
-        assert np.array_equal(build_hamiltonian(p, cutoff).matrix,
-                              reference_hamiltonian(p, cutoff))
-
-
-@pytest.mark.parametrize("cutoff", [0, 1, 2, 10])
-def test_band_holds_the_lower_diagonals(cutoff):
-    # band[d, j] = H[j + d, j], zero past the matrix's edge, as LAPACK reads it
-    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.2)
-    ham = build_hamiltonian(p, cutoff)
-    h = reference_hamiltonian(p, cutoff)
-    assert ham.band.shape == (6, ham.dimension)
-    for d, row in enumerate(ham.band):
-        expect = np.concatenate([np.diagonal(h, -d), np.zeros(d)])[:row.size]
-        assert np.array_equal(row, expect)
-    assert not np.any(np.tril(h, -6))
-
-
 def rotate_to_spin_flip_basis(h):
     """U h U^T for U = I (x) [[1, 1], [1, -1]]/sqrt 2, which takes index
     2 n + s from the sigma_z to the sigma_x eigenstates."""
@@ -80,22 +66,55 @@ def rotate_to_spin_flip_basis(h):
     return u @ h @ u.T / 2.0
 
 
+def rounding(h):
+    """The rounding a rotation of h by U may leave: a few ulps of its
+    largest entry."""
+    return 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(h)))
+
+
+def random_params(rng):
+    return validate_params(rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
+                           rng.uniform(-1, 1), rng.uniform(-1, 1),
+                           rng.uniform(-0.2, 0.2))
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 10, 400])
+def test_matrix_matches_element_by_element_reference(cutoff):
+    # the band is the spin-basis reference rotated to the sigma_x basis
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        p = random_params(rng)
+        rotated = rotate_to_spin_flip_basis(reference_hamiltonian(p, cutoff))
+        h = build_hamiltonian(p, cutoff).matrix
+        assert np.max(np.abs(h - rotated)) <= rounding(rotated)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 10])
+def test_band_holds_the_lower_diagonals(cutoff):
+    # band[d, j] = H[j + d, j], zero past the matrix's edge, as LAPACK reads
+    # it; every coupling keeps s, so offset 3 is empty and the band has
+    # half-width 4
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.2)
+    ham = build_hamiltonian(p, cutoff)
+    h = rotate_to_spin_flip_basis(reference_hamiltonian(p, cutoff))
+    assert ham.band.shape == (5, ham.dimension)
+    for d, row in enumerate(ham.band):
+        expect = np.concatenate([np.diagonal(h, -d), np.zeros(d)])[:row.size]
+        assert np.max(np.abs(row - expect)) <= rounding(h)
+        assert not np.any(row[max(row.size - d, 0):])
+    assert not np.any(ham.band[3])
+    assert np.max(np.abs(np.tril(h, -5)), initial=0.0) <= rounding(h)
+
+
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 10])
 def test_the_solved_band_is_the_matrix_in_the_spin_flip_basis(cutoff):
-    # every coupling flips the spin, so in the sigma_x basis it keeps s and
-    # the band is one diagonal narrower: offsets 0, 1, 2 and 4, none at 3
+    # U is orthogonal, so the band's spectrum is the spin matrix's
     rng = np.random.default_rng(100 + cutoff)
     for _ in range(3):
-        p = validate_params(rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
-                            rng.uniform(-1, 1), rng.uniform(-1, 1),
-                            rng.uniform(-0.2, 0.2))
-        band = fock._flip_band(p, cutoff)
-        assert band.shape == (5, fock.dimension(cutoff))
-        assert not np.any(band[3])
-        rotated = rotate_to_spin_flip_basis(build_hamiltonian(p, cutoff).matrix)
-        expanded = fock.TruncatedHamiltonian(cutoff, band).matrix
-        ulps = 4 * np.finfo(float).eps * np.max(np.abs(rotated))
-        assert np.max(np.abs(expanded - rotated)) <= ulps
+        p = random_params(rng)
+        spin = np.linalg.eigvalsh(reference_hamiltonian(p, cutoff))
+        ev = eigenvalues(p, cutoff)
+        assert np.all(np.abs(ev - spin) <= 1e-13 * np.maximum(1.0, np.abs(spin)))
 
 
 def test_the_banded_solver_is_given_the_spin_flip_band(monkeypatch):
@@ -109,15 +128,17 @@ def test_the_banded_solver_is_given_the_spin_flip_band(monkeypatch):
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
     eigenvalues(p, BANDED_FROM)
     assert len(given_bands) == 1
-    assert np.array_equal(given_bands[0], fock._flip_band(p, BANDED_FROM))
+    assert np.array_equal(given_bands[0], build_hamiltonian(p, BANDED_FROM).band)
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 10, 120, BANDED_FROM - 1])
 def test_the_dense_path_is_eigvalsh_of_the_spin_matrix_bit_for_bit(cutoff):
-    # what keeps every result below BANDED_FROM, diagnose reports
-    # included, the same to the last bit
+    # below BANDED_FROM the levels are eigvalsh's of the band's matrix to
+    # the last bit, and those of the spin-basis matrix to rounding
     p = validate_params(1.0, 0.4, 0.15, 0.6, 0.2)
     dense = np.linalg.eigvalsh(build_hamiltonian(p, cutoff).matrix)
+    spin = np.linalg.eigvalsh(reference_hamiltonian(p, cutoff))
+    assert np.all(np.abs(dense - spin) <= 1e-13 * np.maximum(1.0, np.abs(spin)))
     for k in (1, 10, None):
         assert np.array_equal(eigenvalues(p, cutoff, k), dense[:k])
 
@@ -246,6 +267,37 @@ def count_solves(monkeypatch) -> list:
                         counted("banded", scipy.linalg.eigvals_banded))
     fock._eigenvalues.cache_clear()
     return solved
+
+
+def count_builds(monkeypatch) -> list:
+    """The cutoff of each Hamiltonian built from now on, counted on the
+    module attribute ``fock.build_hamiltonian``, where a tracer hooks it."""
+    builds = []
+    build = fock.build_hamiltonian
+    monkeypatch.setattr(fock, "build_hamiltonian",
+                        lambda p, cutoff: builds.append(cutoff) or build(p, cutoff))
+    fock._eigenvalues.cache_clear()
+    return builds
+
+
+def test_every_solve_builds_its_hamiltonian_once(monkeypatch):
+    # dense, banded in full and bisected, each from the one builder
+    solved = count_solves(monkeypatch)
+    builds = count_builds(monkeypatch)
+    p = validate_params(1.0, 0.3, 0.1, 0.4, 0.35)
+    eigenvalues(p, 120)
+    eigenvalues(p, BANDED_FROM)
+    eigenvalues(p, 800, 40)
+    assert solved == [("dense", 242, 242), ("banded", 402, 402), ("banded", 1602, 40)]
+    assert builds == [120, BANDED_FROM, 800]
+    # a cached lookup builds nothing: a repeated solve, and a ladder step's
+    # reference cutoff, which is the previous step's cutoff
+    builds.clear()
+    eigenvalues(p, 120)
+    for cutoff in (200, 400):
+        oracle_spectrum(p, cutoff, 40, cutoff // 2)
+    assert builds == [200, 100, 400]
+    assert len(solved) == 6
 
 
 def test_the_band_is_solved_from_cutoff_200(monkeypatch):

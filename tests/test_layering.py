@@ -11,7 +11,9 @@ parent into the printed chain's partial fractions.  The CLI
 imports the audit only inside the diagnose command, and keeps no bound of
 its own.  Every cache is a ``functools.lru_cache`` of finite size, and no
 module imports ``inspect``.  Errors come in two kinds, a ValidationError
-and a NumericalError, and no module defines a third."""
+and a NumericalError, and no module defines a third.  ``src/`` holds what an
+entry point reaches: every function it defines runs under some CLI command,
+but for a named few."""
 
 import ast
 import functools
@@ -168,7 +170,7 @@ def test_kummer_and_every_residual_row_reach_the_kernel(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(_kernels, "roll_lanes", counted)
-    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    canonical._kummer_lanes(((0.3, 1.5),), 0.8)
     assert calls == [1]
     monkeypatch.setattr(audit, "_residual_row", one_row(audit._residual_row))
     monkeypatch.setattr(canonical, "weber_residual_exact",
@@ -212,7 +214,7 @@ def test_the_audit_rolls_every_derivative_up_to_the_order(monkeypatch):
         return roll_lanes(L, j_lead, order, *args)
 
     monkeypatch.setattr(_kernels, "roll_lanes", counted)
-    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    canonical._kummer_lanes(((0.3, 1.5),), 0.8)
     audit._residual_rows.__wrapped__(1, 7, False)
     assert counts and all(derivs == order for order, derivs in counts)
 
@@ -240,7 +242,7 @@ def test_every_kernel_call_weighs_its_last_lag_on_one_leading_lag(monkeypatch):
     heun_spectrum(validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0, 0.05)
     bcf_spectrum(validate_params(1.0, 0.3, 0.0, 0.05, 0.02), -1.0, 3.0, 0.05)
     audit._residual_rows.__wrapped__(1, 7, False)
-    canonical.kummer_1f1_d012(0.3, 1.5, 0.8)
+    canonical._kummer_lanes(((0.3, 1.5),), 0.8)
     assert calls
     for L, j_lead in calls:
         assert L[:, -1].any(axis=1).all()
@@ -430,3 +432,97 @@ def test_bare_value_errors_stay_internal():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Raise) and node.exc is not None
             and raises_value_error(node)} == {"polyops.py", "series.py"}
+
+
+#: one argv per command and method, in the regime each method solves, and
+#: a route at delta = 0, which returns the closed-form window
+REACH_ARGVS = [cmd.split() for cmd in (
+    "spectrum --omega 1 --eps 0.1 --g 0.4 --lambda 0.2 --method closed",
+    "spectrum --omega 1 --delta 0.3 --eps 0.1 --g 0.2 --lambda 0.1 --method oracle",
+    "spectrum --omega 1 --delta 0.4 --eps 0.15 --g 0.6 --emin -1 --emax 4 --method heun"
+    " --compare-oracle",
+    "spectrum --omega 1 --delta 0.3 --g 0.05 --lambda 0.02 --emin -1 --emax 3 --method bcf",
+    "spectrum --omega 1 --delta 0.3 --g 0.05 --lambda 0.02 --emin -1 --emax 3 --method auto",
+    "spectrum --omega 1 --eps 0.1 --g 0.6 --emin -1 --emax 3 --method heun",
+    "gscan --omega 1 --delta 0.4 --eps 0.15 --g 0.6 --emin -1 --emax 1 --method heun",
+    "gscan --omega 1 --delta 0.3 --g 0.05 --lambda 0.02 --emin -1 --emax 1 --method bcf",
+    "diagnose --omega 1 --delta 0.3 --eps 0.1 --g 0.2 --lambda 0.1",
+    "diagnose --omega 1 --delta 0.3 --eps 0.1 --g 0.2 --lambda 0.1 --self-test")]
+
+#: (file, qualified name) of the functions no command calls
+UNREACHED = {
+    # the documented public API: the routes' thin names and the methods of
+    # the parameter and result types
+    *(("heun.py", name) for name in ("heun_spectrum", "g_function_heun",
+                                     "g_function_heun_batch")),
+    *(("bcf.py", name) for name in ("bcf_spectrum", "g_function_bcf",
+                                    "g_function_bcf_batch")),
+    ("params.py", "ModelParams.mirrored"),
+    ("rootscan.py", "GFunctionSample.ok"),
+    ("rootscan.py", "ExcludedInterval.contains"),
+    # named by perfbench's hook table
+    ("_kernels.py", "roll"),
+    # a decorator: it runs at import, on the audit's table checks
+    ("audit.py", "_in_float_range"),
+    # checks of the paper's normal forms and partial fractions, which no
+    # diagnose row reads yet
+    ("canonical.py", "general_normal_form_residual"),
+    ("canonical.py", "second_normal_potential"),
+    ("canonical.py", "second_normal_residual"),
+    ("canonical.py", "CanonicalCoeffs.p1_at"),
+    ("canonical.py", "CanonicalCoeffs.q1_at"),
+    ("canonical.py", "CanonicalCoeffs.reconstruction_error"),
+    ("canonical.py", "NormalFormCoeffs.potential_at"),
+}
+
+
+def defined_functions(path: Path) -> set:
+    """(file, qualified name) of each function a module defines, named as
+    its code object names it: ``Class.method``, ``outer.<locals>.inner``."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                found.add((path.name, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_function_in_src_is_reached_by_a_command(capsys):
+    """Each CLI command and method runs in process under a profiler, its
+    caches cleared first so that no result kept by an earlier call hides a
+    function; every function ``src/`` defines must run, but those named in
+    UNREACHED, and each of those must not."""
+    from rabi_spectra import cli
+
+    # every module is imported before the profiler starts, so that no call
+    # made at import counts
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(
+            "rabi_spectra" if path.stem == "__init__" else f"rabi_spectra.{path.stem}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    codes = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        exits = [cli.main(argv) for argv in REACH_ARGVS]
+    finally:
+        sys.setprofile(previous)
+    assert exits == [0] * (len(REACH_ARGVS) - 1) + [3]  # the self-test fails its gate
+    called = {(Path(code.co_filename).name, code.co_qualname) for code in codes
+              if Path(code.co_filename).resolve().parent == SRC}
+    defined = set().union(*(defined_functions(path) for path in sorted(SRC.glob("*.py"))))
+    assert defined - called == UNREACHED

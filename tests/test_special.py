@@ -10,9 +10,19 @@ import numpy as np
 import pytest
 
 from rabi_spectra._kernels import FLAG_RESONANT_COMPATIBLE, FLAG_RESONANT_INCOMPATIBLE
-from rabi_spectra.canonical import bch_first_normal_ode, kummer_1f1, kummer_1f1_d012
+from rabi_spectra.canonical import _kummer_lanes, bch_first_normal_ode
 from rabi_spectra.errors import NumericalError, ValidationError
 from rabi_spectra.series import ode_residual, ode_to_recurrence, series_sums_lanes
+
+
+def kummer_1f1_d012(a: float, b: float, x: float) -> tuple:
+    """(M, M', M'') of M = 1F1(a; b; x), summed as one series lane."""
+    return tuple(float(m) for m in _kummer_lanes(((a, b),), x)[0])
+
+
+def kummer_1f1(a: float, b: float, x: float) -> float:
+    """1F1(a; b; x) = sum (a)^(n)/(b)^(n) x^n/n!."""
+    return kummer_1f1_d012(a, b, x)[0]
 
 
 def brute_1f1(a, b, x, n=30):
