@@ -576,6 +576,25 @@ def printed_normal_form(cc: canon.CanonicalCoeffs) -> dict:
     }
 
 
+def printed_bch_g0(nb: canon.NormalizedParams) -> dict:
+    """The in-text biconfluent-Heun parameters alpha, gamma, lambda1,
+    lambda3 and nu of the g = 0 normal form; ValidationError unless g_bar
+    is 0 and omega_bar is not."""
+    if nb.g_bar != 0.0:
+        raise ValidationError(f"g = 0 route called with g_bar = {nb.g_bar}")
+    om, ep, e = nb.omega_bar, nb.epsilon_bar, nb.e_bar
+    if om == 0.0:
+        raise ValidationError("omega_bar must be nonzero")
+    t = (2.0 / om) * (e - ep)
+    l1 = (1.0 + om / 2.0) * (1.0 - 3.0 * om / 4.0)
+    l3 = 11.0 * om / 8.0 - 4.0 * e + 9.0 * ep / 4.0
+    nu = t * (1.0 - t)
+    alpha = -2.0 * (1.0 / om + 2.0) * e + (9.0 / 4.0 + 2.0 / om) * ep \
+        + 11.0 * om / 8.0 - 0.5
+    gamma = -(4.0 / om) * (e - ep)
+    return {"alpha": alpha, "gamma": gamma, "lambda1": l1, "lambda3": l3, "nu": nu}
+
+
 @_in_float_range
 def audit_appendix(nb: canon.NormalizedParams) -> list:
     out = []
@@ -630,16 +649,16 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
                  "alpha1^2/4); printed mu cross terms are half the derived "
                  "beta1 beta2/(4q)"))
     else:
-        bp = canon.bch_params_g0(nb)
+        bp = printed_bch_g0(nb)
         t = (2.0 / om) * (e - ep)
         c_const = 2 * (-0.5 * om * om + (ep - om / 2) ** 2 - e * e
                        - de * de) / om ** 2
         derived_l1 = (1 - 3 * om * om / 8) - om * om / 4
         derived_l3 = om + 3 * ep - 4 * e
         derived_nu = c_const + t - t * t
-        pairs = [("lambda1", derived_l1, bp.lambda1),
-                 ("lambda3", derived_l3, bp.lambda3),
-                 ("nu", derived_nu, bp.nu)]
+        pairs = [("lambda1", derived_l1, bp["lambda1"]),
+                 ("lambda3", derived_l3, bp["lambda3"]),
+                 ("nu", derived_nu, bp["nu"])]
         out.append(_table_entry(
             "appendix-bch-g0", pairs,
             note="printed g=0 list drops the constant part of c4 (with its "
@@ -696,9 +715,9 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool) -> tuple:
         rows.append(_residual_row("five-term", ode5, 0.1, corrupt))
 
         nb = canon.normalize_params(ModelParams(om, de, ep, 0.0, lam), energy)
-        bp = canon.bch_params_g0(nb)
-        if abs(bp.gamma - round(bp.gamma)) > 1e-6:
-            ode_b = canon.bch_first_normal_ode(bp.alpha, 0.0, bp.gamma, 0.0)
+        bp = printed_bch_g0(nb)
+        if abs(bp["gamma"] - round(bp["gamma"])) > 1e-6:
+            ode_b = canon.bch_first_normal_ode(bp["alpha"], 0.0, bp["gamma"], 0.0)
             rows.append(_residual_row("bch-first-normal", ode_b, 0.2, corrupt))
 
         p_unc = ModelParams(om, 0.0, ep, g, lam if abs(2 * lam) < om else 0.2)

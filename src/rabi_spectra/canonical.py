@@ -1,10 +1,11 @@
-"""Validation-grade derivations that cross-check the solver routes; none
-of them feeds a spectrum, and only :mod:`rabi_spectra.audit` and the tests
-read them.
+"""The derivations :mod:`rabi_spectra.audit` compares with the paper's
+printed displays; none of them feeds a spectrum, and no printed display is
+transcribed here.
 
 - The second-canonical-form pipeline in lam-normalized variables:
   approximate second-order reduction, partial fractions, normal-form
-  coefficients and the g = 0 biconfluent-Heun parameters.
+  coefficients and the first normal form of the g = 0 biconfluent-Heun
+  equation, whose series the residual gate sums.
 - The parabolic-cylinder (Weber) route of the uncoupled (delta = 0) model,
   whose quantization a_1 = n + 1/2 and even/odd Kummer solutions reproduce
   the closed-form ladder of :mod:`rabi_spectra.closed_form`.
@@ -12,7 +13,6 @@ read them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +23,7 @@ from ._kernels import (FLAG_NONCONVERGED, FLAG_RESONANT_COMPATIBLE,
 from .closed_form import require_uncoupled
 from .errors import NumericalError, ValidationError
 from .params import ModelParams
-from .polyops import padd, pder, pmul, poly, ptrim, pval, split_two_poles
+from .polyops import padd, pder, pmul, poly, ptrim, split_two_poles
 from .series import PolyOde, ode_to_recurrence, series_sums_lanes
 
 
@@ -96,13 +96,10 @@ def approx_c_polys(nb: NormalizedParams):
 
 @dataclass(frozen=True)
 class CanonicalCoeffs:
-    """Approximate reduction data: polynomials and partial-fraction tables."""
+    """Partial fractions of c3/c2 and c4/c2 of the approximate reduction,
+    whose two poles sit at z = +-q."""
 
-    nb: NormalizedParams
     q: float
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
     alpha1: float
     alpha2: float
     beta1: float
@@ -113,24 +110,10 @@ class CanonicalCoeffs:
     delta1: float
     delta2: float
 
-    def p1_at(self, z: float) -> float:
-        q = self.q
-        return (self.alpha1 * z + self.alpha2
-                + self.beta1 / (z - q) + self.beta2 / (z + q))
-
-    def q1_at(self, z: float) -> float:
-        q = self.q
-        return (self.gamma1 * z * z + self.gamma2 * z + self.gamma3
-                + self.delta1 / (z - q) + self.delta2 / (z + q))
-
-    def reconstruction_error(self, z: float) -> float:
-        e1 = abs(self.p1_at(z) - pval(self.c3, z) / pval(self.c2, z))
-        e2 = abs(self.q1_at(z) - pval(self.c4, z) / pval(self.c2, z))
-        return max(e1, e2)
-
 
 def canonical_coeffs(nb: NormalizedParams) -> CanonicalCoeffs:
-    """Approximated c-polynomials and the partial fractions of c3/c2, c4/c2."""
+    """The partial fractions of c3/c2 and c4/c2 of the approximated
+    c-polynomials."""
     if nb.g_bar == 0.0:
         raise ValidationError("poles collide at 0; use the g = 0 route")
     c2, c3, c4 = approx_c_polys(nb)
@@ -142,8 +125,7 @@ def canonical_coeffs(nb: NormalizedParams) -> CanonicalCoeffs:
     ga1 = float(quot0[2]) if quot0.size > 2 else 0.0
     ga2 = float(quot0[1]) if quot0.size > 1 else 0.0
     ga3 = float(quot0[0]) if quot0.size else 0.0
-    return CanonicalCoeffs(nb, q, c2, c3, c4, al1, al2, b1, b2,
-                           ga1, ga2, ga3, d1, d2)
+    return CanonicalCoeffs(q, al1, al2, b1, b2, ga1, ga2, ga3, d1, d2)
 
 
 @dataclass(frozen=True)
@@ -159,11 +141,6 @@ class NormalFormCoeffs:
     nu1: float
     nu2: float
     q: float
-
-    def potential_at(self, z: float) -> float:
-        return (self.lambda1 * z * z + self.lambda2 * z + self.lambda3
-                + self.mu1 / (z - self.q) + self.mu2 / (z + self.q)
-                + self.nu1 / (z - self.q) ** 2 + self.nu2 / (z + self.q) ** 2)
 
 
 def normal_form_coeffs(cc: CanonicalCoeffs) -> NormalFormCoeffs:
@@ -181,93 +158,11 @@ def normal_form_coeffs(cc: CanonicalCoeffs) -> NormalFormCoeffs:
     return NormalFormCoeffs(l1, l2, l3, m1, m2, n1, n2, q)
 
 
-@dataclass(frozen=True)
-class BchParams:
-    """Biconfluent-Heun parameters of the g = 0 normal form (printed values;
-    the derived counterparts live in the audit tables)."""
-
-    alpha: float
-    gamma: float
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    mu: float
-    nu: float
-    xi_scale: complex
-    beta: float = 0.0
-    delta: float = 0.0
-
-
-def bch_params_g0(nb: NormalizedParams) -> BchParams:
-    """g = 0 case: the in-text BCH parameter set; the series solution rolls
-    :func:`bch_first_normal_ode` through ``series.series_sums_lanes``.
-
-    The xi map zeta = e^{-i pi/4} (4 lambda1)^{1/4} z is kept complex; the
-    phase cancels and the scale is real whenever lambda1 < 0.
-    """
-    if nb.g_bar != 0.0:
-        raise ValidationError(f"g = 0 route called with g_bar = {nb.g_bar}")
-    om, ep, e = nb.omega_bar, nb.epsilon_bar, nb.e_bar
-    if om == 0.0:
-        raise ValidationError("omega_bar must be nonzero")
-    t = (2.0 / om) * (e - ep)
-    l1 = (1.0 + om / 2.0) * (1.0 - 3.0 * om / 4.0)
-    l3 = 11.0 * om / 8.0 - 4.0 * e + 9.0 * ep / 4.0
-    nu = t * (1.0 - t)
-    alpha = -2.0 * (1.0 / om + 2.0) * e + (9.0 / 4.0 + 2.0 / om) * ep \
-        + 11.0 * om / 8.0 - 0.5
-    gamma = -(4.0 / om) * (e - ep)
-    xi = cmath.exp(-1j * math.pi / 4.0) * (4.0 * l1 + 0j) ** 0.25
-    return BchParams(alpha=alpha, gamma=gamma, lambda1=l1, lambda2=0.0,
-                     lambda3=l3, mu=0.0, nu=nu, xi_scale=xi)
-
-
-def general_normal_form_residual(cc: CanonicalCoeffs, nf: NormalFormCoeffs,
-                                 z: float, u_derivs: tuple) -> float:
-    """Residual of U = u exp(+1/2 int p1) in U'' + pot U = 0, given
-    (u, u', u'') of a solution of the reduced equation.  The gauge factor
-    cancels; only the log-derivative L = p1/2 enters."""
-    u0, u1, u2 = u_derivs
-    q = cc.q
-    ell = 0.5 * cc.p1_at(z)
-    ell_p = 0.5 * (cc.alpha1 - cc.beta1 / (z - q) ** 2
-                   - cc.beta2 / (z + q) ** 2)
-    num = u2 + 2 * ell * u1 + (ell_p + ell * ell + nf.potential_at(z)) * u0
-    return abs(num) / max(1.0, abs(u0))
-
-
 def bch_first_normal_ode(alpha: float, beta: float, gamma: float,
                          delta: float) -> PolyOde:
     """zeta V'' - (gamma + delta zeta + zeta^2) V' + (alpha zeta - beta) V = 0."""
     return PolyOde((poly([-beta, alpha]), poly([-gamma, -delta, -1.0]),
                     poly([0.0, 1.0])), z0=0.0)
-
-
-def second_normal_potential(alpha: float, beta: float, gamma: float,
-                            delta: float, zeta: float) -> float:
-    """Second normal form: U'' = pot(zeta) U for U = V zeta^{-gamma/2}
-    exp(-delta zeta/2 - zeta^2/4).  Matches the in-text display except that
-    the single-pole weight is beta + gamma delta/2, not (gamma delta+beta)/2
-    (irrelevant here: beta = 0 throughout)."""
-    return (zeta * zeta / 4.0 + 0.5 * delta * zeta
-            + (delta * delta / 4.0 + 0.5 * gamma - alpha - 0.5)
-            + (beta + 0.5 * gamma * delta) / zeta
-            + 0.25 * gamma * (gamma + 2.0) / (zeta * zeta))
-
-
-def second_normal_residual(alpha: float, beta: float, gamma: float,
-                           delta: float, zeta: float,
-                           v_derivs: tuple) -> float:
-    """Residual of U = V * zeta^{-gamma/2} e^{-delta zeta/2 - zeta^2/4} in the
-    derived second normal form, given (V, V', V'') of a first-normal-form
-    solution.  The common factor cancels, so only V and the log-derivative
-    of the gauge enter."""
-    v0, v1, v2 = v_derivs
-    ell = -(gamma / (2 * zeta) + delta / 2.0 + zeta / 2.0)
-    ell_p = gamma / (2 * zeta * zeta) - 0.5
-    pot = second_normal_potential(alpha, beta, gamma, delta, zeta)
-    num = v2 + 2 * ell * v1 + (ell_p + ell * ell - pot) * v0
-    return abs(num) / max(1.0, abs(v0))
 
 
 @dataclass(frozen=True)
@@ -277,22 +172,19 @@ class WeberParams:
     stretch: float
     shift: float
     a1: float
-    branch: int
 
 
-def weber_params(p: ModelParams, energy: float, branch: int = +1) -> WeberParams:
-    """Weber-equation data for one branch; branch -1 mirrors (eps, g, lam)."""
+def weber_params(p: ModelParams, energy: float) -> WeberParams:
+    """Weber-equation data of the positive branch; the negative branch's
+    are those of ``p.mirrored()``."""
     require_uncoupled(p)
     if p.lam == 0.0:
         raise ValidationError("the zeta_1 stretch degenerates at lambda = 0")
-    if branch not in (+1, -1):
-        raise ValidationError("branch must be +1 or -1")
-    q = p if branch == +1 else p.mirrored()
-    stretch = (q.omega ** 2 / q.lam ** 2 - 4.0) ** 0.25
-    shift = q.g / (q.omega + 2 * q.lam)
-    a1 = (1.0 / q.lam) * (q.omega ** 2 / q.lam ** 2 - 4.0) ** -0.5 \
-        * (energy + q.g ** 2 / (q.omega + 2 * q.lam) + q.omega / 2 - q.epsilon)
-    return WeberParams(stretch, shift, a1, branch)
+    stretch = (p.omega ** 2 / p.lam ** 2 - 4.0) ** 0.25
+    shift = p.g / (p.omega + 2 * p.lam)
+    a1 = (1.0 / p.lam) * (p.omega ** 2 / p.lam ** 2 - 4.0) ** -0.5 \
+        * (energy + p.g ** 2 / (p.omega + 2 * p.lam) + p.omega / 2 - p.epsilon)
+    return WeberParams(stretch, shift, a1)
 
 
 def _kummer_lanes(ab, x: float) -> np.ndarray:

@@ -23,7 +23,8 @@ from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import dimension, oracle_spectrum
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import RootScanConfig, _build_grid
-from .twopoint import ROUTES, g_function_batch, route_spectrum, window_in_units_of_omega
+from .twopoint import (ROUTES, g_function_batch, gluing_point, route_spectrum,
+                       window_in_units_of_omega)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,7 +62,9 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
         energies = [e for e, _ in items]
         flags = [f for _, f in items]
     elif method == "oracle":
-        res = oracle_spectrum(p, ns.fock_cutoff, ns.nmax + 1)
+        # delta_n = 0 throughout: the rows read no convergence delta, and the
+        # reference lookup is then the cutoff's own solve, so one build
+        res = oracle_spectrum(p, ns.fock_cutoff, ns.nmax + 1, 0)
         energies = list(res.eigenvalues)
         flags = [f"cutoff={res.cutoff}"] * len(energies)
     else:
@@ -74,7 +77,7 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     if ns.compare_oracle:
         # at most the Fock dimension, which a small --fock-cutoff lowers
         k = min(max(len(energies) + 6, 12), dimension(ns.fock_cutoff))
-        ev = oracle_spectrum(p, ns.fock_cutoff, k).eigenvalues
+        ev = oracle_spectrum(p, ns.fock_cutoff, k, 0).eigenvalues
         errors = [float(np.min(np.abs(ev - e))) for e in energies]
     for i, e in enumerate(energies):
         row = {"index": i, "energy": float(e), "method": method}
@@ -89,7 +92,10 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 
 def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     route = ROUTES[method]
-    route.rule(p)  # an empty window gives no rows, but not in the wrong regime
+    # an empty window gives no rows, but not in the wrong regime or with a
+    # bad gluing point
+    route.rule(p)
+    zeta_star = gluing_point(ns.zeta_star)
     _need_window(ns)
     header = ["energy", "scaled_g", "scale_log", "flags"]
     rows = []
@@ -99,7 +105,7 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
         return header, rows
     grid = p.omega * _build_grid(RootScanConfig(*window))
     # signed as the spectrum scans it, so sign changes are roots, not poles
-    samples = g_function_batch(route, p, grid, ns.zeta_star, pole_free=True)
+    samples = g_function_batch(route, p, grid, zeta_star, pole_free=True)
     for e, s in zip(grid, samples):
         rows.append({"energy": float(e), "scaled_g": float(s.g_value),
                      "scale_log": float(s.scale_log),

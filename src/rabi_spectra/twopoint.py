@@ -172,6 +172,7 @@ def g_function_batch(route: Route, p: ModelParams, energies,
     ``pole_free``.  The public sample boundary: it divides by omega once, and
     the spectrum itself works on :func:`_wronskian`'s arrays."""
     route.rule(p)
+    zeta_star = gluing_point(zeta_star)
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     q, unit = in_units_of_omega(p, energies)
     red = reduction(route, q)
@@ -191,9 +192,8 @@ def _wronskian(reduction: Reduction, energies: np.ndarray, exponents: np.ndarray
     zeta = 0 and at zeta = 1 are seeded on the Frobenius branches
     exponents[0, i] and exponents[1, i] (0: the regular branch).  A lane
     with both series on the regular branch gets FLAG_NEAR_SINGULAR when
-    zeta_star lies within 0.02 of 0 or 1."""
-    if not (0.0 < zeta_star < 1.0):
-        raise ValidationError(f"zeta_star must lie in (0, 1), got {zeta_star}")
+    zeta_star, a float in (0, 1) read by :func:`gluing_point`, lies within
+    0.02 of 0 or 1."""
     n = energies.size
     x = np.repeat([zeta_star, zeta_star - 1.0], n)
     sums, slog, kflags = series_sums_lanes(reduction.lane_weights(energies),
@@ -240,6 +240,16 @@ def _pole_free(g: np.ndarray, energies: np.ndarray, poles: np.ndarray) -> np.nda
     return np.where(above % 2 == 1, -g, g)
 
 
+def gluing_point(zeta_star) -> float:
+    """zeta_star as a float in (0, 1), read by :func:`params.real`, else
+    ValidationError: the rule each entry point reads its gluing point by,
+    before it returns a closed-form or empty answer."""
+    zeta_star = real("zeta_star", zeta_star)
+    if not 0.0 < zeta_star < 1.0:
+        raise ValidationError(f"zeta_star must lie in (0, 1), got {zeta_star}")
+    return zeta_star
+
+
 def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
                              grid_step: float) -> tuple:
     """(p, e_min, e_max, grid_step) in units of omega, the window checked by
@@ -255,10 +265,12 @@ def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
 def route_spectrum(route: Route, p: ModelParams, e_min: float, e_max: float,
                    grid_step: float, zeta_star: float) -> SpectrumResult:
     """``route``'s spectrum in the caller's units, once ``route.rule`` passes
-    p: where delta vanishes :func:`closed_window`, else the :func:`spectrum`
-    of its reduction on the window divided by omega once, its energies,
-    report and ladder multiplied back."""
+    p and :func:`gluing_point` reads zeta_star: where delta vanishes
+    :func:`closed_window`, else the :func:`spectrum` of its reduction on the
+    window divided by omega once, its energies, report and ladder multiplied
+    back."""
     route.rule(p)
+    zeta_star = gluing_point(zeta_star)
     if vanishes(p, p.delta):
         return closed_window(p, route.name, e_min, e_max, grid_step)
     q, *window = window_in_units_of_omega(p, e_min, e_max, grid_step)
@@ -284,7 +296,8 @@ def spectrum(reduction: Reduction, e_min: float, e_max: float,
     ladder point is an exceptional eigenvalue, 'exceptional:<side>:<m>';
     every other root is 'regular'.  metadata holds the ladder, zeta_star and
     ``determinant_calls``, the number of :func:`_wronskian` calls.  Energies
-    are in units of omega.
+    are in units of omega, and zeta_star is a float in (0, 1), as
+    :func:`gluing_point` reads it.
     """
     ladder = resonance_ladder(reduction, e_min, e_max)
     poles = np.array([e for e, _s, _m in ladder])

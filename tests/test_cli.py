@@ -15,6 +15,7 @@ from rabi_spectra.cli import build_parser, main
 from rabi_spectra.fock import eigenvalues
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
+from test_fock import count_builds
 
 BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
         "--eps", "0.1"]
@@ -61,7 +62,7 @@ def test_validation_exit_2_on_bad_params(capsys):
 
 #: the library parameter whose check refuses a bad value of each option
 READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
-           "--nmax": "levels", "--fock-cutoff": "cutoff"}
+           "--nmax": "levels", "--fock-cutoff": "cutoff", "--zeta-star": "zeta_star"}
 
 
 @pytest.mark.parametrize("args, option", [
@@ -100,6 +101,12 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
     # window, where no --nmax was given
     (["spectrum", "--method", "heun", "--omega", "1", "--g", "0.4",
       "--emin", "-1", "--emax", "1e6", "--grid", "1000"], "--emax"),
+    # the gluing point is read before delta = 0 returns the closed form and
+    # before a one-point window returns no rows
+    (["spectrum", "--method", "heun", "--omega", "1", "--g", "0.4",
+      "--emin", "-1", "--emax", "1", "--zeta-star", "5"], "--zeta-star"),
+    (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
+      "--emin", "1", "--emax", "1", "--zeta-star", "5"], "--zeta-star"),
 ])
 def test_bad_run_settings_exit_2_with_one_line(args, option, capsys):
     code, out, err = run_cli(args, capsys)
@@ -231,6 +238,23 @@ def test_compare_oracle_asks_a_small_cutoff_for_at_most_its_dimension(capsys):
     assert ev.size == 8
     assert [float(r["error_vs_oracle"]) for r in rows] == [
         float(np.min(np.abs(ev - float(r["energy"])))) for r in rows]
+
+
+@pytest.mark.parametrize("args, oracle_reads", [
+    (["--method", "oracle"], 1),
+    (["--method", "heun", "--emin", "-1", "--emax", "4", "--compare-oracle"], 1),
+    (["--method", "oracle", "--compare-oracle"], 2),
+    (["--method", "heun", "--emin", "-1", "--emax", "4", "--fock-cutoff", "3",
+      "--compare-oracle"], 1),
+])
+def test_each_oracle_read_builds_one_hamiltonian(args, oracle_reads, monkeypatch, capsys):
+    # the rows read no convergence delta, so no reference cutoff is solved
+    builds = count_builds(monkeypatch)
+    code, _out, err = run_cli(["spectrum", "--omega", "1", "--delta", "0.4",
+                               "--eps", "0.15", "--g", "0.6", *args], capsys)
+    assert (code, err) == (0, "")
+    cutoff = int(args[args.index("--fock-cutoff") + 1]) if "--fock-cutoff" in args else 120
+    assert builds == [cutoff] * oracle_reads
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3])

@@ -120,14 +120,6 @@ def test_weber_params_invertible_relation():
     assert e_back == pytest.approx(0.0, abs=1e-12)
 
 
-def test_weber_params_negative_branch_via_mirror():
-    p = validate_params(1.0, 0.0, 0.1, 0.3, 0.2)
-    wm = weber_params(p, 0.4, branch=-1)
-    wm2 = weber_params(p.mirrored(), 0.4, branch=+1)
-    assert wm.a1 == pytest.approx(wm2.a1, rel=1e-14)
-    assert wm.stretch == pytest.approx(wm2.stretch, rel=1e-14)
-
-
 def test_weber_params_lambda_zero_refused():
     with pytest.raises(ValidationError, match="stretch degenerates at lambda = 0"):
         weber_params(validate_params(1.0, 0.0, 0.0, 0.3, 0.0), 0.1)

@@ -97,6 +97,44 @@ def test_bad_setting_raises_validation_error(call):
         call()
 
 
+#: gluing points outside (0, 1) or not a real number
+BAD_ZETA_STARS = (math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0, 5.0, "0.5", None,
+                  np.array([0.4, 0.6]))
+
+
+@pytest.mark.parametrize("zeta_star", BAD_ZETA_STARS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda zs: heun_spectrum(P2, -1.0, 1.0, 0.05, zs),
+    lambda zs: heun_spectrum(DELTA0, -1.0, 1.0, 0.05, zs),
+    lambda zs: bcf_spectrum(P3, -1.0, 1.0, 0.05, zs),
+    lambda zs: bcf_spectrum(validate_params(1.0, 0.0, 0.1, 0.3, 0.1), -1.0, 1.0, 0.05, zs),
+    lambda zs: g_function_heun(P2, 0.2, zs),
+    lambda zs: g_function_bcf_batch(P3, [0.2, 0.7], zs),
+], ids=["heun", "heun-delta0", "bcf", "bcf-delta0", "g_function_heun",
+        "g_function_bcf_batch"])
+def test_a_bad_gluing_point_raises_validation_error(call, zeta_star):
+    # read on every path, the closed form at delta = 0 included
+    with pytest.raises(ValidationError, match="zeta_star must"):
+        call(zeta_star)
+
+
+def test_a_gluing_point_reaches_the_determinant_as_a_float(monkeypatch):
+    # a 0-d array or an int is read as the same Python float, so the
+    # energies are those of the float
+    seen = []
+    wronskian = twopoint._wronskian
+
+    def recording(reduction, energies, exponents, zeta_star):
+        seen.append(zeta_star)
+        return wronskian(reduction, energies, exponents, zeta_star)
+
+    expected = heun_spectrum(P2, -1.0, 1.0, 0.05, 0.5).energies
+    monkeypatch.setattr(twopoint, "_wronskian", recording)
+    got = heun_spectrum(P2, -1.0, 1.0, 0.05, np.array(0.5)).energies
+    np.testing.assert_array_equal(got, expected)
+    assert {type(z) for z in seen} == {float} and set(seen) == {0.5}
+
+
 @pytest.mark.parametrize("call, python_numbers", [
     (lambda: fock.eigenvalues(P2, np.array(40)), lambda: fock.eigenvalues(P2, 40)),
     (lambda: fock.eigenvalues(P2, 40, np.array(3)), lambda: fock.eigenvalues(P2, 40, 3)),

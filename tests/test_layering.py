@@ -464,15 +464,6 @@ UNREACHED = {
     ("_kernels.py", "roll"),
     # a decorator: it runs at import, on the audit's table checks
     ("audit.py", "_in_float_range"),
-    # checks of the paper's normal forms and partial fractions, which no
-    # diagnose row reads yet
-    ("canonical.py", "general_normal_form_residual"),
-    ("canonical.py", "second_normal_potential"),
-    ("canonical.py", "second_normal_residual"),
-    ("canonical.py", "CanonicalCoeffs.p1_at"),
-    ("canonical.py", "CanonicalCoeffs.q1_at"),
-    ("canonical.py", "CanonicalCoeffs.reconstruction_error"),
-    ("canonical.py", "NormalFormCoeffs.potential_at"),
 }
 
 
