@@ -661,10 +661,10 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
                  ("nu", derived_nu, bp["nu"])]
         out.append(_table_entry(
             "appendix-bch-g0", pairs,
-            note="printed g=0 list drops the constant part of c4 (with its "
-                 "delta-bar dependence) and uses the lambda1 misprint; the "
-                 "op returns the printed values by contract, derived shown "
-                 "here"))
+            note="derived: lambda1, lambda3 and nu of the g=0 normal form "
+                 "with all of c4; printed: the in-text g=0 list, which drops "
+                 "the constant part of c4 (with its delta-bar dependence) "
+                 "and uses the lambda1 misprint"))
     return out
 
 

@@ -1,6 +1,7 @@
 """Spectrum of the linear-coupling model (lam = 0): the ``heun`` row of
-:data:`twopoint.ROUTES`, the exact parent gauged into the confluent Heun
-equation, whose local series obey three-term recurrences.
+:data:`twopoint.ROUTES`, the truncated parent read at lam = 0, where it is
+exact, gauged into the confluent Heun equation, whose local series obey
+three-term recurrences.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Governing ODEs of the model, composed from the two coupled operators.
 
 The fourth-order operator and its monic coefficient table come from the
-composition with the full product rule; the lam = 0 and small-coupling
-reductions feed the heun and bcf routes.  The fourth-order composition
-and the lam = 0 parent are kept for the last few (parameters, energy)
-pairs, so the audits of one report share them; each reads its energy as a
-Python float before its cache forms the key, so a 0-d array shares the
-entry of its value.  The displays the derivation chapters print drop two
-product-rule terms; they are transcribed in :mod:`rabi_spectra.audit`,
-which compares them with what is derived here.
+composition with the full product rule; the small-coupling reduction is the
+one parent of both routes, read by heun at lam = 0, where it is exact.  The
+exact lam = 0 composition is the audit's reference for that equation.  The
+fourth-order composition and the lam = 0 composition are kept for the last
+few (parameters, energy) pairs, so the audits of one report share them;
+each reads its energy as a Python float before its cache forms the key, so
+a 0-d array shares the entry of its value.  The displays the derivation
+chapters print drop two product-rule terms; they are transcribed in
+:mod:`rabi_spectra.audit`, which compares them with what is derived here.
 """
 
 from __future__ import annotations

@@ -7,15 +7,16 @@ z^2 - q^2.  :func:`map_to_zeta` moves its two regular singularities to
 zeta = 0 and zeta = 1 and gauges it by exp(k zeta); the spectral
 determinant is the Wronskian, at a gluing point zeta_star, of the two local
 Frobenius series (Braak, PRL 107, 100401, 2011).  The gauge multiplies both
-local solutions alike, so the Wronskian's zeros do not depend on k: heun
-maps the exact lam = 0 parent with the k that leaves the confluent Heun
-equation, bcf the truncated small-coupling parent with k = 0.  Everything
-past the parent lives here, in units of omega (the public entry points
-divide by it once).  The equation's coefficients are quadratics in E, and
-so are its series' recurrence weights: :func:`reduction` fits them once
-from three probes, and a determinant call evaluates them at its energies.
-The determinant has a simple pole at each ladder point E_m, so the
-spectrum scans g * prod_m sign(E - E_m), which is continuous there.  Every
+local solutions alike, so the Wronskian's zeros do not depend on k.  Both
+rows map one parent, the truncated small-coupling equation: heun reads it
+at lam = 0, where it is exact, with the k that leaves the confluent Heun
+equation, and bcf at the model's lam with k = 0.  Everything past the
+parent lives here, in units of omega (the public entry points divide by it
+once).  The equation's coefficients are quadratics in E, and so are its
+series' recurrence weights: :func:`reduction` fits them once from three
+probes, and a determinant call evaluates them at its energies.  The
+determinant has a simple pole at each ladder point E_m, so the spectrum
+scans g * prod_m sign(E - E_m), which is continuous there.  Every
 determinant, the ladder points' second-kind Wronskians included, is a lane
 of :func:`_wronskian`: one batched call, and so one kernel roll, per scan
 round.
@@ -33,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .closed_form import closed_window
 from .errors import NumericalError, ValidationError
-from .operators import asymmetric_second_order, bcf_truncated_parent
+from .operators import bcf_truncated_parent
 from .params import (ModelParams, in_units_of_omega, real, require_no_squeeze,
                      require_weak_squeeze, vanishes)
 from .polyops import padd, poly, pshift
@@ -90,13 +91,15 @@ class Route:
     gauge: Callable
 
 
-def _exact_parent(p: ModelParams, energy: float) -> tuple:
-    """The exact lam = 0 parent; ValidationError where lam != 0."""
+def _truncated_parent_at_lam0(p: ModelParams, energy: float) -> list:
+    """The truncated small-coupling parent read at lam = 0, where every term
+    it drops vanishes and it is the exact lam = 0 equation; ValidationError
+    unless lam vanishes next to omega, which is then read as 0."""
     require_no_squeeze(p)
-    return asymmetric_second_order(p, energy)
+    return bcf_truncated_parent(replace(p, lam=0.0), energy)
 
 
-ROUTES = {"heun": Route("heun", require_no_squeeze, _exact_parent,
+ROUTES = {"heun": Route("heun", require_no_squeeze, _truncated_parent_at_lam0,
                         lambda p: -2.0 * (p.g / p.omega) ** 2),
           "bcf": Route("bcf", require_weak_squeeze, bcf_truncated_parent, lambda p: 0.0)}
 

@@ -1,5 +1,6 @@
 """The spectrum routes stay on one determinant path: they import nothing of
-the audit's recurrence and residual checks or of the paper audit, and
+the audit's recurrence and residual checks or of the paper audit, nor the
+exact lam = 0 composition, which only the audit reads as its reference, and
 ``import rabi_spectra`` loads the solver only, and no scipy.  One
 series entry reaches the kernel: only ``series`` calls ``roll_lanes``, and
 no module calls the one-lane ``_kernels.roll``; only ``twopoint`` asks it
@@ -32,7 +33,7 @@ from rabi_spectra.rootscan import scan_and_refine
 SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_spectra"
 ROUTES = ("twopoint.py", "heun.py", "bcf.py", "rootscan.py", "closed_form.py")
 FORBIDDEN = {"ode_to_recurrence", "ode_residual", "RecurrenceSpec",
-             "audit", "canonical"}
+             "audit", "canonical", "asymmetric_second_order"}
 ABOVE_ROOTSCAN = {"twopoint", "heun", "bcf", "series", "cli"}
 
 
