@@ -3,10 +3,9 @@
 Every closed form the derivation chapters print (operator expansions,
 coefficient tables, recurrences, normal-form coefficients) is transcribed
 here verbatim, and only here, and compared against the mechanically derived
-counterpart from :mod:`rabi_spectra.operators`, the routes and
-:mod:`rabi_spectra.canonical`.  Nothing in this module feeds the solvers,
-and ``import rabi_spectra`` does not load it; mismatches are reported, never
-silently corrected.
+counterpart from the routes and :mod:`rabi_spectra.canonical`.  Nothing in
+this module feeds the solvers, and ``import rabi_spectra`` does not load
+it; mismatches are reported, never silently corrected.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import math
 import numpy as np
 
 from . import canonical as canon
+from .canonical import asymmetric_second_order, compose_fourth_order, general_table
 from .errors import NumericalError, ValidationError
 from .fock import dimension, oracle_spectrum
-from .operators import (asymmetric_second_order, bcf_truncated_parent,
-                        compose_fourth_order, general_table)
 from .params import ModelParams, in_units_of_omega, vanishes, whole
 from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
-from .twopoint import ROUTES, zeta_form
+from .twopoint import ROUTES, bcf_truncated_parent, zeta_form
 
 RTOL = 1e-12
 #: largest ODE residual a row of :func:`residual_suite` passes with

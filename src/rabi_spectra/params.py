@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,19 +70,23 @@ def validate_params(omega: float, delta: float, epsilon: float,
     return p
 
 
-def require_weak_squeeze(p: ModelParams) -> None:
-    """ValidationError unless |2*lambda| < omega, where the ladder spacing
-    sqrt(omega^2 - 4 lambda^2) is real and the spectrum bounded below."""
+def require_weak_squeeze(p: ModelParams) -> ModelParams:
+    """p as given once |2*lambda| < omega, where the ladder spacing
+    sqrt(omega^2 - 4 lambda^2) is real and the spectrum bounded below, else
+    ValidationError: the bcf rule, which hands a tiny lambda over as it is."""
     if abs(2.0 * p.lam) >= p.omega:
         raise ValidationError(
             f"|2*lambda| = {abs(2 * p.lam)} >= omega = {p.omega}: "
             "sqrt(omega^2 - 4 lambda^2) is not real positive")
+    return p
 
 
-def require_no_squeeze(p: ModelParams) -> None:
-    """ValidationError unless lambda vanishes next to omega: the heun rule."""
+def require_no_squeeze(p: ModelParams) -> ModelParams:
+    """p with lambda read as 0 once it vanishes next to omega, else
+    ValidationError: the heun rule."""
     if not vanishes(p, p.lam):
         raise ValidationError(f"heun route needs lambda = 0, got {p.lam}")
+    return replace(p, lam=0.0)
 
 
 def in_units_of_omega(p: ModelParams, *energies) -> tuple:

@@ -1,24 +1,25 @@
 """The two-point Wronskian route, whose rows ``heun`` and ``bcf`` are
 :data:`ROUTES`.
 
-A :class:`Route` names an input rule, a gauge k(p) and a parent: a
-second-order equation in z whose leading coefficient is a multiple of
-z^2 - q^2.  :func:`map_to_zeta` moves its two regular singularities to
-zeta = 0 and zeta = 1 and gauges it by exp(k zeta); the spectral
-determinant is the Wronskian, at a gluing point zeta_star, of the two local
-Frobenius series (Braak, PRL 107, 100401, 2011).  The gauge multiplies both
-local solutions alike, so the Wronskian's zeros do not depend on k.  Both
-rows map one parent, the truncated small-coupling equation: heun reads it
-at lam = 0, where it is exact, with the k that leaves the confluent Heun
-equation, and bcf at the model's lam with k = 0.  Everything past the
-parent lives here, in units of omega (the public entry points divide by it
-once).  The equation's coefficients are quadratics in E, and so are its
-series' recurrence weights: :func:`reduction` fits them once from three
-probes, and a determinant call evaluates them at its energies.  The
-determinant has a simple pole at each ladder point E_m, so the spectrum
-scans g * prod_m sign(E - E_m), which is continuous there.  Every
-determinant, the ladder points' second-kind Wronskians included, is a lane
-of :func:`_wronskian`: one batched call, and so one kernel roll, per scan
+Both rows map one parent, :func:`bcf_truncated_parent`: the small-coupling
+equation in z, second order, whose leading coefficient is a multiple of
+z^2 - q^2.  A :class:`Route` holds only what differs between them, an input
+rule and a gauge k(p): heun's rule reads lam as 0, where the parent is
+exact, and its k leaves the confluent Heun equation; bcf's rule hands lam
+over as given, with k = 0.  :func:`map_to_zeta` moves the parent's two
+regular singularities to zeta = 0 and zeta = 1 and gauges it by
+exp(k zeta); the spectral determinant is the Wronskian, at a gluing point
+zeta_star, of the two local Frobenius series (Braak, PRL 107, 100401,
+2011).  The gauge multiplies both local solutions alike, so the
+Wronskian's zeros do not depend on k.  Everything past the parent lives
+here, in units of omega (the public entry points divide by it once).  The
+equation's coefficients are quadratics in E, and so are its series'
+recurrence weights: :func:`reduction` fits them once from three probes,
+and a determinant call evaluates them at its energies.  The determinant
+has a simple pole at each ladder point E_m, so the spectrum scans
+g * prod_m sign(E - E_m), which is continuous there.  Every determinant,
+the ladder points' second-kind Wronskians included, is a lane of
+:func:`_wronskian`: one batched call, and so one kernel roll, per scan
 round.
 """
 
@@ -34,7 +35,6 @@ import numpy as np
 from . import _kernels
 from .closed_form import closed_window
 from .errors import NumericalError, ValidationError
-from .operators import bcf_truncated_parent
 from .params import (ModelParams, in_units_of_omega, real, require_no_squeeze,
                      require_weak_squeeze, vanishes)
 from .polyops import padd, poly, pshift
@@ -79,29 +79,38 @@ def map_to_zeta(parent, k: float) -> tuple:
                     at2)).polys
 
 
+def bcf_truncated_parent(p: ModelParams, energy: float) -> list:
+    """Second-order operator after dropping every O(lam^2), O(lam*g) monomial
+    from the composed fourth-order equation (small-coupling reduction): the
+    one parent of both rows of :data:`ROUTES`.
+
+    Validity is checked in tests by scaling (g, lam) jointly and verifying the
+    discarded part shrinks quadratically.
+    """
+    om, de, ep, g, lam = p.omega, p.delta, p.epsilon, p.g, p.lam
+    E = energy
+    p2 = poly([g * g + 2 * lam * (om + ep), 0.0, -om * om])
+    p1 = poly([g * (om + 2 * ep), 2 * g * g + 2 * om * E - om * om])
+    p0 = poly([g * g + ep * ep - E * E + de * de,
+               g * (2 * ep - om),
+               g * g + 2 * ep * lam - 2 * lam * om])
+    return [p0, p1, p2]
+
+
 @dataclass(frozen=True)
 class Route:
-    """A row of :data:`ROUTES`: ``rule(p)`` raises ValidationError outside
-    the route's regime, ``parent(p, energy)`` is its equation in z and
-    ``gauge(p)`` its k, which, where not 0, cancels P0's zeta^2 coefficient."""
+    """A row of :data:`ROUTES`, a rule and a gauge: ``rule(p)`` raises
+    ValidationError outside the route's regime and returns the parameters
+    :func:`bcf_truncated_parent` reads, and ``gauge(p)`` is its k, which,
+    where not 0, cancels P0's zeta^2 coefficient."""
 
     name: str
     rule: Callable
-    parent: Callable
     gauge: Callable
 
 
-def _truncated_parent_at_lam0(p: ModelParams, energy: float) -> list:
-    """The truncated small-coupling parent read at lam = 0, where every term
-    it drops vanishes and it is the exact lam = 0 equation; ValidationError
-    unless lam vanishes next to omega, which is then read as 0."""
-    require_no_squeeze(p)
-    return bcf_truncated_parent(replace(p, lam=0.0), energy)
-
-
-ROUTES = {"heun": Route("heun", require_no_squeeze, _truncated_parent_at_lam0,
-                        lambda p: -2.0 * (p.g / p.omega) ** 2),
-          "bcf": Route("bcf", require_weak_squeeze, bcf_truncated_parent, lambda p: 0.0)}
+ROUTES = {"heun": Route("heun", require_no_squeeze, lambda p: -2.0 * (p.g / p.omega) ** 2),
+          "bcf": Route("bcf", require_weak_squeeze, lambda p: 0.0)}
 
 
 def zeta_form(route: Route, p: ModelParams, energy: float) -> tuple:
@@ -114,7 +123,7 @@ def zeta_form(route: Route, p: ModelParams, energy: float) -> tuple:
 @functools.lru_cache(maxsize=8)
 def _zeta_form(route: Route, p: ModelParams, energy: float) -> tuple:
     k = route.gauge(p)
-    p0, p1, p2 = map_to_zeta(route.parent(p, energy), k)
+    p0, p1, p2 = map_to_zeta(bcf_truncated_parent(route.rule(p), energy), k)
     # P0's zeta^2 coefficient, -4 q^4 + k^2 on heun, is zero up to rounding
     # where k != 0: dropping it leaves a three-term recurrence
     return (p0[:2] if k else p0), p1, p2

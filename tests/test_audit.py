@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabi_spectra import audit, operators, twopoint, validate_params
+from rabi_spectra import audit, canonical, twopoint, validate_params
 from rabi_spectra.canonical import normalize_params
 from rabi_spectra.errors import NumericalError, ValidationError
 from rabi_spectra.params import ModelParams
@@ -191,7 +191,7 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
-    derivations = (operators._compose_fourth_order, operators._asymmetric_second_order,
+    derivations = (canonical._compose_fourth_order, canonical._asymmetric_second_order,
                    twopoint._zeta_form)
     for derive in derivations:
         derive.cache_clear()
@@ -231,11 +231,11 @@ def test_a_report_refuses_its_settings_before_it_builds_a_table(setting, monkeyp
 
 def test_shared_derivations_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
-        operators.compose_fourth_order(P_GEN, 0.2)[0][0] = 0.0
+        canonical.compose_fourth_order(P_GEN, 0.2)[0][0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        operators.asymmetric_second_order(P_ASYM, 0.2)[0][0] = 0.0
+        canonical.asymmetric_second_order(P_ASYM, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):
-        operators.asymmetric_second_order(P_ASYM, 0.2)[0] = ()
+        canonical.asymmetric_second_order(P_ASYM, 0.2)[0] = ()
     with pytest.raises(TypeError):
         twopoint.zeta_form(twopoint.ROUTES["heun"], P_ASYM, 0.2)[0][0] = 0.0
     with pytest.raises(TypeError):

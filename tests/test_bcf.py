@@ -13,8 +13,8 @@ from rabi_spectra import (
 )
 from rabi_spectra import fock
 from rabi_spectra.audit import audit_bcf_tables, bcf_symbols
+from rabi_spectra.canonical import asymmetric_second_order, compose_fourth_order
 from rabi_spectra.errors import NumericalError
-from rabi_spectra.operators import asymmetric_second_order, compose_fourth_order
 from rabi_spectra.polyops import poly
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 from rabi_spectra.twopoint import ROUTES, map_to_zeta, zeta_form
@@ -33,7 +33,7 @@ def test_q_at_reference_point():
 
 def test_lambda_zero_limit():
     # at lam = 0 the truncated parent is the exact one: the reduced equation
-    # is the heun route's parent mapped to zeta with no gauge
+    # is the audit's exact lam = 0 reference mapped to zeta with no gauge
     p = validate_params(1.0, 0.3, 0.1, 0.4, 0.0)
     zeta = zeta_form(BCF, p, 0.2)
     exact = map_to_zeta(asymmetric_second_order(p, 0.2), 0.0)

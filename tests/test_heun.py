@@ -16,7 +16,7 @@ from rabi_spectra import _kernels, fock, twopoint
 from rabi_spectra.audit import _che_partial_fractions, che_symbols
 from rabi_spectra.errors import ValidationError
 from rabi_spectra.heun import g_function_heun_batch
-from rabi_spectra.operators import asymmetric_second_order
+from rabi_spectra.canonical import asymmetric_second_order
 from rabi_spectra.rootscan import same_energy
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 from rabi_spectra.twopoint import (g_function_batch, map_to_zeta, reduction, resonance_ladder,

@@ -16,13 +16,13 @@ from rabi_spectra import (
     audit,
     bcf_spectrum,
     build_hamiltonian,
+    canonical,
     fock,
     g_function_bcf,
     g_function_bcf_batch,
     g_function_heun,
     g_function_heun_batch,
     heun_spectrum,
-    operators,
     oracle_spectrum,
     twopoint,
     uncoupled_spectrum,
@@ -72,8 +72,8 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: fock.eigenvalues(P2, "40"),
     lambda: fock.eigenvalues(P2, 40, "3"),
     lambda: zeta_form(HEUN, P2, "0.3"),
-    lambda: operators.compose_fourth_order(P3, "0.2"),
-    lambda: operators.asymmetric_second_order(P2, "0.2"),
+    lambda: canonical.compose_fourth_order(P3, "0.2"),
+    lambda: canonical.asymmetric_second_order(P2, "0.2"),
     # no draws would pass the residual gate without computing a row
     lambda: audit.diagnose_report(P2, n_draws=0),
     lambda: audit.residual_suite(n_draws=-3),
@@ -140,10 +140,10 @@ def test_a_gluing_point_reaches_the_determinant_as_a_float(monkeypatch):
     (lambda: fock.eigenvalues(P2, 40, np.array(3)), lambda: fock.eigenvalues(P2, 40, 3)),
     (lambda: zeta_form(HEUN, P2, np.array(0.3)),
      lambda: zeta_form(HEUN, P2, 0.3)),
-    (lambda: operators.compose_fourth_order(P3, np.array(0.2)),
-     lambda: operators.compose_fourth_order(P3, 0.2)),
-    (lambda: operators.asymmetric_second_order(P2, np.array(0.2)),
-     lambda: operators.asymmetric_second_order(P2, 0.2)),
+    (lambda: canonical.compose_fourth_order(P3, np.array(0.2)),
+     lambda: canonical.compose_fourth_order(P3, 0.2)),
+    (lambda: canonical.asymmetric_second_order(P2, np.array(0.2)),
+     lambda: canonical.asymmetric_second_order(P2, 0.2)),
 ], ids=["eigenvalues-cutoff", "eigenvalues-k", "zeta_form-energy",
         "compose_fourth_order-energy", "asymmetric_second_order-energy"])
 def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):

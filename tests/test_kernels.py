@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi_spectra import _kernels
-from rabi_spectra.operators import compose_fourth_order
+from rabi_spectra.canonical import compose_fourth_order
 from rabi_spectra.params import ModelParams
 from rabi_spectra.series import (
     DEFAULT_MAX_N,

@@ -127,6 +127,19 @@ def test_only_the_audit_defines_printed_transcriptions():
         == {"audit.py"}
 
 
+def test_the_solver_defines_no_composition_only_the_audit_reads():
+    """The one parent lives in ``twopoint``; the compositions the audit
+    compares live in ``canonical``, which the import leaves out."""
+    after_import = [m.split(".", 1)[1] for m in loaded_modules()[0]
+                    if m.startswith("rabi_spectra.")]
+    assert "twopoint" in after_import
+    audit_only = {"compose_fourth_order", "general_table", "asymmetric_second_order",
+                  "coupled_operator_polys"}
+    assert {m: top_level_names(SRC / f"{m}.py") & audit_only for m in after_import
+            if top_level_names(SRC / f"{m}.py") & audit_only} == {}
+    assert top_level_names(SRC / "canonical.py") >= audit_only
+
+
 def kernel_entries_used(path: Path) -> set:
     """The kernel entries ``roll_lanes`` and ``roll`` a module names, as
     ``_kernels.<entry>`` or imported from ``_kernels``."""
@@ -374,8 +387,8 @@ def test_every_cache_is_bounded():
     loose = {b for b in bounds if not (isinstance(b[2], int) and b[2] > 0)}
     assert loose == set()
     assert {b[:2] for b in bounds} >= {("fock", "_eigenvalues"),
-                                        ("operators", "_compose_fourth_order"),
-                                        ("operators", "_asymmetric_second_order"),
+                                        ("canonical", "_compose_fourth_order"),
+                                        ("canonical", "_asymmetric_second_order"),
                                         ("twopoint", "_zeta_form"),
                                         ("twopoint", "reduction")}
 

@@ -10,15 +10,15 @@ import pytest
 
 from rabi_spectra import ModelParams, validate_params
 from rabi_spectra.audit import audit_general_table, printed_fourth_order, printed_general_table
-from rabi_spectra.errors import ValidationError
-from rabi_spectra.operators import (
+from rabi_spectra.canonical import (
     asymmetric_second_order,
-    bcf_truncated_parent,
     compose_fourth_order,
     coupled_operator_polys,
     general_table,
 )
+from rabi_spectra.errors import ValidationError
 from rabi_spectra.polyops import pder, pmul, poly, padd
+from rabi_spectra.twopoint import bcf_truncated_parent
 
 
 def apply_operator(op, f):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,6 +14,7 @@ from rabi_spectra import (
     fock,
     heun,
     heun_spectrum,
+    oracle_spectrum,
     rootscan,
     scan_and_refine,
     twopoint,
@@ -381,6 +383,56 @@ def test_heun_and_bcf_solve_one_equation_at_lambda_zero(delta, eps, g):
     assert heun_res.labels and bcf_res.labels == heun_res.labels
     np.testing.assert_allclose(bcf_res.energies, heun_res.energies,
                                rtol=0.0, atol=rootscan.REFINE_TOL)
+
+
+def test_a_route_is_a_rule_and_a_gauge():
+    # the one parent sits beside the table, so a row holds what differs
+    assert [f.name for f in dataclasses.fields(twopoint.Route)] == ["name", "rule", "gauge"]
+
+
+def test_each_rule_hands_over_the_parameters_the_parent_reads():
+    # heun reads a vanishing lambda as 0; bcf hands lambda over as given,
+    # since at g = 0 its q^2 is proportional to lambda
+    tiny = validate_params(1.0, 0.4, 0.15, 0.6, 1e-12)
+    assert HEUN.rule(tiny).lam == 0.0
+    assert HEUN.rule(tiny) == dataclasses.replace(tiny, lam=0.0)
+    for p in (tiny, validate_params(1.0, 0.3, 0.0, 0.05, 0.02)):
+        assert BCF.rule(p) is p
+
+
+def test_heun_maps_a_vanishing_lambda_as_zero():
+    at_tiny, at_zero = (zeta_form(HEUN, validate_params(1.0, 0.4, 0.15, 0.6, lam), 0.2)
+                        for lam in (1e-12, 0.0))
+    for c, ref in zip(at_tiny, at_zero):
+        c, ref = np.asarray(c), np.asarray(ref)
+        assert c.dtype == ref.dtype and c.shape == ref.shape
+        assert c.tobytes() == ref.tobytes()
+
+
+#: (e_min, e_max) of two windows that share an edge at the exceptional
+#: level 0.49 of P_EDGE, a ladder point: the level lies 1 ulp above e_max
+#: on the route and a few ulp above it in the oracle
+EDGE_WINDOWS = [(0.49, 1.2), (0.3, 0.49)]
+P_EDGE = (1.0, 0.389143621728628, 0.15, 0.6, 0.0)
+
+
+@pytest.mark.parametrize("window", EDGE_WINDOWS, ids=["level-at-e_min", "level-at-e_max"])
+def test_a_level_on_the_window_edge_is_returned_or_reported(window):
+    # each cutoff-400 oracle level within 1e-12 of the window, edges
+    # included, is returned within 1e-8 or lies within 1e-12 of an
+    # excluded interval or a suspect: none is missed silently
+    p = validate_params(*P_EDGE)
+    res = heun_spectrum(p, *window, 0.05)
+    rep = res.report
+    e_min, e_max = window
+    levels = [e for e in oracle_spectrum(p, 400).eigenvalues.tolist()
+              if e_min - 1e-12 <= e <= e_max + 1e-12]
+    assert levels
+    for e in levels:
+        returned = np.any(np.abs(res.energies - e) <= 1e-8)
+        reported = any(iv.lo - 1e-12 <= e <= iv.hi + 1e-12 for iv in rep.excluded) \
+            or any(abs(s - e) <= 1e-12 for s in rep.suspects)
+        assert returned or reported, (e, res.energies, rep.excluded, rep.suspects)
 
 
 @pytest.mark.parametrize("route, params", [
