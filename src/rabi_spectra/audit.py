@@ -10,6 +10,7 @@ it; mismatches are reported, never silently corrected.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -70,12 +71,35 @@ def _poly_str(c) -> str:
     return " ".join(parts)
 
 
+def _item(key: str, derived, printed) -> dict:
+    """One compared quantity: a float matches within RTOL of its scale, a
+    polynomial coefficient by coefficient (:func:`polys_equal`)."""
+    if np.ndim(derived) == 0:
+        return {"lag": key,
+                "match": abs(derived - printed) <= RTOL * max(1.0, abs(derived), abs(printed)),
+                "derived": f"{derived:.12g}", "printed": f"{printed:.12g}"}
+    d, pr = poly(derived).tolist(), poly(printed).tolist()
+    return {"lag": key, "match": polys_equal(d, pr, RTOL),
+            "derived": _poly_str(d), "printed": _poly_str(pr)}
+
+
+def _entry(name: str, kind: str, triples, note: str = "",
+           symbols: dict | None = None) -> dict:
+    """The one audit row: an item per (key, derived, printed) triple, and a
+    match where every item matches."""
+    items = [_item(*t) for t in triples]
+    return {"name": name, "kind": kind, "match": all(i["match"] for i in items),
+            "items": items, "note": note,
+            "symbols": {k: float(v) for k, v in (symbols or {}).items()}}
+
+
 def compare_recurrences(name: str, derived, printed_rows: dict,
                         symbols: dict, note: str = "") -> dict:
     """Compare a derived RecurrenceSpec against transcribed printed weights.
 
     Both sides are normalized by their leading weight's top coefficient and
-    compared lag by lag as polynomials in the index.
+    compared lag by lag as polynomials in the index; a lag that is zero on
+    both sides is left out.
     """
     derived_rows = derived.weights.tolist()
     printed = [[] for _ in derived_rows]
@@ -84,21 +108,11 @@ def compare_recurrences(name: str, derived, printed_rows: dict,
     width = max(map(len, derived_rows + printed))
     wdn, wpn = (_normalize([r + [0.0] * (width - len(r)) for r in rows])
                 for rows in (derived_rows, printed))
-    items = []
-    for j, (d, pr) in enumerate(zip(wdn, wpn)):
-        lag = derived.order - j
-        m = polys_equal(d, pr, RTOL)
-        if not m or any(abs(v) > 0 for v in d + pr):
-            items.append({
-                "lag": f"a[n{lag:+d}]" if lag else "a[n]",
-                "match": m,
-                "derived": _poly_str(d),
-                "printed": _poly_str(pr),
-            })
-    return {"name": name, "kind": "recurrence",
-            "match": all(i["match"] for i in items),
-            "symbols": {k: float(v) for k, v in symbols.items()},
-            "items": items, "note": note}
+    lags = range(derived.order, derived.order - len(wdn), -1)
+    return _entry(name, "recurrence",
+                  [(f"a[n{lag:+d}]" if lag else "a[n]", d, pr)
+                   for lag, d, pr in zip(lags, wdn, wpn) if any(v != 0 for v in d + pr)],
+                  note, symbols)
 
 
 def _padded(c, n: int) -> np.ndarray:
@@ -155,6 +169,13 @@ def _che_partial_fractions(p: ModelParams, energy: float):
     al1, be1 = 2 * q * table["A1"], 4 * q * q * table["B1"]
     root = math.sqrt(al1 * al1 - 4 * be1)
     return q, table, ((-al1 + root) / 2, (-al1 - root) / 2)
+
+
+def _two_photon_symbols(t: dict) -> dict:
+    """The two-photon table's six symbols, read off the general table t of
+    the model at g = 0."""
+    return {"A1": t["B1"], "A2": t["B3"], "B1": t["C2"], "B2": t["C4"],
+            "C1": t["D1"], "C2": t["D3"]}
 
 
 # --------------------------------------------------------------------------
@@ -245,9 +266,8 @@ def printed_bch(s: dict) -> dict:
 def audit_recurrences(p_asym: ModelParams | None = None,
                       e_asym: float = -0.1,
                       p_general: ModelParams | None = None,
-                      e_general: float = 0.2, tables: tuple | None = None) -> list:
-    """Derived-vs-printed comparison for all transcribed recurrences;
-    ``tables``: the :func:`general_table` of p_general at g = 0 and of p_general."""
+                      e_general: float = 0.2) -> list:
+    """Derived-vs-printed comparison for all transcribed recurrences."""
     if p_asym is None:
         p_asym = ModelParams(1.0, 0.4, 0.15, 0.6, 0.0)
     if p_general is None:
@@ -265,12 +285,8 @@ def audit_recurrences(p_asym: ModelParams | None = None,
     out.append(compare_recurrences(
         "che-series-one", rec1, printed_che_one(sym), sym))
 
-    p_tp = ModelParams(p_general.omega, p_general.delta, p_general.epsilon,
-                       0.0, p_general.lam)
-    tbl_tp, tbl = tables or (general_table(p_tp, e_general),
-                             general_table(p_general, e_general))
-    sym5 = {"A1": tbl_tp["B1"], "A2": tbl_tp["B3"], "B1": tbl_tp["C2"],
-            "B2": tbl_tp["C4"], "C1": tbl_tp["D1"], "C2": tbl_tp["D3"]}
+    p_tp = dataclasses.replace(p_general, g=0.0)
+    sym5 = _two_photon_symbols(general_table(p_tp, e_general))
     ode_tp = PolyOde(tuple(compose_fourth_order(p_tp, e_general)), z0=0.0)
     out.append(compare_recurrences(
         "five-term-series", ode_to_recurrence(ode_tp),
@@ -279,6 +295,7 @@ def audit_recurrences(p_asym: ModelParams | None = None,
              "a_{n-2}; the composed table has B2 = 0, so the instantiated "
              "forms coincide"))
 
+    tbl = general_table(p_general, e_general)
     ode_g = PolyOde(tuple(compose_fourth_order(p_general, e_general)), z0=0.0)
     out.append(compare_recurrences(
         "nine-term-series", ode_to_recurrence(ode_g),
@@ -335,10 +352,6 @@ def printed_fourth_order(p: ModelParams, energy: float) -> list:
     return [ptrim(phi0), ptrim(phi1), ptrim(phi2), poly([2 * lam * g]), poly([lam * lam])]
 
 
-GENERAL_TABLE_KEYS = ("A1", "B1", "B2", "B3", "C1", "C2", "C3", "C4",
-                      "D1", "D2", "D3", "D4")
-
-
 def printed_general_table(p: ModelParams, energy: float) -> dict:
     """The general-case coefficient list as literally printed.
 
@@ -363,55 +376,28 @@ def printed_general_table(p: ModelParams, energy: float) -> dict:
     }
 
 
-def _table_entry(name, pairs, note=""):
-    items = []
-    ok = True
-    for key, derived, printed in pairs:
-        m = abs(derived - printed) <= RTOL * max(1.0, abs(derived), abs(printed))
-        if not m:
-            ok = False
-        items.append({"lag": key, "match": m,
-                      "derived": f"{derived:.12g}", "printed": f"{printed:.12g}"})
-    return {"name": name, "kind": "table", "match": ok, "items": items,
-            "note": note, "symbols": {}}
-
-
-def _poly_entry(name, kind, triples, note):
-    """An entry comparing (key, derived, printed) polynomials, key by key."""
-    items = []
-    for key, d, pr in triples:
-        d, pr = poly(d).tolist(), poly(pr).tolist()
-        items.append({"lag": key, "match": polys_equal(d, pr, RTOL),
-                      "derived": _poly_str(d), "printed": _poly_str(pr)})
-    return {"name": name, "kind": kind, "match": all(i["match"] for i in items),
-            "items": items, "symbols": {}, "note": note}
-
-
 @_in_float_range
 def audit_fourth_order_operator(p: ModelParams, energy: float) -> dict:
     comp = compose_fourth_order(p, energy)
     prin = printed_fourth_order(p, energy)
-    return _poly_entry("fourth-order-operator", "operator",
-                       [(f"phi^({k})", comp[k], prin[k]) for k in range(5)],
-                       "the printed expansion drops lam*c2 from the phi'' "
-                       "coefficient and 2 lam c2' + c1bar c2 from the phi' "
-                       "coefficient")
+    return _entry("fourth-order-operator", "operator",
+                  [(f"phi^({k})", comp[k], prin[k]) for k in range(5)],
+                  "the printed expansion drops lam*c2 from the phi'' "
+                  "coefficient and 2 lam c2' + c1bar c2 from the phi' "
+                  "coefficient")
 
 
 @_in_float_range
-def audit_general_table(p: ModelParams, energy: float,
-                        composed: dict | None = None) -> dict:
-    composed = composed or general_table(p, energy)
+def audit_general_table(p: ModelParams, energy: float) -> dict:
+    composed = general_table(p, energy)
     printed = printed_general_table(p, energy)
-    pairs = [(k, composed[k], printed[k]) for k in GENERAL_TABLE_KEYS]
+    pairs = [(k, composed[k], printed[k]) for k in printed]
     note = "D1: printed has -delta^2, composition gives +delta^2"
-    return _table_entry("general-coefficient-table", pairs, note)
+    return _entry("general-coefficient-table", "table", pairs, note)
 
 
 @_in_float_range
-def audit_two_photon_table(p: ModelParams, energy: float, t: dict | None = None) -> dict:
-    """``t``: the :func:`general_table` of p at g = 0, computed where not given."""
-    t = t or general_table(ModelParams(p.omega, p.delta, p.epsilon, 0.0, p.lam), energy)
+def audit_two_photon_table(p: ModelParams, energy: float) -> dict:
     om, de, ep, lam = p.omega, p.delta, p.epsilon, p.lam
     E = energy
     printed = {
@@ -422,19 +408,17 @@ def audit_two_photon_table(p: ModelParams, energy: float, t: dict | None = None)
         "C1": (ep ** 2 - E ** 2 - de ** 2) / lam ** 2 + 2.0,
         "C2": 2 * (ep - om) / lam ** 2,
     }
-    derived = {"A1": t["B1"], "A2": t["B3"], "B1": t["C2"], "B2": t["C4"],
-               "C1": t["D1"], "C2": t["D3"]}
+    derived = _two_photon_symbols(general_table(dataclasses.replace(p, g=0.0), energy))
     pairs = [(k, derived[k], printed[k]) for k in printed]
-    return _table_entry(
-        "two-photon-coefficient-table", pairs,
+    return _entry(
+        "two-photon-coefficient-table", "table", pairs,
         note="C1: printed -delta^2 vs derived +delta^2 (sign discrepancy); "
              "C2: printed /lam^2 is dimensionally off by one power of lam")
 
 
 @_in_float_range
-def audit_asymmetric_tables(p: ModelParams, energy: float,
-                            chain: tuple | None = None) -> dict:
-    _q, table, (k_plus, k_minus) = chain or _che_partial_fractions(p, energy)
+def audit_asymmetric_tables(p: ModelParams, energy: float) -> dict:
+    _q, table, (k_plus, k_minus) = _che_partial_fractions(p, energy)
     om, de, ep, g = p.omega, p.delta, p.epsilon, p.g
     E = energy
     q = g / om
@@ -447,8 +431,8 @@ def audit_asymmetric_tables(p: ModelParams, energy: float,
     pairs = [(k, table[k], printed_a[k]) for k in printed_a]
     pairs.append(("k_plus", k_plus, (1 + math.sqrt(5.0)) * q * q))
     pairs.append(("k_minus", k_minus, (1 - math.sqrt(5.0)) * q * q))
-    return _table_entry(
-        "asymmetric-reduction-table", pairs,
+    return _entry(
+        "asymmetric-reduction-table", "table", pairs,
         note="A1 and A3 inherit the operator-expansion omission; printed "
              "k_pm = (1 pm sqrt 5) g^2/omega^2 follows from the misprinted "
              "alpha1 = -2q^2 (derived alpha1 = 0, k_pm = pm 2 g^2/omega^2)")
@@ -483,8 +467,8 @@ def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
     pairs.append(("beta1(beta+)", sym["beta1"], printed_beta_p))
     pairs.append(("beta2(beta-)", sym["beta2"], printed_beta_m))
     pairs.append(("alpha1", sym["alpha1"], 2 * q * a4))
-    return _table_entry(
-        "small-coupling-reduction-table", pairs,
+    return _entry(
+        "small-coupling-reduction-table", "table", pairs,
         note="q^2, A and B1 inherit the operator omission (B1 also the "
              "delta^2 sign); printed beta_pm lack the /q on the odd part; "
              "printed alpha1 = 2 q A4 misses a 2q factor (map gives 4q^2 A4)")
@@ -492,14 +476,14 @@ def audit_bcf_tables(p: ModelParams, energy: float) -> dict:
 
 @_in_float_range
 def audit_reduction_chain(p_asym: ModelParams, p_general: ModelParams,
-                          energy: float, chain: tuple | None = None) -> dict:
+                          energy: float) -> dict:
     """The partial-fraction chain the paper prints against the one equation
     builder of the routes: the confluent Heun symbols from the table and
     the gauge root k_minus, and the reduced equation's symbols from the
     partial fractions of the truncated parent, each against the route's
     equation in zeta; and the truncated parent at lam = 0 against the exact
     one."""
-    q, a, (_k_plus, k) = chain or _che_partial_fractions(p_asym, energy)
+    q, a, (_k_plus, k) = _che_partial_fractions(p_asym, energy)
     printed = {"alpha": 2 * q * a["A1"] + 2 * k, "beta": a["A3"] - 1.0,
                "gamma": a["A2"], "mu": k * a["A3"] + 2 * q * a["B3"],
                "nu": k * a["A2"] + 2 * q * a["B2"]}
@@ -522,8 +506,8 @@ def audit_reduction_chain(p_asym: ModelParams, p_general: ModelParams,
         n = max(poly(t).size, poly(e).size)
         pairs += [(f"phi^({k})[z^{i}]", d, pr) for i, (d, pr) in
                   enumerate(zip(_padded(t, n).tolist(), _padded(e, n).tolist()))]
-    return _table_entry(
-        "reduction-chain", pairs,
+    return _entry(
+        "reduction-chain", "table", pairs,
         note="derived: the route equations in zeta and the truncated parent "
              "at lam = 0; printed: the partial-fraction formulas and the "
              "exact lam = 0 parent")
@@ -597,12 +581,12 @@ def printed_bch_g0(nb: canon.NormalizedParams) -> dict:
 def audit_appendix(nb: canon.NormalizedParams) -> list:
     out = []
     keys = ("c2", "c3", "c4")
-    out.append(_poly_entry(
+    out.append(_entry(
         "appendix-exact-c", "table",
         zip(keys, canon.exact_c_polys(nb), _printed_exact_c(nb)),
         "printed exact c4 z^2 term carries (om^2/4+1) where the product "
         "gives (om^2+4)"))
-    out.append(_poly_entry(
+    out.append(_entry(
         "appendix-approx-c", "table",
         zip(keys, canon.approx_c_polys(nb), _printed_approx_c(nb)),
         "z^2 coefficient of c4 inherits the exact-c4 misprint"))
@@ -628,21 +612,16 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
                       - (g ** 3 / om ** 3) * (om * om / 32 + 11.0 / 8)
                       + om * om / 2 - s * s + e * e + de * de,
         }
-        derived = {"alpha1": cc.alpha1, "alpha2": cc.alpha2,
-                   "gamma1": cc.gamma1, "gamma2": cc.gamma2,
-                   "beta1": cc.beta1, "beta2": cc.beta2,
-                   "gamma3": cc.gamma3, "delta1": cc.delta1,
-                   "delta2": cc.delta2}
-        pairs = [(k, derived[k], printed[k]) for k in printed]
-        out.append(_table_entry(
-            "appendix-partial-fractions", pairs,
+        pairs = [(k, getattr(cc, k), printed[k]) for k in printed]
+        out.append(_entry(
+            "appendix-partial-fractions", "table", pairs,
             note="gamma3/delta1/delta2 inherit the c4 z^2 misprint"))
 
         nf = canon.normal_form_coeffs(cc)
         printed = printed_normal_form(cc)
         pairs = [(k, getattr(nf, k), printed[k]) for k in printed]
-        out.append(_table_entry(
-            "appendix-normal-form", pairs,
+        out.append(_entry(
+            "appendix-normal-form", "table", pairs,
             note="printed lambda1 = gamma1 - alpha1/4 (Liouville gives "
                  "alpha1^2/4); printed mu cross terms are half the derived "
                  "beta1 beta2/(4q)"))
@@ -657,8 +636,8 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
         pairs = [("lambda1", derived_l1, bp["lambda1"]),
                  ("lambda3", derived_l3, bp["lambda3"]),
                  ("nu", derived_nu, bp["nu"])]
-        out.append(_table_entry(
-            "appendix-bch-g0", pairs,
+        out.append(_entry(
+            "appendix-bch-g0", "table", pairs,
             note="derived: lambda1, lambda3 and nu of the g=0 normal form "
                  "with all of c4; printed: the in-text g=0 list, which drops "
                  "the constant part of c4 (with its delta-bar dependence) "
@@ -719,12 +698,16 @@ def _residual_rows(n_draws: int, seed: int, corrupt: bool) -> tuple:
             rows.append(_residual_row("bch-first-normal", ode_b, 0.2, corrupt))
 
         p_unc = ModelParams(om, 0.0, ep, g, lam if abs(2 * lam) < om else 0.2)
-        wp = canon.weber_params(p_unc, energy)
-        r_e, r_o = canon.weber_residual_exact(wp.a1, rng.uniform(0.2, 1.5))
-        rows.append({"context": "weber-kummer", "residual": max(r_e, r_o),
-                     "threshold": RESIDUAL_THRESHOLD,
-                     "ok": max(r_e, r_o) < RESIDUAL_THRESHOLD})
+        a1 = canon.weber_params(p_unc, energy)
+        rows.append(_residual("weber-kummer", max(
+            canon.weber_residual_exact(a1, rng.uniform(0.2, 1.5)))))
     return tuple(rows)
+
+
+def _residual(context: str, residual: float) -> dict:
+    """One row of the residual suite: it passes below RESIDUAL_THRESHOLD."""
+    return {"context": context, "residual": float(residual),
+            "threshold": RESIDUAL_THRESHOLD, "ok": bool(residual < RESIDUAL_THRESHOLD)}
 
 
 def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool) -> dict:
@@ -734,9 +717,7 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool) -> dict:
         w = w.copy()
         w[rec.j_lead + 1, 0] += 1e-3 * max(1.0, np.max(np.abs(w)))
     sums, scale_log, _flags = series_sums_lanes(w[None], [x - ode.z0], [0])
-    res = ode_residual(ode, x, sums[0], scale_log[0])
-    return {"context": tag, "residual": float(res), "threshold": RESIDUAL_THRESHOLD,
-            "ok": bool(res < RESIDUAL_THRESHOLD)}
+    return _residual(tag, ode_residual(ode, x, sums[0], scale_log[0]))
 
 
 # --------------------------------------------------------------------------
@@ -759,30 +740,24 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     p_asym = ModelParams(1.0, q.delta, q.epsilon, 0.6 if vanishes(q, q.g) else q.g, 0.0)
     p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
                                                q.g if q.g else 0.2, 0.1)
-    p_tp = ModelParams(1.0, p_gen.delta, p_gen.epsilon, 0.0, p_gen.lam)
+    p_tp = dataclasses.replace(p_gen, g=0.0)
     # the settings are refused before any table is built: neither reads one
     residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
     # at most the Fock dimension, which a small fock_cutoff lowers
     oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=min(10, dimension(fock_cutoff)))
-    # each table is computed once and passed on to every entry that reads it
-    tables = (general_table(p_tp, energy), general_table(p_gen, energy))
-    chain = _che_partial_fractions(p_asym, energy)
-    entries = []
-    entries += audit_recurrences(p_asym, energy, p_gen, energy, tables)
-    entries.append(audit_fourth_order_operator(p_gen, energy))
-    entries.append(audit_general_table(p_gen, energy, tables[1]))
-    entries.append(audit_two_photon_table(p_gen, energy, tables[0]))
-    entries.append(audit_asymmetric_tables(p_asym, energy, chain))
-    entries.append(audit_bcf_tables(p_gen, energy))
-    entries.append(audit_reduction_chain(p_asym, p_gen, energy, chain))
-    entries += audit_appendix(canon.normalize_params(p_gen, energy))
-    entries += audit_appendix(canon.normalize_params(p_tp, energy))
-
-    ok_residuals = all(r["ok"] for r in residuals)
+    entries = [*audit_recurrences(p_asym, energy, p_gen, energy),
+               audit_fourth_order_operator(p_gen, energy),
+               audit_general_table(p_gen, energy),
+               audit_two_photon_table(p_gen, energy),
+               audit_asymmetric_tables(p_asym, energy),
+               audit_bcf_tables(p_gen, energy),
+               audit_reduction_chain(p_asym, p_gen, energy),
+               *audit_appendix(canon.normalize_params(p_gen, energy)),
+               *audit_appendix(canon.normalize_params(p_tp, energy))]
     return {
         "audit": entries,
         "residuals": residuals,
-        "residuals_ok": ok_residuals,
+        "residuals_ok": all(r["ok"] for r in residuals),
         "oracle_convergence": {
             "cutoff": oracle.cutoff,
             "reference_cutoff": oracle.reference_cutoff,

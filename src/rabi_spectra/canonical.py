@@ -244,26 +244,15 @@ def bch_first_normal_ode(alpha: float, beta: float, gamma: float,
                     poly([0.0, 1.0])), z0=0.0)
 
 
-@dataclass(frozen=True)
-class WeberParams:
-    """Affine map zeta_1 = stretch (z + shift) and the Weber parameter a_1."""
-
-    stretch: float
-    shift: float
-    a1: float
-
-
-def weber_params(p: ModelParams, energy: float) -> WeberParams:
-    """Weber-equation data of the positive branch; the negative branch's
-    are those of ``p.mirrored()``."""
+def weber_params(p: ModelParams, energy: float) -> float:
+    """The Weber parameter a_1 of the positive branch, in the variable
+    zeta_1 = (omega^2/lam^2 - 4)^(1/4) (z + g/(omega + 2 lam)); the negative
+    branch's is that of ``p.mirrored()``."""
     require_uncoupled(p)
     if p.lam == 0.0:
         raise ValidationError("the zeta_1 stretch degenerates at lambda = 0")
-    stretch = (p.omega ** 2 / p.lam ** 2 - 4.0) ** 0.25
-    shift = p.g / (p.omega + 2 * p.lam)
-    a1 = (1.0 / p.lam) * (p.omega ** 2 / p.lam ** 2 - 4.0) ** -0.5 \
+    return (1.0 / p.lam) * (p.omega ** 2 / p.lam ** 2 - 4.0) ** -0.5 \
         * (energy + p.g ** 2 / (p.omega + 2 * p.lam) + p.omega / 2 - p.epsilon)
-    return WeberParams(stretch, shift, a1)
 
 
 def _kummer_lanes(ab, x: float) -> np.ndarray:

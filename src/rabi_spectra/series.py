@@ -107,6 +107,15 @@ def _collect_weights(polys) -> np.ndarray:
     return weights
 
 
+def _leading_lag(weights: np.ndarray) -> np.ndarray:
+    """The first lag with a nonzero weight (a nan counts as nonzero) of a
+    recurrence's [lag, degree] weights, or of each lane of a batch of them;
+    0 where no lag has one.  The one rule of a recurrence's leading lag: the
+    first nonzero of the flattened weights, divided by the degrees per lag."""
+    *lanes, n_lags, n_deg = weights.shape
+    return np.argmax((weights != 0.0).reshape(*lanes, n_lags * n_deg), axis=-1) // n_deg
+
+
 def recurrence_weights(polys, z0: float) -> np.ndarray:
     """The weights :func:`ode_to_recurrence` derives at z0 for the ODE with
     coefficient arrays ``polys`` (trailing zeros dropped), without its
@@ -138,10 +147,8 @@ def ode_to_recurrence(ode: PolyOde) -> RecurrenceSpec:
                 f"(p_{k} vanishes to order {ok} < {lead_ord - (s - k)})")
 
     weights = _collect_weights(polys)
-    j_lead = 0
-    while j_lead < weights.shape[0] and not np.any(np.abs(weights[j_lead]) > 0):
-        j_lead += 1
-    if j_lead == weights.shape[0]:
+    j_lead = int(_leading_lag(weights))
+    if not weights[j_lead].any():
         raise ValueError("empty recurrence")
     return RecurrenceSpec(weights=weights, order=s, j_lead=j_lead, z0=ode.z0)
 
@@ -179,17 +186,14 @@ def series_sums_lanes(weights, x, exponent, derivs=None):
         raise ValueError("a series is summed away from its expansion point, "
                          "got an offset of 0")
     exponent = np.asarray(exponent, dtype=np.int64)
-    # the first lag with a nonzero weight: the first nonzero of the lane's
-    # flattened [lag, degree] weights, divided by the degrees per lag
-    n_lanes, n_lags, n_deg = weights.shape
-    j_lead = np.argmax((weights != 0.0).reshape(n_lanes, n_lags * n_deg), axis=1) // n_deg
+    j_lead = _leading_lag(weights)
     if np.any(j_lead != j_lead[:1]):
         raise ValueError("the lanes of one call share one leading lag, got "
                          f"the lags {sorted(set(j_lead.tolist()))}")
     j = int(j_lead.max(initial=0))
     n_seed = np.maximum(order - j, exponent + 1)
-    seeds = np.zeros((n_lanes, n_seed.max(initial=0)))
-    seeds[np.arange(n_lanes), exponent] = 1.0
+    seeds = np.zeros((len(weights), n_seed.max(initial=0)))
+    seeds[np.arange(len(weights)), exponent] = 1.0
     sums, scale_log, _n, flags, _tail = _kernels.roll_lanes(
         weights, j, order, seeds, n_seed, x, DEFAULT_MAX_N, DEFAULT_TAIL_TOL, derivs)
     return sums, scale_log, flags

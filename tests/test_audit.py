@@ -2,6 +2,7 @@
 source text: which displays are algebraically consistent and which are not.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from rabi_spectra import audit, canonical, twopoint, validate_params
 from rabi_spectra.canonical import normalize_params
 from rabi_spectra.errors import NumericalError, ValidationError
 from rabi_spectra.params import ModelParams
+from rabi_spectra.series import RecurrenceSpec
 from rabi_spectra.audit import (
     audit_appendix,
     audit_asymmetric_tables,
@@ -204,18 +206,52 @@ def test_a_warm_report_derives_each_input_once():
     assert [derive.cache_info().maxsize for derive in derivations] == [4, 4, 8]
 
 
-def test_a_report_computes_each_table_once(monkeypatch):
-    # the general table of each of its two inputs and the confluent Heun
-    # partial fractions are passed on to every entry that reads them
-    calls = []
+@pytest.mark.parametrize("p, p_asym, p_gen", [
+    # general, and omega = 2 audited in units of omega
+    ((1.0, 0.35, 0.05, 0.25, 0.12), (1.0, 0.35, 0.05, 0.25, 0.0), (1.0, 0.35, 0.05, 0.25, 0.12)),
+    ((2.0, 0.6, 0.2, 0.5, 0.3), (1.0, 0.3, 0.1, 0.25, 0.0), (1.0, 0.3, 0.1, 0.25, 0.15)),
+    # lam = 0: the general tables audit lam = 0.1; g = 0 too: g = 0.6 and 0.2
+    ((1.0, 0.4, 0.15, 0.6, 0.0), (1.0, 0.4, 0.15, 0.6, 0.0), (1.0, 0.4, 0.15, 0.6, 0.1)),
+    ((1.0, 0.3, 0.1, 0.0, 0.0), (1.0, 0.3, 0.1, 0.6, 0.0), (1.0, 0.3, 0.1, 0.2, 0.1)),
+    # uncoupled
+    ((1.0, 0.0, 0.1, 0.3, 0.2), (1.0, 0.0, 0.1, 0.3, 0.0), (1.0, 0.0, 0.1, 0.3, 0.2)),
+])
+def test_a_reports_audit_is_the_public_audits_at_its_inputs(p, p_asym, p_gen):
+    # each audit builds the tables it compares, so a report is the public
+    # audits called at its own inputs, in order
+    p_asym, p_gen, e = ModelParams(*p_asym), ModelParams(*p_gen), audit.TRIAL_ENERGY
+    expected = [*audit_recurrences(p_asym, e, p_gen, e),
+                audit_fourth_order_operator(p_gen, e),
+                audit_general_table(p_gen, e),
+                audit_two_photon_table(p_gen, e),
+                audit_asymmetric_tables(p_asym, e),
+                audit_bcf_tables(p_gen, e),
+                audit_reduction_chain(p_asym, p_gen, e),
+                *audit_appendix(normalize_params(p_gen, e)),
+                *audit_appendix(normalize_params(dataclasses.replace(p_gen, g=0.0), e))]
+    assert diagnose_report(ModelParams(*p), n_draws=1)["audit"] == expected
 
-    def counted(f):
-        return lambda *args: calls.append((f.__name__, *args)) or f(*args)
 
-    for name in ("general_table", "_che_partial_fractions"):
-        monkeypatch.setattr(audit, name, counted(getattr(audit, name)))
-    diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
-    assert len(calls) == len(set(calls)) == 3
+def test_every_row_has_one_shape():
+    rows = diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12), n_draws=1)["audit"]
+    assert {row["kind"] for row in rows} == {"recurrence", "operator", "table"}
+    for row in rows:
+        assert list(row) == ["name", "kind", "match", "items", "note", "symbols"]
+        assert row["items"]
+        for item in row["items"]:
+            assert list(item) == ["lag", "match", "derived", "printed"]
+        assert row["match"] == all(item["match"] for item in row["items"])
+    assert {row["match"] for row in rows} == {True, False}
+
+
+def test_a_recurrence_row_lists_a_nan_lag_and_drops_a_lag_zero_on_both_sides():
+    rec = RecurrenceSpec(weights=np.array([[1.0, 1.0], [math.nan, 0.0], [0.0, 0.0]]),
+                         order=1, j_lead=0)
+    with np.errstate(all="ignore"):
+        row = audit.compare_recurrences("nan-lag", rec, {0: [1.0, 1.0], 1: [2.0]}, {"a": 1})
+    assert [(i["lag"], i["match"]) for i in row["items"]] == [("a[n+1]", True),
+                                                                ("a[n]", False)]
+    assert row["match"] is False and row["symbols"] == {"a": 1.0}
 
 
 @pytest.mark.parametrize("setting", [{"n_draws": 0}, {"n_draws": 2.5},

@@ -104,18 +104,18 @@ def test_a_window_past_the_level_cap_is_refused_naming_it():
 def test_weber_quantization_values():
     p = validate_params(1.0, 0.0, 0.0, 0.3, 0.2)
     plus, _ = uncoupled_spectrum(p, 4)
-    wp0 = weber_params(p, plus.energies[0])
-    wp3 = weber_params(p, plus.energies[3])
-    assert wp0.a1 == pytest.approx(0.5, rel=1e-12)
-    assert wp3.a1 == pytest.approx(3.5, rel=1e-12)
+    a1_0 = weber_params(p, plus.energies[0])
+    a1_3 = weber_params(p, plus.energies[3])
+    assert a1_0 == pytest.approx(0.5, rel=1e-12)
+    assert a1_3 == pytest.approx(3.5, rel=1e-12)
 
 
 def test_weber_params_invertible_relation():
     # generic E: invert a1 back to E through the quantization relation
     p = validate_params(1.0, 0.0, 0.0, 0.1, 0.2)
-    wp = weber_params(p, 0.0)
+    a1 = weber_params(p, 0.0)
     spacing = math.sqrt(p.omega ** 2 - 4 * p.lam ** 2)
-    e_back = wp.a1 * spacing - p.g ** 2 / (p.omega + 2 * p.lam) \
+    e_back = a1 * spacing - p.g ** 2 / (p.omega + 2 * p.lam) \
         - p.omega / 2 + p.epsilon
     assert e_back == pytest.approx(0.0, abs=1e-12)
 

@@ -271,6 +271,25 @@ def test_rootscan_imports_no_layer_above_it():
     assert list(inspect.signature(scan_and_refine).parameters) == ["f", "cfg"]
 
 
+def test_each_audit_takes_only_the_inputs_it_audits():
+    """An audit builds every table it compares itself: each ``audit_*``
+    takes the parameters and energies it audits, and no precomputed table
+    that a report could hand it in place of its own."""
+    from rabi_spectra import audit
+
+    assert {name: list(inspect.signature(f).parameters) for name, f in vars(audit).items()
+            if name.startswith("audit_") and callable(f)} == {
+        "audit_recurrences": ["p_asym", "e_asym", "p_general", "e_general"],
+        "audit_fourth_order_operator": ["p", "energy"],
+        "audit_general_table": ["p", "energy"],
+        "audit_two_photon_table": ["p", "energy"],
+        "audit_asymmetric_tables": ["p", "energy"],
+        "audit_bcf_tables": ["p", "energy"],
+        "audit_reduction_chain": ["p_asym", "p_general", "energy"],
+        "audit_appendix": ["nb"],
+    }
+
+
 def gauge_lines(path: Path) -> set:
     """The stripped source lines that name a gauge branch: the strings
     "plus" and "minus", or ``k_branch`` as a name, attribute or argument."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rabi_spectra import series
 from rabi_spectra._kernels import FLAG_NONCONVERGED
 from rabi_spectra.errors import ValidationError
 from rabi_spectra.series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
@@ -151,3 +152,14 @@ def test_a_batch_mixing_leading_lags_is_refused():
         series_sums_lanes(np.stack([exp_w, bessel, exp_w]), [0.5, 0.3, -0.4], [0, 0, 1])
     empty = series_sums_lanes(np.zeros((0, 5, 3)), [], [], 1)
     assert [a.shape for a in empty] == [(0, 2), (0,), (0,)]
+
+
+def test_one_leading_lag_rule_counts_a_nan_as_nonzero():
+    # the derivation and the batch entry read a recurrence's leading lag by
+    # one rule, on a single recurrence and lane by lane alike
+    w = np.array([[0.0, 0.0], [math.nan, 0.0], [1.0, 2.0]])
+    assert series._leading_lag(w) == 1
+    assert series._leading_lag(np.stack([w, w[[2, 0, 1]], w[[0, 2, 1]]])).tolist() == [1, 0, 1]
+    for ode in (exp_ode(), PolyOde(((-0.3,), (1.5, -1.0), (0.0, 1.0)))):
+        rec = ode_to_recurrence(ode)
+        assert rec.j_lead == series._leading_lag(rec.weights)
