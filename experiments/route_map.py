@@ -7,7 +7,7 @@ written as JSON so that two trees (a parent and a change) can be compared.
     python3 experiments/route_map.py --compare parent.json map.json
 
 The package is imported from ``<tree>/src`` and the inputs are drawn by
-``<tree>/perfbench/workloads.py``, seeded as the benchmark seeds them.  Two
+``<tree>/perfbench/workloads.py``, seeded as the benchmark seeds them.  Three
 families:
 
 - ``windows``: the heun-sweep and bcf-sweep windows of seeds 0-9 (180
@@ -17,13 +17,19 @@ families:
 - ``reports``: the diagnose-batch reports of seeds 0-2 (120 reports), each
   as the report itself.  Its verdicts are ``residuals_ok``,
   ``mismatched_entries`` and every audit entry's ``match``.
+- ``methods``: the delta = 0 window of ROADMAP item 25 (:data:`METHOD_WINDOW`),
+  answered by each method of ``twopoint.window_spectrum``, with its
+  energies and labels.  A tree without that entry has no such family.
 
 The map records no times.  ``--compare A B`` prints every difference and
 exits 1 where a rule breaks: a window that differs in its level count,
 labels, excluded reasons, suspect count or determinant calls, an energy or
 excluded bound that moved by more than its sweep's tolerance
-(:data:`ENERGY_TOL`), or a report whose verdicts changed.  Text changes of a report
-that keeps its verdicts are listed by entry name, and break no rule.
+(:data:`ENERGY_TOL`), a report whose verdicts changed, or, in either map, a
+method whose levels differ from the closed form's by more than
+:data:`METHOD_TOL`.  Text changes of a report that keeps its verdicts are
+listed by entry name, and a family that one map lacks is named; neither
+breaks a rule.
 """
 
 from __future__ import annotations
@@ -44,6 +50,12 @@ REPORT_SEEDS = range(3)
 #: largest energy shift each sweep may show against the other tree: heun
 #: roots within the refiner's tolerance, bcf bit for bit
 ENERGY_TOL = {"heun-sweep": 1e-10, "bcf-sweep": 0.0}
+#: (parameters, window) on which every method gives the closed form's
+#: levels 0.01 and 0.81
+METHOD_WINDOW = ((1.0, 0.0, 0.1, 0.3, 0.0), (0.0, 1.0))
+METHODS = ("closed", "heun", "bcf", "oracle")
+#: largest distance of a method's levels from the closed form's
+METHOD_TOL = 1e-8
 
 
 def _load(tree: Path):
@@ -69,6 +81,7 @@ def build_map(tree: Path, sweep_seeds=SWEEP_SEEDS, report_seeds=REPORT_SEEDS) ->
     workloads = _load(tree)
     from rabi_spectra import audit, bcf, heun, twopoint
     from rabi_spectra.errors import RabiSpectraError
+    from rabi_spectra.params import ModelParams
 
     calls = [0]
     wronskian = twopoint._wronskian
@@ -106,6 +119,20 @@ def build_map(tree: Path, sweep_seeds=SWEEP_SEEDS, report_seeds=REPORT_SEEDS) ->
     finally:
         twopoint._wronskian = wronskian
 
+    methods = []
+    if hasattr(twopoint, "window_spectrum"):
+        params, window = METHOD_WINDOW
+        for method in METHODS:
+            row = {"method": method, "params": list(params), "window": list(window)}
+            try:
+                res = twopoint.window_spectrum(method, ModelParams(*params), *window)
+            except RabiSpectraError as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                row.update(energies=[float(e) for e in res.energies],
+                           labels=list(res.labels))
+            methods.append(row)
+
     reports = []
     batch = workloads.WORKLOADS["diagnose-batch"]
     for seed in report_seeds:
@@ -116,7 +143,7 @@ def build_map(tree: Path, sweep_seeds=SWEEP_SEEDS, report_seeds=REPORT_SEEDS) ->
                                 audit.diagnose_report(case.params), default=str))})
     return {"tree": str(tree.resolve()), "commit": _commit(tree),
             "python": platform.python_version(), "numpy": np.__version__,
-            "windows": windows, "reports": reports}
+            "windows": windows, "reports": reports, **({"methods": methods} if methods else {})}
 
 
 def _keyed(rows, *fields):
@@ -199,6 +226,26 @@ def compare(a: dict, b: dict) -> tuple:
             n_changed += bool(names)
     lines.append(f"reports: {n_changed} of {len(ra.keys() & rb.keys())} changed text")
     lines += [f"  {name}: {n} reports" for name, n in sorted(changed.items())]
+
+    for name, m in (("A", a), ("B", b)):
+        if "methods" not in m:
+            lines.append(f"methods: not in map {name}")
+            continue
+        closed = next(r for r in m["methods"] if r["method"] == "closed").get("energies", [])
+        worst = 0.0
+        for r in m["methods"]:
+            where = f"methods/{name}/{r['method']}"
+            if "error" in r:
+                rule(f"{where}: {r['error']}")
+            elif len(r["energies"]) != len(closed):
+                rule(f"{where}: {len(r['energies'])} levels, closed {len(closed)}")
+            else:
+                shift = _shift(r["energies"], closed)
+                worst = max(worst, shift)
+                if shift > METHOD_TOL:
+                    rule(f"{where}: {shift:.3g} from closed, above {METHOD_TOL:.3g}")
+        lines.append(f"methods {name}: largest distance from closed {worst:.3g} "
+                     f"(tolerance {METHOD_TOL:.3g})")
     return lines, broken
 
 

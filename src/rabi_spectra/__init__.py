@@ -28,6 +28,7 @@ from .bcf import (
     g_function_bcf,
     g_function_bcf_batch,
 )
+from .twopoint import window_spectrum
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,7 @@ __all__ = [
     "TruncatedHamiltonian", "OracleResult", "build_hamiltonian",
     "oracle_spectrum",
     "GFunctionSample", "RootReport", "RootScanConfig", "SpectrumResult",
-    "scan_and_refine",
+    "scan_and_refine", "window_spectrum",
     "g_function_heun", "g_function_heun_batch", "heun_spectrum",
     "bcf_spectrum", "g_function_bcf", "g_function_bcf_batch",
     "__version__",

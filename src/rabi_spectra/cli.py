@@ -18,13 +18,12 @@ import tempfile
 
 import numpy as np
 
-from .closed_form import uncoupled_spectrum
 from .errors import NumericalError, RabiSpectraError, ValidationError
-from .fock import dimension, oracle_spectrum
+from .fock import every_level
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
 from .rootscan import RootScanConfig, _build_grid
-from .twopoint import (ROUTES, g_function_batch, gluing_point, route_spectrum,
-                       window_in_units_of_omega)
+from .twopoint import (ROUTES, g_function_batch, gluing_point, window_in_units_of_omega,
+                       window_spectrum)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,49 +43,15 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _need_window(ns: argparse.Namespace) -> None:
-    if ns.emin is None or ns.emax is None:
-        raise ValidationError("this method needs --emin and --emax")
-
-
 def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
-    rows = []
-    if method in ("closed", "oracle") and None not in (ns.emin, ns.emax):
-        # neither reads the window, but a bad one is refused as a route refuses it
-        RootScanConfig(ns.emin, ns.emax, ns.grid)
-    if method == "closed":
-        plus, minus = uncoupled_spectrum(p, ns.nmax)
-        items = [(e, f"branch=+;n={n}") for n, e in enumerate(plus.energies)]
-        items += [(e, f"branch=-;n={n}") for n, e in enumerate(minus.energies)]
-        items.sort(key=lambda t: t[0])
-        energies = [e for e, _ in items]
-        flags = [f for _, f in items]
-    elif method == "oracle":
-        # delta_n = 0 throughout: the rows read no convergence delta, and the
-        # reference lookup is then the cutoff's own solve, so one build
-        res = oracle_spectrum(p, ns.fock_cutoff, ns.nmax + 1, 0)
-        energies = list(res.eigenvalues)
-        flags = [f"cutoff={res.cutoff}"] * len(energies)
-    else:
-        _need_window(ns)
-        sr = route_spectrum(ROUTES[method], p, ns.emin, ns.emax, ns.grid, ns.zeta_star)
-        energies = list(sr.energies)
-        flags = list(sr.labels)
-
-    errors = None
-    if ns.compare_oracle:
-        # at most the Fock dimension, which a small --fock-cutoff lowers
-        k = min(max(len(energies) + 6, 12), dimension(ns.fock_cutoff))
-        ev = oracle_spectrum(p, ns.fock_cutoff, k, 0).eigenvalues
-        errors = [float(np.min(np.abs(ev - e))) for e in energies]
-    for i, e in enumerate(energies):
-        row = {"index": i, "energy": float(e), "method": method}
-        if errors is not None:
-            row["error_vs_oracle"] = errors[i]
-        row["flags"] = flags[i]
-        rows.append(row)
-    header = ["index", "energy", "method"] \
-        + (["error_vs_oracle"] if errors is not None else []) + ["flags"]
+    res = window_spectrum(method, p, ns.emin, ns.emax, ns.grid, ns.zeta_star,
+                          ns.fock_cutoff)
+    ev = every_level(p, ns.fock_cutoff) if ns.compare_oracle else None
+    header = ["index", "energy", "method"] + ["error_vs_oracle"] * (ev is not None) \
+        + ["flags"]
+    rows = [{"index": i, "energy": e, "method": method, "flags": label,
+             "error_vs_oracle": None if ev is None else float(np.min(np.abs(ev - e)))}
+            for i, (e, label) in enumerate(zip(res.energies.tolist(), res.labels))]
     return header, rows
 
 
@@ -96,7 +61,6 @@ def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
     # bad gluing point
     route.rule(p)
     zeta_star = gluing_point(ns.zeta_star)
-    _need_window(ns)
     header = ["energy", "scaled_g", "scale_log", "flags"]
     rows = []
     # built in units of omega, as the routes build theirs
@@ -175,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["csv", "json"])
             sp.add_argument("--zeta-star", type=float, default=0.5)
         if name == "spectrum":
-            sp.add_argument("--nmax", type=int, default=9)
             sp.add_argument("--compare-oracle", action="store_true")
         if name != "gscan":
             sp.add_argument("--fock-cutoff", type=int, default=120)
@@ -212,6 +175,8 @@ def main(argv=None) -> int:
                 print("diagnose: residual threshold exceeded", file=sys.stderr)
                 return EXIT_NUMERICAL
             return EXIT_OK
+        if ns.emin is None or ns.emax is None:
+            raise ValidationError(f"{ns.command} needs --emin and --emax")
         method = ns.method
         if method == "auto":
             method = AUTO[ns.command].get(classify_regime(p), "bcf")

@@ -67,21 +67,20 @@ def closed_window(p: ModelParams, method: str, e_min: float, e_max: float,
     determinant route ``method`` returns them where delta vanishes.
 
     A doublet appears once per branch, as 'closed:+:<n>' and 'closed:-:<n>'.
-    The window is checked by :class:`RootScanConfig` and the level count by
-    :func:`uncoupled_spectrum`, both raising ValidationError, the second
-    naming the window; the report holds no scan.
+    The window is checked by :class:`RootScanConfig`, and a window that
+    reaches more than MAX_GRID_POINTS levels per branch above the lowest is
+    refused here, both raising ValidationError; the report holds no scan.
     """
     RootScanConfig(e_min, e_max, grid_step)
     lowest = uncoupled_spectrum(p, 0)
     top = np.ceil(max((e_max - min(b.energies[0] for b in lowest)) / lowest[0].spacing, 0.0))
-    try:
-        branches = uncoupled_spectrum(p, top)
-    except ValidationError as err:
+    if not top <= MAX_GRID_POINTS:
         raise ValidationError(
             f"the window [e_min, e_max] = [{e_min}, {e_max}] reaches {top:.0f} levels "
             f"per branch above the lowest, and the closed form lists at most "
-            f"{MAX_GRID_POINTS}: lower e_max") from err
-    levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}") for b in branches
+            f"{MAX_GRID_POINTS}: lower e_max")
+    levels = sorted((e, f"closed:{'+' if b.sigma > 0 else '-'}:{n}")
+                    for b in uncoupled_spectrum(p, top)
                     for n, e in enumerate(b.energies.tolist()) if e_min <= e <= e_max)
     return SpectrumResult(method, np.array([e for e, _lab in levels]),
                           tuple(lab for _e, lab in levels),

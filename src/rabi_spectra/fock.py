@@ -129,6 +129,14 @@ def eigenvalues(p: ModelParams, cutoff: int, k: int | None = None) -> np.ndarray
     return _eigenvalues(p, whole("cutoff", cutoff), k)
 
 
+def every_level(p: ModelParams, cutoff: int) -> np.ndarray:
+    """All 2 (cutoff + 1) levels at ``cutoff``, as :func:`eigenvalues` shares
+    them, once the cutoff passes :func:`oracle_spectrum`'s rule (>= 1)."""
+    if not real("cutoff", cutoff) >= 1:
+        raise ValidationError(f"cutoff must be >= 1, got {cutoff}")
+    return eigenvalues(p, cutoff)
+
+
 @functools.lru_cache(maxsize=4)
 def _eigenvalues(p: ModelParams, cutoff: int, k: int | None) -> np.ndarray:
     ham = build_hamiltonian(p, cutoff)

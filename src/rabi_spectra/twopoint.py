@@ -35,11 +35,12 @@ import numpy as np
 from . import _kernels
 from .closed_form import closed_window
 from .errors import NumericalError, ValidationError
+from .fock import every_level
 from .params import (ModelParams, in_units_of_omega, real, require_no_squeeze,
                      require_weak_squeeze, vanishes)
 from .polyops import padd, poly, pshift
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
-                       GFunctionSample, RootScanConfig, SpectrumResult,
+                       GFunctionSample, RootReport, RootScanConfig, SpectrumResult,
                        same_energy, scan_and_refine)
 from .series import PolyOde, recurrence_weights, series_sums_lanes
 
@@ -293,6 +294,32 @@ def route_spectrum(route: Route, p: ModelParams, e_min: float, e_max: float,
         excluded=tuple(replace(iv, lo=iv.lo * w, hi=iv.hi * w) for iv in rep.excluded),
         brackets=tuple((a * w, b * w) for a, b in rep.brackets)),
         metadata={**res.metadata, "ladder": [(e * w, s, m) for e, s, m in ladder]})
+
+
+def window_spectrum(method: str, p: ModelParams, e_min: float, e_max: float,
+                    grid_step: float | None = None, zeta_star: float = 0.5,
+                    fock_cutoff: int = 120) -> SpectrumResult:
+    """The levels of ``method`` on [e_min, e_max], in the caller's units:
+    the one entry of every method, each of which checks the window by
+    :class:`RootScanConfig` (grid_step defaults to 0.05 omega).  ``closed``
+    is :func:`closed_window`, which refuses delta != 0; ``heun`` and ``bcf``
+    are :func:`route_spectrum`, which reads zeta_star; ``oracle`` is the
+    levels of :func:`fock.every_level` at ``fock_cutoff`` inside the window,
+    each labelled 'cutoff=<cutoff>', with the cutoff in its metadata and an
+    empty report.  Any other method raises ValidationError."""
+    if grid_step is None:
+        grid_step = 0.05 * p.omega
+    if method in ROUTES:
+        return route_spectrum(ROUTES[method], p, e_min, e_max, grid_step, zeta_star)
+    if method == "closed":
+        return closed_window(p, method, e_min, e_max, grid_step)
+    if method != "oracle":
+        raise ValidationError(f"method must be closed, heun, bcf or oracle, got {method!r}")
+    RootScanConfig(e_min, e_max, grid_step)
+    ev, cutoff = every_level(p, fock_cutoff), int(fock_cutoff)
+    ev = ev[(e_min <= ev) & (ev <= e_max)]
+    return SpectrumResult(method, ev, (f"cutoff={cutoff}",) * ev.size,
+                          RootReport(np.array([])), {"cutoff": cutoff})
 
 
 def spectrum(reduction: Reduction, e_min: float, e_max: float,

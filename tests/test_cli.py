@@ -19,6 +19,8 @@ from test_fock import count_builds
 
 BASE = ["--omega", "1", "--delta", "0", "--g", "0.4", "--lambda", "0.2",
         "--eps", "0.1"]
+#: a window of BASE with four levels of each branch
+WINDOW = ["--emin", "-1", "--emax", "3"]
 
 
 def run_cli(args, capsys):
@@ -33,12 +35,46 @@ def run_cli(args, capsys):
 
 
 def test_closed_spectrum_row_count(capsys):
-    code, out, _ = run_cli(["spectrum", "--method", "closed", *BASE,
-                            "--nmax", "9"], capsys)
+    code, out, _ = run_cli(["spectrum", "--method", "closed", *BASE, *WINDOW], capsys)
     assert code == 0
     rows = out.strip().splitlines()
     assert rows[0] == "index,energy,method,flags"
-    assert len(rows) - 1 == 20
+    assert sorted(row.rsplit(",", 1)[1] for row in rows[1:]) \
+        == [f"closed:{sign}:{n}" for sign in "+-" for n in range(4)]
+
+
+#: method -> the rest of an argv whose window that method solves: the
+#: delta = 0 window of ROADMAP item 25 (levels 0.01 and 0.81), and P2
+#: (heun, oracle) and P3 (bcf) on their acceptance windows
+WINDOWED = {
+    "closed": ["--eps", "0.1", "--g", "0.3", "--emin", "0", "--emax", "1"],
+    "heun": ["--delta", "0.4", "--eps", "0.15", "--g", "0.6", "--emin", "-1", "--emax", "4"],
+    "bcf": ["--delta", "0.3", "--g", "0.05", "--lambda", "0.02", "--emin", "-1",
+            "--emax", "3"],
+    "oracle": ["--delta", "0.4", "--eps", "0.15", "--g", "0.6", "--emin", "-1",
+               "--emax", "4"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(WINDOWED))
+def test_each_method_prints_only_levels_inside_its_window(method, capsys):
+    args = ["spectrum", "--method", method, "--omega", "1", *WINDOWED[method]]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    ns = build_parser().parse_args(args)
+    energies = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out))]
+    assert energies and all(ns.emin <= e <= ns.emax for e in energies)
+
+
+@pytest.mark.parametrize("method", ["auto", "closed", "heun", "bcf", "oracle"])
+def test_each_method_without_a_window_exits_2_with_one_line(method, capsys):
+    # the window is read before the regime: closed is refused at delta 0.4
+    # only once the window is given
+    for edges in ([], ["--emin", "-1"], ["--emax", "4"]):
+        code, out, err = run_cli(["spectrum", "--method", method, "--omega", "1",
+                                  "--delta", "0.4", "--g", "0.6", *edges], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: spectrum needs --emin and --emax\n"
 
 
 def test_method_regime_mismatch_exit_2(capsys):
@@ -62,7 +98,7 @@ def test_validation_exit_2_on_bad_params(capsys):
 
 #: the library parameter whose check refuses a bad value of each option
 READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
-           "--nmax": "levels", "--fock-cutoff": "cutoff", "--zeta-star": "zeta_star"}
+           "--fock-cutoff": "cutoff", "--zeta-star": "zeta_star"}
 
 
 @pytest.mark.parametrize("args, option", [
@@ -76,29 +112,33 @@ READ_AS = {"--grid": "grid_step", "--emin": "e_min", "--emax": "e_max",
       "--g", "0.6", "--emin", "nan", "--emax", "1"], "--emin"),
     (["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
       "--g", "0.6", "--emin", "-1", "--emax", "inf"], "--emax"),
-    (["spectrum", "--method", "closed", *BASE, "--nmax", "-3"], "--nmax"),
-    (["spectrum", "--method", "oracle", *BASE, "--fock-cutoff", "0"],
+    # delta = 0: a closed window a million levels high, refused in terms of
+    # the window
+    (["spectrum", "--method", "closed", *BASE, "--emin", "-1", "--emax", "1e6",
+      "--grid", "1000"], "--emax"),
+    (["spectrum", "--method", "oracle", *BASE, *WINDOW, "--fock-cutoff", "0"],
      "--fock-cutoff"),
     # the default grid 0.05 * omega would put about 6e301 points on the window
     (["spectrum", "--method", "heun", "--omega", "1e-300", "--delta", "4e-301",
       "--g", "3e-301", "--eps", "1e-301", "--emin", "-1", "--emax", "2"], "--grid"),
-    (["spectrum", "--method", "closed", "--omega", "1", "--g", "0.4",
-      "--nmax", "1000000000000"], "--nmax"),
-    (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4",
+    # the oracle reads the window before it builds a matrix
+    (["spectrum", "--method", "oracle", *BASE, "--emin", "nan", "--emax", "1"],
+     "--emin"),
+    (["spectrum", "--method", "oracle", "--omega", "1", "--g", "0.4", *WINDOW,
       "--fock-cutoff", "100000"], "--fock-cutoff"),
     # delta = 0: the closed-form ladder spacing is 1e-7 and the lowest level
     # near -2e13, so [-1, 1] would need some 2e20 levels per branch
     (["spectrum", "--method", "bcf", "--omega", "1", "--g", "0.3",
       "--lambda", "0.4999999999999975", "--emin", "-1", "--emax", "1"], "levels"),
-    # closed and oracle do not read the window, but refuse a reversed one;
-    # gscan checks it before an empty window returns no rows
+    # every method refuses a reversed window; gscan checks it before an
+    # empty window returns no rows
     (["spectrum", "--method", "closed", "--omega", "1", "--emin", "2", "--emax", "1"],
      "--emax"),
     (["spectrum", "--method", "oracle", *BASE, "--emin", "2", "--emax", "1"], "--emax"),
     (["gscan", "--omega", "1", "--delta", "0.4", "--g", "0.6",
       "--emin", "2", "--emax", "1"], "--emax"),
-    # delta = 0 on a window a million levels high: refused in terms of the
-    # window, where no --nmax was given
+    # a route at delta = 0 returns the closed form, and refuses that window
+    # a million levels high as the closed method does
     (["spectrum", "--method", "heun", "--omega", "1", "--g", "0.4",
       "--emin", "-1", "--emax", "1e6", "--grid", "1000"], "--emax"),
     # the gluing point is read before delta = 0 returns the closed form and
@@ -116,7 +156,7 @@ def test_bad_run_settings_exit_2_with_one_line(args, option, capsys):
 
 
 def test_json_and_csv_encode_identical_data(tmp_path, capsys):
-    args = ["spectrum", "--method", "closed", *BASE, "--nmax", "3"]
+    args = ["spectrum", "--method", "closed", *BASE, *WINDOW]
     code, out_csv, _ = run_cli(args + ["--format", "csv"], capsys)
     assert code == 0
     code, out_json, _ = run_cli(args + ["--format", "json"], capsys)
@@ -133,7 +173,7 @@ def test_json_and_csv_encode_identical_data(tmp_path, capsys):
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["spectrum", "--method", "closed", *BASE, "--nmax", "5"]
+    args = ["spectrum", "--method", "closed", *BASE, *WINDOW]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -141,8 +181,7 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_seventeen_digit_floats(capsys):
-    code, out, _ = run_cli(["spectrum", "--method", "closed", *BASE,
-                            "--nmax", "0"], capsys)
+    code, out, _ = run_cli(["spectrum", "--method", "closed", *BASE, *WINDOW], capsys)
     row = out.strip().splitlines()[1].split(",")
     # 1/3-ish energies keep 17 significant digits
     assert len(row[1].replace("-", "").replace(".", "").lstrip("0")) >= 15
@@ -226,7 +265,8 @@ def test_bcf_compare_oracle_error_column(capsys):
 
 
 def test_compare_oracle_asks_a_small_cutoff_for_at_most_its_dimension(capsys):
-    # --fock-cutoff 3 has 8 levels, fewer than the 16 the comparison wants
+    # --fock-cutoff 3 has 8 levels, fewer than the 10 roots; each root's
+    # error is its distance to the nearest of the 8
     code, out, err = run_cli(
         ["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
          "--eps", "0.15", "--g", "0.6", "--emin", "-1", "--emax", "4",
@@ -240,15 +280,28 @@ def test_compare_oracle_asks_a_small_cutoff_for_at_most_its_dimension(capsys):
         float(np.min(np.abs(ev - float(r["energy"])))) for r in rows]
 
 
+def test_compare_oracle_reads_every_level_at_the_cutoff(capsys):
+    # the two roots lie far above the lowest 12 oracle levels, which the
+    # comparison once read, and within 1e-10 of the nearest oracle level
+    code, out, err = run_cli(
+        ["spectrum", "--method", "heun", "--omega", "1", "--delta", "0.4",
+         "--eps", "0.15", "--g", "0.6", "--emin", "10", "--emax", "11",
+         "--compare-oracle"], capsys)
+    assert (code, err) == (0, "")
+    errors = [float(r["error_vs_oracle"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(errors) == 2 and max(errors) < 1e-9
+
+
 @pytest.mark.parametrize("args, oracle_reads", [
-    (["--method", "oracle"], 1),
+    (["--method", "oracle", "--emin", "-1", "--emax", "4"], 1),
     (["--method", "heun", "--emin", "-1", "--emax", "4", "--compare-oracle"], 1),
-    (["--method", "oracle", "--compare-oracle"], 2),
+    (["--method", "oracle", "--emin", "-1", "--emax", "4", "--compare-oracle"], 1),
     (["--method", "heun", "--emin", "-1", "--emax", "4", "--fock-cutoff", "3",
       "--compare-oracle"], 1),
 ])
 def test_each_oracle_read_builds_one_hamiltonian(args, oracle_reads, monkeypatch, capsys):
-    # the rows read no convergence delta, so no reference cutoff is solved
+    # the rows read no convergence delta, so no reference cutoff is solved,
+    # and the oracle's rows and their comparison read one solve
     builds = count_builds(monkeypatch)
     code, _out, err = run_cli(["spectrum", "--omega", "1", "--delta", "0.4",
                                "--eps", "0.15", "--g", "0.6", *args], capsys)
@@ -288,8 +341,7 @@ def test_console_script_entrypoint():
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     out = tmp_path / "t.csv"
-    args = ["spectrum", "--method", "closed", *BASE, "--nmax", "2",
-            "--out", str(out)]
+    args = ["spectrum", "--method", "closed", *BASE, *WINDOW, "--out", str(out)]
     assert main(args) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name != "t.csv"]
     assert leftovers == []
@@ -299,8 +351,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 def test_unwritable_out_exits_2_and_leaves_no_temp_file(target, tmp_path, capsys):
     (tmp_path / "a-directory").mkdir()
     out = tmp_path / target
-    code, stdout, err = run_cli(["spectrum", "--method", "closed", *BASE,
-                                 "--nmax", "2", "--out", str(out)], capsys)
+    code, stdout, err = run_cli(["spectrum", "--method", "closed", *BASE, *WINDOW,
+                                 "--out", str(out)], capsys)
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "--out" in err
@@ -313,7 +365,7 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(target, tmp_path, capsys
     (["spectrum", "--omega", "1", "--delta", "0.4", "--g", "0.6", "--eps", "0.1",
       "--lambda", "5e-11", "--emin", "-1", "--emax", "1"], "heun", ("--lambda", "0")),
     (["spectrum", "--omega", "1", "--delta", "5e-11", "--g", "0.4",
-      "--lambda", "0.2", "--nmax", "2"], "closed", ("--delta", "0")),
+      "--lambda", "0.2", *WINDOW], "closed", ("--delta", "0")),
 ])
 def test_auto_route_accepts_its_own_regime(args, method, exact, capsys):
     code, out, err = run_cli(args, capsys)
@@ -439,14 +491,14 @@ def test_coupling_far_above_omega_exits_2_with_one_line(args, capsys):
 #: 1e200, heun P2 at omega 1e-9, and the gscan of P2 at omega 1e-20, whose
 #: grid keeps the window's end point
 SCALED_CASES = {
-    "args0": (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49"],
-              20),
+    "args0": (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49",
+               "--emin=-1e300", "--emax", "9.5e300"], 20),
     "args2": (["spectrum", "--method", "heun", "--omega", "1e200", "--delta", "1e150",
                "--g", "1", "--emin", "-1", "--emax", "1"], 2),
     "args6": (["spectrum", "--method", "bcf", "--omega", "1e300", "--delta", "0.3",
                "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], 2),
     "args9": (["spectrum", "--method", "closed", "--omega", "1e300", "--delta", "0.3",
-               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], 20),
+               "--g", "0.05", "--lambda", "0.02", "--emin", "-1", "--emax", "1"], 2),
     "heun-omega1e-9": (["spectrum", "--method", "heun", "--omega", "1e-9", "--delta",
                         "4e-10", "--eps", "1.5e-10", "--g", "6e-10", "--emin=-1e-9",
                         "--emax", "4e-9"], 10),
@@ -485,16 +537,15 @@ PARAMS = {"--delta", "--eps", "--g", "--lambda"}
 SCAN = {"--emin", "--emax", "--grid", "--method", "--format", "--zeta-star", "--out"}
 #: the options each command takes besides the required --omega
 OPTIONS = {
-    "spectrum": PARAMS | SCAN | {"--nmax", "--fock-cutoff", "--compare-oracle"},
+    "spectrum": PARAMS | SCAN | {"--fock-cutoff", "--compare-oracle"},
     "gscan": PARAMS | SCAN,
     "diagnose": PARAMS | {"--fock-cutoff", "--self-test", "--out"},
 }
 FLAGS = {"--compare-oracle", "--self-test", "-v"}
-VALUE = {"--method": "heun", "--format": "json", "--nmax": "3", "--fock-cutoff": "40",
-         "--out": "x.csv"}
+VALUE = {"--method": "heun", "--format": "json", "--fock-cutoff": "40", "--out": "x.csv"}
 
 
-@pytest.mark.parametrize("command, settable", [("spectrum", 15), ("gscan", 12),
+@pytest.mark.parametrize("command, settable", [("spectrum", 14), ("gscan", 12),
                                                ("diagnose", 8)])
 def test_each_command_takes_only_the_options_it_reads(command, settable, capsys):
     assert len(OPTIONS[command]) + 1 == settable
@@ -525,7 +576,6 @@ FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
                "5e-11", "1")
 FUZZ_CHOICES = {"--method": ("auto", "oracle", "closed", "heun", "bcf"),
                 "--format": ("csv", "json"),
-                "--nmax": ("-1", "0", "3", "1000000000000"),
                 "--fock-cutoff": ("0", "1", "40", "5000")}
 
 

@@ -468,10 +468,12 @@ def test_bare_value_errors_stay_internal():
 
 
 #: one argv per command and method, in the regime each method solves, and
-#: a route at delta = 0, which returns the closed-form window
+#: a route at delta = 0, which returns the closed-form window; every
+#: spectrum reaches its method through ``twopoint.window_spectrum``
 REACH_ARGVS = [cmd.split() for cmd in (
-    "spectrum --omega 1 --eps 0.1 --g 0.4 --lambda 0.2 --method closed",
-    "spectrum --omega 1 --delta 0.3 --eps 0.1 --g 0.2 --lambda 0.1 --method oracle",
+    "spectrum --omega 1 --eps 0.1 --g 0.4 --lambda 0.2 --emin -1 --emax 3 --method closed",
+    "spectrum --omega 1 --delta 0.3 --eps 0.1 --g 0.2 --lambda 0.1 --emin -1 --emax 3"
+    " --method oracle",
     "spectrum --omega 1 --delta 0.4 --eps 0.15 --g 0.6 --emin -1 --emax 4 --method heun"
     " --compare-oracle",
     "spectrum --omega 1 --delta 0.3 --g 0.05 --lambda 0.02 --emin -1 --emax 3 --method bcf",
@@ -550,3 +552,23 @@ def test_every_function_in_src_is_reached_by_a_command(capsys):
               if Path(code.co_filename).resolve().parent == SRC}
     defined = set().union(*(defined_functions(path) for path in sorted(SRC.glob("*.py"))))
     assert defined - called == UNREACHED
+
+
+def test_each_spectrum_method_is_one_call_of_the_entry(monkeypatch, capsys):
+    """The ``spectrum`` command reaches every method, ``closed`` and
+    ``oracle`` too, by one call of ``twopoint.window_spectrum`` with the
+    window it is given."""
+    from rabi_spectra import cli, twopoint
+
+    calls = []
+
+    def recorded(method, p, e_min, e_max, *args):
+        calls.append((method, e_min, e_max))
+        return twopoint.window_spectrum(method, p, e_min, e_max, *args)
+
+    monkeypatch.setattr(cli, "window_spectrum", recorded)
+    spectra = [argv for argv in REACH_ARGVS if argv[0] == "spectrum"]
+    assert [cli.main(argv) for argv in spectra] == [0] * len(spectra)
+    assert calls == [("closed", -1.0, 3.0), ("oracle", -1.0, 3.0), ("heun", -1.0, 4.0),
+                     ("bcf", -1.0, 3.0), ("bcf", -1.0, 3.0), ("heun", -1.0, 3.0)]
+    capsys.readouterr()

@@ -38,6 +38,11 @@ def test_one_seed_has_every_window_and_report(one_seed):
     assert len(one_seed["reports"]) == 40
     assert all({"audit", "residuals_ok", "mismatched_entries"} <= set(r["report"])
                for r in one_seed["reports"])
+    # every method answers the delta = 0 window with the closed form's levels
+    assert [m["method"] for m in one_seed["methods"]] == list(route_map.METHODS)
+    for m in one_seed["methods"]:
+        assert m["energies"] == pytest.approx([0.01, 0.81], abs=1e-8)
+        assert len(m["labels"]) == 2
 
 
 def broken_by(a, b):
@@ -64,6 +69,11 @@ def test_a_map_compares_clean_with_itself(one_seed):
      "verdicts changed"),
     (lambda m: m["reports"][0]["report"].__setitem__("residuals_ok", None),
      "verdicts changed"),
+    (lambda m: m["methods"][3]["energies"].__setitem__(
+        0, m["methods"][3]["energies"][0] + 2e-8), "from closed"),
+    (lambda m: m["methods"][1]["energies"].pop(), "levels, closed 2"),
+    (lambda m: m["methods"][2].__setitem__("error", "ValidationError: edited"),
+     "ValidationError: edited"),
 ])
 def test_each_rule_breaks_on_its_difference(one_seed, edit, rule):
     changed = copy.deepcopy(one_seed)
@@ -82,3 +92,16 @@ def test_a_heun_shift_within_tolerance_and_report_text_break_no_rule(one_seed):
     assert "heun-sweep: largest shift 5e-11 (tolerance 1e-10)" in lines
     assert "reports: 1 of 40 changed text" in lines
     assert f"  {entry['name']}: 1 reports" in lines
+
+
+def test_a_family_one_map_lacks_is_named_and_breaks_no_rule(one_seed):
+    """A tree from before ``twopoint.window_spectrum`` records no methods
+    family, and a compare against it still passes."""
+    older = {k: v for k, v in one_seed.items() if k != "methods"}
+    for a, b, lacking in ((older, one_seed, "A"), (one_seed, older, "B")):
+        broken, _rules, lines = broken_by(a, b)
+        assert broken == 0
+        assert f"methods: not in map {lacking}" in lines
+    lines = broken_by(one_seed, one_seed)[2]
+    assert [line.split(":")[0] for line in lines if line.startswith("methods")] \
+        == ["methods A", "methods B"]

@@ -548,3 +548,61 @@ def test_degenerate_series_lane_is_flagged_and_never_a_root(monkeypatch):
     assert not np.any(np.isin(report.roots, zeroed))
     assert any(iv.reason == "degenerate_series" and iv.contains(zeroed[0])
                for iv in report.excluded)
+
+
+#: window -> (parameters, e_min, e_max): the delta = 0 window of ROADMAP
+#: item 25, whose levels are 0.01 and 0.81, and P2's window, which the
+#: closed form refuses
+WINDOWS = {"delta0": ((1.0, 0.0, 0.1, 0.3, 0.0), 0.0, 1.0),
+           "P2": ((1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0)}
+METHODS = ("closed", "heun", "bcf", "oracle")
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_every_method_returns_only_levels_inside_its_window(window, method):
+    params, e_min, e_max = WINDOWS[window]
+    p = validate_params(*params)
+    if (window, method) == ("P2", "closed"):
+        with pytest.raises(ValidationError, match="closed-form route needs delta = 0"):
+            twopoint.window_spectrum(method, p, e_min, e_max)
+        return
+    res = twopoint.window_spectrum(method, p, e_min, e_max)
+    assert res.method == method and len(res.labels) == res.energies.size > 0
+    assert np.all((e_min <= res.energies) & (res.energies <= e_max))
+
+
+def test_every_method_gives_the_closed_levels_on_the_delta0_window():
+    params, e_min, e_max = WINDOWS["delta0"]
+    p = validate_params(*params)
+    closed = twopoint.window_spectrum("closed", p, e_min, e_max)
+    np.testing.assert_allclose(closed.energies, [0.01, 0.81], rtol=0.0, atol=1e-12)
+    for method in METHODS:
+        np.testing.assert_allclose(twopoint.window_spectrum(method, p, e_min, e_max).energies,
+                                   closed.energies, rtol=0.0, atol=1e-8)
+
+
+def test_the_oracle_window_is_every_level_of_its_cutoff_inside_it():
+    params, e_min, e_max = WINDOWS["P2"]
+    p = validate_params(*params)
+    res = twopoint.window_spectrum("oracle", p, e_min, e_max, fock_cutoff=40)
+    ev = fock.eigenvalues(p, 40)
+    assert res.energies.tolist() == ev[(e_min <= ev) & (ev <= e_max)].tolist()
+    assert res.labels == ("cutoff=40",) * res.energies.size
+    assert res.metadata == {"cutoff": 40} and res.report.n_evaluations == 0
+    with pytest.raises(ValidationError, match="cutoff must be >= 1, got 0"):
+        twopoint.window_spectrum("oracle", p, e_min, e_max, fock_cutoff=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_checks_the_window_it_is_given(method):
+    p = validate_params(*WINDOWS["delta0"][0])
+    with pytest.raises(ValidationError, match="e_min 1.0 exceeds e_max 0.0"):
+        twopoint.window_spectrum(method, p, 1.0, 0.0)
+    with pytest.raises(ValidationError, match="grid_step must be > 0"):
+        twopoint.window_spectrum(method, p, 0.0, 1.0, 0.0)
+
+
+def test_the_entry_refuses_a_method_it_does_not_know():
+    with pytest.raises(ValidationError, match="method must be closed, heun, bcf or oracle"):
+        twopoint.window_spectrum("auto", validate_params(*WINDOWS["delta0"][0]), 0.0, 1.0)
