@@ -7,7 +7,7 @@ written as JSON so that two trees (a parent and a change) can be compared.
     python3 experiments/route_map.py --compare parent.json map.json
 
 The package is imported from ``<tree>/src`` and the inputs are drawn by
-``<tree>/perfbench/workloads.py``, seeded as the benchmark seeds them.  Three
+``<tree>/perfbench/workloads.py``, seeded as the benchmark seeds them.  Four
 families:
 
 - ``windows``: the heun-sweep and bcf-sweep windows of seeds 0-9 (180
@@ -20,6 +20,10 @@ families:
 - ``methods``: the delta = 0 window of ROADMAP item 25 (:data:`METHOD_WINDOW`),
   answered by each method of ``twopoint.window_spectrum``, with its
   energies and labels.  A tree without that entry has no such family.
+- ``units``: P2 on ``heun_spectrum`` and P3 on ``bcf_spectrum`` (:data:`UNITS`),
+  each with its parameters and window multiplied by omega = 2^-7, 1 and 2^7
+  (:data:`UNIT_OMEGAS`) and the grid step left to its default.  Each
+  records what a window records.
 
 The map records no times.  ``--compare A B`` prints every difference and
 exits 1 where a rule breaks: a window that differs in its level count,
@@ -27,9 +31,11 @@ labels, excluded reasons, suspect count or determinant calls, an energy or
 excluded bound that moved by more than its sweep's tolerance
 (:data:`ENERGY_TOL`), a report whose verdicts changed, or, in either map, a
 method whose levels differ from the closed form's by more than
-:data:`METHOD_TOL`.  Text changes of a report that keeps its verdicts are
-listed by entry name, and a family that one map lacks is named; neither
-breaks a rule.
+:data:`METHOD_TOL`, or a units window that, its energies and excluded
+bounds divided by omega, differs at all from its omega = 1 window (a power
+of two divides exactly).  Text changes of a report that keeps its verdicts
+are listed by entry name, and a family that one map lacks is named;
+neither breaks a rule.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ METHOD_WINDOW = ((1.0, 0.0, 0.1, 0.3, 0.0), (0.0, 1.0))
 METHODS = ("closed", "heun", "bcf", "oracle")
 #: largest distance of a method's levels from the closed form's
 METHOD_TOL = 1e-8
+#: (route, parameters at omega = 1, window) of the units family
+UNITS = (("heun", (1.0, 0.4, 0.15, 0.6, 0.0), (-1.0, 4.0)),
+         ("bcf", (1.0, 0.3, 0.0, 0.05, 0.02), (-1.0, 3.0)))
+UNIT_OMEGAS = (2.0 ** -7, 1.0, 2.0 ** 7)
 
 
 def _load(tree: Path):
@@ -90,32 +100,40 @@ def build_map(tree: Path, sweep_seeds=SWEEP_SEEDS, report_seeds=REPORT_SEEDS) ->
         calls[0] += 1
         return wronskian(*args)
 
+    def record(row: dict, run) -> dict:
+        """row with what ``run()`` returns on its window, or its error."""
+        calls[0] = 0
+        try:
+            res = run()
+        except RabiSpectraError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            rep = res.report
+            row.update(energies=[float(e) for e in res.energies], labels=list(res.labels),
+                       excluded=[[iv.reason, float(iv.lo), float(iv.hi)]
+                                 for iv in rep.excluded],
+                       suspects=len(rep.suspects), determinant_calls=calls[0])
+        return row
+
     twopoint._wronskian = counted
     spectrum = {"heun-sweep": heun.heun_spectrum, "bcf-sweep": bcf.bcf_spectrum}
-    windows = []
+    windows, units = [], []
     try:
         for name in SWEEPS:
             for seed in sweep_seeds:
                 for case in workloads.WORKLOADS[name].cases(np.random.default_rng(seed)):
-                    calls[0] = 0
-                    row = {"workload": name, "seed": seed, "case": case.label,
-                           "params": list(astuple(case.params)),
-                           "window": [case.e_min, case.e_max]}
-                    try:
-                        res = spectrum[name](case.params, case.e_min, case.e_max,
-                                             workloads.GRID_STEP)
-                    except RabiSpectraError as exc:
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    else:
-                        rep = res.report
-                        row.update(
-                            energies=[float(e) for e in res.energies],
-                            labels=list(res.labels),
-                            excluded=[[iv.reason, float(iv.lo), float(iv.hi)]
-                                      for iv in rep.excluded],
-                            suspects=len(rep.suspects),
-                            determinant_calls=calls[0])
-                    windows.append(row)
+                    windows.append(record(
+                        {"workload": name, "seed": seed, "case": case.label,
+                         "params": list(astuple(case.params)),
+                         "window": [case.e_min, case.e_max]},
+                        lambda: spectrum[name](case.params, case.e_min, case.e_max,
+                                               workloads.GRID_STEP)))
+        for route, params, window in UNITS:
+            for omega in UNIT_OMEGAS:
+                p, e_min, e_max = [omega * x for x in params], *(omega * e for e in window)
+                units.append(record(
+                    {"route": route, "omega": omega, "params": p, "window": [e_min, e_max]},
+                    lambda: spectrum[f"{route}-sweep"](ModelParams(*p), e_min, e_max)))
     finally:
         twopoint._wronskian = wronskian
 
@@ -143,7 +161,8 @@ def build_map(tree: Path, sweep_seeds=SWEEP_SEEDS, report_seeds=REPORT_SEEDS) ->
                                 audit.diagnose_report(case.params), default=str))})
     return {"tree": str(tree.resolve()), "commit": _commit(tree),
             "python": platform.python_version(), "numpy": np.__version__,
-            "windows": windows, "reports": reports, **({"methods": methods} if methods else {})}
+            "windows": windows, "reports": reports, "units": units,
+            **({"methods": methods} if methods else {})}
 
 
 def _keyed(rows, *fields):
@@ -161,6 +180,15 @@ def _verdicts(report: dict) -> tuple:
 
 def _text(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _in_units(row: dict) -> dict:
+    """What a units row records, its energies and excluded bounds divided by
+    its omega."""
+    w = row["omega"]
+    return {"energies": [e / w for e in row.get("energies", [])],
+            "excluded": [[r, lo / w, hi / w] for r, lo, hi in row.get("excluded", [])],
+            **{f: row.get(f) for f in ("labels", "suspects", "determinant_calls")}}
 
 
 def compare(a: dict, b: dict) -> tuple:
@@ -246,6 +274,25 @@ def compare(a: dict, b: dict) -> tuple:
                     rule(f"{where}: {shift:.3g} from closed, above {METHOD_TOL:.3g}")
         lines.append(f"methods {name}: largest distance from closed {worst:.3g} "
                      f"(tolerance {METHOD_TOL:.3g})")
+
+    for name, m in (("A", a), ("B", b)):
+        if "units" not in m:
+            lines.append(f"units: not in map {name}")
+            continue
+        unit = {r["route"]: _in_units(r) for r in m["units"] if r["omega"] == 1.0}
+        differ = 0
+        for r in m["units"]:
+            where = f"units/{name}/{r['route']}/omega={r['omega']!r}"
+            got, ref = _in_units(r), unit[r["route"]]
+            fields = [f for f in got if got[f] != ref[f]]
+            if "error" in r:
+                rule(f"{where}: {r['error']}")
+            elif fields:
+                differ += 1
+                rule(f"{where}: {', '.join(fields)} differ from omega = 1 "
+                     f"({len(got['energies'])} levels, omega = 1 {len(ref['energies'])})")
+        lines.append(f"units {name}: {differ} of {len(m['units'])} windows differ "
+                     f"from omega = 1")
     return lines, broken
 
 

@@ -1,13 +1,15 @@
 """Spectrum of the general model at small couplings: the ``bcf`` row of
 :data:`twopoint.ROUTES`, the parent that drops every O(lam^2, lam g) term of
 the fourth-order equation, whose local series obey four-term recurrences.
+:func:`bcf_spectrum` is ``twopoint.window_spectrum("bcf", ...)``, grid_step
+0.05 omega by default.
 """
 
 from __future__ import annotations
 
 from .params import ModelParams
 from .rootscan import GFunctionSample, SpectrumResult
-from .twopoint import ROUTES, g_function_batch, route_spectrum
+from .twopoint import ROUTES, g_function_batch, window_spectrum
 
 
 def g_function_bcf_batch(p: ModelParams, energies,
@@ -25,7 +27,7 @@ def g_function_bcf(p: ModelParams, energy: float,
 
 
 def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
-                 grid_step: float = 0.05,
+                 grid_step: float | None = None,
                  zeta_star: float = 0.5) -> SpectrumResult:
     """Grid scan + rational-step refinement of the reduced-equation G-function.
 
@@ -36,4 +38,4 @@ def bcf_spectrum(p: ModelParams, e_min: float, e_max: float,
     for every energy alike) NumericalError, as :func:`twopoint.map_to_zeta`
     does, the message naming the rule or the breakdown.
     """
-    return route_spectrum(ROUTES["bcf"], p, e_min, e_max, grid_step, zeta_star)
+    return window_spectrum("bcf", p, e_min, e_max, grid_step, zeta_star)

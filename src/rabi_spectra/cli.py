@@ -21,9 +21,7 @@ import numpy as np
 from .errors import NumericalError, RabiSpectraError, ValidationError
 from .fock import every_level
 from .params import ModelParams, RegimeTag, classify_regime, validate_params
-from .rootscan import RootScanConfig, _build_grid
-from .twopoint import (ROUTES, g_function_batch, gluing_point, window_in_units_of_omega,
-                       window_spectrum)
+from .twopoint import window_samples, window_spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,25 +54,11 @@ def _spectrum_rows(ns: argparse.Namespace, p: ModelParams, method: str):
 
 
 def _gscan_rows(ns: argparse.Namespace, p: ModelParams, method: str):
-    route = ROUTES[method]
-    # an empty window gives no rows, but not in the wrong regime or with a
-    # bad gluing point
-    route.rule(p)
-    zeta_star = gluing_point(ns.zeta_star)
-    header = ["energy", "scaled_g", "scale_log", "flags"]
-    rows = []
-    # built in units of omega, as the routes build theirs
-    _q, *window = window_in_units_of_omega(p, ns.emin, ns.emax, ns.grid)
-    if ns.emin >= ns.emax:
-        return header, rows
-    grid = p.omega * _build_grid(RootScanConfig(*window))
     # signed as the spectrum scans it, so sign changes are roots, not poles
-    samples = g_function_batch(route, p, grid, zeta_star, pole_free=True)
-    for e, s in zip(grid, samples):
-        rows.append({"energy": float(e), "scaled_g": float(s.g_value),
-                     "scale_log": float(s.scale_log),
-                     "flags": ";".join(sorted(s.flags))})
-    return header, rows
+    rows = [{"energy": s.energy, "scaled_g": s.g_value, "scale_log": s.scale_log,
+             "flags": ";".join(sorted(s.flags))}
+            for s in window_samples(method, p, ns.emin, ns.emax, ns.grid, ns.zeta_star)]
+    return ["energy", "scaled_g", "scale_log", "flags"], rows
 
 
 def _serialize(header, rows, fmt_name: str, meta: dict) -> str:
@@ -150,20 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _params(ns: argparse.Namespace) -> ModelParams:
-    """Validate the parameters and fill in the default --grid; the library
-    checks every other setting where it reads it."""
-    params = validate_params(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
-    if "grid" in ns and ns.grid is None:
-        ns.grid = 0.05 * ns.omega
-    return params
-
-
 @np.errstate(all="ignore")  # a non-finite result raises where it is checked
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        p = _params(ns)
+        p = validate_params(ns.omega, ns.delta, ns.eps, ns.g, ns.lam)
         if ns.command == "diagnose":
             # the paper audit is imported only where it is read
             from .audit import diagnose_report

@@ -1,14 +1,15 @@
 """Spectrum of the linear-coupling model (lam = 0): the ``heun`` row of
 :data:`twopoint.ROUTES`, the truncated parent read at lam = 0, where it is
 exact, gauged into the confluent Heun equation, whose local series obey
-three-term recurrences.
+three-term recurrences.  :func:`heun_spectrum` is
+``twopoint.window_spectrum("heun", ...)``, grid_step 0.05 omega by default.
 """
 
 from __future__ import annotations
 
 from .params import ModelParams
 from .rootscan import GFunctionSample, SpectrumResult
-from .twopoint import ROUTES, g_function_batch, route_spectrum
+from .twopoint import ROUTES, g_function_batch, window_spectrum
 
 
 def g_function_heun_batch(p: ModelParams, energies, zeta_star: float = 0.5) -> list:
@@ -23,7 +24,7 @@ def g_function_heun(p: ModelParams, energy: float,
 
 
 def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
-                  grid_step: float = 0.05,
+                  grid_step: float | None = None,
                   zeta_star: float = 0.5) -> SpectrumResult:
     """Scan the spectral determinant on [e_min, e_max].
 
@@ -33,4 +34,4 @@ def heun_spectrum(p: ModelParams, e_min: float, e_max: float,
     (where the two singularities collide) and a bad window raise
     ValidationError, quoting the caller's numbers.
     """
-    return route_spectrum(ROUTES["heun"], p, e_min, e_max, grid_step, zeta_star)
+    return window_spectrum("heun", p, e_min, e_max, grid_step, zeta_star)

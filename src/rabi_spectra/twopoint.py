@@ -12,8 +12,9 @@ exp(k zeta); the spectral determinant is the Wronskian, at a gluing point
 zeta_star, of the two local Frobenius series (Braak, PRL 107, 100401,
 2011).  The gauge multiplies both local solutions alike, so the
 Wronskian's zeros do not depend on k.  Everything past the parent lives
-here, in units of omega (the public entry points divide by it once).  The
-equation's coefficients are quadratics in E, and so are its series'
+here, in units of omega: a window's two entries, :func:`window_spectrum`
+(its levels) and :func:`window_samples` (its scanned determinant), divide
+by it once, with grid_step 0.05 omega by default.  The equation's coefficients are quadratics in E, and so are its series'
 recurrence weights: :func:`reduction` fits them once from three probes,
 and a determinant call evaluates them at its energies.  The determinant
 has a simple pole at each ladder point E_m, so the spectrum scans
@@ -41,7 +42,7 @@ from .params import (ModelParams, in_units_of_omega, real, require_no_squeeze,
 from .polyops import padd, poly, pshift
 from .rootscan import (FLAG_DEGENERATE, FLAG_NEAR_SINGULAR, FLAG_SETS, REFINE_TOL,
                        GFunctionSample, RootReport, RootScanConfig, SpectrumResult,
-                       same_energy, scan_and_refine)
+                       _build_grid, same_energy, scan_and_refine)
 from .series import PolyOde, recurrence_weights, series_sums_lanes
 
 #: highest resonant index m put on the ladder
@@ -177,22 +178,18 @@ def reduction(route: Route, p: ModelParams) -> Reduction:
 
 
 def g_function_batch(route: Route, p: ModelParams, energies,
-                     zeta_star: float = 0.5, pole_free: bool = False) -> list:
+                     zeta_star: float = 0.5) -> list:
     """Angle-normalized Wronskian at zeta_star of the local series at zeta = 0
     and zeta = 1 of ``route``'s reduction, one sample per energy, once
     ``route.rule`` passes p; both series of every energy are rolled in one
-    batch, and signed as the spectrum scans them (:func:`_pole_free`) with
-    ``pole_free``.  The public sample boundary: it divides by omega once, and
-    the spectrum itself works on :func:`_wronskian`'s arrays."""
+    batch.  The public sample boundary: it divides by omega once, and the
+    spectrum itself works on :func:`_wronskian`'s arrays."""
     route.rule(p)
     zeta_star = gluing_point(zeta_star)
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     q, unit = in_units_of_omega(p, energies)
     red = reduction(route, q)
     g, log_g, bits = _wronskian(red, unit, np.zeros((2, unit.size), int), zeta_star)
-    if pole_free and unit.size:
-        ladder = resonance_ladder(red, unit.min(), unit.max())
-        g = _pole_free(g, unit, np.array([e for e, _s, _m in ladder]))
     return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
             zip(energies.tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
@@ -263,6 +260,11 @@ def gluing_point(zeta_star) -> float:
     return zeta_star
 
 
+def _grid_step(p: ModelParams, grid_step: float | None) -> float:
+    """grid_step, or where it is None every window's default, 0.05 omega."""
+    return 0.05 * p.omega if grid_step is None else grid_step
+
+
 def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
                              grid_step: float) -> tuple:
     """(p, e_min, e_max, grid_step) in units of omega, the window checked by
@@ -275,17 +277,36 @@ def window_in_units_of_omega(p: ModelParams, e_min: float, e_max: float,
     return (q, *window)
 
 
-def route_spectrum(route: Route, p: ModelParams, e_min: float, e_max: float,
-                   grid_step: float, zeta_star: float) -> SpectrumResult:
-    """``route``'s spectrum in the caller's units, once ``route.rule`` passes
-    p and :func:`gluing_point` reads zeta_star: where delta vanishes
-    :func:`closed_window`, else the :func:`spectrum` of its reduction on the
-    window divided by omega once, its energies, report and ladder multiplied
-    back."""
+def window_spectrum(method: str, p: ModelParams, e_min: float, e_max: float,
+                    grid_step: float | None = None, zeta_star: float = 0.5,
+                    fock_cutoff: int = 120) -> SpectrumResult:
+    """The levels of ``method`` on [e_min, e_max], in the caller's units:
+    the one entry of every method, each of which checks the window by
+    :class:`RootScanConfig` (grid_step 0.05 omega by default).  ``closed``
+    is :func:`closed_window`, which refuses delta != 0; ``oracle`` is the
+    levels of :func:`fock.every_level` at ``fock_cutoff`` inside the window,
+    labelled 'cutoff=<cutoff>', with the cutoff in its metadata and an empty
+    report.  ``heun`` and ``bcf``, once the route's rule passes p and
+    :func:`gluing_point` reads zeta_star, are :func:`closed_window` where
+    delta vanishes, else the :func:`spectrum` of the route's reduction on
+    the window in units of omega, its energies, report and ladder
+    multiplied back.  Any other method raises ValidationError."""
+    grid_step = _grid_step(p, grid_step)
+    if method == "closed":
+        return closed_window(p, method, e_min, e_max, grid_step)
+    if method == "oracle":
+        RootScanConfig(e_min, e_max, grid_step)
+        ev, cutoff = every_level(p, fock_cutoff), int(fock_cutoff)
+        ev = ev[(e_min <= ev) & (ev <= e_max)]
+        return SpectrumResult(method, ev, (f"cutoff={cutoff}",) * ev.size,
+                              RootReport(np.array([])), {"cutoff": cutoff})
+    if method not in ROUTES:
+        raise ValidationError(f"method must be closed, heun, bcf or oracle, got {method!r}")
+    route = ROUTES[method]
     route.rule(p)
     zeta_star = gluing_point(zeta_star)
     if vanishes(p, p.delta):
-        return closed_window(p, route.name, e_min, e_max, grid_step)
+        return closed_window(p, method, e_min, e_max, grid_step)
     q, *window = window_in_units_of_omega(p, e_min, e_max, grid_step)
     res, w = spectrum(reduction(route, q), *window, zeta_star), p.omega
     rep, ladder = res.report, res.metadata["ladder"]
@@ -296,30 +317,29 @@ def route_spectrum(route: Route, p: ModelParams, e_min: float, e_max: float,
         metadata={**res.metadata, "ladder": [(e * w, s, m) for e, s, m in ladder]})
 
 
-def window_spectrum(method: str, p: ModelParams, e_min: float, e_max: float,
-                    grid_step: float | None = None, zeta_star: float = 0.5,
-                    fock_cutoff: int = 120) -> SpectrumResult:
-    """The levels of ``method`` on [e_min, e_max], in the caller's units:
-    the one entry of every method, each of which checks the window by
-    :class:`RootScanConfig` (grid_step defaults to 0.05 omega).  ``closed``
-    is :func:`closed_window`, which refuses delta != 0; ``heun`` and ``bcf``
-    are :func:`route_spectrum`, which reads zeta_star; ``oracle`` is the
-    levels of :func:`fock.every_level` at ``fock_cutoff`` inside the window,
-    each labelled 'cutoff=<cutoff>', with the cutoff in its metadata and an
-    empty report.  Any other method raises ValidationError."""
-    if grid_step is None:
-        grid_step = 0.05 * p.omega
-    if method in ROUTES:
-        return route_spectrum(ROUTES[method], p, e_min, e_max, grid_step, zeta_star)
-    if method == "closed":
-        return closed_window(p, method, e_min, e_max, grid_step)
-    if method != "oracle":
-        raise ValidationError(f"method must be closed, heun, bcf or oracle, got {method!r}")
-    RootScanConfig(e_min, e_max, grid_step)
-    ev, cutoff = every_level(p, fock_cutoff), int(fock_cutoff)
-    ev = ev[(e_min <= ev) & (ev <= e_max)]
-    return SpectrumResult(method, ev, (f"cutoff={cutoff}",) * ev.size,
-                          RootReport(np.array([])), {"cutoff": cutoff})
+def window_samples(method: str, p: ModelParams, e_min: float, e_max: float,
+                   grid_step: float | None = None, zeta_star: float = 0.5) -> list:
+    """Route ``method``'s determinant as :func:`window_spectrum` scans it,
+    read as that reads its settings: one :class:`GFunctionSample` per point
+    of the knot-free grid of [e_min, e_max], in the caller's units, with g
+    signed by :func:`_pole_free`, so that a sign change is a root and not a
+    pole.  e_min == e_max gives no samples, and a method but heun and bcf
+    raises ValidationError."""
+    if method not in ROUTES:
+        raise ValidationError(f"method must be heun or bcf, got {method!r}")
+    route = ROUTES[method]
+    route.rule(p)
+    zeta_star = gluing_point(zeta_star)
+    q, *window = window_in_units_of_omega(p, e_min, e_max, _grid_step(p, grid_step))
+    if e_min == e_max:
+        return []
+    unit = _build_grid(RootScanConfig(*window))
+    red = reduction(route, q)
+    g, log_g, bits = _wronskian(red, unit, np.zeros((2, unit.size), int), zeta_star)
+    ladder = resonance_ladder(red, unit[0], unit[-1])
+    g = _pole_free(g, unit, np.array([e for e, _s, _m in ladder]))
+    return [GFunctionSample(e, gv, lg, FLAG_SETS[b]) for e, gv, lg, b in
+            zip((p.omega * unit).tolist(), g.tolist(), log_g.tolist(), bits.tolist())]
 
 
 def spectrum(reduction: Reduction, e_min: float, e_max: float,

@@ -206,21 +206,24 @@ def test_gscan_samples_the_window_edge_the_step_misses(capsys):
 
 
 def test_gscan_sign_changes_match_spectrum_roots(tmp_path, capsys):
-    common = ["--omega", "1", "--delta", "0.4", "--g", "0.6", "--eps", "0.15",
-              "--emin", "-0.8", "--emax", "0.2", "--grid", "0.05"]
-    code, out, _ = run_cli(["gscan", *common], capsys)
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    vals = [(float(r["energy"]), float(r["scaled_g"]), r["flags"])
-            for r in rows]
-    crossings = [0.5 * (a[0] + b[0]) for a, b in zip(vals, vals[1:])
-                 if not a[2] and not b[2] and a[1] * b[1] < 0]
-    code, out2, _ = run_cli(["spectrum", "--method", "heun", *common], capsys)
-    assert code == 0
-    roots = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out2))]
-    assert len(crossings) == len(roots)
-    for c, r in zip(sorted(crossings), sorted(roots)):
-        assert abs(c - r) <= 0.05
+    # at omega = 1 and 2^-7, each on its default grid of 0.05 omega
+    for omega in (1.0, 2.0 ** -7):
+        common = [f"--{name}={value * omega!r}" for name, value in (
+            ("omega", 1.0), ("delta", 0.4), ("g", 0.6), ("eps", 0.15), ("emin", -0.8),
+            ("emax", 0.2))]
+        code, out, _ = run_cli(["gscan", *common], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        vals = [(float(r["energy"]), float(r["scaled_g"]), r["flags"])
+                for r in rows]
+        crossings = [0.5 * (a[0] + b[0]) for a, b in zip(vals, vals[1:])
+                     if not a[2] and not b[2] and a[1] * b[1] < 0]
+        code, out2, _ = run_cli(["spectrum", "--method", "heun", *common], capsys)
+        assert code == 0
+        roots = [float(r["energy"]) for r in csv.DictReader(io.StringIO(out2))]
+        assert len(crossings) == len(roots) > 0
+        for c, r in zip(sorted(crossings), sorted(roots)):
+            assert abs(c - r) <= 0.05 * omega
 
 
 #: auto picks bcf, and lambda < 0 with a small g puts q^2 < 0
@@ -488,8 +491,8 @@ def test_coupling_far_above_omega_exits_2_with_one_line(args, capsys):
 
 #: id -> (argv of a spectrum at a huge or tiny omega, rows): closed, heun and
 #: bcf (whose delta vanishes, so it takes the closed form) at omega 1e300 and
-#: 1e200, heun P2 at omega 1e-9, and the gscan of P2 at omega 1e-20, whose
-#: grid keeps the window's end point
+#: 1e200, heun P2 at omega 1e-9, the gscan of P2 at omega 1e-20, whose grid
+#: keeps the window's end point, and at omega 2^-7 on the default grid
 SCALED_CASES = {
     "args0": (["spectrum", "--method", "closed", "--omega", "1e300", "--lambda", "-0.49",
                "--emin=-1e300", "--emax", "9.5e300"], 20),
@@ -505,6 +508,9 @@ SCALED_CASES = {
     "gscan-omega1e-20": (["gscan", "--omega", "1e-20", "--delta", "4e-21", "--eps",
                           "1.5e-21", "--g", "6e-21", "--emin=-1e-20", "--emax",
                           "3.3e-21", "--grid", "5e-22"], 28),
+    "gscan-omega2^-7": (["gscan", "--omega", "0.0078125", "--delta", "0.003125", "--eps",
+                         "0.001171875", "--g", "0.0046875", "--emin=-0.0078125", "--emax",
+                         "0.03125"], 101),
 }
 #: the options that carry an energy
 ENERGIES = ("--omega", "--delta", "--eps", "--g", "--lambda", "--emin", "--emax", "--grid")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rabi_spectra import (
     RootScanConfig,
@@ -277,30 +277,44 @@ SCALED = {
 
 
 @functools.cache
-def scaled(route: str, omega: float):
+def scaled(route: str, omega: float, grid_step: float | None):
     """(energies / omega, labels, n_evaluations) with the route's parameters,
-    window and grid step all multiplied by omega."""
+    window and grid step all multiplied by omega; a grid step of None is
+    omitted, so the route takes its default."""
     spectrum, p, (lo, hi) = SCALED[route]
+    step = () if grid_step is None else (grid_step * omega,)
     res = spectrum(ModelParams(*(x * omega for x in dataclasses.astuple(p))),
-                   lo * omega, hi * omega, 0.05 * omega)
+                   lo * omega, hi * omega, *step)
     return res.energies / omega, res.labels, res.report.n_evaluations
 
 
+#: the grid step in units of omega, or None for the default 0.05 omega
+GRID_STEPS = st.sampled_from([0.05, None])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(SCALED)), st.integers(-900, 900))
-def test_spectrum_at_a_power_of_two_omega_is_bit_identical(route, k):
+@given(st.sampled_from(sorted(SCALED)), st.integers(-900, 900), GRID_STEPS)
+@example("heun", -7, None)
+@example("bcf", -7, None)
+@example("heun", 7, None)
+@example("bcf", 7, None)
+def test_spectrum_at_a_power_of_two_omega_is_bit_identical(route, k, grid_step):
     # division by a power of two is exact, so every energy / omega is too
-    energies, labels, n_evaluations = scaled(route, 2.0 ** k)
-    unit = scaled(route, 1.0)
+    energies, labels, n_evaluations = scaled(route, 2.0 ** k, grid_step)
+    unit = scaled(route, 1.0, 0.05)
     np.testing.assert_array_equal(energies, unit[0])
     assert (labels, n_evaluations) == unit[1:]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(SCALED)), st.integers(-300, 300))
-def test_spectrum_at_a_power_of_ten_omega_agrees_in_units_of_omega(route, j):
+@given(st.sampled_from(sorted(SCALED)), st.integers(-300, 300), GRID_STEPS)
+@example("heun", -2, None)
+@example("bcf", -2, None)
+@example("heun", 2, None)
+@example("bcf", 2, None)
+def test_spectrum_at_a_power_of_ten_omega_agrees_in_units_of_omega(route, j, grid_step):
     # the divided window edges are not exact, so the scan may take other steps
-    energies, labels, _n_evaluations = scaled(route, 10.0 ** j)
-    unit = scaled(route, 1.0)
+    energies, labels, _n_evaluations = scaled(route, 10.0 ** j, grid_step)
+    unit = scaled(route, 1.0, 0.05)
     np.testing.assert_allclose(energies, unit[0], rtol=0.0, atol=REFINE_TOL)
     assert labels == unit[1]

@@ -486,12 +486,15 @@ REACH_ARGVS = [cmd.split() for cmd in (
 
 #: (file, qualified name) of the functions no command calls
 UNREACHED = {
-    # the documented public API: the routes' thin names and the methods of
-    # the parameter and result types
+    # the documented public API: the routes' thin names, the sample
+    # boundary their G-functions share (gscan scans through
+    # ``twopoint.window_samples``) and the methods of the parameter and
+    # result types
     *(("heun.py", name) for name in ("heun_spectrum", "g_function_heun",
                                      "g_function_heun_batch")),
     *(("bcf.py", name) for name in ("bcf_spectrum", "g_function_bcf",
                                     "g_function_bcf_batch")),
+    ("twopoint.py", "g_function_batch"),
     ("params.py", "ModelParams.mirrored"),
     ("rootscan.py", "GFunctionSample.ok"),
     ("rootscan.py", "ExcludedInterval.contains"),
@@ -556,19 +559,25 @@ def test_every_function_in_src_is_reached_by_a_command(capsys):
 
 def test_each_spectrum_method_is_one_call_of_the_entry(monkeypatch, capsys):
     """The ``spectrum`` command reaches every method, ``closed`` and
-    ``oracle`` too, by one call of ``twopoint.window_spectrum`` with the
-    window it is given."""
+    ``oracle`` too, by one call of ``twopoint.window_spectrum``, and
+    ``gscan`` each route by one call of ``twopoint.window_samples``, with
+    the window it is given."""
     from rabi_spectra import cli, twopoint
 
     calls = []
 
-    def recorded(method, p, e_min, e_max, *args):
-        calls.append((method, e_min, e_max))
-        return twopoint.window_spectrum(method, p, e_min, e_max, *args)
+    def recorded(entry):
+        def call(method, p, e_min, e_max, *args):
+            calls.append((entry.__name__, method, e_min, e_max))
+            return entry(method, p, e_min, e_max, *args)
+        return call
 
-    monkeypatch.setattr(cli, "window_spectrum", recorded)
-    spectra = [argv for argv in REACH_ARGVS if argv[0] == "spectrum"]
-    assert [cli.main(argv) for argv in spectra] == [0] * len(spectra)
-    assert calls == [("closed", -1.0, 3.0), ("oracle", -1.0, 3.0), ("heun", -1.0, 4.0),
-                     ("bcf", -1.0, 3.0), ("bcf", -1.0, 3.0), ("heun", -1.0, 3.0)]
+    monkeypatch.setattr(cli, "window_spectrum", recorded(twopoint.window_spectrum))
+    monkeypatch.setattr(cli, "window_samples", recorded(twopoint.window_samples))
+    windowed = [argv for argv in REACH_ARGVS if argv[0] != "diagnose"]
+    assert [cli.main(argv) for argv in windowed] == [0] * len(windowed)
+    assert calls == [("window_spectrum", *call) for call in (
+        ("closed", -1.0, 3.0), ("oracle", -1.0, 3.0), ("heun", -1.0, 4.0),
+        ("bcf", -1.0, 3.0), ("bcf", -1.0, 3.0), ("heun", -1.0, 3.0))] + [
+        ("window_samples", "heun", -1.0, 1.0), ("window_samples", "bcf", -1.0, 1.0)]
     capsys.readouterr()

@@ -43,6 +43,10 @@ def test_one_seed_has_every_window_and_report(one_seed):
     for m in one_seed["methods"]:
         assert m["energies"] == pytest.approx([0.01, 0.81], abs=1e-8)
         assert len(m["labels"]) == 2
+    # P2 on heun and P3 on bcf keep their 10 and 7 levels at every omega
+    assert [(u["route"], u["omega"], len(u["energies"])) for u in one_seed["units"]] \
+        == [(route, omega, n) for route, n in (("heun", 10), ("bcf", 7))
+            for omega in route_map.UNIT_OMEGAS]
 
 
 def broken_by(a, b):
@@ -54,6 +58,7 @@ def test_a_map_compares_clean_with_itself(one_seed):
     broken, rules, lines = broken_by(one_seed, one_seed)
     assert (broken, rules) == (0, [])
     assert "reports: 0 of 40 changed text" in lines
+    assert "units B: 0 of 6 windows differ from omega = 1" in lines
 
 
 @pytest.mark.parametrize("edit, rule", [
@@ -74,6 +79,11 @@ def test_a_map_compares_clean_with_itself(one_seed):
     (lambda m: m["methods"][1]["energies"].pop(), "levels, closed 2"),
     (lambda m: m["methods"][2].__setitem__("error", "ValidationError: edited"),
      "ValidationError: edited"),
+    # one ulp off in units of omega, at omega = 2^7 on bcf
+    (lambda m: m["units"][5]["energies"].__setitem__(
+        0, m["units"][5]["energies"][0] * (1 + 2 ** -52)),
+     "units/B/bcf/omega=128.0: energies differ from omega = 1 (7 levels, omega = 1 7)"),
+    (lambda m: m["units"][0]["energies"].pop(), "(9 levels, omega = 1 10)"),
 ])
 def test_each_rule_breaks_on_its_difference(one_seed, edit, rule):
     changed = copy.deepcopy(one_seed)
@@ -96,12 +106,14 @@ def test_a_heun_shift_within_tolerance_and_report_text_break_no_rule(one_seed):
 
 def test_a_family_one_map_lacks_is_named_and_breaks_no_rule(one_seed):
     """A tree from before ``twopoint.window_spectrum`` records no methods
-    family, and a compare against it still passes."""
-    older = {k: v for k, v in one_seed.items() if k != "methods"}
-    for a, b, lacking in ((older, one_seed, "A"), (one_seed, older, "B")):
-        broken, _rules, lines = broken_by(a, b)
-        assert broken == 0
-        assert f"methods: not in map {lacking}" in lines
-    lines = broken_by(one_seed, one_seed)[2]
-    assert [line.split(":")[0] for line in lines if line.startswith("methods")] \
-        == ["methods A", "methods B"]
+    family, and a map built before the units family has none; a compare
+    against either still passes."""
+    for family in ("methods", "units"):
+        older = {k: v for k, v in one_seed.items() if k != family}
+        for a, b, lacking in ((older, one_seed, "A"), (one_seed, older, "B")):
+            broken, _rules, lines = broken_by(a, b)
+            assert broken == 0
+            assert f"{family}: not in map {lacking}" in lines
+        lines = broken_by(one_seed, one_seed)[2]
+        assert [line.split(":")[0] for line in lines if line.startswith(family)] \
+            == [f"{family} A", f"{family} B"]

@@ -604,5 +604,9 @@ def test_every_method_checks_the_window_it_is_given(method):
 
 
 def test_the_entry_refuses_a_method_it_does_not_know():
+    p = validate_params(*WINDOWS["delta0"][0])
     with pytest.raises(ValidationError, match="method must be closed, heun, bcf or oracle"):
-        twopoint.window_spectrum("auto", validate_params(*WINDOWS["delta0"][0]), 0.0, 1.0)
+        twopoint.window_spectrum("auto", p, 0.0, 1.0)
+    # the samples of a window need a determinant route
+    with pytest.raises(ValidationError, match="method must be heun or bcf, got 'closed'"):
+        twopoint.window_samples("closed", p, 0.0, 1.0)
