@@ -32,19 +32,23 @@ FLAG_NONCONVERGED = 1
 FLAG_RESONANT_COMPATIBLE = 2
 FLAG_RESONANT_INCOMPATIBLE = 4
 
+#: the last index a lane rolls to
+MAX_N = 2000
+#: the convergence gate's bound on a term relative to its sum
+TAIL_TOL = 1e-14
 _RENORM_EVERY = 50
 _RES_GUARD = 1e-12
 _COMPAT_TOL = 1e-12
 
 
-def roll(L, j_lead, order, seeds, x, max_n, tail_tol):
+def roll(L, j_lead, order, seeds, x):
     """One series: :func:`roll_lanes` on the single lane (L, seeds, x) with
     every derivative up to the order, and scalar outputs
     (deriv_mantissas[order+1], scale_log, n_used, flags, tail_rel)."""
     seeds = np.asarray(seeds, dtype=np.float64)
     ds, slog, n_used, flags, tail = roll_lanes(
         np.asarray(L, dtype=np.float64)[None], j_lead, order, seeds[None],
-        [seeds.size], [x], int(max_n), tail_tol)
+        [seeds.size], [x])
     return ds[0], float(slog[0]), int(n_used[0]), int(flags[0]), float(tail[0])
 
 
@@ -79,7 +83,7 @@ def _index_factors(q, n_deg, derivs, size):
     return out
 
 
-def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None):
+def roll_lanes(L, j_lead, order, seeds, n_seed, x, derivs=None):
     """Roll the recurrence sum_j L_j(m) a_{m+order-j} = 0 of many lanes at
     once and accumulate each lane's derivative sums k = 0..derivs (default:
     the order) at its point.
@@ -87,12 +91,12 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
     ``L[i, j, d]`` is the d-th power coefficient of lane i's weight L_j,
     ``x[i]`` its evaluation point and ``seeds[i, :n_seed[i]]`` its seed
     vector (at least order - j_lead terms; a longer one selects a higher
-    exponent), with n_seed[i] <= max_n + 1; j_lead, order, max_n, tail_tol
-    and derivs are shared.  Every lane has a resonance guard with
-    compatible/incompatible flags, a convergence gate (a full span of
-    negligible terms, with the n^derivs amplification of the highest
-    derivative summed accounted for), renormalization every _RENORM_EVERY
-    terms (per-lane scale_log) and the nonconverged flag.
+    exponent), with n_seed[i] <= MAX_N + 1; j_lead, order and derivs are
+    shared.  Every lane rolls to the index MAX_N at most and has a
+    resonance guard with compatible/incompatible flags, a convergence gate
+    (a full span of terms below TAIL_TOL, with the n^derivs amplification
+    of the highest derivative summed accounted for), renormalization every
+    _RENORM_EVERY terms (per-lane scale_log) and the nonconverged flag.
 
     The index loop runs in blocks that end at the renormalization indices,
     or, after the first block, where the live lanes' tail decay predicts
@@ -129,9 +133,9 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
              -np.cumprod(np.ones((span, 1)) * x, axis=0),
              np.asarray(n_seed, dtype=np.int64)]
     hit = np.zeros(n_lanes, dtype=bool)
-    n0, stride = 0, max_n + 1
+    n0, stride = 0, MAX_N + 1
     with np.errstate(all="ignore"):  # a lane stopped mid-block rolls on to its end
-        while n0 <= max_n:
+        while n0 <= MAX_N:
             if hit.any() or state[0].size < 2:
                 keep = np.flatnonzero(~hit)
                 if not keep.size:
@@ -141,7 +145,7 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
                 keep = np.resize(keep, max(keep.size, 2))
                 state = [a.take(keep, axis=-1) for a in state]
             lanes, window, ds, slog, flags, quiet, tail, seed_b, lt, nxd, n_seed = state
-            n1 = min((n0 // _RENORM_EVERY + 1) * _RENORM_EVERY + 1, max_n + 1,
+            n1 = min((n0 // _RENORM_EVERY + 1) * _RENORM_EVERY + 1, MAX_N + 1,
                      n0 + max(1, _LANE_BLOCK_BYTES // (8 * n_lags * lanes.size)),
                      n0 + stride)
             nb = n1 - n0
@@ -198,17 +202,14 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
             tails[0] = tail
             tails[1:] = np.where(main, np.abs(terms) * amp[n0:n1, None]
                                  / np.maximum(np.abs(dsum[1:, 0]), 1.0), 0.0)
-            if tail_tol > 0.0:
-                # run: the quiet terms up to each row, counted from the last
-                # loud one, or from the quiet run carried in before the block
-                idx = np.arange(nb)[:, None]
-                loud = np.maximum.accumulate(
-                    np.where((tails[1:] <= tail_tol) & main, -1 - quiet, idx), axis=0)
-                run = idx - loud
-                stop = (run > span + 2) & (ns[n0:n1, None] > n_seed + 8)
-                quiet = run[-1]
-            else:
-                stop = np.zeros((nb, lanes.size), dtype=bool)
+            # run: the quiet terms up to each row, counted from the last
+            # loud one, or from the quiet run carried in before the block
+            idx = np.arange(nb)[:, None]
+            loud = np.maximum.accumulate(
+                np.where((tails[1:] <= TAIL_TOL) & main, -1 - quiet, idx), axis=0)
+            run = idx - loud
+            stop = (run > span + 2) & (ns[n0:n1, None] > n_seed + 8)
+            quiet = run[-1]
             if resonant:
                 stop |= bad
             hit = stop.any(axis=0)
@@ -231,18 +232,17 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
                     window[:, sel] /= f
                     ds[:, sel] /= f
                     slog[sel] += np.array([math.log(v) for v in f])
-            if n1 > max_n:
+            if n1 > MAX_N:
                 hit[:] = True
             # the next block ends where the live lanes' tails, decaying at
             # their rate over the last 8 terms, have been quiet for a span
-            stride, live = max_n + 1, ~hit
-            if (tail_tol > 0.0 and nb > 8 and live.any()
-                    and np.all(n_seed[live] <= n1 - 9)):
+            stride, live = MAX_N + 1, ~hit
+            if nb > 8 and live.any() and np.all(n_seed[live] <= n1 - 9):
                 t1 = tails[-1, live]
                 rate = (t1 / tails[-9, live]) ** 0.125
-                quiet_now = t1 <= tail_tol
+                quiet_now = t1 <= TAIL_TOL
                 if np.all(quiet_now | (rate < 1.0)):
-                    steps = np.log(tail_tol / t1) / np.log(rate)
+                    steps = np.log(TAIL_TOL / t1) / np.log(rate)
                     stride = int(np.ceil(np.max(steps, where=~quiet_now,
                                                 initial=0.0))) + span + 4
             if hit.any():
@@ -255,10 +255,8 @@ def roll_lanes(L, j_lead, order, seeds, n_seed, x, max_n, tail_tol, derivs=None)
             n0 = n1
 
     out_ds, out_slog, out_n, out_flags, out_tail = out
-    if tail_tol > 0.0:
-        # a nan tail (a nan offset or weight) counts as not converged
-        out_flags |= np.where((out_n >= max_n) & ~(out_tail <= tail_tol),
-                              FLAG_NONCONVERGED, 0)
+    # a nan tail (a nan offset or weight) counts as not converged
+    out_flags |= np.where((out_n >= MAX_N) & ~(out_tail <= TAIL_TOL), FLAG_NONCONVERGED, 0)
     return out_ds.T, out_slog, out_n, out_flags, out_tail
 
 

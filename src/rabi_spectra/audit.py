@@ -20,7 +20,7 @@ from . import canonical as canon
 from .canonical import asymmetric_second_order, compose_fourth_order, general_table
 from .errors import NumericalError, ValidationError
 from .fock import dimension, oracle_spectrum
-from .params import ModelParams, in_units_of_omega, vanishes, whole
+from .params import ModelParams, in_units_of_omega, real, vanishes
 from .polyops import _trimmed, padd, pmul, poly, polys_equal, ptrim, split_two_poles
 from .series import PolyOde, ode_residual, ode_to_recurrence, series_sums_lanes
 from .twopoint import ROUTES, bcf_truncated_parent, zeta_form
@@ -30,6 +30,9 @@ RTOL = 1e-12
 RESIDUAL_THRESHOLD = 1e-10
 #: the trial energy of a diagnose report, in units of omega
 TRIAL_ENERGY = 0.2
+#: the parameter sets :func:`residual_suite` draws, and the seed it draws from
+RESIDUAL_DRAWS = 5
+RESIDUAL_SEED = 7
 
 
 # --------------------------------------------------------------------------
@@ -263,15 +266,9 @@ def printed_bch(s: dict) -> dict:
 
 
 @_in_float_range
-def audit_recurrences(p_asym: ModelParams | None = None,
-                      e_asym: float = -0.1,
-                      p_general: ModelParams | None = None,
-                      e_general: float = 0.2) -> list:
+def audit_recurrences(p_asym: ModelParams, e_asym: float,
+                      p_general: ModelParams, e_general: float) -> list:
     """Derived-vs-printed comparison for all transcribed recurrences."""
-    if p_asym is None:
-        p_asym = ModelParams(1.0, 0.4, 0.15, 0.6, 0.0)
-    if p_general is None:
-        p_general = ModelParams(1.0, 0.3, 0.1, 0.2, 0.1)
     out = []
 
     che = zeta_form(ROUTES["heun"], p_asym, e_asym)
@@ -648,29 +645,24 @@ def audit_appendix(nb: canon.NormalizedParams) -> list:
 # --------------------------------------------------------------------------
 # residual battery
 
-def residual_suite(n_draws: int = 20, seed: int = 7, corrupt: bool = False) -> list:
+def residual_suite(*, corrupt: bool = False) -> list:
     """ODE residuals of every local series at points well inside their disks.
 
     With corrupt=True a coefficient of each derived recurrence is perturbed
     first; residuals must then blow past RESIDUAL_THRESHOLD (negative control).
-    The suite draws its own parameters from ``seed``, so its rows do not
-    depend on the model a report audits: they are computed once per
-    argument set, and each call gets its own copies.  ``n_draws`` must be a
-    whole number >= 1 and ``seed`` one in [0, 2**32), else ValidationError.
+    The suite draws RESIDUAL_DRAWS parameter sets of its own from
+    RESIDUAL_SEED, so its rows do not depend on the model a report audits:
+    they are computed once per value of ``corrupt``, and each call gets its
+    own copies.
     """
-    n_draws, seed = whole("n_draws", n_draws), whole("seed", seed)
-    if n_draws < 1:
-        raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
-    if not 0 <= seed < 2 ** 32:
-        raise ValidationError(f"seed must lie in [0, 2**32), got {seed}")
-    return [dict(r) for r in _residual_rows(n_draws, seed, corrupt)]
+    return [dict(r) for r in _residual_rows(corrupt)]
 
 
-@functools.lru_cache(maxsize=16)
-def _residual_rows(n_draws: int, seed: int, corrupt: bool) -> tuple:
-    rng = np.random.RandomState(seed)
+@functools.lru_cache(maxsize=2)
+def _residual_rows(corrupt: bool) -> tuple:
+    rng = np.random.RandomState(RESIDUAL_SEED)
     rows = []
-    for _ in range(n_draws):
+    for _ in range(RESIDUAL_DRAWS):
         om = 1.0
         de = rng.uniform(0.1, 0.8)
         ep = rng.uniform(-0.3, 0.3)
@@ -723,7 +715,7 @@ def _residual_row(tag: str, ode: PolyOde, x: float, corrupt: bool) -> dict:
 # --------------------------------------------------------------------------
 # top-level report
 
-def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
+def diagnose_report(p: ModelParams, *, corrupt: bool = False,
                     fock_cutoff: int = 120) -> dict:
     """Full machine-readable audit: recurrences, tables, residuals, oracle.
 
@@ -741,10 +733,10 @@ def diagnose_report(p: ModelParams, n_draws: int = 5, corrupt: bool = False,
     p_gen = q if q.lam != 0.0 else ModelParams(1.0, q.delta, q.epsilon,
                                                q.g if q.g else 0.2, 0.1)
     p_tp = dataclasses.replace(p_gen, g=0.0)
-    # the settings are refused before any table is built: neither reads one
-    residuals = residual_suite(n_draws=n_draws, corrupt=corrupt)
-    # at most the Fock dimension, which a small fock_cutoff lowers
-    oracle = oracle_spectrum(q, cutoff=fock_cutoff, k=min(10, dimension(fock_cutoff)))
+    # the cutoff is refused before any table; k is at most the Fock dimension
+    oracle = oracle_spectrum(q, cutoff=fock_cutoff,
+                             k=min(10, dimension(real("fock_cutoff", fock_cutoff))))
+    residuals = residual_suite(corrupt=corrupt)
     entries = [*audit_recurrences(p_asym, energy, p_gen, energy),
                audit_fourth_order_operator(p_gen, energy),
                audit_general_table(p_gen, energy),

@@ -7,10 +7,10 @@ transcribed here.
   coefficient table, and the exact lam = 0 second-order operator, the
   reference the truncated parent of the routes is checked against.  The
   displays the derivation chapters print drop two product-rule terms.  The
-  fourth-order and lam = 0 compositions are kept for the last few
-  (parameters, energy) pairs, so the audits of one report share them; each
-  reads its energy as a Python float before its cache forms the key, so a
-  0-d array shares the entry of its value.
+  fourth-order composition is kept for the last few (parameters, energy)
+  pairs, so the audits of one report share it, the lam = 0 operator
+  included; it reads its energy as a Python float before its cache forms
+  the key, so a 0-d array shares the entry of its value.
 - The second-canonical-form pipeline in lam-normalized variables:
   approximate second-order reduction, partial fractions, normal-form
   coefficients and the first normal form of the g = 0 biconfluent-Heun
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,19 +91,10 @@ def asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
 
     Composition of the two first-order operators plus delta^2; exact, unlike
     the printed reduction which loses the (g - omega z)(eps - E + g z) term.
+    It is the fourth-order composition at lam = 0, whose two top
+    coefficients vanish.
     """
-    return _asymmetric_second_order(p, real("energy", energy))
-
-
-@functools.lru_cache(maxsize=4)
-def _asymmetric_second_order(p: ModelParams, energy: float) -> tuple:
-    m_op = [poly([p.epsilon - energy, p.g]), poly([p.g, p.omega])]
-    mbar_op = [poly([p.epsilon + energy, p.g]), poly([p.g, -p.omega])]
-    out = compose_operators(mbar_op, m_op)
-    out[0] = padd(out[0], poly([p.delta ** 2]))
-    for c in out:
-        c.setflags(write=False)
-    return tuple(out)
+    return compose_fourth_order(replace(p, lam=0.0), energy)[:3]
 
 
 @dataclass(frozen=True)
@@ -259,25 +250,21 @@ def _kummer_lanes(ab, x: float) -> np.ndarray:
     """Rows (M, M', M'') of M = 1F1(a; b; x), one per (a, b) of ab.
 
     M is the regular series at 0 of x M'' + (b - x) M' - a M = 0, and the
-    rows are lanes of one kernel call.  For x < 0, whose terms would cancel,
-    the lanes sum N = 1F1(b - a; b; -x) instead, and Kummer's transformation
-    M = e^x N gives M' = e^x (N - N') and M'' = e^x (N - 2 N' + N''), e^x
-    joining the lanes' scale in log space.  A nonpositive integer b makes
-    the recurrence resonant at the index 1 - b, and the kernel's resonance
-    flag raises ValidationError wherever a lane reaches that index: at every
-    x for b >= -9, as a lane rolls at least ten terms.  Where x^2 is below
-    the normal range (x = 0 included), the derivative sums would lose their
-    digits, and the rows are the series' leading coefficients 1, a/b and
-    a(a+1)/(b(b+1)), which are the values to rounding there; the lanes then
-    roll at unit offset for their flags.
+    rows are lanes of one kernel call; :func:`weber_residual_exact` sums
+    them at x = zeta^2/2 >= 0, where no terms cancel.  A nonpositive
+    integer b makes the recurrence resonant at the index 1 - b, and the
+    kernel's resonance flag raises ValidationError wherever a lane reaches
+    that index: at every x for b >= -9, as a lane rolls at least ten
+    terms.  Where x^2 is below the normal range (x = 0 included), the
+    derivative sums would lose their digits, and the rows are the series'
+    leading coefficients 1, a/b and a(a+1)/(b(b+1)), which are the values
+    to rounding there; the lanes then roll at unit offset for their flags.
     """
-    y = abs(x)
-    tops = [a if x >= 0 else b - a for a, b in ab]
-    weights = np.stack([ode_to_recurrence(PolyOde(((-c,), (b, -1.0), (0.0, 1.0)))).weights
-                        for c, (_a, b) in zip(tops, ab)])
-    tiny = y * y < np.finfo(float).tiny
+    weights = np.stack([ode_to_recurrence(PolyOde(((-a,), (b, -1.0), (0.0, 1.0)))).weights
+                        for a, b in ab])
+    tiny = x * x < np.finfo(float).tiny
     sums, scale_log, flags = series_sums_lanes(
-        weights, [1.0 if tiny else y] * len(ab), [0] * len(ab))
+        weights, [1.0 if tiny else x] * len(ab), [0] * len(ab))
     if np.any(flags & (FLAG_RESONANT_COMPATIBLE | FLAG_RESONANT_INCOMPATIBLE)):
         raise ValidationError(f"1F1 pole: b among {[b for _a, b in ab]} is a "
                               "nonpositive integer")
@@ -285,10 +272,7 @@ def _kummer_lanes(ab, x: float) -> np.ndarray:
         raise NumericalError(f"1F1 at x = {x} did not converge for (a, b) in {ab}")
     if tiny:
         return np.array([(1.0, a / b, a * (a + 1) / (b * (b + 1))) for a, b in ab])
-    if x >= 0:
-        return sums * np.exp(scale_log)[:, None] / x ** np.arange(3)
-    n0, n1, n2 = (sums / y ** np.arange(3)).T
-    return np.stack([n0, n0 - n1, n0 - 2 * n1 + n2], axis=1) * np.exp(x + scale_log)[:, None]
+    return sums * np.exp(scale_log)[:, None] / x ** np.arange(3)
 
 
 def weber_residual_exact(a1: float, zeta1: float) -> tuple:

@@ -33,9 +33,6 @@ from . import _kernels
 from .errors import NumericalError, ValidationError
 from .polyops import falling_factorial_poly, poly, pshift, ptrim, pval
 
-DEFAULT_TAIL_TOL = 1e-14
-DEFAULT_MAX_N = 2000
-
 
 @dataclass(frozen=True)
 class PolyOde:
@@ -195,7 +192,7 @@ def series_sums_lanes(weights, x, exponent, derivs=None):
     seeds = np.zeros((len(weights), n_seed.max(initial=0)))
     seeds[np.arange(len(weights)), exponent] = 1.0
     sums, scale_log, _n, flags, _tail = _kernels.roll_lanes(
-        weights, j, order, seeds, n_seed, x, DEFAULT_MAX_N, DEFAULT_TAIL_TOL, derivs)
+        weights, j, order, seeds, n_seed, x, derivs)
     return sums, scale_log, flags
 
 

@@ -183,10 +183,14 @@ def g_function_batch(route: Route, p: ModelParams, energies,
     and zeta = 1 of ``route``'s reduction, one sample per energy, once
     ``route.rule`` passes p; both series of every energy are rolled in one
     batch.  The public sample boundary: it divides by omega once, and the
-    spectrum itself works on :func:`_wronskian`'s arrays."""
+    spectrum itself works on :func:`_wronskian`'s arrays.  Energies that
+    are not real numbers, a str among them, raise ValidationError."""
     route.rule(p)
     zeta_star = gluing_point(zeta_star)
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    energies = np.atleast_1d(energies)
+    if energies.dtype.kind not in "biuf":
+        raise ValidationError(f"energies must be real numbers, got {energies!r}")
+    energies = energies.astype(float)
     q, unit = in_units_of_omega(p, energies)
     red = reduction(route, q)
     g, log_g, bits = _wronskian(red, unit, np.zeros((2, unit.size), int), zeta_star)

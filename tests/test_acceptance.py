@@ -83,7 +83,9 @@ def test_criterion_3_bcf_approximation():
 
 
 def test_criterion_4_recurrence_audit(tmp_path):
-    entries = {e["name"]: e for e in audit_recurrences()}
+    entries = {e["name"]: e for e in audit_recurrences(
+        validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -0.1,
+        validate_params(1.0, 0.3, 0.1, 0.2, 0.1), 0.2)}
     # matching printed recurrences, instantiated with the composed tables
     for name in ("che-series-one", "five-term-series", "nine-term-series",
                  "bcf-series-one"):
@@ -114,7 +116,7 @@ def test_criterion_4_recurrence_audit(tmp_path):
 
 def test_criterion_5_residual_suite():
     t0 = time.perf_counter()
-    rows = residual_suite(n_draws=20, seed=7)
+    rows = residual_suite()
     dt = time.perf_counter() - t0
     worst = max(r["residual"] for r in rows)
     contexts = {r["context"] for r in rows}

@@ -113,7 +113,7 @@ def test_the_printed_chain_is_the_one_equation_builder():
     assert lags[:5] == ["che:alpha", "che:beta", "che:gamma", "che:mu", "che:nu"]
     assert len([lag for lag in lags if lag.startswith("bcf:")]) == 13
     assert {lag.split("[")[0] for lag in lags[18:]} == {"phi^(0)", "phi^(1)", "phi^(2)"}
-    report = diagnose_report(P_GEN, n_draws=2)
+    report = diagnose_report(P_GEN)
     assert "reduction-chain" in {e["name"] for e in report["audit"]}
     assert "reduction-chain" not in report["mismatched_entries"]
 
@@ -139,24 +139,33 @@ def test_appendix_audit():
 
 
 def test_residual_suite_green_and_corruptible():
-    rows = residual_suite(n_draws=3, seed=12)
+    rows = residual_suite()
     assert rows and all(r["ok"] for r in rows)
-    bad = residual_suite(n_draws=1, seed=12, corrupt=True)
-    assert any(not r["ok"] for r in bad)
+    bad = residual_suite(corrupt=True)
+    assert len(bad) == len(rows) and any(not r["ok"] for r in bad)
+
+
+def test_the_residual_and_report_settings_are_keyword_only():
+    # a positional count would otherwise be read as ``corrupt``
+    with pytest.raises(TypeError):
+        residual_suite(5)
+    with pytest.raises(TypeError):
+        diagnose_report(P_GEN, 5)
+    assert audit._residual_rows.cache_info().maxsize == 2
 
 
 def test_residual_suite_is_computed_once_and_handed_out_as_copies():
-    first = residual_suite(n_draws=2, seed=12)
+    first = residual_suite()
     hits = audit._residual_rows.cache_info().hits
     first[0]["ok"] = "changed"
     first.append({})
-    again = residual_suite(n_draws=2, seed=12)
+    again = residual_suite()
     assert len(again) == len(first) - 1 and again[0]["ok"] is True
     assert audit._residual_rows.cache_info().hits == hits + 1
     # the suite does not read the audited model: reports share its rows
-    assert (diagnose_report(P_GEN, n_draws=2)["residuals"]
-            == diagnose_report(P_ASYM, n_draws=2)["residuals"]
-            == residual_suite(n_draws=2))
+    assert (diagnose_report(P_GEN)["residuals"]
+            == diagnose_report(P_ASYM)["residuals"]
+            == residual_suite())
 
 
 def test_the_bch_series_entry_is_computed_once_and_handed_out_as_copies():
@@ -174,7 +183,7 @@ def test_the_bch_series_entry_is_computed_once_and_handed_out_as_copies():
 
 
 def test_diagnose_report_shape():
-    rep = diagnose_report(P_GEN, n_draws=2)
+    rep = diagnose_report(P_GEN)
     assert rep["residuals_ok"]
     assert "che-series-origin" in rep["mismatched_entries"]
     assert "bcf-series-origin" in rep["mismatched_entries"]
@@ -193,17 +202,16 @@ def test_a_printed_form_past_the_float_range_raises_a_numerical_error():
 
 def test_a_warm_report_derives_each_input_once():
     diagnose_report(P_GEN)  # computes and keeps the residual rows
-    derivations = (canonical._compose_fourth_order, canonical._asymmetric_second_order,
-                   twopoint._zeta_form)
+    derivations = (canonical._compose_fourth_order, twopoint._zeta_form)
     for derive in derivations:
         derive.cache_clear()
     diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))
-    # general and g = 0 operators; one lam = 0 parent, read by the confluent
-    # Heun equation, both partial-fraction tables and the reduction chain;
-    # one zeta form per route, the confluent Heun and the reduced equation,
-    # each read by the recurrence audit and the reduction chain
-    assert [derive.cache_info().misses for derive in derivations] == [2, 1, 2]
-    assert [derive.cache_info().maxsize for derive in derivations] == [4, 4, 8]
+    # general, g = 0 and lam = 0 operators, the last the parent read by the
+    # confluent Heun equation, both partial-fraction tables and the reduction
+    # chain; one zeta form per route, the confluent Heun and the reduced
+    # equation, each read by the recurrence audit and the reduction chain
+    assert [derive.cache_info().misses for derive in derivations] == [3, 2]
+    assert [derive.cache_info().maxsize for derive in derivations] == [4, 8]
 
 
 @pytest.mark.parametrize("p, p_asym, p_gen", [
@@ -229,11 +237,11 @@ def test_a_reports_audit_is_the_public_audits_at_its_inputs(p, p_asym, p_gen):
                 audit_reduction_chain(p_asym, p_gen, e),
                 *audit_appendix(normalize_params(p_gen, e)),
                 *audit_appendix(normalize_params(dataclasses.replace(p_gen, g=0.0), e))]
-    assert diagnose_report(ModelParams(*p), n_draws=1)["audit"] == expected
+    assert diagnose_report(ModelParams(*p))["audit"] == expected
 
 
 def test_every_row_has_one_shape():
-    rows = diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12), n_draws=1)["audit"]
+    rows = diagnose_report(validate_params(1.0, 0.35, 0.05, 0.25, 0.12))["audit"]
     assert {row["kind"] for row in rows} == {"recurrence", "operator", "table"}
     for row in rows:
         assert list(row) == ["name", "kind", "match", "items", "note", "symbols"]
@@ -254,7 +262,7 @@ def test_a_recurrence_row_lists_a_nan_lag_and_drops_a_lag_zero_on_both_sides():
     assert row["match"] is False and row["symbols"] == {"a": 1.0}
 
 
-@pytest.mark.parametrize("setting", [{"n_draws": 0}, {"n_draws": 2.5},
+@pytest.mark.parametrize("setting", [{"fock_cutoff": "120"}, {"fock_cutoff": None},
                                      {"fock_cutoff": 0}, {"fock_cutoff": 5000}])
 def test_a_report_refuses_its_settings_before_it_builds_a_table(setting, monkeypatch):
     def no_table(*args):

@@ -30,7 +30,7 @@ from rabi_spectra import (
 )
 from rabi_spectra.canonical import weber_params
 from rabi_spectra.cli import main
-from rabi_spectra.errors import RabiSpectraError, ValidationError
+from rabi_spectra.errors import NumericalError, RabiSpectraError, ValidationError
 from rabi_spectra.params import ModelParams
 from rabi_spectra.rootscan import REFINE_TOL
 from rabi_spectra.twopoint import zeta_form
@@ -74,13 +74,13 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
     lambda: zeta_form(HEUN, P2, "0.3"),
     lambda: canonical.compose_fourth_order(P3, "0.2"),
     lambda: canonical.asymmetric_second_order(P2, "0.2"),
-    # no draws would pass the residual gate without computing a row
-    lambda: audit.diagnose_report(P2, n_draws=0),
-    lambda: audit.residual_suite(n_draws=-3),
-    lambda: audit.residual_suite(n_draws=2.5),
-    lambda: audit.residual_suite(n_draws="3"),
-    lambda: audit.residual_suite(seed=-1),
-    lambda: audit.residual_suite(seed=2 ** 32),
+    # energies and a report's cutoff are read as real numbers too
+    lambda: g_function_heun(P2, "0.3"),
+    lambda: g_function_bcf_batch(P3, ["0.2", 0.7]),
+    lambda: g_function_heun(P2, "x"),
+    lambda: audit.diagnose_report(P2, fock_cutoff="120"),
+    lambda: audit.diagnose_report(P2, fock_cutoff=None),
+    lambda: audit.diagnose_report(P2, fock_cutoff=[3]),
 ], ids=["heun-nan-step", "bcf-nan-step", "delta0-nan-step", "delta0-inf-window",
         "oracle-k-1", "oracle-k0", "oracle-delta_n-1", "uncoupled-n_max-3",
         "oracle-k4.5", "hamiltonian-cutoff19.5", "oracle-delta_n0.5",
@@ -89,9 +89,9 @@ VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 0.5, 1e300)
         "params-omega-str", "params-omega-none", "params-g-array",
         "eigenvalues-cutoff-str", "eigenvalues-k-str", "zeta_form-energy-str",
         "compose_fourth_order-energy-str", "asymmetric_second_order-energy-str",
-        "diagnose-n_draws0", "residual_suite-n_draws-3", "residual_suite-n_draws2.5",
-        "residual_suite-n_draws-str", "residual_suite-seed-1",
-        "residual_suite-seed2**32"])
+        "g_function_heun-energy-str", "g_function_bcf_batch-energy-str",
+        "g_function_heun-energy-x", "diagnose-fock_cutoff-str",
+        "diagnose-fock_cutoff-none", "diagnose-fock_cutoff-list"])
 def test_bad_setting_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
@@ -142,8 +142,9 @@ def test_a_gluing_point_reaches_the_determinant_as_a_float(monkeypatch):
      lambda: zeta_form(HEUN, P2, 0.3)),
     (lambda: canonical.compose_fourth_order(P3, np.array(0.2)),
      lambda: canonical.compose_fourth_order(P3, 0.2)),
-    (lambda: canonical.asymmetric_second_order(P2, np.array(0.2)),
-     lambda: canonical.asymmetric_second_order(P2, 0.2)),
+    # the lam = 0 operator hands out the fourth-order composition's arrays
+    (lambda: canonical.asymmetric_second_order(P2, np.array(0.2))[0],
+     lambda: canonical.asymmetric_second_order(P2, 0.2)[0]),
 ], ids=["eigenvalues-cutoff", "eigenvalues-k", "zeta_form-energy",
         "compose_fourth_order-energy", "asymmetric_second_order-energy"])
 def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):
@@ -152,12 +153,18 @@ def test_a_cached_entry_point_takes_a_0d_array(call, python_numbers):
     assert call() is python_numbers()
 
 
-def test_residual_suite_reads_its_counts_before_its_cache():
-    # a 0-d array and a whole float share the entry of the Python numbers
-    first = audit.residual_suite(n_draws=1, seed=12)
-    hits = audit._residual_rows.cache_info().hits
-    assert audit.residual_suite(n_draws=np.array(1), seed=12.0) == first
-    assert audit._residual_rows.cache_info().hits == hits + 1
+def test_an_int_past_the_float_range_raises_validation_error():
+    # float(10**400) raises OverflowError, which the field's rule turns into
+    # its own message
+    with pytest.raises(ValidationError, match="g must be a real number in the float range"):
+        ModelParams(1.0, 0.0, 0.0, 10 ** 400, 0.0)
+
+
+def test_an_energy_that_overflows_the_zeta_form_raises_numerical_error():
+    # the parent's constant coefficient carries E^2 = 1e400, past the float
+    # range: the map to zeta refuses it before deriving an equation
+    with pytest.raises(NumericalError, match="non-finite ODE coefficient"):
+        zeta_form(HEUN, P2, 1e200)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.6])

